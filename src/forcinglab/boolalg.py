@@ -1,10 +1,12 @@
 """The regular-open completion of a finite poset as a concrete Boolean algebra.
 
-The algebra is materialized eagerly: its elements are all regular cuts of the
-base poset, one per subset of the atoms, with meet = intersection, join =
-regularize-of-union and complement = incompatibility complement.  Eager
-materialization is what lets the law suite and the completeness checker be
-exhaustive instead of sampled.
+A regular cut of a finite poset is fixed by the atoms it contains, so an
+algebra element is that atom set, as a bitmask over the base poset: meet is
+``&``, join is ``|`` and complement is ``^ one``.  :meth:`BoolAlgebra.cut`
+gives back the regular cut, for reports and for tests against the cut
+calculus in :mod:`forcinglab.poset`.  The algebra is materialized eagerly,
+one element per subset of the atoms, which is what lets the law suite and
+the completeness checker be exhaustive instead of sampled.
 """
 
 from __future__ import annotations
@@ -13,108 +15,102 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .config import DEFAULT_CAPS, CapExceeded
-from .poset import (Poset, _mask_bits, complement_cut, cut_of_atom_set,
-                    is_separative, regularize, separative_quotient)
+from .poset import (Poset, _mask_bits, cut_of_atom_set, is_separative,
+                    separative_quotient)
 
 
 class AlgebraError(ValueError):
-    """Mixed-algebra operands or a non-member cut."""
+    """A value that is not an element of the algebra."""
 
 
 class BoolAlgebra:
-    """All regular cuts of a separative base poset.
+    """All regular cuts of a separative base poset, stored as atom sets.
 
-    ``elements`` are cut masks sorted ascending; ``zero`` is the empty cut
-    and ``one`` the full one.  If the input poset was not separative it is
-    quotiented first: ``original``/``quotient_map`` report that, and the
-    algebra's cuts are cuts of ``base`` (the quotient).
+    ``elements`` ascend by their cuts, and ``index`` gives each element's
+    position there; ``zero`` is 0 and ``one`` is ``base.atom_mask``.  If the
+    input poset was not separative it is quotiented first:
+    ``original``/``quotient_map`` report that, and the atoms are those of
+    ``base`` (the quotient).
     """
 
     __slots__ = ("base", "original", "quotient_map", "elements", "index",
-                 "zero", "one", "_atomset_of", "_cut_of_atomset", "_nonzero")
+                 "nonzero", "zero", "one", "_cuts")
 
     def __init__(self, base: Poset, original: Poset | None = None,
                  quotient_map: tuple[int, ...] | None = None):
         self.base = base
         self.original = original
         self.quotient_map = quotient_map
-        atoms = base.atoms
-        k = len(atoms)
-        cut_of: dict[int, int] = {}
-        atomset_of: dict[int, int] = {}
-        for bits in range(1 << k):
-            am = 0
-            for i in range(k):
-                if (bits >> i) & 1:
-                    am |= 1 << atoms[i]
-            cut = cut_of_atom_set(am, base)
-            cut_of[am] = cut
-            atomset_of[cut] = am
-        self.elements = tuple(sorted(atomset_of))
-        self.index = {c: i for i, c in enumerate(self.elements)}
         self.zero = 0
-        self.one = base.full_mask
-        self._atomset_of = atomset_of
-        self._cut_of_atomset = cut_of
-        self._nonzero = tuple(c for c in self.elements if c)
+        self.one = base.atom_mask
+        subsets = [0]
+        for a in base.atoms:
+            subsets += [x | 1 << a for x in subsets]
+        self._cuts = {x: cut_of_atom_set(x, base) for x in subsets}
+        self.elements = tuple(sorted(subsets, key=self._cuts.__getitem__))
+        self.index = {x: i for i, x in enumerate(self.elements)}
+        self.nonzero = self.elements[1:]
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, cut: int) -> bool:
-        return cut in self._atomset_of
+    def __contains__(self, x: int) -> bool:
+        return x in self.index
 
-    @property
-    def nonzero(self) -> tuple[int, ...]:
-        return self._nonzero
-
-    def _require(self, cut: int) -> int:
+    def cut(self, x: int) -> int:
+        """The regular cut of the base poset that x stands for."""
         try:
-            return self._atomset_of[cut]
+            return self._cuts[x]
         except KeyError:
-            raise AlgebraError(f"cut {cut:#x} is not a regular cut of this algebra")
+            raise AlgebraError(f"{x:#x} is not an element of this algebra")
 
     def meet(self, a: int, b: int) -> int:
-        return self._cut_of_atomset[self._require(a) & self._require(b)]
+        return a & b
 
     def join(self, a: int, b: int) -> int:
-        return self._cut_of_atomset[self._require(a) | self._require(b)]
+        return a | b
 
     def complement(self, a: int) -> int:
-        self._require(a)
-        return complement_cut(a, self.base)
+        return a ^ self.one
 
     def product(self, family: Iterable[int]) -> int:
         """Meet of the whole family; the empty product is one."""
-        acc = self._atomset_of[self.one]
-        for c in family:
-            acc &= self._require(c)
-        return self._cut_of_atomset[acc]
+        acc = self.one
+        for x in family:
+            if x & ~self.one:
+                raise AlgebraError(f"{x:#x} is not an element of this algebra")
+            acc &= x
+        return acc
 
     def sum(self, family: Iterable[int]) -> int:
-        """Join of the whole family (regularize of the union); empty sum is zero."""
+        """Join of the whole family; the empty sum is zero."""
         acc = 0
-        for c in family:
-            acc |= self._require(c)
-        return self._cut_of_atomset[acc]
+        for x in family:
+            acc |= x
+        if acc & ~self.one:
+            raise AlgebraError(f"{acc:#x} is not an element of this algebra")
+        return acc
 
     def leq(self, a: int, b: int) -> bool:
-        return self.meet(a, b) == a
+        return not a & ~b
 
     def principal(self, p: int) -> int:
-        return self.base.principal_cut(p)
+        """The element of the principal cut of base element p."""
+        return self.base.atoms_below(p)
 
 
 def ro_algebra(poset: Poset, max_base: int | None = None) -> BoolAlgebra:
     """The regular-open algebra of a poset.
 
     Non-separative inputs are quotiented first and the quotient map is kept
-    on the result.  Posets above the enumeration bound are rejected.
+    on the result.  The algebra has 2^|atoms| elements, so posets with more
+    than ``max_base`` atoms (default ``Caps.algebra_max_base``) are rejected.
     """
     bound = DEFAULT_CAPS.algebra_max_base if max_base is None else max_base
-    if poset.n > bound:
+    k = len(poset.atoms)
+    if k > bound:
         raise CapExceeded(
-            f"poset has {poset.n} elements, above the algebra enumeration bound {bound}")
+            f"poset has {k} atoms, above the algebra enumeration bound {bound}")
     if is_separative(poset):
         return BoolAlgebra(poset)
     quot, mapping = separative_quotient(poset)
@@ -168,11 +164,11 @@ def boolean_law_violations(algebra: BoolAlgebra) -> list[tuple]:
 
 
 def dense_embedding_violations(algebra: BoolAlgebra) -> list[int]:
-    """Nonzero algebra elements with no principal cut below them."""
-    base = algebra.base
+    """Nonzero algebra elements with no principal element below them."""
+    A = algebra
     bad = []
-    for b in algebra.nonzero:
-        if not any(not base.principal_cut(p) & ~b for p in range(base.n)):
+    for b in A.nonzero:
+        if not any(A.leq(A.principal(p), b) for p in range(A.base.n)):
             bad.append(b)
     return bad
 
@@ -185,8 +181,9 @@ class HomReport:
     """Outcome of the exhaustive complete-homomorphism check.
 
     ``counterexamples`` holds up to ``kept`` entries of
-    (kind, input family tuple, expected, got); ``violation_count`` is the
-    full count.  A preserves_* flag is True iff its kind has no violations.
+    (kind, input family tuple, expected, got), each value written as its
+    poset cut; ``violation_count`` is the full count.  A preserves_* flag is
+    True iff its kind has no violations.
     """
 
     preserves_zero_one: bool = True
@@ -226,56 +223,53 @@ def check_complete_hom(h: Mapping[int, int] | Callable[[int], int],
         raise CapExceeded(
             f"algebra has {k} elements: 2^{k} subfamilies exceed the cap {cap}")
     hv = []
-    for c in els:
-        v = h[c] if isinstance(h, Mapping) else h(c)
-        B._require(v)
+    for x in els:
+        v = h[x] if isinstance(h, Mapping) else h(x)
+        if v not in B:
+            raise AlgebraError(f"{v:#x} is not an element of the target algebra")
         hv.append(v)
+    h_of = dict(zip(els, hv))
     rep = HomReport()
-    if hv[A.index[A.zero]] != B.zero:
+
+    def hit(kind: str, family, expected: int, got: int):
+        rep._hit(kind, tuple(A.cut(x) for x in family), B.cut(expected), B.cut(got))
+
+    if h_of[A.zero] != B.zero:
         rep.preserves_zero_one = False
-        rep._hit("zero", (A.zero,), B.zero, hv[A.index[A.zero]])
-    if hv[A.index[A.one]] != B.one:
+        hit("zero", (A.zero,), B.zero, h_of[A.zero])
+    if h_of[A.one] != B.one:
         rep.preserves_zero_one = False
-        rep._hit("one", (A.one,), B.one, hv[A.index[A.one]])
-    for i, c in enumerate(els):
-        got = hv[A.index[A.complement(c)]]
-        want = B.complement(hv[i])
+        hit("one", (A.one,), B.one, h_of[A.one])
+    for x, v in zip(els, hv):
+        got = h_of[A.complement(x)]
+        want = B.complement(v)
         if got != want:
             rep.preserves_complement = False
-            rep._hit("complement", (c,), want, got)
-    # DP over subfamily bitmasks in atom-set space: O(1) per family per side
-    a_atom = [A._atomset_of[c] for c in els]
-    b_atom = [B._atomset_of[v] for v in hv]
+            hit("complement", (x,), want, got)
+    # DP over subfamily bitmasks: O(1) per family per side
     n_fam = 1 << k
     a_prod = [0] * n_fam
     a_sum = [0] * n_fam
     b_prod = [0] * n_fam
     b_sum = [0] * n_fam
-    a_prod[0] = A._atomset_of[A.one]
-    b_prod[0] = B._atomset_of[B.one]
+    a_prod[0] = A.one
+    b_prod[0] = B.one
     for m in range(1, n_fam):
         low = m & -m
         i = low.bit_length() - 1
         rest = m ^ low
-        a_prod[m] = a_prod[rest] & a_atom[i]
-        a_sum[m] = a_sum[rest] | a_atom[i]
-        b_prod[m] = b_prod[rest] & b_atom[i]
-        b_sum[m] = b_sum[rest] | b_atom[i]
-    h_of = {A._atomset_of[c]: B._atomset_of[v] for c, v in zip(els, hv)}
+        a_prod[m] = a_prod[rest] & els[i]
+        a_sum[m] = a_sum[rest] | els[i]
+        b_prod[m] = b_prod[rest] & hv[i]
+        b_sum[m] = b_sum[rest] | hv[i]
     for m in range(n_fam):
-        want = h_of[a_prod[m]]
-        if want != b_prod[m]:
+        got = h_of[a_prod[m]]
+        if got != b_prod[m]:
             rep.preserves_all_products = False
-            fam = tuple(els[i] for i in _mask_bits(m))
-            rep._hit("product", fam,
-                     B._cut_of_atomset[b_prod[m]],
-                     B._cut_of_atomset[want])
-        want = h_of[a_sum[m]]
-        if want != b_sum[m]:
+            hit("product", [els[i] for i in _mask_bits(m)], b_prod[m], got)
+        got = h_of[a_sum[m]]
+        if got != b_sum[m]:
             rep.preserves_all_sums = False
-            fam = tuple(els[i] for i in _mask_bits(m))
-            rep._hit("sum", fam,
-                     B._cut_of_atomset[b_sum[m]],
-                     B._cut_of_atomset[want])
+            hit("sum", [els[i] for i in _mask_bits(m)], b_sum[m], got)
     rep.families_checked = n_fam
     return rep

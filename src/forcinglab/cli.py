@@ -44,7 +44,6 @@ class ExperimentConfig:
     max_rank: int = 2
     seed: int = 0
     out: str = "forcinglab-report.jsonl"
-    workers: int = 1
     max_stage_conditions: int = DEFAULT_CAPS.max_stage_conditions
     universe_cap: int = DEFAULT_CAPS.universe_cap
     pair_universe_cap: int = DEFAULT_CAPS.pair_universe_cap
@@ -64,7 +63,7 @@ class ExperimentConfig:
     def echo(self) -> dict:
         return {k: getattr(self, k) for k in (
             "suite", "max_poset", "max_stages", "max_rank", "seed",
-            "workers", "max_stage_conditions", "universe_cap",
+            "max_stage_conditions", "universe_cap",
             "pair_universe_cap", "hom_family_cap", "cifs_formulas",
             "cifs_ladder")}
 
@@ -456,17 +455,8 @@ def execute(config: ExperimentConfig) -> tuple[SuiteReport, dict]:
         census["contexts"] = sum(
             len(it.stages[a].generics)
             for _, it in instances for a in range(1, len(it) + 1))
-        def run_one(pair):
-            spec, iteration = pair
-            return [run_suite(s, spec, iteration, config) for s in table_suites]
-        if config.workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                for batch in pool.map(run_one, instances):
-                    reports.extend(batch)
-        else:
-            for pair in instances:
-                reports.extend(run_one(pair))
+        for spec, iteration in instances:
+            reports.extend(run_suite(s, spec, iteration, config) for s in table_suites)
         by_id = {spec.instance_id: spec for spec, _ in instances}
         for rep in reports:
             for c in rep.failures:
@@ -556,7 +546,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-rank", type=int, dest="max_rank")
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
-        p.add_argument("--workers", type=int)
         p.add_argument("--max-stage-conditions", type=int, dest="max_stage_conditions")
         p.add_argument("--universe-cap", type=int, dest="universe_cap")
         p.add_argument("--pair-universe-cap", type=int, dest="pair_universe_cap")

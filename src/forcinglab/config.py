@@ -18,7 +18,7 @@ class CapExceeded(RuntimeError):
 class Caps:
     max_stages: int = 4                # iteration stage count bound
     max_stage_conditions: int = 64     # canonical conditions per stage poset
-    algebra_max_base: int = 12         # default poset size bound for ro_algebra
+    algebra_max_base: int = 12         # atom bound for ro_algebra (2^atoms elements)
     universe_cap: int = 4096           # names materialized per universe
     pair_universe_cap: int = 48        # universe size for pair-quantified transport sweeps
     hom_family_cap: int = 1 << 16      # subfamilies enumerated per completeness check

@@ -124,7 +124,7 @@ def generic_containing(generics: list[GenericSet], p: int) -> list[GenericSet]:
 
 
 def forces(p: int, formula, universe) -> bool:
-    """p forces f  iff  the principal cut of p lies inside ||f||.
+    """p forces f  iff  the principal element of p lies below ||f||.
 
     ``universe`` is a :class:`forcinglab.names.NameUniverse`; for posets that
     were quotiented on algebra construction, p is mapped through the quotient
@@ -134,8 +134,6 @@ def forces(p: int, formula, universe) -> bool:
 
     algebra = universe.algebra
     value = truth_value(formula, universe)
-    base = algebra.base
     if algebra.quotient_map is not None and p < len(algebra.quotient_map):
         p = algebra.quotient_map[p]
-    cut = base.principal_cut(p)
-    return not cut & ~value
+    return algebra.leq(algebra.principal(p), value)

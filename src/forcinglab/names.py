@@ -1,9 +1,10 @@
 """Boolean-valued names over a regular-open algebra, and their semantics.
 
-A name is a hereditarily finite set of (name, regular cut) pairs.  Canonical
-form: entries with cut zero are dropped and duplicate sub-names merge by
-joining their cuts, neither of which changes any truth value.  Truth values
-follow the atomic clauses
+A name is a hereditarily finite set of (name, algebra element) pairs, where
+an element is an atom set of the algebra's base poset (see
+:mod:`forcinglab.boolalg`).  Canonical form: entries with element zero are
+dropped and duplicate sub-names merge by joining their elements, neither of
+which changes any truth value.  Truth values follow the atomic clauses
 
     ||x in y|| = Sum_{t in dom y} ||t = x|| * y(t)
     ||x = y||  = Prod_{t in dom x} (-x(t) + ||t in y||)
@@ -21,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .boolalg import BoolAlgebra
+from .boolalg import AlgebraError, BoolAlgebra
 from .config import DEFAULT_CAPS, CapExceeded
 from .formula import (And, Const, Equality, Exists, ForAll, Formula,
                       FormulaError, Implies, Membership, Not, Or, Term,
@@ -34,23 +35,26 @@ class UniverseCapExceeded(CapExceeded):
 
 
 class Name:
-    """Canonical Boolean-valued name.  Immutable and structurally hashable."""
+    """Canonical Boolean-valued name.  Immutable and structurally hashable.
+
+    ``key`` lists each entry as (sub-name key, position of its element in
+    ``algebra.elements``), so keys order names as their cuts do.
+    """
 
     __slots__ = ("entries", "key", "rank")
 
     def __init__(self, entries: Iterable[tuple["Name", int]], algebra: BoolAlgebra):
         merged: dict[Name, int] = {}
-        for sub, cut in entries:
-            if cut == algebra.zero:
+        for sub, x in entries:
+            if x == algebra.zero:
                 continue
-            algebra._require(cut)
-            if sub in merged:
-                merged[sub] = algebra.join(merged[sub], cut)
-            else:
-                merged[sub] = cut
+            merged[sub] = algebra.join(merged[sub], x) if sub in merged else x
         es = tuple(sorted(merged.items(), key=lambda e: e[0].key))
+        try:
+            self.key = tuple((sub.key, algebra.index[x]) for sub, x in es)
+        except KeyError as e:
+            raise AlgebraError(f"{e.args[0]:#x} is not an element of this algebra")
         self.entries = es
-        self.key = tuple((sub.key, cut) for sub, cut in es)
         self.rank = 0 if not es else 1 + max(sub.rank for sub, _ in es)
 
     def __hash__(self):
@@ -62,7 +66,7 @@ class Name:
     def __repr__(self):
         if not self.entries:
             return "{}"
-        return "{" + ", ".join(f"({sub!r},{cut:#x})" for sub, cut in self.entries) + "}"
+        return "{" + ", ".join(f"({sub!r},{x:#x})" for sub, x in self.entries) + "}"
 
 
 def make_name(entries: Iterable[tuple[Name, int]], algebra: BoolAlgebra) -> Name:
@@ -86,13 +90,17 @@ def check_name(x: HFSet, algebra: BoolAlgebra,
 
 
 def evaluate(name: Name, generic_mask: int, _memo: dict | None = None) -> HFSet:
-    """i_G: a member enters the evaluation when its cut meets the filter."""
+    """i_G: a member enters the evaluation when its element meets the filter.
+
+    For a generic filter (the upward closure of one atom) an atom set meets
+    it exactly when its cut does.
+    """
     memo = _memo if _memo is not None else {}
     key = (name, generic_mask)
     got = memo.get(key)
     if got is None:
         got = HFSet(evaluate(sub, generic_mask, memo)
-                    for sub, cut in name.entries if cut & generic_mask)
+                    for sub, x in name.entries if x & generic_mask)
         memo[key] = got
     return got
 
@@ -101,13 +109,13 @@ def mix_name(values: Sequence[tuple[int, Name]], algebra: BoolAlgebra) -> Name:
     """A name evaluating to values[i][1] under the generic of atom values[i][0].
 
     Classic mixing over the antichain of atoms: every entry of each branch
-    name is restricted to that branch's principal cut.
+    name is restricted to that branch's principal element.
     """
     entries: list[tuple[Name, int]] = []
     for atom, branch in values:
-        u = algebra.base.principal_cut(atom)
-        for sub, cut in branch.entries:
-            entries.append((sub, algebra.meet(u, cut)))
+        u = algebra.principal(atom)
+        for sub, x in branch.entries:
+            entries.append((sub, algebra.meet(u, x)))
     return Name(entries, algebra)
 
 
@@ -193,10 +201,10 @@ def sampled_universe(algebra: BoolAlgebra, rank_bound: int,
     pool = sorted(names, key=lambda n: n.key)
     for count in range(1, max_entries + 1):
         for subs in itertools.combinations(pool, count):
-            for cuts in itertools.product(algebra.nonzero, repeat=count):
+            for values in itertools.product(algebra.nonzero, repeat=count):
                 if len(names) >= limit:
                     break
-                names.add(Name(tuple(zip(subs, cuts)), algebra))
+                names.add(Name(tuple(zip(subs, values)), algebra))
             if len(names) >= limit:
                 break
         if len(names) >= limit:
@@ -227,8 +235,8 @@ class TruthSession:
         got = self._in.get(key)
         if got is None:
             A = self.algebra
-            got = A.sum(A.meet(self.equal_value(t, x), cut)
-                        for t, cut in y.entries)
+            got = A.sum(A.meet(self.equal_value(t, x), v)
+                        for t, v in y.entries)
             self._in[key] = got
         return got
 
@@ -238,11 +246,11 @@ class TruthSession:
         if got is None:
             A = self.algebra
             left = A.product(
-                A.join(A.complement(cut), self.member_value(t, y))
-                for t, cut in x.entries)
+                A.join(A.complement(v), self.member_value(t, y))
+                for t, v in x.entries)
             right = A.product(
-                A.join(A.complement(cut), self.member_value(t, x))
-                for t, cut in y.entries)
+                A.join(A.complement(v), self.member_value(t, x))
+                for t, v in y.entries)
             got = A.meet(left, right)
             self._eq[key] = got
         return got
@@ -287,7 +295,7 @@ class TruthSession:
 
 
 def truth_value(f: Formula, universe: NameUniverse) -> int:
-    """||f|| as a regular cut; f must be closed over the universe."""
+    """||f|| as an algebra element; f must be closed over the universe."""
     free = free_variables(f)
     if free:
         raise FormulaError(f"open formula: unbound variables {sorted(free)}")

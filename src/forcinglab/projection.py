@@ -5,10 +5,10 @@ constructs, level by level, the quotient posets seen from the extension
 together with the three maps:
 
     pi        conditions with their alpha-prefix in G  ->  quotient conditions
-    pi_prime  regular cuts                             ->  regular quotient cuts
-              (pointwise image, then regularization)
+    pi_prime  algebra elements                         ->  quotient algebra elements
+              (pointwise image of the element's cut, then regularization)
     pi_second names                                    ->  names
-              (structural recursion, cuts through pi_prime)
+              (structural recursion, elements through pi_prime)
 
 The first quotient level takes a condition's tail to its value under G; each
 later level pairs the previous quotient prefix with the image name of the
@@ -30,9 +30,10 @@ from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .formula import (Formula, Membership, is_quantifier_free,
                       parse_formula, to_text)
 from .generic import GenericSet, dense_subsets, is_filter
-from .iteration import (TAIL_ONE, CifsProvider, Iteration, Stage, StepContext,
-                        StepProvider, build_iteration, extend_stage,
-                        root_stage, trim)
+from .iteration import (TAIL_ONE, CifsProvider, Iteration, ProviderError,
+                        Stage, StepContext, StepProvider, build_iteration,
+                        canonicalize_condition, extend_stage, root_stage,
+                        trim)
 from .names import (Name, NameUniverse, TruthSession, decode_element,
                     element_name, evaluate, mix_name, name_universe,
                     sampled_universe)
@@ -53,7 +54,7 @@ class QuotientLevel:
     pi: list                          # P_beta condition index -> class index | None
     combine: list[int]                # quotient generic -> P_beta generic index
     algebra: BoolAlgebra              # r.o. of the quotient poset
-    pi_prime: dict[int, int]          # source regular cut -> quotient regular cut
+    pi_prime: dict[int, int]          # source element -> quotient element
     _pi_second: dict = field(default_factory=dict)
 
 
@@ -87,25 +88,17 @@ class ProjectionContext:
     def pi(self, beta: int, cond_idx: int):
         return self.levels[beta].pi[cond_idx]
 
-    def pi_prime(self, beta: int, cut: int) -> int:
-        return self.levels[beta].pi_prime[cut]
+    def pi_prime(self, beta: int, x: int) -> int:
+        return self.levels[beta].pi_prime[x]
 
     def pi_second(self, beta: int, name: Name) -> Name:
         level = self.levels[beta]
         got = level._pi_second.get(name)
         if got is None:
-            got = Name(((self.pi_second(beta, sub), level.pi_prime[cut])
-                        for sub, cut in name.entries), level.algebra)
+            got = Name(((self.pi_second(beta, sub), level.pi_prime[x])
+                        for sub, x in name.entries), level.algebra)
             level._pi_second[name] = got
         return got
-
-
-def source_algebra(iteration: Iteration, beta: int) -> BoolAlgebra:
-    poset = iteration.stages[beta].poset
-    if len(poset.atoms) > 12:
-        raise CapExceeded(
-            f"stage {beta} poset has {len(poset.atoms)} atoms; its algebra is too large")
-    return ro_algebra(poset, max_base=poset.n)
 
 
 def _tail_as_name(stage: Stage, tail, algebra: BoolAlgebra,
@@ -141,16 +134,17 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
 
     source_algebras: dict[int, BoolAlgebra] = {}
     for beta in range(alpha, N + 1):
-        source_algebras[beta] = source_algebra(iteration, beta)
+        source_algebras[beta] = ro_algebra(stages[beta].poset,
+                                           max_base=caps.algebra_max_base)
 
     levels: dict[int, QuotientLevel] = {}
     # trivial root level: everything in G maps to the empty sequence
     root = root_stage()
     pi_root = [0 if (G.mask >> i) & 1 else None
                for i in range(stages[alpha].poset.n)]
-    root_alg = ro_algebra(root.poset, max_base=1)
-    pi_prime_root = {cut: (root_alg.one if cut & G.mask else root_alg.zero)
-                     for cut in source_algebras[alpha].elements}
+    root_alg = ro_algebra(root.poset, max_base=caps.algebra_max_base)
+    pi_prime_root = {x: (root_alg.one if x & G.mask else root_alg.zero)
+                     for x in source_algebras[alpha].elements}
     levels[alpha] = QuotientLevel(alpha, root, pi_root, [gen_index],
                                   root_alg, pi_prime_root)
 
@@ -220,14 +214,15 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
             combine[hit[0]] = sg
         if any(c is None for c in combine):
             raise ProjectionError(f"quotient generic with no source generic at level {beta}")
-        algebra = ro_algebra(qstage.poset, max_base=qstage.poset.n)
+        algebra = ro_algebra(qstage.poset, max_base=caps.algebra_max_base)
+        A = source_algebras[beta]
         pi_prime: dict[int, int] = {}
-        for cut in source_algebras[beta].elements:
+        for x in A.elements:
             img = 0
-            for p in _mask_bits(cut):
+            for p in _mask_bits(A.cut(x)):
                 if pi[p] is not None:
                     img |= 1 << pi[p]
-            pi_prime[cut] = regularize(img, qstage.poset)
+            pi_prime[x] = regularize(img, qstage.poset) & qstage.poset.atom_mask
         levels[beta] = QuotientLevel(beta, qstage, pi, combine, algebra, pi_prime)
 
     iteration.context_cache[cache_key] = ctx
@@ -288,9 +283,7 @@ def verify_theorem2(ctx: ProjectionContext, universe: NameUniverse | None = None
                      {"reason": str(e)})
         # item 2: every bounded quotient name has a structural preimage
         target = working_universe(B, rank, ctx.caps)
-        inverse: dict[int, int] = {}
-        for cut, img in sorted(level.pi_prime.items()):
-            inverse.setdefault(img, cut)
+        inverse = _first_preimages(level, A)
         onto_ok = True
         onto_detail: dict = {"targets": len(target.names),
                              "exhaustive": target.exhaustive}
@@ -301,11 +294,11 @@ def verify_theorem2(ctx: ProjectionContext, universe: NameUniverse | None = None
             if got is not None:
                 return got
             entries = []
-            for sub, cut in y.entries:
+            for sub, x in y.entries:
                 px = preimage(sub)
-                if px is None or cut not in inverse:
+                if px is None or x not in inverse:
                     return None
-                entries.append((px, inverse[cut]))
+                entries.append((px, inverse[x]))
             built = Name(entries, A)
             pre_memo[y] = built
             return built
@@ -394,16 +387,6 @@ def verify_projection_lemmas(ctx: ProjectionContext,
     return rep
 
 
-def _principal_image_cuts(ctx: ProjectionContext, beta: int):
-    level = ctx.levels[beta]
-    src = ctx.iteration.stages[beta]
-    out = []
-    for ci in range(src.poset.n):
-        if level.pi[ci] is not None:
-            out.append((ci, level.pi_prime[src.poset.principal_cut(ci)]))
-    return out
-
-
 def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
                      universe: NameUniverse | None, instance: str,
                      rank: int = 2):
@@ -411,24 +394,22 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
     src = ctx.iteration.stages[beta]
     qposet = level.stage.poset
     A = ctx.source_algebras[beta]
+    B = level.algebra
     cctx = {"alpha": ctx.alpha, "generic": ctx.gen_index, "beta": beta}
+    defined = [ci for ci in range(src.poset.n) if level.pi[ci] is not None]
 
     # L3: every quotient principal cut is the image of a principal cut
-    images = dict()
-    for ci, img in _principal_image_cuts(ctx, beta):
-        images.setdefault(img, ci)
+    images = {level.pi_prime[A.principal(ci)] for ci in defined}
     missing = [qposet.labels[p] for p in range(qposet.n)
-               if qposet.principal_cut(p) not in images]
+               if B.principal(p) not in images]
     rep.record("projection-lemmas", "L3-principal-onto", instance, not missing,
                cctx, {"missing": missing})
 
     # L4: prefix-in-G conditions project principal cuts to principal cuts
     bad4 = []
-    for ci in range(src.poset.n):
-        if level.pi[ci] is None:
-            continue
-        want = qposet.principal_cut(level.pi[ci])
-        got = level.pi_prime[src.poset.principal_cut(ci)]
+    for ci in defined:
+        want = B.principal(level.pi[ci])
+        got = level.pi_prime[A.principal(ci)]
         if got != want:
             bad4.append(src.poset.labels[ci])
     rep.record("projection-lemmas", "L4-principal-to-principal", instance,
@@ -436,7 +417,6 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
 
     # L5: disjoint principal cuts stay disjoint
     bad5 = []
-    defined = [ci for ci in range(src.poset.n) if level.pi[ci] is not None]
     for ci in defined:
         for cj in defined:
             if src.poset.below[ci] & src.poset.below[cj]:
@@ -448,17 +428,18 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
 
     # L6: pi_prime commutes with complement
     bad6 = []
-    for cut in A.elements:
-        lhs = level.pi_prime[A.complement(cut)]
-        rhs = level.algebra.complement(level.pi_prime[cut])
+    for x in A.elements:
+        lhs = level.pi_prime[A.complement(x)]
+        rhs = B.complement(level.pi_prime[x])
         if lhs != rhs:
-            bad6.append(cut)
+            bad6.append(x)
     rep.record("projection-lemmas", "L6-complement", instance, not bad6,
-               cctx, {"violations": [f"{c:#x}" for c in bad6[:4]], "count": len(bad6)})
+               cctx, {"violations": [f"{A.cut(x):#x}" for x in bad6[:4]],
+                      "count": len(bad6)})
 
     # L7: pi_prime commutes with arbitrary products
     try:
-        ok7, count7 = _products_transport(level, A)
+        ok7, count7 = _products_transport(level, A, ctx.caps.hom_family_cap)
         rep.record("projection-lemmas", "L7-products", instance, ok7, cctx,
                    {"families": count7})
     except CapExceeded as e:
@@ -467,10 +448,8 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
 
     # L8: pi_second onto the bounded quotient universe (shared with Theorem 2
     # item 2, re-run here so the lemma suite is self-contained)
-    target = working_universe(level.algebra, rank, ctx.caps)
-    inverse: dict[int, int] = {}
-    for cut, img in sorted(level.pi_prime.items()):
-        inverse.setdefault(img, cut)
+    target = working_universe(B, rank, ctx.caps)
+    inverse = _first_preimages(level, A)
     ok8 = True
     for y in target.names:
         x = _structural_preimage(ctx, beta, y, inverse, A)
@@ -486,7 +465,7 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
     sess = TruthSession(src_u)
     image_names = tuple(sorted({ctx.pi_second(beta, n) for n in src_u.names},
                                key=lambda n: n.key))
-    tsess = TruthSession(NameUniverse(level.algebra, src_u.rank_bound,
+    tsess = TruthSession(NameUniverse(B, src_u.rank_bound,
                                       image_names, exhaustive=False))
     bad9 = 0
     for x in src_u.names:
@@ -528,42 +507,49 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
                cctx, detail14)
 
 
-def _products_transport(level: QuotientLevel, A: BoolAlgebra):
+def _products_transport(level: QuotientLevel, A: BoolAlgebra, cap: int):
     els = A.elements
     k = len(els)
-    if 1 << k > DEFAULT_CAPS.hom_family_cap:
+    if 1 << k > cap:
         raise CapExceeded(f"2^{k} families exceed the product-transport cap")
-    B = level.algebra
-    a_atom = [A._atomset_of[c] for c in els]
-    b_atom = [B._atomset_of[level.pi_prime[c]] for c in els]
-    h_of = {A._atomset_of[c]: B._atomset_of[level.pi_prime[c]] for c in els}
+    h = level.pi_prime
+    b_img = [h[x] for x in els]
     n_fam = 1 << k
     a_prod = [0] * n_fam
     b_prod = [0] * n_fam
-    a_prod[0] = A._atomset_of[A.one]
-    b_prod[0] = B._atomset_of[B.one]
+    a_prod[0] = A.one
+    b_prod[0] = level.algebra.one
     ok = True
     for m in range(1, n_fam):
         low = m & -m
         i = low.bit_length() - 1
         rest = m ^ low
-        a_prod[m] = a_prod[rest] & a_atom[i]
-        b_prod[m] = b_prod[rest] & b_atom[i]
+        a_prod[m] = a_prod[rest] & els[i]
+        b_prod[m] = b_prod[rest] & b_img[i]
     for m in range(n_fam):
-        if h_of[a_prod[m]] != b_prod[m]:
+        if h[a_prod[m]] != b_prod[m]:
             ok = False
             break
     return ok, n_fam
 
 
+def _first_preimages(level: QuotientLevel, A: BoolAlgebra) -> dict[int, int]:
+    """Quotient element -> its first preimage under pi_prime, in the order
+    of ``A.elements``."""
+    inverse: dict[int, int] = {}
+    for x in A.elements:
+        inverse.setdefault(level.pi_prime[x], x)
+    return inverse
+
+
 def _structural_preimage(ctx: ProjectionContext, beta: int, y: Name,
                          inverse: dict[int, int], A: BoolAlgebra) -> Name | None:
     entries = []
-    for sub, cut in y.entries:
+    for sub, x in y.entries:
         px = _structural_preimage(ctx, beta, sub, inverse, A)
-        if px is None or cut not in inverse:
+        if px is None or x not in inverse:
             return None
-        entries.append((px, inverse[cut]))
+        entries.append((px, inverse[x]))
     return Name(entries, A)
 
 
@@ -582,15 +568,13 @@ def _attach(ctx: ProjectionContext, beta: int, s_idx: int, suffix) -> int | None
     """Index of s-frown-suffix in P_beta: the alpha-prefix replaced by s and
     every tail restricted to the generics below it.  None when s does not
     sit below the suffix's original prefix constraints."""
-    from .iteration import canonicalize_condition
-
     stages = ctx.iteration.stages
     alpha = ctx.alpha
     s_cond = stages[alpha].conditions[s_idx]
     raw = list(s_cond) + [TAIL_ONE] * (alpha - len(s_cond)) + list(suffix)
     try:
         cond = canonicalize_condition(raw, ctx.iteration, beta)
-    except Exception:
+    except (KeyError, ProviderError):
         return None
     idx = stages[beta]._index.get(cond)
     return idx
@@ -645,7 +629,11 @@ def _lemma12(ctx: ProjectionContext, beta: int, src_u: NameUniverse,
     stages = ctx.iteration.stages
     alpha = ctx.alpha
     G = ctx.G
-    qposet = level.stage.poset
+    A = ctx.source_algebras[beta]
+    B = level.algebra
+    principal = [A.principal(ci) for ci in range(src.poset.n)]
+    defined = [(ci, principal[ci], B.principal(level.pi[ci]))
+               for ci in range(src.poset.n) if level.pi[ci] is not None]
     names = src_u.names
     checked = 0
     for shape in ATOMIC_SHAPES:
@@ -656,11 +644,9 @@ def _lemma12(ctx: ProjectionContext, beta: int, src_u: NameUniverse,
                 px, py = ctx.pi_second(beta, x), ctx.pi_second(beta, y)
                 tgt_val = tsess.member_value(px, py) if isinstance(shape, Membership) \
                     else tsess.equal_value(px, py)
-                for ci in range(src.poset.n):
-                    if level.pi[ci] is None:
-                        continue
-                    src_forces = not src.poset.principal_cut(ci) & ~src_val
-                    tgt_forces = not qposet.principal_cut(level.pi[ci]) & ~tgt_val
+                for ci, u, qu in defined:
+                    src_forces = A.leq(u, src_val)
+                    tgt_forces = B.leq(qu, tgt_val)
                     if src_forces and not tgt_forces:
                         return False, {"direction": "forward",
                                        "condition": src.poset.labels[ci]}
@@ -670,8 +656,7 @@ def _lemma12(ctx: ProjectionContext, beta: int, src_u: NameUniverse,
                         ok = False
                         for s in _mask_bits(G.mask & stages[alpha].poset.below[prefix]):
                             si = _attach(ctx, beta, s, suffix)
-                            if si is not None and \
-                                    not src.poset.principal_cut(si) & ~src_val:
+                            if si is not None and A.leq(principal[si], src_val):
                                 ok = True
                                 break
                         if not ok:

@@ -104,7 +104,7 @@ def test_criterion_2_truth_lemma():
             for g in generics:
                 ix, iy = evaluations[g.atom][x], evaluations[g.atom][y]
                 for value, holds in ((vin, ix in iy), (veq, ix == iy)):
-                    lhs = any(not base.principal_cut(p) & ~value
+                    lhs = any(not base.principal_cut(p) & ~A.cut(value)
                               for p in range(base.n) if p in g)
                     assert lhs == holds, (poset, x, y)
                     checked += 1

@@ -6,16 +6,18 @@ from forcinglab.boolalg import (AlgebraError, boolean_law_violations,
                                 check_complete_hom,
                                 dense_embedding_violations, ro_algebra)
 from forcinglab.config import CapExceeded
+from forcinglab.iteration import TableProvider, build_iteration
 from forcinglab.poset import (all_separative_posets, antichain_with_top,
-                              chain_poset, point_poset)
+                              chain_poset, complement_cut, is_regular_cut,
+                              point_poset, regularize)
 
 
 class TestRoAlgebra:
     def test_antichain_two_atoms_gives_four_cuts(self):
         A = ro_algebra(antichain_with_top(2))
         assert len(A) == 4
-        a = A.base.principal_cut(A.base.labels.index("a"))
-        b = A.base.principal_cut(A.base.labels.index("b"))
+        a = A.principal(A.base.labels.index("a"))
+        b = A.principal(A.base.labels.index("b"))
         assert set(A.elements) == {A.zero, a, b, A.one}
 
     def test_single_point_gives_two(self):
@@ -40,8 +42,8 @@ class TestProductSum:
     def setup_method(self):
         self.A = ro_algebra(antichain_with_top(2))
         base = self.A.base
-        self.ua = base.principal_cut(base.labels.index("a"))
-        self.ub = base.principal_cut(base.labels.index("b"))
+        self.ua = self.A.principal(base.labels.index("a"))
+        self.ub = self.A.principal(base.labels.index("b"))
 
     def test_product_idempotent(self):
         assert self.A.product([self.ua, self.ua]) == self.ua
@@ -122,9 +124,39 @@ class TestCompleteHom:
         # send both atoms to the same atom: binary meets survive but the
         # sum of the two atoms lands strictly below one
         base = self.A.base
-        ua = base.principal_cut(base.labels.index("a"))
-        ub = base.principal_cut(base.labels.index("b"))
+        ua = self.A.principal(base.labels.index("a"))
+        ub = self.A.principal(base.labels.index("b"))
         h = {self.A.zero: self.A.zero, ua: ua, ub: ua, self.A.one: self.A.one}
         rep = check_complete_hom(h, self.A, self.A)
         assert not rep.ok
         assert not rep.preserves_all_sums or not rep.preserves_complement
+
+
+class TestAtomSetRepresentation:
+    """Oracle: the atom-set elements against the cut calculus of poset.py."""
+
+    @staticmethod
+    def algebras():
+        for p in all_separative_posets(5):
+            yield ro_algebra(p)
+        A2 = antichain_with_top(2)
+        worked = build_iteration(TableProvider([{(): A2}, {(0,): A2, (1,): A2}]))
+        for stage in worked.stages:
+            yield ro_algebra(stage.poset)
+
+    def test_cut_is_an_ascending_bijection_onto_the_regular_cuts(self):
+        for A in self.algebras():
+            cuts = [A.cut(x) for x in A.elements]
+            regular = [u for u in range(1 << A.base.n) if is_regular_cut(u, A.base)]
+            assert cuts == regular
+
+    def test_cut_commutes_with_the_operations(self):
+        for A in self.algebras():
+            base = A.base
+            for p in range(base.n):
+                assert A.cut(A.principal(p)) == base.principal_cut(p)
+            for x in A.elements:
+                assert A.cut(A.complement(x)) == complement_cut(A.cut(x), base)
+                for y in A.elements:
+                    assert A.cut(A.meet(x, y)) == A.cut(x) & A.cut(y)
+                    assert A.cut(A.join(x, y)) == regularize(A.cut(x) | A.cut(y), base)

@@ -84,7 +84,7 @@ class TestUltrafilterProperty:
         for p in all_posets_with_top(5):
             A = ro_algebra(p)
             for g in enumerate_generics(A.base):
-                for cut in A.elements:
-                    hits = bool(cut & g.mask) + bool(
-                        complement_cut(cut, A.base) & g.mask)
+                for x in A.elements:
+                    hits = bool(A.cut(x) & g.mask) + bool(
+                        complement_cut(A.cut(x), A.base) & g.mask)
                     assert hits == 1

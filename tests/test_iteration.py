@@ -197,7 +197,7 @@ def literal_second_stage(it: Iteration):
     rdot = mix_name(rdot_branches, A)
 
     def forced_below(prefix_idx, value):
-        return not s1.poset.principal_cut(prefix_idx) & ~value
+        return not s1.poset.principal_cut(prefix_idx) & ~A.cut(value)
 
     # candidate tails: every mixed assignment plus shapes that should merge
     candidates = []

@@ -49,8 +49,8 @@ class TestHFSet:
 def _algebra_with_named_cuts():
     P = antichain_with_top(2)
     A = ro_algebra(P)
-    ua = P.principal_cut(P.labels.index("a"))
-    ub = P.principal_cut(P.labels.index("b"))
+    ua = A.principal(P.labels.index("a"))
+    ub = A.principal(P.labels.index("b"))
     return P, A, ua, ub
 
 
@@ -239,7 +239,7 @@ class TestTruthLemmaSmall:
                     s._in, s._eq = sess._in, sess._eq
                     value = s.value(shape)
                     for g in generics:
-                        lhs = any(not A.base.principal_cut(p) & ~value
+                        lhs = any(not A.base.principal_cut(p) & ~A.cut(value)
                                   for p in range(A.base.n) if p in g)
                         rhs = holds_in_extension(shape, univ, g.mask,
                                                  constants=[x, y])
@@ -259,7 +259,7 @@ class TestTruthLemmaSmall:
                     sess = TruthSession(univ, [x, y])
                     value = sess.value(shape)
                     for p in range(A.base.n):
-                        lhs = not A.base.principal_cut(p) & ~value
+                        lhs = not A.base.principal_cut(p) & ~A.cut(value)
                         rhs = all(holds_in_extension(shape, univ, g.mask,
                                                      constants=[x, y])
                                   for g in generics if p in g)

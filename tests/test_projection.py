@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from forcinglab.config import DEFAULT_CAPS
+from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import parse_formula
 from forcinglab.generic import dense_subsets
 from forcinglab.hfset import EMPTY
@@ -18,10 +20,14 @@ A3 = antichain_with_top(3)
 PT = point_poset()
 
 
+def _worked_iteration():
+    return build_iteration(TableProvider([{(): A2}, {(0,): A2, (1,): A2}]))
+
+
 @pytest.fixture(scope="module")
 def worked():
     """The constant two-step antichain instance with G = the a-side generic."""
-    it = build_iteration(TableProvider([{(): A2}, {(0,): A2, (1,): A2}]))
+    it = _worked_iteration()
     ctx = make_context(it, 1, 0)
     return it, ctx
 
@@ -61,13 +67,19 @@ class TestMakeContext:
         it, ctx = worked
         level = ctx.levels[2]
         qp = level.stage.poset
-        for cut, img in level.pi_prime.items():
-            assert regularize(img, qp) == img
+        for img in level.pi_prime.values():
+            assert regularize(level.algebra.cut(img), qp) == level.algebra.cut(img)
 
     def test_alpha_out_of_range(self, worked):
         it, _ = worked
         with pytest.raises(ProjectionError):
             make_context(it, 5, 0)
+
+    def test_algebra_atom_bound_comes_from_caps(self):
+        # the stage-1 poset has two atoms
+        with pytest.raises(CapExceeded):
+            make_context(_worked_iteration(), 1, 0,
+                         DEFAULT_CAPS.with_(algebra_max_base=1))
 
 
 class TestTheorem2:
@@ -90,12 +102,13 @@ class TestTheorem2:
         it, ctx = worked
         level = ctx.levels[2]
         A = ctx.source_algebras[2]
-        for cut in A.elements:
+        for x in A.elements:
+            cut = A.cut(x)
             img = 0
             for p in range(it.stages[2].poset.n):
                 if (cut >> p) & 1 and level.pi[p] is not None:
                     img |= 1 << level.pi[p]
-            assert img == level.pi_prime[cut]
+            assert img == level.algebra.cut(level.pi_prime[x])
 
     def test_corrupted_map_hook_fails_item1(self, worked):
         # swap the images of zero and one: the override hook must surface
@@ -131,6 +144,16 @@ class TestProjectionLemmas:
         for lemma in ("L3", "L4", "L5", "L6", "L7", "L8", "L9", "L10",
                       "L11", "L12", "L13", "L14"):
             assert any(c.startswith(lemma + "-") for c in checks), lemma
+
+    def test_l7_honours_the_hom_family_cap_like_item1(self, worked):
+        # the source algebra has 16 elements: 2^16 families exceed the cap
+        _, ctx = worked
+        capped = dataclasses.replace(ctx, caps=DEFAULT_CAPS.with_(hom_family_cap=8))
+        lemmas = verify_projection_lemmas(capped, instance="capped").checks
+        thm2 = verify_theorem2(capped, instance="capped").checks
+        l7 = [c.status for c in lemmas if c.check == "L7-products"]
+        item1 = [c.status for c in thm2 if c.check == "item1-complete-hom"]
+        assert l7 == item1 == ["skip"]
 
     def test_trivial_iteration_equal_tail_cuts_are_everything(self):
         it = build_iteration(TableProvider([{(): A2}, {(0,): PT, (1,): PT}]))
