@@ -69,6 +69,15 @@ class Name:
         return "{" + ", ".join(f"({sub!r},{x:#x})" for sub, x in self.entries) + "}"
 
 
+def name_text(name: Name, algebra: BoolAlgebra) -> str:
+    """The name with each entry's element written as its regular cut, the
+    form report details use (``repr`` shows the stored atom sets)."""
+    if not name.entries:
+        return "{}"
+    return "{" + ", ".join(f"({name_text(sub, algebra)},{algebra.cut(x):#x})"
+                           for sub, x in name.entries) + "}"
+
+
 def make_name(entries: Iterable[tuple[Name, int]], algebra: BoolAlgebra) -> Name:
     return Name(entries, algebra)
 

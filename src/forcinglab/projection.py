@@ -35,8 +35,8 @@ from .iteration import (TAIL_ONE, CifsProvider, Iteration, ProviderError,
                         canonicalize_condition, extend_stage, root_stage,
                         trim)
 from .names import (Name, NameUniverse, TruthSession, decode_element,
-                    element_name, evaluate, mix_name, name_universe,
-                    sampled_universe)
+                    element_name, evaluate, mix_name, name_text,
+                    name_universe, sampled_universe)
 from .poset import Poset, _mask_bits, regularize
 from .report import SuiteReport
 
@@ -126,7 +126,8 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     N = len(iteration)
     if not 1 <= alpha <= N:
         raise ProjectionError(f"alpha {alpha} out of range 1..{N}")
-    cache_key = (alpha, gen_index)
+    # caps bound the algebras built here, so they are part of the key
+    cache_key = (alpha, gen_index, caps)
     cached = iteration.context_cache.get(cache_key)
     if cached is not None:
         return cached
@@ -151,8 +152,9 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     ctx = ProjectionContext(iteration, alpha, gen_index, caps, levels,
                             source_algebras)
 
-    numeral_memo: dict = {}
     for beta in range(alpha + 1, N + 1):
+        # numeral names are built over this level's source algebra only
+        numeral_memo: dict = {}
         prev_level = levels[beta - 1]
         prev_src = stages[beta - 1]
         src = stages[beta]
@@ -307,7 +309,7 @@ def verify_theorem2(ctx: ProjectionContext, universe: NameUniverse | None = None
             x = preimage(y)
             if x is None or ctx.pi_second(beta, x) != y:
                 onto_ok = False
-                onto_detail["counterexample"] = repr(y)
+                onto_detail["counterexample"] = name_text(y, B)
                 break
         rep.record("theorem2", "item2-onto", instance, onto_ok, cctx, onto_detail)
         # item 3: truth-value transport
@@ -327,11 +329,11 @@ def verify_theorem2(ctx: ProjectionContext, universe: NameUniverse | None = None
                 if level.pi_prime[src_sess.member_value(x, y)] != \
                         tgt_sess.member_value(px, py):
                     bad += 1
-                    first = first or ("in", repr(x), repr(y))
+                    first = first or ("in", name_text(x, A), name_text(y, A))
                 if level.pi_prime[src_sess.equal_value(x, y)] != \
                         tgt_sess.equal_value(px, py):
                     bad += 1
-                    first = first or ("=", repr(x), repr(y))
+                    first = first or ("=", name_text(x, A), name_text(y, A))
         rep.record("theorem2", "item3-atomic-transport", instance, bad == 0, cctx,
                    {"pairs": len(src_u.names) ** 2, "violations": bad,
                     "first": first, "universe_exhaustive": src_u.exhaustive})
@@ -363,7 +365,8 @@ def _formula_transport(ctx: ProjectionContext, beta: int, f: Formula,
         tv = TruthSession(tgt_sess.universe, tgt_consts)
         tv._in, tv._eq = tgt_sess._in, tgt_sess._eq
         if level.pi_prime[sv.value(f)] != tv.value(f):
-            return False, {"args": [repr(n) for n in combo], "checked": checked}
+            return False, {"args": [name_text(n, src_sess.algebra) for n in combo],
+                           "checked": checked}
         checked += 1
     return True, {"tuples": checked}
 
@@ -784,7 +787,7 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
         lhs = evaluate(x, G_full.mask)
         rhs = evaluate(ctx.pi_second(N, x), hmask)
         if lhs != rhs:
-            bad = repr(x)
+            bad = name_text(x, A)
             break
     rep.record("theorem16", "item3-evaluation-identity", instance, bad is None,
                {"alpha": alpha, "full_generic": full_gen_index},

@@ -12,7 +12,8 @@ from forcinglab.names import (NameUniverse, TruthSession,
                               UniverseCapExceeded, check_name, decode_element,
                               element_name, empty_name, evaluate,
                               holds_in_extension, make_name, mix_name,
-                              name_universe, pair_name, truth_value)
+                              name_text, name_universe, pair_name,
+                              truth_value)
 from forcinglab.poset import all_posets_with_top, antichain_with_top, point_poset
 
 
@@ -65,6 +66,14 @@ class TestCanonicalNames:
         e = empty_name(A)
         merged = make_name([(e, ua), (e, ub)], A)
         assert merged == make_name([(e, A.one)], A)
+
+    def test_text_writes_each_element_as_its_cut(self):
+        P, A, ua, _ = _algebra_with_named_cuts()
+        e = empty_name(A)
+        nm = make_name([(make_name([(e, A.one)], A), ua)], A)
+        assert A.cut(A.one) == (1 << P.n) - 1 != A.one
+        assert name_text(nm, A) == \
+            "{({({},%#x)},%#x)}" % (A.cut(A.one), A.cut(ua))
 
     def test_rank(self):
         _, A, ua, _ = _algebra_with_named_cuts()

@@ -9,7 +9,8 @@ from forcinglab.hfset import EMPTY
 from forcinglab.iteration import (TAIL_ONE, TableProvider, build_iteration,
                                   cifs_toy_iteration)
 from forcinglab.names import check_name, evaluate, name_universe
-from forcinglab.poset import antichain_with_top, point_poset, regularize
+from forcinglab.poset import (_mask_bits, antichain_with_top, point_poset,
+                              regularize)
 from forcinglab.projection import (ProjectionError, factor_generic,
                                    make_context, verify_corollary15,
                                    verify_lemma20_analogue,
@@ -20,14 +21,10 @@ A3 = antichain_with_top(3)
 PT = point_poset()
 
 
-def _worked_iteration():
-    return build_iteration(TableProvider([{(): A2}, {(0,): A2, (1,): A2}]))
-
-
 @pytest.fixture(scope="module")
 def worked():
     """The constant two-step antichain instance with G = the a-side generic."""
-    it = _worked_iteration()
+    it = build_iteration(TableProvider([{(): A2}, {(0,): A2, (1,): A2}]))
     ctx = make_context(it, 1, 0)
     return it, ctx
 
@@ -64,22 +61,48 @@ class TestMakeContext:
         assert level.pi[ci] == level.stage.poset.top
 
     def test_pi_prime_values_are_regular_quotient_cuts(self, worked):
+        # each value is the regularized pointwise image of the source cut
         it, ctx = worked
         level = ctx.levels[2]
+        A = ctx.source_algebras[2]
         qp = level.stage.poset
-        for img in level.pi_prime.values():
-            assert regularize(level.algebra.cut(img), qp) == level.algebra.cut(img)
+        for x in A.elements:
+            img = 0
+            for p in _mask_bits(A.cut(x)):
+                if level.pi[p] is not None:
+                    img |= 1 << level.pi[p]
+            assert level.algebra.cut(level.pi_prime[x]) == regularize(img, qp)
 
     def test_alpha_out_of_range(self, worked):
         it, _ = worked
         with pytest.raises(ProjectionError):
             make_context(it, 5, 0)
 
-    def test_algebra_atom_bound_comes_from_caps(self):
+    def test_algebra_atom_bound_comes_from_caps(self, worked):
         # the stage-1 poset has two atoms
+        it, _ = worked
         with pytest.raises(CapExceeded):
-            make_context(_worked_iteration(), 1, 0,
-                         DEFAULT_CAPS.with_(algebra_max_base=1))
+            make_context(it, 1, 0, DEFAULT_CAPS.with_(algebra_max_base=1))
+
+    def test_cached_contexts_are_kept_apart_by_caps(self, worked):
+        it, ctx = worked
+        caps = DEFAULT_CAPS.with_(hom_family_cap=8)
+        other = make_context(it, 1, 0, caps)
+        assert other is not ctx and other.caps == caps
+        assert make_context(it, 1, 0) is ctx
+
+    def test_later_levels_mix_tails_over_their_own_algebra(self):
+        # from level alpha+3 on, tails are read over a different source
+        # algebra than at level alpha+2; the quotient tails must still be
+        # the rebuilt shifted iteration
+        it = build_iteration(TableProvider([
+            {(): PT}, {(None,): PT}, {(None, None): A2},
+            {(None, None, 0): A2, (None, None, 1): A2}]))
+        assert [s.poset.n for s in it.stages] == [1, 1, 1, 3, 15]
+        ctx = make_context(it, 1, 0)
+        assert ctx.final_level.stage.poset.n == 15
+        rep = verify_corollary15(ctx, instance="points-then-antichains")
+        assert rep.ok and rep.counts()["pass"] >= 6, rep.failures[:1]
 
 
 class TestTheorem2:
