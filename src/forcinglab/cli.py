@@ -47,7 +47,6 @@ class ExperimentConfig:
     max_stage_conditions: int = DEFAULT_CAPS.max_stage_conditions
     universe_cap: int = DEFAULT_CAPS.universe_cap
     pair_universe_cap: int = DEFAULT_CAPS.pair_universe_cap
-    hom_family_cap: int = DEFAULT_CAPS.hom_family_cap
     cifs_formulas: str = "forall z (! (z in x)); exists z (z in x)"
     cifs_ladder: str = "1:2,1:3"
 
@@ -57,14 +56,13 @@ class ExperimentConfig:
             max_stage_conditions=self.max_stage_conditions,
             universe_cap=self.universe_cap,
             pair_universe_cap=self.pair_universe_cap,
-            hom_family_cap=self.hom_family_cap,
         )
 
     def echo(self) -> dict:
         return {k: getattr(self, k) for k in (
             "suite", "max_poset", "max_stages", "max_rank", "seed",
             "max_stage_conditions", "universe_cap",
-            "pair_universe_cap", "hom_family_cap", "cifs_formulas",
+            "pair_universe_cap", "cifs_formulas",
             "cifs_ladder")}
 
 
@@ -549,7 +547,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-stage-conditions", type=int, dest="max_stage_conditions")
         p.add_argument("--universe-cap", type=int, dest="universe_cap")
         p.add_argument("--pair-universe-cap", type=int, dest="pair_universe_cap")
-        p.add_argument("--hom-family-cap", type=int, dest="hom_family_cap")
         p.add_argument("--cifs-formulas", dest="cifs_formulas")
         p.add_argument("--cifs-ladder", dest="cifs_ladder")
 

@@ -16,7 +16,9 @@ tail (tails are turned into literal names by mixing over the atoms, mapped
 structurally, then read back as functions by evaluating under the quotient
 generics).  Everything downstream -- the complete-homomorphism certificate,
 the per-lemma property checks, generic factorization and the rebuilt-tail
-comparison -- quantifies exhaustively over the finite instance.
+comparison -- quantifies exhaustively over the finite instance.  The facts
+that Theorem 2 and the lemma suite share (homomorphism, onto, atomic
+transport) are computed once per level and cached on the context.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .boolalg import BoolAlgebra, check_complete_hom, ro_algebra
+from .boolalg import BoolAlgebra, HomReport, certify_complete_hom, ro_algebra
 from .config import DEFAULT_CAPS, CapExceeded, Caps
-from .formula import (Formula, Membership, is_quantifier_free,
-                      parse_formula, to_text)
+from .formula import Formula, constants, to_text
 from .generic import GenericSet, dense_subsets, is_filter
 from .iteration import (TAIL_ONE, CifsProvider, Iteration, ProviderError,
                         Stage, StepContext, StepProvider, build_iteration,
@@ -55,7 +56,7 @@ class QuotientLevel:
     combine: list[int]                # quotient generic -> P_beta generic index
     algebra: BoolAlgebra              # r.o. of the quotient poset
     pi_prime: dict[int, int]          # source element -> quotient element
-    _pi_second: dict = field(default_factory=dict)
+    _pi_second: dict = field(default_factory=dict, init=False)
 
 
 @dataclass
@@ -68,6 +69,9 @@ class ProjectionContext:
     caps: Caps
     levels: dict[int, QuotientLevel]
     source_algebras: dict[int, BoolAlgebra]
+    # (beta, rank) -> _LevelFacts; not an init field, so that
+    # dataclasses.replace gives the copy an empty cache
+    _facts: dict = field(default_factory=dict, init=False)
 
     @property
     def G(self) -> GenericSet:
@@ -252,109 +256,137 @@ def pair_universe(algebra: BoolAlgebra, rank: int,
     return working_universe(algebra, rank, caps, cap=caps.pair_universe_cap)
 
 
-ATOMIC_SHAPES = (parse_formula("$0 in $1"), parse_formula("$0 = $1"))
+# -- shared per-level facts ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _LevelFacts:
+    """What Theorem 2 and the lemma suite both cite at one quotient level."""
+
+    hom: HomReport          # item 1; L6 cites complement, L7 products
+    onto: dict              # item 2 detail, with "counterexample" on failure
+    transport: dict         # item 3 detail
+    atomic_values: tuple    # L12: distinct (shape, source value, target value)
+
+
+def _transport_sessions(ctx: ProjectionContext, beta: int,
+                        rank: int) -> tuple[TruthSession, TruthSession]:
+    """Truth sessions over the source pair universe and over its pi_second
+    image, a non-exhaustive universe of the quotient algebra."""
+    src_u = pair_universe(ctx.source_algebras[beta], rank, ctx.caps)
+    image_names = tuple(sorted({ctx.pi_second(beta, n) for n in src_u.names},
+                               key=lambda n: n.key))
+    tgt_u = NameUniverse(ctx.levels[beta].algebra, src_u.rank_bound,
+                         image_names, exhaustive=False)
+    return TruthSession(src_u), TruthSession(tgt_u)
+
+
+def _level_facts(ctx: ProjectionContext, beta: int, rank: int) -> _LevelFacts:
+    """The shared facts of level beta at this rank, computed on first use."""
+    cached = ctx._facts.get((beta, rank))
+    if cached is not None:
+        return cached
+    level = ctx.levels[beta]
+    A = ctx.source_algebras[beta]
+    B = level.algebra
+    # onto: each bounded quotient name gets a structural preimage, entries
+    # mapped back through the first preimage in the order of A.elements
+    inverse: dict[int, int] = {}
+    for x in A.elements:
+        inverse.setdefault(level.pi_prime[x], x)
+    pre_memo: dict[Name, Name] = {}
+
+    def preimage(y: Name) -> Name | None:
+        got = pre_memo.get(y)
+        if got is not None:
+            return got
+        entries = []
+        for sub, x in y.entries:
+            px = preimage(sub)
+            if px is None or x not in inverse:
+                return None
+            entries.append((px, inverse[x]))
+        built = Name(entries, A)
+        pre_memo[y] = built
+        return built
+
+    target = working_universe(B, rank, ctx.caps)
+    onto: dict = {"targets": len(target.names), "exhaustive": target.exhaustive}
+    for y in target.names:
+        x = preimage(y)
+        if x is None or ctx.pi_second(beta, x) != y:
+            onto["counterexample"] = name_text(y, B)
+            break
+    # atomic transport over every ordered source pair; the distinct value
+    # pairs are kept per shape in first-seen order
+    src_sess, tgt_sess = _transport_sessions(ctx, beta, rank)
+    names = src_sess.universe.names
+    seen: dict[str, dict] = {"in": {}, "=": {}}
+    bad = 0
+    first = None
+    for x in names:
+        px = ctx.pi_second(beta, x)
+        for y in names:
+            py = ctx.pi_second(beta, y)
+            for shape, sv, tv in (
+                    ("in", src_sess.member_value(x, y), tgt_sess.member_value(px, py)),
+                    ("=", src_sess.equal_value(x, y), tgt_sess.equal_value(px, py))):
+                seen[shape][sv, tv] = None
+                if level.pi_prime[sv] != tv:
+                    bad += 1
+                    first = first or (shape, name_text(x, A), name_text(y, A))
+    facts = _LevelFacts(
+        certify_complete_hom(level.pi_prime, A, B), onto,
+        {"pairs": len(names) ** 2, "violations": bad, "first": first,
+         "universe_exhaustive": src_sess.universe.exhaustive},
+        tuple((shape, sv, tv) for shape, values in seen.items() for sv, tv in values))
+    ctx._facts[beta, rank] = facts
+    return facts
 
 
 # -- Theorem 2 ----------------------------------------------------------------
 
 
-def verify_theorem2(ctx: ProjectionContext, universe: NameUniverse | None = None,
-                    formulas: Sequence[Formula] = (), instance: str = "adhoc",
-                    pi_prime_override=None, rank: int = 2) -> SuiteReport:
-    """Items 1-3 per level: pi_prime is a complete Boolean homomorphism
-    (exhaustive over every subfamily), pi_second is onto the bounded quotient
-    universe (witnesses built by rank recursion), and truth values transport
-    through the maps (atomic always; quantified formulas over aligned
-    universes)."""
+def verify_theorem2(ctx: ProjectionContext, formulas: Sequence[Formula] = (),
+                    instance: str = "adhoc", pi_prime_override=None,
+                    rank: int = 2) -> SuiteReport:
+    """Items 1-3 per level, reported from the level's shared facts: pi_prime
+    is a complete Boolean homomorphism (certified by complement and binary
+    meets and joins, which in a finite algebra is completeness), pi_second is
+    onto the bounded quotient universe (witnesses built by rank recursion),
+    and truth values transport through the maps (atomic always; quantified
+    formulas over aligned universes).  ``pi_prime_override`` replaces the
+    map in item 1 only."""
     rep = SuiteReport()
     N = len(ctx.iteration)
     for beta in range(ctx.alpha + 1, N + 1):
-        level = ctx.levels[beta]
-        A = ctx.source_algebras[beta]
-        B = level.algebra
+        facts = _level_facts(ctx, beta, rank)
         cctx = {"alpha": ctx.alpha, "generic": ctx.gen_index, "beta": beta}
-        hom_map = pi_prime_override if pi_prime_override is not None else level.pi_prime
-        try:
-            hom = check_complete_hom(hom_map, A, B, family_cap=ctx.caps.hom_family_cap)
-            rep.record("theorem2", "item1-complete-hom", instance, hom.ok, cctx,
-                       {"families": hom.families_checked,
-                        "violations": hom.violation_count,
-                        "counterexamples": hom.counterexamples[:4]})
-        except CapExceeded as e:
-            rep.skip("theorem2", "item1-complete-hom", instance, cctx,
-                     {"reason": str(e)})
-        # item 2: every bounded quotient name has a structural preimage
-        target = working_universe(B, rank, ctx.caps)
-        inverse = _first_preimages(level, A)
-        onto_ok = True
-        onto_detail: dict = {"targets": len(target.names),
-                             "exhaustive": target.exhaustive}
-        pre_memo: dict[Name, Name] = {}
-
-        def preimage(y: Name) -> Name | None:
-            got = pre_memo.get(y)
-            if got is not None:
-                return got
-            entries = []
-            for sub, x in y.entries:
-                px = preimage(sub)
-                if px is None or x not in inverse:
-                    return None
-                entries.append((px, inverse[x]))
-            built = Name(entries, A)
-            pre_memo[y] = built
-            return built
-
-        for y in target.names:
-            x = preimage(y)
-            if x is None or ctx.pi_second(beta, x) != y:
-                onto_ok = False
-                onto_detail["counterexample"] = name_text(y, B)
-                break
-        rep.record("theorem2", "item2-onto", instance, onto_ok, cctx, onto_detail)
-        # item 3: truth-value transport
-        src_u = universe if universe is not None and universe.algebra is A \
-            else pair_universe(A, rank, ctx.caps)
-        image_names = tuple(sorted({ctx.pi_second(beta, n) for n in src_u.names},
-                                   key=lambda n: n.key))
-        tgt_u = NameUniverse(B, src_u.rank_bound, image_names, exhaustive=False)
-        src_sess = TruthSession(src_u)
-        tgt_sess = TruthSession(tgt_u)
-        bad = 0
-        first = None
-        for x in src_u.names:
-            px = ctx.pi_second(beta, x)
-            for y in src_u.names:
-                py = ctx.pi_second(beta, y)
-                if level.pi_prime[src_sess.member_value(x, y)] != \
-                        tgt_sess.member_value(px, py):
-                    bad += 1
-                    first = first or ("in", name_text(x, A), name_text(y, A))
-                if level.pi_prime[src_sess.equal_value(x, y)] != \
-                        tgt_sess.equal_value(px, py):
-                    bad += 1
-                    first = first or ("=", name_text(x, A), name_text(y, A))
-        rep.record("theorem2", "item3-atomic-transport", instance, bad == 0, cctx,
-                   {"pairs": len(src_u.names) ** 2, "violations": bad,
-                    "first": first, "universe_exhaustive": src_u.exhaustive})
+        hom = facts.hom if pi_prime_override is None else certify_complete_hom(
+            pi_prime_override, ctx.source_algebras[beta], ctx.levels[beta].algebra)
+        rep.record("theorem2", "item1-complete-hom", instance, hom.ok, cctx,
+                   {"families": hom.families_checked,
+                    "violations": hom.violation_count,
+                    "counterexamples": hom.counterexamples[:4]})
+        rep.record("theorem2", "item2-onto", instance,
+                   "counterexample" not in facts.onto, cctx, facts.onto)
+        rep.record("theorem2", "item3-atomic-transport", instance,
+                   not facts.transport["violations"], cctx, facts.transport)
         for k, f in enumerate(formulas):
-            if not is_quantifier_free(f) and not tgt_u.names:
-                continue
-            ok, detail = _formula_transport(ctx, beta, f, src_sess, tgt_sess)
+            ok, detail = _formula_transport(ctx, beta, f, rank)
             rep.record("theorem2", f"item3-formula-{k}", instance, ok,
                        {**cctx, "formula": to_text(f)}, detail)
     return rep
 
 
 def _formula_transport(ctx: ProjectionContext, beta: int, f: Formula,
-                       src_sess: TruthSession, tgt_sess: TruthSession):
+                       rank: int):
     """pi_prime(||f(a...)||) == ||f(pi_second a...)|| over all argument tuples
     from the source universe.  Quantified formulas are compared over the
     pi_second-image universe, per the bounded-quantifier reading."""
-    from .formula import constants as f_constants
-
     level = ctx.levels[beta]
-    slots = sorted(f_constants(f))
+    src_sess, tgt_sess = _transport_sessions(ctx, beta, rank)
+    slots = sorted(constants(f))
     src_names = src_sess.universe.names
     checked = 0
     for combo in itertools.product(src_names, repeat=len(slots)):
@@ -374,14 +406,14 @@ def _formula_transport(ctx: ProjectionContext, beta: int, f: Formula,
 # -- Lemmas 3-14 --------------------------------------------------------------
 
 
-def verify_projection_lemmas(ctx: ProjectionContext,
-                             universe: NameUniverse | None = None,
-                             instance: str = "adhoc", rank: int = 2) -> SuiteReport:
-    """One exhaustive sub-check per projection lemma, itemized L3..L14."""
+def verify_projection_lemmas(ctx: ProjectionContext, instance: str = "adhoc",
+                             rank: int = 2) -> SuiteReport:
+    """One exhaustive sub-check per projection lemma, itemized L3..L14.
+    L6-L9 and L12 cite the level's shared facts, as Theorem 2 does."""
     rep = SuiteReport()
     N = len(ctx.iteration)
     for beta in range(ctx.alpha + 1, N + 1):
-        _lemmas_at_level(ctx, beta, rep, universe, instance, rank)
+        _lemmas_at_level(ctx, beta, rep, instance, rank)
     # at finite stage counts every level is a successor; the limit-stage
     # coherence clause has nothing to range over
     rep.skip("projection-lemmas", "limit-clause", instance,
@@ -391,8 +423,8 @@ def verify_projection_lemmas(ctx: ProjectionContext,
 
 
 def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
-                     universe: NameUniverse | None, instance: str,
-                     rank: int = 2):
+                     instance: str, rank: int):
+    facts = _level_facts(ctx, beta, rank)
     level = ctx.levels[beta]
     src = ctx.iteration.stages[beta]
     qposet = level.stage.poset
@@ -430,56 +462,26 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
                cctx, {"violations": bad5[:4], "count": len(bad5)})
 
     # L6: pi_prime commutes with complement
-    bad6 = []
-    for x in A.elements:
-        lhs = level.pi_prime[A.complement(x)]
-        rhs = B.complement(level.pi_prime[x])
-        if lhs != rhs:
-            bad6.append(x)
-    rep.record("projection-lemmas", "L6-complement", instance, not bad6,
-               cctx, {"violations": [f"{A.cut(x):#x}" for x in bad6[:4]],
-                      "count": len(bad6)})
+    bad6 = [f"{c[1][0]:#x}" for c in facts.hom.counterexamples
+            if c[0] == "complement"]
+    rep.record("projection-lemmas", "L6-complement", instance,
+               facts.hom.preserves_complement, cctx, {"violations": bad6[:4]})
 
-    # L7: pi_prime commutes with arbitrary products
-    try:
-        ok7, count7 = _products_transport(level, A, ctx.caps.hom_family_cap)
-        rep.record("projection-lemmas", "L7-products", instance, ok7, cctx,
-                   {"families": count7})
-    except CapExceeded as e:
-        rep.skip("projection-lemmas", "L7-products", instance, cctx,
-                 {"reason": str(e)})
+    # L7: pi_prime commutes with arbitrary products: it keeps one and every
+    # binary meet, and every family of a finite algebra is finite
+    rep.record("projection-lemmas", "L7-products", instance,
+               facts.hom.preserves_all_products, cctx,
+               {"families": facts.hom.families_checked})
 
-    # L8: pi_second onto the bounded quotient universe (shared with Theorem 2
-    # item 2, re-run here so the lemma suite is self-contained)
-    target = working_universe(B, rank, ctx.caps)
-    inverse = _first_preimages(level, A)
-    ok8 = True
-    for y in target.names:
-        x = _structural_preimage(ctx, beta, y, inverse, A)
-        if x is None or ctx.pi_second(beta, x) != y:
-            ok8 = False
-            break
-    rep.record("projection-lemmas", "L8-onto", instance, ok8, cctx,
-               {"targets": len(target.names), "exhaustive": target.exhaustive})
+    # L8: pi_second onto the bounded quotient universe (Theorem 2 item 2)
+    rep.record("projection-lemmas", "L8-onto", instance,
+               "counterexample" not in facts.onto, cctx,
+               {k: facts.onto[k] for k in ("targets", "exhaustive")})
 
-    # L9: atomic truth values transport
-    src_u = universe if universe is not None and universe.algebra is A \
-        else pair_universe(A, rank, ctx.caps)
-    sess = TruthSession(src_u)
-    image_names = tuple(sorted({ctx.pi_second(beta, n) for n in src_u.names},
-                               key=lambda n: n.key))
-    tsess = TruthSession(NameUniverse(B, src_u.rank_bound,
-                                      image_names, exhaustive=False))
-    bad9 = 0
-    for x in src_u.names:
-        for y in src_u.names:
-            px, py = ctx.pi_second(beta, x), ctx.pi_second(beta, y)
-            if level.pi_prime[sess.member_value(x, y)] != tsess.member_value(px, py):
-                bad9 += 1
-            if level.pi_prime[sess.equal_value(x, y)] != tsess.equal_value(px, py):
-                bad9 += 1
-    rep.record("projection-lemmas", "L9-atomic-transport", instance, bad9 == 0,
-               cctx, {"pairs": len(src_u.names) ** 2, "violations": bad9})
+    # L9: atomic truth values transport (Theorem 2 item 3)
+    rep.record("projection-lemmas", "L9-atomic-transport", instance,
+               not facts.transport["violations"], cctx,
+               {k: facts.transport[k] for k in ("pairs", "violations")})
 
     # L10: pi is monotone where defined
     bad10 = []
@@ -495,7 +497,7 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
     rep.record("projection-lemmas", "L11-merge-below", instance, ok11, cctx, detail11)
 
     # L12: forcing transports forward, and back below some member of G
-    ok12, detail12 = _lemma12(ctx, beta, src_u, sess, tsess)
+    ok12, detail12 = _lemma12(ctx, beta, facts.atomic_values)
     rep.record("projection-lemmas", "L12-forcing-transport", instance, ok12,
                cctx, detail12)
 
@@ -508,52 +510,6 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
     ok14, detail14 = _lemma14(ctx, beta)
     rep.record("projection-lemmas", "L14-order-reflection", instance, ok14,
                cctx, detail14)
-
-
-def _products_transport(level: QuotientLevel, A: BoolAlgebra, cap: int):
-    els = A.elements
-    k = len(els)
-    if 1 << k > cap:
-        raise CapExceeded(f"2^{k} families exceed the product-transport cap")
-    h = level.pi_prime
-    b_img = [h[x] for x in els]
-    n_fam = 1 << k
-    a_prod = [0] * n_fam
-    b_prod = [0] * n_fam
-    a_prod[0] = A.one
-    b_prod[0] = level.algebra.one
-    ok = True
-    for m in range(1, n_fam):
-        low = m & -m
-        i = low.bit_length() - 1
-        rest = m ^ low
-        a_prod[m] = a_prod[rest] & els[i]
-        b_prod[m] = b_prod[rest] & b_img[i]
-    for m in range(n_fam):
-        if h[a_prod[m]] != b_prod[m]:
-            ok = False
-            break
-    return ok, n_fam
-
-
-def _first_preimages(level: QuotientLevel, A: BoolAlgebra) -> dict[int, int]:
-    """Quotient element -> its first preimage under pi_prime, in the order
-    of ``A.elements``."""
-    inverse: dict[int, int] = {}
-    for x in A.elements:
-        inverse.setdefault(level.pi_prime[x], x)
-    return inverse
-
-
-def _structural_preimage(ctx: ProjectionContext, beta: int, y: Name,
-                         inverse: dict[int, int], A: BoolAlgebra) -> Name | None:
-    entries = []
-    for sub, x in y.entries:
-        px = _structural_preimage(ctx, beta, sub, inverse, A)
-        if px is None or x not in inverse:
-            return None
-        entries.append((px, inverse[x]))
-    return Name(entries, A)
 
 
 def _tail_sequences(ctx: ProjectionContext, beta: int):
@@ -623,10 +579,11 @@ def _lemma11(ctx: ProjectionContext, beta: int):
     return True, {"pairs": checked}
 
 
-def _lemma12(ctx: ProjectionContext, beta: int, src_u: NameUniverse,
-             sess: TruthSession, tsess: TruthSession):
+def _lemma12(ctx: ProjectionContext, beta: int, atomic_values: tuple):
     """Forcing transports along pi for atomic formulas, and conversely some
-    s in G below the prefix restores forcing."""
+    s in G below the prefix restores forcing.  Both directions depend only
+    on the (source value, target value) pair of the formula instance, so
+    each distinct pair is checked once per shape."""
     level = ctx.levels[beta]
     src = ctx.iteration.stages[beta]
     stages = ctx.iteration.stages
@@ -637,35 +594,27 @@ def _lemma12(ctx: ProjectionContext, beta: int, src_u: NameUniverse,
     principal = [A.principal(ci) for ci in range(src.poset.n)]
     defined = [(ci, principal[ci], B.principal(level.pi[ci]))
                for ci in range(src.poset.n) if level.pi[ci] is not None]
-    names = src_u.names
     checked = 0
-    for shape in ATOMIC_SHAPES:
-        for x in names:
-            for y in names:
-                src_val = sess.member_value(x, y) if isinstance(shape, Membership) \
-                    else sess.equal_value(x, y)
-                px, py = ctx.pi_second(beta, x), ctx.pi_second(beta, y)
-                tgt_val = tsess.member_value(px, py) if isinstance(shape, Membership) \
-                    else tsess.equal_value(px, py)
-                for ci, u, qu in defined:
-                    src_forces = A.leq(u, src_val)
-                    tgt_forces = B.leq(qu, tgt_val)
-                    if src_forces and not tgt_forces:
-                        return False, {"direction": "forward",
-                                       "condition": src.poset.labels[ci]}
-                    if tgt_forces:
-                        prefix = ctx.prefix_index(beta, ci)
-                        suffix = src.conditions[ci][alpha:]
-                        ok = False
-                        for s in _mask_bits(G.mask & stages[alpha].poset.below[prefix]):
-                            si = _attach(ctx, beta, s, suffix)
-                            if si is not None and A.leq(principal[si], src_val):
-                                ok = True
-                                break
-                        if not ok:
-                            return False, {"direction": "backward",
-                                           "condition": src.poset.labels[ci]}
-                    checked += 1
+    for _, src_val, tgt_val in atomic_values:
+        for ci, u, qu in defined:
+            src_forces = A.leq(u, src_val)
+            tgt_forces = B.leq(qu, tgt_val)
+            if src_forces and not tgt_forces:
+                return False, {"direction": "forward",
+                               "condition": src.poset.labels[ci]}
+            if tgt_forces:
+                prefix = ctx.prefix_index(beta, ci)
+                suffix = src.conditions[ci][alpha:]
+                ok = False
+                for s in _mask_bits(G.mask & stages[alpha].poset.below[prefix]):
+                    si = _attach(ctx, beta, s, suffix)
+                    if si is not None and A.leq(principal[si], src_val):
+                        ok = True
+                        break
+                if not ok:
+                    return False, {"direction": "backward",
+                                   "condition": src.poset.labels[ci]}
+            checked += 1
     return True, {"checks": checked}
 
 
@@ -734,7 +683,6 @@ def _lemma14(ctx: ProjectionContext, beta: int):
 
 
 def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
-                   universe: NameUniverse | None = None,
                    caps: Caps | None = None,
                    instance: str = "adhoc", rank: int = 2
                    ) -> tuple[GenericSet, int, SuiteReport]:
@@ -780,8 +728,7 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
                 "literal_dense_sweep": qposet.n <= caps.dense_enum_max})
     # item 3: evaluation identity over the working universe
     A = ctx.source_algebras[N]
-    src_u = universe if universe is not None and universe.algebra is A \
-        else working_universe(A, rank, caps)
+    src_u = working_universe(A, rank, caps)
     bad = None
     for x in src_u.names:
         lhs = evaluate(x, G_full.mask)

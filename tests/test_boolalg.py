@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from forcinglab.boolalg import (AlgebraError, boolean_law_violations,
-                                check_complete_hom,
+                                certify_complete_hom, check_complete_hom,
                                 dense_embedding_violations, ro_algebra)
 from forcinglab.config import CapExceeded
 from forcinglab.iteration import TableProvider, build_iteration
@@ -130,6 +130,49 @@ class TestCompleteHom:
         rep = check_complete_hom(h, self.A, self.A)
         assert not rep.ok
         assert not rep.preserves_all_sums or not rep.preserves_complement
+
+
+class TestCertificate:
+    """Oracle: the cap-free certificate against the subfamily fold."""
+
+    def test_agrees_with_the_fold_on_every_small_map(self):
+        # every map h: A -> B, A with at most 2 atoms and B with at most 3
+        algebras = [ro_algebra(p) for p in all_separative_posets(5)]
+        verdicts = set()
+        for A in (a for a in algebras if len(a.base.atoms) <= 2):
+            for B in (b for b in algebras if len(b.base.atoms) <= 3):
+                for images in itertools.product(B.elements, repeat=len(A)):
+                    h = dict(zip(A.elements, images))
+                    fold = check_complete_hom(h, A, B)
+                    cert = certify_complete_hom(h, A, B)
+                    flags = [(r.ok, r.preserves_zero_one, r.preserves_complement,
+                              r.preserves_all_products, r.preserves_all_sums)
+                             for r in (fold, cert)]
+                    assert flags[0] == flags[1], (A.base, B.base, h)
+                    verdicts.add(flags[0])
+        # the sweep holds homomorphisms and maps failing each way
+        assert len(verdicts) >= 4
+        assert any(v[0] for v in verdicts) and any(not v[2] for v in verdicts)
+        assert any(v[2] and not v[3] for v in verdicts)
+
+    def test_no_cap(self):
+        # 64 elements: the fold would need 2^64 families
+        big = ro_algebra(antichain_with_top(6))
+        rep = certify_complete_hom({x: x for x in big.elements}, big, big)
+        assert rep.ok and rep.families_checked == 1 + 64 * 63 // 2
+
+    def test_constant_one_keeps_products_but_not_complement(self):
+        A = ro_algebra(antichain_with_top(2))
+        rep = certify_complete_hom({x: A.one for x in A.elements}, A, A)
+        assert rep.preserves_all_products and not rep.preserves_complement
+        assert not rep.ok
+        assert ("complement", (A.cut(A.zero),), A.cut(A.zero), A.cut(A.one)) \
+            in rep.counterexamples
+
+    def test_foreign_image_rejected(self):
+        A = ro_algebra(antichain_with_top(2))
+        with pytest.raises(AlgebraError):
+            certify_complete_hom({x: 1 << 10 for x in A.elements}, A, A)
 
 
 class TestAtomSetRepresentation:

@@ -133,6 +133,9 @@ class TestRunReports:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--workers", "2"])
         assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--hom-family-cap", "8"])
+        assert exc.value.code == 2
 
     def test_human_summary_mentions_census(self, tmp_path):
         cfg = ExperimentConfig(suite="lemma1", max_poset=3, max_stages=1,

@@ -8,7 +8,7 @@ from forcinglab.generic import dense_subsets
 from forcinglab.hfset import EMPTY
 from forcinglab.iteration import (TAIL_ONE, TableProvider, build_iteration,
                                   cifs_toy_iteration)
-from forcinglab.names import check_name, evaluate, name_universe
+from forcinglab.names import Name, check_name, evaluate, name_universe
 from forcinglab.poset import (_mask_bits, antichain_with_top, point_poset,
                               regularize)
 from forcinglab.projection import (ProjectionError, factor_generic,
@@ -168,15 +168,16 @@ class TestProjectionLemmas:
                       "L11", "L12", "L13", "L14"):
             assert any(c.startswith(lemma + "-") for c in checks), lemma
 
-    def test_l7_honours_the_hom_family_cap_like_item1(self, worked):
-        # the source algebra has 16 elements: 2^16 families exceed the cap
+    def test_l7_and_item1_ignore_the_hom_family_cap(self, worked):
+        # the source algebra has 16 elements and 2^16 families exceed this
+        # cap, but the certificate checks families of at most two elements
         _, ctx = worked
         capped = dataclasses.replace(ctx, caps=DEFAULT_CAPS.with_(hom_family_cap=8))
         lemmas = verify_projection_lemmas(capped, instance="capped").checks
         thm2 = verify_theorem2(capped, instance="capped").checks
         l7 = [c.status for c in lemmas if c.check == "L7-products"]
         item1 = [c.status for c in thm2 if c.check == "item1-complete-hom"]
-        assert l7 == item1 == ["skip"]
+        assert l7 == item1 == ["pass"]
 
     def test_trivial_iteration_equal_tail_cuts_are_everything(self):
         it = build_iteration(TableProvider([{(): A2}, {(0,): PT, (1,): PT}]))
@@ -199,6 +200,72 @@ class TestProjectionLemmas:
         assert not s2.poset.below[ca] & s2.poset.below[cb]
         ia, ib = level.pi[ca], level.pi[cb]
         assert not qp.below[ia] & qp.below[ib]
+
+
+def _with_pi_prime(ctx, beta, pi_prime):
+    """A fresh context whose level beta maps elements by pi_prime."""
+    level = dataclasses.replace(ctx.levels[beta], pi_prime=pi_prime)
+    return dataclasses.replace(ctx, levels={**ctx.levels, beta: level})
+
+
+class TestSharedFacts:
+    """Theorem 2 and the lemma suite cite one facts record per level."""
+
+    @staticmethod
+    def hom_statuses(ctx):
+        checks = verify_theorem2(ctx, instance="control").checks + \
+            verify_projection_lemmas(ctx, instance="control").checks
+        return {c.check: c.status for c in checks if c.check in
+                ("item1-complete-hom", "L6-complement", "L7-products")}
+
+    def test_zero_one_swap_fails_item1_l6_and_l7(self, worked):
+        _, ctx = worked
+        level = ctx.levels[2]
+        B = level.algebra
+        swapped = dict(level.pi_prime)
+        zero_key = next(c for c, v in swapped.items() if v == B.zero)
+        one_key = next(c for c, v in swapped.items() if v == B.one)
+        swapped[zero_key], swapped[one_key] = B.one, B.zero
+        assert self.hom_statuses(_with_pi_prime(ctx, 2, swapped)) == {
+            "item1-complete-hom": "fail", "L6-complement": "fail",
+            "L7-products": "fail"}
+
+    def test_constant_one_fails_item1_and_l6_but_not_l7(self, worked):
+        # every product of ones is one, but the complement of one is zero
+        _, ctx = worked
+        B = ctx.levels[2].algebra
+        constant = {x: B.one for x in ctx.source_algebras[2].elements}
+        assert self.hom_statuses(_with_pi_prime(ctx, 2, constant)) == {
+            "item1-complete-hom": "fail", "L6-complement": "fail",
+            "L7-products": "pass"}
+
+    def test_a_replaced_map_gets_its_own_name_images(self, worked):
+        # the pi_second memo is per level: a copy with another pi_prime
+        # must neither read nor fill the original's
+        _, ctx = worked
+        A, level = ctx.source_algebras[2], ctx.levels[2]
+        B = level.algebra
+        x = next(x for x in A.elements if level.pi_prime[x] not in (B.zero, B.one))
+        nm = Name([(Name([], A), x)], A)
+        assert ctx.pi_second(2, nm).entries[0][1] == level.pi_prime[x]
+        constant = _with_pi_prime(ctx, 2, {y: B.one for y in A.elements})
+        assert constant.pi_second(2, nm).entries[0][1] == B.one
+        assert ctx.pi_second(2, nm).entries[0][1] == level.pi_prime[x]
+
+    def test_replaced_caps_start_with_no_facts(self, worked):
+        # the facts depend on the caps through the universes, so a copy of
+        # the context under other caps must not see the cached ones
+        _, ctx = worked
+
+        def transport(c):
+            return [r.detail["pairs"] for r in verify_theorem2(c).checks
+                    if r.check == "item3-atomic-transport"]
+
+        before = transport(ctx)
+        small = dataclasses.replace(
+            ctx, caps=DEFAULT_CAPS.with_(pair_universe_cap=4))
+        assert transport(small) != before
+        assert transport(ctx) == before
 
 
 class TestTheorem16:
