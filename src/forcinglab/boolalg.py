@@ -33,11 +33,14 @@ class BoolAlgebra:
     position there; ``zero`` is 0 and ``one`` is ``base.atom_mask``.  If the
     input poset was not separative it is quotiented first:
     ``original``/``quotient_map`` report that, and the atoms are those of
-    ``base`` (the quotient).
+    ``base`` (the quotient).  ``name_table`` interns the names built over
+    the algebra (see :class:`forcinglab.names.Name`) for as long as it lives;
+    those names hold ``name_tag``, not the algebra, so no reference cycle
+    keeps them alive after it.
     """
 
     __slots__ = ("base", "original", "quotient_map", "elements", "index",
-                 "nonzero", "zero", "one", "_cuts")
+                 "nonzero", "zero", "one", "_cuts", "name_table", "name_tag")
 
     def __init__(self, base: Poset, original: Poset | None = None,
                  quotient_map: tuple[int, ...] | None = None):
@@ -53,6 +56,8 @@ class BoolAlgebra:
         self.elements = tuple(sorted(subsets, key=self._cuts.__getitem__))
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.nonzero = self.elements[1:]
+        self.name_table: dict[tuple, object] = {}
+        self.name_tag = object()
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -14,6 +14,13 @@ with connectives mapped to algebra operations and the existential quantifier
 bounded over an explicitly supplied finite universe.  The recursion is
 memoized on name pairs, mirroring the rank-pair induction that makes the
 clauses well founded.
+
+Names are hash-consed per algebra (Filliatre & Conchon, "Type-Safe Modular
+Hash-Consing", 2006): each :class:`BoolAlgebra` keeps an intern table for as
+long as it lives, so building a name it already holds returns the existing
+object, and each interned name carries a ``uid``, an integer unique in the
+process and never reused.  The truth, evaluation and projection memos key on
+``uid`` rather than on the nested ``key`` tuples.
 """
 
 from __future__ import annotations
@@ -29,33 +36,61 @@ from .formula import (And, Const, Equality, Exists, ForAll, Formula,
                       free_variables)
 from .hfset import HFSet, element_code, element_code_value
 
+# the source of Name.uid
+_uids = itertools.count()
+
 
 class UniverseCapExceeded(CapExceeded):
     pass
 
 
 class Name:
-    """Canonical Boolean-valued name.  Immutable and structurally hashable.
+    """Canonical Boolean-valued name, interned in its algebra.
 
     ``key`` lists each entry as (sub-name key, position of its element in
-    ``algebra.elements``), so keys order names as their cuts do.
+    ``algebra.elements``), so keys order names as their cuts do.  The
+    algebra's ``name_table`` maps each key to its one name, so within one
+    algebra two names are the same object exactly when their keys are equal.
+    ``tag`` is the algebra's ``name_tag``; a sub-name with another tag is
+    rebuilt in this algebra, so duplicate sub-names merge by ``uid``.
+    ``uid`` is unique in the process and never reused, so memos keyed on it
+    stay sound after the name is gone.  Equality and hashing stay by
+    ``key``, so names over two algebra objects of one poset compare equal.
     """
 
-    __slots__ = ("entries", "key", "rank")
+    __slots__ = ("entries", "key", "rank", "uid", "tag")
 
-    def __init__(self, entries: Iterable[tuple["Name", int]], algebra: BoolAlgebra):
-        merged: dict[Name, int] = {}
+    def __new__(cls, entries: Iterable[tuple["Name", int]], algebra: BoolAlgebra):
+        tag = algebra.name_tag
+        merged: dict[int, tuple[Name, int]] = {}
         for sub, x in entries:
             if x == algebra.zero:
                 continue
-            merged[sub] = algebra.join(merged[sub], x) if sub in merged else x
-        es = tuple(sorted(merged.items(), key=lambda e: e[0].key))
+            if sub.tag is not tag:
+                sub = cls(sub.entries, algebra)
+            had = merged.get(sub.uid)
+            merged[sub.uid] = (sub, x if had is None else had[1] | x)
+        index = algebra.index
+        es = tuple(sorted(merged.values(), key=lambda e: e[0].key))
         try:
-            self.key = tuple((sub.key, algebra.index[x]) for sub, x in es)
+            key = tuple((sub.key, index[x]) for sub, x in es)
         except KeyError as e:
             raise AlgebraError(f"{e.args[0]:#x} is not an element of this algebra")
-        self.entries = es
-        self.rank = 0 if not es else 1 + max(sub.rank for sub, _ in es)
+        self = algebra.name_table.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.entries = es
+            self.key = key
+            self.rank = 0 if not es else 1 + max(sub.rank for sub, _ in es)
+            self.uid = next(_uids)
+            self.tag = tag
+            algebra.name_table[key] = self
+        return self
+
+    def __init__(self, entries: Iterable[tuple["Name", int]], algebra: BoolAlgebra):
+        """Nothing to do: ``__new__`` finds or builds the interned name.
+        Kept in the class so constructions can be counted by wrapping it
+        (``perfbench/tracer.py``)."""
 
     def __hash__(self):
         return hash(self.key)
@@ -102,10 +137,11 @@ def evaluate(name: Name, generic_mask: int, _memo: dict | None = None) -> HFSet:
     """i_G: a member enters the evaluation when its element meets the filter.
 
     For a generic filter (the upward closure of one atom) an atom set meets
-    it exactly when its cut does.
+    it exactly when its cut does.  A memo may be shared across calls, and
+    across generics: it is keyed by (``name.uid``, generic_mask).
     """
     memo = _memo if _memo is not None else {}
-    key = (name, generic_mask)
+    key = (name.uid, generic_mask)
     got = memo.get(key)
     if got is None:
         got = HFSet(evaluate(sub, generic_mask, memo)
@@ -177,15 +213,16 @@ def name_universe(algebra: BoolAlgebra, rank_bound: int,
             f"universe of rank {rank_bound} has {size} names, above the cap {limit}")
     layer: list[Name] = [empty_name(algebra)]
     for _ in range(rank_bound):
-        nxt: set[Name] = set()
-        # a canonical name of the next layer is a partial map layer -> nonzero
+        # a canonical name of the next layer is a partial map layer -> nonzero,
+        # and distinct maps give distinct names
+        nxt: list[Name] = []
         per_sub = [len(algebra.nonzero) + 1] * len(layer)
         for choice in itertools.product(*[range(c) for c in per_sub]):
             entries = []
             for sub, pick in zip(layer, choice):
                 if pick:
                     entries.append((sub, algebra.nonzero[pick - 1]))
-            nxt.add(Name(entries, algebra))
+            nxt.append(Name(entries, algebra))
         layer = sorted(nxt, key=lambda n: n.key)
     return NameUniverse(algebra, rank_bound, tuple(layer))
 
@@ -206,19 +243,19 @@ def sampled_universe(algebra: BoolAlgebra, rank_bound: int,
     base = name_universe(algebra, r, cap=limit)
     if r == rank_bound:
         return base
-    names = set(base.names)
-    pool = sorted(names, key=lambda n: n.key)
+    names = {n.uid: n for n in base.names}
     for count in range(1, max_entries + 1):
-        for subs in itertools.combinations(pool, count):
+        for subs in itertools.combinations(base.names, count):
             for values in itertools.product(algebra.nonzero, repeat=count):
                 if len(names) >= limit:
                     break
-                names.add(Name(tuple(zip(subs, values)), algebra))
+                nm = Name(tuple(zip(subs, values)), algebra)
+                names[nm.uid] = nm
             if len(names) >= limit:
                 break
         if len(names) >= limit:
             break
-    ordered = tuple(sorted(names, key=lambda n: (n.rank, n.key)))
+    ordered = tuple(sorted(names.values(), key=lambda n: (n.rank, n.key)))
     return NameUniverse(algebra, rank_bound, ordered, exhaustive=False)
 
 
@@ -228,7 +265,9 @@ def sampled_universe(algebra: BoolAlgebra, rank_bound: int,
 class TruthSession:
     """Memoized truth-value computation over one algebra and universe.
 
-    Sessions are independent; share nothing mutable between concurrent ones.
+    The atomic values are memoized on (x.uid, y.uid).  Sessions are
+    independent unless made by :meth:`with_constants`; share nothing mutable
+    between concurrent ones.
     """
 
     def __init__(self, universe: NameUniverse,
@@ -236,31 +275,38 @@ class TruthSession:
         self.universe = universe
         self.algebra = universe.algebra
         self.constants = constants
-        self._in: dict[tuple, int] = {}
-        self._eq: dict[tuple, int] = {}
+        self._in: dict[tuple[int, int], int] = {}
+        self._eq: dict[tuple[int, int], int] = {}
+
+    def with_constants(self, constants: Sequence[Name]) -> "TruthSession":
+        """A session over the same universe that reads ``$k`` from constants
+        and shares this session's atomic memos, which no constant affects."""
+        other = TruthSession(self.universe, constants)
+        other._in, other._eq = self._in, self._eq
+        return other
 
     def member_value(self, x: Name, y: Name) -> int:
-        key = (x.key, y.key)
+        key = (x.uid, y.uid)
         got = self._in.get(key)
         if got is None:
-            A = self.algebra
-            got = A.sum(A.meet(self.equal_value(t, x), v)
-                        for t, v in y.entries)
+            # the sum of (||t = x|| * y(t)) over the entries of y
+            got = 0
+            for t, v in y.entries:
+                got |= self.equal_value(t, x) & v
             self._in[key] = got
         return got
 
     def equal_value(self, x: Name, y: Name) -> int:
-        key = (x.key, y.key)
+        key = (x.uid, y.uid)
         got = self._eq.get(key)
         if got is None:
-            A = self.algebra
-            left = A.product(
-                A.join(A.complement(v), self.member_value(t, y))
-                for t, v in x.entries)
-            right = A.product(
-                A.join(A.complement(v), self.member_value(t, x))
-                for t, v in y.entries)
-            got = A.meet(left, right)
+            # the product of (-v + ||t in other||) over the entries of both
+            one = self.algebra.one
+            got = one
+            for t, v in x.entries:
+                got &= (v ^ one) | self.member_value(t, y)
+            for t, v in y.entries:
+                got &= (v ^ one) | self.member_value(t, x)
             self._eq[key] = got
         return got
 

@@ -56,7 +56,7 @@ class QuotientLevel:
     combine: list[int]                # quotient generic -> P_beta generic index
     algebra: BoolAlgebra              # r.o. of the quotient poset
     pi_prime: dict[int, int]          # source element -> quotient element
-    _pi_second: dict = field(default_factory=dict, init=False)
+    _pi_second: dict = field(default_factory=dict, init=False)  # name uid -> image
 
 
 @dataclass
@@ -97,11 +97,11 @@ class ProjectionContext:
 
     def pi_second(self, beta: int, name: Name) -> Name:
         level = self.levels[beta]
-        got = level._pi_second.get(name)
+        got = level._pi_second.get(name.uid)
         if got is None:
             got = Name(((self.pi_second(beta, sub), level.pi_prime[x])
                         for sub, x in name.entries), level.algebra)
-            level._pi_second[name] = got
+            level._pi_second[name.uid] = got
         return got
 
 
@@ -274,8 +274,8 @@ def _transport_sessions(ctx: ProjectionContext, beta: int,
     """Truth sessions over the source pair universe and over its pi_second
     image, a non-exhaustive universe of the quotient algebra."""
     src_u = pair_universe(ctx.source_algebras[beta], rank, ctx.caps)
-    image_names = tuple(sorted({ctx.pi_second(beta, n) for n in src_u.names},
-                               key=lambda n: n.key))
+    images = {m.uid: m for m in (ctx.pi_second(beta, n) for n in src_u.names)}
+    image_names = tuple(sorted(images.values(), key=lambda n: n.key))
     tgt_u = NameUniverse(ctx.levels[beta].algebra, src_u.rank_bound,
                          image_names, exhaustive=False)
     return TruthSession(src_u), TruthSession(tgt_u)
@@ -294,10 +294,10 @@ def _level_facts(ctx: ProjectionContext, beta: int, rank: int) -> _LevelFacts:
     inverse: dict[int, int] = {}
     for x in A.elements:
         inverse.setdefault(level.pi_prime[x], x)
-    pre_memo: dict[Name, Name] = {}
+    pre_memo: dict[int, Name] = {}
 
     def preimage(y: Name) -> Name | None:
-        got = pre_memo.get(y)
+        got = pre_memo.get(y.uid)
         if got is not None:
             return got
         entries = []
@@ -307,27 +307,27 @@ def _level_facts(ctx: ProjectionContext, beta: int, rank: int) -> _LevelFacts:
                 return None
             entries.append((px, inverse[x]))
         built = Name(entries, A)
-        pre_memo[y] = built
+        pre_memo[y.uid] = built
         return built
 
     target = working_universe(B, rank, ctx.caps)
     onto: dict = {"targets": len(target.names), "exhaustive": target.exhaustive}
     for y in target.names:
         x = preimage(y)
-        if x is None or ctx.pi_second(beta, x) != y:
+        # both sides are interned in B, so equal names are one object
+        if x is None or ctx.pi_second(beta, x) is not y:
             onto["counterexample"] = name_text(y, B)
             break
     # atomic transport over every ordered source pair; the distinct value
     # pairs are kept per shape in first-seen order
     src_sess, tgt_sess = _transport_sessions(ctx, beta, rank)
     names = src_sess.universe.names
+    images = [ctx.pi_second(beta, n) for n in names]
     seen: dict[str, dict] = {"in": {}, "=": {}}
     bad = 0
     first = None
-    for x in names:
-        px = ctx.pi_second(beta, x)
-        for y in names:
-            py = ctx.pi_second(beta, y)
+    for x, px in zip(names, images):
+        for y, py in zip(names, images):
             for shape, sv, tv in (
                     ("in", src_sess.member_value(x, y), tgt_sess.member_value(px, py)),
                     ("=", src_sess.equal_value(x, y), tgt_sess.equal_value(px, py))):
@@ -390,12 +390,8 @@ def _formula_transport(ctx: ProjectionContext, beta: int, f: Formula,
     src_names = src_sess.universe.names
     checked = 0
     for combo in itertools.product(src_names, repeat=len(slots)):
-        src_consts = list(combo)
-        tgt_consts = [ctx.pi_second(beta, n) for n in combo]
-        sv = TruthSession(src_sess.universe, src_consts)
-        sv._in, sv._eq = src_sess._in, src_sess._eq
-        tv = TruthSession(tgt_sess.universe, tgt_consts)
-        tv._in, tv._eq = tgt_sess._in, tgt_sess._eq
+        sv = src_sess.with_constants(combo)
+        tv = tgt_sess.with_constants([ctx.pi_second(beta, n) for n in combo])
         if level.pi_prime[sv.value(f)] != tv.value(f):
             return False, {"args": [name_text(n, src_sess.algebra) for n in combo],
                            "checked": checked}
@@ -726,13 +722,16 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
                {"alpha": alpha, "full_generic": full_gen_index},
                {"filter": filter_ok, "meets_all_dense": dense_ok,
                 "literal_dense_sweep": qposet.n <= caps.dense_enum_max})
-    # item 3: evaluation identity over the working universe
+    # item 3: evaluation identity over the working universe, one evaluation
+    # memo per side
     A = ctx.source_algebras[N]
     src_u = working_universe(A, rank, caps)
     bad = None
+    lhs_memo: dict = {}
+    rhs_memo: dict = {}
     for x in src_u.names:
-        lhs = evaluate(x, G_full.mask)
-        rhs = evaluate(ctx.pi_second(N, x), hmask)
+        lhs = evaluate(x, G_full.mask, lhs_memo)
+        rhs = evaluate(ctx.pi_second(N, x), hmask, rhs_memo)
         if lhs != rhs:
             bad = name_text(x, A)
             break

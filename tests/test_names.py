@@ -1,20 +1,24 @@
+import dataclasses
 import itertools
 
 import pytest
 
-from forcinglab.boolalg import ro_algebra
+from forcinglab.boolalg import AlgebraError, ro_algebra
 from forcinglab.formula import parse_formula
 from forcinglab.generic import enumerate_generics, forces
 from forcinglab.hfset import (EMPTY, HFSet, encode_function, hfset, kpair,
                               kpair_value, numeral, numeral_value,
                               rank_segment, transitive_closure)
-from forcinglab.names import (NameUniverse, TruthSession,
+from forcinglab.iteration import TableProvider, build_iteration
+from forcinglab.names import (Name, NameUniverse, TruthSession,
                               UniverseCapExceeded, check_name, decode_element,
                               element_name, empty_name, evaluate,
                               holds_in_extension, make_name, mix_name,
                               name_text, name_universe, pair_name,
-                              truth_value)
-from forcinglab.poset import all_posets_with_top, antichain_with_top, point_poset
+                              sampled_universe, truth_value)
+from forcinglab.poset import (all_posets_with_top, antichain_with_top,
+                              is_separative, point_poset)
+from forcinglab.projection import make_context, working_universe
 
 
 class TestHFSet:
@@ -181,6 +185,12 @@ class TestEvaluation:
         assert evaluate(self.y, ga.mask) == hfset(EMPTY)
         assert evaluate(self.y, gb.mask) == EMPTY
 
+    def test_one_memo_serves_every_generic(self):
+        memo: dict = {}
+        for nm in name_universe(self.A, 2).names:
+            for g in self.gens:
+                assert evaluate(nm, g.mask, memo) == evaluate(nm, g.mask)
+
 
 class TestForcing:
     def setup_method(self):
@@ -244,8 +254,7 @@ class TestTruthLemmaSmall:
             sess = TruthSession(univ)
             for x, y in itertools.product(univ.names, repeat=2):
                 for shape in shapes:
-                    s = TruthSession(univ, [x, y])
-                    s._in, s._eq = sess._in, sess._eq
+                    s = sess.with_constants([x, y])
                     value = s.value(shape)
                     for g in generics:
                         lhs = any(not A.base.principal_cut(p) & ~A.cut(value)
@@ -287,3 +296,89 @@ class TestTruthLemmaSmall:
                     lhs = bool(value & g.mask)
                     rhs = holds_in_extension(f, univ, g.mask, constants=[x])
                     assert lhs == rhs
+
+
+def _reference_member(A, x, y):
+    """||x in y|| straight from the clause, unmemoized, through A's ops."""
+    return A.sum(A.meet(_reference_equal(A, t, x), v) for t, v in y.entries)
+
+
+def _reference_equal(A, x, y):
+    """||x = y|| straight from the clause, unmemoized, through A's ops."""
+    left = A.product(A.join(A.complement(v), _reference_member(A, t, y))
+                     for t, v in x.entries)
+    right = A.product(A.join(A.complement(v), _reference_member(A, t, x))
+                      for t, v in y.entries)
+    return A.meet(left, right)
+
+
+class TestInterning:
+    """Names are hash-consed per algebra; memos key on their uids."""
+
+    def test_rebuilt_universe_names_are_the_same_objects(self):
+        _, A, _, _ = _algebra_with_named_cuts()
+        first, again = name_universe(A, 2), name_universe(A, 2)
+        assert all(x is y for x, y in zip(first.names, again.names))
+        assert len({n.uid for n in first.names}) == len(first.names)
+
+    def test_check_and_mixed_names_are_the_same_objects(self):
+        P, A, _, _ = _algebra_with_named_cuts()
+        gens = enumerate_generics(P)
+        for x in rank_segment(3):
+            assert check_name(x, A) is check_name(x, A, {})
+
+        def mixed():
+            return mix_name([(gens[0].atom, check_name(numeral(2), A)),
+                             (gens[1].atom, element_name(1, A))], A)
+        assert mixed() is mixed()
+        assert make_name([(empty_name(A), A.one)], A) is check_name(hfset(EMPTY), A)
+
+    def test_pi_second_images_are_the_same_objects(self):
+        it = build_iteration(TableProvider([{(): antichain_with_top(2)},
+                                            {(0,): antichain_with_top(2),
+                                             (1,): antichain_with_top(2)}]))
+        ctx = make_context(it, 1, 0)
+        # a copy of the level starts with an empty pi_second memo, so it
+        # builds every image again over the same quotient algebra
+        fresh = dataclasses.replace(ctx.levels[2])
+        copy = dataclasses.replace(ctx, levels={**ctx.levels, 2: fresh})
+        names = working_universe(ctx.source_algebras[2], 2).names
+        assert all(ctx.pi_second(2, n) is copy.pi_second(2, n) for n in names)
+
+    def test_foreign_element_raises_on_first_and_repeat_builds(self):
+        _, A, ua, _ = _algebra_with_named_cuts()
+        e = empty_name(A)
+        foreign = A.one + 1
+        assert foreign not in A
+        for _ in range(2):
+            with pytest.raises(AlgebraError):
+                Name([(e, foreign)], A)
+        make_name([(e, ua)], A)
+        with pytest.raises(AlgebraError):
+            make_name([(e, ua), (e, foreign)], A)
+
+    def test_names_over_two_algebras_of_one_poset_compare_by_key(self):
+        P = antichain_with_top(2)
+        A, B = ro_algebra(P), ro_algebra(P)
+        over_a, over_b = name_universe(A, 2).names, name_universe(B, 2).names
+        for x, y in zip(over_a, over_b):
+            assert x is not y and x == y and hash(x) == hash(y)
+        assert len(set(over_a) | set(over_b)) == len(over_a)
+        # a sub-name from the other algebra is rebuilt in this one
+        nm = Name([(over_b[5], A.one)], A)
+        assert nm.entries[0][0] is over_a[5]
+        assert nm is Name([(over_a[5], A.one)], A)
+
+    def test_memoized_atomic_values_match_the_unmemoized_clauses(self):
+        checked = 0
+        for poset in all_posets_with_top(4):
+            if not is_separative(poset):
+                continue
+            A = ro_algebra(poset)
+            univ = sampled_universe(A, 2, cap=40)
+            sess = TruthSession(univ)
+            for x, y in itertools.product(univ.names, repeat=2):
+                assert sess.member_value(x, y) == _reference_member(A, x, y)
+                assert sess.equal_value(x, y) == _reference_equal(A, x, y)
+                checked += 1
+        assert checked > 0

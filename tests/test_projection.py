@@ -8,13 +8,15 @@ from forcinglab.generic import dense_subsets
 from forcinglab.hfset import EMPTY
 from forcinglab.iteration import (TAIL_ONE, TableProvider, build_iteration,
                                   cifs_toy_iteration)
-from forcinglab.names import Name, check_name, evaluate, name_universe
+from forcinglab.names import (Name, check_name, evaluate, name_text,
+                              name_universe)
 from forcinglab.poset import (_mask_bits, antichain_with_top, point_poset,
                               regularize)
 from forcinglab.projection import (ProjectionError, factor_generic,
                                    make_context, verify_corollary15,
                                    verify_lemma20_analogue,
-                                   verify_projection_lemmas, verify_theorem2)
+                                   verify_projection_lemmas, verify_theorem2,
+                                   working_universe)
 
 A2 = antichain_with_top(2)
 A3 = antichain_with_top(3)
@@ -294,6 +296,23 @@ class TestTheorem16:
                 img = ctx2.pi_second(2, nm)
                 assert evaluate(nm, gen.mask) == x
                 assert evaluate(img, hmask) == x
+
+    def test_corrupted_name_image_fails_item3_at_that_name(self):
+        # a fresh iteration, so the module fixture's memo stays intact
+        it = build_iteration(TableProvider([{(): A2}, {(0,): A2, (1,): A2}]))
+        G, hmask, rep = factor_generic(it, 1, 0)
+        assert rep.ok
+        ctx = make_context(it, 1, it.stages[1].generics.index(G))
+        A, level = ctx.source_algebras[2], ctx.final_level
+        empty = Name([], level.algebra)
+        # the last universe name whose image is not empty under hmask
+        victim = [x for x in working_universe(A, 2).names
+                  if evaluate(level._pi_second[x.uid], hmask) != EMPTY][-1]
+        level._pi_second[victim.uid] = empty
+        _, _, rep = factor_generic(it, 1, 0)
+        item3 = [c for c in rep.checks if c.check == "item3-evaluation-identity"]
+        assert [c.status for c in item3] == ["fail"]
+        assert item3[0].detail["counterexample"] == name_text(victim, A)
 
     def test_quotient_filter_meets_every_dense_subset(self, worked):
         it, _ = worked
