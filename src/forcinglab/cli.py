@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .formula import parse_formula
-from .iteration import (Iteration, TableProvider, build_iteration,
-                        check_lemma1, cifs_toy_iteration)
+from .iteration import (CollapseSpec, Iteration, StepContext, TableProvider,
+                        build_iteration, check_lemma1, cifs_toy_iteration,
+                        collapse_poset)
 from .poset import Poset, PosetError, all_separative_posets, validate_poset
 from .projection import (ProjectionError, factor_generic, make_context,
                          verify_corollary15, verify_lemma20_analogue,
@@ -369,8 +370,6 @@ def _closed_form_injection_count(n: int, m: int) -> int:
 
 
 def run_cifs_suite(config: ExperimentConfig) -> SuiteReport:
-    from .iteration import CollapseSpec, collapse_poset
-
     caps = config.caps()
     rep = SuiteReport()
     # collapse counts against the closed form
@@ -412,8 +411,6 @@ def run_cifs_suite(config: ExperimentConfig) -> SuiteReport:
 def cifs_dependence_probe(caps: Caps, instance: str = "cifs") -> SuiteReport:
     """Build both stage-1 tables of a debris-admitting ladder and compare:
     the witnessed structure must differ between the stage-0 generics."""
-    from .iteration import StepContext
-
     rep = SuiteReport()
     psi = parse_formula(
         "exists y (y in x) & forall y (y in x -> exists z (z in y & exists w (w in z)))")
@@ -455,6 +452,8 @@ def execute(config: ExperimentConfig) -> tuple[SuiteReport, dict]:
             for _, it in instances for a in range(1, len(it) + 1))
         for spec, iteration in instances:
             reports.extend(run_suite(s, spec, iteration, config) for s in table_suites)
+            # contexts are only reused within one instance
+            iteration.context_cache.clear()
         by_id = {spec.instance_id: spec for spec, _ in instances}
         for rep in reports:
             for c in rep.failures:

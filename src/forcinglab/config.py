@@ -24,7 +24,6 @@ class Caps:
     hom_family_cap: int = 1 << 16      # subfamilies enumerated per completeness check
     dense_enum_max: int = 16           # poset size bound for literal dense-subset sweeps
     filter_crosscheck_max: int = 10    # poset size bound for the brute-force generic cross-check
-    canonical_perm_max: int = 9        # poset size bound for permutation-based canonical forms
     cifs_rank_max: int = 4             # rank bound for materialized pure-set fragments
 
     def with_(self, **kw) -> "Caps":

@@ -8,7 +8,7 @@ computes both characterizations and cross-checks them on small posets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .config import DEFAULT_CAPS, Caps
@@ -32,18 +32,16 @@ class Filter:
 
 @dataclass(frozen=True)
 class GenericSet:
-    """A filter meeting every dense subset, with a witness certificate.
+    """The generic filter above one atom: a filter meeting every dense subset.
 
-    ``certificate`` maps each enumerated dense subset (as a mask) to a member
-    of the filter inside it; it is materialized only for posets small enough
-    to sweep (see ``Caps.dense_enum_max``), and ``certified`` records that.
+    Every dense subset contains every atom (an atom's lower cone is the atom
+    itself), so ``atom`` is the one witness that the filter meets each of
+    them.
     """
 
     poset: Poset
     mask: int
     atom: int
-    certificate: dict = field(default_factory=dict, compare=False)
-    certified: bool = field(default=False, compare=False)
 
     def __contains__(self, p: int) -> bool:
         return bool((self.mask >> p) & 1)
@@ -90,15 +88,7 @@ def is_dense(mask: int, poset: Poset) -> bool:
 def enumerate_generics(poset: Poset, caps: Caps = DEFAULT_CAPS) -> list[GenericSet]:
     """All generic filters: one per atom, cross-checked against the
     meets-every-dense-set characterization on small posets."""
-    out = []
-    for a in poset.atoms:
-        mask = poset.above[a]
-        cert: dict = {}
-        certified = False
-        if poset.n <= caps.dense_enum_max:
-            cert = {d: a for d in dense_subsets(poset)}
-            certified = True
-        out.append(GenericSet(poset, mask, a, cert, certified))
+    out = [GenericSet(poset, poset.above[a], a) for a in poset.atoms]
     if poset.n <= caps.filter_crosscheck_max:
         brute = _filters_meeting_all_dense(poset)
         if brute != sorted(g.mask for g in out):
@@ -117,10 +107,6 @@ def _filters_meeting_all_dense(poset: Poset) -> list[int]:
         if all(mask & d for d in dense):
             found.append(mask)
     return sorted(found)
-
-
-def generic_containing(generics: list[GenericSet], p: int) -> list[GenericSet]:
-    return [g for g in generics if p in g]
 
 
 def forces(p: int, formula, universe) -> bool:

@@ -52,10 +52,6 @@ def trim(cond: Condition) -> Condition:
     return cond
 
 
-def coordinate(cond: Condition, k: int):
-    return cond[k] if k < len(cond) else TAIL_ONE
-
-
 def _cond_label(cond: Condition) -> str:
     if not cond:
         return "<>"

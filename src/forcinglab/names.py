@@ -33,7 +33,7 @@ from .boolalg import AlgebraError, BoolAlgebra
 from .config import DEFAULT_CAPS, CapExceeded
 from .formula import (And, Const, Equality, Exists, ForAll, Formula,
                       FormulaError, Implies, Membership, Not, Or, Term,
-                      free_variables)
+                      eval_classical, free_variables)
 from .hfset import HFSet, element_code, element_code_value
 
 # the source of Name.uid
@@ -360,8 +360,6 @@ def truth_value(f: Formula, universe: NameUniverse) -> int:
 def holds_in_extension(f: Formula, universe: NameUniverse, generic_mask: int,
                        constants: Sequence[Name] | None = None) -> bool:
     """Two-valued truth of f over the evaluations of the universe under G."""
-    from .formula import eval_classical
-
     memo: dict = {}
     pool = universe.names if constants is None else constants
     consts = [evaluate(n, generic_mask, memo) for n in pool]

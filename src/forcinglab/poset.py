@@ -127,18 +127,6 @@ class Poset:
             acc |= self.below[p]
         return acc == mask
 
-    def downward_closure(self, mask: int) -> int:
-        acc = 0
-        for p in _mask_bits(mask):
-            acc |= self.below[p]
-        return acc
-
-    def upward_closure(self, mask: int) -> int:
-        acc = 0
-        for p in _mask_bits(mask):
-            acc |= self.above[p]
-        return acc
-
     def __repr__(self) -> str:
         pairs = [f"{self.labels[p]}<{self.labels[q]}"
                  for p in range(self.n) for q in range(self.n)

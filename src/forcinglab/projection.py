@@ -405,7 +405,8 @@ def _formula_transport(ctx: ProjectionContext, beta: int, f: Formula,
 def verify_projection_lemmas(ctx: ProjectionContext, instance: str = "adhoc",
                              rank: int = 2) -> SuiteReport:
     """One exhaustive sub-check per projection lemma, itemized L3..L14.
-    L6-L9 and L12 cite the level's shared facts, as Theorem 2 does."""
+    L6-L9 and L12 cite the level's shared facts, as Theorem 2 does; L11-L14
+    read one s-frown-p table and one list of sibling levels per level."""
     rep = SuiteReport()
     N = len(ctx.iteration)
     for beta in range(ctx.alpha + 1, N + 1):
@@ -488,102 +489,96 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
     rep.record("projection-lemmas", "L10-monotone", instance, not bad10, cctx,
                {"violations": bad10[:4], "count": len(bad10)})
 
+    # L11-L14 quantify over s-frown-p and over the sibling contexts
+    table = _frown_table(ctx, beta)
+    siblings = [make_context(ctx.iteration, ctx.alpha, g, ctx.caps).levels[beta]
+                for g in range(len(ctx.iteration.stages[ctx.alpha].generics))]
+
     # L11: forced equal projections merge below some member of G
-    ok11, detail11 = _lemma11(ctx, beta)
+    ok11, detail11 = _lemma11(ctx, beta, table, siblings)
     rep.record("projection-lemmas", "L11-merge-below", instance, ok11, cctx, detail11)
 
     # L12: forcing transports forward, and back below some member of G
-    ok12, detail12 = _lemma12(ctx, beta, facts.atomic_values)
+    ok12, detail12 = _lemma12(ctx, beta, facts.atomic_values, table)
     rep.record("projection-lemmas", "L12-forcing-transport", instance, ok12,
                cctx, detail12)
 
     # L13: the equal-tails cut is regular
-    ok13, detail13 = _lemma13(ctx, beta)
+    ok13, detail13 = _lemma13(ctx, table)
     rep.record("projection-lemmas", "L13-equal-tails-regular", instance, ok13,
                cctx, detail13)
 
     # L14: order reflects below conditions forcing the projected comparison
-    ok14, detail14 = _lemma14(ctx, beta)
+    ok14, detail14 = _lemma14(ctx, beta, table, siblings)
     rep.record("projection-lemmas", "L14-order-reflection", instance, ok14,
                cctx, detail14)
 
 
-def _tail_sequences(ctx: ProjectionContext, beta: int):
-    """Pairs (prefix index in P_alpha, tail suffix) of P_beta conditions,
-    where the suffix is the coordinate block above alpha."""
-    src = ctx.iteration.stages[beta]
-    alpha = ctx.alpha
-    out = []
-    for ci, cond in enumerate(src.conditions):
-        out.append((ci, ctx.prefix_index(beta, ci), cond[alpha:]))
-    return out
-
-
-def _attach(ctx: ProjectionContext, beta: int, s_idx: int, suffix) -> int | None:
-    """Index of s-frown-suffix in P_beta: the alpha-prefix replaced by s and
-    every tail restricted to the generics below it.  None when s does not
-    sit below the suffix's original prefix constraints."""
+def _frown_table(ctx: ProjectionContext, beta: int) -> list[tuple[int, dict]]:
+    """Per P_beta condition p: the index in P_alpha of its alpha-prefix, and
+    a map from each s below that prefix to the P_beta index of s-frown-p (the
+    alpha-prefix replaced by s, every tail restricted to the generics below
+    it), or None when s does not sit below the tails' prefix constraints."""
     stages = ctx.iteration.stages
     alpha = ctx.alpha
-    s_cond = stages[alpha].conditions[s_idx]
-    raw = list(s_cond) + [TAIL_ONE] * (alpha - len(s_cond)) + list(suffix)
-    try:
-        cond = canonicalize_condition(raw, ctx.iteration, beta)
-    except (KeyError, ProviderError):
-        return None
-    idx = stages[beta]._index.get(cond)
-    return idx
+    astage, src = stages[alpha], stages[beta]
+    table = []
+    for cond in src.conditions:
+        prefix = astage.cond_index(trim(cond[:alpha]))
+        suffix = list(cond[alpha:])
+        row: dict[int, int | None] = {}
+        for s in _mask_bits(astage.poset.below[prefix]):
+            s_cond = astage.conditions[s]
+            raw = list(s_cond) + [TAIL_ONE] * (alpha - len(s_cond)) + suffix
+            try:
+                row[s] = src._index.get(
+                    canonicalize_condition(raw, ctx.iteration, beta))
+            except (KeyError, ProviderError):
+                row[s] = None
+        table.append((prefix, row))
+    return table
 
 
-def _lemma11(ctx: ProjectionContext, beta: int):
+def _same_prefix_pairs(table: list[tuple[int, dict]]):
+    """Ordered pairs (ci, cj, prefix, row_i, row_j) of P_beta conditions
+    with one alpha-prefix, in product order."""
+    for (ci, (pre_i, row_i)), (cj, (pre_j, row_j)) in itertools.product(
+            enumerate(table), repeat=2):
+        if pre_i == pre_j:
+            yield ci, cj, pre_i, row_i, row_j
+
+
+def _lemma11(ctx: ProjectionContext, beta: int, table: list, siblings: list):
     """r in G with forced-equal projected tails: some s in G below r glues
     the two conditions into literal equality."""
-    stages = ctx.iteration.stages
-    alpha = ctx.alpha
     G = ctx.G
-    src = stages[beta]
-    tails = _tail_sequences(ctx, beta)
+    astage = ctx.iteration.stages[ctx.alpha]
+    labels = ctx.iteration.stages[beta].poset.labels
     checked = 0
-    for (ci, pi_i, suf_i), (cj, pi_j, suf_j) in itertools.product(tails, repeat=2):
-        if pi_i != pi_j:
-            continue
-        r = pi_i
+    for ci, cj, r, row_i, row_j in _same_prefix_pairs(table):
         if r not in G:
             continue
         # premise: r forces equal projections, i.e. in every sibling context
         # whose generic contains r the two images agree
-        forced = True
-        for g2, gen2 in enumerate(stages[alpha].generics):
-            if r not in gen2:
-                continue
-            ctx2 = make_context(ctx.iteration, alpha, g2, ctx.caps)
-            if ctx2.levels[beta].pi[ci] != ctx2.levels[beta].pi[cj]:
-                forced = False
-                break
-        if not forced:
+        if any(r in gen2 and lvl2.pi[ci] != lvl2.pi[cj]
+               for gen2, lvl2 in zip(astage.generics, siblings)):
             continue
         checked += 1
-        found = False
-        for s in _mask_bits(G.mask & stages[alpha].poset.below[r]):
-            si = _attach(ctx, beta, s, suf_i)
-            sj = _attach(ctx, beta, s, suf_j)
-            if si is not None and si == sj:
-                found = True
-                break
-        if not found:
-            return False, {"pair": (src.poset.labels[ci], src.poset.labels[cj])}
+        if not any(row_i.get(s) is not None and row_i.get(s) == row_j.get(s)
+                   for s in _mask_bits(G.mask & astage.poset.below[r])):
+            return False, {"pair": (labels[ci], labels[cj])}
     return True, {"pairs": checked}
 
 
-def _lemma12(ctx: ProjectionContext, beta: int, atomic_values: tuple):
+def _lemma12(ctx: ProjectionContext, beta: int, atomic_values: tuple,
+             table: list):
     """Forcing transports along pi for atomic formulas, and conversely some
     s in G below the prefix restores forcing.  Both directions depend only
     on the (source value, target value) pair of the formula instance, so
     each distinct pair is checked once per shape."""
     level = ctx.levels[beta]
     src = ctx.iteration.stages[beta]
-    stages = ctx.iteration.stages
-    alpha = ctx.alpha
+    aposet = ctx.iteration.stages[ctx.alpha].poset
     G = ctx.G
     A = ctx.source_algebras[beta]
     B = level.algebra
@@ -599,36 +594,24 @@ def _lemma12(ctx: ProjectionContext, beta: int, atomic_values: tuple):
                 return False, {"direction": "forward",
                                "condition": src.poset.labels[ci]}
             if tgt_forces:
-                prefix = ctx.prefix_index(beta, ci)
-                suffix = src.conditions[ci][alpha:]
-                ok = False
-                for s in _mask_bits(G.mask & stages[alpha].poset.below[prefix]):
-                    si = _attach(ctx, beta, s, suffix)
-                    if si is not None and A.leq(principal[si], src_val):
-                        ok = True
-                        break
-                if not ok:
+                prefix, row = table[ci]
+                if not any(row.get(s) is not None and
+                           A.leq(principal[row[s]], src_val)
+                           for s in _mask_bits(G.mask & aposet.below[prefix])):
                     return False, {"direction": "backward",
                                    "condition": src.poset.labels[ci]}
             checked += 1
     return True, {"checks": checked}
 
 
-def _lemma13(ctx: ProjectionContext, beta: int):
+def _lemma13(ctx: ProjectionContext, table: list):
     """U_{p1,p2} = {s : s-frown-p1 == s-frown-p2} is a regular cut of P_alpha."""
-    stages = ctx.iteration.stages
-    alpha = ctx.alpha
-    aposet = stages[alpha].poset
-    tails = _tail_sequences(ctx, beta)
+    aposet = ctx.iteration.stages[ctx.alpha].poset
     checked = 0
-    for (ci, pre_i, suf_i), (cj, pre_j, suf_j) in itertools.product(tails, repeat=2):
-        if pre_i != pre_j:
-            continue
+    for ci, cj, _, row_i, row_j in _same_prefix_pairs(table):
         mask = 0
-        for s in _mask_bits(aposet.below[pre_i]):
-            si = _attach(ctx, beta, s, suf_i)
-            sj = _attach(ctx, beta, s, suf_j)
-            if si is not None and si == sj:
+        for s, si in row_i.items():
+            if si is not None and si == row_j.get(s):
                 mask |= 1 << s
         checked += 1
         if not aposet.is_downward_closed(mask) or \
@@ -637,30 +620,21 @@ def _lemma13(ctx: ProjectionContext, beta: int):
     return True, {"pairs": checked}
 
 
-def _lemma14(ctx: ProjectionContext, beta: int):
+def _lemma14(ctx: ProjectionContext, beta: int, table: list, siblings: list):
     """If r <= p and every generic containing r projects tail p1 below tail
     q1, then r-frown-p1 <= r-frown-q1 already in P_beta."""
-    stages = ctx.iteration.stages
-    alpha = ctx.alpha
-    aposet = stages[alpha].poset
-    src = stages[beta]
-    tails = _tail_sequences(ctx, beta)
+    astage = ctx.iteration.stages[ctx.alpha]
+    src = ctx.iteration.stages[beta]
     checked = 0
-    for (ci, pre_i, suf_i), (cj, pre_j, suf_j) in itertools.product(tails, repeat=2):
-        if pre_i != pre_j:
-            continue
-        p = pre_i
-        for r in _mask_bits(aposet.below[p]):
-            ri = _attach(ctx, beta, r, suf_i)
-            rj = _attach(ctx, beta, r, suf_j)
+    for ci, cj, _, row_i, row_j in _same_prefix_pairs(table):
+        for r, ri in row_i.items():
+            rj = row_j.get(r)
             if ri is None or rj is None:
                 continue
             premise = True
-            for g2, gen2 in enumerate(stages[alpha].generics):
+            for gen2, lvl2 in zip(astage.generics, siblings):
                 if r not in gen2:
                     continue
-                ctx2 = make_context(ctx.iteration, alpha, g2, ctx.caps)
-                lvl2 = ctx2.levels[beta]
                 ii, jj = lvl2.pi[ri], lvl2.pi[rj]
                 if ii is None or jj is None or \
                         not lvl2.stage.poset.leq(ii, jj):
@@ -670,7 +644,7 @@ def _lemma14(ctx: ProjectionContext, beta: int):
                 continue
             checked += 1
             if not src.poset.leq(ri, rj):
-                return False, {"r": aposet.labels[r],
+                return False, {"r": astage.poset.labels[r],
                                "pair": (src.poset.labels[ci], src.poset.labels[cj])}
     return True, {"checks": checked}
 

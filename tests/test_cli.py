@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from forcinglab import cli
 from forcinglab.cli import (ExperimentConfig, execute, format_poset_text,
                             format_provider_tables, generate_instances,
                             human_summary, main, parse_poset_text,
@@ -95,6 +96,20 @@ class TestRunReports:
         write_report(report2, meta2, cfg2.out)
         assert (tmp_path / "r1.jsonl").read_bytes() == \
             (tmp_path / "r2.jsonl").read_bytes()
+
+    def test_contexts_are_dropped_once_an_instance_is_done(self, monkeypatch):
+        instances = []
+
+        def keep(config):
+            instances.extend(generate_instances(config))
+            return instances
+
+        monkeypatch.setattr(cli, "generate_instances", keep)
+        cfg = ExperimentConfig(suite="projection-lemmas", max_poset=3,
+                               max_stages=2, seed=0)
+        _, meta = execute(cfg)
+        assert meta["census"]["contexts"] > 0
+        assert instances and all(not it.context_cache for _, it in instances)
 
     def test_report_is_count_stable_jsonl(self, tmp_path):
         cfg = ExperimentConfig(suite="lemma1", max_poset=3, max_stages=2,

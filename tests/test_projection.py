@@ -2,17 +2,19 @@ import dataclasses
 
 import pytest
 
+from forcinglab import projection
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import parse_formula
 from forcinglab.generic import dense_subsets
 from forcinglab.hfset import EMPTY
 from forcinglab.iteration import (TAIL_ONE, TableProvider, build_iteration,
-                                  cifs_toy_iteration)
+                                  canonicalize_condition, cifs_toy_iteration)
 from forcinglab.names import (Name, check_name, evaluate, name_text,
                               name_universe)
 from forcinglab.poset import (_mask_bits, antichain_with_top, point_poset,
                               regularize)
-from forcinglab.projection import (ProjectionError, factor_generic,
+from forcinglab.projection import (ProjectionError, _frown_table, _lemma11,
+                                   _lemma13, _lemma14, factor_generic,
                                    make_context, verify_corollary15,
                                    verify_lemma20_analogue,
                                    verify_projection_lemmas, verify_theorem2,
@@ -202,6 +204,84 @@ class TestProjectionLemmas:
         assert not s2.poset.below[ca] & s2.poset.below[cb]
         ia, ib = level.pi[ca], level.pi[cb]
         assert not qp.below[ia] & qp.below[ib]
+
+
+class TestLemmaControls:
+    """Negative controls for L10-L14: corrupted inputs must fail them."""
+
+    @staticmethod
+    def inputs(ctx, beta):
+        it = ctx.iteration
+        siblings = [make_context(it, ctx.alpha, g).levels[beta]
+                    for g in range(len(it.stages[ctx.alpha].generics))]
+        return _frown_table(ctx, beta), siblings
+
+    def test_swapped_pi_entries_fail_l4_l5_l10_and_l12(self, worked):
+        _, ctx = worked
+        level = ctx.levels[2]
+        ci, cj = 0, next(c for c, q in enumerate(level.pi)
+                         if q is not None and q != level.pi[0])
+        pi = list(level.pi)
+        pi[ci], pi[cj] = pi[cj], pi[ci]
+        swapped = dataclasses.replace(
+            ctx, levels={**ctx.levels, 2: dataclasses.replace(level, pi=pi)})
+        failed = {c.check.split("-")[0] for c in
+                  verify_projection_lemmas(swapped, instance="control").failures}
+        assert failed == {"L4", "L5", "L10", "L12"}
+
+    def test_the_real_table_passes_l11_l13_and_l14(self, worked):
+        _, ctx = worked
+        table, siblings = self.inputs(ctx, 2)
+        assert _lemma11(ctx, 2, table, siblings)[0]
+        assert _lemma13(ctx, table)[0]
+        assert _lemma14(ctx, 2, table, siblings)[0]
+
+    def test_an_emptied_row_fails_l11(self, worked):
+        # the top condition's prefix lies in G and it is forced equal to
+        # itself, so some s must glue it to itself
+        it, ctx = worked
+        table, siblings = self.inputs(ctx, 2)
+        top = it.stages[2].poset.top
+        table[top] = (table[top][0], {})
+        ok, detail = _lemma11(ctx, 2, table, siblings)
+        assert not ok and detail["pair"] == ("<>", "<>")
+
+    def test_a_missing_top_entry_fails_l13(self, worked):
+        # U_{top,top} loses the top of P_alpha, which no regular cut does
+        it, ctx = worked
+        table, _ = self.inputs(ctx, 2)
+        top, atop = it.stages[2].poset.top, it.stages[1].poset.top
+        table[top] = (table[top][0], {**table[top][1], atop: None})
+        ok, detail = _lemma13(ctx, table)
+        assert not ok and detail["pair"] == (top, top)
+
+    def test_siblings_collapsing_every_class_fail_l14(self, worked):
+        # every premise holds, so incomparable conditions break the order
+        _, ctx = worked
+        table, siblings = self.inputs(ctx, 2)
+        collapsed = [dataclasses.replace(lvl, pi=[0] * len(lvl.pi))
+                     for lvl in siblings]
+        ok, detail = _lemma14(ctx, 2, table, collapsed)
+        assert not ok and "r" in detail
+
+    def test_one_canonicalization_per_condition_and_s(self, monkeypatch):
+        it = build_iteration(TableProvider([
+            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        calls = {}
+
+        def counted(raw, iteration, stage_index):
+            calls[stage_index] = calls.get(stage_index, 0) + 1
+            return canonicalize_condition(raw, iteration, stage_index)
+
+        monkeypatch.setattr(projection, "canonicalize_condition", counted)
+        ctx = make_context(it, 1, 0)
+        assert verify_projection_lemmas(ctx, instance="count").ok
+        astage = it.stages[1]
+        for beta in (2, 3):
+            bound = sum(
+                bin(astage.poset.below[ctx.prefix_index(beta, ci)]).count("1")
+                for ci in range(it.stages[beta].poset.n))
+            assert 0 < calls[beta] <= bound, (beta, calls[beta], bound)
 
 
 def _with_pi_prime(ctx, beta, pi_prime):
