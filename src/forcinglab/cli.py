@@ -551,8 +551,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="run a verification sweep")
     add_common(runp)
-    runp.add_argument("--replay", metavar="ID",
-                     help="re-run only the named counterexample")
     repp = sub.add_parser("replay", help="re-run one counterexample by id")
     repp.add_argument("id")
     add_common(repp)
@@ -591,8 +589,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "replay":
             return replay(config, args.id)
-        if args.command == "run" and getattr(args, "replay", None):
-            return replay(config, args.replay)
         report, meta = execute(config)
         write_report(report, meta, config.out)
         print(human_summary(report, meta))

@@ -133,6 +133,9 @@ class Iteration:
     provider: StepProvider
     caps: Caps
     partial: bool = False
+    # instance-scoped: the projection contexts built on this iteration, plus
+    # the stage algebras and final-stage universes they share; cleared once
+    # the instance's suites are done
     context_cache: dict = field(default_factory=dict)
 
     @property

@@ -135,19 +135,6 @@ class Poset:
 
     # -- isomorphism machinery ----------------------------------------
 
-    def relabel(self, perm: Sequence[int]) -> "Poset":
-        """Copy with element p renamed perm[p]."""
-        n = self.n
-        below = [0] * n
-        labels = [""] * n
-        for p in range(n):
-            m = 0
-            for q in _mask_bits(self.below[p]):
-                m |= 1 << perm[q]
-            below[perm[p]] = m
-            labels[perm[p]] = self.labels[p]
-        return Poset(below, perm[self.top], labels)
-
     def canonical_key(self, perm_max: int = 9):
         """Isomorphism-invariant key: lexicographically least relation matrix.
 

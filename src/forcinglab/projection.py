@@ -18,7 +18,9 @@ generics).  Everything downstream -- the complete-homomorphism certificate,
 the per-lemma property checks, generic factorization and the rebuilt-tail
 comparison -- quantifies exhaustively over the finite instance.  The facts
 that Theorem 2 and the lemma suite share (homomorphism, onto, atomic
-transport) are computed once per level and cached on the context.
+transport) are computed once per level and cached on the context; the
+source algebras, and the final stage's working universe and its evaluation
+memo, are built once per instance and shared by all its contexts.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class ProjectionContext:
     gen_index: int
     caps: Caps
     levels: dict[int, QuotientLevel]
-    source_algebras: dict[int, BoolAlgebra]
+    source_algebras: dict[int, BoolAlgebra]   # shared by the instance's contexts
     # (beta, rank) -> _LevelFacts; not an init field, so that
     # dataclasses.replace gives the copy an empty cache
     _facts: dict = field(default_factory=dict, init=False)
@@ -105,6 +107,29 @@ class ProjectionContext:
         return got
 
 
+@dataclass
+class _StageAlgebra:
+    """One stage's algebra, shared by every context of an instance, with the
+    working universes built over it and one evaluation memo for them (keyed
+    by name uid and generic mask, so it serves every generic)."""
+
+    algebra: BoolAlgebra
+    universes: dict = field(default_factory=dict)   # rank -> NameUniverse
+    memo: dict = field(default_factory=dict)
+
+
+def _stage_algebra(iteration: Iteration, beta: int, caps: Caps) -> _StageAlgebra:
+    """The shared algebra record of stage beta, built on first use and kept
+    in the instance's context cache under its own key shape."""
+    key = ("stage-algebra", beta, caps)
+    got = iteration.context_cache.get(key)
+    if got is None:
+        got = _StageAlgebra(ro_algebra(iteration.stages[beta].poset,
+                                       max_base=caps.algebra_max_base))
+        iteration.context_cache[key] = got
+    return got
+
+
 def _tail_as_name(stage: Stage, tail, algebra: BoolAlgebra,
                   memo: dict) -> Name:
     """Literal name for a function-form tail: mixing over the atoms."""
@@ -137,10 +162,8 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
         return cached
     G = stages[alpha].generics[gen_index]
 
-    source_algebras: dict[int, BoolAlgebra] = {}
-    for beta in range(alpha, N + 1):
-        source_algebras[beta] = ro_algebra(stages[beta].poset,
-                                           max_base=caps.algebra_max_base)
+    source_algebras = {beta: _stage_algebra(iteration, beta, caps).algebra
+                       for beta in range(alpha, N + 1)}
 
     levels: dict[int, QuotientLevel] = {}
     # trivial root level: everything in G maps to the empty sequence
@@ -696,15 +719,18 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
                {"alpha": alpha, "full_generic": full_gen_index},
                {"filter": filter_ok, "meets_all_dense": dense_ok,
                 "literal_dense_sweep": qposet.n <= caps.dense_enum_max})
-    # item 3: evaluation identity over the working universe, one evaluation
-    # memo per side
-    A = ctx.source_algebras[N]
-    src_u = working_universe(A, rank, caps)
+    # item 3: evaluation identity over the working universe.  The universe
+    # and the G_full memo are the final stage's, built once per instance;
+    # the quotient side's memo is this call's own
+    final = _stage_algebra(iteration, N, caps)
+    A = final.algebra
+    src_u = final.universes.get(rank)
+    if src_u is None:
+        src_u = final.universes[rank] = working_universe(A, rank, caps)
     bad = None
-    lhs_memo: dict = {}
     rhs_memo: dict = {}
     for x in src_u.names:
-        lhs = evaluate(x, G_full.mask, lhs_memo)
+        lhs = evaluate(x, G_full.mask, final.memo)
         rhs = evaluate(ctx.pi_second(N, x), hmask, rhs_memo)
         if lhs != rhs:
             bad = name_text(x, A)

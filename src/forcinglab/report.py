@@ -80,10 +80,6 @@ class SuiteReport:
         return [c for c in self.checks if c.status == "fail"]
 
     @property
-    def skipped(self) -> list[CheckRecord]:
-        return [c for c in self.checks if c.status == "skip"]
-
-    @property
     def ok(self) -> bool:
         return not self.failures
 

@@ -128,10 +128,9 @@ class TestRunReports:
         assert rc == 0
 
     def test_replay_unknown_id_is_an_error(self, tmp_path, capsys):
-        rc = main(["run", "--suite", "lemma1", "--max-poset", "3",
-                   "--max-stages", "1", "--seed", "1",
-                   "--out", str(tmp_path / "r.jsonl"),
-                   "--replay", "cx-000000000000"])
+        rc = main(["replay", "cx-000000000000", "--suite", "lemma1",
+                   "--max-poset", "3", "--max-stages", "1", "--seed", "1",
+                   "--out", str(tmp_path / "r.jsonl")])
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
@@ -147,6 +146,9 @@ class TestRunReports:
         assert exc.value.code == 2
         with pytest.raises(SystemExit) as exc:
             main(["run", "--workers", "2"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--replay", "X"])
         assert exc.value.code == 2
         with pytest.raises(SystemExit) as exc:
             main(["run", "--hom-family-cap", "8"])

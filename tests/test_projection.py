@@ -25,10 +25,15 @@ A3 = antichain_with_top(3)
 PT = point_poset()
 
 
+def _two_step_antichains():
+    """The constant two-step antichain iteration, built afresh."""
+    return build_iteration(TableProvider([{(): A2}, {(0,): A2, (1,): A2}]))
+
+
 @pytest.fixture(scope="module")
 def worked():
     """The constant two-step antichain instance with G = the a-side generic."""
-    it = build_iteration(TableProvider([{(): A2}, {(0,): A2, (1,): A2}]))
+    it = _two_step_antichains()
     ctx = make_context(it, 1, 0)
     return it, ctx
 
@@ -107,6 +112,65 @@ class TestMakeContext:
         assert ctx.final_level.stage.poset.n == 15
         rep = verify_corollary15(ctx, instance="points-then-antichains")
         assert rep.ok and rep.counts()["pass"] >= 6, rep.failures[:1]
+
+
+class TestSharedStageAlgebras:
+    """The contexts of one instance borrow one algebra per stage and caps."""
+
+    def test_every_context_of_an_instance_shares_the_stage_algebras(self):
+        it = build_iteration(TableProvider([
+            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        seen: dict[int, set] = {}
+        for alpha in range(1, len(it) + 1):
+            for g in range(len(it.stages[alpha].generics)):
+                ctx = make_context(it, alpha, g)
+                for beta, A in ctx.source_algebras.items():
+                    seen.setdefault(beta, set()).add(id(A))
+        assert sorted(seen) == [1, 2, 3]
+        assert all(len(ids) == 1 for ids in seen.values()), seen
+
+    def test_clearing_the_cache_builds_a_fresh_algebra(self):
+        it = _two_step_antichains()
+        before = make_context(it, 1, 0).source_algebras[2]
+        assert make_context(it, 1, 1).source_algebras[2] is before
+        it.context_cache.clear()
+        after = make_context(it, 1, 0).source_algebras[2]
+        assert after is not before
+        assert after.elements == before.elements
+
+    def test_other_atom_bounds_get_their_own_algebra(self):
+        it = _two_step_antichains()
+        shared = make_context(it, 1, 0).source_algebras[2]
+        wide = it.caps.with_(algebra_max_base=it.caps.algebra_max_base + 1)
+        other = make_context(it, 1, 0, wide).source_algebras[2]
+        assert other is not shared
+        assert make_context(it, 1, 1, wide).source_algebras[2] is other
+        # the stage-1 poset has two atoms
+        with pytest.raises(CapExceeded):
+            make_context(it, 1, 0, it.caps.with_(algebra_max_base=1))
+
+    def test_one_final_universe_per_instance(self, monkeypatch):
+        it = _two_step_antichains()
+        N = len(it)
+        final_poset = it.stages[N].poset
+        built = []
+
+        def counted(algebra, rank, caps=DEFAULT_CAPS, cap=None):
+            stage_poset = algebra.base if algebra.original is None else algebra.original
+            if stage_poset is final_poset:
+                built.append(rank)
+            return working_universe(algebra, rank, caps, cap)
+
+        monkeypatch.setattr(projection, "working_universe", counted)
+        calls = 0
+        for alpha in range(1, N + 1):
+            for gi in range(len(it.stages[N].generics)):
+                assert factor_generic(it, alpha, gi)[2].ok
+                calls += 1
+        assert calls == 8 and built == [2]
+        it.context_cache.clear()
+        assert factor_generic(it, 1, 0)[2].ok
+        assert built == [2, 2]
 
 
 class TestTheorem2:
@@ -393,6 +457,39 @@ class TestTheorem16:
         item3 = [c for c in rep.checks if c.check == "item3-evaluation-identity"]
         assert [c.status for c in item3] == ["fail"]
         assert item3[0].detail["counterexample"] == name_text(victim, A)
+
+    @staticmethod
+    def statuses(rep):
+        return {c.check: c.status for c in rep.checks}
+
+    def test_missing_prefix_generic_fails_item1(self):
+        it = _two_step_antichains()
+        G, _, rep = factor_generic(it, 1, 0)
+        assert self.statuses(rep)["item1-prefix-generic"] == "pass"
+        stages = list(it.stages)
+        stages[1] = dataclasses.replace(
+            stages[1], generics=[g for g in stages[1].generics if g is not G])
+        copy = dataclasses.replace(it, stages=stages, context_cache={})
+        G2, hmask, rep = factor_generic(copy, 1, 0)
+        assert (G2, hmask) == (None, -1)
+        assert self.statuses(rep) == {"item1-prefix-generic": "fail"}
+
+    def test_non_filter_projection_fails_item2(self):
+        it = _two_step_antichains()
+        G, _, rep = factor_generic(it, 1, 0)
+        assert self.statuses(rep)["item2-quotient-generic"] == "pass"
+        ctx = make_context(it, 1, it.stages[1].generics.index(G))
+        level = ctx.final_level
+        # every projected condition lands on one atom, so the projected set
+        # misses the quotient top and is no filter
+        atom = level.stage.poset.atoms[0]
+        ctx.levels[len(it)] = dataclasses.replace(
+            level, pi=[None if c is None else atom for c in level.pi])
+        _, hmask, rep = factor_generic(it, 1, 0)
+        assert hmask == 1 << atom
+        assert self.statuses(rep)["item2-quotient-generic"] == "fail"
+        assert [c.detail["filter"] for c in rep.checks
+                if c.check == "item2-quotient-generic"] == [False]
 
     def test_quotient_filter_meets_every_dense_subset(self, worked):
         it, _ = worked
