@@ -28,9 +28,10 @@ from .iteration import (CollapseSpec, Iteration, StepContext, TableProvider,
                         build_iteration, check_lemma1, cifs_toy_iteration,
                         collapse_poset)
 from .poset import Poset, PosetError, all_separative_posets, validate_poset
-from .projection import (ProjectionError, factor_generic, make_context,
-                         verify_corollary15, verify_lemma20_analogue,
-                         verify_projection_lemmas, verify_theorem2)
+from .projection import (ProjectionError, factor_generic, limit_clause_skip,
+                         make_context, verify_corollary15,
+                         verify_lemma20_analogue, verify_projection_lemmas,
+                         verify_theorem2)
 from .report import SuiteReport, merge_reports
 
 SUITES = ("lemma1", "theorem2", "projection-lemmas", "theorem16",
@@ -460,6 +461,8 @@ def execute(config: ExperimentConfig) -> tuple[SuiteReport, dict]:
                 spec = by_id.get(c.instance)
                 if spec is not None:
                     failing_payloads[c.instance] = format_provider_tables(spec)
+        if "projection-lemmas" in table_suites and instances:
+            reports.append(limit_clause_skip())
     if "cifs" in suites:
         reports.append(run_cifs_suite(config))
     merged = merge_reports(reports)

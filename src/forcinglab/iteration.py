@@ -134,9 +134,10 @@ class Iteration:
     caps: Caps
     partial: bool = False
     # instance-scoped: the projection contexts built on this iteration, plus
-    # the stage algebras and final-stage universes they share; cleared once
-    # the instance's suites are done
-    context_cache: dict = field(default_factory=dict)
+    # the stage algebras they share; cleared once the instance's suites are
+    # done.  Not an init field, so a dataclasses.replace copy starts empty
+    # rather than reading contexts built for the original's stages
+    context_cache: dict = field(default_factory=dict, init=False)
 
     @property
     def final(self) -> Stage:

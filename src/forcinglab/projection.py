@@ -19,8 +19,10 @@ the per-lemma property checks, generic factorization and the rebuilt-tail
 comparison -- quantifies exhaustively over the finite instance.  The facts
 that Theorem 2 and the lemma suite share (homomorphism, onto, atomic
 transport) are computed once per level and cached on the context; the
-source algebras, and the final stage's working universe and its evaluation
-memo, are built once per instance and shared by all its contexts.
+source algebras are built once per instance and shared by all its
+contexts.  Theorem 16's evaluation identity is certified on algebra
+elements, which covers every name of every rank, plus an audit of the
+cached pi_second images.
 """
 
 from __future__ import annotations
@@ -107,25 +109,15 @@ class ProjectionContext:
         return got
 
 
-@dataclass
-class _StageAlgebra:
-    """One stage's algebra, shared by every context of an instance, with the
-    working universes built over it and one evaluation memo for them (keyed
-    by name uid and generic mask, so it serves every generic)."""
-
-    algebra: BoolAlgebra
-    universes: dict = field(default_factory=dict)   # rank -> NameUniverse
-    memo: dict = field(default_factory=dict)
-
-
-def _stage_algebra(iteration: Iteration, beta: int, caps: Caps) -> _StageAlgebra:
-    """The shared algebra record of stage beta, built on first use and kept
-    in the instance's context cache under its own key shape."""
+def _stage_algebra(iteration: Iteration, beta: int, caps: Caps) -> BoolAlgebra:
+    """Stage beta's algebra, shared by every context of an instance: built
+    on first use and kept in the instance's context cache under its own key
+    shape."""
     key = ("stage-algebra", beta, caps)
     got = iteration.context_cache.get(key)
     if got is None:
-        got = _StageAlgebra(ro_algebra(iteration.stages[beta].poset,
-                                       max_base=caps.algebra_max_base))
+        got = ro_algebra(iteration.stages[beta].poset,
+                         max_base=caps.algebra_max_base)
         iteration.context_cache[key] = got
     return got
 
@@ -162,7 +154,7 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
         return cached
     G = stages[alpha].generics[gen_index]
 
-    source_algebras = {beta: _stage_algebra(iteration, beta, caps).algebra
+    source_algebras = {beta: _stage_algebra(iteration, beta, caps)
                        for beta in range(alpha, N + 1)}
 
     levels: dict[int, QuotientLevel] = {}
@@ -429,15 +421,22 @@ def verify_projection_lemmas(ctx: ProjectionContext, instance: str = "adhoc",
                              rank: int = 2) -> SuiteReport:
     """One exhaustive sub-check per projection lemma, itemized L3..L14.
     L6-L9 and L12 cite the level's shared facts, as Theorem 2 does; L11-L14
-    read one s-frown-p table and one list of sibling levels per level."""
+    read one s-frown-p table and one list of sibling levels per level.  The
+    limit-stage clause is stated once per run by :func:`limit_clause_skip`."""
     rep = SuiteReport()
     N = len(ctx.iteration)
     for beta in range(ctx.alpha + 1, N + 1):
         _lemmas_at_level(ctx, beta, rep, instance, rank)
-    # at finite stage counts every level is a successor; the limit-stage
-    # coherence clause has nothing to range over
-    rep.skip("projection-lemmas", "limit-clause", instance,
-             {"alpha": ctx.alpha, "generic": ctx.gen_index},
+    return rep
+
+
+def limit_clause_skip() -> SuiteReport:
+    """The one labeled skip for the lemmas' limit-stage coherence clause.
+    At finite stage counts every level is a successor, so the clause has
+    nothing to range over in any context; it is one fact about the run, not
+    one per context."""
+    rep = SuiteReport()
+    rep.skip("projection-lemmas", "limit-clause", "sweep", {},
              {"reason": "vacuous at this scale: no limit stages exist"})
     return rep
 
@@ -675,13 +674,50 @@ def _lemma14(ctx: ProjectionContext, beta: int, table: list, siblings: list):
 # -- Theorem 16: generic factorization ----------------------------------------
 
 
+def _evaluation_identity_witness(ctx: ProjectionContext, gmask: int,
+                                 hmask: int) -> Name | None:
+    """A final-stage source name x with i_G(x) != i_H(pi_second x), or None
+    when the identity holds for every name of every rank.
+
+    By induction on names through the structural definition of pi_second,
+    the identity holds everywhere exactly when every nonzero element b
+    meets G iff pi_prime(b) meets H: entries that pi_second merges are
+    joined, and a join meets an ultrafilter iff one of its parts does.  A
+    failing b is witnessed by the rank-1 name {(empty name, b)}; zero
+    occurs in no name.  The induction trusts that the pi_second memo is
+    that recursion, so every cached image is then audited against its
+    entries' images.  Children are interned before their parents, so
+    walking the algebra's name table in insertion order reports the first
+    stale image, not a parent that merely carries it.
+    """
+    N = len(ctx.iteration)
+    level = ctx.levels[N]
+    A, B = ctx.source_algebras[N], level.algebra
+    for b in A.nonzero:
+        if bool(b & gmask) != bool(level.pi_prime[b] & hmask):
+            return Name(((Name((), A), b),), A)
+    memo = level._pi_second
+    for x in A.name_table.values():
+        got = memo.get(x.uid)
+        if got is not None and got is not Name(
+                ((ctx.pi_second(N, sub), level.pi_prime[e])
+                 for sub, e in x.entries), B):
+            return x
+    return None
+
+
 def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
                    caps: Caps | None = None,
                    instance: str = "adhoc", rank: int = 2
                    ) -> tuple[GenericSet, int, SuiteReport]:
     """Split a final-stage generic into its stage-alpha part and the quotient
     remainder, checking genericity of both and the evaluation identity
-    i_Gfull(x) = i_H(pi_second x) over the working universe."""
+    i_Gfull(x) = i_H(pi_second x) for every name x of every rank.
+
+    The identity is certified on algebra elements (see
+    :func:`_evaluation_identity_witness`), so no name universe is built and
+    ``rank`` no longer bounds anything; the keyword stays so that callers
+    passing the run's rank keep working."""
     caps = caps or iteration.caps
     rep = SuiteReport()
     stages = iteration.stages
@@ -719,26 +755,13 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
                {"alpha": alpha, "full_generic": full_gen_index},
                {"filter": filter_ok, "meets_all_dense": dense_ok,
                 "literal_dense_sweep": qposet.n <= caps.dense_enum_max})
-    # item 3: evaluation identity over the working universe.  The universe
-    # and the G_full memo are the final stage's, built once per instance;
-    # the quotient side's memo is this call's own
-    final = _stage_algebra(iteration, N, caps)
-    A = final.algebra
-    src_u = final.universes.get(rank)
-    if src_u is None:
-        src_u = final.universes[rank] = working_universe(A, rank, caps)
-    bad = None
-    rhs_memo: dict = {}
-    for x in src_u.names:
-        lhs = evaluate(x, G_full.mask, final.memo)
-        rhs = evaluate(ctx.pi_second(N, x), hmask, rhs_memo)
-        if lhs != rhs:
-            bad = name_text(x, A)
-            break
+    # item 3: the evaluation identity for every name of every rank
+    A = ctx.source_algebras[N]
+    bad = _evaluation_identity_witness(ctx, G_full.mask, hmask)
     rep.record("theorem16", "item3-evaluation-identity", instance, bad is None,
                {"alpha": alpha, "full_generic": full_gen_index},
-               {"names": len(src_u.names), "exhaustive": src_u.exhaustive,
-                "counterexample": bad})
+               {"nonzero_elements": len(A.nonzero),
+                "counterexample": None if bad is None else name_text(bad, A)})
     return G, hmask, rep
 
 

@@ -111,6 +111,16 @@ class TestRunReports:
         assert meta["census"]["contexts"] > 0
         assert instances and all(not it.context_cache for _, it in instances)
 
+    def test_limit_clause_is_stated_once_per_run(self):
+        def limit_records(suite):
+            report, _ = execute(ExperimentConfig(suite=suite, max_poset=3,
+                                                 max_stages=1, seed=0))
+            return [(c.status, c.instance) for c in report.checks
+                    if c.check == "limit-clause"]
+
+        assert limit_records("projection-lemmas") == [("skip", "sweep")]
+        assert limit_records("theorem2") == []
+
     def test_report_is_count_stable_jsonl(self, tmp_path):
         cfg = ExperimentConfig(suite="lemma1", max_poset=3, max_stages=2,
                                seed=0, out=str(tmp_path / "r.jsonl"))

@@ -15,7 +15,8 @@ from forcinglab.poset import (_mask_bits, antichain_with_top, point_poset,
                               regularize)
 from forcinglab.projection import (ProjectionError, _frown_table, _lemma11,
                                    _lemma13, _lemma14, factor_generic,
-                                   make_context, verify_corollary15,
+                                   make_context, pair_universe,
+                                   verify_corollary15,
                                    verify_lemma20_analogue,
                                    verify_projection_lemmas, verify_theorem2,
                                    working_universe)
@@ -149,28 +150,40 @@ class TestSharedStageAlgebras:
         with pytest.raises(CapExceeded):
             make_context(it, 1, 0, it.caps.with_(algebra_max_base=1))
 
-    def test_one_final_universe_per_instance(self, monkeypatch):
+    def test_factor_generic_neither_sweeps_nor_evaluates(self, monkeypatch):
         it = _two_step_antichains()
         N = len(it)
-        final_poset = it.stages[N].poset
-        built = []
+        # contexts first: from level alpha+2 on, make_context evaluates tails
+        for alpha in range(1, N + 1):
+            for g in range(len(it.stages[alpha].generics)):
+                make_context(it, alpha, g)
+        calls = []
 
-        def counted(algebra, rank, caps=DEFAULT_CAPS, cap=None):
-            stage_poset = algebra.base if algebra.original is None else algebra.original
-            if stage_poset is final_poset:
-                built.append(rank)
-            return working_universe(algebra, rank, caps, cap)
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(projection, "working_universe", counted)
-        calls = 0
+        for name in ("working_universe", "name_universe", "sampled_universe",
+                     "evaluate"):
+            monkeypatch.setattr(projection, name,
+                                counted(name, getattr(projection, name)))
+        factored = 0
         for alpha in range(1, N + 1):
             for gi in range(len(it.stages[N].generics)):
                 assert factor_generic(it, alpha, gi)[2].ok
-                calls += 1
-        assert calls == 8 and built == [2]
-        it.context_cache.clear()
-        assert factor_generic(it, 1, 0)[2].ok
-        assert built == [2, 2]
+                factored += 1
+        assert factored == 8 and calls == []
+
+    def test_a_replaced_iteration_starts_with_an_empty_cache(self):
+        it = _two_step_antichains()
+        ctx = make_context(it, 1, 0)
+        copy = dataclasses.replace(it, stages=list(it.stages))
+        assert copy.context_cache == {} and it.context_cache
+        other = make_context(copy, 1, 0)
+        assert other is not ctx and other.iteration is copy
+        assert make_context(it, 1, 0) is ctx
 
 
 class TestTheorem2:
@@ -215,6 +228,32 @@ class TestTheorem2:
                               pi_prime_override=corrupted)
         item1 = [c for c in rep.checks if c.check == "item1-complete-hom"]
         assert item1 and all(c.status == "fail" for c in item1)
+
+    @staticmethod
+    def statuses(ctx):
+        checks = verify_theorem2(ctx, instance="control").checks + \
+            verify_projection_lemmas(ctx, instance="control").checks
+        return {c.check: c.status for c in checks}
+
+    def test_corrupted_name_image_fails_item3_and_l9(self):
+        # the memo entry is corrupted before the level facts are built
+        ctx = make_context(_two_step_antichains(), 1, 0)
+        A, level = ctx.source_algebras[2], ctx.levels[2]
+        victim = Name([(Name([], A), A.one)], A)
+        assert victim in pair_universe(A, 2, ctx.caps).names
+        level._pi_second[victim.uid] = Name([], level.algebra)
+        got = self.statuses(ctx)
+        assert got["item3-atomic-transport"] == got["L9-atomic-transport"] == "fail"
+
+    def test_non_onto_map_fails_item2_and_l8(self):
+        # every element goes to one, so no quotient name with another
+        # element has a preimage
+        ctx = make_context(_two_step_antichains(), 1, 0)
+        B = ctx.levels[2].algebra
+        constant = _with_pi_prime(
+            ctx, 2, {x: B.one for x in ctx.source_algebras[2].elements})
+        got = self.statuses(constant)
+        assert got["item2-onto"] == got["L8-onto"] == "fail"
 
     def test_formula_transport_with_quantifier(self, worked):
         _, ctx = worked
@@ -448,15 +487,38 @@ class TestTheorem16:
         assert rep.ok
         ctx = make_context(it, 1, it.stages[1].generics.index(G))
         A, level = ctx.source_algebras[2], ctx.final_level
+        universe = working_universe(A, 2).names
+        for x in universe:
+            ctx.pi_second(2, x)
         empty = Name([], level.algebra)
         # the last universe name whose image is not empty under hmask
-        victim = [x for x in working_universe(A, 2).names
+        victim = [x for x in universe
                   if evaluate(level._pi_second[x.uid], hmask) != EMPTY][-1]
         level._pi_second[victim.uid] = empty
         _, _, rep = factor_generic(it, 1, 0)
         item3 = [c for c in rep.checks if c.check == "item3-evaluation-identity"]
         assert [c.status for c in item3] == ["fail"]
         assert item3[0].detail["counterexample"] == name_text(victim, A)
+
+    def test_wrong_element_image_fails_item3_at_its_rank1_witness(self):
+        it = _two_step_antichains()
+        G, hmask, rep = factor_generic(it, 1, 0)
+        assert self.statuses(rep)["item3-evaluation-identity"] == "pass"
+        ctx = make_context(it, 1, it.stages[1].generics.index(G))
+        A, level = ctx.source_algebras[2], ctx.final_level
+        gmask = it.stages[2].generics[0].mask
+        # the first element meeting G_full now projects to zero
+        b = next(b for b in A.nonzero if b & gmask)
+        ctx.levels[2] = dataclasses.replace(
+            level, pi_prime={**level.pi_prime, b: level.algebra.zero})
+        _, _, rep = factor_generic(it, 1, 0)
+        item3 = [c for c in rep.checks if c.check == "item3-evaluation-identity"]
+        assert [c.status for c in item3] == ["fail"]
+        witness = Name([(Name([], A), b)], A)
+        assert item3[0].detail["counterexample"] == name_text(witness, A)
+        # the witness is a real one: the identity fails on it
+        assert evaluate(witness, gmask) != \
+            evaluate(ctx.pi_second(2, witness), hmask)
 
     @staticmethod
     def statuses(rep):
@@ -469,7 +531,7 @@ class TestTheorem16:
         stages = list(it.stages)
         stages[1] = dataclasses.replace(
             stages[1], generics=[g for g in stages[1].generics if g is not G])
-        copy = dataclasses.replace(it, stages=stages, context_cache={})
+        copy = dataclasses.replace(it, stages=stages)
         G2, hmask, rep = factor_generic(copy, 1, 0)
         assert (G2, hmask) == (None, -1)
         assert self.statuses(rep) == {"item1-prefix-generic": "fail"}
