@@ -1,14 +1,15 @@
 """Experiment runner: instance sweeps, suite selection, replay, reports.
 
     forcinglab run --suite <name> --max-poset <n> --max-stages <n>
-                   --max-rank <n> --seed <n> --out <path> [--config <file>]
+                   --seed <n> --out <path> [--config <file>]
     forcinglab replay <counterexample-id> --out <path> [same bounds flags]
 
 Suites: lemma1, theorem2, projection-lemmas, theorem16, corollary15, cifs,
 all.  A run is deterministic for a fixed (config, seed): the machine-readable
 report (line-delimited JSON records, sorted) is bit-identical across repeats;
-timing appears only in the human summary on stdout.  Exit code 0 means every
-executed check passed, 1 means counterexamples, 2 means usage or IO errors.
+timing and the count of each distinct skip reason appear only in the human
+summary on stdout.  Exit code 0 means every executed check passed, 1 means
+counterexamples, 2 means usage or IO errors.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
@@ -43,12 +45,9 @@ class ExperimentConfig:
     suite: str = "all"
     max_poset: int = 3
     max_stages: int = 3
-    max_rank: int = 2
     seed: int = 0
     out: str = "forcinglab-report.jsonl"
     max_stage_conditions: int = DEFAULT_CAPS.max_stage_conditions
-    universe_cap: int = DEFAULT_CAPS.universe_cap
-    pair_universe_cap: int = DEFAULT_CAPS.pair_universe_cap
     cifs_formulas: str = "forall z (! (z in x)); exists z (z in x)"
     cifs_ladder: str = "1:2,1:3"
 
@@ -56,16 +55,12 @@ class ExperimentConfig:
         return DEFAULT_CAPS.with_(
             max_stages=self.max_stages,
             max_stage_conditions=self.max_stage_conditions,
-            universe_cap=self.universe_cap,
-            pair_universe_cap=self.pair_universe_cap,
         )
 
     def echo(self) -> dict:
         return {k: getattr(self, k) for k in (
-            "suite", "max_poset", "max_stages", "max_rank", "seed",
-            "max_stage_conditions", "universe_cap",
-            "pair_universe_cap", "cifs_formulas",
-            "cifs_ladder")}
+            "suite", "max_poset", "max_stages", "seed",
+            "max_stage_conditions", "cifs_formulas", "cifs_ladder")}
 
 
 def read_config_file(path: str) -> dict:
@@ -330,11 +325,9 @@ def run_suite(suite: str, spec: InstanceSpec, iteration: Iteration,
             continue
         try:
             if suite == "theorem2":
-                rep.extend(verify_theorem2(ctx, instance=iid,
-                                           rank=config.max_rank))
+                rep.extend(verify_theorem2(ctx, instance=iid))
             elif suite == "projection-lemmas":
-                rep.extend(verify_projection_lemmas(ctx, instance=iid,
-                                                    rank=config.max_rank))
+                rep.extend(verify_projection_lemmas(ctx, instance=iid))
             elif suite == "corollary15":
                 rep.extend(verify_corollary15(ctx, instance=iid))
         except CapExceeded as e:
@@ -347,8 +340,7 @@ def run_suite(suite: str, spec: InstanceSpec, iteration: Iteration,
             for gi in range(len(iteration.stages[N].generics)):
                 try:
                     _, _, frep = factor_generic(iteration, alpha, gi,
-                                                caps=caps, instance=iid,
-                                                rank=config.max_rank)
+                                                caps=caps, instance=iid)
                     rep.extend(frep)
                 except (ProjectionError, CapExceeded) as e:
                     rep.record(suite, "factor", iid, False,
@@ -499,9 +491,12 @@ def write_report(report: SuiteReport, meta: dict, out_path: str):
 def human_summary(report: SuiteReport, meta: dict) -> str:
     counts = meta["counts"]
     rows: dict[str, dict] = {}
+    skips: Counter = Counter()
     for c in report.checks:
         row = rows.setdefault(c.suite, {"pass": 0, "fail": 0, "skip": 0})
         row[c.status] += 1
+        if c.status == "skip":
+            skips[c.suite, c.check, str(c.detail.get("reason", ""))] += 1
     width = max((len(s) for s in rows), default=5)
     lines = [f"{'suite'.ljust(width)}  pass  fail  skip"]
     for s in sorted(rows):
@@ -513,6 +508,8 @@ def human_summary(report: SuiteReport, meta: dict) -> str:
                  f"contexts: {meta['census']['contexts']}")
     lines.append(f"total: {counts['pass']} pass, {counts['fail']} fail, "
                  f"{counts['skip']} skip in {meta['elapsed_seconds']}s")
+    for (suite, check, reason), n in sorted(skips.items()):
+        lines.append(f"skipped {n}x {suite} {check}: {reason}")
     if meta["counterexamples"]:
         lines.append("counterexamples: " + ", ".join(meta["counterexamples"]))
     return "\n".join(lines)
@@ -543,12 +540,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--suite", choices=SUITES)
         p.add_argument("--max-poset", type=int, dest="max_poset")
         p.add_argument("--max-stages", type=int, dest="max_stages")
-        p.add_argument("--max-rank", type=int, dest="max_rank")
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
         p.add_argument("--max-stage-conditions", type=int, dest="max_stage_conditions")
-        p.add_argument("--universe-cap", type=int, dest="universe_cap")
-        p.add_argument("--pair-universe-cap", type=int, dest="pair_universe_cap")
         p.add_argument("--cifs-formulas", dest="cifs_formulas")
         p.add_argument("--cifs-ladder", dest="cifs_ladder")
 

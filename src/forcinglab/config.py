@@ -20,7 +20,6 @@ class Caps:
     max_stage_conditions: int = 64     # canonical conditions per stage poset
     algebra_max_base: int = 12         # atom bound for ro_algebra (2^atoms elements)
     universe_cap: int = 4096           # names materialized per universe
-    pair_universe_cap: int = 48        # universe size for pair-quantified transport sweeps
     hom_family_cap: int = 1 << 16      # subfamilies enumerated per completeness check
     dense_enum_max: int = 16           # poset size bound for literal dense-subset sweeps
     filter_crosscheck_max: int = 10    # poset size bound for the brute-force generic cross-check

@@ -20,28 +20,27 @@ comparison -- quantifies exhaustively over the finite instance.  The facts
 that Theorem 2 and the lemma suite share (homomorphism, onto, atomic
 transport) are computed once per level and cached on the context; the
 source algebras are built once per instance and shared by all its
-contexts.  Theorem 16's evaluation identity is certified on algebra
-elements, which covers every name of every rank, plus an audit of the
-cached pi_second images.
+contexts.  The statements about names -- Theorem 2's onto and transport
+items and Theorem 16's evaluation identity -- are certified on algebra
+elements, which by induction through pi_second covers every name of every
+rank, plus an audit of the cached pi_second images; no name universe is
+built.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .boolalg import BoolAlgebra, HomReport, certify_complete_hom, ro_algebra
-from .config import DEFAULT_CAPS, CapExceeded, Caps
-from .formula import Formula, constants, to_text
+from .config import Caps
 from .generic import GenericSet, dense_subsets, is_filter
 from .iteration import (TAIL_ONE, CifsProvider, Iteration, ProviderError,
                         Stage, StepContext, StepProvider, build_iteration,
                         canonicalize_condition, extend_stage, root_stage,
                         trim)
-from .names import (Name, NameUniverse, TruthSession, decode_element,
-                    element_name, evaluate, mix_name, name_text,
-                    name_universe, sampled_universe)
+from .names import (Name, decode_element, element_name, evaluate, mix_name,
+                    name_text)
 from .poset import Poset, _mask_bits, regularize
 from .report import SuiteReport
 
@@ -73,7 +72,7 @@ class ProjectionContext:
     caps: Caps
     levels: dict[int, QuotientLevel]
     source_algebras: dict[int, BoolAlgebra]   # shared by the instance's contexts
-    # (beta, rank) -> _LevelFacts; not an init field, so that
+    # beta -> _LevelFacts; not an init field, so that
     # dataclasses.replace gives the copy an empty cache
     _facts: dict = field(default_factory=dict, init=False)
 
@@ -250,27 +249,6 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     return ctx
 
 
-# -- working universes -------------------------------------------------------
-
-
-def working_universe(algebra: BoolAlgebra, rank: int,
-                     caps: Caps = DEFAULT_CAPS,
-                     cap: int | None = None) -> NameUniverse:
-    """The full rank-bounded universe when it fits the cap, else the
-    deterministic structured sample (flagged non-exhaustive)."""
-    limit = caps.universe_cap if cap is None else cap
-    try:
-        return name_universe(algebra, rank, cap=limit)
-    except CapExceeded:
-        return sampled_universe(algebra, rank, cap=limit)
-
-
-def pair_universe(algebra: BoolAlgebra, rank: int,
-                  caps: Caps = DEFAULT_CAPS) -> NameUniverse:
-    """Universe for sweeps quadratic in the name count."""
-    return working_universe(algebra, rank, caps, cap=caps.pair_universe_cap)
-
-
 # -- shared per-level facts ------------------------------------------------------
 
 
@@ -279,103 +257,130 @@ class _LevelFacts:
     """What Theorem 2 and the lemma suite both cite at one quotient level."""
 
     hom: HomReport          # item 1; L6 cites complement, L7 products
-    onto: dict              # item 2 detail, with "counterexample" on failure
-    transport: dict         # item 3 detail
-    atomic_values: tuple    # L12: distinct (shape, source value, target value)
+    onto: dict              # item 2 and L8 detail
+    transport: dict         # item 3 and L9 detail
 
 
-def _transport_sessions(ctx: ProjectionContext, beta: int,
-                        rank: int) -> tuple[TruthSession, TruthSession]:
-    """Truth sessions over the source pair universe and over its pi_second
-    image, a non-exhaustive universe of the quotient algebra."""
-    src_u = pair_universe(ctx.source_algebras[beta], rank, ctx.caps)
-    images = {m.uid: m for m in (ctx.pi_second(beta, n) for n in src_u.names)}
-    image_names = tuple(sorted(images.values(), key=lambda n: n.key))
-    tgt_u = NameUniverse(ctx.levels[beta].algebra, src_u.rank_bound,
-                         image_names, exhaustive=False)
-    return TruthSession(src_u), TruthSession(tgt_u)
+def _holds(detail: dict) -> bool:
+    """An item-2 or item-3 detail with neither a counterexample nor a stale
+    name image."""
+    return detail["counterexample"] is None and detail["stale_image"] is None
 
 
-def _level_facts(ctx: ProjectionContext, beta: int, rank: int) -> _LevelFacts:
-    """The shared facts of level beta at this rank, computed on first use."""
-    cached = ctx._facts.get((beta, rank))
+def _stale_image(ctx: ProjectionContext, beta: int) -> Name | None:
+    """The first source name whose cached level-beta pi_second image is not
+    the structural recursion on its entries, or None.
+
+    The element certificates of Theorem 2 and Theorem 16 reach every name
+    by induction through that recursion, so they trust the memo only after
+    this audit.  Children are interned before their parents, so walking the
+    algebra's name table in insertion order reports the first stale image,
+    not a parent that merely carries it.
+    """
+    level = ctx.levels[beta]
+    A, B = ctx.source_algebras[beta], level.algebra
+    memo = level._pi_second
+    for x in A.name_table.values():
+        got = memo.get(x.uid)
+        if got is not None and got is not Name(
+                ((ctx.pi_second(beta, sub), level.pi_prime[e])
+                 for sub, e in x.entries), B):
+            return x
+    return None
+
+
+def _transport_witness(hom: HomReport, A: BoolAlgebra) -> tuple[str, Name, Name]:
+    """A source pair of rank <= 2 and an atomic shape on which pi_prime of
+    the source value differs from the value of the image pair, built from
+    the first violation of a failed homomorphism report.
+
+    With e the empty name: ||e = e|| is one and ||e in e|| is zero;
+    ||e = {(e, b)}|| is -b; ||e in {({(e, -a)}, b)}|| is a * b.  The report
+    checks zero, one and every complement before any pair, so a first
+    product violation comes with complement kept, which makes the image of
+    that last value h(a) * h(b); a first sum violation at (a, b) is a
+    product violation at (-a, -b) by De Morgan.
+    """
+    element = {A.cut(x): x for x in A.elements}
+    kind, family, _, _ = hom.counterexamples[0]
+    xs = [element[c] for c in family]
+    e = Name((), A)
+
+    def single(b: int) -> Name:
+        return Name(((e, b),), A)
+
+    if kind == "zero":
+        return "in", e, e
+    if kind == "one":
+        return "=", e, e
+    if kind == "complement":
+        return "=", e, single(xs[0])
+    if kind == "sum":
+        xs = [A.complement(x) for x in xs]
+    a, b = xs
+    return "in", e, Name(((single(A.complement(a)), b),), A)
+
+
+def _level_facts(ctx: ProjectionContext, beta: int) -> _LevelFacts:
+    """The shared facts of level beta, computed on first use.
+
+    Both items are decided for every name of every rank by induction
+    through the structural definition of pi_second (Jech, *Set Theory*,
+    2003, Ch. 14).  pi_second is onto when pi_prime attains every nonzero
+    quotient element: entries map back through any preimage of their
+    element.  For a homomorphism, whose image is closed under joins, only
+    then, and {(empty, c)} witnesses an unattained c.  Atomic truth values
+    transport exactly when pi_prime is a Boolean homomorphism: the atomic
+    clauses are finite sums, products and complements, and entries that
+    pi_second merges are joined.  Both inductions trust the pi_second memo,
+    which :func:`_stale_image` audits.
+    """
+    cached = ctx._facts.get(beta)
     if cached is not None:
         return cached
     level = ctx.levels[beta]
     A = ctx.source_algebras[beta]
     B = level.algebra
-    # onto: each bounded quotient name gets a structural preimage, entries
-    # mapped back through the first preimage in the order of A.elements
-    inverse: dict[int, int] = {}
-    for x in A.elements:
-        inverse.setdefault(level.pi_prime[x], x)
-    pre_memo: dict[int, Name] = {}
-
-    def preimage(y: Name) -> Name | None:
-        got = pre_memo.get(y.uid)
-        if got is not None:
-            return got
-        entries = []
-        for sub, x in y.entries:
-            px = preimage(sub)
-            if px is None or x not in inverse:
-                return None
-            entries.append((px, inverse[x]))
-        built = Name(entries, A)
-        pre_memo[y.uid] = built
-        return built
-
-    target = working_universe(B, rank, ctx.caps)
-    onto: dict = {"targets": len(target.names), "exhaustive": target.exhaustive}
-    for y in target.names:
-        x = preimage(y)
-        # both sides are interned in B, so equal names are one object
-        if x is None or ctx.pi_second(beta, x) is not y:
-            onto["counterexample"] = name_text(y, B)
-            break
-    # atomic transport over every ordered source pair; the distinct value
-    # pairs are kept per shape in first-seen order
-    src_sess, tgt_sess = _transport_sessions(ctx, beta, rank)
-    names = src_sess.universe.names
-    images = [ctx.pi_second(beta, n) for n in names]
-    seen: dict[str, dict] = {"in": {}, "=": {}}
-    bad = 0
-    first = None
-    for x, px in zip(names, images):
-        for y, py in zip(names, images):
-            for shape, sv, tv in (
-                    ("in", src_sess.member_value(x, y), tgt_sess.member_value(px, py)),
-                    ("=", src_sess.equal_value(x, y), tgt_sess.equal_value(px, py))):
-                seen[shape][sv, tv] = None
-                if level.pi_prime[sv] != tv:
-                    bad += 1
-                    first = first or (shape, name_text(x, A), name_text(y, A))
-    facts = _LevelFacts(
-        certify_complete_hom(level.pi_prime, A, B), onto,
-        {"pairs": len(names) ** 2, "violations": bad, "first": first,
-         "universe_exhaustive": src_sess.universe.exhaustive},
-        tuple((shape, sv, tv) for shape, values in seen.items() for sv, tv in values))
-    ctx._facts[beta, rank] = facts
+    hom = certify_complete_hom(level.pi_prime, A, B)
+    stale = _stale_image(ctx, beta)
+    stale_text = None if stale is None else name_text(stale, A)
+    image = set(level.pi_prime.values())
+    unattained = next((c for c in B.nonzero if c not in image), None)
+    onto = {"quotient_elements": len(B),
+            "counterexample": None if unattained is None else
+            name_text(Name(((Name((), B), unattained),), B), B),
+            "stale_image": stale_text}
+    witness = None
+    if not hom.ok:
+        shape, x, y = _transport_witness(hom, A)
+        witness = [shape, name_text(x, A), name_text(y, A)]
+    transport = {"source_elements": len(A), "counterexample": witness,
+                 "stale_image": stale_text}
+    facts = _LevelFacts(hom, onto, transport)
+    ctx._facts[beta] = facts
     return facts
 
 
 # -- Theorem 2 ----------------------------------------------------------------
 
 
-def verify_theorem2(ctx: ProjectionContext, formulas: Sequence[Formula] = (),
-                    instance: str = "adhoc", pi_prime_override=None,
-                    rank: int = 2) -> SuiteReport:
-    """Items 1-3 per level, reported from the level's shared facts: pi_prime
-    is a complete Boolean homomorphism (certified by complement and binary
-    meets and joins, which in a finite algebra is completeness), pi_second is
-    onto the bounded quotient universe (witnesses built by rank recursion),
-    and truth values transport through the maps (atomic always; quantified
-    formulas over aligned universes).  ``pi_prime_override`` replaces the
-    map in item 1 only."""
+def verify_theorem2(ctx: ProjectionContext, instance: str = "adhoc",
+                    pi_prime_override=None, rank: int = 2) -> SuiteReport:
+    """Items 1-3 per level, reported from the level's shared facts, each
+    certified on algebra elements for every name of every rank: pi_prime is
+    a complete Boolean homomorphism (complement and binary meets and joins,
+    which in a finite algebra is completeness), pi_second is onto (pi_prime
+    attains every nonzero quotient element), and atomic truth values
+    transport through the maps (item 1 for the level's own map).  A failure
+    of item 2 is witnessed by a rank-1 quotient name, of item 3 by a source
+    pair of rank at most 2; a stale cached name image fails both.
+
+    ``pi_prime_override`` replaces the map in item 1 only.  ``rank`` bounds
+    nothing; it stays so that callers passing the run's rank keep working."""
     rep = SuiteReport()
     N = len(ctx.iteration)
     for beta in range(ctx.alpha + 1, N + 1):
-        facts = _level_facts(ctx, beta, rank)
+        facts = _level_facts(ctx, beta)
         cctx = {"alpha": ctx.alpha, "generic": ctx.gen_index, "beta": beta}
         hom = facts.hom if pi_prime_override is None else certify_complete_hom(
             pi_prime_override, ctx.source_algebras[beta], ctx.levels[beta].algebra)
@@ -383,35 +388,11 @@ def verify_theorem2(ctx: ProjectionContext, formulas: Sequence[Formula] = (),
                    {"families": hom.families_checked,
                     "violations": hom.violation_count,
                     "counterexamples": hom.counterexamples[:4]})
-        rep.record("theorem2", "item2-onto", instance,
-                   "counterexample" not in facts.onto, cctx, facts.onto)
+        rep.record("theorem2", "item2-onto", instance, _holds(facts.onto),
+                   cctx, facts.onto)
         rep.record("theorem2", "item3-atomic-transport", instance,
-                   not facts.transport["violations"], cctx, facts.transport)
-        for k, f in enumerate(formulas):
-            ok, detail = _formula_transport(ctx, beta, f, rank)
-            rep.record("theorem2", f"item3-formula-{k}", instance, ok,
-                       {**cctx, "formula": to_text(f)}, detail)
+                   _holds(facts.transport), cctx, facts.transport)
     return rep
-
-
-def _formula_transport(ctx: ProjectionContext, beta: int, f: Formula,
-                       rank: int):
-    """pi_prime(||f(a...)||) == ||f(pi_second a...)|| over all argument tuples
-    from the source universe.  Quantified formulas are compared over the
-    pi_second-image universe, per the bounded-quantifier reading."""
-    level = ctx.levels[beta]
-    src_sess, tgt_sess = _transport_sessions(ctx, beta, rank)
-    slots = sorted(constants(f))
-    src_names = src_sess.universe.names
-    checked = 0
-    for combo in itertools.product(src_names, repeat=len(slots)):
-        sv = src_sess.with_constants(combo)
-        tv = tgt_sess.with_constants([ctx.pi_second(beta, n) for n in combo])
-        if level.pi_prime[sv.value(f)] != tv.value(f):
-            return False, {"args": [name_text(n, src_sess.algebra) for n in combo],
-                           "checked": checked}
-        checked += 1
-    return True, {"tuples": checked}
 
 
 # -- Lemmas 3-14 --------------------------------------------------------------
@@ -420,13 +401,14 @@ def _formula_transport(ctx: ProjectionContext, beta: int, f: Formula,
 def verify_projection_lemmas(ctx: ProjectionContext, instance: str = "adhoc",
                              rank: int = 2) -> SuiteReport:
     """One exhaustive sub-check per projection lemma, itemized L3..L14.
-    L6-L9 and L12 cite the level's shared facts, as Theorem 2 does; L11-L14
-    read one s-frown-p table and one list of sibling levels per level.  The
-    limit-stage clause is stated once per run by :func:`limit_clause_skip`."""
+    L6-L9 cite the level's shared facts, as Theorem 2 does; L11-L14 read
+    one s-frown-p table and one list of sibling levels per level.  The
+    limit-stage clause is stated once per run by :func:`limit_clause_skip`.
+    ``rank`` bounds nothing, as in :func:`verify_theorem2`."""
     rep = SuiteReport()
     N = len(ctx.iteration)
     for beta in range(ctx.alpha + 1, N + 1):
-        _lemmas_at_level(ctx, beta, rep, instance, rank)
+        _lemmas_at_level(ctx, beta, rep, instance)
     return rep
 
 
@@ -442,8 +424,8 @@ def limit_clause_skip() -> SuiteReport:
 
 
 def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
-                     instance: str, rank: int):
-    facts = _level_facts(ctx, beta, rank)
+                     instance: str):
+    facts = _level_facts(ctx, beta)
     level = ctx.levels[beta]
     src = ctx.iteration.stages[beta]
     qposet = level.stage.poset
@@ -492,15 +474,13 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
                facts.hom.preserves_all_products, cctx,
                {"families": facts.hom.families_checked})
 
-    # L8: pi_second onto the bounded quotient universe (Theorem 2 item 2)
-    rep.record("projection-lemmas", "L8-onto", instance,
-               "counterexample" not in facts.onto, cctx,
-               {k: facts.onto[k] for k in ("targets", "exhaustive")})
+    # L8: pi_second onto every quotient name (Theorem 2 item 2)
+    rep.record("projection-lemmas", "L8-onto", instance, _holds(facts.onto),
+               cctx, facts.onto)
 
     # L9: atomic truth values transport (Theorem 2 item 3)
     rep.record("projection-lemmas", "L9-atomic-transport", instance,
-               not facts.transport["violations"], cctx,
-               {k: facts.transport[k] for k in ("pairs", "violations")})
+               _holds(facts.transport), cctx, facts.transport)
 
     # L10: pi is monotone where defined
     bad10 = []
@@ -521,7 +501,7 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
     rep.record("projection-lemmas", "L11-merge-below", instance, ok11, cctx, detail11)
 
     # L12: forcing transports forward, and back below some member of G
-    ok12, detail12 = _lemma12(ctx, beta, facts.atomic_values, table)
+    ok12, detail12 = _lemma12(ctx, beta, table)
     rep.record("projection-lemmas", "L12-forcing-transport", instance, ok12,
                cctx, detail12)
 
@@ -592,12 +572,14 @@ def _lemma11(ctx: ProjectionContext, beta: int, table: list, siblings: list):
     return True, {"pairs": checked}
 
 
-def _lemma12(ctx: ProjectionContext, beta: int, atomic_values: tuple,
-             table: list):
+def _lemma12(ctx: ProjectionContext, beta: int, table: list):
     """Forcing transports along pi for atomic formulas, and conversely some
     s in G below the prefix restores forcing.  Both directions depend only
-    on the (source value, target value) pair of the formula instance, so
-    each distinct pair is checked once per shape."""
+    on the (source value, target value) pair of the formula instance.  Each
+    element b is the source value of ||empty in {(empty, b)}||, whose target
+    value is pi_prime(b), and where atomic transport holds (L9) every
+    instance has that target.  So one check per element covers every atomic
+    instance of every rank."""
     level = ctx.levels[beta]
     src = ctx.iteration.stages[beta]
     aposet = ctx.iteration.stages[ctx.alpha].poset
@@ -608,7 +590,8 @@ def _lemma12(ctx: ProjectionContext, beta: int, atomic_values: tuple,
     defined = [(ci, principal[ci], B.principal(level.pi[ci]))
                for ci in range(src.poset.n) if level.pi[ci] is not None]
     checked = 0
-    for _, src_val, tgt_val in atomic_values:
+    for src_val in A.elements:
+        tgt_val = level.pi_prime[src_val]
         for ci, u, qu in defined:
             src_forces = A.leq(u, src_val)
             tgt_forces = B.leq(qu, tgt_val)
@@ -685,25 +668,16 @@ def _evaluation_identity_witness(ctx: ProjectionContext, gmask: int,
     joined, and a join meets an ultrafilter iff one of its parts does.  A
     failing b is witnessed by the rank-1 name {(empty name, b)}; zero
     occurs in no name.  The induction trusts that the pi_second memo is
-    that recursion, so every cached image is then audited against its
-    entries' images.  Children are interned before their parents, so
-    walking the algebra's name table in insertion order reports the first
-    stale image, not a parent that merely carries it.
+    that recursion, so a stale cached image (see :func:`_stale_image`) is
+    reported as the witness otherwise.
     """
     N = len(ctx.iteration)
     level = ctx.levels[N]
-    A, B = ctx.source_algebras[N], level.algebra
+    A = ctx.source_algebras[N]
     for b in A.nonzero:
         if bool(b & gmask) != bool(level.pi_prime[b] & hmask):
             return Name(((Name((), A), b),), A)
-    memo = level._pi_second
-    for x in A.name_table.values():
-        got = memo.get(x.uid)
-        if got is not None and got is not Name(
-                ((ctx.pi_second(N, sub), level.pi_prime[e])
-                 for sub, e in x.entries), B):
-            return x
-    return None
+    return _stale_image(ctx, N)
 
 
 def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,

@@ -20,16 +20,18 @@ from forcinglab.formula import parse_formula
 from forcinglab.generic import enumerate_generics
 from forcinglab.iteration import (CollapseSpec, build_iteration, check_lemma1,
                                   cifs_toy_iteration, collapse_poset)
-from forcinglab.names import (TruthSession, UniverseCapExceeded, evaluate,
-                              name_universe, sampled_universe)
+from forcinglab.names import (Name, NameUniverse, TruthSession,
+                              UniverseCapExceeded, evaluate, name_universe,
+                              sampled_universe)
 from forcinglab.poset import (all_posets_with_top, all_separative_posets,
                               antichain_with_top)
 from forcinglab.projection import (factor_generic, limit_clause_skip,
                                    make_context, verify_corollary15,
                                    verify_lemma20_analogue,
-                                   verify_projection_lemmas, verify_theorem2,
-                                   working_universe)
+                                   verify_projection_lemmas, verify_theorem2)
 from forcinglab.report import merge_reports
+
+from universes import working_universe
 
 
 RESULT_LINES: list[str] = []
@@ -223,16 +225,87 @@ def test_criterion_4_complete_homomorphism(theorem2_reports, default_sweep):
              f"subfamilies folded); {statuses.count('skip')} skipped")
 
 
-def test_criterion_5_onto_and_atomic_transport(theorem2_reports):
-    item2 = [c for c in theorem2_reports.checks if c.check == "item2-onto"]
-    item3 = [c for c in theorem2_reports.checks
-             if c.check == "item3-atomic-transport"]
-    bad = [c for c in item2 + item3 if c.status == "fail"]
-    pairs = sum(c.detail.get("pairs", 0) for c in item3)
-    targets = sum(c.detail.get("targets", 0) for c in item2)
-    announce(5, not bad and item2 and item3,
-             f"pi-second onto {targets} bounded quotient names and atomic "
-             f"truth values transported over {pairs} name pairs, zero exceptions")
+PAIR_UNIVERSE = 48     # names in the source universe of the transport oracle
+
+
+def _onto_sweep(ctx, beta) -> bool:
+    """pi_second is onto the quotient's rank-2 working universe: each target
+    name gets a structural preimage, its entries mapped back through the
+    first preimage of their element in the order of the source algebra."""
+    level = ctx.levels[beta]
+    A = ctx.source_algebras[beta]
+    inverse: dict = {}
+    for x in A.elements:
+        inverse.setdefault(level.pi_prime[x], x)
+    memo: dict = {}
+
+    def preimage(y):
+        got = memo.get(y.uid)
+        if got is None:
+            entries = []
+            for sub, c in y.entries:
+                px = preimage(sub)
+                if px is None or c not in inverse:
+                    return None
+                entries.append((px, inverse[c]))
+            got = memo[y.uid] = Name(entries, A)
+        return got
+
+    for y in working_universe(level.algebra, 2, ctx.caps).names:
+        x = preimage(y)
+        # both sides are interned in the quotient algebra
+        if x is None or ctx.pi_second(beta, x) is not y:
+            return False
+    return True
+
+
+def _transport_sweep(ctx, beta) -> bool:
+    """Atomic truth values transport over every ordered pair of a
+    PAIR_UNIVERSE-name rank-2 source universe: pi_prime of each source value
+    is the value of the image pair."""
+    level = ctx.levels[beta]
+    source = working_universe(ctx.source_algebras[beta], 2, cap=PAIR_UNIVERSE)
+    images = [ctx.pi_second(beta, n) for n in source.names]
+    src = TruthSession(source)
+    tgt = TruthSession(NameUniverse(
+        level.algebra, 2, tuple({m.uid: m for m in images}.values()),
+        exhaustive=False))
+    h = level.pi_prime
+    for x, px in zip(source.names, images):
+        for y, py in zip(source.names, images):
+            if h[src.member_value(x, y)] != tgt.member_value(px, py) or \
+                    h[src.equal_value(x, y)] != tgt.equal_value(px, py):
+                return False
+    return True
+
+
+def test_criterion_5_onto_and_atomic_transport(theorem2_reports, default_sweep):
+    status = {(c.instance, c.context["alpha"], c.context["generic"],
+               c.context["beta"], c.check): c.status
+              for c in theorem2_reports.checks}
+    statuses = [v for k, v in status.items()
+                if k[-1] in ("item2-onto", "item3-atomic-transport")]
+    # the rank-2 sweeps are the oracles for the element certificates
+    levels = onto_agree = transport_agree = 0
+    for spec, it in default_sweep:
+        for alpha, gi in contexts_of(it):
+            ctx = make_context(it, alpha, gi)
+            for beta in range(alpha + 1, len(it) + 1):
+                key = (spec.instance_id, alpha, gi, beta)
+                levels += 1
+                onto_agree += status[key + ("item2-onto",)] == \
+                    ("pass" if _onto_sweep(ctx, beta) else "fail")
+                transport_agree += status[key + ("item3-atomic-transport",)] == \
+                    ("pass" if _transport_sweep(ctx, beta) else "fail")
+    passed = statuses.count("pass")
+    announce(5, levels and passed == len(statuses) == 2 * levels
+             and onto_agree == transport_agree == levels,
+             f"pi-second onto and atomic transport certified on algebra "
+             f"elements for every name of every rank on {levels} (iteration, "
+             f"alpha, G, beta) instances, zero exceptions; the rank-2 onto "
+             f"sweep agrees on {onto_agree} of {levels} and the "
+             f"{PAIR_UNIVERSE}-name pair transport sweep on {transport_agree} "
+             f"of {levels}")
 
 
 # -- criterion 6: projection lemma suite ----------------------------------------

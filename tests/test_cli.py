@@ -150,10 +150,20 @@ class TestRunReports:
                    "--out", str(tmp_path / "r.jsonl")])
         assert rc == 2
 
-    def test_usage_error_exit_two(self):
+    def test_usage_error_exit_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--suite", "nonsense"])
         assert exc.value.code == 2
+        # knobs of the deleted universe sweeps are unknown flags and keys
+        for flag in (["--max-rank", "2"], ["--universe-cap", "9"],
+                     ["--pair-universe-cap", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["run"] + flag)
+            assert exc.value.code == 2
+        cfile = tmp_path / "old.conf"
+        cfile.write_text("pair_universe_cap = 4\n")
+        assert main(["run", "--config", str(cfile),
+                     "--out", str(tmp_path / "r.jsonl")]) == 2
         with pytest.raises(SystemExit) as exc:
             main(["run", "--workers", "2"])
         assert exc.value.code == 2
@@ -163,6 +173,17 @@ class TestRunReports:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--hom-family-cap", "8"])
         assert exc.value.code == 2
+
+    def test_human_summary_counts_each_skip_reason(self):
+        report, meta = execute(ExperimentConfig(
+            suite="projection-lemmas", max_poset=3, max_stages=1, seed=0))
+        report.skip("theorem2", "suite-capped", "it-x", {}, {"reason": "cap"})
+        report.skip("theorem2", "suite-capped", "it-y", {}, {"reason": "cap"})
+        lines = human_summary(report, meta).splitlines()
+        assert [l for l in lines if l.startswith("skipped")] == [
+            "skipped 1x projection-lemmas limit-clause: "
+            "vacuous at this scale: no limit stages exist",
+            "skipped 2x theorem2 suite-capped: cap"]
 
     def test_human_summary_mentions_census(self, tmp_path):
         cfg = ExperimentConfig(suite="lemma1", max_poset=3, max_stages=1,

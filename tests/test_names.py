@@ -18,7 +18,9 @@ from forcinglab.names import (Name, NameUniverse, TruthSession,
                               sampled_universe, truth_value)
 from forcinglab.poset import (all_posets_with_top, antichain_with_top,
                               is_separative, point_poset)
-from forcinglab.projection import make_context, working_universe
+from forcinglab.projection import make_context
+
+from universes import working_universe
 
 
 class TestHFSet:

@@ -1,25 +1,28 @@
 import dataclasses
+import itertools
+import sys
 
 import pytest
 
 from forcinglab import projection
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
-from forcinglab.formula import parse_formula
+from forcinglab.formula import constants, parse_formula
 from forcinglab.generic import dense_subsets
 from forcinglab.hfset import EMPTY
 from forcinglab.iteration import (TAIL_ONE, TableProvider, build_iteration,
                                   canonicalize_condition, cifs_toy_iteration)
-from forcinglab.names import (Name, check_name, evaluate, name_text,
-                              name_universe)
+from forcinglab.names import (Name, NameUniverse, TruthSession, check_name,
+                              evaluate, name_text, name_universe,
+                              sampled_universe)
 from forcinglab.poset import (_mask_bits, antichain_with_top, point_poset,
                               regularize)
 from forcinglab.projection import (ProjectionError, _frown_table, _lemma11,
                                    _lemma13, _lemma14, factor_generic,
-                                   make_context, pair_universe,
-                                   verify_corollary15,
+                                   make_context, verify_corollary15,
                                    verify_lemma20_analogue,
-                                   verify_projection_lemmas, verify_theorem2,
-                                   working_universe)
+                                   verify_projection_lemmas, verify_theorem2)
+
+from universes import working_universe
 
 A2 = antichain_with_top(2)
 A3 = antichain_with_top(3)
@@ -29,6 +32,24 @@ PT = point_poset()
 def _two_step_antichains():
     """The constant two-step antichain iteration, built afresh."""
     return build_iteration(TableProvider([{(): A2}, {(0,): A2, (1,): A2}]))
+
+
+def _count_calls(monkeypatch, *functions) -> list:
+    """Patch each function wherever a forcinglab module or class binds it,
+    so that every call appends the function's qualified name to the list
+    returned."""
+    calls: list = []
+    owners = [m for n, m in sorted(sys.modules.items())
+              if n.split(".")[0] == "forcinglab"] + [TruthSession]
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(_fn.__qualname__)
+            return _fn(*args, **kwargs)
+        for owner in owners:
+            for attr, value in list(vars(owner).items()):
+                if value is fn:
+                    monkeypatch.setattr(owner, attr, counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -157,18 +178,8 @@ class TestSharedStageAlgebras:
         for alpha in range(1, N + 1):
             for g in range(len(it.stages[alpha].generics)):
                 make_context(it, alpha, g)
-        calls = []
-
-        def counted(name, real):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-            return wrapper
-
-        for name in ("working_universe", "name_universe", "sampled_universe",
-                     "evaluate"):
-            monkeypatch.setattr(projection, name,
-                                counted(name, getattr(projection, name)))
+        calls = _count_calls(monkeypatch, name_universe, sampled_universe,
+                             evaluate)
         factored = 0
         for alpha in range(1, N + 1):
             for gi in range(len(it.stages[N].generics)):
@@ -230,39 +241,110 @@ class TestTheorem2:
         assert item1 and all(c.status == "fail" for c in item1)
 
     @staticmethod
-    def statuses(ctx):
+    def records(ctx):
+        """Theorem 2 and lemma records by check, for one-level contexts."""
         checks = verify_theorem2(ctx, instance="control").checks + \
             verify_projection_lemmas(ctx, instance="control").checks
-        return {c.check: c.status for c in checks}
+        return {c.check: c for c in checks}
+
+    @classmethod
+    def statuses(cls, ctx):
+        return {k: c.status for k, c in cls.records(ctx).items()}
 
     def test_corrupted_name_image_fails_item3_and_l9(self):
         # the memo entry is corrupted before the level facts are built
         ctx = make_context(_two_step_antichains(), 1, 0)
         A, level = ctx.source_algebras[2], ctx.levels[2]
         victim = Name([(Name([], A), A.one)], A)
-        assert victim in pair_universe(A, 2, ctx.caps).names
-        level._pi_second[victim.uid] = Name([], level.algebra)
+        empty = Name([], level.algebra)
+        assert ctx.pi_second(2, victim) is not empty
+        level._pi_second[victim.uid] = empty
         got = self.statuses(ctx)
         assert got["item3-atomic-transport"] == got["L9-atomic-transport"] == "fail"
 
+    def test_swapped_maps_fail_item3_and_l9_at_real_pairs(self, worked):
+        # every swap of two distinct pi_prime values; each reported pair,
+        # found by its text in a rank-2 source universe, breaks transport
+        _, ctx = worked
+        A, level = ctx.source_algebras[2], ctx.levels[2]
+        universe = working_universe(A, 2)
+        by_text = {name_text(n, A): n for n in universe.names}
+        src = TruthSession(universe)
+        kinds = set()
+        for a, b in itertools.combinations(A.elements, 2):
+            if level.pi_prime[a] == level.pi_prime[b]:
+                continue
+            swapped = {**level.pi_prime,
+                       a: level.pi_prime[b], b: level.pi_prime[a]}
+            bad = _with_pi_prime(ctx, 2, swapped)
+            got = {c.check: c for c in verify_theorem2(bad).checks}
+            item1, item3 = got["item1-complete-hom"], got["item3-atomic-transport"]
+            assert item3.status == "fail"
+            kinds.add(item1.detail["counterexamples"][0][0])
+            shape, xt, yt = item3.detail["counterexample"]
+            x, y = by_text[xt], by_text[yt]
+            px, py = bad.pi_second(2, x), bad.pi_second(2, y)
+            tgt = TruthSession(NameUniverse(level.algebra, 2, (px, py),
+                                            exhaustive=False))
+            value = {"in": "member_value", "=": "equal_value"}[shape]
+            sv = getattr(src, value)(x, y)
+            assert swapped[sv] != getattr(tgt, value)(px, py), (a, b)
+        assert kinds >= {"zero", "one", "complement", "product"}
+        # L9 cites the same certificate
+        l9 = self.records(bad)["L9-atomic-transport"]
+        assert l9.status == "fail" and l9.detail == item3.detail
+
     def test_non_onto_map_fails_item2_and_l8(self):
         # every element goes to one, so no quotient name with another
-        # element has a preimage
+        # element has a preimage; the report names a rank-1 one
         ctx = make_context(_two_step_antichains(), 1, 0)
-        B = ctx.levels[2].algebra
-        constant = _with_pi_prime(
-            ctx, 2, {x: B.one for x in ctx.source_algebras[2].elements})
-        got = self.statuses(constant)
-        assert got["item2-onto"] == got["L8-onto"] == "fail"
+        A, B = ctx.source_algebras[2], ctx.levels[2].algebra
+        constant = {x: B.one for x in A.elements}
+        bad = _with_pi_prime(ctx, 2, constant)
+        got = self.records(bad)
+        item2, l8 = got["item2-onto"], got["L8-onto"]
+        assert item2.status == l8.status == "fail"
+        assert item2.detail == l8.detail
+        by_text = {name_text(Name([(Name([], B), c)], B), B): c for c in B.nonzero}
+        c = by_text[item2.detail["counterexample"]]
+        assert c not in set(constant.values())
+        # and no source name of rank <= 2 reaches {(empty, c)}
+        target = Name([(Name([], B), c)], B)
+        assert all(bad.pi_second(2, x) is not target
+                   for x in working_universe(A, 2).names)
 
     def test_formula_transport_with_quantifier(self, worked):
+        # a test-side sweep: quantified formulas over a 48-name source
+        # universe and its pi_second image
         _, ctx = worked
-        fs = [parse_formula("exists v (v in $0)"),
-              parse_formula("!($0 in $1)")]
-        rep = verify_theorem2(ctx, formulas=fs, instance="worked")
-        assert rep.ok
-        names = {c.check for c in rep.checks}
-        assert "item3-formula-0" in names and "item3-formula-1" in names
+        A, level = ctx.source_algebras[2], ctx.levels[2]
+        universe = working_universe(A, 2, cap=48)
+        assert len(universe) == 48
+        images = {ctx.pi_second(2, n) for n in universe.names}
+        target = NameUniverse(level.algebra, 2,
+                              tuple(sorted(images, key=lambda n: n.key)),
+                              exhaustive=False)
+        src, tgt = TruthSession(universe), TruthSession(target)
+        checked = 0
+        for f in (parse_formula("exists v (v in $0)"),
+                  parse_formula("!($0 in $1)")):
+            for combo in itertools.product(universe.names,
+                                           repeat=len(constants(f))):
+                sv = src.with_constants(combo).value(f)
+                tv = tgt.with_constants(
+                    [ctx.pi_second(2, n) for n in combo]).value(f)
+                assert ctx.pi_prime(2, sv) == tv, (f, combo)
+                checked += 1
+        assert checked == 48 + 48 ** 2
+
+    def test_neither_suite_sweeps_or_computes_truth_values(self, monkeypatch):
+        ctx = make_context(_two_step_antichains(), 1, 0)
+        calls = _count_calls(monkeypatch, name_universe, sampled_universe,
+                             TruthSession.member_value,
+                             TruthSession.equal_value)
+        assert verify_theorem2(ctx).ok
+        assert verify_projection_lemmas(ctx).ok
+        assert calls == []
 
 
 class TestProjectionLemmas:
@@ -310,7 +392,8 @@ class TestProjectionLemmas:
 
 
 class TestLemmaControls:
-    """Negative controls for L10-L14: corrupted inputs must fail them."""
+    """Negative controls for L3 and L10-L14: corrupted inputs must fail
+    them."""
 
     @staticmethod
     def inputs(ctx, beta):
@@ -331,6 +414,18 @@ class TestLemmaControls:
         failed = {c.check.split("-")[0] for c in
                   verify_projection_lemmas(swapped, instance="control").failures}
         assert failed == {"L4", "L5", "L10", "L12"}
+
+    def test_constant_one_map_fails_l3(self, worked):
+        # every principal cut maps to one, the cut of no quotient condition
+        # below the top
+        _, ctx = worked
+        B = ctx.levels[2].algebra
+        constant = _with_pi_prime(
+            ctx, 2, {x: B.one for x in ctx.source_algebras[2].elements})
+        l3 = [c for c in verify_projection_lemmas(constant).checks
+              if c.check == "L3-principal-onto"]
+        assert [c.status for c in l3] == ["fail"]
+        assert len(l3[0].detail["missing"]) == ctx.levels[2].stage.poset.n - 1
 
     def test_the_real_table_passes_l11_l13_and_l14(self, worked):
         _, ctx = worked
@@ -436,21 +531,6 @@ class TestSharedFacts:
         constant = _with_pi_prime(ctx, 2, {y: B.one for y in A.elements})
         assert constant.pi_second(2, nm).entries[0][1] == B.one
         assert ctx.pi_second(2, nm).entries[0][1] == level.pi_prime[x]
-
-    def test_replaced_caps_start_with_no_facts(self, worked):
-        # the facts depend on the caps through the universes, so a copy of
-        # the context under other caps must not see the cached ones
-        _, ctx = worked
-
-        def transport(c):
-            return [r.detail["pairs"] for r in verify_theorem2(c).checks
-                    if r.check == "item3-atomic-transport"]
-
-        before = transport(ctx)
-        small = dataclasses.replace(
-            ctx, caps=DEFAULT_CAPS.with_(pair_universe_cap=4))
-        assert transport(small) != before
-        assert transport(ctx) == before
 
 
 class TestTheorem16:
@@ -563,6 +643,37 @@ class TestTheorem16:
 
 
 class TestCorollary15:
+    @staticmethod
+    def failed(ctx, beta, **changes):
+        """The failing records of a copy of ctx whose level beta has the
+        given fields replaced."""
+        level = dataclasses.replace(ctx.levels[beta], **changes)
+        bad = dataclasses.replace(ctx, levels={**ctx.levels, beta: level})
+        return {c.check for c in verify_corollary15(bad).failures}
+
+    def test_transposed_quotient_conditions_fail_order_isomorphism(self, worked):
+        _, ctx = worked
+        stage = ctx.levels[2].stage
+        conds = list(stage.conditions)
+        top, atom = stage.poset.top, stage.poset.atoms[0]
+        conds[top], conds[atom] = conds[atom], conds[top]
+        transposed = dataclasses.replace(stage, conditions=tuple(conds))
+        assert self.failed(ctx, 2, stage=transposed) == {
+            "stage-1-order-isomorphic"}
+        assert verify_corollary15(ctx).ok
+
+    def test_permuted_combine_fails_the_next_stage(self):
+        # the quotient generics of level alpha+1 are bridged to the wrong
+        # source generics, so the rebuilt stage-2 tails land elsewhere
+        it = build_iteration(TableProvider([
+            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        ctx = make_context(it, 1, 0)
+        combine = ctx.levels[2].combine
+        assert len(combine) == 2
+        assert self.failed(ctx, 2, combine=combine[::-1]) == {
+            "stage-2-order-isomorphic"}
+        assert verify_corollary15(ctx).ok
+
     def test_constant_tail_provider(self, worked):
         _, ctx = worked
         rep = verify_corollary15(ctx, instance="worked")
