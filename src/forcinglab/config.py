@@ -3,6 +3,8 @@
 Everything in this library is enumerated in full, so every entry point that
 could blow up combinatorially is guarded by one of these caps.  Suites may
 override individual caps; a cap hit aborts the sub-instance, never the run.
+Name universes, which only the test oracles build, take their default cap
+from :data:`forcinglab.names.UNIVERSE_CAP`.
 """
 
 from __future__ import annotations
@@ -19,10 +21,7 @@ class Caps:
     max_stages: int = 4                # iteration stage count bound
     max_stage_conditions: int = 64     # canonical conditions per stage poset
     algebra_max_base: int = 12         # atom bound for ro_algebra (2^atoms elements)
-    universe_cap: int = 4096           # names materialized per universe
     hom_family_cap: int = 1 << 16      # subfamilies enumerated per completeness check
-    dense_enum_max: int = 16           # poset size bound for literal dense-subset sweeps
-    filter_crosscheck_max: int = 10    # poset size bound for the brute-force generic cross-check
     cifs_rank_max: int = 4             # rank bound for materialized pure-set fragments
 
     def with_(self, **kw) -> "Caps":

@@ -218,6 +218,12 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
         got = index.get(cond)
         if got is None:
             got = len(conditions)
+            # stop at the cap: a capped stage is discarded, so enumerating
+            # the rest of its tails would be wasted work
+            if got >= caps.max_stage_conditions:
+                raise CapExceeded(
+                    f"stage {n + 1} has more conditions than the cap "
+                    f"{caps.max_stage_conditions}")
             index[cond] = got
             conditions.append(cond)
         return got
@@ -243,11 +249,6 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
                 padded = cond + (TAIL_ONE,) * (n - len(cond)) + (coord,)
                 placement.append(place(padded))
 
-    if len(conditions) > caps.max_stage_conditions:
-        raise CapExceeded(
-            f"stage {n + 1} has {len(conditions)} conditions, above the cap "
-            f"{caps.max_stage_conditions}")
-
     # order: prefixes compare at stage n, tails pointwise under the prefix
     prev_of = []
     tail_of = []
@@ -266,7 +267,7 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
             if _tail_leq(prev, gens_i, tail_of[i], tail_of[j]):
                 below[j] |= 1 << i
     poset = Poset(below, index[()], [_cond_label(c) for c in conditions])
-    generics = enumerate_generics(poset, caps)
+    generics = enumerate_generics(poset)
     paths = []
     for g in generics:
         atom_cond = conditions[g.atom]

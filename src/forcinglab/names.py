@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .boolalg import AlgebraError, BoolAlgebra
-from .config import DEFAULT_CAPS, CapExceeded
+from .config import CapExceeded
 from .formula import (And, Const, Equality, Exists, ForAll, Formula,
                       FormulaError, Implies, Membership, Not, Or, Term,
                       eval_classical, free_variables)
@@ -38,6 +38,9 @@ from .hfset import HFSet, element_code, element_code_value
 
 # the source of Name.uid
 _uids = itertools.count()
+
+# default bound on the names a universe materializes
+UNIVERSE_CAP = 4096
 
 
 class UniverseCapExceeded(CapExceeded):
@@ -206,7 +209,7 @@ def name_universe(algebra: BoolAlgebra, rank_bound: int,
     Sizes grow doubly exponentially; the configured cap aborts rather than
     thrash.
     """
-    limit = DEFAULT_CAPS.universe_cap if cap is None else cap
+    limit = UNIVERSE_CAP if cap is None else cap
     size = universe_size(algebra, rank_bound)
     if size > limit:
         raise UniverseCapExceeded(
@@ -236,7 +239,7 @@ def sampled_universe(algebra: BoolAlgebra, rank_bound: int,
     it with every name of <= max_entries entries over that layer, capped.
     Flagged non-exhaustive.
     """
-    limit = DEFAULT_CAPS.universe_cap if cap is None else cap
+    limit = UNIVERSE_CAP if cap is None else cap
     r = rank_bound
     while r > 0 and universe_size(algebra, r) > limit:
         r -= 1

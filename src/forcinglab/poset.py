@@ -403,73 +403,33 @@ def point_poset() -> Poset:
 
 
 @lru_cache(maxsize=None)
-def _posets_on(k: int) -> tuple[Poset, ...]:
-    """All posets on k labeled-then-canonicalized elements, one per iso class.
+def _posets_with_top(n: int) -> tuple[Poset, ...]:
+    """All posets on n elements with a top, one per iso class, in a
+    deterministic order.
 
     Every finite poset has a linear extension, so each iso class has a
-    representative whose strict relation sits in the upper triangle; we
-    enumerate those and deduplicate by canonical form.
+    representative whose strict relation below the top sits in the upper
+    triangle; we enumerate those, append the top and deduplicate by
+    canonical form, keeping the first of each class.
     """
-    if k == 0:
-        return ()
+    k = n - 1
+    labels = [f"e{p}" for p in range(k)] + ["1"]
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     seen: dict = {}
     for bits in range(1 << len(pairs)):
-        below = [1 << p for p in range(k)]
-        for idx, (i, j) in enumerate(pairs):
-            if (bits >> idx) & 1:
-                below[j] |= 1 << i
-        changed = True
-        while changed:
-            changed = False
-            for p in range(k):
-                acc = below[p]
-                for q in _mask_bits(below[p]):
-                    acc |= below[q]
-                if acc != below[p]:
-                    below[p] = acc
-                    changed = True
-        # upper-triangular strict part: antisymmetry is automatic
-        post = _PosetNoTop(tuple(below))
-        key = post.key()
-        if key not in seen:
-            seen[key] = tuple(below)
-    return tuple(seen.values())
-
-
-class _PosetNoTop:
-    """Throwaway wrapper so canonical keys work without a top element."""
-
-    def __init__(self, below: tuple[int, ...]):
-        self.below = below
-
-    def key(self):
-        n = len(self.below)
-        best = None
-        for perm in itertools.permutations(range(n)):
-            out = bytearray(n * n)
-            for p in range(n):
-                for q in _mask_bits(self.below[p]):
-                    out[perm[q] * n + perm[p]] = 1
-            b = bytes(out)
-            if best is None or b < best:
-                best = b
-        return (n, best)
+        leq = [(labels[i], labels[j]) for idx, (i, j) in enumerate(pairs)
+               if (bits >> idx) & 1]
+        leq += [(lab, "1") for lab in labels[:k]]
+        poset = validate_poset(labels, leq, "1")
+        seen.setdefault(poset.canonical_key(), poset)
+    return tuple(sorted(seen.values(), key=lambda p: p.below))
 
 
 def all_posets_with_top(max_size: int) -> Iterator[Poset]:
     """All posets with a maximal element, sizes 1..max_size, one per iso
     class, in a deterministic order."""
     for n in range(1, max_size + 1):
-        k = n - 1
-        if k == 0:
-            yield point_poset()
-            continue
-        for below_rest in sorted(_posets_on(k)):
-            below = list(below_rest)
-            below.append((1 << n) - 1)
-            labels = [f"e{p}" for p in range(k)] + ["1"]
-            yield Poset(below, k, labels)
+        yield from _posets_with_top(n)
 
 
 def all_separative_posets(max_size: int) -> Iterator[Poset]:

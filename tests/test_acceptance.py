@@ -17,7 +17,7 @@ from forcinglab.cli import (ExperimentConfig, execute, generate_instances,
                             write_report)
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import parse_formula
-from forcinglab.generic import enumerate_generics
+from forcinglab.generic import dense_subsets, enumerate_generics
 from forcinglab.iteration import (CollapseSpec, build_iteration, check_lemma1,
                                   cifs_toy_iteration, collapse_poset)
 from forcinglab.names import (Name, NameUniverse, TruthSession,
@@ -77,7 +77,7 @@ ATOM_SLOTS = [(l, r) for l in (0, 1) for r in (0, 1)]
 
 def _criterion2_universe(A):
     try:
-        return name_universe(A, 2, cap=DEFAULT_CAPS.universe_cap), True
+        return name_universe(A, 2), True
     except UniverseCapExceeded:
         # the full rank-2 universe over this algebra is doubly exponential
         # (e.g. 8 names ** 8 cut-choices); run the exhaustive rank-1 layer
@@ -251,7 +251,7 @@ def _onto_sweep(ctx, beta) -> bool:
             got = memo[y.uid] = Name(entries, A)
         return got
 
-    for y in working_universe(level.algebra, 2, ctx.caps).names:
+    for y in working_universe(level.algebra, 2).names:
         x = preimage(y)
         # both sides are interned in the quotient algebra
         if x is None or ctx.pi_second(beta, x) is not y:
@@ -335,6 +335,8 @@ def test_criterion_7_theorem16(default_sweep):
     reports = []
     swept = 0
     disagree = []
+    dense_swept = 0
+    dense_disagree = []
     for spec, it in default_sweep:
         N = len(it)
         factored = []
@@ -347,8 +349,7 @@ def test_criterion_7_theorem16(default_sweep):
         # the rank-2 universe sweep is the oracle for the element
         # certificate of item 3: the final universe is built once per
         # instance, after its factor_generic calls
-        universe = working_universe(make_context(it, N, 0).source_algebras[N],
-                                    2, it.caps)
+        universe = working_universe(make_context(it, N, 0).source_algebras[N], 2)
         # evaluations are memoized by (name uid, generic mask), so one memo
         # serves both sides of every record
         memo: dict = {}
@@ -364,13 +365,25 @@ def test_criterion_7_theorem16(default_sweep):
             swept += 1
             if status["item3-evaluation-identity"] != ("pass" if holds else "fail"):
                 disagree.append((spec.instance_id, alpha, gi))
+            # the literal dense-subset sweep is the oracle for item 2's
+            # meets-the-atom-set test
+            qposet = ctx.final_level.stage.poset
+            if qposet.n <= 16:
+                dense_swept += 1
+                literal = all(hmask & d for d in dense_subsets(qposet))
+                [item2] = [c for c in rep.checks
+                           if c.check == "item2-quotient-generic"]
+                if item2.detail["meets_all_dense"] != literal:
+                    dense_disagree.append((spec.instance_id, alpha, gi))
     merged = merge_reports(reports)
     counts = merged.counts()
-    announce(7, merged.ok and counts["pass"] > 0 and not disagree,
+    announce(7, merged.ok and counts["pass"] > 0 and not disagree
+             and dense_swept > 0 and not dense_disagree,
              f"prefix genericity, quotient genericity and the evaluation "
              f"identity verified on {counts['pass']} checks, zero exceptions; "
              f"the rank-2 universe sweep agrees on {swept - len(disagree)} "
-             f"of {swept}")
+             f"of {swept}; the literal dense-subset sweep agrees on "
+             f"{dense_swept - len(dense_disagree)} of {dense_swept}")
 
 
 # -- criterion 8: quotient equals the shifted iteration --------------------------

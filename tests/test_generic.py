@@ -5,6 +5,19 @@ from forcinglab.generic import (Filter, dense_subsets, enumerate_generics,
                                 is_dense, is_filter)
 from forcinglab.poset import (all_posets_with_top, antichain_with_top,
                               chain_poset, complement_cut, point_poset)
+from forcinglab.projection import make_context
+
+
+def filters_meeting_all_dense(poset):
+    """The generic filters by brute force: every filter mask that meets
+    every dense subset, sorted.  The oracle for :func:`enumerate_generics`."""
+    dense = list(dense_subsets(poset))
+    return sorted(mask for mask in range(1, 1 << poset.n)
+                  if is_filter(mask, poset) and all(mask & d for d in dense))
+
+
+def atom_generics(poset):
+    return sorted(g.mask for g in enumerate_generics(poset))
 
 
 class TestFilters:
@@ -52,10 +65,30 @@ class TestEnumerateGenerics:
                     assert (dense_mask >> g.atom) & 1
 
     def test_cross_check_runs_on_all_small_posets(self):
-        # enumerate_generics raises internally if the two characterizations
-        # split; sweeping it over the catalog is the cross-check
         for p in all_posets_with_top(6):
-            enumerate_generics(p)
+            assert atom_generics(p) == filters_meeting_all_dense(p), p
+
+    def test_cross_check_runs_on_the_sweep_stages(self, default_sweep):
+        # every source and quotient stage poset of the acceptance sweep that
+        # the brute force can afford; generics depend on the order alone, so
+        # posets are deduplicated by it
+        posets = {}
+        for _, it in default_sweep:
+            for stage in it.stages:
+                posets[stage.poset.below] = stage.poset
+            for alpha in range(1, len(it) + 1):
+                for gi in range(len(it.stages[alpha].generics)):
+                    for level in make_context(it, alpha, gi).levels.values():
+                        posets[level.stage.poset.below] = level.stage.poset
+        small = [p for p in posets.values() if p.n <= 10]
+        assert len(small) > 10
+        for p in small:
+            assert atom_generics(p) == filters_meeting_all_dense(p), p
+
+    def test_oracle_catches_a_dropped_atom(self):
+        p = antichain_with_top(3)
+        dropped = [g.mask for g in enumerate_generics(p)][1:]
+        assert sorted(dropped) != filters_meeting_all_dense(p)
 
 
 class TestDenseSubsets:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -364,6 +365,22 @@ class TestCifs:
             infos.append(prov.info[(1, s1.paths[gi])])
         assert len({tuple(h.code for h in i.structure) for i in infos}) > 1
         assert len({i.witnesses[0] for i in infos}) > 1
+
+    def test_capped_stage_is_not_built(self):
+        # the debris ladder's stage 2 has tens of thousands of conditions;
+        # the cap must stop their enumeration, not just discard the stage
+        psi = parse_formula(
+            "exists y (y in x) & forall y (y in x -> exists z (z in y & exists w (w in z)))")
+        prov = cifs_toy_iteration([psi], [(1, 2), (6, 3)])
+        tracemalloc.start()
+        try:
+            it = build_iteration(prov, DEFAULT_CAPS.with_(max_stage_conditions=16),
+                                 allow_partial=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert it.partial and len(it) == 1
+        assert peak < 2 << 20
 
     def test_formula_arity_enforced(self):
         with pytest.raises(Exception):

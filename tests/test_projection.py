@@ -633,6 +633,23 @@ class TestTheorem16:
         assert [c.detail["filter"] for c in rep.checks
                 if c.check == "item2-quotient-generic"] == [False]
 
+    def test_projection_missing_every_atom_fails_item2(self):
+        it = _two_step_antichains()
+        G, _, rep = factor_generic(it, 1, 0)
+        ctx = make_context(it, 1, it.stages[1].generics.index(G))
+        level = ctx.final_level
+        # every projected condition lands on the quotient top: {top} is a
+        # filter, but it misses the dense atom set
+        top = level.stage.poset.top
+        ctx.levels[len(it)] = dataclasses.replace(
+            level, pi=[None if c is None else top for c in level.pi])
+        _, hmask, rep = factor_generic(it, 1, 0)
+        assert hmask == 1 << top
+        assert [c.detail for c in rep.checks
+                if c.check == "item2-quotient-generic"] == [
+            {"filter": True, "meets_all_dense": False}]
+        assert self.statuses(rep)["item2-quotient-generic"] == "fail"
+
     def test_quotient_filter_meets_every_dense_subset(self, worked):
         it, _ = worked
         for gi in range(len(it.stages[2].generics)):
@@ -664,13 +681,26 @@ class TestCorollary15:
 
     def test_permuted_combine_fails_the_next_stage(self):
         # the quotient generics of level alpha+1 are bridged to the wrong
-        # source generics, so the rebuilt stage-2 tails land elsewhere
+        # source generics, so the rebuilt stage-1 generics miss their atoms
+        # and the rebuilt stage-2 tails land elsewhere
         it = build_iteration(TableProvider([
             {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
         ctx = make_context(it, 1, 0)
         combine = ctx.levels[2].combine
         assert len(combine) == 2
         assert self.failed(ctx, 2, combine=combine[::-1]) == {
+            "stage-1-order-isomorphic", "stage-2-order-isomorphic"}
+        assert verify_corollary15(ctx).ok
+
+    def test_permuted_combine_at_the_final_level_fails(self):
+        # no later stage is remapped through the last bridge, so only the
+        # atom-for-atom check of the order isomorphism can see this
+        it = build_iteration(TableProvider([
+            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        ctx = make_context(it, 1, 0)
+        combine = ctx.levels[3].combine
+        assert len(combine) > 1
+        assert self.failed(ctx, 3, combine=combine[::-1]) == {
             "stage-2-order-isomorphic"}
         assert verify_corollary15(ctx).ok
 

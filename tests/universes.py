@@ -5,16 +5,14 @@ builds no universe; the tests keep universe sweeps as the oracles that
 cross-check those certificates.
 """
 
-from forcinglab.config import DEFAULT_CAPS, CapExceeded, Caps
+from forcinglab.config import CapExceeded
 from forcinglab.names import NameUniverse, name_universe, sampled_universe
 
 
-def working_universe(algebra, rank: int, caps: Caps = DEFAULT_CAPS,
-                     cap: int | None = None) -> NameUniverse:
+def working_universe(algebra, rank: int, cap: int | None = None) -> NameUniverse:
     """The full rank-bounded universe when it fits the cap, else the
     deterministic structured sample (flagged non-exhaustive)."""
-    limit = caps.universe_cap if cap is None else cap
     try:
-        return name_universe(algebra, rank, cap=limit)
+        return name_universe(algebra, rank, cap=cap)
     except CapExceeded:
-        return sampled_universe(algebra, rank, cap=limit)
+        return sampled_universe(algebra, rank, cap=cap)
