@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .formula import parse_formula
-from .iteration import (CollapseSpec, Iteration, StepContext, TableProvider,
-                        build_iteration, check_lemma1, cifs_toy_iteration,
-                        collapse_poset)
+from .iteration import (CifsProvider, CollapseSpec, Iteration, StepContext,
+                        TableProvider, build_iteration, check_lemma1,
+                        cifs_toy_iteration, collapse_poset, extend_stage)
 from .poset import Poset, PosetError, all_separative_posets, validate_poset
 from .projection import (ProjectionError, factor_generic, limit_clause_skip,
                          make_context, verify_corollary15,
@@ -211,16 +211,16 @@ def _step_catalog(max_poset: int) -> list[Poset | None]:
     return [None] + list(all_separative_posets(max_poset))
 
 
-def _tree_canon(iteration: Iteration, provider: TableProvider,
-                catalog_index: dict) -> tuple:
+def _tree_canon(iteration: Iteration, catalog_index: dict) -> tuple:
     """Canonical form of the provider behavior tree, minimized per node over
     the step poset's automorphisms acting on its atoms."""
     stages = iteration.stages
 
     def canon(n: int, path: tuple) -> tuple:
-        if n >= len(provider.tables) or n + 1 >= len(stages):
+        # a stage per table, except the capped last table of a partial instance
+        if n + 1 >= len(stages):
             return ()
-        q = provider.tables[n].get(path)
+        q = iteration.provider.tables[n].get(path)
         child_stage = stages[n + 1]
         if q is None or q.n == 1:
             label = "U" if q is None else f"q{catalog_index[id(q)]}"
@@ -241,18 +241,18 @@ def _tree_canon(iteration: Iteration, provider: TableProvider,
 def generate_instances(config: ExperimentConfig) -> list[tuple[InstanceSpec, Iteration]]:
     """Deterministic isomorph-reduced stream of providers within the bounds:
     every separative step poset within size, every table, every stage count
-    up to the bound.  The seed fixes the final ordering."""
+    up to the bound, each extending its parent's final stage by one stage.
+    The seed fixes the final ordering."""
     caps = config.caps()
     catalog = _step_catalog(config.max_poset)
     catalog_index = {id(p): i for i, p in enumerate(catalog) if p is not None}
     seen: dict[tuple, InstanceSpec] = {}
     out: list[tuple[InstanceSpec, Iteration]] = []
 
-    def record(tables: list[dict], partial: bool):
-        provider = TableProvider(tables)
-        iteration = build_iteration(provider, caps, allow_partial=True)
-        canon = ("partial" if partial or iteration.partial else "total",
-                 _tree_canon(iteration, provider, catalog_index))
+    def record(iteration: Iteration):
+        tables = iteration.provider.tables
+        canon = ("partial" if iteration.partial else "total",
+                 _tree_canon(iteration, catalog_index))
         if canon in seen:
             return
         blob = json.dumps(canon, sort_keys=True, default=str)
@@ -261,36 +261,32 @@ def generate_instances(config: ExperimentConfig) -> list[tuple[InstanceSpec, Ite
         catalog_used = {}
         for n, table in enumerate(tables):
             for path, option in table.items():
-                if option is not None:
-                    key = catalog_index[id(option)]
-                    option_key[(n, path)] = key
-                    catalog_used[key] = option
+                key = catalog_index[id(option)]
+                option_key[(n, path)] = key
+                catalog_used[key] = option
         spec = InstanceSpec(iid, tables, option_key, catalog_used,
-                            partial or iteration.partial, canon)
+                            iteration.partial, canon)
         seen[canon] = spec
         out.append((spec, iteration))
 
-    def rec(tables: list[dict], iteration: Iteration):
-        n = len(tables)
-        if n == config.max_stages:
-            record(tables, False)
+    def rec(iteration: Iteration):
+        tables = iteration.provider.tables
+        if len(tables) == config.max_stages:
+            record(iteration)
             return
-        stage = iteration.stages[n]
-        options = range(len(catalog))
-        for assignment in itertools.product(options, repeat=len(stage.generics)):
-            table = {}
-            for gi, opt in enumerate(assignment):
-                if catalog[opt] is not None:
-                    table[stage.paths[gi]] = catalog[opt]
-            new_tables = tables + [table]
+        stage = iteration.final
+        for assignment in itertools.product(catalog, repeat=len(stage.generics)):
+            table = {path: q for path, q in zip(stage.paths, assignment)
+                     if q is not None}
+            provider = TableProvider(tables + [table])
             try:
-                it2 = build_iteration(TableProvider(new_tables), caps)
+                child = extend_stage(stage, assignment, caps)
             except CapExceeded:
-                record(new_tables, True)
+                record(Iteration(list(iteration.stages), provider, caps, partial=True))
                 continue
-            rec(new_tables, it2)
+            rec(Iteration(iteration.stages + [child], provider, caps))
 
-    rec([], build_iteration(TableProvider([]), caps))
+    rec(build_iteration(TableProvider([]), caps))
     out.sort(key=lambda pair: pair[0].instance_id)
     random.Random(config.seed).shuffle(out)
     return out
@@ -362,6 +358,27 @@ def _closed_form_injection_count(n: int, m: int) -> int:
     return total
 
 
+def _cifs_provider(config: ExperimentConfig) -> CifsProvider:
+    """The toy iteration's provider; ValueError or CapExceeded on a bad value."""
+    formulas = [parse_formula(s.strip())
+                for s in config.cifs_formulas.split(";") if s.strip()]
+    rungs = [part.partition(":") for part in config.cifs_ladder.split(",")]
+    try:
+        ladder = [(int(r), int(m)) for r, _, m in rungs]
+    except ValueError:
+        raise ValueError(f"cifs ladder {config.cifs_ladder!r} is not rank:m,...") from None
+    return cifs_toy_iteration(formulas, ladder, config.caps())
+
+
+def check_config(config: ExperimentConfig) -> None:
+    """Reject bad option values before any suite runs."""
+    if config.suite not in SUITES:
+        raise ValueError(f"unknown suite {config.suite}")
+    if config.max_stages < 0:
+        raise ValueError(f"max_stages must be >= 0, got {config.max_stages}")
+    _cifs_provider(config)
+
+
 def run_cifs_suite(config: ExperimentConfig) -> SuiteReport:
     caps = config.caps()
     rep = SuiteReport()
@@ -372,14 +389,7 @@ def run_cifs_suite(config: ExperimentConfig) -> SuiteReport:
             want = _closed_form_injection_count(n, m)
             rep.record("cifs", f"collapse-count-{n}-{m}", "cifs",
                        poset.n == want, {}, {"got": poset.n, "want": want})
-    formulas = [parse_formula(s.strip())
-                for s in config.cifs_formulas.split(";") if s.strip()]
-    ladder = []
-    for part in config.cifs_ladder.split(","):
-        r, _, m = part.partition(":")
-        ladder.append((int(r), int(m)))
-    provider = cifs_toy_iteration(formulas, ladder, caps)
-    iteration = build_iteration(provider, caps, allow_partial=True)
+    iteration = build_iteration(_cifs_provider(config), caps, allow_partial=True)
     if iteration.partial:
         rep.skip("cifs", "iteration-partial", "cifs", {},
                  {"reason": "stage cap aborted the toy iteration"})
@@ -577,11 +587,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         config = _config_from(args)
-    except (ValueError, OSError) as e:
+        check_config(config)
+    except (ValueError, OSError, CapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    if config.suite not in SUITES:
-        print(f"error: unknown suite {config.suite}", file=sys.stderr)
         return 2
     try:
         if args.command == "replay":

@@ -4,7 +4,8 @@ posets and the toy rank-ladder iteration.
 Conditions are stored in *function representation*: a stage-n condition is a
 tuple of n coordinates, where coordinate k is either the symbol ``TAIL_ONE``
 or a total map from the stage-k generics containing the prefix to elements
-of the step poset provided under each generic.  Trailing ones are trimmed
+of the step poset provided under each generic; those step posets belong to
+the stage they build, ``stages[k + 1].steps``.  Trailing ones are trimmed
 (so earlier-stage conditions literally reappear inside later stages) and an
 all-top map is identified with ``TAIL_ONE``.  This is the mutual-order
 quotient at finite scale: two literal name tails are equivalent exactly when
@@ -66,8 +67,9 @@ def _cond_label(cond: Condition) -> str:
 
 @dataclass
 class Stage:
-    """One stage of a built iteration: canonical conditions plus the data
-    needed to extend it (generics, their paths, and the step posets)."""
+    """One stage of a built iteration, complete once built: canonical
+    conditions, generics and their paths, and the step posets it was built
+    from, one per generic of the previous stage (none at the root)."""
 
     index: int
     conditions: tuple[Condition, ...]
@@ -75,9 +77,7 @@ class Stage:
     generics: list[GenericSet]
     paths: list[tuple]
     gen_masks: tuple[int, ...]        # per condition: generics containing it
-    prev: "Stage | None" = None
-    steps: list[Poset | None] = field(default_factory=list)
-    path_index: dict = field(default_factory=dict)
+    steps: tuple[Poset | None, ...] = ()
 
     def cond_index(self, cond: Condition) -> int:
         return self._index[cond]
@@ -153,7 +153,7 @@ def root_stage() -> Stage:
     return Stage(0, ((),), poset, generics, [()], (1,))
 
 
-def _tail_leq(prev: Stage, gens_i: Iterable[int], tail_i, tail_j) -> bool:
+def _tail_leq(steps: Sequence, gens_i: Iterable[int], tail_i, tail_j) -> bool:
     """Order on tail coordinates below a prefix with generic set gens_i."""
     if tail_j is TAIL_ONE:
         return True
@@ -161,27 +161,26 @@ def _tail_leq(prev: Stage, gens_i: Iterable[int], tail_i, tail_j) -> bool:
     if tail_i is TAIL_ONE:
         # acts as the top name only where the step poset exists everywhere
         for g in gens_i:
-            q = prev.steps[g]
+            q = steps[g]
             if q is None or tj[g] != q.top:
                 return False
         return True
     ti = dict(tail_i)
     for g in gens_i:
-        if not prev.steps[g].leq(ti[g], tj[g]):
+        if not steps[g].leq(ti[g], tj[g]):
             return False
     return True
 
 
-def _canonical_tail(prev: Stage, prev_idx: int, tail) -> "Coordinate":
+def _canonical_tail(prev: Stage, steps: Sequence, prev_idx: int, tail) -> "Coordinate":
     """Restrict a raw tail map to the prefix's generics; all-top becomes 1."""
     if tail is TAIL_ONE:
         return TAIL_ONE
     tmap = dict(tail)
-    gens = list(prev.gens_of(prev_idx))
     out = []
     all_top = True
-    for g in gens:
-        q = prev.steps[g]
+    for g in prev.gens_of(prev_idx):
+        q = steps[g]
         if q is None:
             raise ProviderError(
                 f"tail given where stage {prev.index} has no step poset under generic {g}")
@@ -201,7 +200,7 @@ def _canonical_tail(prev: Stage, prev_idx: int, tail) -> "Coordinate":
 def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
                  explicit_tails: Sequence[tuple[int, object]] | None = None,
                  ) -> Stage | tuple[Stage, list[int]]:
-    """Build stage n+1 from stage n.
+    """Build stage n+1 from stage n and the step posets named over it.
 
     With ``explicit_tails`` None, every tail map is enumerated (the
     Definition-1 successor clause); otherwise only the supplied
@@ -209,7 +208,6 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
     returned alongside the stage.
     """
     n = prev.index
-    prev.steps = list(steps)
     conditions: list[Condition] = list(prev.conditions)
     index = {c: i for i, c in enumerate(conditions)}
     placement: list[int] = []
@@ -241,7 +239,7 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
                 place(padded)
     else:
         for prev_idx, tail in explicit_tails:
-            coord = _canonical_tail(prev, prev_idx, tail)
+            coord = _canonical_tail(prev, steps, prev_idx, tail)
             cond = prev.conditions[prev_idx]
             if coord is TAIL_ONE:
                 placement.append(place(cond))
@@ -264,20 +262,14 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
         for j in range(m):
             if not (prev_below[prev_of[j]] >> pi) & 1:
                 continue
-            if _tail_leq(prev, gens_i, tail_of[i], tail_of[j]):
+            if _tail_leq(steps, gens_i, tail_of[i], tail_of[j]):
                 below[j] |= 1 << i
     poset = Poset(below, index[()], [_cond_label(c) for c in conditions])
     generics = enumerate_generics(poset)
     paths = []
     for g in generics:
-        atom_cond = conditions[g.atom]
-        p_idx = prev_of[g.atom]
         tail = tail_of[g.atom]
-        prev_gen = None
-        for pg in range(len(prev.generics)):
-            if (prev.gen_masks[p_idx] >> pg) & 1:
-                prev_gen = pg
-                break
+        prev_gen = next(iter(prev.gens_of(prev_of[g.atom])))
         if tail is TAIL_ONE:
             paths.append(prev.paths[prev_gen] + (None,))
         else:
@@ -290,7 +282,7 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
                 mask |= 1 << gi
         gen_masks.append(mask)
     stage = Stage(n + 1, tuple(conditions), poset, generics, paths,
-                  tuple(gen_masks), prev=prev)
+                  tuple(gen_masks), tuple(steps))
     if explicit_tails is None:
         return stage
     return stage, placement
@@ -338,23 +330,24 @@ def canonicalize_condition(raw: Sequence, iteration: Iteration, stage_index: int
     for k, coord in enumerate(raw):
         prev = iteration.stages[k]
         prev_idx = prev.cond_index(trim(cond))
-        canon = _canonical_tail(prev, prev_idx, coord)
+        canon = _canonical_tail(prev, iteration.stages[k + 1].steps, prev_idx, coord)
         if canon is not TAIL_ONE:
             cond = cond + (TAIL_ONE,) * (k - len(cond)) + (canon,)
     return cond
 
 
-def tail_from_name(prev: Stage, prev_idx: int, name, algebra) -> "Coordinate":
+def tail_from_name(prev: Stage, steps: Sequence, prev_idx: int, name) -> "Coordinate":
     """Turn a literal name tail into its function form under a prefix.
 
-    The name must evaluate, under every generic containing the prefix, to the
-    numeral of an element of the step poset provided there.
+    ``steps`` are the step posets named over ``prev`` (the ``steps`` of the
+    stage after it).  The name must evaluate, under every generic containing
+    the prefix, to the numeral of an element of the step poset provided there.
     """
     from .names import decode_element, evaluate
 
     out = []
     for g in prev.gens_of(prev_idx):
-        q = prev.steps[g]
+        q = steps[g]
         if q is None:
             raise ProviderError(
                 f"no step poset under generic {g}; only the literal 1 tail is valid")
@@ -364,7 +357,7 @@ def tail_from_name(prev: Stage, prev_idx: int, name, algebra) -> "Coordinate":
             raise ProviderError(
                 f"name does not denote a step-poset element under generic {g}: {hf!r}")
         out.append((g, e))
-    return _canonical_tail(prev, prev_idx, tuple(out))
+    return _canonical_tail(prev, steps, prev_idx, tuple(out))
 
 
 # -- collapse posets --------------------------------------------------------

@@ -176,9 +176,7 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
         prev_level = levels[beta - 1]
         prev_src = stages[beta - 1]
         src = stages[beta]
-        steps_q: list[Poset | None] = [
-            prev_src.steps[prev_level.combine[h]]
-            for h in range(len(prev_level.stage.generics))]
+        steps_q = [src.steps[sg] for sg in prev_level.combine]
         defined: list[int] = []
         raw_tails: list[tuple[int, object]] = []
         for ci, cond in enumerate(src.conditions):
@@ -697,7 +695,6 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
     stages = iteration.stages
     N = len(iteration)
     G_full = stages[N].generics[full_gen_index]
-    aposet = stages[alpha].poset
     # stage-alpha restriction: P_alpha conditions are P_N conditions verbatim
     gmask = 0
     for ci, cond in enumerate(stages[alpha].conditions):

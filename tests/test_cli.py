@@ -1,16 +1,22 @@
+import itertools
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from forcinglab import cli
+from forcinglab import cli, iteration
 from forcinglab.cli import (ExperimentConfig, execute, format_poset_text,
                             format_provider_tables, generate_instances,
                             human_summary, main, parse_poset_text,
                             parse_provider_tables, read_config_file,
                             write_report)
+from forcinglab.config import CapExceeded
+from forcinglab.iteration import TableProvider, build_iteration
 from forcinglab.poset import antichain_with_top, diamond_poset
+
+from test_iteration import stage_facts
 
 
 class TestPosetTextFormat:
@@ -75,6 +81,59 @@ class TestGeneration:
         a = generate_instances(ExperimentConfig(max_poset=3, max_stages=2, seed=1))
         b = generate_instances(ExperimentConfig(max_poset=3, max_stages=2, seed=2))
         assert {s.instance_id for s, _ in a} == {s.instance_id for s, _ in b}
+
+    @pytest.mark.parametrize("max_stage_conditions", [None, 512])
+    def test_instances_equal_a_build_from_their_tables(
+            self, default_sweep, max_stage_conditions):
+        # instances are built by extending their parent's final stage; each
+        # must equal the iteration its own tables build from the root
+        if max_stage_conditions is None:
+            config = ExperimentConfig(max_poset=3, max_stages=3, seed=1)
+            instances = default_sweep
+            assert sum(spec.partial for spec, _ in instances) == 1
+        else:
+            config = ExperimentConfig(max_poset=3, max_stages=3, seed=1,
+                                      max_stage_conditions=max_stage_conditions)
+            instances = generate_instances(config)
+        for spec, it in instances:
+            want = build_iteration(TableProvider(spec.tables), config.caps(),
+                                   allow_partial=True)
+            assert it.partial == want.partial == spec.partial
+            assert len(it.stages) == len(want.stages)
+            for got, ref in zip(it.stages, want.stages):
+                assert stage_facts(got) == stage_facts(ref), spec.instance_id
+
+    def test_each_table_assignment_extends_its_parent_once(self, monkeypatch):
+        config = ExperimentConfig(max_poset=3, max_stages=3, seed=1)
+        catalog = cli._step_catalog(config.max_poset)
+
+        def assignments(tables: list) -> int:
+            """Table assignments the generation tree visits below a prefix,
+            found by building every prefix from the root."""
+            if len(tables) == config.max_stages:
+                return 0
+            try:
+                final = build_iteration(TableProvider(tables), config.caps()).final
+            except CapExceeded:
+                return 0
+            total = 0
+            for steps in itertools.product(catalog, repeat=len(final.generics)):
+                table = {p: q for p, q in zip(final.paths, steps) if q is not None}
+                total += 1 + assignments(tables + [table])
+            return total
+
+        visited = assignments([])
+        calls: Counter = Counter()
+        for module, name in ((cli, "extend_stage"), (iteration, "extend_stage"),
+                             (cli, "build_iteration")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        generate_instances(config)
+        assert visited == 273
+        assert calls["extend_stage"] <= visited
+        assert calls["build_iteration"] <= 1
 
     def test_isomorph_reduction(self):
         # swapping the two step options across the symmetric stage-1 generics
@@ -173,6 +232,30 @@ class TestRunReports:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--hom-family-cap", "8"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--cifs-ladder", "x"], ["--cifs-ladder", "2:3,1:2"],
+        ["--cifs-ladder", "1:9"], ["--cifs-ladder", "6:2"],
+        ["--cifs-formulas", "z in x"], ["--cifs-formulas", "x in ("],
+        ["--max-stages", "-1"]], ids="=".join)
+    def test_bad_option_values_exit_two(self, flags, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        rc = main(["run", "--suite", "cifs", "--max-poset", "2",
+                   "--max-stages", "1", "--out", str(out)] + flags)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_bad_values_stop_a_run_before_the_sweep(self, tmp_path,
+                                                      monkeypatch):
+        def sweep(config):
+            raise AssertionError("the table sweep ran")
+
+        monkeypatch.setattr(cli, "generate_instances", sweep)
+        for flags in (["--cifs-ladder", "1:9"], ["--cifs-formulas", "z in x"],
+                      ["--max-stages", "-1"]):
+            assert main(["run", "--suite", "all", "--out",
+                         str(tmp_path / "r.jsonl")] + flags) == 2
 
     def test_human_summary_counts_each_skip_reason(self):
         report, meta = execute(ExperimentConfig(

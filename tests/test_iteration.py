@@ -11,7 +11,8 @@ from forcinglab.iteration import (TAIL_ONE, CollapseSpec, Iteration,
                                   ProviderError, StepContext, TableProvider,
                                   build_iteration, canonicalize_condition,
                                   check_lemma1, cifs_toy_iteration,
-                                  collapse_poset, tail_from_name, trim)
+                                  collapse_poset, extend_stage,
+                                  tail_from_name, trim)
 from forcinglab.hfset import kpair
 from forcinglab.names import (NameUniverse, TruthSession, check_name,
                               element_name, empty_name, evaluate, mix_name,
@@ -25,6 +26,13 @@ PT = point_poset()
 
 def two_stage_constant():
     return build_iteration(TableProvider([{(): A2}, {(0,): A2, (1,): A2}]))
+
+
+def stage_facts(stage) -> tuple:
+    """Everything a built stage records, for comparing two stages."""
+    return (stage.conditions, list(stage.poset.below),
+            [(g.mask, g.atom) for g in stage.generics],
+            list(stage.paths), stage.gen_masks, stage.steps)
 
 
 # -- collapse posets ----------------------------------------------------------
@@ -113,6 +121,19 @@ class TestBuildIteration:
         it = build_iteration(TableProvider(tables), allow_partial=True)
         assert it.partial and len(it) == 2
 
+    def test_extending_a_stage_leaves_it_unchanged(self):
+        # instance generation extends one stage under many tables, so an
+        # extension must not write into the stage it extends
+        s1 = build_iteration(TableProvider([{(): A2}])).final
+        before = stage_facts(s1)
+        first = extend_stage(s1, [A2, A2], DEFAULT_CAPS)
+        first_facts = stage_facts(first)
+        second = extend_stage(s1, [PT, antichain_with_top(3)], DEFAULT_CAPS)
+        assert stage_facts(s1) == before and s1.steps == (A2,)
+        assert stage_facts(first) == first_facts and first.steps == (A2, A2)
+        assert stage_facts(first) == stage_facts(two_stage_constant().stages[2])
+        assert second.steps[0] is PT and second.poset.n != first.poset.n
+
     def test_prefix_monotonicity(self):
         it = two_stage_constant()
         s1, s2 = it.stages[1], it.stages[2]
@@ -161,8 +182,9 @@ class TestCanonicalization:
         mixed = mix_name([(gens[g].atom, element_name(0, A))
                           for g in self.s1.gens_of(atom_a)], A)
         plain = element_name(0, A)
-        t1 = tail_from_name(self.s1, atom_a, mixed, A)
-        t2 = tail_from_name(self.s1, atom_a, plain, A)
+        steps = self.it.stages[2].steps
+        t1 = tail_from_name(self.s1, steps, atom_a, mixed)
+        t2 = tail_from_name(self.s1, steps, atom_a, plain)
         assert t1 == t2
 
 
@@ -176,6 +198,7 @@ def literal_second_stage(it: Iteration):
     identified when they evaluate identically under every generic containing
     the prefix.  Returns (classes, leq) with classes as frozen descriptors."""
     s1 = it.stages[1]
+    steps = it.stages[2].steps      # the step posets named over stage 1
     A = ro_algebra(s1.poset, max_base=s1.poset.n)
     gens = s1.generics
     sess = TruthSession(NameUniverse(A, 0, (empty_name(A),)))
@@ -185,7 +208,7 @@ def literal_second_stage(it: Iteration):
 
     # the step-poset name and its order-relation name, mixed over generics
     qdot_branches, rdot_branches = [], []
-    for g, q in enumerate(s1.steps):
+    for g, q in enumerate(steps):
         if q is None:
             continue
         elems = HFSet(element_code(e) for e in range(q.n))
@@ -205,9 +228,9 @@ def literal_second_stage(it: Iteration):
     for ci in range(s1.poset.n):
         gens_ci = list(s1.gens_of(ci))
         candidates.append((ci, TAIL_ONE))
-        if any(s1.steps[g] is None for g in gens_ci):
+        if any(steps[g] is None for g in gens_ci):
             continue
-        for combo in itertools.product(*[range(s1.steps[g].n) for g in gens_ci]):
+        for combo in itertools.product(*[range(steps[g].n) for g in gens_ci]):
             nm = mix_name([(gens[g].atom, element_name(e, A))
                            for g, e in zip(gens_ci, combo)], A)
             candidates.append((ci, nm))
@@ -230,7 +253,7 @@ def literal_second_stage(it: Iteration):
         for g in s1.gens_of(ci):
             hf = evaluate(nm, gens[g].mask)
             vec.append((g, hf.code))
-        q_tops = all(evaluate(nm, gens[g].mask) == element_code(s1.steps[g].top)
+        q_tops = all(evaluate(nm, gens[g].mask) == element_code(steps[g].top)
                      for g in s1.gens_of(ci))
         if q_tops:
             return (ci, TAIL_ONE)
@@ -243,9 +266,9 @@ def literal_second_stage(it: Iteration):
         if nj is TAIL_ONE:
             return True
         if ni is TAIL_ONE:
-            if any(s1.steps[g] is None for g in s1.gens_of(ci)):
+            if any(steps[g] is None for g in s1.gens_of(ci)):
                 return False
-            ni_eff = mix_name([(gens[g].atom, element_name(s1.steps[g].top, A))
+            ni_eff = mix_name([(gens[g].atom, element_name(steps[g].top, A))
                                for g in s1.gens_of(ci)], A)
         else:
             ni_eff = ni

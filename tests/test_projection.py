@@ -704,6 +704,18 @@ class TestCorollary15:
             "stage-2-order-isomorphic"}
         assert verify_corollary15(ctx).ok
 
+    def test_dropped_quotient_generic_fails_its_bridge(self):
+        # the rebuilt generic that should reach the dropped quotient generic
+        # finds none, at the level it was dropped from
+        it = build_iteration(TableProvider([
+            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        ctx = make_context(it, 1, 0)
+        for beta in (2, 3):
+            combine = ctx.levels[beta].combine
+            assert self.failed(ctx, beta, combine=combine[:-1]) == {
+                f"stage-{beta - 1}-generic-bridge"}
+        assert verify_corollary15(ctx).ok
+
     def test_constant_tail_provider(self, worked):
         _, ctx = worked
         rep = verify_corollary15(ctx, instance="worked")

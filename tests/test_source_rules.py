@@ -1,0 +1,42 @@
+"""Rules the library's source keeps: no handler catches ``Exception``,
+``BaseException`` or everything, so an error the code cannot act on is
+never swallowed or reported as a check result."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "forcinglab"
+BROAD = {"Exception", "BaseException"}
+
+
+def broad_handlers(source: str) -> list[int]:
+    """Line numbers of the ``except`` clauses in source that are bare or
+    name Exception or BaseException, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        names = {getattr(t, "id", getattr(t, "attr", None)) for t in caught}
+        if node.type is None or names & BROAD:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_broad_exception_handlers():
+    files = sorted(SRC.glob("**/*.py"))
+    assert files
+    found = {str(p.relative_to(SRC)): broad_handlers(p.read_text(encoding="utf-8"))
+             for p in files}
+    assert {f: ls for f, ls in found.items() if ls} == {}
+
+
+def test_every_broad_form_is_found():
+    source = "\n".join([
+        "try:\n    pass\nexcept ValueError:\n    pass",
+        "try:\n    pass\nexcept Exception:\n    pass",
+        "try:\n    pass\nexcept BaseException as e:\n    raise",
+        "try:\n    pass\nexcept:\n    raise",
+        "try:\n    pass\nexcept (KeyError, builtins.Exception):\n    pass",
+    ])
+    assert broad_handlers(source) == [7, 11, 15, 19]
