@@ -385,7 +385,7 @@ def run_cifs_suite(config: ExperimentConfig) -> SuiteReport:
     # collapse counts against the closed form
     for n in range(0, 4):
         for m in range(1, 5):
-            poset, conds = collapse_poset(CollapseSpec(tuple(range(n)), m))
+            poset, _ = collapse_poset(CollapseSpec(tuple(range(n)), m))
             want = _closed_form_injection_count(n, m)
             rep.record("cifs", f"collapse-count-{n}-{m}", "cifs",
                        poset.n == want, {}, {"got": poset.n, "want": want})
@@ -423,7 +423,7 @@ def cifs_dependence_probe(caps: Caps, instance: str = "cifs") -> SuiteReport:
     stage = iteration.stages[1]
     infos = []
     for gi in range(len(stage.generics)):
-        provider.step(1, StepContext(stage, gi, stage.paths[gi], iteration.stages))
+        provider.step(1, StepContext(stage, gi, stage.paths[gi]))
         infos.append(provider.info[(1, stage.paths[gi])])
     structures = {tuple(h.code for h in info.structure) for info in infos}
     witnesses = {info.witnesses[0] for info in infos}
@@ -449,6 +449,9 @@ def execute(config: ExperimentConfig) -> tuple[SuiteReport, dict]:
     if table_suites:
         instances = generate_instances(config)
         census["instances"] = len(instances)
+        # a partial instance keeps its parent's stages, so the capped table
+        # assignments below one prefix share a canonical form: this counts
+        # distinct partial prefixes, not capped assignments
         census["partial_instances"] = sum(1 for s, _ in instances if s.partial)
         census["contexts"] = sum(
             len(it.stages[a].generics)
@@ -526,7 +529,7 @@ def human_summary(report: SuiteReport, meta: dict) -> str:
 
 
 def replay(config: ExperimentConfig, cex_id: str) -> int:
-    report, meta = execute(config)
+    report, _ = execute(config)
     hits = [c for c in report.checks if c.counterexample_id == cex_id]
     if not hits:
         print(f"error: id {cex_id} not found in this configuration", file=sys.stderr)

@@ -97,7 +97,6 @@ class StepContext:
     stage: Stage
     gen_index: int
     path: tuple
-    stages: "list[Stage]"
 
     @property
     def generic(self) -> GenericSet:
@@ -301,7 +300,7 @@ def build_iteration(provider: StepProvider, caps: Caps = DEFAULT_CAPS,
         stage = stages[-1]
         steps: list[Poset | None] = []
         for gi in range(len(stage.generics)):
-            q = provider.step(n, StepContext(stage, gi, stage.paths[gi], stages))
+            q = provider.step(n, StepContext(stage, gi, stage.paths[gi]))
             if q is not None and not is_separative(q):
                 raise ProviderError(
                     f"step poset at stage {n}, generic {gi} is not separative")

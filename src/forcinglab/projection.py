@@ -20,16 +20,18 @@ comparison -- quantifies exhaustively over the finite instance.  The facts
 that Theorem 2 and the lemma suite share (homomorphism, onto, atomic
 transport) are computed once per level and cached on the context; the
 source algebras are built once per instance and shared by all its
-contexts.  The statements about names -- Theorem 2's onto and transport
-items and Theorem 16's evaluation identity -- are certified on algebra
-elements, which by induction through pi_second covers every name of every
-rank, plus an audit of the cached pi_second images; no name universe is
-built.
+contexts.  L11-L14 read relations built once per level: the s-frown
+table grouped by alpha-prefix, and the sibling contexts' projections as
+bit rows over the level's conditions; L12 runs through the lower adjoint
+of the level's homomorphism.  The statements about names -- Theorem 2's
+onto and transport items and Theorem 16's evaluation identity -- are
+certified on algebra elements, which by induction through pi_second covers
+every name of every rank, plus an audit of the cached pi_second images; no
+name universe is built.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .boolalg import BoolAlgebra, HomReport, certify_complete_hom, ro_algebra
@@ -400,8 +402,10 @@ def verify_projection_lemmas(ctx: ProjectionContext, instance: str = "adhoc",
                              rank: int = 2) -> SuiteReport:
     """One exhaustive sub-check per projection lemma, itemized L3..L14.
     L6-L9 cite the level's shared facts, as Theorem 2 does; L11-L14 read
-    one s-frown-p table and one list of sibling levels per level.  The
-    limit-stage clause is stated once per run by :func:`limit_clause_skip`.
+    one s-frown-p table, grouped by alpha-prefix, and the sibling levels'
+    projections as bit rows, each built once per level, and L12 uses the
+    lower adjoint where item 1 holds.  The limit-stage clause is stated
+    once per run by :func:`limit_clause_skip`.
     ``rank`` bounds nothing, as in :func:`verify_theorem2`."""
     rep = SuiteReport()
     N = len(ctx.iteration)
@@ -491,34 +495,36 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
 
     # L11-L14 quantify over s-frown-p and over the sibling contexts
     table = _frown_table(ctx, beta)
+    groups = _prefix_groups(table)
     siblings = [make_context(ctx.iteration, ctx.alpha, g, ctx.caps).levels[beta]
                 for g in range(len(ctx.iteration.stages[ctx.alpha].generics))]
 
     # L11: forced equal projections merge below some member of G
-    ok11, detail11 = _lemma11(ctx, beta, table, siblings)
+    ok11, detail11 = _lemma11(ctx, beta, table, groups, siblings)
     rep.record("projection-lemmas", "L11-merge-below", instance, ok11, cctx, detail11)
 
     # L12: forcing transports forward, and back below some member of G
-    ok12, detail12 = _lemma12(ctx, beta, table)
+    ok12, detail12 = _lemma12(ctx, beta, table, facts.hom.ok)
     rep.record("projection-lemmas", "L12-forcing-transport", instance, ok12,
                cctx, detail12)
 
     # L13: the equal-tails cut is regular
-    ok13, detail13 = _lemma13(ctx, table)
+    ok13, detail13 = _lemma13(ctx, table, groups)
     rep.record("projection-lemmas", "L13-equal-tails-regular", instance, ok13,
                cctx, detail13)
 
     # L14: order reflects below conditions forcing the projected comparison
-    ok14, detail14 = _lemma14(ctx, beta, table, siblings)
+    ok14, detail14 = _lemma14(ctx, beta, table, groups, siblings)
     rep.record("projection-lemmas", "L14-order-reflection", instance, ok14,
                cctx, detail14)
 
 
 def _frown_table(ctx: ProjectionContext, beta: int) -> list[tuple[int, dict]]:
     """Per P_beta condition p: the index in P_alpha of its alpha-prefix, and
-    a map from each s below that prefix to the P_beta index of s-frown-p (the
-    alpha-prefix replaced by s, every tail restricted to the generics below
-    it), or None when s does not sit below the tails' prefix constraints."""
+    a map from each s below that prefix, in ascending order, to the P_beta
+    index of s-frown-p (the alpha-prefix replaced by s, every tail
+    restricted to the generics below it), or None when s does not sit below
+    the tails' prefix constraints."""
     stages = ctx.iteration.stages
     alpha = ctx.alpha
     astage, src = stages[alpha], stages[beta]
@@ -539,45 +545,154 @@ def _frown_table(ctx: ProjectionContext, beta: int) -> list[tuple[int, dict]]:
     return table
 
 
-def _same_prefix_pairs(table: list[tuple[int, dict]]):
-    """Ordered pairs (ci, cj, prefix, row_i, row_j) of P_beta conditions
-    with one alpha-prefix, in product order."""
-    for (ci, (pre_i, row_i)), (cj, (pre_j, row_j)) in itertools.product(
-            enumerate(table), repeat=2):
-        if pre_i == pre_j:
-            yield ci, cj, pre_i, row_i, row_j
+def _prefix_groups(table: list[tuple[int, dict]]) -> dict[int, tuple[int, dict]]:
+    """The table's rows grouped by alpha-prefix r: the P_beta conditions
+    with prefix r, as a bitmask, and for each s below r those conditions
+    partitioned by their s-frown image, as {image: bitmask}.  A condition
+    whose s-frown is undefined is in no class at s.  L11, L13 and L14
+    enumerate pairs only inside one group."""
+    groups: dict[int, tuple[int, dict]] = {}
+    for ci, (r, row) in enumerate(table):
+        members, classes = groups.get(r, (0, {}))
+        for s, si in row.items():
+            if si is not None:
+                at_s = classes.setdefault(s, {})
+                at_s[si] = at_s.get(si, 0) | 1 << ci
+        groups[r] = (members | 1 << ci, classes)
+    return groups
 
 
-def _lemma11(ctx: ProjectionContext, beta: int, table: list, siblings: list):
+def _pi_classes(level: QuotientLevel) -> dict:
+    """The P_beta conditions grouped by their projection at a sibling
+    level, as {pi value: bitmask}, with None for the undefined ones."""
+    classes: dict = {}
+    for p, v in enumerate(level.pi):
+        classes[v] = classes.get(v, 0) | 1 << p
+    return classes
+
+
+def _equal_rows(level: QuotientLevel) -> list[int]:
+    """Per P_beta condition p, the q with pi(q) == pi(p) at a sibling level,
+    as a bitmask; two undefined projections count as equal."""
+    classes = _pi_classes(level)
+    return [classes[v] for v in level.pi]
+
+
+def _below_rows(level: QuotientLevel) -> list[int]:
+    """Per P_beta condition p, the q with pi(p) and pi(q) both defined and
+    pi(p) <= pi(q) at a sibling level, as a bitmask."""
+    classes = _pi_classes(level)
+    classes.pop(None, None)
+    below = level.stage.poset.below
+    up = dict.fromkeys(classes, 0)
+    for v, qs in classes.items():
+        for x in up:
+            if below[v] >> x & 1:
+                up[x] |= qs
+    return [0 if v is None else up[v] for v in level.pi]
+
+
+def _forced(astage: Stage, rows: list[list[int]], n: int):
+    """R(r, p): the AND of the sibling rows rows[g][p] over the generics g
+    of P_alpha that contain r, memoized per (r, p).  There is one generic
+    per atom, so these are the q that r forces into p's relation (Kunen,
+    *Set Theory*, 1980, Ch. VII); no generic contains r means every q."""
+    memo: dict[tuple[int, int], int] = {}
+
+    def forced(r: int, p: int) -> int:
+        got = memo.get((r, p))
+        if got is None:
+            got = (1 << n) - 1
+            for g in astage.gens_of(r):
+                got &= rows[g][p]
+            memo[r, p] = got
+        return got
+    return forced
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _lemma11(ctx: ProjectionContext, beta: int, table: list, groups: dict,
+             siblings: list):
     """r in G with forced-equal projected tails: some s in G below r glues
-    the two conditions into literal equality."""
+    the two conditions into literal equality.  A pair is glued at s when
+    both lie in one s-frown class of their group; the first failing pair
+    in (p, q) order is reported."""
     G = ctx.G
     astage = ctx.iteration.stages[ctx.alpha]
     labels = ctx.iteration.stages[beta].poset.labels
+    forced_equal = _forced(astage, [_equal_rows(lvl) for lvl in siblings],
+                           len(table))
     checked = 0
-    for ci, cj, r, row_i, row_j in _same_prefix_pairs(table):
+    for ci, (r, row) in enumerate(table):
         if r not in G:
             continue
-        # premise: r forces equal projections, i.e. in every sibling context
-        # whose generic contains r the two images agree
-        if any(r in gen2 and lvl2.pi[ci] != lvl2.pi[cj]
-               for gen2, lvl2 in zip(astage.generics, siblings)):
-            continue
-        checked += 1
-        if not any(row_i.get(s) is not None and row_i.get(s) == row_j.get(s)
-                   for s in _mask_bits(G.mask & astage.poset.below[r])):
-            return False, {"pair": (labels[ci], labels[cj])}
+        members, classes = groups[r]
+        premise = forced_equal(r, ci) & members
+        glued = 0
+        for s in _mask_bits(G.mask & astage.poset.below[r]):
+            si = row.get(s)
+            if si is not None:
+                glued |= classes[s][si]
+        checked += premise.bit_count()
+        if premise & ~glued:
+            return False, {"pair": (labels[ci], labels[_lowest(premise & ~glued)])}
     return True, {"pairs": checked}
 
 
-def _lemma12(ctx: ProjectionContext, beta: int, table: list):
+def _lemma12(ctx: ProjectionContext, beta: int, table: list, hom_ok: bool):
     """Forcing transports along pi for atomic formulas, and conversely some
     s in G below the prefix restores forcing.  Both directions depend only
     on the (source value, target value) pair of the formula instance.  Each
     element b is the source value of ||empty in {(empty, b)}||, whose target
     value is pi_prime(b), and where atomic transport holds (L9) every
-    instance has that target.  So one check per element covers every atomic
-    instance of every rank."""
+    instance has that target.  So checking every element b covers every
+    atomic instance of every rank.
+
+    When pi_prime is a complete homomorphism h (``hom_ok``, the level's
+    certified fact), each defined condition p, with u its principal element
+    and qu that of pi(p), needs one test per direction.  h is monotone, so
+    the forward direction holds for every b >= u iff qu <= h(u).  The b
+    with qu <= h(b) are the principal filter above the lower adjoint
+    b* = join of the atoms a with h(a) * qu != 0 (Davey & Priestley,
+    *Introduction to Lattices and Order*, 2002, Ch. 7), and the backward
+    condition is upward closed in b, so it holds on that filter iff it
+    holds at b*.  ``checks`` counts the defined conditions.  Otherwise
+    :func:`_lemma12_by_elements` checks every element."""
+    if not hom_ok:
+        return _lemma12_by_elements(ctx, beta, table)
+    level = ctx.levels[beta]
+    labels = ctx.iteration.stages[beta].poset.labels
+    aposet = ctx.iteration.stages[ctx.alpha].poset
+    G = ctx.G
+    A = ctx.source_algebras[beta]
+    B = level.algebra
+    atom_images = [(1 << a, level.pi_prime[1 << a]) for a in A.base.atoms]
+    checked = 0
+    for ci, qc in enumerate(level.pi):
+        if qc is None:
+            continue
+        qu = B.principal(qc)
+        if not B.leq(qu, level.pi_prime[A.principal(ci)]):
+            return False, {"direction": "forward", "condition": labels[ci]}
+        bstar = 0
+        for a, image in atom_images:
+            if image & qu:
+                bstar |= a
+        prefix, row = table[ci]
+        if not any(row.get(s) is not None and A.leq(A.principal(row[s]), bstar)
+                   for s in _mask_bits(G.mask & aposet.below[prefix])):
+            return False, {"direction": "backward", "condition": labels[ci]}
+        checked += 1
+    return True, {"checks": checked}
+
+
+def _lemma12_by_elements(ctx: ProjectionContext, beta: int, table: list):
+    """L12 checked at every source element b and defined condition: the
+    path for a pi_prime that is not a homomorphism, and the tests' oracle
+    for :func:`_lemma12`.  ``checks`` counts (element, condition) pairs."""
     level = ctx.levels[beta]
     src = ctx.iteration.stages[beta]
     aposet = ctx.iteration.stages[ctx.alpha].poset
@@ -607,48 +722,62 @@ def _lemma12(ctx: ProjectionContext, beta: int, table: list):
     return True, {"checks": checked}
 
 
-def _lemma13(ctx: ProjectionContext, table: list):
-    """U_{p1,p2} = {s : s-frown-p1 == s-frown-p2} is a regular cut of P_alpha."""
+def _lemma13(ctx: ProjectionContext, table: list, groups: dict):
+    """U_{p1,p2} = {s : s-frown-p1 == s-frown-p2} is a regular cut of
+    P_alpha, for every pair with one alpha-prefix.  U_{p1,p2} collects the
+    s at which p2 lies in p1's s-frown class; each distinct cut is tested
+    once, and the first failing pair in (p1, p2) order is reported."""
     aposet = ctx.iteration.stages[ctx.alpha].poset
+    regular: dict[int, bool] = {}
     checked = 0
-    for ci, cj, _, row_i, row_j in _same_prefix_pairs(table):
-        mask = 0
-        for s, si in row_i.items():
-            if si is not None and si == row_j.get(s):
-                mask |= 1 << s
-        checked += 1
-        if not aposet.is_downward_closed(mask) or \
-                regularize(mask, aposet) != mask:
-            return False, {"pair": (ci, cj), "cut": f"{mask:#x}"}
+    for ci, (r, row) in enumerate(table):
+        members, classes = groups[r]
+        cuts = dict.fromkeys(_mask_bits(members), 0)
+        for s, si in row.items():
+            if si is not None:
+                for cj in _mask_bits(classes[s][si]):
+                    cuts[cj] |= 1 << s
+        checked += len(cuts)
+        for cj, mask in cuts.items():
+            ok = regular.get(mask)
+            if ok is None:
+                ok = regular[mask] = aposet.is_downward_closed(mask) and \
+                    regularize(mask, aposet) == mask
+            if not ok:
+                return False, {"pair": (ci, cj), "cut": f"{mask:#x}"}
     return True, {"pairs": checked}
 
 
-def _lemma14(ctx: ProjectionContext, beta: int, table: list, siblings: list):
+def _lemma14(ctx: ProjectionContext, beta: int, table: list, groups: dict,
+             siblings: list):
     """If r <= p and every generic containing r projects tail p1 below tail
-    q1, then r-frown-p1 <= r-frown-q1 already in P_beta."""
+    q1, then r-frown-p1 <= r-frown-q1 already in P_beta.  For fixed p1 and
+    r the q1 of p1's group fall into r-frown classes, one premise bit test
+    and one order test per class; the first failing (p1, q1, r) is
+    reported."""
     astage = ctx.iteration.stages[ctx.alpha]
     src = ctx.iteration.stages[beta]
+    labels = src.poset.labels
+    below = src.poset.below
+    forced_below = _forced(astage, [_below_rows(lvl) for lvl in siblings],
+                           len(table))
     checked = 0
-    for ci, cj, _, row_i, row_j in _same_prefix_pairs(table):
-        for r, ri in row_i.items():
-            rj = row_j.get(r)
-            if ri is None or rj is None:
+    for ci, (prefix, row) in enumerate(table):
+        classes = groups[prefix][1]
+        failed = []
+        for r, ri in row.items():
+            if ri is None:
                 continue
-            premise = True
-            for gen2, lvl2 in zip(astage.generics, siblings):
-                if r not in gen2:
-                    continue
-                ii, jj = lvl2.pi[ri], lvl2.pi[rj]
-                if ii is None or jj is None or \
-                        not lvl2.stage.poset.leq(ii, jj):
-                    premise = False
-                    break
-            if not premise:
-                continue
-            checked += 1
-            if not src.poset.leq(ri, rj):
-                return False, {"r": astage.poset.labels[r],
-                               "pair": (src.poset.labels[ci], src.poset.labels[cj])}
+            premise = forced_below(r, ri)
+            for rj, cjs in classes[r].items():
+                if premise >> rj & 1:
+                    checked += cjs.bit_count()
+                    if not below[rj] >> ri & 1:
+                        failed.append((_lowest(cjs), r))
+        if failed:
+            cj, r = min(failed)
+            return False, {"r": astage.poset.labels[r],
+                           "pair": (labels[ci], labels[cj])}
     return True, {"checks": checked}
 
 
@@ -748,8 +877,7 @@ class _ShiftedProvider(StepProvider):
         self.stage_count = base.stage_count - alpha
 
     def step(self, n: int, ctx: StepContext) -> Poset | None:
-        shifted = StepContext(ctx.stage, ctx.gen_index,
-                              self.gpath + ctx.path, ctx.stages)
+        shifted = StepContext(ctx.stage, ctx.gen_index, self.gpath + ctx.path)
         return self.base.step(n + self.alpha, shifted)
 
 

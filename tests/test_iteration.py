@@ -384,7 +384,7 @@ class TestCifs:
         s1 = it.stages[1]
         infos = []
         for gi in range(len(s1.generics)):
-            prov.step(1, StepContext(s1, gi, s1.paths[gi], it.stages))
+            prov.step(1, StepContext(s1, gi, s1.paths[gi]))
             infos.append(prov.info[(1, s1.paths[gi])])
         assert len({tuple(h.code for h in i.structure) for i in infos}) > 1
         assert len({i.witnesses[0] for i in infos}) > 1

@@ -17,11 +17,14 @@ from forcinglab.names import (Name, NameUniverse, TruthSession, check_name,
 from forcinglab.poset import (_mask_bits, antichain_with_top, point_poset,
                               regularize)
 from forcinglab.projection import (ProjectionError, _frown_table, _lemma11,
-                                   _lemma13, _lemma14, factor_generic,
-                                   make_context, verify_corollary15,
-                                   verify_lemma20_analogue,
+                                   _lemma12, _lemma12_by_elements, _lemma13,
+                                   _lemma14, _level_facts, _prefix_groups,
+                                   factor_generic, make_context,
+                                   verify_corollary15, verify_lemma20_analogue,
                                    verify_projection_lemmas, verify_theorem2)
+from forcinglab.report import SuiteReport
 
+import lemma_oracle
 from universes import working_universe
 
 A2 = antichain_with_top(2)
@@ -427,12 +430,31 @@ class TestLemmaControls:
         assert [c.status for c in l3] == ["fail"]
         assert len(l3[0].detail["missing"]) == ctx.levels[2].stage.poset.n - 1
 
+    @staticmethod
+    def l11(ctx, table, siblings):
+        """L11 on a possibly corrupted table, checked against the oracle."""
+        got = _lemma11(ctx, 2, table, _prefix_groups(table), siblings)
+        assert got == lemma_oracle.lemma11(ctx, 2, table, siblings)
+        return got
+
+    @staticmethod
+    def l13(ctx, table):
+        got = _lemma13(ctx, table, _prefix_groups(table))
+        assert got == lemma_oracle.lemma13(ctx, table)
+        return got
+
+    @staticmethod
+    def l14(ctx, table, siblings):
+        got = _lemma14(ctx, 2, table, _prefix_groups(table), siblings)
+        assert got == lemma_oracle.lemma14(ctx, 2, table, siblings)
+        return got
+
     def test_the_real_table_passes_l11_l13_and_l14(self, worked):
         _, ctx = worked
         table, siblings = self.inputs(ctx, 2)
-        assert _lemma11(ctx, 2, table, siblings)[0]
-        assert _lemma13(ctx, table)[0]
-        assert _lemma14(ctx, 2, table, siblings)[0]
+        assert self.l11(ctx, table, siblings)[0]
+        assert self.l13(ctx, table)[0]
+        assert self.l14(ctx, table, siblings)[0]
 
     def test_an_emptied_row_fails_l11(self, worked):
         # the top condition's prefix lies in G and it is forced equal to
@@ -441,8 +463,47 @@ class TestLemmaControls:
         table, siblings = self.inputs(ctx, 2)
         top = it.stages[2].poset.top
         table[top] = (table[top][0], {})
-        ok, detail = _lemma11(ctx, 2, table, siblings)
+        ok, detail = self.l11(ctx, table, siblings)
         assert not ok and detail["pair"] == ("<>", "<>")
+
+    def test_corrupted_rows_fail_l12_through_the_adjoint(self, worked):
+        # pi_prime is a homomorphism, so L12 takes one test per direction
+        # and condition; with no s-frown of the top condition left, no s
+        # restores forcing below its b*
+        it, ctx = worked
+        assert _level_facts(ctx, 2).hom.ok
+        table, _ = self.inputs(ctx, 2)
+        assert _lemma12(ctx, 2, table, True) == (
+            True, {"checks": sum(q is not None for q in ctx.levels[2].pi)})
+        top = it.stages[2].poset.top
+        row = table[top][1]
+        for corrupted in ({}, dict.fromkeys(row, top)):
+            # the second row sends every s to the top, whose principal
+            # element is one: it lies below no b* short of one, and here
+            # b* misses the atoms outside G
+            table[top] = (table[top][0], corrupted)
+            ok, detail = _lemma12(ctx, 2, table, True)
+            assert not ok and detail == {"direction": "backward",
+                                         "condition": "<>"}
+            assert not _lemma12_by_elements(ctx, 2, table)[0]
+
+    def test_a_raised_projection_fails_l12_forward(self, worked):
+        # sending a condition below the top to the quotient top keeps
+        # pi_prime a homomorphism, but its principal element no longer
+        # forces what its image forces
+        it, ctx = worked
+        level = ctx.levels[2]
+        ci = next(c for c, q in enumerate(level.pi)
+                  if q is not None and q != level.stage.poset.top)
+        pi = list(level.pi)
+        pi[ci] = level.stage.poset.top
+        raised = dataclasses.replace(
+            ctx, levels={**ctx.levels, 2: dataclasses.replace(level, pi=pi)})
+        table, _ = self.inputs(ctx, 2)
+        ok, detail = _lemma12(raised, 2, table, True)
+        assert not ok and detail == {"direction": "forward",
+                                     "condition": it.stages[2].poset.labels[ci]}
+        assert not _lemma12_by_elements(raised, 2, table)[0]
 
     def test_a_missing_top_entry_fails_l13(self, worked):
         # U_{top,top} loses the top of P_alpha, which no regular cut does
@@ -450,16 +511,44 @@ class TestLemmaControls:
         table, _ = self.inputs(ctx, 2)
         top, atop = it.stages[2].poset.top, it.stages[1].poset.top
         table[top] = (table[top][0], {**table[top][1], atop: None})
-        ok, detail = _lemma13(ctx, table)
+        ok, detail = self.l13(ctx, table)
         assert not ok and detail["pair"] == (top, top)
+
+    def test_l13_regularizes_each_distinct_cut_once(self, monkeypatch):
+        it = build_iteration(TableProvider([
+            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        ctx = make_context(it, 1, 0)
+        table = _frown_table(ctx, 3)
+        cuts = []
+
+        def counted(mask, poset):
+            cuts.append(mask)
+            return regularize(mask, poset)
+
+        monkeypatch.setattr(projection, "regularize", counted)
+        ok, detail = _lemma13(ctx, table, _prefix_groups(table))
+        assert ok and 0 < len(cuts) == len(set(cuts)) < detail["pairs"]
+
+    @staticmethod
+    def collapsed(siblings):
+        """Siblings projecting every condition to one class, so that every
+        premise of L11 and L14 holds."""
+        return [dataclasses.replace(lvl, pi=[0] * len(lvl.pi))
+                for lvl in siblings]
+
+    def test_siblings_collapsing_every_class_fail_l11(self, worked):
+        # distinct conditions with no common s-frown now count as forced
+        # equal; on real siblings no two distinct conditions are
+        _, ctx = worked
+        table, siblings = self.inputs(ctx, 2)
+        ok, detail = self.l11(ctx, table, self.collapsed(siblings))
+        assert not ok and detail["pair"] == ("<>", "<1;{0:0,1:0}>")
 
     def test_siblings_collapsing_every_class_fail_l14(self, worked):
         # every premise holds, so incomparable conditions break the order
         _, ctx = worked
         table, siblings = self.inputs(ctx, 2)
-        collapsed = [dataclasses.replace(lvl, pi=[0] * len(lvl.pi))
-                     for lvl in siblings]
-        ok, detail = _lemma14(ctx, 2, table, collapsed)
+        ok, detail = self.l14(ctx, table, self.collapsed(siblings))
         assert not ok and "r" in detail
 
     def test_one_canonicalization_per_condition_and_s(self, monkeypatch):
@@ -480,6 +569,52 @@ class TestLemmaControls:
                 bin(astage.poset.below[ctx.prefix_index(beta, ci)]).count("1")
                 for ci in range(it.stages[beta].poset.n))
             assert 0 < calls[beta] <= bound, (beta, calls[beta], bound)
+
+
+class TestLemmaOracle:
+    """L11-L14 read per-level relations; the pair-by-pair oracle must give
+    the same statuses everywhere and, except L12's redefined ``checks``
+    count, the same details."""
+
+    LEMMAS = ("L11-merge-below", "L12-forcing-transport",
+              "L13-equal-tails-regular", "L14-order-reflection")
+
+    @staticmethod
+    def levels(sweep):
+        """(context, beta) for every quotient level of every context."""
+        for _, it in sweep:
+            for alpha in range(1, len(it)):
+                for gi in range(len(it.stages[alpha].generics)):
+                    ctx = make_context(it, alpha, gi)
+                    for beta in range(alpha + 1, len(it) + 1):
+                        yield ctx, beta
+
+    @staticmethod
+    def oracle(ctx, beta) -> list:
+        it = ctx.iteration
+        table = _frown_table(ctx, beta)
+        siblings = [make_context(it, ctx.alpha, g).levels[beta]
+                    for g in range(len(it.stages[ctx.alpha].generics))]
+        return [lemma_oracle.lemma11(ctx, beta, table, siblings),
+                _lemma12_by_elements(ctx, beta, table),
+                lemma_oracle.lemma13(ctx, table),
+                lemma_oracle.lemma14(ctx, beta, table, siblings)]
+
+    def test_every_level_of_the_acceptance_sweep(self, default_sweep):
+        compared = 0
+        for ctx, beta in self.levels(default_sweep):
+            rep = SuiteReport()
+            projection._lemmas_at_level(ctx, beta, rep, "oracle")
+            got = [(c.check, c.status == "pass", c.detail)
+                   for c in rep.checks if c.check in self.LEMMAS]
+            want = [(check, ok, detail) for check, (ok, detail)
+                    in zip(self.LEMMAS, self.oracle(ctx, beta))]
+            where = (ctx.iteration.provider.tables, ctx.alpha, ctx.gen_index, beta)
+            assert [g[:2] for g in got] == [w[:2] for w in want], where
+            assert [g for g in got if g[0] != "L12-forcing-transport"] == \
+                [w for w in want if w[0] != "L12-forcing-transport"], where
+            compared += 1
+        assert compared > 500
 
 
 def _with_pi_prime(ctx, beta, pi_prime):
