@@ -366,15 +366,6 @@ def is_regular_cut(u: int, poset: Poset) -> bool:
     return poset.is_downward_closed(u) and regularize(u, poset) == u
 
 
-def cut_of_atom_set(atom_mask: int, poset: Poset) -> int:
-    """The regular cut {p : atoms(p) <= atom_mask}."""
-    out = 0
-    for p in range(poset.n):
-        if not poset.atoms_below(p) & ~atom_mask:
-            out |= 1 << p
-    return out
-
-
 # -- small builders and isomorph-reduced generation ----------------------
 
 

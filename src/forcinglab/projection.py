@@ -6,7 +6,8 @@ together with the three maps:
 
     pi        conditions with their alpha-prefix in G  ->  quotient conditions
     pi_prime  algebra elements                         ->  quotient algebra elements
-              (pointwise image of the element's cut, then regularization)
+              (pointwise image of the element's cut, then regularization:
+              the atoms below some image point)
     pi_second names                                    ->  names
               (structural recursion, elements through pi_prime)
 
@@ -236,13 +237,16 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
             raise ProjectionError(f"quotient generic with no source generic at level {beta}")
         algebra = ro_algebra(qstage.poset, max_base=caps.algebra_max_base)
         A = source_algebras[beta]
+        # the atoms of the regularized image of a cut are the atoms below
+        # some image point, so each source condition contributes its
+        # image's atom row
+        up = [0 if q is None else qstage.poset.atoms_below(q) for q in pi]
         pi_prime: dict[int, int] = {}
         for x in A.elements:
             img = 0
             for p in _mask_bits(A.cut(x)):
-                if pi[p] is not None:
-                    img |= 1 << pi[p]
-            pi_prime[x] = regularize(img, qstage.poset) & qstage.poset.atom_mask
+                img |= up[p]
+            pi_prime[x] = img
         levels[beta] = QuotientLevel(beta, qstage, pi, combine, algebra, pi_prime)
 
     iteration.context_cache[cache_key] = ctx
@@ -374,6 +378,12 @@ def verify_theorem2(ctx: ProjectionContext, instance: str = "adhoc",
     transport through the maps (item 1 for the level's own map).  A failure
     of item 2 is witnessed by a rank-1 quotient name, of item 3 by a source
     pair of rank at most 2; a stale cached name image fails both.
+
+    Item 1's ``families`` is the number of families the certificate
+    settles, the empty family and every pair of distinct elements;
+    ``violations`` counts a broken zero, a broken one, each element whose
+    complement is not kept and each element whose atom or coatom fold
+    fails (see :func:`certify_complete_hom`).
 
     ``pi_prime_override`` replaces the map in item 1 only.  ``rank`` bounds
     nothing; it stays so that callers passing the run's rank keep working."""

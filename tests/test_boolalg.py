@@ -5,11 +5,14 @@ import pytest
 from forcinglab.boolalg import (AlgebraError, boolean_law_violations,
                                 certify_complete_hom, check_complete_hom,
                                 dense_embedding_violations, ro_algebra)
-from forcinglab.config import CapExceeded
+from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.iteration import TableProvider, build_iteration
 from forcinglab.poset import (all_separative_posets, antichain_with_top,
                               chain_poset, complement_cut, is_regular_cut,
                               point_poset, regularize)
+from forcinglab.projection import _stage_algebra
+
+from algebra_oracle import cut_of_atom_set, fake_binary_witnesses
 
 
 class TestRoAlgebra:
@@ -169,6 +172,33 @@ class TestCertificate:
         assert ("complement", (A.cut(A.zero),), A.cut(A.zero), A.cut(A.one)) \
             in rep.counterexamples
 
+    def test_atom_collapse_fails_sums_at_a_partial_join_and_an_atom(self):
+        # both atoms go to a: the atoms of one fold to a, not to one, and
+        # refolding them breaks at the partial join a and the atom b
+        A = ro_algebra(antichain_with_top(2))
+        ua = A.principal(A.base.labels.index("a"))
+        ub = A.principal(A.base.labels.index("b"))
+        h = {A.zero: A.zero, ua: ua, ub: ua, A.one: A.one}
+        rep = certify_complete_hom(h, A, A)
+        assert not rep.preserves_all_sums
+        sums = [c for c in rep.counterexamples if c[0] == "sum"]
+        assert sums == [("sum", (A.cut(ua), A.cut(ub)), A.cut(ua), A.cut(A.one))]
+        assert fake_binary_witnesses(rep, h, A) == []
+
+    def test_violations_count_failing_elements_per_kind(self):
+        # the zero-one swap on two atoms keeps complement and every atom;
+        # the coatom fold fails at zero alone and the atom fold at one
+        # alone, one violation each, where the pair sweep counts every
+        # failing pair
+        A = ro_algebra(antichain_with_top(2))
+        h = {x: x for x in A.elements}
+        h[A.zero], h[A.one] = A.one, A.zero
+        rep = certify_complete_hom(h, A, A)
+        assert [c[0] for c in rep.counterexamples] == [
+            "zero", "one", "product", "sum"]
+        assert rep.violation_count == 4
+        assert fake_binary_witnesses(rep, h, A) == []
+
     def test_foreign_image_rejected(self):
         A = ro_algebra(antichain_with_top(2))
         with pytest.raises(AlgebraError):
@@ -203,3 +233,15 @@ class TestAtomSetRepresentation:
                 for y in A.elements:
                     assert A.cut(A.meet(x, y)) == A.cut(x) & A.cut(y)
                     assert A.cut(A.join(x, y)) == regularize(A.cut(x) | A.cut(y), base)
+
+    def test_cuts_are_the_atom_set_oracle(self, default_sweep):
+        # the cuts built alongside the subsets, on the small algebras and
+        # on every stage algebra of the acceptance sweep
+        stages = (_stage_algebra(it, beta, DEFAULT_CAPS)
+                  for _, it in default_sweep for beta in range(len(it) + 1))
+        checked = 0
+        for A in itertools.chain(self.algebras(), stages):
+            for x in A.elements:
+                assert A._cuts[x] == cut_of_atom_set(x, A.base)
+            checked += 1
+        assert checked > 300

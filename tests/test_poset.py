@@ -195,6 +195,16 @@ class TestCutCalculus:
                 assert closed | mask == closed
                 assert (closed == mask) == is_regular_cut(mask, p)
 
+    def test_regularized_atoms_are_the_atoms_below_some_point(self):
+        # an atom meets u's closure iff it lies below a point of u: the
+        # identity that reads pi_prime off atom rows
+        for p in all_separative_posets(5):
+            for u in range(1 << p.n):
+                below = 0
+                for q in _mask_bits(u):
+                    below |= p.atoms_below(q)
+                assert regularize(u, p) & p.atom_mask == below
+
     def test_principal_cuts_regular_in_separative_posets(self):
         for p in all_separative_posets(6):
             for x in range(p.n):

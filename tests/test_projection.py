@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from forcinglab import projection
+from forcinglab.boolalg import certify_complete_hom
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import constants, parse_formula
 from forcinglab.generic import dense_subsets
@@ -19,11 +20,13 @@ from forcinglab.poset import (_mask_bits, antichain_with_top, point_poset,
 from forcinglab.projection import (ProjectionError, _frown_table, _lemma11,
                                    _lemma12, _lemma12_by_elements, _lemma13,
                                    _lemma14, _level_facts, _prefix_groups,
+                                   _transport_witness,
                                    factor_generic, make_context,
                                    verify_corollary15, verify_lemma20_analogue,
                                    verify_projection_lemmas, verify_theorem2)
 from forcinglab.report import SuiteReport
 
+import algebra_oracle
 import lemma_oracle
 from universes import working_universe
 
@@ -284,6 +287,8 @@ class TestTheorem2:
             item1, item3 = got["item1-complete-hom"], got["item3-atomic-transport"]
             assert item3.status == "fail"
             kinds.add(item1.detail["counterexamples"][0][0])
+            assert algebra_oracle.fake_binary_witnesses(
+                _level_facts(bad, 2).hom, swapped, A) == []
             shape, xt, yt = item3.detail["counterexample"]
             x, y = by_text[xt], by_text[yt]
             px, py = bad.pi_second(2, x), bad.pi_second(2, y)
@@ -617,6 +622,41 @@ class TestLemmaOracle:
         assert compared > 500
 
 
+class TestHomCertificateOracle:
+    """The atom and coatom folds against the pair sweep: equal flags and
+    family counts, and every product or sum witness a real violation."""
+
+    def test_every_level_and_every_small_perturbation(self, default_sweep):
+        # each single-entry change of pi_prime on the levels whose source
+        # algebra has at most 16 elements
+        levels = perturbed = 0
+        verdicts = set()
+        for ctx, beta in TestLemmaOracle.levels(default_sweep):
+            A, level = ctx.source_algebras[beta], ctx.levels[beta]
+            B, h = level.algebra, level.pi_prime
+            maps = [h]
+            if len(A) <= 16:
+                maps += [{**h, x: v} for x in A.elements for v in B.elements
+                         if v != h[x]]
+            for m in maps:
+                cert = certify_complete_hom(m, A, B)
+                pairs = algebra_oracle.certify_by_pairs(m, A, B)
+                where = (ctx.iteration.provider.tables, ctx.alpha,
+                         ctx.gen_index, beta, m)
+                assert algebra_oracle.flags(cert) == \
+                    algebra_oracle.flags(pairs), where
+                assert cert.families_checked == pairs.families_checked
+                assert algebra_oracle.fake_binary_witnesses(cert, m, A) == [], where
+                verdicts.add(algebra_oracle.flags(cert))
+                perturbed += m is not h
+            levels += 1
+        assert levels == 608 and perturbed > 1000
+        # the real maps pass and the perturbations fail each flag
+        assert (True,) * 4 in verdicts
+        for i in range(4):
+            assert any(not v[i] for v in verdicts)
+
+
 def _with_pi_prime(ctx, beta, pi_prime):
     """A fresh context whose level beta maps elements by pi_prime."""
     level = dataclasses.replace(ctx.levels[beta], pi_prime=pi_prime)
@@ -628,6 +668,14 @@ class TestSharedFacts:
 
     @staticmethod
     def hom_statuses(ctx):
+        # a failed certificate's pair witnesses are real violations, and
+        # its first violation gives a transport pair of rank at most 2
+        A, hom = ctx.source_algebras[2], _level_facts(ctx, 2).hom
+        assert algebra_oracle.fake_binary_witnesses(
+            hom, ctx.levels[2].pi_prime, A) == []
+        if not hom.ok:
+            _, x, y = _transport_witness(hom, A)
+            assert x.rank <= 2 and y.rank <= 2
         checks = verify_theorem2(ctx, instance="control").checks + \
             verify_projection_lemmas(ctx, instance="control").checks
         return {c.check: c.status for c in checks if c.check in
@@ -653,6 +701,21 @@ class TestSharedFacts:
         assert self.hom_statuses(_with_pi_prime(ctx, 2, constant)) == {
             "item1-complete-hom": "fail", "L6-complement": "fail",
             "L7-products": "pass"}
+
+    def test_complement_swap_fails_item1_and_l7_at_a_pair(self, worked):
+        # swapping the images of x and -x keeps zero, one and complement,
+        # so the first violation is a binary meet
+        _, ctx = worked
+        A, level = ctx.source_algebras[2], ctx.levels[2]
+        B, h = level.algebra, level.pi_prime
+        x = next(x for x in A.elements if h[x] not in (B.zero, B.one))
+        swapped = {**h, x: h[A.complement(x)], A.complement(x): h[x]}
+        bad = _with_pi_prime(ctx, 2, swapped)
+        assert self.hom_statuses(bad) == {
+            "item1-complete-hom": "fail", "L6-complement": "pass",
+            "L7-products": "fail"}
+        kind, family, _, _ = _level_facts(bad, 2).hom.counterexamples[0]
+        assert kind == "product" and len(family) == 2
 
     def test_a_replaced_map_gets_its_own_name_images(self, worked):
         # the pi_second memo is per level: a copy with another pi_prime
