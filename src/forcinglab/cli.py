@@ -18,7 +18,6 @@ import argparse
 import hashlib
 import itertools
 import json
-import random
 import sys
 import time
 from collections import Counter
@@ -213,7 +212,8 @@ def _step_catalog(max_poset: int) -> list[Poset | None]:
 
 def _tree_canon(iteration: Iteration, catalog_index: dict) -> tuple:
     """Canonical form of the provider behavior tree, minimized per node over
-    the step poset's automorphisms acting on its atoms."""
+    the step poset's automorphisms acting on its atoms; each child subtree's
+    form is built once and rearranged per automorphism."""
     stages = iteration.stages
 
     def canon(n: int, path: tuple) -> tuple:
@@ -227,13 +227,10 @@ def _tree_canon(iteration: Iteration, catalog_index: dict) -> tuple:
             if child_stage.path_index.get(path + (None,)) is None:
                 return (label,)
             return (label, canon(n + 1, path + (None,)))
-        label = f"q{catalog_index[id(q)]}"
-        best = None
-        for sigma in q.automorphisms():
-            arranged = tuple(canon(n + 1, path + (sigma[a],)) for a in q.atoms)
-            if best is None or arranged < best:
-                best = arranged
-        return (label, best)
+        forms = {a: canon(n + 1, path + (a,)) for a in q.atoms}
+        return (f"q{catalog_index[id(q)]}",
+                min(tuple(forms[sigma[a]] for a in q.atoms)
+                    for sigma in q.automorphisms()))
 
     return canon(0, ())
 
@@ -242,11 +239,11 @@ def generate_instances(config: ExperimentConfig) -> list[tuple[InstanceSpec, Ite
     """Deterministic isomorph-reduced stream of providers within the bounds:
     every separative step poset within size, every table, every stage count
     up to the bound, each extending its parent's final stage by one stage.
-    The seed fixes the final ordering."""
+    Instances come in instance-id order; the seed plays no part."""
     caps = config.caps()
     catalog = _step_catalog(config.max_poset)
     catalog_index = {id(p): i for i, p in enumerate(catalog) if p is not None}
-    seen: dict[tuple, InstanceSpec] = {}
+    seen: set[tuple] = set()
     out: list[tuple[InstanceSpec, Iteration]] = []
 
     def record(iteration: Iteration):
@@ -266,7 +263,7 @@ def generate_instances(config: ExperimentConfig) -> list[tuple[InstanceSpec, Ite
                 catalog_used[key] = option
         spec = InstanceSpec(iid, tables, option_key, catalog_used,
                             iteration.partial, canon)
-        seen[canon] = spec
+        seen.add(canon)
         out.append((spec, iteration))
 
     def rec(iteration: Iteration):
@@ -288,7 +285,6 @@ def generate_instances(config: ExperimentConfig) -> list[tuple[InstanceSpec, Ite
 
     rec(build_iteration(TableProvider([]), caps))
     out.sort(key=lambda pair: pair[0].instance_id)
-    random.Random(config.seed).shuffle(out)
     return out
 
 

@@ -46,7 +46,8 @@ class Poset:
 
     __slots__ = (
         "n", "top", "labels", "below", "above", "compat",
-        "full_mask", "atom_mask", "_atoms", "_canonical_key", "_separative",
+        "full_mask", "atom_mask", "_atoms", "_canonical_key", "_automorphisms",
+        "_separative",
     )
 
     def __init__(self, below: Sequence[int], top: int,
@@ -99,6 +100,8 @@ class Poset:
         if len(self.labels) != n:
             raise PosetError("label count does not match element count")
         self._canonical_key = None
+        self._automorphisms = None
+        # separativity witness, or () once a scan found none
         self._separative = None
 
     # -- basic queries -------------------------------------------------
@@ -139,7 +142,9 @@ class Poset:
         """Isomorphism-invariant key: lexicographically least relation matrix.
 
         Brute force over permutations, pruned by local invariants; intended
-        for desk-scale posets only (n <= perm_max).
+        for desk-scale posets only (n <= perm_max).  The relabelings that
+        reach the least matrix differ exactly by automorphisms, so the same
+        search also fills :meth:`automorphisms`.
         """
         if self._canonical_key is not None:
             return self._canonical_key
@@ -153,10 +158,18 @@ class Poset:
             groups.setdefault(inv[p], []).append(p)
         ordered_groups = [groups[k] for k in sorted(groups)]
         best = None
+        winners: list[tuple[int, ...]] = []
         for perm in self._group_perms(ordered_groups):
             key = self._matrix_key(perm)
             if best is None or key < best:
-                best = key
+                best, winners = key, [tuple(perm)]
+            elif key == best:
+                winners.append(tuple(perm))
+        # w0^-1 . w for every winner w, with w0 the first winner
+        w0_inv = [0] * n
+        for p, s in enumerate(winners[0]):
+            w0_inv[s] = p
+        self._automorphisms = [tuple(w0_inv[s] for s in w) for w in winners]
         self._canonical_key = (n, best)
         return self._canonical_key
 
@@ -201,34 +214,15 @@ class Poset:
         return bytes(out)
 
     def automorphisms(self) -> list[tuple[int, ...]]:
-        """All order-preserving permutations of the elements."""
-        n = self.n
-        inv = self._invariants()
-        cand = [[q for q in range(n) if inv[q] == inv[p]] for p in range(n)]
-        out: list[tuple[int, ...]] = []
-        perm = [-1] * n
-        used = [False] * n
-        def rec(p: int):
-            if p == n:
-                out.append(tuple(perm))
-                return
-            for q in cand[p]:
-                if used[q]:
-                    continue
-                ok = True
-                for r in range(p):
-                    if self.leq(r, p) != self.leq(perm[r], q) or \
-                       self.leq(p, r) != self.leq(q, perm[r]):
-                        ok = False
-                        break
-                if ok:
-                    perm[p] = q
-                    used[q] = True
-                    rec(p + 1)
-                    used[q] = False
-            perm[p] = -1
-        rec(0)
-        return out
+        """All order-preserving permutations of the elements, as found by
+        :meth:`canonical_key`'s search and cached with it.
+
+        Capped like that search at 9 elements (CanonicalFormError beyond);
+        every catalog poset is within the cap, since
+        :func:`_posets_with_top` keys each one by its canonical form.
+        """
+        self.canonical_key()
+        return self._automorphisms
 
 
 class CanonicalFormError(RuntimeError):
@@ -286,20 +280,20 @@ def validate_poset(elements: Iterable, leq_pairs: Iterable[tuple], top) -> Poset
 # -- separativity and quotients -----------------------------------------
 
 
+def separativity_witness(poset: Poset) -> tuple[int, int] | None:
+    """The first (p, q) with p not below q although every extension of p is
+    compatible with q, or None when the poset is separative."""
+    if poset._separative is None:
+        poset._separative = next(
+            ((p, q) for p in range(poset.n) for q in range(poset.n)
+             if not poset.leq(p, q) and not poset.below[p] & ~poset.compat[q]),
+            ())
+    return poset._separative or None
+
+
 def is_separative(poset: Poset) -> bool:
     """Whenever p is not below q, some extension of p is incompatible with q."""
-    if poset._separative is not None:
-        return poset._separative
-    ok = True
-    for p in range(poset.n):
-        for q in range(poset.n):
-            if not poset.leq(p, q) and not poset.below[p] & ~poset.compat[q]:
-                ok = False
-                break
-        if not ok:
-            break
-    poset._separative = ok
-    return ok
+    return separativity_witness(poset) is None
 
 
 def separative_quotient(poset: Poset) -> tuple[Poset, tuple[int, ...]]:

@@ -629,7 +629,14 @@ def _lemma11(ctx: ProjectionContext, beta: int, table: list, groups: dict,
     """r in G with forced-equal projected tails: some s in G below r glues
     the two conditions into literal equality.  A pair is glued at s when
     both lie in one s-frown class of their group; the first failing pair
-    in (p, q) order is reported."""
+    in (p, q) order is reported.
+
+    On the `--max-poset 3 --max-stages 3` sweep the premise holds for
+    4,910 pairs over 608 quotient levels (4,886 over the 606 levels of
+    total instances), all of them diagonal, so there this checks that
+    each condition with prefix r in G has a defined s-frown at some s in G
+    below r.  Only the collapsed-siblings control exercises the pairwise
+    part."""
     G = ctx.G
     astage = ctx.iteration.stages[ctx.alpha]
     labels = ctx.iteration.stages[beta].poset.labels

@@ -14,8 +14,9 @@ from forcinglab.cli import (ExperimentConfig, execute, format_poset_text,
                             write_report)
 from forcinglab.config import CapExceeded
 from forcinglab.iteration import TableProvider, build_iteration
-from forcinglab.poset import antichain_with_top, diamond_poset
+from forcinglab.poset import Poset, antichain_with_top, diamond_poset
 
+from generation_oracle import tree_canon_per_automorphism
 from test_iteration import stage_facts
 
 
@@ -77,10 +78,12 @@ class TestGeneration:
              generate_instances(ExperimentConfig(max_poset=3, max_stages=2, seed=5))]
         assert a == b
 
-    def test_seed_shuffles_order_not_content(self):
+    def test_seed_changes_neither_content_nor_order(self):
         a = generate_instances(ExperimentConfig(max_poset=3, max_stages=2, seed=1))
         b = generate_instances(ExperimentConfig(max_poset=3, max_stages=2, seed=2))
         assert {s.instance_id for s, _ in a} == {s.instance_id for s, _ in b}
+        ids = [s.instance_id for s, _ in a]
+        assert ids == [s.instance_id for s, _ in b] == sorted(ids)
 
     @pytest.mark.parametrize("max_stage_conditions", [None, 512])
     def test_instances_equal_a_build_from_their_tables(
@@ -134,6 +137,34 @@ class TestGeneration:
         assert visited == 273
         assert calls["extend_stage"] <= visited
         assert calls["build_iteration"] <= 1
+
+    @pytest.mark.parametrize("bounds", [(3, 3), (4, 2)])
+    def test_tree_canon_equals_the_per_automorphism_oracle(self, default_sweep,
+                                                           bounds):
+        config = ExperimentConfig(max_poset=bounds[0], max_stages=bounds[1])
+        instances = default_sweep if bounds == (3, 3) else generate_instances(config)
+        assert len(instances) == {(3, 3): 100, (4, 2): 38}[bounds]
+        catalog = cli._step_catalog(config.max_poset)
+        catalog_index = {id(p): i for i, p in enumerate(catalog) if p is not None}
+        for spec, it in instances:
+            assert cli._tree_canon(it, catalog_index) == \
+                tree_canon_per_automorphism(it, catalog_index), spec.instance_id
+
+    def test_generation_runs_no_invariant_search(self, monkeypatch):
+        # the catalog's canonical-key searches already found every
+        # automorphism that generation needs
+        catalog = cli._step_catalog(3)
+        calls = Counter()
+
+        def counted(self, _fn=Poset._invariants):
+            calls["invariants"] += 1
+            return _fn(self)
+
+        monkeypatch.setattr(Poset, "_invariants", counted)
+        generate_instances(ExperimentConfig(max_poset=3, max_stages=3))
+        assert calls["invariants"] == 0
+        q = catalog[-1]
+        assert q.automorphisms() is q.automorphisms()
 
     def test_isomorph_reduction(self):
         # swapping the two step options across the symmetric stage-1 generics

@@ -6,7 +6,9 @@ from forcinglab.poset import (Poset, PosetError, all_posets_with_top,
                               chain_poset, complement_cut, diamond_poset,
                               is_dense_below, is_regular_cut, is_separative,
                               point_poset, regularize, separative_quotient,
-                              validate_poset, _mask_bits)
+                              separativity_witness, validate_poset, _mask_bits)
+
+from generation_oracle import automorphisms_by_search
 
 
 def relabel(poset, perm):
@@ -77,6 +79,20 @@ class TestSeparativity:
     def test_matches_naive_definition_exhaustively(self):
         for p in all_posets_with_top(5):
             assert is_separative(p) == naive_separative(p)
+
+    def test_witness_is_the_first_failing_pair(self):
+        for p in all_posets_with_top(5):
+            pairs = [(x, y) for x in range(p.n) for y in range(p.n)
+                     if not p.leq(x, y) and
+                     all(not p.incompatible(r, y) for r in range(p.n) if p.leq(r, x))]
+            assert separativity_witness(p) == (pairs[0] if pairs else None)
+
+    def test_one_scan_per_poset(self, monkeypatch):
+        p = chain_poset(3)
+        witness = separativity_witness(p)
+        monkeypatch.setattr(Poset, "leq", None)
+        assert separativity_witness(p) == witness
+        assert not is_separative(p)
 
 
 class TestSeparativeQuotient:
@@ -232,6 +248,14 @@ class TestGeneration:
         # the two atoms can swap, the top is fixed
         assert len(antichain_with_top(2).automorphisms()) == 2
         assert len(antichain_with_top(3).automorphisms()) == 6
+
+    def test_automorphisms_equal_the_search_oracle(self):
+        posets = list(all_posets_with_top(6))
+        assert len(posets) == 88
+        for p in posets:
+            got = p.automorphisms()
+            assert len(set(got)) == len(got)
+            assert set(got) == set(automorphisms_by_search(p)), p
 
     def test_relabel_preserves_canonical_key(self):
         p = diamond_poset()
