@@ -153,25 +153,6 @@ def root_stage() -> Stage:
     return Stage(0, ((),), poset, generics, [()], (1,))
 
 
-def _tail_leq(steps: Sequence, gens_i: Iterable[int], tail_i, tail_j) -> bool:
-    """Order on tail coordinates below a prefix with generic set gens_i."""
-    if tail_j is TAIL_ONE:
-        return True
-    tj = dict(tail_j)
-    if tail_i is TAIL_ONE:
-        # acts as the top name only where the step poset exists everywhere
-        for g in gens_i:
-            q = steps[g]
-            if q is None or tj[g] != q.top:
-                return False
-        return True
-    ti = dict(tail_i)
-    for g in gens_i:
-        if not steps[g].leq(ti[g], tj[g]):
-            return False
-    return True
-
-
 def _canonical_tail(prev: Stage, steps: Sequence, prev_idx: int, tail) -> "Coordinate":
     """Restrict a raw tail map to the prefix's generics; all-top becomes 1."""
     if tail is TAIL_ONE:
@@ -206,6 +187,16 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
     Definition-1 successor clause); otherwise only the supplied
     (prefix index, raw tail) pairs are admitted and their placement is
     returned alongside the stage.
+
+    i <= j iff prefix(i) <= prefix(j) at stage n and, at each generic g
+    of prefix(i), tail(i) lies below tail(j), a TAIL_ONE tail reading as
+    top.  So the order is built as lower cones from rows:
+    ``prefix_down[p]`` holds the conditions whose prefix lies below p, and
+    ``tail_down[g][v]`` those whose prefix is outside g, those whose tail
+    at g lies below v, and the TAIL_ONE ones when v is top.  A TAIL_ONE
+    condition's cone is its ``prefix_down``; any other's is that ANDed
+    with ``tail_down[g][t(g)]`` for each generic g of its prefix.  The
+    generics containing a condition are those above the atoms below it.
     """
     n = prev.index
     conditions: list[Condition] = list(prev.conditions)
@@ -248,22 +239,52 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
                 placement.append(place(padded))
 
     # order: prefixes compare at stage n, tails pointwise under the prefix
+    m = len(conditions)
     prev_of = []
     tail_of = []
-    for cond in conditions:
-        prev_of.append(prev.cond_index(trim(cond[:n])))
-        tail_of.append(cond[n] if len(cond) == n + 1 else TAIL_ONE)
-    m = len(conditions)
-    below = [0] * m
-    prev_below = prev.poset.below
-    for i in range(m):
-        pi = prev_of[i]
-        gens_i = list(prev.gens_of(pi))
-        for j in range(m):
-            if not (prev_below[prev_of[j]] >> pi) & 1:
-                continue
-            if _tail_leq(steps, gens_i, tail_of[i], tail_of[j]):
-                below[j] |= 1 << i
+    with_prefix = [0] * prev.poset.n
+    one_mask = 0                      # conditions with tail TAIL_ONE
+    with_value = [None if q is None else [0] * q.n for q in steps]
+    for i, cond in enumerate(conditions):
+        p = prev.cond_index(trim(cond[:n]))
+        prev_of.append(p)
+        with_prefix[p] |= 1 << i
+        if len(cond) == n + 1:
+            tail_of.append(cond[n])
+            for g, e in cond[n]:
+                with_value[g][e] |= 1 << i
+        else:
+            tail_of.append(TAIL_ONE)
+            one_mask |= 1 << i
+    prefix_down = []
+    for p in range(prev.poset.n):
+        mask = 0
+        for r in _mask_bits(prev.poset.below[p]):
+            mask |= with_prefix[r]
+        prefix_down.append(mask)
+    tail_down = []
+    for g, (q, by_value) in enumerate(zip(steps, with_value)):
+        rows = None
+        if q is not None:
+            outside_g = (1 << m) - 1
+            for r in _mask_bits(prev.generics[g].mask):
+                outside_g &= ~with_prefix[r]
+            rows = []
+            for v in range(q.n):
+                mask = outside_g
+                if v == q.top:
+                    mask |= one_mask
+                for u in _mask_bits(q.below[v]):
+                    mask |= by_value[u]
+                rows.append(mask)
+        tail_down.append(rows)
+    below = []
+    for j in range(m):
+        down = prefix_down[prev_of[j]]
+        if tail_of[j] is not TAIL_ONE:
+            for g, v in tail_of[j]:
+                down &= tail_down[g][v]
+        below.append(down)
     poset = Poset(below, index[()], [_cond_label(c) for c in conditions])
     generics = enumerate_generics(poset)
     paths = []
@@ -274,12 +295,13 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
             paths.append(prev.paths[prev_gen] + (None,))
         else:
             paths.append(prev.paths[prev_gen] + (dict(tail)[prev_gen],))
+    # the generics containing i are those above the atoms below i
+    gen_of_atom = {g.atom: gi for gi, g in enumerate(generics)}
     gen_masks = []
     for i in range(m):
         mask = 0
-        for gi, g in enumerate(generics):
-            if (g.mask >> i) & 1:
-                mask |= 1 << gi
+        for a in _mask_bits(poset.atoms_below(i)):
+            mask |= 1 << gen_of_atom[a]
         gen_masks.append(mask)
     stage = Stage(n + 1, tuple(conditions), poset, generics, paths,
                   tuple(gen_masks), tuple(steps))

@@ -39,9 +39,11 @@ class Poset:
     """Immutable finite partial order with a maximal element.
 
     ``below`` must already be reflexive, transitive and antisymmetric; use
-    :func:`validate_poset` to build one from raw pairs.  Instances are safe
-    to share between concurrent workers; nothing is mutated after
-    construction.
+    :func:`validate_poset` to build one from raw pairs.  Two elements are
+    compatible iff some atom lies below both (every element has an atom
+    below it), so ``compat[p]`` is the OR of ``above[a]`` over the atoms a
+    below p.  Instances are safe to share between concurrent workers;
+    nothing is mutated after construction.
     """
 
     __slots__ = (
@@ -62,39 +64,32 @@ class Poset:
                 raise PosetError(f"relation is not reflexive at {p}")
             if below[p] & ~full:
                 raise PosetError(f"dangling element bits below {p}")
+        above = [0] * n
         for p in range(n):
             for q in _mask_bits(below[p]):
                 if q != p and (below[q] >> p) & 1:
                     raise PosetError(f"cycle detected between {p} and {q}")
                 if below[q] & ~below[p]:
                     raise PosetError(f"relation is not transitive at {q} <= {p}")
+                above[q] |= 1 << p
         if below[top] != full:
             raise PosetError(f"top {top} is not above every element")
         self.n = n
         self.top = top
         self.full_mask = full
         self.below = below
-        above = [0] * n
-        for p in range(n):
-            for q in _mask_bits(below[p]):
-                above[q] |= 1 << p
         self.above = tuple(above)
-        # p compatible q  iff  their lower cones intersect
-        compat = [0] * n
+        atoms = tuple(p for p in range(n) if below[p] == 1 << p)
+        self._atoms = atoms
+        self.atom_mask = sum(1 << a for a in atoms)
+        # p compatible q  iff  some atom lies below both
+        compat = []
         for p in range(n):
             m = 0
-            for q in range(n):
-                if below[p] & below[q]:
-                    m |= 1 << q
-            compat[p] = m
+            for a in _mask_bits(below[p] & self.atom_mask):
+                m |= above[a]
+            compat.append(m)
         self.compat = tuple(compat)
-        self.atom_mask = 0
-        atoms = []
-        for p in range(n):
-            if below[p] == 1 << p:
-                atoms.append(p)
-                self.atom_mask |= 1 << p
-        self._atoms = tuple(atoms)
         self.labels = tuple(labels) if labels is not None else tuple(
             f"e{p}" for p in range(n))
         if len(self.labels) != n:
@@ -282,12 +277,24 @@ def validate_poset(elements: Iterable, leq_pairs: Iterable[tuple], top) -> Poset
 
 def separativity_witness(poset: Poset) -> tuple[int, int] | None:
     """The first (p, q) with p not below q although every extension of p is
-    compatible with q, or None when the poset is separative."""
+    compatible with q, or None when the poset is separative.
+
+    Every extension of p is compatible with q iff every atom below p lies
+    below q (each extension has an atom below it), so the q that p fails
+    against are the AND of ``above[a]`` over the atoms a below p, less
+    ``above[p]``; the lowest such q of the lowest such p is the first pair
+    in (p, q) order.
+    """
     if poset._separative is None:
-        poset._separative = next(
-            ((p, q) for p in range(poset.n) for q in range(poset.n)
-             if not poset.leq(p, q) and not poset.below[p] & ~poset.compat[q]),
-            ())
+        poset._separative = ()
+        for p in range(poset.n):
+            common = poset.full_mask
+            for a in _mask_bits(poset.atoms_below(p)):
+                common &= poset.above[a]
+            bad = common & ~poset.above[p]
+            if bad:
+                poset._separative = (p, (bad & -bad).bit_length() - 1)
+                break
     return poset._separative or None
 
 
@@ -424,17 +431,36 @@ def all_separative_posets(max_size: int) -> Iterator[Poset]:
 
 
 def product_poset(components: Sequence[Poset]) -> tuple[Poset, tuple[tuple[int, ...], ...]]:
-    """Componentwise-ordered product; returns the poset and the element tuples."""
+    """Componentwise-ordered product; returns the poset and the element tuples.
+
+    A tuple's lower cone is the AND over k of the tuples whose k-th
+    coordinate lies below its own; that row is the OR of the coordinate
+    classes (tuples with k-th coordinate v) over v in the component's
+    ``below``.
+    """
     if not components:
         return point_poset(), ((),)
     tuples = list(itertools.product(*[range(c.n) for c in components]))
-    index = {t: i for i, t in enumerate(tuples)}
-    below = [0] * len(tuples)
-    for ti, t in enumerate(tuples):
-        for si, s in enumerate(tuples):
-            if all(c.leq(s[k], t[k]) for k, c in enumerate(components)):
-                below[ti] |= 1 << si
-    top = index[tuple(c.top for c in components)]
+    classes = [[0] * c.n for c in components]
+    for i, t in enumerate(tuples):
+        for k, v in enumerate(t):
+            classes[k][v] |= 1 << i
+    rows = []
+    for c, cls in zip(components, classes):
+        row = []
+        for e in range(c.n):
+            m = 0
+            for v in _mask_bits(c.below[e]):
+                m |= cls[v]
+            row.append(m)
+        rows.append(row)
+    below = []
+    for t in tuples:
+        m = -1
+        for row, v in zip(rows, t):
+            m &= row[v]
+        below.append(m)
+    top = tuples.index(tuple(c.top for c in components))
     labels = ["(" + ",".join(components[k].labels[t[k]]
                              for k in range(len(components))) + ")" for t in tuples]
     return Poset(below, top, labels), tuple(tuples)

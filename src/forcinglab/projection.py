@@ -956,12 +956,14 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
         bijective = ok and len(set(mapping)) == len(mapping) == qposet.n
         order_ok = bijective
         if bijective:
-            for i in range(rb.poset.n):
-                for j in range(rb.poset.n):
-                    if rb.poset.leq(i, j) != qposet.leq(mapping[i], mapping[j]):
-                        order_ok = False
-                        break
-                if not order_ok:
+            # a bijection is an order isomorphism iff it carries every
+            # lower cone onto the lower cone of the image
+            for i, row in enumerate(rb.poset.below):
+                image = 0
+                for j in _mask_bits(row):
+                    image |= 1 << mapping[j]
+                if image != qposet.below[mapping[i]]:
+                    order_ok = False
                     break
             # the bridge must match generics atom for atom; the last stage's
             # bridge remaps no later stage, so this is its only check

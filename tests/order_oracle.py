@@ -1,0 +1,87 @@
+"""The pairwise forms of the order kernels, kept as oracles for the
+library's bit-row ones.
+
+Each function here compares elements two at a time.  The library reads the
+same relations off rows: :class:`forcinglab.poset.Poset` builds ``compat``
+from the atoms' upper cones, :func:`forcinglab.poset.separativity_witness`
+ANDs atom rows, :func:`forcinglab.poset.product_poset` ANDs coordinate rows,
+and :func:`forcinglab.iteration.extend_stage` ANDs prefix and tail rows.
+"""
+
+import itertools
+
+from forcinglab.iteration import TAIL_ONE, trim
+from forcinglab.poset import Poset
+
+
+def compat_by_pairs(poset):
+    """compat[p]: the q whose lower cone meets p's."""
+    n = poset.n
+    return tuple(sum(1 << q for q in range(n) if poset.below[p] & poset.below[q])
+                 for p in range(n))
+
+
+def separativity_witness_by_pairs(poset):
+    """The first (p, q) with p not below q and every element below p
+    compatible with q, or None."""
+    return next(
+        ((p, q) for p in range(poset.n) for q in range(poset.n)
+         if not poset.leq(p, q) and not poset.below[p] & ~poset.compat[q]),
+        None)
+
+
+def product_by_pairs(components):
+    """The componentwise order, one pair of tuples at a time; returns the
+    poset and the element tuples, as product_poset does."""
+    tuples = list(itertools.product(*[range(c.n) for c in components]))
+    below = [0] * len(tuples)
+    for ti, t in enumerate(tuples):
+        for si, s in enumerate(tuples):
+            if all(c.leq(s[k], t[k]) for k, c in enumerate(components)):
+                below[ti] |= 1 << si
+    top = tuples.index(tuple(c.top for c in components))
+    labels = ["(" + ",".join(c.labels[e] for c, e in zip(components, t)) + ")"
+              for t in tuples]
+    return Poset(below, top, labels), tuple(tuples)
+
+
+def tail_leq(steps, gens_i, tail_i, tail_j):
+    """Order on tail coordinates below a prefix with generic set gens_i."""
+    if tail_j is TAIL_ONE:
+        return True
+    tj = dict(tail_j)
+    if tail_i is TAIL_ONE:
+        # acts as the top name only where the step poset exists everywhere
+        for g in gens_i:
+            q = steps[g]
+            if q is None or tj[g] != q.top:
+                return False
+        return True
+    ti = dict(tail_i)
+    for g in gens_i:
+        if not steps[g].leq(ti[g], tj[g]):
+            return False
+    return True
+
+
+def stage_order_by_pairs(prev, stage):
+    """The order extend_stage puts on stage's conditions, from prev (the
+    stage it extends) and stage.steps, one pair of conditions at a time;
+    returns (below, gen_masks)."""
+    n = prev.index
+    steps = stage.steps
+    prev_of = [prev.cond_index(trim(c[:n])) for c in stage.conditions]
+    tail_of = [c[n] if len(c) == n + 1 else TAIL_ONE for c in stage.conditions]
+    m = len(stage.conditions)
+    below = [0] * m
+    for i in range(m):
+        gens_i = list(prev.gens_of(prev_of[i]))
+        for j in range(m):
+            if not prev.poset.leq(prev_of[i], prev_of[j]):
+                continue
+            if tail_leq(steps, gens_i, tail_of[i], tail_of[j]):
+                below[j] |= 1 << i
+    gen_masks = tuple(
+        sum(1 << gi for gi, g in enumerate(stage.generics) if (g.mask >> i) & 1)
+        for i in range(m))
+    return below, gen_masks

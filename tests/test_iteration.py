@@ -4,6 +4,8 @@ import tracemalloc
 import pytest
 
 from forcinglab.boolalg import ro_algebra
+from forcinglab.cli import (ExperimentConfig, cifs_dependence_probe,
+                            generate_instances)
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import parse_formula
 from forcinglab.hfset import EMPTY, HFSet, element_code, hfset
@@ -11,14 +13,18 @@ from forcinglab.iteration import (TAIL_ONE, CollapseSpec, Iteration,
                                   ProviderError, StepContext, TableProvider,
                                   build_iteration, canonicalize_condition,
                                   check_lemma1, cifs_toy_iteration,
-                                  collapse_poset, extend_stage,
+                                  collapse_poset, extend_stage, root_stage,
                                   tail_from_name, trim)
 from forcinglab.hfset import kpair
 from forcinglab.names import (NameUniverse, TruthSession, check_name,
                               element_name, empty_name, evaluate, mix_name,
                               pair_name)
 from forcinglab.poset import (Poset, antichain_with_top, chain_poset,
-                              is_separative, point_poset)
+                              is_separative, point_poset, product_poset)
+from forcinglab.projection import make_context
+
+from order_oracle import (product_by_pairs, separativity_witness_by_pairs,
+                          stage_order_by_pairs)
 
 A2 = antichain_with_top(2)
 PT = point_poset()
@@ -150,6 +156,54 @@ class TestBuildIteration:
         it = two_stage_constant()
         for stage in it.stages:
             assert stage.poset.n == len(stage.conditions)
+
+
+class TestStageOrder:
+    """extend_stage's row-built order against the pairwise oracle."""
+
+    @staticmethod
+    def assert_oracle_order(prev, stage):
+        below, gen_masks = stage_order_by_pairs(prev, stage)
+        assert (list(stage.poset.below), stage.gen_masks) == (below, gen_masks), \
+            stage.conditions
+
+    @pytest.mark.parametrize("bounds", [(3, 3), (4, 2)])
+    def test_sweep_stages_equal_the_pairwise_oracle(self, default_sweep, bounds):
+        instances = default_sweep if bounds == (3, 3) else generate_instances(
+            ExperimentConfig(max_poset=bounds[0], max_stages=bounds[1]))
+        # instances extend their parent instance, so stages are shared
+        stages = {}
+        for _, it in instances:
+            for prev, stage in zip(it.stages, it.stages[1:]):
+                stages[id(stage)] = (prev, stage)
+        assert len(stages) == {(3, 3): 114, (4, 2): 41}[bounds]
+        for prev, stage in stages.values():
+            self.assert_oracle_order(prev, stage)
+
+    def test_quotient_stages_equal_the_pairwise_oracle(self, default_sweep):
+        # make_context builds these through extend_stage's explicit_tails
+        checked = 0
+        for _, it in default_sweep:
+            for alpha in range(1, len(it) + 1):
+                for gi in range(len(it.stages[alpha].generics)):
+                    levels = make_context(it, alpha, gi).levels
+                    for beta in range(alpha + 1, len(it) + 1):
+                        self.assert_oracle_order(levels[beta - 1].stage,
+                                                 levels[beta].stage)
+                        checked += 1
+        assert checked == 608
+
+    def test_stage_over_a_non_separative_product_fails_lemma1(self):
+        product, _ = product_poset([A2, chain_poset(3)])
+        root = root_stage()
+        stage = extend_stage(root, [product], DEFAULT_CAPS)
+        self.assert_oracle_order(root, stage)
+        it = Iteration([root, stage], TableProvider([{(): product}]), DEFAULT_CAPS)
+        rep = check_lemma1(it)
+        assert not rep.ok
+        witness = separativity_witness_by_pairs(stage.poset)
+        assert rep.failures[0].detail["witness"] == tuple(
+            stage.poset.labels[p] for p in witness)
 
 
 class TestCanonicalization:
@@ -375,7 +429,9 @@ class TestCifs:
         # collapsing the empty set is the one-point poset
         assert info.components[1].n == 1
 
-    def test_tables_differ_between_generics_when_debris_visible(self):
+    @staticmethod
+    def debris_stage1_infos():
+        """The stage-1 step infos of the CLI's cifs dependence probe."""
         psi = parse_formula(
             "exists y (y in x) & forall y (y in x -> exists z (z in y & exists w (w in z)))")
         prov = cifs_toy_iteration([psi], [(1, 2), (6, 3)])
@@ -386,8 +442,24 @@ class TestCifs:
         for gi in range(len(s1.generics)):
             prov.step(1, StepContext(s1, gi, s1.paths[gi]))
             infos.append(prov.info[(1, s1.paths[gi])])
+        return infos
+
+    def test_tables_differ_between_generics_when_debris_visible(self):
+        infos = self.debris_stage1_infos()
         assert len({tuple(h.code for h in i.structure) for i in infos}) > 1
         assert len({i.witnesses[0] for i in infos}) > 1
+
+    def test_probe_products_need_no_pairwise_order(self, monkeypatch):
+        components = [i.components for i in self.debris_stage1_infos()]
+        want = [product_by_pairs(c) for c in components]
+        assert sorted(p.n for p, _ in want) == [196, 304]
+        # a pairwise loop over the product would call leq
+        monkeypatch.setattr(Poset, "leq", None)
+        assert cifs_dependence_probe(DEFAULT_CAPS).ok
+        for comps, (w, w_tuples) in zip(components, want):
+            got, tuples = product_poset(comps)
+            assert tuples == w_tuples
+            assert (got.below, got.top, got.labels) == (w.below, w.top, w.labels)
 
     def test_capped_stage_is_not_built(self):
         # the debris ladder's stage 2 has tens of thousands of conditions;

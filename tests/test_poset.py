@@ -5,10 +5,13 @@ from forcinglab.poset import (Poset, PosetError, all_posets_with_top,
                               all_separative_posets, antichain_with_top,
                               chain_poset, complement_cut, diamond_poset,
                               is_dense_below, is_regular_cut, is_separative,
-                              point_poset, regularize, separative_quotient,
-                              separativity_witness, validate_poset, _mask_bits)
+                              point_poset, product_poset, regularize,
+                              separative_quotient, separativity_witness,
+                              validate_poset, _mask_bits)
 
 from generation_oracle import automorphisms_by_search
+from order_oracle import (compat_by_pairs, product_by_pairs,
+                          separativity_witness_by_pairs)
 
 
 def relabel(poset, perm):
@@ -93,6 +96,36 @@ class TestSeparativity:
         monkeypatch.setattr(Poset, "leq", None)
         assert separativity_witness(p) == witness
         assert not is_separative(p)
+
+
+class TestOrderKernels:
+    """The bit-row kernels against their pairwise forms in order_oracle."""
+
+    def test_compat_and_witness_equal_the_pairwise_oracle(self):
+        posets = list(all_posets_with_top(6))
+        assert len(posets) == 88
+        for p in posets:
+            assert p.compat == compat_by_pairs(p), p
+            assert separativity_witness(p) == separativity_witness_by_pairs(p), p
+
+    def test_product_equals_the_pairwise_oracle(self):
+        posets = list(all_posets_with_top(4))
+        for a in posets:
+            for b in posets:
+                got, tuples = product_poset([a, b])
+                want, want_tuples = product_by_pairs([a, b])
+                assert tuples == want_tuples
+                assert (got.below, got.top, got.labels) == \
+                    (want.below, want.top, want.labels), (a, b)
+
+    def test_non_separative_component_gives_the_oracle_witness(self):
+        components = [antichain_with_top(2), chain_poset(3)]
+        got, _ = product_poset(components)
+        want, _ = product_by_pairs(components)
+        assert got.below == want.below
+        witness = separativity_witness(got)
+        assert witness is not None
+        assert witness == separativity_witness_by_pairs(want)
 
 
 class TestSeparativeQuotient:
