@@ -17,7 +17,9 @@ alongside in the test suite as the cross-validating oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
@@ -39,6 +41,10 @@ class _TailOne:
 
     def __repr__(self):
         return "1"
+
+    def __reduce__(self):
+        # unpickle to the one instance, which coordinates are compared to
+        return "TAIL_ONE"
 
 
 TAIL_ONE = _TailOne()
@@ -69,8 +75,12 @@ def _cond_label(cond: Condition) -> str:
 @dataclass
 class Stage:
     """One stage of a built iteration, complete once built: canonical
-    conditions, generics and their paths, and the step posets it was built
-    from, one per generic of the previous stage (none at the root)."""
+    conditions, generics and their paths, the step posets it was built
+    from, one per generic of the previous stage, and each condition's
+    ``parent``, the index of its prefix in the previous stage (both empty
+    at the root).  Composing parent rows down to stage k gives every
+    condition's k-prefix without canonicalizing it.  The poset's labels
+    are the conditions' ``<...>`` texts, built on first read."""
 
     index: int
     conditions: tuple[Condition, ...]
@@ -79,6 +89,7 @@ class Stage:
     paths: list[tuple]
     gen_masks: tuple[int, ...]        # per condition: generics containing it
     steps: tuple[Poset | None, ...] = ()
+    parent: tuple[int, ...] = ()
 
     def cond_index(self, cond: Condition) -> int:
         return self._index[cond]
@@ -201,53 +212,61 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
     n = prev.index
     conditions: list[Condition] = list(prev.conditions)
     index = {c: i for i, c in enumerate(conditions)}
+    # per condition, the index of its prefix at stage n: a stage-n
+    # condition is its own prefix
+    prev_of = list(range(len(conditions)))
     placement: list[int] = []
 
-    def place(cond: Condition) -> int:
+    def over_cap() -> CapExceeded:
+        return CapExceeded(f"stage {n + 1} has more conditions than the cap "
+                           f"{caps.max_stage_conditions}")
+
+    def place(prefix: int, coord) -> int:
+        if coord is TAIL_ONE:
+            return prefix
+        cond = prev.conditions[prefix]
+        cond = cond + (TAIL_ONE,) * (n - len(cond)) + (coord,)
         got = index.get(cond)
         if got is None:
             got = len(conditions)
-            # stop at the cap: a capped stage is discarded, so enumerating
-            # the rest of its tails would be wasted work
             if got >= caps.max_stage_conditions:
-                raise CapExceeded(
-                    f"stage {n + 1} has more conditions than the cap "
-                    f"{caps.max_stage_conditions}")
+                raise over_cap()
             index[cond] = got
             conditions.append(cond)
+            prev_of.append(prefix)
         return got
 
     if explicit_tails is None:
-        for ci, cond in enumerate(prev.conditions):
+        # the enumerated conditions are new and pairwise distinct, so the
+        # stage's size is known before any tail is placed, and a capped
+        # stage, which is discarded, costs no enumeration
+        extended = []
+        size = len(conditions)
+        for ci in range(len(conditions)):
             gens = list(prev.gens_of(ci))
-            if any(steps[g] is None for g in gens):
-                continue
+            if all(steps[g] is not None for g in gens):
+                extended.append((ci, gens))
+                size += math.prod(steps[g].n for g in gens) - 1
+        if size > caps.max_stage_conditions:
+            raise over_cap()
+        for ci, gens in extended:
             for combo in itertools.product(*[range(steps[g].n) for g in gens]):
                 if all(e == steps[g].top for e, g in zip(combo, gens)):
                     continue
-                coord = tuple(zip(gens, combo))
-                padded = cond + (TAIL_ONE,) * (n - len(cond)) + (coord,)
-                place(padded)
+                place(ci, tuple(zip(gens, combo)))
     else:
         for prev_idx, tail in explicit_tails:
-            coord = _canonical_tail(prev, steps, prev_idx, tail)
-            cond = prev.conditions[prev_idx]
-            if coord is TAIL_ONE:
-                placement.append(place(cond))
-            else:
-                padded = cond + (TAIL_ONE,) * (n - len(cond)) + (coord,)
-                placement.append(place(padded))
+            placement.append(
+                place(prev_idx, _canonical_tail(prev, steps, prev_idx, tail)))
 
     # order: prefixes compare at stage n, tails pointwise under the prefix
     m = len(conditions)
-    prev_of = []
     tail_of = []
     with_prefix = [0] * prev.poset.n
     one_mask = 0                      # conditions with tail TAIL_ONE
     with_value = [None if q is None else [0] * q.n for q in steps]
     for i, cond in enumerate(conditions):
-        p = prev.cond_index(trim(cond[:n]))
-        prev_of.append(p)
+        p = prev_of[i]
         with_prefix[p] |= 1 << i
         if len(cond) == n + 1:
             tail_of.append(cond[n])
@@ -285,7 +304,9 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
             for g, v in tail_of[j]:
                 down &= tail_down[g][v]
         below.append(down)
-    poset = Poset(below, index[()], [_cond_label(c) for c in conditions])
+    conds = tuple(conditions)
+    # a partial, not a lambda, so that the stage poset stays picklable
+    poset = Poset(below, index[()], partial(map, _cond_label, conds))
     generics = enumerate_generics(poset)
     paths = []
     for g in generics:
@@ -303,8 +324,8 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
         for a in _mask_bits(poset.atoms_below(i)):
             mask |= 1 << gen_of_atom[a]
         gen_masks.append(mask)
-    stage = Stage(n + 1, tuple(conditions), poset, generics, paths,
-                  tuple(gen_masks), tuple(steps))
+    stage = Stage(n + 1, conds, poset, generics, paths,
+                  tuple(gen_masks), tuple(steps), tuple(prev_of))
     if explicit_tails is None:
         return stage
     return stage, placement

@@ -42,12 +42,17 @@ class Poset:
     :func:`validate_poset` to build one from raw pairs.  Two elements are
     compatible iff some atom lies below both (every element has an atom
     below it), so ``compat[p]`` is the OR of ``above[a]`` over the atoms a
-    below p.  Instances are safe to share between concurrent workers;
-    nothing is mutated after construction.
+    below p.  ``labels`` may be a sequence, a callable returning one, or
+    None for ``e0``, ``e1``, ...; a callable or None is turned into the
+    tuple on first read, since most labels are only read when a failing
+    check names elements.  Instances are safe to share between concurrent
+    workers: what is filled in after construction (labels, the canonical
+    search, the separativity witness) depends only on the constructor's
+    arguments.
     """
 
     __slots__ = (
-        "n", "top", "labels", "below", "above", "compat",
+        "n", "top", "_labels", "below", "above", "compat",
         "full_mask", "atom_mask", "_atoms", "_canonical_key", "_automorphisms",
         "_separative",
     )
@@ -90,14 +95,27 @@ class Poset:
                 m |= above[a]
             compat.append(m)
         self.compat = tuple(compat)
-        self.labels = tuple(labels) if labels is not None else tuple(
-            f"e{p}" for p in range(n))
-        if len(self.labels) != n:
-            raise PosetError("label count does not match element count")
+        self._labels = labels if labels is None or callable(labels) else \
+            self._checked_labels(labels)
         self._canonical_key = None
         self._automorphisms = None
         # separativity witness, or () once a scan found none
         self._separative = None
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Element ids, by index."""
+        labels = self._labels
+        if not isinstance(labels, tuple):
+            self._labels = labels = self._checked_labels(
+                (f"e{p}" for p in range(self.n)) if labels is None else labels())
+        return labels
+
+    def _checked_labels(self, labels: Iterable[str]) -> tuple[str, ...]:
+        labels = tuple(labels)
+        if len(labels) != self.n:
+            raise PosetError("label count does not match element count")
+        return labels
 
     # -- basic queries -------------------------------------------------
 
@@ -139,14 +157,27 @@ class Poset:
         Brute force over permutations, pruned by local invariants; intended
         for desk-scale posets only (n <= perm_max).  The relabelings that
         reach the least matrix differ exactly by automorphisms, so the same
-        search also fills :meth:`automorphisms`.
+        search also fills :meth:`automorphisms`.  The search reads nothing
+        but the relation rows ``below``, so its result is memoized on them
+        (McKay, "Practical graph isomorphism", 1981): posets with one order
+        share one search, whatever their labels.
         """
-        if self._canonical_key is not None:
-            return self._canonical_key
+        if self._canonical_key is None:
+            if self.n > perm_max:
+                raise CanonicalFormError(
+                    f"canonical form by permutation search capped at {perm_max} elements")
+            found = _searches.get(self.below)
+            if found is None:
+                found = self._canonical_search()
+                if len(_searches) >= _SEARCHES_KEPT:
+                    del _searches[next(iter(_searches))]
+                _searches[self.below] = found
+            self._canonical_key, self._automorphisms = found
+        return self._canonical_key
+
+    def _canonical_search(self) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+        """The canonical key and the automorphisms, by one permutation search."""
         n = self.n
-        if n > perm_max:
-            raise CanonicalFormError(
-                f"canonical form by permutation search capped at {perm_max} elements")
         inv = self._invariants()
         groups: dict[tuple, list[int]] = {}
         for p in range(n):
@@ -164,9 +195,7 @@ class Poset:
         w0_inv = [0] * n
         for p, s in enumerate(winners[0]):
             w0_inv[s] = p
-        self._automorphisms = [tuple(w0_inv[s] for s in w) for w in winners]
-        self._canonical_key = (n, best)
-        return self._canonical_key
+        return (n, best), tuple(tuple(w0_inv[s] for s in w) for w in winners)
 
     def _invariants(self) -> list[tuple]:
         n = self.n
@@ -208,9 +237,9 @@ class Poset:
                 out[perm[q] * n + perm[p]] = 1
         return bytes(out)
 
-    def automorphisms(self) -> list[tuple[int, ...]]:
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """All order-preserving permutations of the elements, as found by
-        :meth:`canonical_key`'s search and cached with it.
+        :meth:`canonical_key`'s search and memoized with it.
 
         Capped like that search at 9 elements (CanonicalFormError beyond);
         every catalog poset is within the cap, since
@@ -222,6 +251,11 @@ class Poset:
 
 class CanonicalFormError(RuntimeError):
     pass
+
+
+# canonical searches by relation rows, oldest dropped first past the bound
+_SEARCHES_KEPT = 1024
+_searches: dict[tuple[int, ...], tuple] = {}
 
 
 # -- construction -------------------------------------------------------

@@ -40,8 +40,7 @@ from .config import Caps
 from .generic import GenericSet, is_filter
 from .iteration import (TAIL_ONE, CifsProvider, Iteration, ProviderError,
                         Stage, StepContext, StepProvider, build_iteration,
-                        canonicalize_condition, extend_stage, root_stage,
-                        trim)
+                        canonicalize_condition, extend_stage, root_stage)
 from .names import (Name, decode_element, element_name, evaluate, mix_name,
                     name_text)
 from .poset import Poset, _mask_bits, regularize
@@ -86,14 +85,6 @@ class ProjectionContext:
     @property
     def final_level(self) -> QuotientLevel:
         return self.levels[len(self.iteration)]
-
-    def prefix_index(self, beta: int, cond_idx: int) -> int:
-        """Index in P_alpha of the alpha-prefix of a P_beta condition."""
-        cond = self.iteration.stages[beta].conditions[cond_idx]
-        return self.iteration.stages[self.alpha].cond_index(trim(cond[:self.alpha]))
-
-    def in_G(self, beta: int, cond_idx: int) -> bool:
-        return bool((self.G.mask >> self.prefix_index(beta, cond_idx)) & 1)
 
     def pi(self, beta: int, cond_idx: int):
         return self.levels[beta].pi[cond_idx]
@@ -173,6 +164,7 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     ctx = ProjectionContext(iteration, alpha, gen_index, caps, levels,
                             source_algebras)
 
+    in_G = G.mask           # the level's conditions with alpha-prefix in G
     for beta in range(alpha + 1, N + 1):
         # numeral names are built over this level's source algebra only
         numeral_memo: dict = {}
@@ -180,13 +172,15 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
         prev_src = stages[beta - 1]
         src = stages[beta]
         steps_q = [src.steps[sg] for sg in prev_level.combine]
+        prev_in_G, in_G = in_G, 0
+        for ci, p in enumerate(src.parent):
+            if prev_in_G >> p & 1:
+                in_G |= 1 << ci
         defined: list[int] = []
         raw_tails: list[tuple[int, object]] = []
-        for ci, cond in enumerate(src.conditions):
-            if not ctx.in_G(beta, ci):
-                continue
-            prev_idx = prev_src.cond_index(trim(cond[: beta - 1]))
-            qprefix = prev_level.pi[prev_idx]
+        for ci in _mask_bits(in_G):
+            cond = src.conditions[ci]
+            qprefix = prev_level.pi[src.parent[ci]]
             if qprefix is None:
                 raise ProjectionError("prefix in G but previous level undefined")
             tail = cond[beta - 1] if len(cond) == beta else TAIL_ONE
@@ -219,33 +213,46 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
         pi: list = [None] * src.poset.n
         for ci, where in zip(defined, placement):
             pi[ci] = where
-        # bridge: quotient generics <-> source generics whose prefix generic is G
+        # bridge: quotient generics <-> source generics whose prefix generic
+        # is G, matched through their atoms (one generic per atom)
+        qposet = qstage.poset
+        gen_of_atom = {qg.atom: h for h, qg in enumerate(qstage.generics)}
         combine: list[int | None] = [None] * len(qstage.generics)
         for sg, gen in enumerate(src.generics):
             if pi[gen.atom] is None:
                 continue
-            img = pi[gen.atom]
-            hit = [h for h, qg in enumerate(qstage.generics) if qg.atom == img]
-            if len(hit) != 1:
+            h = gen_of_atom.get(pi[gen.atom])
+            if h is None:
                 raise ProjectionError(
                     f"atom image is not a quotient atom at level {beta}")
-            if combine[hit[0]] is not None:
+            if combine[h] is not None:
                 raise ProjectionError(
                     f"two source generics project onto one quotient generic at level {beta}")
-            combine[hit[0]] = sg
+            combine[h] = sg
         if any(c is None for c in combine):
             raise ProjectionError(f"quotient generic with no source generic at level {beta}")
-        algebra = ro_algebra(qstage.poset, max_base=caps.algebra_max_base)
+        algebra = ro_algebra(qposet, max_base=caps.algebra_max_base)
         A = source_algebras[beta]
         # the atoms of the regularized image of a cut are the atoms below
-        # some image point, so each source condition contributes its
-        # image's atom row
-        up = [0 if q is None else qstage.poset.atoms_below(q) for q in pi]
+        # some image point, so quotient atom b is in pi_prime(x) iff the
+        # cut of x meets b's column: the defined p with b <= pi(p)
+        with_image = [0] * qposet.n
+        for p, q in enumerate(pi):
+            if q is not None:
+                with_image[q] |= 1 << p
+        columns = []
+        for b in qposet.atoms:
+            col = 0
+            for q in _mask_bits(qposet.above[b]):
+                col |= with_image[q]
+            columns.append((1 << b, col))
         pi_prime: dict[int, int] = {}
         for x in A.elements:
+            cut = A.cut(x)
             img = 0
-            for p in _mask_bits(A.cut(x)):
-                img |= up[p]
+            for bit, col in columns:
+                if cut & col:
+                    img |= bit
             pi_prime[x] = img
         levels[beta] = QuotientLevel(beta, qstage, pi, combine, algebra, pi_prime)
 
@@ -538,9 +545,12 @@ def _frown_table(ctx: ProjectionContext, beta: int) -> list[tuple[int, dict]]:
     stages = ctx.iteration.stages
     alpha = ctx.alpha
     astage, src = stages[alpha], stages[beta]
+    # alpha-prefixes: the parent rows composed from beta down to alpha + 1
+    prefixes = src.parent
+    for k in range(beta - 1, alpha, -1):
+        prefixes = [stages[k].parent[i] for i in prefixes]
     table = []
-    for cond in src.conditions:
-        prefix = astage.cond_index(trim(cond[:alpha]))
+    for cond, prefix in zip(src.conditions, prefixes):
         suffix = list(cond[alpha:])
         row: dict[int, int | None] = {}
         for s in _mask_bits(astage.poset.below[prefix]):
@@ -902,7 +912,14 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
     """Rebuild the tail iteration with the shifted provider and check each
     rebuilt stage is order-isomorphic to the quotient poset, via the natural
     generic bridge, which must also carry each rebuilt generic's atom to its
-    quotient generic's atom (and by canonical form on small stages)."""
+    quotient generic's atom.
+
+    On stages of at most 8 elements a verified isomorphism is followed by a
+    canonical-form record.  The canonical key is an isomorphism invariant,
+    so that record cross-checks the canonical search against the verified
+    isomorphism and cannot fail otherwise.  The search is memoized per
+    relation matrix, so the record costs one memo lookup per distinct
+    order."""
     rep = SuiteReport()
     iteration = ctx.iteration
     alpha = ctx.alpha

@@ -1,6 +1,9 @@
-"""The search-per-call forms of two isomorph-rejection steps, kept as oracles
-for the library's cached ones.
+"""The search-per-call forms of three isomorph-rejection steps, kept as
+oracles for the library's cached ones.
 
+:func:`canonical_key_by_search` tries every permutation of a poset on every
+call; :meth:`forcinglab.poset.Poset.canonical_key` searches only the
+relabelings that respect its invariant groups, once per relation matrix.
 :func:`automorphisms_by_search` backtracks over the order-preserving
 permutations of a poset on every call;
 :meth:`forcinglab.poset.Poset.automorphisms` reads them off the canonical-key
@@ -8,6 +11,47 @@ search.  :func:`tree_canon_per_automorphism` rebuilds each child subtree's
 canonical form once per automorphism; :func:`forcinglab.cli._tree_canon`
 builds it once per node.
 """
+
+import itertools
+
+
+def canonical_key_by_search(poset):
+    """The least relation matrix over every relabeling that lists the
+    elements in ascending order of their local invariants, found by trying
+    all n! permutations.
+
+    An element's invariant is the sizes of its lower cone, upper cone and
+    compatible set, followed by the sorted sizes of the elements below it
+    and of those above it.  Cell (perm[q], perm[p]) of the matrix is 1
+    when q <= p."""
+    n = poset.n
+
+    def size(m):
+        return bin(m).count("1")
+
+    def members(m):
+        return [q for q in range(n) if m >> q & 1]
+
+    base = [(size(poset.below[p]), size(poset.above[p]), size(poset.compat[p]))
+            for p in range(n)]
+    inv = [base[p] + (tuple(sorted(base[q] for q in members(poset.below[p]))),
+                      tuple(sorted(base[q] for q in members(poset.above[p]))))
+           for p in range(n)]
+    rank = [sorted(set(inv)).index(inv[p]) for p in range(n)]
+    best = None
+    for perm in itertools.permutations(range(n)):
+        at = [0] * n
+        for p in range(n):
+            at[perm[p]] = rank[p]
+        if any(at[i] > at[i + 1] for i in range(n - 1)):
+            continue
+        out = bytearray(n * n)
+        for p in range(n):
+            for q in members(poset.below[p]):
+                out[perm[q] * n + perm[p]] = 1
+        if best is None or bytes(out) < best:
+            best = bytes(out)
+    return n, best
 
 
 def automorphisms_by_search(poset):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import subprocess
@@ -166,6 +167,23 @@ class TestGeneration:
         q = catalog[-1]
         assert q.automorphisms() is q.automorphisms()
 
+    def test_generation_builds_no_condition_label(self, monkeypatch):
+        # stage labels are only read when a failing check names conditions
+        label = iteration._cond_label
+        calls = Counter()
+
+        def counted(cond):
+            calls["label"] += 1
+            return label(cond)
+
+        monkeypatch.setattr(iteration, "_cond_label", counted)
+        instances = generate_instances(ExperimentConfig(max_poset=3, max_stages=3))
+        assert calls["label"] == 0
+        for _, it in instances:
+            for stage in it.stages:
+                assert list(stage.poset.labels) == \
+                    [label(c) for c in stage.conditions]
+
     def test_isomorph_reduction(self):
         # swapping the two step options across the symmetric stage-1 generics
         # must not produce two instances
@@ -175,6 +193,23 @@ class TestGeneration:
 
 
 class TestRunReports:
+    # sha256 of the `run --suite all --max-poset 3 --seed 1` report, by
+    # --max-stages; a change that alters report bytes on purpose updates
+    # these and says why
+    REPORT_SHA256 = {
+        2: "647d2038045ff46213a2d3b9c52ac46baa21013cc280b1d14f8f5c3528cb4c96",
+        3: "9ad2ee5a811025aff4143ff43f9e5873e4e5601bc7c7b32ca5bc5859008279d5",
+    }
+
+    @pytest.mark.parametrize("stages", sorted(REPORT_SHA256))
+    def test_report_bytes_are_pinned(self, tmp_path, stages):
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--suite", "all", "--max-poset", "3",
+                     "--max-stages", str(stages), "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            self.REPORT_SHA256[stages]
+
     def test_bit_identical_reports(self, tmp_path):
         cfg = ExperimentConfig(suite="theorem2", max_poset=3, max_stages=2,
                                seed=9, out=str(tmp_path / "r1.jsonl"))

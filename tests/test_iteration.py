@@ -1,8 +1,11 @@
 import itertools
+import pickle
 import tracemalloc
+import types
 
 import pytest
 
+from forcinglab import iteration
 from forcinglab.boolalg import ro_algebra
 from forcinglab.cli import (ExperimentConfig, cifs_dependence_probe,
                             generate_instances)
@@ -126,6 +129,35 @@ class TestBuildIteration:
             build_iteration(TableProvider(tables))
         it = build_iteration(TableProvider(tables), allow_partial=True)
         assert it.partial and len(it) == 2
+
+    def test_capped_stage_places_no_tail(self, monkeypatch):
+        # the size of an enumerated stage follows from the step sizes, so a
+        # stage over the cap raises before any tail map is enumerated
+        s2 = two_stage_constant().final
+        steps = [A2] * len(s2.generics)
+        size = extend_stage(s2, steps, DEFAULT_CAPS.with_(
+            max_stage_conditions=1 << 12)).poset.n
+        enumerated = []
+
+        def product(*ranges):
+            enumerated.append(ranges)
+            return itertools.product(*ranges)
+
+        monkeypatch.setattr(iteration, "itertools",
+                            types.SimpleNamespace(product=product))
+        with pytest.raises(CapExceeded):
+            extend_stage(s2, steps, DEFAULT_CAPS.with_(
+                max_stage_conditions=size - 1))
+        assert enumerated == []
+        at_cap = extend_stage(s2, steps, DEFAULT_CAPS.with_(
+            max_stage_conditions=size))
+        assert at_cap.poset.n == size and enumerated
+
+    def test_stage_poset_pickles_before_its_labels_are_read(self):
+        poset = two_stage_constant().final.poset
+        copy = pickle.loads(pickle.dumps(poset))
+        assert (copy.below, copy.labels) == (poset.below, poset.labels)
+        assert "<1;{0:0,1:0}>" in copy.labels
 
     def test_extending_a_stage_leaves_it_unchanged(self):
         # instance generation extends one stage under many tables, so an

@@ -1,15 +1,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forcinglab.poset import (Poset, PosetError, all_posets_with_top,
-                              all_separative_posets, antichain_with_top,
+from forcinglab.poset import (CanonicalFormError, Poset, PosetError,
+                              all_posets_with_top, all_separative_posets,
+                              antichain_with_top,
                               chain_poset, complement_cut, diamond_poset,
                               is_dense_below, is_regular_cut, is_separative,
                               point_poset, product_poset, regularize,
                               separative_quotient, separativity_witness,
                               validate_poset, _mask_bits)
 
-from generation_oracle import automorphisms_by_search
+from forcinglab import poset as poset_module
+
+from generation_oracle import automorphisms_by_search, canonical_key_by_search
 from order_oracle import (compat_by_pairs, product_by_pairs,
                           separativity_witness_by_pairs)
 
@@ -289,6 +292,28 @@ class TestGeneration:
             got = p.automorphisms()
             assert len(set(got)) == len(got)
             assert set(got) == set(automorphisms_by_search(p)), p
+
+    def test_canonical_key_equals_the_cache_free_search(self):
+        for p in all_posets_with_top(6):
+            assert p.canonical_key() == canonical_key_by_search(p), p
+            # another poset with the same rows reads the same search
+            twin = Poset(p.below, p.top)
+            assert twin.canonical_key() == p.canonical_key()
+            assert twin.automorphisms() is p.automorphisms()
+
+    def test_search_memo_drops_its_oldest_entry(self, monkeypatch):
+        monkeypatch.setattr(poset_module, "_SEARCHES_KEPT", 2)
+        monkeypatch.setattr(poset_module, "_searches", {})
+        posets = [antichain_with_top(2), chain_poset(3), diamond_poset()]
+        for p in posets:
+            Poset(p.below, p.top).canonical_key()
+        assert list(poset_module._searches) == [p.below for p in posets[1:]]
+
+    def test_search_is_capped(self):
+        with pytest.raises(CanonicalFormError):
+            antichain_with_top(9).automorphisms()
+        with pytest.raises(CanonicalFormError):
+            diamond_poset().canonical_key(perm_max=3)
 
     def test_relabel_preserves_canonical_key(self):
         p = diamond_poset()

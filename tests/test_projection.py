@@ -11,7 +11,8 @@ from forcinglab.formula import constants, parse_formula
 from forcinglab.generic import dense_subsets
 from forcinglab.hfset import EMPTY
 from forcinglab.iteration import (TAIL_ONE, TableProvider, build_iteration,
-                                  canonicalize_condition, cifs_toy_iteration)
+                                  canonicalize_condition, cifs_toy_iteration,
+                                  trim)
 from forcinglab.names import (Name, NameUniverse, TruthSession, check_name,
                               evaluate, name_text, name_universe,
                               sampled_universe)
@@ -28,11 +29,19 @@ from forcinglab.report import SuiteReport
 
 import algebra_oracle
 import lemma_oracle
+from generation_oracle import automorphisms_by_search, canonical_key_by_search
 from universes import working_universe
 
 A2 = antichain_with_top(2)
 A3 = antichain_with_top(3)
 PT = point_poset()
+
+
+def _alpha_prefix(it, alpha: int, beta: int, ci: int) -> int:
+    """Index in P_alpha of the alpha-prefix of a P_beta condition, by
+    canonicalizing the prefix rather than reading parent rows."""
+    cond = it.stages[beta].conditions[ci]
+    return it.stages[alpha].cond_index(trim(cond[:alpha]))
 
 
 def _two_step_antichains():
@@ -83,7 +92,8 @@ class TestMakeContext:
         it, ctx = worked
         level = ctx.levels[2]
         for ci in range(it.stages[2].poset.n):
-            assert (level.pi[ci] is not None) == ctx.in_G(2, ci)
+            in_G = _alpha_prefix(it, 1, 2, ci) in ctx.G
+            assert (level.pi[ci] is not None) == in_G
 
     def test_top_valued_tail_projects_to_quotient_top(self, worked):
         it, ctx = worked
@@ -571,7 +581,7 @@ class TestLemmaControls:
         astage = it.stages[1]
         for beta in (2, 3):
             bound = sum(
-                bin(astage.poset.below[ctx.prefix_index(beta, ci)]).count("1")
+                bin(astage.poset.below[_alpha_prefix(it, 1, beta, ci)]).count("1")
                 for ci in range(it.stages[beta].poset.n))
             assert 0 < calls[beta] <= bound, (beta, calls[beta], bound)
 
@@ -942,6 +952,62 @@ class TestCorollary15:
                 ctx = make_context(it, alpha, gi)
                 rep = verify_corollary15(ctx, instance=f"deep-{alpha}-{gi}")
                 assert rep.ok, (alpha, gi, rep.failures[:1])
+
+
+class TestSweepOrderOracles:
+    """The memoized canonical search and the stages' parent rows against
+    their cache-free forms on every context of the acceptance sweep."""
+
+    @staticmethod
+    def contexts(sweep):
+        """(iteration, context) for every context below the final stage."""
+        for _, it in sweep:
+            for alpha in range(1, len(it)):
+                for gi in range(len(it.stages[alpha].generics)):
+                    yield it, make_context(it, alpha, gi)
+
+    def test_canonical_search_on_quotient_and_rebuilt_stages(
+            self, default_sweep, monkeypatch):
+        rebuilt = []
+
+        def recorded(*args, **kwargs):
+            rebuilt.append(build_iteration(*args, **kwargs))
+            return rebuilt[-1]
+
+        monkeypatch.setattr(projection, "build_iteration", recorded)
+        posets = []
+        for it, ctx in self.contexts(default_sweep):
+            assert verify_corollary15(ctx).ok
+            posets += [ctx.levels[beta].stage.poset
+                       for beta in range(ctx.alpha + 1, len(it) + 1)]
+        posets += [stage.poset for r in rebuilt for stage in r.stages[1:]]
+        oracle = {}
+        for p in posets:
+            if p.n > 8:
+                continue
+            if p.below not in oracle:
+                oracle[p.below] = (canonical_key_by_search(p),
+                                   set(automorphisms_by_search(p)))
+            key, automorphisms = oracle[p.below]
+            assert p.canonical_key() == key
+            assert set(p.automorphisms()) == automorphisms
+        assert (len(posets), len(oracle)) == (1218, 4)
+
+    def test_parent_rows_index_the_canonical_prefix(self, default_sweep):
+        pairs = {}
+        for _, it in default_sweep:
+            for prev, stage in zip(it.stages, it.stages[1:]):
+                pairs[id(stage)] = (prev, stage)
+        for it, ctx in self.contexts(default_sweep):
+            for beta in range(ctx.alpha + 1, len(it) + 1):
+                stage = ctx.levels[beta].stage
+                pairs[id(stage)] = (ctx.levels[beta - 1].stage, stage)
+        for prev, stage in pairs.values():
+            k = stage.index
+            assert len(stage.parent) == len(stage.conditions)
+            for ci, cond in enumerate(stage.conditions):
+                assert stage.parent[ci] == prev.cond_index(trim(cond[:k - 1]))
+        assert len(pairs) == 114 + 608
 
 
 class TestLemma20:
