@@ -6,12 +6,13 @@ algebra element is that atom set, as a bitmask over the base poset: meet is
 gives back the regular cut, for reports and for tests against the cut
 calculus in :mod:`forcinglab.poset`.  The algebra is materialized eagerly,
 one element per subset of the atoms, each with its cut built alongside the
-subsets, which is what lets the law suite and the homomorphism checks be
-exhaustive instead of sampled.  The suites certify complete homomorphisms
-with :func:`certify_complete_hom` (zero, one and complement directly, every
-binary join and meet by one fold over the atoms and one over the coatoms,
-no cap, work linear in |A|); :func:`check_complete_hom` folds all 2^|A|
-subfamilies and is kept as the reference oracle for it.
+subsets (once per relation matrix), which is what lets the law suite and
+the homomorphism checks be exhaustive instead of sampled.  The suites
+certify complete homomorphisms with :func:`certify_complete_hom` (zero, one
+and complement directly, every binary join and meet by one fold over the
+atoms and one over the coatoms, no cap, work linear in |A|);
+:func:`check_complete_hom` folds all 2^|A| subfamilies and is kept as the
+reference oracle for it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .config import DEFAULT_CAPS, CapExceeded
-from .poset import Poset, _mask_bits, is_separative, separative_quotient
+from .poset import (Poset, _mask_bits, is_separative, regular_cuts,
+                    separative_quotient)
 
 
 class AlgebraError(ValueError):
@@ -31,13 +33,17 @@ class BoolAlgebra:
     """All regular cuts of a separative base poset, stored as atom sets.
 
     ``elements`` ascend by their cuts, and ``index`` gives each element's
-    position there; ``zero`` is 0 and ``one`` is ``base.atom_mask``.  If the
-    input poset was not separative it is quotiented first:
-    ``original``/``quotient_map`` report that, and the atoms are those of
-    ``base`` (the quotient).  ``name_table`` interns the names built over
-    the algebra (see :class:`forcinglab.names.Name`) for as long as it lives;
-    those names hold ``name_tag``, not the algebra, so no reference cycle
-    keeps them alive after it.
+    position there; ``zero`` is 0 and ``one`` is ``base.atom_mask``.  The
+    cut table, ``elements`` and ``index`` are read from
+    :func:`forcinglab.poset.regular_cuts`, memoized on the base's relation
+    rows, so algebras over one order share them.  If the input poset was
+    not separative it is quotiented first: ``original``/``quotient_map``
+    report that, and the atoms are those of ``base`` (the quotient).
+    ``name_table`` and ``name_tag`` stay per algebra: the table interns the
+    names built over this algebra (see :class:`forcinglab.names.Name`) for
+    as long as it lives; those names hold ``name_tag``, not the algebra, so
+    no reference cycle keeps them alive after it, and two algebras over one
+    order never share a name.
     """
 
     __slots__ = ("base", "original", "quotient_map", "elements", "index",
@@ -50,16 +56,9 @@ class BoolAlgebra:
         self.quotient_map = quotient_map
         self.zero = 0
         self.one = base.atom_mask
-        # cut(x) = {p : atoms(p) <= x}: the AND, over the atoms a outside
-        # x, of the elements not above a, built alongside the subsets
-        subsets, cuts = [0], [base.full_mask]
-        for a in base.atoms:
-            off = base.full_mask & ~base.above[a]
-            subsets += [x | 1 << a for x in subsets]
-            cuts = [c & off for c in cuts] + cuts
-        self._cuts = dict(zip(subsets, cuts))
-        self.elements = tuple(sorted(subsets, key=self._cuts.__getitem__))
-        self.index = {x: i for i, x in enumerate(self.elements)}
+        # memoized on the base's relation rows, shared with every algebra
+        # over that order and never written to
+        self._cuts, self.elements, self.index = regular_cuts(base)
         self.nonzero = self.elements[1:]
         self.name_table: dict[tuple, object] = {}
         self.name_tag = object()
@@ -117,7 +116,10 @@ def ro_algebra(poset: Poset, max_base: int | None = None) -> BoolAlgebra:
 
     Non-separative inputs are quotiented first and the quotient map is kept
     on the result.  The algebra has 2^|atoms| elements, so posets with more
-    than ``max_base`` atoms (default ``Caps.algebra_max_base``) are rejected.
+    than ``max_base`` atoms (default ``Caps.algebra_max_base``) are
+    rejected, on every call.  Each call returns a new algebra with its own
+    name table; its element tables and the separativity test are computed
+    once per relation matrix (see :class:`BoolAlgebra`).
     """
     bound = DEFAULT_CAPS.algebra_max_base if max_base is None else max_base
     k = len(poset.atoms)

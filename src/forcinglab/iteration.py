@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
@@ -158,7 +158,11 @@ class Iteration:
         return len(self.stages) - 1
 
 
+@cache
 def root_stage() -> Stage:
+    """The trivial stage P_0: the empty condition and its one generic.  A
+    stage is never changed once built, so this one is built once per
+    process and shared by every iteration and every context's root level."""
     poset = Poset([1], 0, ["<>"])
     generics = enumerate_generics(poset)
     return Stage(0, ((),), poset, generics, [()], (1,))

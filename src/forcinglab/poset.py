@@ -8,7 +8,8 @@ Conventions used throughout the library:
       those indexes: bit p set means element p is in the subset.
     - ``below[p]`` is the lower cone of p (including p itself), ``above[p]``
       the upper cone, ``compat[p]`` the set of elements compatible with p
-      (sharing a lower bound).  All three are precomputed on construction.
+      (sharing a lower bound).  All three are precomputed on construction,
+      once per distinct relation matrix (see :class:`Poset`).
 
 A cut is a downward-closed bitmask.  A regular cut additionally satisfies
 u == -(-u), where -u is the set of elements incompatible with everything in
@@ -42,65 +43,45 @@ class Poset:
     :func:`validate_poset` to build one from raw pairs.  Two elements are
     compatible iff some atom lies below both (every element has an atom
     below it), so ``compat[p]`` is the OR of ``above[a]`` over the atoms a
-    below p.  ``labels`` may be a sequence, a callable returning one, or
-    None for ``e0``, ``e1``, ...; a callable or None is turned into the
-    tuple on first read, since most labels are only read when a failing
-    check names elements.  Instances are safe to share between concurrent
-    workers: what is filled in after construction (labels, the canonical
-    search, the separativity witness) depends only on the constructor's
-    arguments.
+    below p.  Everything that reads nothing but ``below`` (the validation,
+    ``above``, the atoms, ``compat``, and on first use the canonical search,
+    the separativity witness and the regular-cut table) is one
+    :class:`_Order`, memoized on the rows: posets with one relation matrix
+    share it, whatever their labels.  An invalid relation is never
+    memoized, so it raises on every construction, and ``top`` is checked
+    on every construction.  ``labels`` stay per object and may be a
+    sequence, a callable returning one, or None for ``e0``, ``e1``, ...; a
+    callable or None is turned into the tuple on first read, since most
+    labels are only read when a failing check names elements.  Instances
+    are safe to share between concurrent workers: what is filled in after
+    construction depends only on the constructor's arguments.
     """
 
     __slots__ = (
         "n", "top", "_labels", "below", "above", "compat",
-        "full_mask", "atom_mask", "_atoms", "_canonical_key", "_automorphisms",
-        "_separative",
+        "full_mask", "atom_mask", "_atoms", "_order",
     )
 
     def __init__(self, below: Sequence[int], top: int,
                  labels: Sequence[str] | None = None):
-        n = len(below)
-        if n == 0:
-            raise PosetError("poset needs at least one element")
-        full = (1 << n) - 1
-        below = tuple(below)
-        for p in range(n):
-            if not (below[p] >> p) & 1:
-                raise PosetError(f"relation is not reflexive at {p}")
-            if below[p] & ~full:
-                raise PosetError(f"dangling element bits below {p}")
-        above = [0] * n
-        for p in range(n):
-            for q in _mask_bits(below[p]):
-                if q != p and (below[q] >> p) & 1:
-                    raise PosetError(f"cycle detected between {p} and {q}")
-                if below[q] & ~below[p]:
-                    raise PosetError(f"relation is not transitive at {q} <= {p}")
-                above[q] |= 1 << p
-        if below[top] != full:
+        order = _order_of(tuple(below))
+        if order.below[top] != order.full_mask:
             raise PosetError(f"top {top} is not above every element")
-        self.n = n
+        self._order = order
+        self.n = len(order.below)
         self.top = top
-        self.full_mask = full
-        self.below = below
-        self.above = tuple(above)
-        atoms = tuple(p for p in range(n) if below[p] == 1 << p)
-        self._atoms = atoms
-        self.atom_mask = sum(1 << a for a in atoms)
-        # p compatible q  iff  some atom lies below both
-        compat = []
-        for p in range(n):
-            m = 0
-            for a in _mask_bits(below[p] & self.atom_mask):
-                m |= above[a]
-            compat.append(m)
-        self.compat = tuple(compat)
+        self.full_mask = order.full_mask
+        self.below = order.below
+        self.above = order.above
+        self._atoms = order.atoms
+        self.atom_mask = order.atom_mask
+        self.compat = order.compat
         self._labels = labels if labels is None or callable(labels) else \
             self._checked_labels(labels)
-        self._canonical_key = None
-        self._automorphisms = None
-        # separativity witness, or () once a scan found none
-        self._separative = None
+
+    def __reduce__(self):
+        # rebuilt through the memo, labels unread if they still are
+        return Poset, (self.below, self.top, self._labels)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -155,25 +136,21 @@ class Poset:
         """Isomorphism-invariant key: lexicographically least relation matrix.
 
         Brute force over permutations, pruned by local invariants; intended
-        for desk-scale posets only (n <= perm_max).  The relabelings that
-        reach the least matrix differ exactly by automorphisms, so the same
-        search also fills :meth:`automorphisms`.  The search reads nothing
-        but the relation rows ``below``, so its result is memoized on them
-        (McKay, "Practical graph isomorphism", 1981): posets with one order
-        share one search, whatever their labels.
+        for desk-scale posets only (n <= perm_max, checked on every call).
+        The relabelings that reach the least matrix differ exactly by
+        automorphisms, so the same search also fills :meth:`automorphisms`.
+        The search reads nothing but the relation rows ``below``, so it is
+        kept on the poset's memoized :class:`_Order` (McKay, "Practical
+        graph isomorphism", 1981): posets with one order share one search,
+        whatever their labels.
         """
-        if self._canonical_key is None:
-            if self.n > perm_max:
-                raise CanonicalFormError(
-                    f"canonical form by permutation search capped at {perm_max} elements")
-            found = _searches.get(self.below)
-            if found is None:
-                found = self._canonical_search()
-                if len(_searches) >= _SEARCHES_KEPT:
-                    del _searches[next(iter(_searches))]
-                _searches[self.below] = found
-            self._canonical_key, self._automorphisms = found
-        return self._canonical_key
+        if self.n > perm_max:
+            raise CanonicalFormError(
+                f"canonical form by permutation search capped at {perm_max} elements")
+        order = self._order
+        if order.search is None:
+            order.search = self._canonical_search()
+        return order.search[0]
 
     def _canonical_search(self) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
         """The canonical key and the automorphisms, by one permutation search."""
@@ -246,16 +223,77 @@ class Poset:
         :func:`_posets_with_top` keys each one by its canonical form.
         """
         self.canonical_key()
-        return self._automorphisms
+        return self._order.search[1]
 
 
 class CanonicalFormError(RuntimeError):
     pass
 
 
-# canonical searches by relation rows, oldest dropped first past the bound
-_SEARCHES_KEPT = 1024
-_searches: dict[tuple[int, ...], tuple] = {}
+class _Order:
+    """What a relation matrix alone determines, computed once per distinct
+    ``below`` tuple: the validated rows on construction, and on first use
+    the canonical search, the separativity witness and the regular-cut
+    table.  Built only through :func:`_order_of`, which memoizes it."""
+
+    __slots__ = ("below", "full_mask", "above", "atoms", "atom_mask",
+                 "compat", "search", "separative", "cuts")
+
+    def __init__(self, below: tuple[int, ...]):
+        n = len(below)
+        if n == 0:
+            raise PosetError("poset needs at least one element")
+        full = (1 << n) - 1
+        for p in range(n):
+            if not (below[p] >> p) & 1:
+                raise PosetError(f"relation is not reflexive at {p}")
+            if below[p] & ~full:
+                raise PosetError(f"dangling element bits below {p}")
+        above = [0] * n
+        for p in range(n):
+            for q in _mask_bits(below[p]):
+                if q != p and (below[q] >> p) & 1:
+                    raise PosetError(f"cycle detected between {p} and {q}")
+                if below[q] & ~below[p]:
+                    raise PosetError(f"relation is not transitive at {q} <= {p}")
+                above[q] |= 1 << p
+        self.below = below
+        self.full_mask = full
+        self.above = tuple(above)
+        self.atoms = tuple(p for p in range(n) if below[p] == 1 << p)
+        self.atom_mask = sum(1 << a for a in self.atoms)
+        # p compatible q  iff  some atom lies below both
+        compat = []
+        for p in range(n):
+            m = 0
+            for a in _mask_bits(below[p] & self.atom_mask):
+                m |= above[a]
+            compat.append(m)
+        self.compat = tuple(compat)
+        # (canonical key, automorphisms) of the permutation search
+        self.search = None
+        # separativity witness, or () once a scan found none
+        self.separative = None
+        # (cut by atom set, atom sets ascending by cut, position) of regular_cuts
+        self.cuts = None
+
+
+# the one memo of order facts, by relation rows; oldest dropped first past
+# the bound.  A poset keeps its _Order after it is dropped here.
+_ORDERS_KEPT = 1024
+_orders: dict[tuple[int, ...], _Order] = {}
+
+
+def _order_of(below: tuple[int, ...]) -> _Order:
+    """The memoized :class:`_Order` of these rows; validated on a miss,
+    and an invalid relation raises without being memoized."""
+    order = _orders.get(below)
+    if order is None:
+        order = _Order(below)
+        if len(_orders) >= _ORDERS_KEPT:
+            del _orders[next(iter(_orders))]
+        _orders[below] = order
+    return order
 
 
 # -- construction -------------------------------------------------------
@@ -319,17 +357,18 @@ def separativity_witness(poset: Poset) -> tuple[int, int] | None:
     ``above[p]``; the lowest such q of the lowest such p is the first pair
     in (p, q) order.
     """
-    if poset._separative is None:
-        poset._separative = ()
+    order = poset._order
+    if order.separative is None:
+        order.separative = ()
         for p in range(poset.n):
             common = poset.full_mask
             for a in _mask_bits(poset.atoms_below(p)):
                 common &= poset.above[a]
             bad = common & ~poset.above[p]
             if bad:
-                poset._separative = (p, (bad & -bad).bit_length() - 1)
+                order.separative = (p, (bad & -bad).bit_length() - 1)
                 break
-    return poset._separative or None
+    return order.separative or None
 
 
 def is_separative(poset: Poset) -> bool:
@@ -399,6 +438,34 @@ def regularize(u: int, poset: Poset) -> int:
 
 def is_regular_cut(u: int, poset: Poset) -> bool:
     return poset.is_downward_closed(u) and regularize(u, poset) == u
+
+
+def regular_cuts(poset: Poset) -> tuple[dict[int, int], tuple[int, ...],
+                                         dict[int, int]]:
+    """Every regular cut keyed by its atom set, the atom sets in ascending
+    order of their cuts, and each atom set's position in that order.
+
+    cut(x) = {p : atoms(p) <= x} is the AND, over the atoms a outside x, of
+    the elements not above a, so the cuts are built alongside the subsets.
+    The table reads nothing but the relation rows, so it is kept on the
+    poset's memoized :class:`_Order`, shared by every poset with those rows.
+    """
+    order = poset._order
+    if order.cuts is None:
+        order.cuts = _cut_table(poset)
+    return order.cuts
+
+
+def _cut_table(poset: Poset) -> tuple[dict[int, int], tuple[int, ...],
+                                      dict[int, int]]:
+    subsets, cuts = [0], [poset.full_mask]
+    for a in poset.atoms:
+        off = poset.full_mask & ~poset.above[a]
+        subsets += [x | 1 << a for x in subsets]
+        cuts = [c & off for c in cuts] + cuts
+    cut_of = dict(zip(subsets, cuts))
+    ascending = tuple(sorted(subsets, key=cut_of.__getitem__))
+    return cut_of, ascending, {x: i for i, x in enumerate(ascending)}
 
 
 # -- small builders and isomorph-reduced generation ----------------------

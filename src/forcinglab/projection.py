@@ -134,6 +134,12 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     quotient prefix and push tails through pi_second.  Only successor levels
     exist at finite stage counts; the limit clause is vacuous here and the
     suites report it as such.
+
+    The root level is the process's one :func:`root_stage`.  Every level
+    gets its own algebra, so its names and pi_second images stay apart from
+    other contexts'; the poset rows and algebra tables under them are
+    memoized per relation matrix in :mod:`forcinglab.poset`, so orders that
+    repeat across contexts are validated and tabulated once.
     """
     caps = caps or iteration.caps
     stages = iteration.stages
@@ -895,13 +901,16 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
 
 class _ShiftedProvider(StepProvider):
     """The original provider read through G: stage k of the rebuilt iteration
-    asks the original rule at stage alpha+k along the composed generic path."""
+    asks the original rule at stage alpha+k along the composed generic path.
+    It has one stage per quotient level, N - alpha: a partial iteration's
+    provider has a further stage, the capped one, which no level compares."""
 
-    def __init__(self, base: StepProvider, alpha: int, gpath: tuple):
+    def __init__(self, base: StepProvider, alpha: int, gpath: tuple,
+                 stage_count: int):
         self.base = base
         self.alpha = alpha
         self.gpath = gpath
-        self.stage_count = base.stage_count - alpha
+        self.stage_count = stage_count
 
     def step(self, n: int, ctx: StepContext) -> Poset | None:
         shifted = StepContext(ctx.stage, ctx.gen_index, self.gpath + ctx.path)
@@ -912,7 +921,8 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
     """Rebuild the tail iteration with the shifted provider and check each
     rebuilt stage is order-isomorphic to the quotient poset, via the natural
     generic bridge, which must also carry each rebuilt generic's atom to its
-    quotient generic's atom.
+    quotient generic's atom.  The rebuild has the N - alpha stages that
+    have a quotient level to compare with.
 
     On stages of at most 8 elements a verified isomorphism is followed by a
     canonical-form record.  The canonical key is an isomorphism invariant,
@@ -925,7 +935,7 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
     alpha = ctx.alpha
     N = len(iteration)
     gpath = iteration.stages[alpha].paths[ctx.gen_index]
-    shifted = _ShiftedProvider(iteration.provider, alpha, gpath)
+    shifted = _ShiftedProvider(iteration.provider, alpha, gpath, N - alpha)
     rebuilt = build_iteration(shifted, ctx.caps.with_(
         max_stages=max(ctx.caps.max_stages, shifted.stage_count)))
     # generic bridge per rebuilt stage: rebuilt path -> source generic -> quotient generic

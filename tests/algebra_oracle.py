@@ -2,10 +2,12 @@
 the library's atom folds.
 
 :func:`cut_of_atom_set` reads one regular cut off the poset, element by
-element; :class:`forcinglab.boolalg.BoolAlgebra` builds every cut alongside
-the atom subsets.  :func:`certify_by_pairs` checks every pair of distinct
-elements; :func:`forcinglab.boolalg.certify_complete_hom` folds the atoms
-and the coatoms.
+element, and :func:`cut_table_by_elements` every one of them, from the rows
+alone; :func:`forcinglab.poset.regular_cuts` builds every cut alongside the
+atom subsets, once per relation matrix.  :func:`certify_by_pairs` checks
+every pair of distinct elements;
+:func:`forcinglab.boolalg.certify_complete_hom` folds the atoms and the
+coatoms.
 """
 
 from forcinglab.boolalg import AlgebraError, HomReport
@@ -18,6 +20,22 @@ def cut_of_atom_set(atom_mask, poset):
         if not poset.atoms_below(p) & ~atom_mask:
             out |= 1 << p
     return out
+
+
+def cut_table_by_elements(poset):
+    """(cut by atom set, atom sets ascending by cut, position by atom set),
+    from ``below`` alone: each atom set's cut is read off element by
+    element."""
+    n = poset.n
+    atoms = [p for p in range(n) if poset.below[p] == 1 << p]
+    atom_mask = sum(1 << a for a in atoms)
+    cuts = {}
+    for bits in range(1 << len(atoms)):
+        x = sum(1 << a for i, a in enumerate(atoms) if bits >> i & 1)
+        cuts[x] = sum(1 << p for p in range(n)
+                      if not poset.below[p] & atom_mask & ~x)
+    ascending = tuple(sorted(cuts, key=cuts.get))
+    return cuts, ascending, {x: i for i, x in enumerate(ascending)}
 
 
 def certify_by_pairs(h, A, B):

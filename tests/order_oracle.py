@@ -1,17 +1,34 @@
 """The pairwise forms of the order kernels, kept as oracles for the
 library's bit-row ones.
 
-Each function here compares elements two at a time.  The library reads the
-same relations off rows: :class:`forcinglab.poset.Poset` builds ``compat``
-from the atoms' upper cones, :func:`forcinglab.poset.separativity_witness`
-ANDs atom rows, :func:`forcinglab.poset.product_poset` ANDs coordinate rows,
-and :func:`forcinglab.iteration.extend_stage` ANDs prefix and tail rows.
+Each function here compares elements two at a time, and reads nothing of a
+poset but ``below``, so it computes afresh what the library memoizes per
+relation matrix.  The library reads the same relations off rows:
+:class:`forcinglab.poset.Poset` builds ``above`` in its transitivity check
+and ``compat`` from the atoms' upper cones,
+:func:`forcinglab.poset.separativity_witness` ANDs atom rows,
+:func:`forcinglab.poset.product_poset` ANDs coordinate rows, and
+:func:`forcinglab.iteration.extend_stage` ANDs prefix and tail rows.
 """
 
 import itertools
 
 from forcinglab.iteration import TAIL_ONE, trim
 from forcinglab.poset import Poset
+
+
+def above_by_pairs(poset):
+    """above[p]: the q with p in q's lower cone."""
+    n = poset.n
+    return tuple(sum(1 << q for q in range(n) if poset.below[q] >> p & 1)
+                 for p in range(n))
+
+
+def atoms_by_pairs(poset):
+    """The p with no other element below them."""
+    return tuple(p for p in range(poset.n)
+                 if not any(q != p and poset.below[p] >> q & 1
+                            for q in range(poset.n)))
 
 
 def compat_by_pairs(poset):
@@ -24,9 +41,10 @@ def compat_by_pairs(poset):
 def separativity_witness_by_pairs(poset):
     """The first (p, q) with p not below q and every element below p
     compatible with q, or None."""
+    compat = compat_by_pairs(poset)
     return next(
         ((p, q) for p in range(poset.n) for q in range(poset.n)
-         if not poset.leq(p, q) and not poset.below[p] & ~poset.compat[q]),
+         if not poset.below[q] >> p & 1 and not poset.below[p] & ~compat[q]),
         None)
 
 

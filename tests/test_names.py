@@ -16,7 +16,7 @@ from forcinglab.names import (Name, NameUniverse, TruthSession,
                               holds_in_extension, make_name, mix_name,
                               name_text, name_universe, pair_name,
                               sampled_universe, truth_value)
-from forcinglab.poset import (all_posets_with_top, antichain_with_top,
+from forcinglab.poset import (Poset, all_posets_with_top, antichain_with_top,
                               is_separative, point_poset)
 from forcinglab.projection import make_context
 
@@ -370,6 +370,22 @@ class TestInterning:
         nm = Name([(over_b[5], A.one)], A)
         assert nm.entries[0][0] is over_a[5]
         assert nm is Name([(over_a[5], A.one)], A)
+
+    def test_algebras_of_one_order_share_tables_not_names(self):
+        P = antichain_with_top(2)
+        A, B = ro_algebra(P), ro_algebra(Poset(list(P.below), P.top))
+        # the element tables are one memo entry for the relation matrix
+        assert A.index is B.index and A.elements is B.elements
+        assert A.name_tag is not B.name_tag
+        e = Name((), A)
+        nm = Name([(e, A.one)], A)
+        assert nm.tag is A.name_tag and list(A.name_table.values()) == [e, nm]
+        assert not B.name_table
+        # a name over A is rebuilt in B, not interned there
+        rebuilt = Name([(nm, B.one)], B)
+        assert rebuilt.entries[0][0] is not nm and rebuilt.entries[0][0] == nm
+        assert all(x.tag is B.name_tag for x in B.name_table.values())
+        assert list(A.name_table.values()) == [e, nm]
 
     def test_memoized_atomic_values_match_the_unmemoized_clauses(self):
         checked = 0

@@ -302,12 +302,15 @@ class TestGeneration:
             assert twin.automorphisms() is p.automorphisms()
 
     def test_search_memo_drops_its_oldest_entry(self, monkeypatch):
-        monkeypatch.setattr(poset_module, "_SEARCHES_KEPT", 2)
-        monkeypatch.setattr(poset_module, "_searches", {})
+        # the search lives in the order memo; a dropped order's search
+        # stays with the posets built on it
+        monkeypatch.setattr(poset_module, "_ORDERS_KEPT", 2)
+        monkeypatch.setattr(poset_module, "_orders", {})
         posets = [antichain_with_top(2), chain_poset(3), diamond_poset()]
-        for p in posets:
-            Poset(p.below, p.top).canonical_key()
-        assert list(poset_module._searches) == [p.below for p in posets[1:]]
+        keys = [p.canonical_key() for p in posets]
+        assert list(poset_module._orders) == [p.below for p in posets[1:]]
+        monkeypatch.setattr(Poset, "_canonical_search", None)
+        assert [p.canonical_key() for p in posets] == keys
 
     def test_search_is_capped(self):
         with pytest.raises(CanonicalFormError):
@@ -329,3 +332,52 @@ def test_point_poset_basics():
 
 def test_mask_bits_roundtrip():
     assert list(_mask_bits(0b10110)) == [1, 2, 4]
+
+
+class TestOrderMemo:
+    """The one memo of order facts, keyed by the relation rows."""
+
+    def test_posets_with_one_order_share_its_facts_not_their_labels(self):
+        for p in all_posets_with_top(5):
+            twin = Poset(list(p.below), p.top, [f"t{q}" for q in range(p.n)])
+            assert twin._order is p._order
+            assert (twin.below, twin.above, twin.compat, twin.atoms) == \
+                (p.below, p.above, p.compat, p.atoms)
+            assert twin.labels != p.labels
+            assert separativity_witness(twin) == separativity_witness(p)
+
+    def test_an_invalid_relation_raises_on_every_construction(self):
+        cycle = (0b11, 0b11)
+        for _ in range(2):
+            with pytest.raises(PosetError, match="cycle detected between 0 and 1"):
+                Poset(cycle, 1)
+        assert cycle not in poset_module._orders
+        # valid rows are memoized, and a wrong top still raises each time
+        for _ in range(2):
+            with pytest.raises(PosetError, match="top 0 is not above every element"):
+                Poset((0b01, 0b11), 0)
+        assert (0b01, 0b11) in poset_module._orders
+        assert Poset((0b01, 0b11), 1).top == 1
+
+    def test_filling_the_memo_drops_the_oldest_and_keeps_the_bound(
+            self, monkeypatch):
+        monkeypatch.setattr(poset_module, "_ORDERS_KEPT", 4)
+        monkeypatch.setattr(poset_module, "_orders", {})
+        posets = list(all_posets_with_top(5))
+        assert len(posets) > 8
+        for i, p in enumerate(posets):
+            Poset(p.below, p.top)
+            assert len(poset_module._orders) == min(i + 1, 4)
+        assert list(poset_module._orders) == [p.below for p in posets[-4:]]
+        # a dropped order is validated afresh on its next construction
+        again = Poset(posets[0].below, posets[0].top)
+        assert again._order is not posets[0]._order
+        assert list(poset_module._orders) == \
+            [p.below for p in posets[-3:]] + [posets[0].below]
+
+    def test_a_pickled_poset_returns_to_the_memo(self):
+        import pickle
+
+        p = diamond_poset()
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy._order is p._order and copy.labels == p.labels

@@ -1,23 +1,27 @@
 import dataclasses
+import functools
 import itertools
 import sys
 
 import pytest
 
+from forcinglab import iteration as iteration_module
+from forcinglab import poset as poset_module
 from forcinglab import projection
-from forcinglab.boolalg import certify_complete_hom
+from forcinglab.boolalg import certify_complete_hom, ro_algebra
+from forcinglab.cli import ExperimentConfig, generate_instances
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import constants, parse_formula
 from forcinglab.generic import dense_subsets
 from forcinglab.hfset import EMPTY
 from forcinglab.iteration import (TAIL_ONE, TableProvider, build_iteration,
                                   canonicalize_condition, cifs_toy_iteration,
-                                  trim)
+                                  root_stage, trim)
 from forcinglab.names import (Name, NameUniverse, TruthSession, check_name,
                               evaluate, name_text, name_universe,
                               sampled_universe)
-from forcinglab.poset import (_mask_bits, antichain_with_top, point_poset,
-                              regularize)
+from forcinglab.poset import (Poset, _mask_bits, antichain_with_top,
+                              point_poset, regularize, separativity_witness)
 from forcinglab.projection import (ProjectionError, _frown_table, _lemma11,
                                    _lemma12, _lemma12_by_elements, _lemma13,
                                    _lemma14, _level_facts, _prefix_groups,
@@ -30,6 +34,8 @@ from forcinglab.report import SuiteReport
 import algebra_oracle
 import lemma_oracle
 from generation_oracle import automorphisms_by_search, canonical_key_by_search
+from order_oracle import (above_by_pairs, atoms_by_pairs, compat_by_pairs,
+                          separativity_witness_by_pairs)
 from universes import working_universe
 
 A2 = antichain_with_top(2)
@@ -65,6 +71,18 @@ def _count_calls(monkeypatch, *functions) -> list:
                 if value is fn:
                     monkeypatch.setattr(owner, attr, counted)
     return calls
+
+
+def _record_rebuilds(monkeypatch) -> list:
+    """Every iteration that Corollary 15 rebuilds, in call order."""
+    rebuilt: list = []
+
+    def recorded(*args, **kwargs):
+        rebuilt.append(build_iteration(*args, **kwargs))
+        return rebuilt[-1]
+
+    monkeypatch.setattr(projection, "build_iteration", recorded)
+    return rebuilt
 
 
 @pytest.fixture(scope="module")
@@ -944,6 +962,22 @@ class TestCorollary15:
             rep = verify_corollary15(ctx, instance=f"dependent-{gi}")
             assert rep.ok, rep.failures[0].detail
 
+    def test_a_partial_instance_rebuilds_only_the_compared_stages(
+            self, default_sweep, monkeypatch):
+        # a partial instance's provider has one more stage, the capped one;
+        # the rebuild stops at the last quotient level, N - alpha
+        rebuilt = _record_rebuilds(monkeypatch)
+        partial = [it for spec, it in default_sweep if spec.partial]
+        assert len(partial) == 1
+        for it in partial:
+            N = len(it)
+            assert it.provider.stage_count == N + 1
+            for alpha in range(1, N + 1):
+                for gi in range(len(it.stages[alpha].generics)):
+                    rebuilt.clear()
+                    assert verify_corollary15(make_context(it, alpha, gi)).ok
+                    assert [len(r) for r in rebuilt] == [N - alpha]
+
     def test_three_stage_deep_quotients(self):
         it = build_iteration(TableProvider([
             {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
@@ -968,13 +1002,7 @@ class TestSweepOrderOracles:
 
     def test_canonical_search_on_quotient_and_rebuilt_stages(
             self, default_sweep, monkeypatch):
-        rebuilt = []
-
-        def recorded(*args, **kwargs):
-            rebuilt.append(build_iteration(*args, **kwargs))
-            return rebuilt[-1]
-
-        monkeypatch.setattr(projection, "build_iteration", recorded)
+        rebuilt = _record_rebuilds(monkeypatch)
         posets = []
         for it, ctx in self.contexts(default_sweep):
             assert verify_corollary15(ctx).ok
@@ -991,7 +1019,33 @@ class TestSweepOrderOracles:
             key, automorphisms = oracle[p.below]
             assert p.canonical_key() == key
             assert set(p.automorphisms()) == automorphisms
-        assert (len(posets), len(oracle)) == (1218, 4)
+        assert (len(posets), len(oracle)) == (1216, 4)
+
+    def test_memo_hits_equal_a_fresh_computation(self, default_sweep):
+        # a second construction on a stage's or a quotient's rows is a memo
+        # hit; its facts, and those of the original, are computed afresh
+        # from the rows by the oracles
+        posets = [stage.poset for _, it in default_sweep for stage in it.stages]
+        for it, ctx in self.contexts(default_sweep):
+            posets += [ctx.levels[beta].stage.poset
+                       for beta in range(ctx.alpha + 1, len(it) + 1)]
+        fresh = {}
+        for p in posets:
+            first = Poset(p.below, p.top)
+            hit = Poset(p.below, p.top)
+            assert hit._order is first._order
+            if p.below not in fresh:
+                fresh[p.below] = (
+                    above_by_pairs(p), atoms_by_pairs(p), compat_by_pairs(p),
+                    separativity_witness_by_pairs(p),
+                    algebra_oracle.cut_table_by_elements(p))
+            above, atoms, compat, witness, table = fresh[p.below]
+            for q in (p, hit):
+                assert (q.above, q.atoms, q.compat) == (above, atoms, compat)
+                assert separativity_witness(q) == witness
+                A = ro_algebra(q)
+                assert (A._cuts, A.elements, A.index) == table
+        assert (len(posets), len(fresh)) == (1007, 41)
 
     def test_parent_rows_index_the_canonical_prefix(self, default_sweep):
         pairs = {}
@@ -1008,6 +1062,52 @@ class TestSweepOrderOracles:
             for ci, cond in enumerate(stage.conditions):
                 assert stage.parent[ci] == prev.cond_index(trim(cond[:k - 1]))
         assert len(pairs) == 114 + 608
+
+
+class TestOrderFactsOncePerMatrix:
+    def test_rows_and_algebra_tables_built_once_per_relation_matrix(
+            self, monkeypatch):
+        # a fresh memo and a fresh root stage, then the whole acceptance
+        # sweep: generation, every context and every Corollary 15 rebuild
+        monkeypatch.setattr(poset_module, "_orders", {})
+        fresh_root = functools.cache(root_stage.__wrapped__)
+        monkeypatch.setattr(iteration_module, "root_stage", fresh_root)
+        monkeypatch.setattr(projection, "root_stage", fresh_root)
+        rows, tables, algebras = [], [], []
+
+        class Counted(poset_module._Order):
+            __slots__ = ()
+
+            def __init__(self, below):
+                rows.append(below)
+                super().__init__(below)
+
+        cut_table = poset_module._cut_table
+
+        def counted_table(poset):
+            tables.append(poset.below)
+            return cut_table(poset)
+
+        def counted_algebra(poset, max_base=None):
+            algebras.append(poset.below)
+            return ro_algebra(poset, max_base)
+
+        monkeypatch.setattr(poset_module, "_Order", Counted)
+        monkeypatch.setattr(poset_module, "_cut_table", counted_table)
+        monkeypatch.setattr(projection, "ro_algebra", counted_algebra)
+        sweep = generate_instances(ExperimentConfig(max_poset=3, max_stages=3, seed=1))
+        for _, it in sweep:
+            for alpha in range(1, len(it) + 1):
+                for gi in range(len(it.stages[alpha].generics)):
+                    assert verify_corollary15(make_context(it, alpha, gi)).ok
+        assert len(rows) == len(set(rows)) <= poset_module._ORDERS_KEPT
+        assert len(tables) == len(set(tables)) == len(set(algebras)) == 41
+        assert len(algebras) == 1683
+
+    def test_one_root_stage_per_process(self):
+        it = _two_step_antichains()
+        assert it.stages[0] is root_stage()
+        assert make_context(it, 1, 0).levels[1].stage is root_stage()
 
 
 class TestLemma20:
