@@ -370,6 +370,9 @@ def check_config(config: ExperimentConfig) -> None:
     """Reject bad option values before any suite runs."""
     if config.suite not in SUITES:
         raise ValueError(f"unknown suite {config.suite}")
+    # 9 is the element cap of Poset.canonical_key's permutation search
+    if not 0 <= config.max_poset <= 9:
+        raise ValueError(f"max_poset must be in 0..9, got {config.max_poset}")
     if config.max_stages < 0:
         raise ValueError(f"max_stages must be >= 0, got {config.max_stages}")
     _cifs_provider(config)

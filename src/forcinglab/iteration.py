@@ -144,10 +144,11 @@ class Iteration:
     provider: StepProvider
     caps: Caps
     partial: bool = False
-    # instance-scoped: the projection contexts built on this iteration, plus
-    # the stage algebras they share; cleared once the instance's suites are
-    # done.  Not an init field, so a dataclasses.replace copy starts empty
-    # rather than reading contexts built for the original's stages
+    # instance-scoped: the projection contexts built on this iteration,
+    # keyed (alpha, gen_index, caps), and nothing else; cleared once the
+    # instance's suites are done.  Not an init field, so a
+    # dataclasses.replace copy starts empty rather than reading contexts
+    # built for the original's stages
     context_cache: dict = field(default_factory=dict, init=False)
 
     @property

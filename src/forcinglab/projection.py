@@ -19,12 +19,14 @@ generics).  Everything downstream -- the complete-homomorphism certificate,
 the per-lemma property checks, generic factorization and the rebuilt-tail
 comparison -- quantifies exhaustively over the finite instance.  The facts
 that Theorem 2 and the lemma suite share (homomorphism, onto, atomic
-transport) are computed once per level and cached on the context; the
-source algebras are built once per instance and shared by all its
-contexts.  L11-L14 read relations built once per level: the s-frown
-table grouped by alpha-prefix, and the sibling contexts' projections as
-bit rows over the level's conditions; L12 runs through the lower adjoint
-of the level's homomorphism.  The statements about names -- Theorem 2's
+transport) are computed once per level and cached on the context.  Each
+context builds its own source algebras, so names and their pi_second
+images never pass between contexts; the order rows and cut tables under
+those algebras are memoized per relation matrix in :mod:`forcinglab.poset`.
+L11-L14 read relations built once per level: the s-frown table grouped by
+alpha-prefix, and the sibling contexts' projections as bit rows over the
+level's conditions; L12 runs through the lower adjoint of the level's
+homomorphism.  The statements about names -- Theorem 2's
 onto and transport items and Theorem 16's evaluation identity -- are
 certified on algebra elements, which by induction through pi_second covers
 every name of every rank, plus an audit of the cached pi_second images; no
@@ -40,10 +42,12 @@ from .config import Caps
 from .generic import GenericSet, is_filter
 from .iteration import (TAIL_ONE, CifsProvider, Iteration, ProviderError,
                         Stage, StepContext, StepProvider, build_iteration,
-                        canonicalize_condition, extend_stage, root_stage)
-from .names import (Name, decode_element, element_name, evaluate, mix_name,
-                    name_text)
-from .poset import Poset, _mask_bits, regularize
+                        canonicalize_condition, extend_stage, root_stage,
+                        tail_from_name)
+# evaluate is bound here for perfbench/selftest.py, which checks that its
+# tracer reaches this binding; tails are decoded by tail_from_name
+from .names import Name, element_name, evaluate, mix_name, name_text  # noqa: F401
+from .poset import Poset, _mask_bits, is_regular_cut
 from .report import SuiteReport
 
 
@@ -73,7 +77,7 @@ class ProjectionContext:
     gen_index: int
     caps: Caps
     levels: dict[int, QuotientLevel]
-    source_algebras: dict[int, BoolAlgebra]   # shared by the instance's contexts
+    source_algebras: dict[int, BoolAlgebra]   # this context's own, per stage
     # beta -> _LevelFacts; not an init field, so that
     # dataclasses.replace gives the copy an empty cache
     _facts: dict = field(default_factory=dict, init=False)
@@ -86,12 +90,6 @@ class ProjectionContext:
     def final_level(self) -> QuotientLevel:
         return self.levels[len(self.iteration)]
 
-    def pi(self, beta: int, cond_idx: int):
-        return self.levels[beta].pi[cond_idx]
-
-    def pi_prime(self, beta: int, x: int) -> int:
-        return self.levels[beta].pi_prime[x]
-
     def pi_second(self, beta: int, name: Name) -> Name:
         level = self.levels[beta]
         got = level._pi_second.get(name.uid)
@@ -100,19 +98,6 @@ class ProjectionContext:
                         for sub, x in name.entries), level.algebra)
             level._pi_second[name.uid] = got
         return got
-
-
-def _stage_algebra(iteration: Iteration, beta: int, caps: Caps) -> BoolAlgebra:
-    """Stage beta's algebra, shared by every context of an instance: built
-    on first use and kept in the instance's context cache under its own key
-    shape."""
-    key = ("stage-algebra", beta, caps)
-    got = iteration.context_cache.get(key)
-    if got is None:
-        got = ro_algebra(iteration.stages[beta].poset,
-                         max_base=caps.algebra_max_base)
-        iteration.context_cache[key] = got
-    return got
 
 
 def _tail_as_name(stage: Stage, tail, algebra: BoolAlgebra,
@@ -135,11 +120,13 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     exist at finite stage counts; the limit clause is vacuous here and the
     suites report it as such.
 
-    The root level is the process's one :func:`root_stage`.  Every level
-    gets its own algebra, so its names and pi_second images stay apart from
-    other contexts'; the poset rows and algebra tables under them are
-    memoized per relation matrix in :mod:`forcinglab.poset`, so orders that
-    repeat across contexts are validated and tabulated once.
+    The root level is the process's one :func:`root_stage`.  The context
+    builds its own source algebras and every level its own quotient
+    algebra, so names and pi_second images stay apart from other
+    contexts'; the poset rows and algebra tables under them are memoized
+    per relation matrix in :mod:`forcinglab.poset`, so orders that repeat
+    across contexts are validated and tabulated once.  The iteration's
+    ``context_cache`` holds the finished context and nothing else.
     """
     caps = caps or iteration.caps
     stages = iteration.stages
@@ -153,7 +140,8 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
         return cached
     G = stages[alpha].generics[gen_index]
 
-    source_algebras = {beta: _stage_algebra(iteration, beta, caps)
+    source_algebras = {beta: ro_algebra(stages[beta].poset,
+                                        max_base=caps.algebra_max_base)
                        for beta in range(alpha, N + 1)}
 
     levels: dict[int, QuotientLevel] = {}
@@ -198,20 +186,12 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
                 src_alg = source_algebras[beta - 1]
                 literal = _tail_as_name(prev_src, tail, src_alg, numeral_memo)
                 image = ctx.pi_second(beta - 1, literal)
-                out = []
-                for h in range(len(prev_level.stage.generics)):
-                    hmask = prev_level.stage.gen_masks[qprefix]
-                    if not (hmask >> h) & 1:
-                        continue
-                    hf = evaluate(image, prev_level.stage.generics[h].mask)
-                    e = decode_element(hf)
-                    q = steps_q[h]
-                    if e is None or q is None or not 0 <= e < q.n:
-                        raise ProjectionError(
-                            f"tail image does not denote a step element at level {beta}, "
-                            f"generic {h}: {hf!r}")
-                    out.append((h, e))
-                qtail = tuple(out)
+                try:
+                    qtail = tail_from_name(prev_level.stage, steps_q, qprefix,
+                                           image)
+                except ProviderError as e:
+                    raise ProjectionError(
+                        f"tail image at level {beta}: {e}") from e
             defined.append(ci)
             raw_tails.append((qprefix, qtail))
         qstage, placement = extend_stage(prev_level.stage, steps_q, caps,
@@ -774,8 +754,7 @@ def _lemma13(ctx: ProjectionContext, table: list, groups: dict):
         for cj, mask in cuts.items():
             ok = regular.get(mask)
             if ok is None:
-                ok = regular[mask] = aposet.is_downward_closed(mask) and \
-                    regularize(mask, aposet) == mask
+                ok = regular[mask] = is_regular_cut(mask, aposet)
             if not ok:
                 return False, {"pair": (ci, cj), "cut": f"{mask:#x}"}
     return True, {"pairs": checked}

@@ -10,7 +10,6 @@ from forcinglab.iteration import TableProvider, build_iteration
 from forcinglab.poset import (all_separative_posets, antichain_with_top,
                               chain_poset, complement_cut, is_regular_cut,
                               point_poset, regularize)
-from forcinglab.projection import _stage_algebra
 
 from algebra_oracle import cut_of_atom_set, fake_binary_witnesses
 
@@ -237,7 +236,8 @@ class TestAtomSetRepresentation:
     def test_cuts_are_the_atom_set_oracle(self, default_sweep):
         # the cuts built alongside the subsets, on the small algebras and
         # on every stage algebra of the acceptance sweep
-        stages = (_stage_algebra(it, beta, DEFAULT_CAPS)
+        stages = (ro_algebra(it.stages[beta].poset,
+                             max_base=DEFAULT_CAPS.algebra_max_base)
                   for _, it in default_sweep for beta in range(len(it) + 1))
         checked = 0
         for A in itertools.chain(self.algebras(), stages):

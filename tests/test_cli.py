@@ -303,7 +303,8 @@ class TestRunReports:
         ["--cifs-ladder", "x"], ["--cifs-ladder", "2:3,1:2"],
         ["--cifs-ladder", "1:9"], ["--cifs-ladder", "6:2"],
         ["--cifs-formulas", "z in x"], ["--cifs-formulas", "x in ("],
-        ["--max-stages", "-1"]], ids="=".join)
+        ["--max-stages", "-1"], ["--max-poset", "-1"],
+        ["--max-poset", "10"]], ids="=".join)
     def test_bad_option_values_exit_two(self, flags, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
         rc = main(["run", "--suite", "cifs", "--max-poset", "2",
@@ -319,7 +320,7 @@ class TestRunReports:
 
         monkeypatch.setattr(cli, "generate_instances", sweep)
         for flags in (["--cifs-ladder", "1:9"], ["--cifs-formulas", "z in x"],
-                      ["--max-stages", "-1"]):
+                      ["--max-stages", "-1"], ["--max-poset", "10"]):
             assert main(["run", "--suite", "all", "--out",
                          str(tmp_path / "r.jsonl")] + flags) == 2
 
@@ -356,6 +357,20 @@ class TestConfigFile:
         meta = json.loads((tmp_path / "r.jsonl").read_text().splitlines()[0])
         assert meta["config"]["seed"] == 7
         assert meta["config"]["suite"] == "lemma1"
+
+    def test_max_poset_above_the_search_cap_rejected(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def sweep(config):
+            raise AssertionError("the table sweep ran")
+
+        monkeypatch.setattr(cli, "generate_instances", sweep)
+        cfile = tmp_path / "wide.conf"
+        cfile.write_text("suite = all\nmax_poset = 10\n")
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(cfile), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: max_poset must be in 0..9, got 10\n")
+        assert not out.exists()
 
     def test_bad_key_rejected(self, tmp_path):
         cfile = tmp_path / "bad.conf"

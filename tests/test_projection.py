@@ -9,7 +9,8 @@ from forcinglab import iteration as iteration_module
 from forcinglab import poset as poset_module
 from forcinglab import projection
 from forcinglab.boolalg import certify_complete_hom, ro_algebra
-from forcinglab.cli import ExperimentConfig, generate_instances
+from forcinglab.cli import (ExperimentConfig, InstanceSpec, generate_instances,
+                            run_suite)
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import constants, parse_formula
 from forcinglab.generic import dense_subsets
@@ -18,10 +19,11 @@ from forcinglab.iteration import (TAIL_ONE, TableProvider, build_iteration,
                                   canonicalize_condition, cifs_toy_iteration,
                                   root_stage, trim)
 from forcinglab.names import (Name, NameUniverse, TruthSession, check_name,
-                              evaluate, name_text, name_universe,
-                              sampled_universe)
+                              element_name, evaluate, name_text,
+                              name_universe, sampled_universe)
 from forcinglab.poset import (Poset, _mask_bits, antichain_with_top,
-                              point_poset, regularize, separativity_witness)
+                              is_regular_cut, point_poset, regularize,
+                              separativity_witness)
 from forcinglab.projection import (ProjectionError, _frown_table, _lemma11,
                                    _lemma12, _lemma12_by_elements, _lemma13,
                                    _lemma14, _level_facts, _prefix_groups,
@@ -143,6 +145,27 @@ class TestMakeContext:
         with pytest.raises(ProjectionError):
             make_context(it, 5, 0)
 
+    def test_a_tail_image_outside_the_step_poset_fails_the_build(
+            self, monkeypatch):
+        # only the alpha 1 context reads tails through pi_second (at level
+        # 3); send every tail literal to the numeral of a fourth element of
+        # the three-element step poset
+        it = build_iteration(TableProvider([
+            {(): PT}, {(None,): A2}, {(None, 0): A2, (None, 1): A2}]))
+
+        def outside(ctx, beta, name):
+            return element_name(A2.n, ctx.levels[beta].algebra, {})
+
+        monkeypatch.setattr(projection.ProjectionContext, "pi_second", outside)
+        with pytest.raises(ProjectionError, match="does not denote"):
+            make_context(it, 1, 0)
+        assert not it.context_cache
+        spec = InstanceSpec("it-bad-tail", [], {}, {})
+        rep = run_suite("theorem2", spec, it, ExperimentConfig())
+        assert [(c.check, c.context) for c in rep.failures] == [
+            ("context-build", {"alpha": 1, "generic": 0})]
+        assert rep.counts()["pass"] > 0
+
     def test_algebra_atom_bound_comes_from_caps(self, worked):
         # the stage-1 poset has two atoms
         it, _ = worked
@@ -170,40 +193,61 @@ class TestMakeContext:
         assert rep.ok and rep.counts()["pass"] >= 6, rep.failures[:1]
 
 
-class TestSharedStageAlgebras:
-    """The contexts of one instance borrow one algebra per stage and caps."""
+class TestContextOwnership:
+    """Each context builds its own source algebras, so names and their
+    pi_second images stay in one context; the order tables under the
+    algebras are shared through the memo in poset.py."""
 
-    def test_every_context_of_an_instance_shares_the_stage_algebras(self):
+    @staticmethod
+    def all_contexts(it, caps=None):
+        return [make_context(it, alpha, g, caps)
+                for alpha in range(1, len(it) + 1)
+                for g in range(len(it.stages[alpha].generics))]
+
+    def test_each_context_owns_its_stage_algebras(self):
         it = build_iteration(TableProvider([
             {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
-        seen: dict[int, set] = {}
-        for alpha in range(1, len(it) + 1):
-            for g in range(len(it.stages[alpha].generics)):
-                ctx = make_context(it, alpha, g)
-                for beta, A in ctx.source_algebras.items():
-                    seen.setdefault(beta, set()).add(id(A))
+        ctxs = self.all_contexts(it)
+        seen: dict[int, list] = {}
+        for ctx in ctxs:
+            for beta, A in ctx.source_algebras.items():
+                seen.setdefault(beta, []).append(A)
         assert sorted(seen) == [1, 2, 3]
-        assert all(len(ids) == 1 for ids in seen.values()), seen
+        for algebras in seen.values():
+            assert len({id(A) for A in algebras}) == len(algebras) > 1
+            # one relation matrix per stage: its tables are memoized once
+            assert len({id(A.elements) for A in algebras}) == 1
+            assert len({id(A._cuts) for A in algebras}) == 1
 
-    def test_clearing_the_cache_builds_a_fresh_algebra(self):
-        it = _two_step_antichains()
-        before = make_context(it, 1, 0).source_algebras[2]
-        assert make_context(it, 1, 1).source_algebras[2] is before
-        it.context_cache.clear()
-        after = make_context(it, 1, 0).source_algebras[2]
-        assert after is not before
-        assert after.elements == before.elements
+    def test_no_name_passes_between_contexts(self):
+        it = build_iteration(TableProvider([
+            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        ctxs = self.all_contexts(it)
+        for ctx in ctxs:
+            assert verify_theorem2(ctx).ok
+        owner: dict[int, int] = {}
+        for k, ctx in enumerate(ctxs):
+            tables = [A.name_table for A in ctx.source_algebras.values()]
+            tables += [level.algebra.name_table for level in ctx.levels.values()]
+            for table in tables:
+                for name in table.values():
+                    assert owner.setdefault(id(name), k) == k
+        # level alpha+2 of the alpha 1 contexts interns tail names
+        assert len(set(owner.values())) > 1
 
-    def test_other_atom_bounds_get_their_own_algebra(self):
+    def test_the_cache_holds_only_contexts(self):
         it = _two_step_antichains()
-        shared = make_context(it, 1, 0).source_algebras[2]
         wide = it.caps.with_(algebra_max_base=it.caps.algebra_max_base + 1)
-        other = make_context(it, 1, 0, wide).source_algebras[2]
-        assert other is not shared
-        assert make_context(it, 1, 1, wide).source_algebras[2] is other
-        # the stage-1 poset has two atoms
+        ctxs = self.all_contexts(it) + self.all_contexts(it, wide)
+        # the stage-1 poset has two atoms: a refused build caches nothing
         with pytest.raises(CapExceeded):
             make_context(it, 1, 0, it.caps.with_(algebra_max_base=1))
+        assert len(it.context_cache) == len(ctxs) == 12
+        for key, ctx in it.context_cache.items():
+            assert key == (ctx.alpha, ctx.gen_index, ctx.caps)
+        # other caps, other contexts with their own algebras
+        assert ctxs[0].caps != ctxs[6].caps
+        assert ctxs[0].source_algebras[2] is not ctxs[6].source_algebras[2]
 
     def test_factor_generic_neither_sweeps_nor_evaluates(self, monkeypatch):
         it = _two_step_antichains()
@@ -369,7 +413,7 @@ class TestTheorem2:
                 sv = src.with_constants(combo).value(f)
                 tv = tgt.with_constants(
                     [ctx.pi_second(2, n) for n in combo]).value(f)
-                assert ctx.pi_prime(2, sv) == tv, (f, combo)
+                assert level.pi_prime[sv] == tv, (f, combo)
                 checked += 1
         assert checked == 48 + 48 ** 2
 
@@ -556,9 +600,9 @@ class TestLemmaControls:
 
         def counted(mask, poset):
             cuts.append(mask)
-            return regularize(mask, poset)
+            return is_regular_cut(mask, poset)
 
-        monkeypatch.setattr(projection, "regularize", counted)
+        monkeypatch.setattr(projection, "is_regular_cut", counted)
         ok, detail = _lemma13(ctx, table, _prefix_groups(table))
         assert ok and 0 < len(cuts) == len(set(cuts)) < detail["pairs"]
 
@@ -1102,7 +1146,9 @@ class TestOrderFactsOncePerMatrix:
                     assert verify_corollary15(make_context(it, alpha, gi)).ok
         assert len(rows) == len(set(rows)) <= poset_module._ORDERS_KEPT
         assert len(tables) == len(set(tables)) == len(set(algebras)) == 41
-        assert len(algebras) == 1683
+        # every context builds its own algebras: one per source stage and
+        # one per quotient level, on the 41 memoized tables
+        assert len(algebras) == 2768
 
     def test_one_root_stage_per_process(self):
         it = _two_step_antichains()
