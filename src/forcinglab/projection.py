@@ -23,18 +23,20 @@ transport) are computed once per level and cached on the context.  Each
 context builds its own source algebras, so names and their pi_second
 images never pass between contexts; the order rows and cut tables under
 those algebras are memoized per relation matrix in :mod:`forcinglab.poset`.
-L11-L14 read relations built once per level: the s-frown table grouped by
-alpha-prefix, and the sibling contexts' projections as bit rows over the
-level's conditions; L12 runs through the lower adjoint of the level's
-homomorphism.  The statements about names -- Theorem 2's
-onto and transport items and Theorem 16's evaluation identity -- are
-certified on algebra elements, which by induction through pi_second covers
-every name of every rank, plus an audit of the cached pi_second images; no
-name universe is built.
+L5, L10 and L11-L14 read relations built once per level: bit rows of the
+defined conditions grouped by image, the s-frown table built from the
+parent rows and grouped by alpha-prefix, and the sibling contexts'
+projections as bit rows over the level's conditions; L12 runs through the
+lower adjoint of the level's homomorphism.  The statements about names --
+Theorem 2's onto and transport items and Theorem 16's evaluation identity
+-- are certified on algebra elements, which by induction through pi_second
+covers every name of every rank, plus an audit of the cached pi_second
+images; no name universe is built.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .boolalg import BoolAlgebra, HomReport, certify_complete_hom, ro_algebra
@@ -42,8 +44,7 @@ from .config import Caps
 from .generic import GenericSet, is_filter
 from .iteration import (TAIL_ONE, CifsProvider, Iteration, ProviderError,
                         Stage, StepContext, StepProvider, build_iteration,
-                        canonicalize_condition, extend_stage, root_stage,
-                        tail_from_name)
+                        extend_stage, root_stage, tail_from_name)
 # evaluate is bound here for perfbench/selftest.py, which checks that its
 # tracer reaches this binding; tails are decoded by tail_from_name
 from .names import Name, element_name, evaluate, mix_name, name_text  # noqa: F401
@@ -404,11 +405,14 @@ def verify_theorem2(ctx: ProjectionContext, instance: str = "adhoc",
 def verify_projection_lemmas(ctx: ProjectionContext, instance: str = "adhoc",
                              rank: int = 2) -> SuiteReport:
     """One exhaustive sub-check per projection lemma, itemized L3..L14.
-    L6-L9 cite the level's shared facts, as Theorem 2 does; L11-L14 read
-    one s-frown-p table, grouped by alpha-prefix, and the sibling levels'
-    projections as bit rows, each built once per level, and L12 uses the
-    lower adjoint where item 1 holds.  The limit-stage clause is stated
-    once per run by :func:`limit_clause_skip`.
+    L5 and L10 read one bit row per defined condition, built from the
+    defined conditions grouped by image; L6-L9 cite the level's shared
+    facts, as Theorem 2 does; L11-L14 read one s-frown-p table, built from
+    the parent rows stage by stage and grouped by alpha-prefix, and the
+    sibling levels' projections as bit rows, each built once per level,
+    and L12 uses the lower adjoint where item 1 holds.  No condition is
+    canonicalized.  The limit-stage clause is stated once per run by
+    :func:`limit_clause_skip`.
     ``rank`` bounds nothing, as in :func:`verify_theorem2`."""
     rep = SuiteReport()
     N = len(ctx.iteration)
@@ -456,16 +460,12 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
     rep.record("projection-lemmas", "L4-principal-to-principal", instance,
                not bad4, cctx, {"violations": bad4})
 
+    rows5, rows10 = _l5_l10_rows(src.poset, level, defined)
+
     # L5: disjoint principal cuts stay disjoint
-    bad5 = []
-    for ci in defined:
-        for cj in defined:
-            if src.poset.below[ci] & src.poset.below[cj]:
-                continue
-            if qposet.below[level.pi[ci]] & qposet.below[level.pi[cj]]:
-                bad5.append((src.poset.labels[ci], src.poset.labels[cj]))
-    rep.record("projection-lemmas", "L5-disjointness", instance, not bad5,
-               cctx, {"violations": bad5[:4], "count": len(bad5)})
+    detail5 = _pair_violations(src.poset, defined, rows5)
+    rep.record("projection-lemmas", "L5-disjointness", instance,
+               not detail5["count"], cctx, detail5)
 
     # L6: pi_prime commutes with complement
     bad6 = [f"{c[1][0]:#x}" for c in facts.hom.counterexamples
@@ -488,13 +488,9 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
                _holds(facts.transport), cctx, facts.transport)
 
     # L10: pi is monotone where defined
-    bad10 = []
-    for ci in defined:
-        for cj in defined:
-            if src.poset.leq(ci, cj) and not qposet.leq(level.pi[ci], level.pi[cj]):
-                bad10.append((src.poset.labels[ci], src.poset.labels[cj]))
-    rep.record("projection-lemmas", "L10-monotone", instance, not bad10, cctx,
-               {"violations": bad10[:4], "count": len(bad10)})
+    detail10 = _pair_violations(src.poset, defined, rows10)
+    rep.record("projection-lemmas", "L10-monotone", instance,
+               not detail10["count"], cctx, detail10)
 
     # L11-L14 quantify over s-frown-p and over the sibling contexts
     table = _frown_table(ctx, beta)
@@ -522,33 +518,88 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
                cctx, detail14)
 
 
+def _l5_l10_rows(poset: Poset, level: QuotientLevel, defined: list[int]):
+    """Per defined condition ci, parallel to ``defined``, the defined cj
+    that break L5 (incompatible with ci, images compatible) and those that
+    break L10 (above ci, image not above ci's).  The defined conditions are
+    grouped by image, and per image v the groups whose image is compatible
+    with v and those whose image lies above v are ORed once."""
+    qposet = level.stage.poset
+    by_image: dict[int, int] = {}
+    for ci in defined:
+        by_image[level.pi[ci]] = by_image.get(level.pi[ci], 0) | 1 << ci
+    defined_mask = sum(by_image.values())
+    cones = {}
+    for v in by_image:
+        compat_pre = above_pre = 0
+        for u, members in by_image.items():
+            if qposet.compat[v] >> u & 1:
+                compat_pre |= members
+            if qposet.above[v] >> u & 1:
+                above_pre |= members
+        cones[v] = (compat_pre, above_pre)
+    rows5, rows10 = [], []
+    for ci in defined:
+        compat_pre, above_pre = cones[level.pi[ci]]
+        rows5.append(compat_pre & ~poset.compat[ci])
+        rows10.append(defined_mask & poset.above[ci] & ~above_pre)
+    return rows5, rows10
+
+
+def _pair_violations(poset: Poset, defined: list[int], rows: list[int]) -> dict:
+    """The pairs (ci, cj) with cj in ci's row, ``rows`` running parallel to
+    ``defined``: the first four in (ci, cj) order as label pairs, and the
+    count."""
+    count, first = 0, []
+    for ci, row in zip(defined, rows):
+        count += row.bit_count()
+        for cj in itertools.islice(_mask_bits(row), 4 - len(first)):
+            first.append((poset.labels[ci], poset.labels[cj]))
+    return {"violations": first, "count": count}
+
+
 def _frown_table(ctx: ProjectionContext, beta: int) -> list[tuple[int, dict]]:
     """Per P_beta condition p: the index in P_alpha of its alpha-prefix, and
     a map from each s below that prefix, in ascending order, to the P_beta
     index of s-frown-p (the alpha-prefix replaced by s, every tail
     restricted to the generics below it), or None when s does not sit below
-    the tails' prefix constraints."""
+    the tails' prefix constraints.
+
+    The table is built one stage at a time from the parent rows.  At stage
+    alpha, s-frown-r is s.  At stage k a tail-1 condition keeps its
+    parent's row, since stage k holds stage k-1's conditions at the same
+    indices; any other condition's s-frown is its tail restricted to the
+    generics of the parent's s-frown f: f itself when the restriction is
+    all top, else the stage-k condition f followed by that restriction.
+    ``tests/lemma_oracle.py`` keeps the form that canonicalizes each
+    (p, s) from stage 0 as this kernel's oracle."""
     stages = ctx.iteration.stages
-    alpha = ctx.alpha
-    astage, src = stages[alpha], stages[beta]
-    # alpha-prefixes: the parent rows composed from beta down to alpha + 1
-    prefixes = src.parent
-    for k in range(beta - 1, alpha, -1):
-        prefixes = [stages[k].parent[i] for i in prefixes]
-    table = []
-    for cond, prefix in zip(src.conditions, prefixes):
-        suffix = list(cond[alpha:])
-        row: dict[int, int | None] = {}
-        for s in _mask_bits(astage.poset.below[prefix]):
-            s_cond = astage.conditions[s]
-            raw = list(s_cond) + [TAIL_ONE] * (alpha - len(s_cond)) + suffix
-            try:
-                row[s] = src._index.get(
-                    canonicalize_condition(raw, ctx.iteration, beta))
-            except (KeyError, ProviderError):
-                row[s] = None
-        table.append((prefix, row))
-    return table
+    astage = stages[ctx.alpha]
+    below = astage.poset.below
+    prefixes = list(range(astage.poset.n))
+    rows = [{s: s for s in _mask_bits(below[r])} for r in prefixes]
+    for k in range(ctx.alpha + 1, beta + 1):
+        prev, stage = stages[k - 1], stages[k]
+        gen_masks, index = prev.gen_masks, stage._index
+        pad = [c + (TAIL_ONE,) * (k - 1 - len(c)) for c in prev.conditions]
+        for ci in range(prev.poset.n, stage.poset.n):
+            p = stage.parent[ci]
+            tail = stage.conditions[ci][k - 1]
+            lifted = 0          # the generics where the tail is below top
+            for g, e in tail:
+                if e != stage.steps[g].top:
+                    lifted |= 1 << g
+            row = {}
+            for s, f in rows[p].items():
+                if f is not None:
+                    gens = gen_masks[f]
+                    if gens & lifted:
+                        f = index.get(pad[f] + (tuple(
+                            (g, e) for g, e in tail if gens >> g & 1),))
+                row[s] = f
+            rows.append(row)
+            prefixes.append(prefixes[p])
+    return list(zip(prefixes, rows))
 
 
 def _prefix_groups(table: list[tuple[int, dict]]) -> dict[int, tuple[int, dict]]:

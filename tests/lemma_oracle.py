@@ -1,16 +1,80 @@
-"""The pair-by-pair form of L11, L13 and L14, kept as the oracle for the
-library's per-level relations.
+"""The direct forms of the lemma suite's per-level kernels, kept as their
+oracles.
 
-Each function walks every ordered pair of P_beta conditions with one
-alpha-prefix and recomputes its premise from the sibling levels, exactly
-as the lemmas state it.  L12's oracle is the library's own element loop,
+:func:`frown_table` canonicalizes every s-frown-p from stage 0.  L5 and
+L10 compare every ordered pair of defined conditions.  L11, L13 and L14
+walk every ordered pair of P_beta conditions with one alpha-prefix and
+recompute the premise from the sibling levels, exactly as the lemmas state
+it.  L12's oracle is the library's own element loop,
 :func:`forcinglab.projection._lemma12_by_elements`, which the library
 keeps for maps that are not homomorphisms.
 """
 
 import itertools
 
+from forcinglab.iteration import (TAIL_ONE, ProviderError,
+                                  canonicalize_condition)
 from forcinglab.poset import _mask_bits, regularize
+
+
+def frown_table(ctx, beta):
+    """Per P_beta condition p: (index of its alpha-prefix in P_alpha,
+    {s: P_beta index of s-frown-p or None} for each s below that prefix),
+    each s-frown-p found by canonicalizing the prefix s followed by p's
+    tails."""
+    stages = ctx.iteration.stages
+    alpha = ctx.alpha
+    astage, src = stages[alpha], stages[beta]
+    # alpha-prefixes: the parent rows composed from beta down to alpha + 1
+    prefixes = src.parent
+    for k in range(beta - 1, alpha, -1):
+        prefixes = [stages[k].parent[i] for i in prefixes]
+    table = []
+    for cond, prefix in zip(src.conditions, prefixes):
+        suffix = list(cond[alpha:])
+        row = {}
+        for s in _mask_bits(astage.poset.below[prefix]):
+            s_cond = astage.conditions[s]
+            raw = list(s_cond) + [TAIL_ONE] * (alpha - len(s_cond)) + suffix
+            try:
+                row[s] = src._index.get(
+                    canonicalize_condition(raw, ctx.iteration, beta))
+            except (KeyError, ProviderError):
+                row[s] = None
+        table.append((prefix, row))
+    return table
+
+
+def _defined(level):
+    return [ci for ci, q in enumerate(level.pi) if q is not None]
+
+
+def lemma5(src, level):
+    """Pairs of defined conditions with disjoint principal cuts whose
+    projections' cuts meet, as (ok, {"violations": first four, "count"})."""
+    qposet = level.stage.poset
+    defined = _defined(level)
+    bad = []
+    for ci in defined:
+        for cj in defined:
+            if src.poset.below[ci] & src.poset.below[cj]:
+                continue
+            if qposet.below[level.pi[ci]] & qposet.below[level.pi[cj]]:
+                bad.append((src.poset.labels[ci], src.poset.labels[cj]))
+    return not bad, {"violations": bad[:4], "count": len(bad)}
+
+
+def lemma10(src, level):
+    """Pairs ci <= cj of defined conditions with pi(ci) not below pi(cj)."""
+    qposet = level.stage.poset
+    defined = _defined(level)
+    bad = []
+    for ci in defined:
+        for cj in defined:
+            if src.poset.leq(ci, cj) and \
+                    not qposet.leq(level.pi[ci], level.pi[cj]):
+                bad.append((src.poset.labels[ci], src.poset.labels[cj]))
+    return not bad, {"violations": bad[:4], "count": len(bad)}
 
 
 def same_prefix_pairs(table):

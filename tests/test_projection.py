@@ -16,8 +16,7 @@ from forcinglab.formula import constants, parse_formula
 from forcinglab.generic import dense_subsets
 from forcinglab.hfset import EMPTY
 from forcinglab.iteration import (TAIL_ONE, TableProvider, build_iteration,
-                                  canonicalize_condition, cifs_toy_iteration,
-                                  root_stage, trim)
+                                  cifs_toy_iteration, root_stage, trim)
 from forcinglab.names import (Name, NameUniverse, TruthSession, check_name,
                               element_name, evaluate, name_text,
                               name_universe, sampled_universe)
@@ -482,6 +481,25 @@ class TestLemmaControls:
                     for g in range(len(it.stages[ctx.alpha].generics))]
         return _frown_table(ctx, beta), siblings
 
+    @staticmethod
+    def with_pi(ctx, beta, pi):
+        level = ctx.levels[beta]
+        return dataclasses.replace(
+            ctx, levels={**ctx.levels, beta: dataclasses.replace(level, pi=pi)})
+
+    @staticmethod
+    def l5_l10(ctx, beta):
+        """The L5 and L10 records at level beta, checked against the
+        pairwise oracles."""
+        rep = SuiteReport()
+        projection._lemmas_at_level(ctx, beta, rep, "control")
+        got = {c.check: (c.status == "pass", c.detail) for c in rep.checks}
+        src, level = ctx.iteration.stages[beta], ctx.levels[beta]
+        l5, l10 = got["L5-disjointness"], got["L10-monotone"]
+        assert l5 == lemma_oracle.lemma5(src, level)
+        assert l10 == lemma_oracle.lemma10(src, level)
+        return l5, l10
+
     def test_swapped_pi_entries_fail_l4_l5_l10_and_l12(self, worked):
         _, ctx = worked
         level = ctx.levels[2]
@@ -489,11 +507,28 @@ class TestLemmaControls:
                          if q is not None and q != level.pi[0])
         pi = list(level.pi)
         pi[ci], pi[cj] = pi[cj], pi[ci]
-        swapped = dataclasses.replace(
-            ctx, levels={**ctx.levels, 2: dataclasses.replace(level, pi=pi)})
+        swapped = self.with_pi(ctx, 2, pi)
         failed = {c.check.split("-")[0] for c in
                   verify_projection_lemmas(swapped, instance="control").failures}
         assert failed == {"L4", "L5", "L10", "L12"}
+        (ok5, _), (ok10, _) = self.l5_l10(swapped, 2)
+        assert not ok5 and not ok10
+
+    def test_alternating_atom_images_pin_the_first_four_l10_pairs(self, worked):
+        # the defined conditions sent to the two quotient atoms in turn:
+        # every comparable pair across the two images breaks monotonicity,
+        # far more than the four pairs a record lists
+        _, ctx = worked
+        level = ctx.levels[2]
+        atoms = level.stage.poset.atoms
+        defined = [c for c, q in enumerate(level.pi) if q is not None]
+        pi = list(level.pi)
+        for k, c in enumerate(defined):
+            pi[c] = atoms[k % 2]
+        (ok5, _), (ok10, detail10) = self.l5_l10(self.with_pi(ctx, 2, pi), 2)
+        assert not ok5 and not ok10
+        assert detail10["count"] > 4 and len(detail10["violations"]) == 4
+        assert len(set(detail10["violations"])) == 4
 
     def test_constant_one_map_fails_l3(self, worked):
         # every principal cut maps to one, the cut of no quotient condition
@@ -628,32 +663,34 @@ class TestLemmaControls:
         ok, detail = self.l14(ctx, table, self.collapsed(siblings))
         assert not ok and "r" in detail
 
-    def test_one_canonicalization_per_condition_and_s(self, monkeypatch):
+    def test_the_lemma_suite_never_canonicalizes(self, monkeypatch):
+        # the s-frown table is read off the parent rows; every forcinglab
+        # binding of canonicalize_condition raises
+        original = iteration_module.canonicalize_condition
+
+        def refused(*args):
+            raise AssertionError("canonicalize_condition called")
+
+        for name, module in sorted(sys.modules.items()):
+            if name.split(".")[0] == "forcinglab" and \
+                    vars(module).get("canonicalize_condition") is original:
+                monkeypatch.setattr(module, "canonicalize_condition", refused)
         it = build_iteration(TableProvider([
             {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
-        calls = {}
-
-        def counted(raw, iteration, stage_index):
-            calls[stage_index] = calls.get(stage_index, 0) + 1
-            return canonicalize_condition(raw, iteration, stage_index)
-
-        monkeypatch.setattr(projection, "canonicalize_condition", counted)
-        ctx = make_context(it, 1, 0)
-        assert verify_projection_lemmas(ctx, instance="count").ok
-        astage = it.stages[1]
-        for beta in (2, 3):
-            bound = sum(
-                bin(astage.poset.below[_alpha_prefix(it, 1, beta, ci)]).count("1")
-                for ci in range(it.stages[beta].poset.n))
-            assert 0 < calls[beta] <= bound, (beta, calls[beta], bound)
+        for alpha in (1, 2):
+            for gi in range(len(it.stages[alpha].generics)):
+                ctx = make_context(it, alpha, gi)
+                assert verify_projection_lemmas(ctx, instance="never").ok
 
 
 class TestLemmaOracle:
-    """L11-L14 read per-level relations; the pair-by-pair oracle must give
-    the same statuses everywhere and, except L12's redefined ``checks``
-    count, the same details."""
+    """L5, L10 and L11-L14 read per-level relations and the s-frown table
+    comes from parent rows; the oracles that canonicalize and compare pair
+    by pair must give the same table, the same statuses everywhere and,
+    except L12's redefined ``checks`` count, the same details."""
 
-    LEMMAS = ("L11-merge-below", "L12-forcing-transport",
+    LEMMAS = ("L5-disjointness", "L10-monotone",
+              "L11-merge-below", "L12-forcing-transport",
               "L13-equal-tails-regular", "L14-order-reflection")
 
     @staticmethod
@@ -669,13 +706,43 @@ class TestLemmaOracle:
     @staticmethod
     def oracle(ctx, beta) -> list:
         it = ctx.iteration
-        table = _frown_table(ctx, beta)
+        table = lemma_oracle.frown_table(ctx, beta)
+        assert _frown_table(ctx, beta) == table
         siblings = [make_context(it, ctx.alpha, g).levels[beta]
                     for g in range(len(it.stages[ctx.alpha].generics))]
-        return [lemma_oracle.lemma11(ctx, beta, table, siblings),
+        src, level = it.stages[beta], ctx.levels[beta]
+        return [lemma_oracle.lemma5(src, level),
+                lemma_oracle.lemma10(src, level),
+                lemma_oracle.lemma11(ctx, beta, table, siblings),
                 _lemma12_by_elements(ctx, beta, table),
                 lemma_oracle.lemma13(ctx, table),
                 lemma_oracle.lemma14(ctx, beta, table, siblings)]
+
+    # hand-built iterations, the last one partial: its provider names a
+    # third stage that the condition cap refuses
+    HAND_BUILT = {
+        "two-step-antichains": [{(): A2}, {(0,): A2, (1,): A2}],
+        "trivial-tails": [{(): A2}, {(0,): PT, (1,): PT}],
+        "generic-dependent": [{(): A2}, {(0,): A3, (1,): PT}],
+        "three-stages": [{(): A2}, {(0,): A2},
+                         {(0, 0): A2, (0, 1): PT, (1, None): A2}],
+        "partial": [{(): A2}, {(0,): A2, (1,): A2},
+                    {p: A2 for p in [(0, 0), (0, 1), (1, 0), (1, 1)]}],
+    }
+
+    @pytest.mark.parametrize("name", HAND_BUILT)
+    def test_frown_table_is_the_canonicalizing_oracle(self, name):
+        it = build_iteration(TableProvider(self.HAND_BUILT[name]),
+                             allow_partial=True)
+        assert it.partial == (name == "partial")
+        compared = 0
+        for ctx, beta in self.levels([(None, it)]):
+            table = _frown_table(ctx, beta)
+            assert table == lemma_oracle.frown_table(ctx, beta), (name, beta)
+            assert [list(row) for _, row in table] == \
+                [sorted(row) for _, row in table]
+            compared += 1
+        assert compared > 0
 
     def test_every_level_of_the_acceptance_sweep(self, default_sweep):
         compared = 0
