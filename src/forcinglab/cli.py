@@ -550,7 +550,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="key = value file mirroring the flags")
         p.add_argument("--suite", choices=SUITES)
-        p.add_argument("--max-poset", type=int, dest="max_poset")
+        p.add_argument(
+            "--max-poset", type=int, dest="max_poset",
+            help="largest step poset, 0..9.  9 is the cap of the "
+                 "canonical-form search, not a bound on what finishes: "
+                 "with --max-stages 1, 7 takes about 2 s and 8 did not "
+                 "finish in 40 s")
         p.add_argument("--max-stages", type=int, dest="max_stages")
         p.add_argument("--seed", type=int)
         p.add_argument("--out")

@@ -2,6 +2,11 @@
 
 code({}) = 0 and code(x) = sum of 2**code(y) over y in x, so extensionally
 equal sets share one interned object and compare by a single int.
+
+The encodings of small naturals are cached per argument for the life of
+the process: :func:`numeral`, :func:`chain` and :func:`element_code`, the
+last bounded by its 64 encodable ids.  :func:`element_code_value` reads
+one table from the Ackermann code of each encoding to its id.
 """
 
 from __future__ import annotations
@@ -83,6 +88,7 @@ def chain(i: int) -> HFSet:
     return EMPTY if i == 0 else HFSet((chain(i - 1),))
 
 
+@lru_cache(maxsize=None)
 def element_code(e: int) -> HFSet:
     """Flat injective encoding of a small natural as a set of chains, one per
     set bit.  Unlike numerals this keeps Ackermann codes small (ids < 64)."""
@@ -91,17 +97,15 @@ def element_code(e: int) -> HFSet:
     return HFSet(chain(i) for i in range(6) if (e >> i) & 1)
 
 
+@lru_cache(maxsize=None)
+def _element_of_code() -> dict[int, int]:
+    """Every encodable id by the Ackermann code of its encoding."""
+    return {element_code(e).code: e for e in range(64)}
+
+
 def element_code_value(x: HFSet) -> int | None:
     """Inverse of :func:`element_code`, or None."""
-    e = 0
-    for m in x.members:
-        for i in range(6):
-            if m == chain(i):
-                e |= 1 << i
-                break
-        else:
-            return None
-    return e if element_code(e) == x else None
+    return _element_of_code().get(x.code)
 
 
 def kpair(a: HFSet, b: HFSet) -> HFSet:

@@ -204,19 +204,27 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
     (prefix index, raw tail) pairs are admitted and their placement is
     returned alongside the stage.
 
+    Stage n's conditions keep their indices, the empty one included, so
+    the top is ``prev``'s.  The enumerated conditions are new and pairwise
+    distinct, so they are appended without being hashed; explicit tails
+    are validated by :func:`_canonical_tail` and placed through a copy of
+    ``prev``'s index.  Each prefix is padded to n coordinates once.
+
     i <= j iff prefix(i) <= prefix(j) at stage n and, at each generic g
     of prefix(i), tail(i) lies below tail(j), a TAIL_ONE tail reading as
-    top.  So the order is built as lower cones from rows:
-    ``prefix_down[p]`` holds the conditions whose prefix lies below p, and
-    ``tail_down[g][v]`` those whose prefix is outside g, those whose tail
-    at g lies below v, and the TAIL_ONE ones when v is top.  A TAIL_ONE
-    condition's cone is its ``prefix_down``; any other's is that ANDed
-    with ``tail_down[g][t(g)]`` for each generic g of its prefix.  The
-    generics containing a condition are those above the atoms below it.
+    top.  So the order is built as lower cones from rows.  Stage n's
+    conditions are the TAIL_ONE ones, so the cone of such a p is p's row
+    at stage n together with the new conditions whose prefix lies below
+    p.  ``tail_down[g][v]`` holds the conditions whose prefix is outside
+    g, those whose tail at g lies below v, and the TAIL_ONE ones when v is
+    top; a new condition's cone is its prefix's cone ANDed with
+    ``tail_down[g][t(g)]`` for each generic g of its prefix.  A generic
+    is the upward closure of its atom, so the generics containing a
+    condition are read off the filters' masks, and each generic extends
+    the lowest generic of its atom's prefix.
     """
     n = prev.index
     conditions: list[Condition] = list(prev.conditions)
-    index = {c: i for i, c in enumerate(conditions)}
     # per condition, the index of its prefix at stage n: a stage-n
     # condition is its own prefix
     prev_of = list(range(len(conditions)))
@@ -226,20 +234,9 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
         return CapExceeded(f"stage {n + 1} has more conditions than the cap "
                            f"{caps.max_stage_conditions}")
 
-    def place(prefix: int, coord) -> int:
-        if coord is TAIL_ONE:
-            return prefix
+    def padded(prefix: int) -> Condition:
         cond = prev.conditions[prefix]
-        cond = cond + (TAIL_ONE,) * (n - len(cond)) + (coord,)
-        got = index.get(cond)
-        if got is None:
-            got = len(conditions)
-            if got >= caps.max_stage_conditions:
-                raise over_cap()
-            index[cond] = got
-            conditions.append(cond)
-            prev_of.append(prefix)
-        return got
+        return cond + (TAIL_ONE,) * (n - len(cond))
 
     if explicit_tails is None:
         # the enumerated conditions are new and pairwise distinct, so the
@@ -255,80 +252,90 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
         if size > caps.max_stage_conditions:
             raise over_cap()
         for ci, gens in extended:
+            base = padded(ci)
+            tops = tuple(steps[g].top for g in gens)
             for combo in itertools.product(*[range(steps[g].n) for g in gens]):
-                if all(e == steps[g].top for e, g in zip(combo, gens)):
-                    continue
-                place(ci, tuple(zip(gens, combo)))
+                if combo != tops:
+                    conditions.append(base + (tuple(zip(gens, combo)),))
+                    prev_of.append(ci)
     else:
-        for prev_idx, tail in explicit_tails:
-            placement.append(
-                place(prev_idx, _canonical_tail(prev, steps, prev_idx, tail)))
+        index = dict(prev._index)
+        bases: dict[int, Condition] = {}
+        for prefix, tail in explicit_tails:
+            coord = _canonical_tail(prev, steps, prefix, tail)
+            if coord is TAIL_ONE:
+                placement.append(prefix)
+                continue
+            base = bases.get(prefix)
+            if base is None:
+                base = bases[prefix] = padded(prefix)
+            cond = base + (coord,)
+            got = index.get(cond)
+            if got is None:
+                got = len(conditions)
+                if got >= caps.max_stage_conditions:
+                    raise over_cap()
+                index[cond] = got
+                conditions.append(cond)
+                prev_of.append(prefix)
+            placement.append(got)
 
-    # order: prefixes compare at stage n, tails pointwise under the prefix
+    # order: each new condition has a tail value under every generic of
+    # its prefix, so the new conditions over g are those with a value at g
+    k = prev.poset.n
     m = len(conditions)
-    tail_of = []
-    with_prefix = [0] * prev.poset.n
-    one_mask = 0                      # conditions with tail TAIL_ONE
+    new_over: dict[int, int] = {}     # prefix -> the new conditions over it
     with_value = [None if q is None else [0] * q.n for q in steps]
-    for i, cond in enumerate(conditions):
+    for i in range(k, m):
+        bit = 1 << i
         p = prev_of[i]
-        with_prefix[p] |= 1 << i
-        if len(cond) == n + 1:
-            tail_of.append(cond[n])
-            for g, e in cond[n]:
-                with_value[g][e] |= 1 << i
-        else:
-            tail_of.append(TAIL_ONE)
-            one_mask |= 1 << i
-    prefix_down = []
-    for p in range(prev.poset.n):
-        mask = 0
-        for r in _mask_bits(prev.poset.below[p]):
-            mask |= with_prefix[r]
-        prefix_down.append(mask)
+        new_over[p] = new_over.get(p, 0) | bit
+        for g, e in conditions[i][n]:
+            with_value[g][e] |= bit
+    below = list(prev.poset.below)    # the cones of stage n's conditions
+    for r, mask in new_over.items():
+        for p in _mask_bits(prev.poset.above[r]):
+            below[p] |= mask
+    old = (1 << k) - 1
     tail_down = []
     for g, (q, by_value) in enumerate(zip(steps, with_value)):
         rows = None
         if q is not None:
-            outside_g = (1 << m) - 1
-            for r in _mask_bits(prev.generics[g].mask):
-                outside_g &= ~with_prefix[r]
+            inside_g = prev.generics[g].mask
+            for mask in by_value:
+                inside_g |= mask
+            outside_g = ((1 << m) - 1) & ~inside_g
             rows = []
             for v in range(q.n):
                 mask = outside_g
                 if v == q.top:
-                    mask |= one_mask
+                    mask |= old
                 for u in _mask_bits(q.below[v]):
                     mask |= by_value[u]
                 rows.append(mask)
         tail_down.append(rows)
-    below = []
-    for j in range(m):
-        down = prefix_down[prev_of[j]]
-        if tail_of[j] is not TAIL_ONE:
-            for g, v in tail_of[j]:
-                down &= tail_down[g][v]
+    for j in range(k, m):
+        down = below[prev_of[j]]
+        for g, v in conditions[j][n]:
+            down &= tail_down[g][v]
         below.append(down)
     conds = tuple(conditions)
     # a partial, not a lambda, so that the stage poset stays picklable
-    poset = Poset(below, index[()], partial(map, _cond_label, conds))
+    poset = Poset(below, prev.poset.top, partial(map, _cond_label, conds))
     generics = enumerate_generics(poset)
     paths = []
-    for g in generics:
-        tail = tail_of[g.atom]
-        prev_gen = next(iter(prev.gens_of(prev_of[g.atom])))
-        if tail is TAIL_ONE:
+    gen_masks = [0] * m
+    for gi, g in enumerate(generics):
+        prev_mask = prev.gen_masks[prev_of[g.atom]]
+        prev_gen = (prev_mask & -prev_mask).bit_length() - 1
+        if g.atom < k:
             paths.append(prev.paths[prev_gen] + (None,))
         else:
-            paths.append(prev.paths[prev_gen] + (dict(tail)[prev_gen],))
-    # the generics containing i are those above the atoms below i
-    gen_of_atom = {g.atom: gi for gi, g in enumerate(generics)}
-    gen_masks = []
-    for i in range(m):
-        mask = 0
-        for a in _mask_bits(poset.atoms_below(i)):
-            mask |= 1 << gen_of_atom[a]
-        gen_masks.append(mask)
+            paths.append(prev.paths[prev_gen] +
+                         (dict(conds[g.atom][n])[prev_gen],))
+        bit = 1 << gi
+        for i in _mask_bits(g.mask):
+            gen_masks[i] |= bit
     stage = Stage(n + 1, conds, poset, generics, paths,
                   tuple(gen_masks), tuple(steps), tuple(prev_of))
     if explicit_tails is None:
@@ -386,12 +393,15 @@ def canonicalize_condition(raw: Sequence, iteration: Iteration, stage_index: int
     return cond
 
 
-def tail_from_name(prev: Stage, steps: Sequence, prev_idx: int, name) -> "Coordinate":
+def tail_from_name(prev: Stage, steps: Sequence, prev_idx: int, name,
+                   memo: dict | None = None) -> "Coordinate":
     """Turn a literal name tail into its function form under a prefix.
 
     ``steps`` are the step posets named over ``prev`` (the ``steps`` of the
     stage after it).  The name must evaluate, under every generic containing
     the prefix, to the numeral of an element of the step poset provided there.
+    ``memo`` is passed to :func:`forcinglab.names.evaluate`; a caller
+    decoding many names under ``prev``'s generics shares one across calls.
     """
     from .names import decode_element, evaluate
 
@@ -401,7 +411,7 @@ def tail_from_name(prev: Stage, steps: Sequence, prev_idx: int, name) -> "Coordi
         if q is None:
             raise ProviderError(
                 f"no step poset under generic {g}; only the literal 1 tail is valid")
-        hf = evaluate(name, prev.generics[g].mask)
+        hf = evaluate(name, prev.generics[g].mask, memo)
         e = decode_element(hf)
         if e is None or not 0 <= e < q.n:
             raise ProviderError(

@@ -128,6 +128,17 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     per relation matrix in :mod:`forcinglab.poset`, so orders that repeat
     across contexts are validated and tabulated once.  The iteration's
     ``context_cache`` holds the finished context and nothing else.
+
+    Stage beta-1's conditions keep their indices at stage beta and have
+    tail 1 there, so at level beta they project as at level beta-1; only
+    the conditions new at stage beta are placed in the quotient.  Each
+    level from alpha+2 on keeps three memos for as long as it is built:
+    the numeral names over its source algebra, the evaluations of image
+    names under the previous level's quotient generics (passed to
+    :func:`forcinglab.iteration.tail_from_name` as ``memo``), and the
+    decoded tail of each distinct (quotient prefix, image name), so an
+    image that many tails share is decoded once.  A tail that fails to
+    decode raises before anything is memoized.
     """
     caps = caps or iteration.caps
     stages = iteration.stages
@@ -161,43 +172,52 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
 
     in_G = G.mask           # the level's conditions with alpha-prefix in G
     for beta in range(alpha + 1, N + 1):
-        # numeral names are built over this level's source algebra only
+        # numeral names are built over this level's source algebra only;
+        # image names are evaluated under this level's quotient generics,
+        # and each (quotient prefix, image) is decoded once
         numeral_memo: dict = {}
+        evaluate_memo: dict = {}
+        decoded: dict[tuple[int, int], object] = {}
         prev_level = levels[beta - 1]
         prev_src = stages[beta - 1]
         src = stages[beta]
         steps_q = [src.steps[sg] for sg in prev_level.combine]
-        prev_in_G, in_G = in_G, 0
-        for ci, p in enumerate(src.parent):
-            if prev_in_G >> p & 1:
-                in_G |= 1 << ci
+        # stage beta-1's conditions keep their indices and have tail 1, so
+        # each projects as at the previous level; only the new ones, those
+        # with a tail at stage beta-1, are placed here
+        old = prev_src.poset.n
+        pi: list = prev_level.pi + [None] * (src.poset.n - old)
+        new_in_G = 0
+        for ci in range(old, src.poset.n):
+            if in_G >> src.parent[ci] & 1:
+                new_in_G |= 1 << ci
+        in_G |= new_in_G
         defined: list[int] = []
         raw_tails: list[tuple[int, object]] = []
-        for ci in _mask_bits(in_G):
-            cond = src.conditions[ci]
-            qprefix = prev_level.pi[src.parent[ci]]
+        for ci in _mask_bits(new_in_G):
+            tail = src.conditions[ci][beta - 1]
+            qprefix = pi[src.parent[ci]]
             if qprefix is None:
                 raise ProjectionError("prefix in G but previous level undefined")
-            tail = cond[beta - 1] if len(cond) == beta else TAIL_ONE
-            if tail is TAIL_ONE:
-                qtail = TAIL_ONE
-            elif beta == alpha + 1:
+            if beta == alpha + 1:
                 qtail = ((0, dict(tail)[gen_index]),)
             else:
                 src_alg = source_algebras[beta - 1]
                 literal = _tail_as_name(prev_src, tail, src_alg, numeral_memo)
                 image = ctx.pi_second(beta - 1, literal)
-                try:
-                    qtail = tail_from_name(prev_level.stage, steps_q, qprefix,
-                                           image)
-                except ProviderError as e:
-                    raise ProjectionError(
-                        f"tail image at level {beta}: {e}") from e
+                qtail = decoded.get((qprefix, image.uid))
+                if qtail is None:
+                    try:
+                        qtail = tail_from_name(prev_level.stage, steps_q,
+                                               qprefix, image, evaluate_memo)
+                    except ProviderError as e:
+                        raise ProjectionError(
+                            f"tail image at level {beta}: {e}") from e
+                    decoded[qprefix, image.uid] = qtail
             defined.append(ci)
             raw_tails.append((qprefix, qtail))
         qstage, placement = extend_stage(prev_level.stage, steps_q, caps,
                                          explicit_tails=raw_tails)
-        pi: list = [None] * src.poset.n
         for ci, where in zip(defined, placement):
             pi[ci] = where
         # bridge: quotient generics <-> source generics whose prefix generic
@@ -966,14 +986,20 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
     N = len(iteration)
     gpath = iteration.stages[alpha].paths[ctx.gen_index]
     shifted = _ShiftedProvider(iteration.provider, alpha, gpath, N - alpha)
-    rebuilt = build_iteration(shifted, ctx.caps.with_(
-        max_stages=max(ctx.caps.max_stages, shifted.stage_count)))
+    caps = ctx.caps
+    if caps.max_stages < shifted.stage_count:
+        caps = caps.with_(max_stages=shifted.stage_count)
+    rebuilt = build_iteration(shifted, caps)
     # generic bridge per rebuilt stage: rebuilt path -> source generic -> quotient generic
     bridges: dict[int, dict[int, int]] = {0: {0: 0}}
     for k in range(1, N - alpha + 1):
         rb = rebuilt.stages[k]
         level = ctx.levels[alpha + k]
         src_stage = iteration.stages[alpha + k]
+        # source generic -> the quotient generics combined from it
+        combined: dict[int, list[int]] = {}
+        for h, sg in enumerate(level.combine):
+            combined.setdefault(sg, []).append(h)
         bridge: dict[int, int] = {}
         ok = True
         for rg, path in enumerate(rb.paths):
@@ -981,7 +1007,7 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
             if sidx is None:
                 ok = False
                 break
-            hit = [h for h, s in enumerate(level.combine) if s == sidx]
+            hit = combined.get(sidx, ())
             if len(hit) != 1:
                 ok = False
                 break
@@ -993,6 +1019,17 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
         if not ok:
             return rep
         bridges[k] = bridge
+    # each (position, coordinate) is remapped once: stage k repeats the
+    # conditions of stage k - 1
+    remapped_coord: dict[tuple[int, object], object] = {}
+
+    def remap(j: int, coord):
+        got = remapped_coord.get((j, coord))
+        if got is None:
+            got = remapped_coord[j, coord] = coord if coord is TAIL_ONE else \
+                tuple(sorted((bridges[j][g], e) for g, e in coord))
+        return got
+
     for k in range(1, N - alpha + 1):
         rb = rebuilt.stages[k]
         level = ctx.levels[alpha + k]
@@ -1000,10 +1037,7 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
         mapping: list[int | None] = []
         ok = True
         for cond in rb.conditions:
-            remapped = tuple(
-                coord if coord is TAIL_ONE else
-                tuple(sorted((bridges[j][g], e) for g, e in coord))
-                for j, coord in enumerate(cond))
+            remapped = tuple(remap(j, coord) for j, coord in enumerate(cond))
             qi = level.stage._index.get(remapped)
             if qi is None:
                 ok = False

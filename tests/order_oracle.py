@@ -9,6 +9,9 @@ and ``compat`` from the atoms' upper cones,
 :func:`forcinglab.poset.separativity_witness` ANDs atom rows,
 :func:`forcinglab.poset.product_poset` ANDs coordinate rows, and
 :func:`forcinglab.iteration.extend_stage` ANDs prefix and tail rows.
+:func:`stage_paths_and_parents` recomputes the rest of what
+``extend_stage`` records, each generic's path and each condition's prefix,
+from the conditions and the generics' masks alone.
 """
 
 import itertools
@@ -103,3 +106,24 @@ def stage_order_by_pairs(prev, stage):
         sum(1 << gi for gi, g in enumerate(stage.generics) if (g.mask >> i) & 1)
         for i in range(m))
     return below, gen_masks
+
+
+def stage_paths_and_parents(prev, stage):
+    """Each generic's path and each condition's prefix index, as
+    extend_stage records them, from the definitions: a generic H of stage
+    n+1 restricts to the stage-n generic whose mask is H's on stage n's
+    indices, and its path is that generic's path followed by the value of
+    H's atom's tail there, None for a TAIL_ONE tail; a condition's parent
+    is the index of its trimmed n-prefix in prev; returns (paths, parents)."""
+    n = prev.index
+    old = (1 << len(prev.conditions)) - 1
+    paths = []
+    for g in stage.generics:
+        (pg,) = [i for i, h in enumerate(prev.generics)
+                 if h.mask == g.mask & old]
+        atom = stage.conditions[g.atom]
+        tail = atom[n] if len(atom) == n + 1 else TAIL_ONE
+        paths.append(prev.paths[pg] +
+                     (None if tail is TAIL_ONE else dict(tail)[pg],))
+    parents = [prev.conditions.index(trim(c[:n])) for c in stage.conditions]
+    return paths, parents

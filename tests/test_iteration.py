@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-from forcinglab import iteration
+from forcinglab import cli, iteration
 from forcinglab.boolalg import ro_algebra
 from forcinglab.cli import (ExperimentConfig, cifs_dependence_probe,
                             generate_instances)
@@ -27,7 +27,7 @@ from forcinglab.poset import (Poset, antichain_with_top, chain_poset,
 from forcinglab.projection import make_context
 
 from order_oracle import (product_by_pairs, separativity_witness_by_pairs,
-                          stage_order_by_pairs)
+                          stage_order_by_pairs, stage_paths_and_parents)
 
 A2 = antichain_with_top(2)
 PT = point_poset()
@@ -191,25 +191,39 @@ class TestBuildIteration:
 
 
 class TestStageOrder:
-    """extend_stage's row-built order against the pairwise oracle."""
+    """extend_stage's row-built order, and what it records besides, against
+    the pairwise oracle."""
 
     @staticmethod
     def assert_oracle_order(prev, stage):
         below, gen_masks = stage_order_by_pairs(prev, stage)
         assert (list(stage.poset.below), stage.gen_masks) == (below, gen_masks), \
             stage.conditions
+        paths, parents = stage_paths_and_parents(prev, stage)
+        assert (list(stage.paths), list(stage.parent)) == (paths, parents), \
+            stage.conditions
+        assert all(stage.cond_index(c) == i
+                   for i, c in enumerate(stage.conditions))
+        assert stage.poset.top == stage.cond_index(())
 
     @pytest.mark.parametrize("bounds", [(3, 3), (4, 2)])
-    def test_sweep_stages_equal_the_pairwise_oracle(self, default_sweep, bounds):
-        instances = default_sweep if bounds == (3, 3) else generate_instances(
+    def test_sweep_stages_equal_the_pairwise_oracle(self, monkeypatch, bounds):
+        # every stage generation builds, kept by an instance or not
+        built = []
+
+        def recording(prev, steps, caps):
+            stage = extend_stage(prev, steps, caps)
+            built.append((prev, stage))
+            return stage
+
+        monkeypatch.setattr(cli, "extend_stage", recording)
+        instances = generate_instances(
             ExperimentConfig(max_poset=bounds[0], max_stages=bounds[1]))
-        # instances extend their parent instance, so stages are shared
-        stages = {}
-        for _, it in instances:
-            for prev, stage in zip(it.stages, it.stages[1:]):
-                stages[id(stage)] = (prev, stage)
-        assert len(stages) == {(3, 3): 114, (4, 2): 41}[bounds]
-        for prev, stage in stages.values():
+        kept = {id(s) for _, it in instances for s in it.stages[1:]}
+        assert (len(built), len(kept)) == {(3, 3): (264, 114),
+                                           (4, 2): (91, 41)}[bounds]
+        assert kept <= {id(stage) for _, stage in built}
+        for prev, stage in built:
             self.assert_oracle_order(prev, stage)
 
     def test_quotient_stages_equal_the_pairwise_oracle(self, default_sweep):

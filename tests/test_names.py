@@ -6,8 +6,9 @@ import pytest
 from forcinglab.boolalg import AlgebraError, ro_algebra
 from forcinglab.formula import parse_formula
 from forcinglab.generic import enumerate_generics, forces
-from forcinglab.hfset import (EMPTY, HFSet, encode_function, hfset, kpair,
-                              kpair_value, numeral, numeral_value,
+from forcinglab.hfset import (EMPTY, HFSet, chain, element_code,
+                              element_code_value, encode_function, hfset,
+                              kpair, kpair_value, numeral, numeral_value,
                               rank_segment, transitive_closure)
 from forcinglab.iteration import TableProvider, build_iteration
 from forcinglab.names import (Name, NameUniverse, TruthSession,
@@ -37,6 +38,28 @@ class TestHFSet:
         for k in range(6):
             assert numeral_value(numeral(k)) == k
         assert numeral_value(hfset(hfset(EMPTY))) is None
+
+    def test_element_codes_roundtrip(self):
+        # a set is an element code when its members are distinct chains of
+        # length below 6; the id sets bit i for the chain of length i
+        chains = {chain(i): i for i in range(6)}
+
+        def by_definition(x):
+            if not all(m in chains for m in x.members):
+                return None
+            return sum(1 << chains[m] for m in x.members)
+
+        for e in range(64):
+            assert element_code(e) is element_code(e)
+            assert element_code_value(element_code(e)) == e
+        others = list(rank_segment(4)) + [numeral(k) for k in range(6)] + [
+            hfset(chain(5)), kpair(EMPTY, chain(2)), hfset(numeral(3))]
+        assert any(by_definition(x) is None for x in others)
+        for x in others:
+            assert element_code_value(x) == by_definition(x), x
+        for e in (-1, 64):
+            with pytest.raises(ValueError):
+                element_code(e)
 
     def test_kuratowski_pairs(self):
         a, b = numeral(1), numeral(2)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from forcinglab import iteration as iteration_module
+from forcinglab import names as names_module
 from forcinglab import poset as poset_module
 from forcinglab import projection
 from forcinglab.boolalg import certify_complete_hom, ro_algebra
@@ -14,9 +15,10 @@ from forcinglab.cli import (ExperimentConfig, InstanceSpec, generate_instances,
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import constants, parse_formula
 from forcinglab.generic import dense_subsets
-from forcinglab.hfset import EMPTY
+from forcinglab.hfset import EMPTY, element_code
 from forcinglab.iteration import (TAIL_ONE, TableProvider, build_iteration,
-                                  cifs_toy_iteration, root_stage, trim)
+                                  cifs_toy_iteration, root_stage,
+                                  tail_from_name, trim)
 from forcinglab.names import (Name, NameUniverse, TruthSession, check_name,
                               element_name, evaluate, name_text,
                               name_universe, sampled_universe)
@@ -164,6 +166,50 @@ class TestMakeContext:
         assert [(c.check, c.context) for c in rep.failures] == [
             ("context-build", {"alpha": 1, "generic": 0})]
         assert rep.counts()["pass"] > 0
+
+    def test_each_tail_image_is_decoded_once_per_level(
+            self, default_sweep, monkeypatch):
+        # from level alpha+2 on, tails reach the quotient as pi_second
+        # images; equal images under one quotient prefix are decoded once
+        decodes = []
+
+        def counted(prev, steps, prev_idx, name, memo=None):
+            decodes.append((id(prev), prev_idx, name.uid))
+            return tail_from_name(prev, steps, prev_idx, name, memo)
+
+        monkeypatch.setattr(projection, "tail_from_name", counted)
+        images = _count_calls(monkeypatch, projection._tail_as_name)
+        # replaced copies start with empty caches, so every context is built
+        for _, it in default_sweep:
+            it = dataclasses.replace(it)
+            for alpha in range(1, len(it) + 1):
+                for gi in range(len(it.stages[alpha].generics)):
+                    make_context(it, alpha, gi)
+        assert len(decodes) == len(set(decodes))
+        assert (len(decodes), len(images)) == (334, 896)
+
+    def test_an_undecodable_tail_image_fails_every_build(self, monkeypatch):
+        # decode_element refuses one element's code: every build that reads
+        # that element in a tail image raises, and nothing of the failure is
+        # kept for a later build
+        it = build_iteration(TableProvider([
+            {(): PT}, {(None,): A2}, {(None, 0): A2, (None, 1): A2}]))
+        refused = element_code(1).code
+        decode = names_module.decode_element
+
+        def refusing(x):
+            return None if x.code == refused else decode(x)
+
+        monkeypatch.setattr(names_module, "decode_element", refusing)
+        for fresh in (it, it, dataclasses.replace(it)):
+            with pytest.raises(ProjectionError, match="tail image at level 3"):
+                make_context(fresh, 1, 0)
+            assert not fresh.context_cache
+        monkeypatch.undo()
+        ctx = make_context(it, 1, 0)
+        assert ctx.final_level.stage.poset.n == \
+            make_context(dataclasses.replace(it), 1, 0).final_level.stage.poset.n
+        assert verify_corollary15(ctx).ok
 
     def test_algebra_atom_bound_comes_from_caps(self, worked):
         # the stage-1 poset has two atoms
@@ -1052,6 +1098,39 @@ class TestCorollary15:
             assert self.failed(ctx, beta, combine=combine[:-1]) == {
                 f"stage-{beta - 1}-generic-bridge"}
         assert verify_corollary15(ctx).ok
+
+    def test_a_repeated_source_generic_fails_its_bridge(self):
+        # two quotient generics combined from one source generic: that
+        # source generic's rebuilt generic has two candidates.  With one
+        # more entry every source generic is still reached, so only the
+        # count of candidates fails the bridge
+        it = build_iteration(TableProvider([
+            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        ctx = make_context(it, 1, 0)
+        combine = ctx.levels[2].combine
+        assert len(combine) == 2
+        for repeated in ([combine[0]] * 2, combine + combine[:1]):
+            assert self.failed(ctx, 2, combine=repeated) == {
+                "stage-1-generic-bridge"}
+        assert verify_corollary15(ctx).ok
+
+    def test_a_stage_cap_below_the_rebuild_is_raised_for_it(self, monkeypatch):
+        # the rebuild needs N - alpha stages; a context built under a lower
+        # max_stages rebuilds under caps raised to that count, and a context
+        # whose caps allow it rebuilds under its own caps object
+        rebuilt = _record_rebuilds(monkeypatch)
+        it = build_iteration(TableProvider([
+            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        low = DEFAULT_CAPS.with_(max_stages=1)
+        for gi in range(len(it.stages[1].generics)):
+            ctx = make_context(it, 1, gi)
+            want = verify_corollary15(ctx, instance="caps")
+            assert rebuilt[-1].caps is ctx.caps
+            got = verify_corollary15(make_context(it, 1, gi, low),
+                                     instance="caps")
+            assert rebuilt[-1].caps == low.with_(max_stages=2)
+            assert got.to_jsonl() == want.to_jsonl()
+            assert want.ok and want.counts()["pass"] >= 4
 
     def test_constant_tail_provider(self, worked):
         _, ctx = worked
