@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .formula import parse_formula
-from .iteration import (CifsProvider, CollapseSpec, Iteration, StepContext,
-                        TableProvider, build_iteration, check_lemma1,
+from .iteration import (CifsProvider, CollapseSpec, Iteration, Stage,
+                        StepContext, TableProvider, build_iteration, check_lemma1,
                         cifs_toy_iteration, collapse_poset, extend_stage)
 from .poset import Poset, PosetError, all_separative_posets, validate_poset
 from .projection import (ProjectionError, factor_generic, limit_clause_skip,
@@ -210,46 +210,87 @@ def _step_catalog(max_poset: int) -> list[Poset | None]:
     return [None] + list(all_separative_posets(max_poset))
 
 
+def _tree_level(stage: Stage, child: Stage, table: dict,
+                catalog_index: dict) -> tuple:
+    """One level of a provider behavior tree: per generic of ``stage``, the
+    label of its step and where its children sit among ``child``'s
+    generics.  An undefined or one-point step has one child, the generic
+    that extends it by no tail; any other step has one child per atom,
+    listed once per distinct arrangement of the atoms under the step
+    poset's automorphisms."""
+    level = []
+    for path in stage.paths:
+        q = table.get(path)
+        label = "U" if q is None else f"q{catalog_index[id(q)]}"
+        if q is None or q.n == 1:
+            level.append((label, child.path_index[path + (None,)]))
+            continue
+        kids = {a: child.path_index[path + (a,)] for a in q.atoms}
+        arrangements = dict.fromkeys(tuple(kids[sigma[a]] for a in q.atoms)
+                                     for sigma in q.automorphisms())
+        level.append((label, tuple(arrangements)))
+    return tuple(level)
+
+
+def _fold(levels: list[tuple], forms: list[tuple]) -> tuple:
+    """The root's form from the forms of the generics below the last of
+    ``levels``: a node's form is its label with its one child's form, or
+    with the least arrangement of its children's forms."""
+    for level in reversed(levels):
+        forms = [(label, forms[kids]) if type(kids) is int else
+                 (label, min(tuple(forms[i] for i in arrangement)
+                             for arrangement in kids))
+                 for label, kids in level]
+    return forms[0]
+
+
 def _tree_canon(iteration: Iteration, catalog_index: dict) -> tuple:
     """Canonical form of the provider behavior tree, minimized per node over
-    the step poset's automorphisms acting on its atoms; each child subtree's
-    form is built once and rearranged per automorphism."""
+    the step poset's automorphisms acting on its atoms, each child's form
+    built once.  A stage is a level of the tree, except the capped last
+    table of a partial instance, which builds none.  Generation builds the
+    same form level by level, from the parent's levels and the new table's
+    options, before the stage it describes."""
     stages = iteration.stages
-
-    def canon(n: int, path: tuple) -> tuple:
-        # a stage per table, except the capped last table of a partial instance
-        if n + 1 >= len(stages):
-            return ()
-        q = iteration.provider.tables[n].get(path)
-        child_stage = stages[n + 1]
-        if q is None or q.n == 1:
-            label = "U" if q is None else f"q{catalog_index[id(q)]}"
-            if child_stage.path_index.get(path + (None,)) is None:
-                return (label,)
-            return (label, canon(n + 1, path + (None,)))
-        forms = {a: canon(n + 1, path + (a,)) for a in q.atoms}
-        return (f"q{catalog_index[id(q)]}",
-                min(tuple(forms[sigma[a]] for a in q.atoms)
-                    for sigma in q.automorphisms()))
-
-    return canon(0, ())
+    tables = iteration.provider.tables
+    levels = [_tree_level(stages[n], stages[n + 1], tables[n], catalog_index)
+              for n in range(len(stages) - 1)]
+    return _fold(levels, [()] * len(stages[-1].generics))
 
 
 def generate_instances(config: ExperimentConfig) -> list[tuple[InstanceSpec, Iteration]]:
     """Deterministic isomorph-reduced stream of providers within the bounds:
     every separative step poset within size, every table, every stage count
     up to the bound, each extending its parent's final stage by one stage.
-    Instances come in instance-id order; the seed plays no part."""
+    Instances come in instance-id order; the seed plays no part.
+
+    Isomorphs are rejected at every depth, before a stage is built
+    (canonical augmentation: McKay, "Isomorph-free exhaustive generation",
+    1998).  Below each kept parent, the table assignments run in product
+    order, and each one's tree form is folded from the parent's tree levels
+    and the forms its options give the new generics.  Only the first
+    assignment of each form is built, so each class of child trees is
+    extended once.  Children of distinct kept parents are never isomorphic,
+    since a child tree cut at its parent's depth is the parent's tree.  So
+    the kept representative of each class is the first one a search over
+    every assignment would reach, and ids, tables and census are those of
+    that search.  The first capped assignment in product order is the first
+    of its class, since a cap depends only on the class; it stands for the
+    parent's partial instance.  ``seen`` is the safety net: it drops any
+    repeated final form."""
     caps = config.caps()
     catalog = _step_catalog(config.max_poset)
     catalog_index = {id(p): i for i, p in enumerate(catalog) if p is not None}
+    # a final-stage generic's form under each option: its children are leaves
+    leaf_forms = [("U" if q is None else f"q{i}",
+                   () if q is None or q.n == 1 else ((),) * len(q.atoms))
+                  for i, q in enumerate(catalog)]
     seen: set[tuple] = set()
     out: list[tuple[InstanceSpec, Iteration]] = []
 
-    def record(iteration: Iteration):
+    def record(iteration: Iteration, form: tuple):
         tables = iteration.provider.tables
-        canon = ("partial" if iteration.partial else "total",
-                 _tree_canon(iteration, catalog_index))
+        canon = ("partial" if iteration.partial else "total", form)
         if canon in seen:
             return
         blob = json.dumps(canon, sort_keys=True, default=str)
@@ -266,24 +307,42 @@ def generate_instances(config: ExperimentConfig) -> list[tuple[InstanceSpec, Ite
         seen.add(canon)
         out.append((spec, iteration))
 
-    def rec(iteration: Iteration):
+    def rec(iteration: Iteration, levels: list[tuple], form: tuple):
+        """Record or extend the first child of each class below a parent
+        whose tree has these levels and this form."""
         tables = iteration.provider.tables
-        if len(tables) == config.max_stages:
-            record(iteration)
-            return
         stage = iteration.final
-        for assignment in itertools.product(catalog, repeat=len(stage.generics)):
-            table = {path: q for path, q in zip(stage.paths, assignment)
+        last = len(tables) + 1 == config.max_stages
+        classes: set[tuple] = set()
+        for assignment in itertools.product(range(len(catalog)),
+                                            repeat=len(stage.generics)):
+            child_form = _fold(levels, [leaf_forms[c] for c in assignment])
+            if child_form in classes:
+                continue
+            classes.add(child_form)
+            steps = [catalog[c] for c in assignment]
+            table = {path: q for path, q in zip(stage.paths, steps)
                      if q is not None}
             provider = TableProvider(tables + [table])
             try:
-                child = extend_stage(stage, assignment, caps)
+                child = extend_stage(stage, steps, caps)
             except CapExceeded:
-                record(Iteration(list(iteration.stages), provider, caps, partial=True))
+                record(Iteration(list(iteration.stages), provider, caps,
+                                 partial=True), form)
                 continue
-            rec(Iteration(iteration.stages + [child], provider, caps))
+            grown = Iteration(iteration.stages + [child], provider, caps)
+            if last:
+                record(grown, child_form)
+            else:
+                rec(grown, levels + [_tree_level(stage, child, table,
+                                                 catalog_index)],
+                    child_form)
 
-    rec(build_iteration(TableProvider([]), caps))
+    root = build_iteration(TableProvider([]), caps)
+    if config.max_stages == 0:
+        record(root, ())
+    else:
+        rec(root, [], ())
     out.sort(key=lambda pair: pair[0].instance_id)
     return out
 

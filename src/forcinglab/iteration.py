@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
@@ -94,9 +94,16 @@ class Stage:
     def cond_index(self, cond: Condition) -> int:
         return self._index[cond]
 
-    def __post_init__(self):
-        self._index = {c: i for i, c in enumerate(self.conditions)}
-        self.path_index = {p: i for i, p in enumerate(self.paths)}
+    # built on first read, unless extend_stage hands over the index it
+    # placed explicit tails through.  Neither is an init field, so a
+    # dataclasses.replace copy indexes its own conditions and paths
+    @cached_property
+    def _index(self) -> dict[Condition, int]:
+        return {c: i for i, c in enumerate(self.conditions)}
+
+    @cached_property
+    def path_index(self) -> dict[tuple, int]:
+        return {p: i for i, p in enumerate(self.paths)}
 
     def gens_of(self, cond_idx: int) -> Iterable[int]:
         return _mask_bits(self.gen_masks[cond_idx])
@@ -208,7 +215,8 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
     the top is ``prev``'s.  The enumerated conditions are new and pairwise
     distinct, so they are appended without being hashed; explicit tails
     are validated by :func:`_canonical_tail` and placed through a copy of
-    ``prev``'s index.  Each prefix is padded to n coordinates once.
+    ``prev``'s index, which the stage then keeps as its own.  Each prefix
+    is padded to n coordinates once.
 
     i <= j iff prefix(i) <= prefix(j) at stage n and, at each generic g
     of prefix(i), tail(i) lies below tail(j), a TAIL_ONE tail reading as
@@ -340,6 +348,7 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
                   tuple(gen_masks), tuple(steps), tuple(prev_of))
     if explicit_tails is None:
         return stage
+    stage._index = index
     return stage, placement
 
 
@@ -394,12 +403,15 @@ def canonicalize_condition(raw: Sequence, iteration: Iteration, stage_index: int
 
 
 def tail_from_name(prev: Stage, steps: Sequence, prev_idx: int, name,
-                   memo: dict | None = None) -> "Coordinate":
-    """Turn a literal name tail into its function form under a prefix.
+                   memo: dict | None = None) -> tuple:
+    """Turn a literal name tail into its tail map under a prefix: one
+    (generic, element) pair per generic containing the prefix, ascending.
 
     ``steps`` are the step posets named over ``prev`` (the ``steps`` of the
     stage after it).  The name must evaluate, under every generic containing
     the prefix, to the numeral of an element of the step poset provided there.
+    The map is validated here but not canonicalized: an all-top map becomes
+    ``TAIL_ONE`` when :func:`extend_stage` places it as an explicit tail.
     ``memo`` is passed to :func:`forcinglab.names.evaluate`; a caller
     decoding many names under ``prev``'s generics shares one across calls.
     """
@@ -417,7 +429,7 @@ def tail_from_name(prev: Stage, steps: Sequence, prev_idx: int, name,
             raise ProviderError(
                 f"name does not denote a step-poset element under generic {g}: {hf!r}")
         out.append((g, e))
-    return _canonical_tail(prev, steps, prev_idx, tuple(out))
+    return tuple(out)
 
 
 # -- collapse posets --------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The search-per-call forms of three isomorph-rejection steps, kept as
-oracles for the library's cached ones.
+"""The search-per-call forms of four isomorph-rejection steps, kept as
+oracles for the library's cached and pruned ones.
 
 :func:`canonical_key_by_search` tries every permutation of a poset on every
 call; :meth:`forcinglab.poset.Poset.canonical_key` searches only the
@@ -9,10 +9,20 @@ permutations of a poset on every call;
 :meth:`forcinglab.poset.Poset.automorphisms` reads them off the canonical-key
 search.  :func:`tree_canon_per_automorphism` rebuilds each child subtree's
 canonical form once per automorphism; :func:`forcinglab.cli._tree_canon`
-builds it once per node.
+builds it once per node.  :func:`generate_instances_exhaustive` builds
+every table assignment at every depth and rejects isomorphs only at the
+leaves; :func:`forcinglab.cli.generate_instances` extends one assignment
+per isomorphism class below each parent.
 """
 
+import hashlib
 import itertools
+import json
+
+from forcinglab.cli import InstanceSpec, _step_catalog
+from forcinglab.config import CapExceeded
+from forcinglab.iteration import (Iteration, TableProvider, build_iteration,
+                                  extend_stage)
 
 
 def canonical_key_by_search(poset):
@@ -103,3 +113,57 @@ def tree_canon_per_automorphism(iteration, catalog_index):
         return (f"q{catalog_index[id(q)]}", best)
 
     return canon(0, ())
+
+
+def generate_instances_exhaustive(config):
+    """The isomorph-reduced instance stream, built the long way: every
+    table assignment below every prefix extends its parent's final stage,
+    and an instance is dropped only when its tree form, read by
+    :func:`tree_canon_per_automorphism`, was already recorded.  Returns
+    (spec, iteration) pairs in instance-id order."""
+    caps = config.caps()
+    catalog = _step_catalog(config.max_poset)
+    catalog_index = {id(p): i for i, p in enumerate(catalog) if p is not None}
+    seen = set()
+    out = []
+
+    def record(iteration):
+        tables = iteration.provider.tables
+        canon = ("partial" if iteration.partial else "total",
+                 tree_canon_per_automorphism(iteration, catalog_index))
+        if canon in seen:
+            return
+        blob = json.dumps(canon, sort_keys=True, default=str)
+        iid = "it-" + hashlib.sha256(blob.encode()).hexdigest()[:10]
+        option_key = {}
+        catalog_used = {}
+        for n, table in enumerate(tables):
+            for path, option in table.items():
+                key = catalog_index[id(option)]
+                option_key[(n, path)] = key
+                catalog_used[key] = option
+        seen.add(canon)
+        out.append((InstanceSpec(iid, tables, option_key, catalog_used,
+                                 iteration.partial, canon), iteration))
+
+    def rec(iteration):
+        tables = iteration.provider.tables
+        if len(tables) == config.max_stages:
+            record(iteration)
+            return
+        stage = iteration.final
+        for assignment in itertools.product(catalog, repeat=len(stage.generics)):
+            table = {path: q for path, q in zip(stage.paths, assignment)
+                     if q is not None}
+            provider = TableProvider(tables + [table])
+            try:
+                child = extend_stage(stage, assignment, caps)
+            except CapExceeded:
+                record(Iteration(list(iteration.stages), provider, caps,
+                                 partial=True))
+                continue
+            rec(Iteration(iteration.stages + [child], provider, caps))
+
+    rec(build_iteration(TableProvider([]), caps))
+    out.sort(key=lambda pair: pair[0].instance_id)
+    return out

@@ -17,7 +17,8 @@ from forcinglab.config import CapExceeded
 from forcinglab.iteration import TableProvider, build_iteration
 from forcinglab.poset import Poset, antichain_with_top, diamond_poset
 
-from generation_oracle import tree_canon_per_automorphism
+from generation_oracle import (generate_instances_exhaustive,
+                               tree_canon_per_automorphism)
 from test_iteration import stage_facts
 
 
@@ -138,6 +139,75 @@ class TestGeneration:
         assert visited == 273
         assert calls["extend_stage"] <= visited
         assert calls["build_iteration"] <= 1
+
+    @staticmethod
+    def counted_builds(monkeypatch) -> Counter:
+        """Count generation's extend_stage calls: stages built, by the
+        depth they are built at, and assignments refused by the cap."""
+        calls: Counter = Counter()
+
+        def counted(prev, steps, caps, _fn=cli.extend_stage):
+            try:
+                stage = _fn(prev, steps, caps)
+            except CapExceeded:
+                calls["capped"] += 1
+                raise
+            calls[stage.index] += 1
+            return stage
+
+        monkeypatch.setattr(cli, "extend_stage", counted)
+        return calls
+
+    def test_one_stage_is_built_per_class_of_child(self, monkeypatch):
+        # only the first assignment of each isomorphism class below a kept
+        # parent reaches extend_stage: every built stage is kept in some
+        # instance, and the rest of the calls are capped assignments
+        calls = self.counted_builds(monkeypatch)
+        instances = generate_instances(ExperimentConfig(max_poset=3, max_stages=3))
+        kept = {id(stage) for _, it in instances for stage in it.stages[1:]}
+        built = sum(v for k, v in calls.items() if k != "capped")
+        assert built == len(kept) == 114
+        assert built + calls["capped"] <= 123
+
+    @pytest.mark.parametrize("bounds", [(3, 3), (4, 2)])
+    def test_seen_rejects_no_total_instance(self, monkeypatch, bounds):
+        # a final stage is built only for a new class, so every one of them
+        # is recorded as its own total instance
+        calls = self.counted_builds(monkeypatch)
+        instances = generate_instances(ExperimentConfig(max_poset=bounds[0],
+                                                        max_stages=bounds[1]))
+        total = sum(not spec.partial for spec, _ in instances)
+        assert calls[bounds[1]] == total > 0
+
+    @staticmethod
+    def generation_facts(instances) -> list:
+        return [(spec.instance_id, spec.partial, spec.canon,
+                 sorted((n, repr(path), key)
+                        for (n, path), key in spec.option_key.items()),
+                 [stage_facts(stage) for stage in it.stages])
+                for spec, it in instances]
+
+    @pytest.mark.parametrize("bounds", [(3, 2), (3, 3), (4, 2)])
+    def test_generation_equals_the_exhaustive_oracle(self, default_sweep,
+                                                     bounds):
+        # ids, tables by catalog index, partial flags and every stage are
+        # those of building every assignment and rejecting at the leaves
+        config = ExperimentConfig(max_poset=bounds[0], max_stages=bounds[1])
+        instances = default_sweep if bounds == (3, 3) else generate_instances(config)
+        assert self.generation_facts(instances) == \
+            self.generation_facts(generate_instances_exhaustive(config))
+
+    def test_pruning_by_a_smaller_group_fails_the_oracle(self, monkeypatch):
+        # known-bad control: with only the identity left of each step
+        # poset's automorphisms, isomorphic children look distinct and are
+        # kept twice
+        config = ExperimentConfig(max_poset=3, max_stages=3)
+        want = self.generation_facts(generate_instances_exhaustive(config))
+        automorphisms = Poset.automorphisms
+        monkeypatch.setattr(Poset, "automorphisms",
+                            lambda self: automorphisms(self)[:1])
+        got = self.generation_facts(generate_instances(config))
+        assert len(got) > len(want)
 
     @pytest.mark.parametrize("bounds", [(3, 3), (4, 2)])
     def test_tree_canon_equals_the_per_automorphism_oracle(self, default_sweep,

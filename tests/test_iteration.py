@@ -26,6 +26,7 @@ from forcinglab.poset import (Poset, antichain_with_top, chain_poset,
                               is_separative, point_poset, product_poset)
 from forcinglab.projection import make_context
 
+import generation_oracle
 from order_oracle import (product_by_pairs, separativity_witness_by_pairs,
                           stage_order_by_pairs, stage_paths_and_parents)
 
@@ -208,7 +209,8 @@ class TestStageOrder:
 
     @pytest.mark.parametrize("bounds", [(3, 3), (4, 2)])
     def test_sweep_stages_equal_the_pairwise_oracle(self, monkeypatch, bounds):
-        # every stage generation builds, kept by an instance or not
+        # every stage generation builds, and every stage the exhaustive
+        # generator builds, kept by an instance or not
         built = []
 
         def recording(prev, steps, caps):
@@ -217,12 +219,14 @@ class TestStageOrder:
             return stage
 
         monkeypatch.setattr(cli, "extend_stage", recording)
-        instances = generate_instances(
-            ExperimentConfig(max_poset=bounds[0], max_stages=bounds[1]))
+        monkeypatch.setattr(generation_oracle, "extend_stage", recording)
+        config = ExperimentConfig(max_poset=bounds[0], max_stages=bounds[1])
+        instances = generate_instances(config)
         kept = {id(s) for _, it in instances for s in it.stages[1:]}
-        assert (len(built), len(kept)) == {(3, 3): (264, 114),
-                                           (4, 2): (91, 41)}[bounds]
-        assert kept <= {id(stage) for _, stage in built}
+        assert {id(stage) for _, stage in built} == kept
+        generation_oracle.generate_instances_exhaustive(config)
+        assert (len(built), len(kept)) == {(3, 3): (114 + 264, 114),
+                                           (4, 2): (41 + 91, 41)}[bounds]
         for prev, stage in built:
             self.assert_oracle_order(prev, stage)
 
