@@ -191,14 +191,18 @@ def dense_embedding_violations(algebra: BoolAlgebra) -> list[int]:
 # -- homomorphism checks ---------------------------------------------------
 
 
+# the most counterexamples a HomReport lists
+_KEPT = 32
+
+
 @dataclass
 class HomReport:
     """Outcome of a complete-homomorphism check, the certificate or the fold.
 
-    ``counterexamples`` holds up to ``kept`` entries of
-    (kind, input family tuple, expected, got), each value written as its
-    poset cut; ``violation_count`` is the full count.  A preserves_* flag is
-    True iff its kind has no violations.
+    ``counterexamples`` holds the first 32 entries of
+    (kind, input family tuple, expected, got), each value an algebra
+    element (an atom set); ``violation_count`` is the full count.  A
+    preserves_* flag is True iff its kind has no violations.
     """
 
     preserves_zero_one: bool = True
@@ -208,7 +212,6 @@ class HomReport:
     counterexamples: list[tuple] = field(default_factory=list)
     violation_count: int = 0
     families_checked: int = 0
-    kept: int = 32
 
     @property
     def ok(self) -> bool:
@@ -217,7 +220,7 @@ class HomReport:
 
     def _hit(self, kind: str, payload: tuple, expected: int, got: int):
         self.violation_count += 1
-        if len(self.counterexamples) < self.kept:
+        if len(self.counterexamples) < _KEPT:
             self.counterexamples.append((kind, payload, expected, got))
 
 
@@ -246,22 +249,18 @@ def check_complete_hom(h: Mapping[int, int] | Callable[[int], int],
         hv.append(v)
     h_of = dict(zip(els, hv))
     rep = HomReport()
-
-    def hit(kind: str, family, expected: int, got: int):
-        rep._hit(kind, tuple(A.cut(x) for x in family), B.cut(expected), B.cut(got))
-
     if h_of[A.zero] != B.zero:
         rep.preserves_zero_one = False
-        hit("zero", (A.zero,), B.zero, h_of[A.zero])
+        rep._hit("zero", (A.zero,), B.zero, h_of[A.zero])
     if h_of[A.one] != B.one:
         rep.preserves_zero_one = False
-        hit("one", (A.one,), B.one, h_of[A.one])
+        rep._hit("one", (A.one,), B.one, h_of[A.one])
     for x, v in zip(els, hv):
         got = h_of[A.complement(x)]
         want = B.complement(v)
         if got != want:
             rep.preserves_complement = False
-            hit("complement", (x,), want, got)
+            rep._hit("complement", (x,), want, got)
     # DP over subfamily bitmasks: O(1) per family per side
     n_fam = 1 << k
     a_prod = [0] * n_fam
@@ -282,11 +281,13 @@ def check_complete_hom(h: Mapping[int, int] | Callable[[int], int],
         got = h_of[a_prod[m]]
         if got != b_prod[m]:
             rep.preserves_all_products = False
-            hit("product", [els[i] for i in _mask_bits(m)], b_prod[m], got)
+            rep._hit("product", tuple(els[i] for i in _mask_bits(m)),
+                     b_prod[m], got)
         got = h_of[a_sum[m]]
         if got != b_sum[m]:
             rep.preserves_all_sums = False
-            hit("sum", [els[i] for i in _mask_bits(m)], b_sum[m], got)
+            rep._hit("sum", tuple(els[i] for i in _mask_bits(m)),
+                     b_sum[m], got)
     rep.families_checked = n_fam
     return rep
 
@@ -321,21 +322,17 @@ def certify_complete_hom(h: Mapping[int, int], A: BoolAlgebra,
         if h[x] not in B:
             raise AlgebraError(f"{h[x]:#x} is not an element of the target algebra")
     rep = HomReport(families_checked=1 + len(els) * (len(els) - 1) // 2)
-
-    def hit(kind: str, family: tuple, expected: int, got: int):
-        rep._hit(kind, tuple(A.cut(x) for x in family), B.cut(expected), B.cut(got))
-
     # zero and one are the sum and the product of the empty family
     if h[A.zero] != B.zero:
         rep.preserves_zero_one = rep.preserves_all_sums = False
-        hit("zero", (A.zero,), B.zero, h[A.zero])
+        rep._hit("zero", (A.zero,), B.zero, h[A.zero])
     if h[A.one] != B.one:
         rep.preserves_zero_one = rep.preserves_all_products = False
-        hit("one", (A.one,), B.one, h[A.one])
+        rep._hit("one", (A.one,), B.one, h[A.one])
     for x in els:
         if h[A.complement(x)] != B.complement(h[x]):
             rep.preserves_complement = False
-            hit("complement", (x,), B.complement(h[x]), h[A.complement(x)])
+            rep._hit("complement", (x,), B.complement(h[x]), h[A.complement(x)])
     # subsets[i] is an atom set x; joins[i] folds h over the atoms in x and
     # meets[i] over the coatoms one ^ a for the atoms a in x
     one = A.one
@@ -352,11 +349,11 @@ def certify_complete_hom(h: Mapping[int, int], A: BoolAlgebra,
         if b != one and h[b] != meet_of[b]:
             rep.preserves_all_products = False
             p, c = _first_broken_meet(h, b, one)
-            hit("product", (p, c), h[p] & h[c], h[p & c])
+            rep._hit("product", (p, c), h[p] & h[c], h[p & c])
         if b and h[b] != join_of[b]:
             rep.preserves_all_sums = False
             p, a = _first_broken_join(h, b)
-            hit("sum", (p, a), h[p] | h[a], h[p | a])
+            rep._hit("sum", (p, a), h[p] | h[a], h[p | a])
     return rep
 
 

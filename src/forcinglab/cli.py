@@ -28,7 +28,8 @@ from .formula import parse_formula
 from .iteration import (CifsProvider, CollapseSpec, Iteration, Stage,
                         StepContext, TableProvider, build_iteration, check_lemma1,
                         cifs_toy_iteration, collapse_poset, extend_stage)
-from .poset import Poset, PosetError, all_separative_posets, validate_poset
+from .poset import (PERM_MAX, Poset, PosetError, all_separative_posets,
+                    validate_poset)
 from .projection import (ProjectionError, factor_generic, limit_clause_skip,
                          make_context, verify_corollary15,
                          verify_lemma20_analogue, verify_projection_lemmas,
@@ -244,20 +245,6 @@ def _fold(levels: list[tuple], forms: list[tuple]) -> tuple:
     return forms[0]
 
 
-def _tree_canon(iteration: Iteration, catalog_index: dict) -> tuple:
-    """Canonical form of the provider behavior tree, minimized per node over
-    the step poset's automorphisms acting on its atoms, each child's form
-    built once.  A stage is a level of the tree, except the capped last
-    table of a partial instance, which builds none.  Generation builds the
-    same form level by level, from the parent's levels and the new table's
-    options, before the stage it describes."""
-    stages = iteration.stages
-    tables = iteration.provider.tables
-    levels = [_tree_level(stages[n], stages[n + 1], tables[n], catalog_index)
-              for n in range(len(stages) - 1)]
-    return _fold(levels, [()] * len(stages[-1].generics))
-
-
 def generate_instances(config: ExperimentConfig) -> list[tuple[InstanceSpec, Iteration]]:
     """Deterministic isomorph-reduced stream of providers within the bounds:
     every separative step poset within size, every table, every stage count
@@ -429,9 +416,9 @@ def check_config(config: ExperimentConfig) -> None:
     """Reject bad option values before any suite runs."""
     if config.suite not in SUITES:
         raise ValueError(f"unknown suite {config.suite}")
-    # 9 is the element cap of Poset.canonical_key's permutation search
-    if not 0 <= config.max_poset <= 9:
-        raise ValueError(f"max_poset must be in 0..9, got {config.max_poset}")
+    if not 0 <= config.max_poset <= PERM_MAX:
+        raise ValueError(
+            f"max_poset must be in 0..{PERM_MAX}, got {config.max_poset}")
     if config.max_stages < 0:
         raise ValueError(f"max_stages must be >= 0, got {config.max_stages}")
     _cifs_provider(config)
@@ -611,8 +598,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--suite", choices=SUITES)
         p.add_argument(
             "--max-poset", type=int, dest="max_poset",
-            help="largest step poset, 0..9.  9 is the cap of the "
-                 "canonical-form search, not a bound on what finishes: "
+            help=f"largest step poset, 0..{PERM_MAX}.  {PERM_MAX} is the cap "
+                 "of the canonical-form search, not a bound on what finishes: "
                  "with --max-stages 1, 7 takes about 2 s and 8 did not "
                  "finish in 40 s")
         p.add_argument("--max-stages", type=int, dest="max_stages")

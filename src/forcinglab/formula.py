@@ -10,9 +10,8 @@ Grammar (see :func:`parse_formula`):
                   | "exists" var "(" formula ")" | "forall" var "(" formula ")"
 
 Precedence: "!" binds tightest, then "&", then "|", then "->" (right
-associative).  The parser desugars "forall v (...)" into "!exists v (!...)",
-so parsed trees never contain a ForAll node; the node type still exists for
-programmatic construction.
+associative).  Exists is the one quantifier node: the parser desugars
+"forall v (...)" into "!exists v (!...)".
 """
 
 from __future__ import annotations
@@ -99,13 +98,7 @@ class Exists:
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class ForAll:
-    var: str
-    body: "Formula"
-
-
-Formula = Membership | Equality | Not | And | Or | Implies | Exists | ForAll
+Formula = Membership | Equality | Not | And | Or | Implies | Exists
 
 
 # -- parsing --------------------------------------------------------------
@@ -219,19 +212,12 @@ class _Parser:
         raise FormulaSyntaxError(f"expected a term, found {tok!r}", self.pos())
 
 
-def parse_formula(text: str, allow_free: bool = True) -> Formula:
-    """Parse a formula; ForAll desugars to not-exists-not.
-
-    With allow_free=False, any unbound variable is reported as an error.
-    """
+def parse_formula(text: str) -> Formula:
+    """Parse a formula; "forall" desugars to not-exists-not."""
     p = _Parser(text)
     f = p.formula()
     if p.peek() is not None:
         raise FormulaSyntaxError(f"unexpected token {p.peek()!r}", p.pos())
-    if not allow_free:
-        free = free_variables(f)
-        if free:
-            raise FormulaError(f"unbound variables: {', '.join(sorted(free))}")
     return f
 
 
@@ -254,8 +240,6 @@ def to_text(f: Formula) -> str:
         return f"({to_text(f.left)}) -> ({to_text(f.right)})"
     if isinstance(f, Exists):
         return f"exists {f.var} ({to_text(f.body)})"
-    if isinstance(f, ForAll):
-        return f"forall {f.var} ({to_text(f.body)})"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -268,7 +252,7 @@ def _terms(f: Formula) -> Iterator[Term]:
     elif isinstance(f, (And, Or, Implies)):
         yield from _terms(f.left)
         yield from _terms(f.right)
-    elif isinstance(f, (Exists, ForAll)):
+    elif isinstance(f, Exists):
         yield from _terms(f.body)
 
 
@@ -280,7 +264,7 @@ def free_variables(f: Formula, bound: frozenset[str] = frozenset()) -> set[str]:
         return free_variables(f.body, bound)
     if isinstance(f, (And, Or, Implies)):
         return free_variables(f.left, bound) | free_variables(f.right, bound)
-    if isinstance(f, (Exists, ForAll)):
+    if isinstance(f, Exists):
         return free_variables(f.body, bound | {f.var})
     raise TypeError(f"not a formula: {f!r}")
 
@@ -292,7 +276,7 @@ def bound_variables(f: Formula) -> set[str]:
         return bound_variables(f.body)
     if isinstance(f, (And, Or, Implies)):
         return bound_variables(f.left) | bound_variables(f.right)
-    if isinstance(f, (Exists, ForAll)):
+    if isinstance(f, Exists):
         return {f.var} | bound_variables(f.body)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -309,7 +293,7 @@ def depth(f: Formula) -> int:
         return 1 + depth(f.body)
     if isinstance(f, (And, Or, Implies)):
         return 1 + max(depth(f.left), depth(f.right))
-    if isinstance(f, (Exists, ForAll)):
+    if isinstance(f, Exists):
         return 1 + depth(f.body)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -340,11 +324,10 @@ def _subst(f: Formula, var: str, repl: Term) -> Formula:
         return Or(_subst(f.left, var, repl), _subst(f.right, var, repl))
     if isinstance(f, Implies):
         return Implies(_subst(f.left, var, repl), _subst(f.right, var, repl))
-    if isinstance(f, (Exists, ForAll)):
+    if isinstance(f, Exists):
         if f.var == var:
             return f
-        cls = type(f)
-        return cls(f.var, _subst(f.body, var, repl))
+        return Exists(f.var, _subst(f.body, var, repl))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -401,9 +384,4 @@ def eval_classical(f: Formula, universe: Sequence, constants_env: Sequence,
             if eval_classical(f.body, universe, constants_env, {**env, f.var: x}):
                 return True
         return False
-    if isinstance(f, ForAll):
-        for x in universe:
-            if not eval_classical(f.body, universe, constants_env, {**env, f.var: x}):
-                return False
-        return True
     raise TypeError(f"not a formula: {f!r}")

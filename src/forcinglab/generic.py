@@ -18,21 +18,6 @@ from .poset import Poset, _mask_bits
 
 
 @dataclass(frozen=True)
-class Filter:
-    """Upward-closed, downward-directed subset containing top."""
-
-    poset: Poset
-    mask: int
-
-    def __post_init__(self):
-        if not is_filter(self.mask, self.poset):
-            raise ValueError("mask is not a filter")
-
-    def __contains__(self, p: int) -> bool:
-        return bool((self.mask >> p) & 1)
-
-
-@dataclass(frozen=True)
 class GenericSet:
     """The generic filter above one atom: a filter meeting every dense subset.
 

@@ -117,10 +117,6 @@ class StepContext:
     gen_index: int
     path: tuple
 
-    @property
-    def generic(self) -> GenericSet:
-        return self.stage.generics[self.gen_index]
-
 
 class StepProvider:
     """Rule mapping (stage index, generic of that stage) to a separative step

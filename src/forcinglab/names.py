@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .boolalg import AlgebraError, BoolAlgebra
 from .config import CapExceeded
-from .formula import (And, Const, Equality, Exists, ForAll, Formula,
+from .formula import (And, Const, Equality, Exists, Formula,
                       FormulaError, Implies, Membership, Not, Or, Term,
                       eval_classical, free_variables)
 from .hfset import HFSet, element_code, element_code_value
@@ -231,12 +231,11 @@ def name_universe(algebra: BoolAlgebra, rank_bound: int,
 
 
 def sampled_universe(algebra: BoolAlgebra, rank_bound: int,
-                     cap: int | None = None,
-                     max_entries: int = 2) -> NameUniverse:
+                     cap: int | None = None) -> NameUniverse:
     """Deterministic structured fallback when the full universe is over cap.
 
     Takes the largest fully-materializable rank r < rank_bound, then extends
-    it with every name of <= max_entries entries over that layer, capped.
+    it with every name of one or two entries over that layer, capped.
     Flagged non-exhaustive.
     """
     limit = UNIVERSE_CAP if cap is None else cap
@@ -247,7 +246,7 @@ def sampled_universe(algebra: BoolAlgebra, rank_bound: int,
     if r == rank_bound:
         return base
     names = {n.uid: n for n in base.names}
-    for count in range(1, max_entries + 1):
+    for count in (1, 2):
         for subs in itertools.combinations(base.names, count):
             for values in itertools.product(algebra.nonzero, repeat=count):
                 if len(names) >= limit:
@@ -345,10 +344,6 @@ class TruthSession:
         if isinstance(f, Exists):
             return A.sum(self.value(f.body, {**env, f.var: n})
                          for n in self.universe.names)
-        if isinstance(f, ForAll):
-            return A.complement(A.sum(
-                A.complement(self.value(f.body, {**env, f.var: n}))
-                for n in self.universe.names))
         raise TypeError(f"not a formula: {f!r}")
 
 

@@ -24,6 +24,9 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
+# the largest poset that canonical_key's permutation search takes
+PERM_MAX = 9
+
 
 class PosetError(ValueError):
     """Raised when the input relation is not a partial order with top."""
@@ -132,11 +135,11 @@ class Poset:
 
     # -- isomorphism machinery ----------------------------------------
 
-    def canonical_key(self, perm_max: int = 9):
+    def canonical_key(self):
         """Isomorphism-invariant key: lexicographically least relation matrix.
 
         Brute force over permutations, pruned by local invariants; intended
-        for desk-scale posets only (n <= perm_max, checked on every call).
+        for desk-scale posets only (n <= PERM_MAX, checked on every call).
         The relabelings that reach the least matrix differ exactly by
         automorphisms, so the same search also fills :meth:`automorphisms`.
         The search reads nothing but the relation rows ``below``, so it is
@@ -144,9 +147,9 @@ class Poset:
         graph isomorphism", 1981): posets with one order share one search,
         whatever their labels.
         """
-        if self.n > perm_max:
+        if self.n > PERM_MAX:
             raise CanonicalFormError(
-                f"canonical form by permutation search capped at {perm_max} elements")
+                f"canonical form by permutation search capped at {PERM_MAX} elements")
         order = self._order
         if order.search is None:
             order.search = self._canonical_search()
@@ -218,8 +221,8 @@ class Poset:
         """All order-preserving permutations of the elements, as found by
         :meth:`canonical_key`'s search and memoized with it.
 
-        Capped like that search at 9 elements (CanonicalFormError beyond);
-        every catalog poset is within the cap, since
+        Capped like that search at PERM_MAX elements (CanonicalFormError
+        beyond); every catalog poset is within the cap, since
         :func:`_posets_with_top` keys each one by its canonical form.
         """
         self.canonical_key()

@@ -319,9 +319,7 @@ def _transport_witness(hom: HomReport, A: BoolAlgebra) -> tuple[str, Name, Name]
     that last value h(a) * h(b); a first sum violation at (a, b) is a
     product violation at (-a, -b) by De Morgan.
     """
-    element = {A.cut(x): x for x in A.elements}
-    kind, family, _, _ = hom.counterexamples[0]
-    xs = [element[c] for c in family]
+    kind, xs, _, _ = hom.counterexamples[0]
     e = Name((), A)
 
     def single(b: int) -> Name:
@@ -406,12 +404,16 @@ def verify_theorem2(ctx: ProjectionContext, instance: str = "adhoc",
     for beta in range(ctx.alpha + 1, N + 1):
         facts = _level_facts(ctx, beta)
         cctx = {"alpha": ctx.alpha, "generic": ctx.gen_index, "beta": beta}
+        A, B = ctx.source_algebras[beta], ctx.levels[beta].algebra
         hom = facts.hom if pi_prime_override is None else certify_complete_hom(
-            pi_prime_override, ctx.source_algebras[beta], ctx.levels[beta].algebra)
+            pi_prime_override, A, B)
+        # each element written as its poset cut
+        cuts = [(kind, tuple(A.cut(x) for x in family), B.cut(want), B.cut(got))
+                for kind, family, want, got in hom.counterexamples[:4]]
         rep.record("theorem2", "item1-complete-hom", instance, hom.ok, cctx,
                    {"families": hom.families_checked,
                     "violations": hom.violation_count,
-                    "counterexamples": hom.counterexamples[:4]})
+                    "counterexamples": cuts})
         rep.record("theorem2", "item2-onto", instance, _holds(facts.onto),
                    cctx, facts.onto)
         rep.record("theorem2", "item3-atomic-transport", instance,
@@ -488,7 +490,7 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
                not detail5["count"], cctx, detail5)
 
     # L6: pi_prime commutes with complement
-    bad6 = [f"{c[1][0]:#x}" for c in facts.hom.counterexamples
+    bad6 = [f"{A.cut(c[1][0]):#x}" for c in facts.hom.counterexamples
             if c[0] == "complement"]
     rep.record("projection-lemmas", "L6-complement", instance,
                facts.hom.preserves_complement, cctx, {"violations": bad6[:4]})
@@ -907,12 +909,9 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
     stages = iteration.stages
     N = len(iteration)
     G_full = stages[N].generics[full_gen_index]
-    # stage-alpha restriction: P_alpha conditions are P_N conditions verbatim
-    gmask = 0
-    for ci, cond in enumerate(stages[alpha].conditions):
-        ni = stages[N]._index.get(cond)
-        if ni is not None and ni in G_full:
-            gmask |= 1 << ci
+    # stage-alpha restriction: P_alpha's conditions are the first ones of
+    # P_N, at the same indices
+    gmask = G_full.mask & stages[alpha].poset.full_mask
     hit = [g for g in stages[alpha].generics if g.mask == gmask]
     rep.record("theorem16", "item1-prefix-generic", instance, len(hit) == 1,
                {"alpha": alpha, "full_generic": full_gen_index},

@@ -58,9 +58,6 @@ class SuiteReport:
 
     checks: list[CheckRecord] = field(default_factory=list)
 
-    def add(self, record: CheckRecord):
-        self.checks.append(record)
-
     def record(self, suite: str, check: str, instance: str, ok: bool,
                context: dict | None = None, detail: dict | None = None):
         self.checks.append(CheckRecord(

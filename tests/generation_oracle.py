@@ -8,11 +8,12 @@ relabelings that respect its invariant groups, once per relation matrix.
 permutations of a poset on every call;
 :meth:`forcinglab.poset.Poset.automorphisms` reads them off the canonical-key
 search.  :func:`tree_canon_per_automorphism` rebuilds each child subtree's
-canonical form once per automorphism; :func:`forcinglab.cli._tree_canon`
-builds it once per node.  :func:`generate_instances_exhaustive` builds
-every table assignment at every depth and rejects isomorphs only at the
-leaves; :func:`forcinglab.cli.generate_instances` extends one assignment
-per isomorphism class below each parent.
+canonical form once per automorphism;
+:func:`forcinglab.cli.generate_instances` folds it once per node into each
+``InstanceSpec.canon``.  :func:`generate_instances_exhaustive` builds every
+table assignment at every depth and rejects isomorphs only at the leaves;
+the library extends one assignment per isomorphism class below each
+parent.
 """
 
 import hashlib

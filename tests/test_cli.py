@@ -8,14 +8,16 @@ from collections import Counter
 import pytest
 
 from forcinglab import cli, iteration
-from forcinglab.cli import (ExperimentConfig, execute, format_poset_text,
-                            format_provider_tables, generate_instances,
-                            human_summary, main, parse_poset_text,
-                            parse_provider_tables, read_config_file,
+from forcinglab.cli import (ExperimentConfig, InstanceSpec, execute,
+                            format_poset_text, format_provider_tables,
+                            generate_instances, human_summary, main,
+                            parse_poset_text, parse_provider_tables,
+                            read_config_file, run_cifs_suite, run_suite,
                             write_report)
-from forcinglab.config import CapExceeded
+from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.iteration import TableProvider, build_iteration
 from forcinglab.poset import Poset, antichain_with_top, diamond_poset
+from forcinglab.projection import ProjectionError
 
 from generation_oracle import (generate_instances_exhaustive,
                                tree_canon_per_automorphism)
@@ -217,8 +219,9 @@ class TestGeneration:
         assert len(instances) == {(3, 3): 100, (4, 2): 38}[bounds]
         catalog = cli._step_catalog(config.max_poset)
         catalog_index = {id(p): i for i, p in enumerate(catalog) if p is not None}
+        # the form generation folded for each instance, partial ones included
         for spec, it in instances:
-            assert cli._tree_canon(it, catalog_index) == \
+            assert spec.canon[1] == \
                 tree_canon_per_automorphism(it, catalog_index), spec.instance_id
 
     def test_generation_runs_no_invariant_search(self, monkeypatch):
@@ -411,6 +414,62 @@ class TestRunReports:
         report, meta = execute(cfg)
         text = human_summary(report, meta)
         assert "instances: 3" in text
+
+
+class TestDriverFailures:
+    """A suite driver turns what a check raises into a record of its own."""
+
+    @staticmethod
+    def raise_from(monkeypatch, name, error):
+        def raising(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, name, raising)
+
+    def one_step(self, suite, monkeypatch, name, error):
+        """The records run_suite writes for one two-atom step when ``name``
+        in the cli module raises ``error``."""
+        self.raise_from(monkeypatch, name, error)
+        it = build_iteration(TableProvider([{(): antichain_with_top(2)}]),
+                             DEFAULT_CAPS)
+        spec = InstanceSpec("it-step", it.provider.tables, {}, {})
+        rep = run_suite(suite, spec, it, ExperimentConfig())
+        return [(c.suite, c.check, c.status, c.context) for c in rep.checks]
+
+    def test_a_capped_suite_is_skipped_per_context(self, monkeypatch):
+        assert self.one_step("theorem2", monkeypatch, "verify_theorem2",
+                             CapExceeded("capped")) == [
+            ("theorem2", "suite-capped", "skip", {"alpha": 1, "generic": gi})
+            for gi in (0, 1)]
+
+    def test_a_projection_error_fails_the_bridge(self, monkeypatch):
+        assert self.one_step("theorem2", monkeypatch, "verify_theorem2",
+                             ProjectionError("no bridge")) == [
+            ("theorem2", "bridge", "fail", {"alpha": 1, "generic": gi})
+            for gi in (0, 1)]
+
+    def test_a_failed_factorization_fails_theorem16(self, monkeypatch):
+        assert self.one_step("theorem16", monkeypatch, "factor_generic",
+                             ProjectionError("no prefix")) == [
+            ("theorem16", "factor", "fail", {"alpha": 1, "full_generic": gi})
+            for gi in (0, 1)]
+
+    def test_a_failed_factorization_fails_cifs(self, monkeypatch):
+        self.raise_from(monkeypatch, "factor_generic",
+                        ProjectionError("no prefix"))
+        rep = run_cifs_suite(ExperimentConfig())
+        failed = [(c.suite, c.check, c.status, c.context) for c in rep.failures]
+        assert failed and failed == [
+            ("cifs", "factor", "fail", {"full_generic": gi})
+            for gi in range(len(failed))]
+
+    def test_an_off_by_one_closed_form_fails_every_collapse_count(
+            self, monkeypatch):
+        count = cli._closed_form_injection_count
+        monkeypatch.setattr(cli, "_closed_form_injection_count",
+                            lambda n, m: count(n, m) + 1)
+        rep = run_cifs_suite(ExperimentConfig())
+        assert {c.check for c in rep.failures} == {
+            f"collapse-count-{n}-{m}" for n in range(4) for m in range(1, 5)}
 
 
 class TestConfigFile:

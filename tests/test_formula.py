@@ -43,11 +43,6 @@ class TestParsing:
         f = parse_formula("x = x -> y = y -> z = z")
         assert isinstance(f.right, Implies)
 
-    def test_unbound_variable_report_mode(self):
-        with pytest.raises(FormulaError, match="unbound"):
-            parse_formula("x in y", allow_free=False)
-        parse_formula("exists x (exists y (x in y))", allow_free=False)
-
     def test_junk_after_formula(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("x in y y")

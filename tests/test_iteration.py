@@ -197,6 +197,9 @@ class TestStageOrder:
 
     @staticmethod
     def assert_oracle_order(prev, stage):
+        # prev's conditions keep their indices: factor_generic's prefix
+        # mask, the s-frown table and make_context all read them there
+        assert stage.conditions[:prev.poset.n] == prev.conditions
         below, gen_masks = stage_order_by_pairs(prev, stage)
         assert (list(stage.poset.below), stage.gen_masks) == (below, gen_masks), \
             stage.conditions

@@ -316,7 +316,7 @@ class TestGeneration:
         with pytest.raises(CanonicalFormError):
             antichain_with_top(9).automorphisms()
         with pytest.raises(CanonicalFormError):
-            diamond_poset().canonical_key(perm_max=3)
+            antichain_with_top(poset_module.PERM_MAX).canonical_key()
 
     def test_relabel_preserves_canonical_key(self):
         p = diamond_poset()

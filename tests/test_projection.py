@@ -405,7 +405,7 @@ class TestTheorem2:
             assert item3.status == "fail"
             kinds.add(item1.detail["counterexamples"][0][0])
             assert algebra_oracle.fake_binary_witnesses(
-                _level_facts(bad, 2).hom, swapped, A) == []
+                _level_facts(bad, 2).hom, swapped) == []
             shape, xt, yt = item3.detail["counterexample"]
             x, y = by_text[xt], by_text[yt]
             px, py = bad.pi_second(2, x), bad.pi_second(2, y)
@@ -831,7 +831,7 @@ class TestHomCertificateOracle:
                 assert algebra_oracle.flags(cert) == \
                     algebra_oracle.flags(pairs), where
                 assert cert.families_checked == pairs.families_checked
-                assert algebra_oracle.fake_binary_witnesses(cert, m, A) == [], where
+                assert algebra_oracle.fake_binary_witnesses(cert, m) == [], where
                 verdicts.add(algebra_oracle.flags(cert))
                 perturbed += m is not h
             levels += 1
@@ -857,7 +857,7 @@ class TestSharedFacts:
         # its first violation gives a transport pair of rank at most 2
         A, hom = ctx.source_algebras[2], _level_facts(ctx, 2).hom
         assert algebra_oracle.fake_binary_witnesses(
-            hom, ctx.levels[2].pi_prime, A) == []
+            hom, ctx.levels[2].pi_prime) == []
         if not hom.ok:
             _, x, y = _transport_witness(hom, A)
             assert x.rank <= 2 and y.rank <= 2
@@ -1061,6 +1061,17 @@ class TestCorollary15:
         assert self.failed(ctx, 2, stage=transposed) == {
             "stage-1-order-isomorphic"}
         assert verify_corollary15(ctx).ok
+
+    def test_a_search_that_splits_isomorphs_fails_canonical_form(
+            self, worked, monkeypatch):
+        # the record cross-checks the canonical search against the verified
+        # isomorphism: a key that tells isomorphic posets apart breaks it
+        _, ctx = worked
+        key = Poset.canonical_key
+        monkeypatch.setattr(Poset, "canonical_key",
+                            lambda self: (key(self), id(self)))
+        assert {c.check for c in verify_corollary15(ctx).failures} == {
+            "stage-1-canonical-form"}
 
     def test_permuted_combine_fails_the_next_stage(self):
         # the quotient generics of level alpha+1 are bridged to the wrong
