@@ -421,6 +421,9 @@ def check_config(config: ExperimentConfig) -> None:
             f"max_poset must be in 0..{PERM_MAX}, got {config.max_poset}")
     if config.max_stages < 0:
         raise ValueError(f"max_stages must be >= 0, got {config.max_stages}")
+    if config.max_stage_conditions < 1:
+        raise ValueError("max_stage_conditions must be >= 1, "
+                         f"got {config.max_stage_conditions}")
     _cifs_provider(config)
 
 

@@ -17,17 +17,17 @@ tail (tails are turned into literal names by mixing over the atoms, mapped
 structurally, then read back as functions by evaluating under the quotient
 generics).  Everything downstream -- the complete-homomorphism certificate,
 the per-lemma property checks, generic factorization and the rebuilt-tail
-comparison -- quantifies exhaustively over the finite instance.  The facts
-that Theorem 2 and the lemma suite share (homomorphism, onto, atomic
-transport) are computed once per level and cached on the context.  Each
-context builds its own source algebras, so names and their pi_second
-images never pass between contexts; the order rows and cut tables under
-those algebras are memoized per relation matrix in :mod:`forcinglab.poset`.
-L5, L10 and L11-L14 read relations built once per level: bit rows of the
-defined conditions grouped by image, the s-frown table built from the
-parent rows and grouped by alpha-prefix, and the sibling contexts'
-projections as bit rows over the level's conditions; L12 runs through the
-lower adjoint of the level's homomorphism.  The statements about names --
+comparison -- quantifies exhaustively over the finite instance.  Each
+level holds one record of pi: its conditions grouped by image (pi_prime's
+columns, Theorem 16's H), per condition the equal, above and compatible
+images as bit rows (L5 and L10 at the level, L11 and L14 at every sibling
+level), and the facts Theorem 2 and the lemma suite share (homomorphism,
+onto, atomic transport).  Each context builds its own source algebras, so
+names and their pi_second images never pass between contexts; the order
+rows and cut tables under them are memoized per relation matrix in
+:mod:`forcinglab.poset`.  L11-L14 read the s-frown table, built from the
+parent rows and grouped by alpha-prefix; L12 runs through the lower
+adjoint of the level's homomorphism.  The statements about names --
 Theorem 2's onto and transport items and Theorem 16's evaluation identity
 -- are certified on algebra elements, which by induction through pi_second
 covers every name of every rank, plus an audit of the cached pi_second
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .boolalg import BoolAlgebra, HomReport, certify_complete_hom, ro_algebra
 from .config import Caps
@@ -56,9 +57,19 @@ class ProjectionError(RuntimeError):
     pass
 
 
+class _ImageRows(NamedTuple):
+    """Bit rows of conditions q per P_beta condition p, parallel to pi."""
+
+    equal: list[int]        # pi(q) == pi(p), two undefined images equal
+    above: list[int]        # pi(p) <= pi(q), both defined
+    compatible: list[int]   # pi(p) and pi(q) compatible, both defined
+
+
 @dataclass
 class QuotientLevel:
-    """The quotient data at one level beta > alpha (or the trivial root)."""
+    """The quotient data at one level beta > alpha (or the trivial root).
+    Its record of pi is derived on first read and is no init field, so a
+    ``dataclasses.replace`` copy with another pi or pi_prime derives its own."""
 
     beta: int
     stage: Stage                      # quotient conditions as a built stage
@@ -67,6 +78,39 @@ class QuotientLevel:
     algebra: BoolAlgebra              # r.o. of the quotient poset
     pi_prime: dict[int, int]          # source element -> quotient element
     _pi_second: dict = field(default_factory=dict, init=False)  # name uid -> image
+    _preimages: dict | None = field(default=None, init=False)
+    _rows: _ImageRows | None = field(default=None, init=False)
+    _facts: _LevelFacts | None = field(default=None, init=False)
+
+    @property
+    def preimages(self) -> dict:
+        """{pi image: bitmask of its P_beta conditions}, None for undefined."""
+        if self._preimages is None:
+            self._preimages = {}
+            for p, v in enumerate(self.pi):
+                self._preimages[v] = self._preimages.get(v, 0) | 1 << p
+        return self._preimages
+
+    @property
+    def rows(self) -> _ImageRows:
+        if self._rows is None:
+            self._rows = _image_rows(self)
+        return self._rows
+
+
+def _image_rows(level: QuotientLevel) -> _ImageRows:
+    """The level's rows: per image v the preimage classes above v and those
+    compatible with v are ORed once, and each condition reads its image's."""
+    classes = level.preimages
+    defined = [(u, m) for u, m in classes.items() if u is not None]
+    qposet = level.stage.poset
+    cones = {None: (0, 0)}
+    for v, _ in defined:
+        cones[v] = (sum(m for u, m in defined if qposet.above[v] >> u & 1),
+                    sum(m for u, m in defined if qposet.compat[v] >> u & 1))
+    return _ImageRows([classes[v] for v in level.pi],
+                      [cones[v][0] for v in level.pi],
+                      [cones[v][1] for v in level.pi])
 
 
 @dataclass
@@ -79,9 +123,6 @@ class ProjectionContext:
     caps: Caps
     levels: dict[int, QuotientLevel]
     source_algebras: dict[int, BoolAlgebra]   # this context's own, per stage
-    # beta -> _LevelFacts; not an init field, so that
-    # dataclasses.replace gives the copy an empty cache
-    _facts: dict = field(default_factory=dict, init=False)
 
     @property
     def G(self) -> GenericSet:
@@ -131,14 +172,15 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
 
     Stage beta-1's conditions keep their indices at stage beta and have
     tail 1 there, so at level beta they project as at level beta-1; only
-    the conditions new at stage beta are placed in the quotient.  Each
-    level from alpha+2 on keeps three memos for as long as it is built:
-    the numeral names over its source algebra, the evaluations of image
-    names under the previous level's quotient generics (passed to
-    :func:`forcinglab.iteration.tail_from_name` as ``memo``), and the
-    decoded tail of each distinct (quotient prefix, image name), so an
-    image that many tails share is decoded once.  A tail that fails to
-    decode raises before anything is memoized.
+    the conditions new at stage beta are placed in the quotient, and
+    pi_prime's columns are read off the level's preimage classes, which
+    the level keeps for the checks.  Each level from alpha+2 on keeps three
+    memos while it is built: the numeral names over its source algebra,
+    the evaluations of image names under the previous level's quotient
+    generics (passed to :func:`forcinglab.iteration.tail_from_name` as
+    ``memo``), and the decoded tail of each distinct (quotient prefix,
+    image name), so an image that many tails share is decoded once.  A tail
+    that fails to decode raises before anything is memoized.
     """
     caps = caps or iteration.caps
     stages = iteration.stages
@@ -239,29 +281,23 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
         if any(c is None for c in combine):
             raise ProjectionError(f"quotient generic with no source generic at level {beta}")
         algebra = ro_algebra(qposet, max_base=caps.algebra_max_base)
-        A = source_algebras[beta]
+        level = levels[beta] = QuotientLevel(beta, qstage, pi, combine,
+                                             algebra, {})
         # the atoms of the regularized image of a cut are the atoms below
         # some image point, so quotient atom b is in pi_prime(x) iff the
         # cut of x meets b's column: the defined p with b <= pi(p)
-        with_image = [0] * qposet.n
-        for p, q in enumerate(pi):
-            if q is not None:
-                with_image[q] |= 1 << p
-        columns = []
-        for b in qposet.atoms:
-            col = 0
-            for q in _mask_bits(qposet.above[b]):
-                col |= with_image[q]
-            columns.append((1 << b, col))
-        pi_prime: dict[int, int] = {}
+        preimages = level.preimages
+        columns = [(1 << b, sum(preimages.get(q, 0)
+                                for q in _mask_bits(qposet.above[b])))
+                   for b in qposet.atoms]
+        A = source_algebras[beta]
         for x in A.elements:
             cut = A.cut(x)
             img = 0
             for bit, col in columns:
                 if cut & col:
                     img |= bit
-            pi_prime[x] = img
-        levels[beta] = QuotientLevel(beta, qstage, pi, combine, algebra, pi_prime)
+            level.pi_prime[x] = img
 
     iteration.context_cache[cache_key] = ctx
     return ctx
@@ -351,10 +387,9 @@ def _level_facts(ctx: ProjectionContext, beta: int) -> _LevelFacts:
     pi_second merges are joined.  Both inductions trust the pi_second memo,
     which :func:`_stale_image` audits.
     """
-    cached = ctx._facts.get(beta)
-    if cached is not None:
-        return cached
     level = ctx.levels[beta]
+    if level._facts is not None:
+        return level._facts
     A = ctx.source_algebras[beta]
     B = level.algebra
     hom = certify_complete_hom(level.pi_prime, A, B)
@@ -372,9 +407,8 @@ def _level_facts(ctx: ProjectionContext, beta: int) -> _LevelFacts:
         witness = [shape, name_text(x, A), name_text(y, A)]
     transport = {"source_elements": len(A), "counterexample": witness,
                  "stale_image": stale_text}
-    facts = _LevelFacts(hom, onto, transport)
-    ctx._facts[beta] = facts
-    return facts
+    level._facts = _LevelFacts(hom, onto, transport)
+    return level._facts
 
 
 # -- Theorem 2 ----------------------------------------------------------------
@@ -427,12 +461,11 @@ def verify_theorem2(ctx: ProjectionContext, instance: str = "adhoc",
 def verify_projection_lemmas(ctx: ProjectionContext, instance: str = "adhoc",
                              rank: int = 2) -> SuiteReport:
     """One exhaustive sub-check per projection lemma, itemized L3..L14.
-    L5 and L10 read one bit row per defined condition, built from the
-    defined conditions grouped by image; L6-L9 cite the level's shared
-    facts, as Theorem 2 does; L11-L14 read one s-frown-p table, built from
-    the parent rows stage by stage and grouped by alpha-prefix, and the
-    sibling levels' projections as bit rows, each built once per level,
-    and L12 uses the lower adjoint where item 1 holds.  No condition is
+    L5 and L10 read the level's image rows and L6-L9 its shared facts, as
+    Theorem 2 does; L11-L14 read one s-frown-p table, built from the parent
+    rows stage by stage and grouped by alpha-prefix, L11 and L14 also the
+    image rows of every sibling level, each level's built once, and L12
+    uses the lower adjoint where item 1 holds.  No condition is
     canonicalized.  The limit-stage clause is stated once per run by
     :func:`limit_clause_skip`.
     ``rank`` bounds nothing, as in :func:`verify_theorem2`."""
@@ -482,10 +515,12 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
     rep.record("projection-lemmas", "L4-principal-to-principal", instance,
                not bad4, cctx, {"violations": bad4})
 
-    rows5, rows10 = _l5_l10_rows(src.poset, level, defined)
+    rows = level.rows
+    defined_mask = src.poset.full_mask & ~level.preimages.get(None, 0)
 
     # L5: disjoint principal cuts stay disjoint
-    detail5 = _pair_violations(src.poset, defined, rows5)
+    detail5 = _pair_violations(src.poset, defined, [
+        rows.compatible[ci] & ~src.poset.compat[ci] for ci in defined])
     rep.record("projection-lemmas", "L5-disjointness", instance,
                not detail5["count"], cctx, detail5)
 
@@ -510,7 +545,8 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
                _holds(facts.transport), cctx, facts.transport)
 
     # L10: pi is monotone where defined
-    detail10 = _pair_violations(src.poset, defined, rows10)
+    detail10 = _pair_violations(src.poset, defined, [
+        defined_mask & src.poset.above[ci] & ~rows.above[ci] for ci in defined])
     rep.record("projection-lemmas", "L10-monotone", instance,
                not detail10["count"], cctx, detail10)
 
@@ -538,34 +574,6 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
     ok14, detail14 = _lemma14(ctx, beta, table, groups, siblings)
     rep.record("projection-lemmas", "L14-order-reflection", instance, ok14,
                cctx, detail14)
-
-
-def _l5_l10_rows(poset: Poset, level: QuotientLevel, defined: list[int]):
-    """Per defined condition ci, parallel to ``defined``, the defined cj
-    that break L5 (incompatible with ci, images compatible) and those that
-    break L10 (above ci, image not above ci's).  The defined conditions are
-    grouped by image, and per image v the groups whose image is compatible
-    with v and those whose image lies above v are ORed once."""
-    qposet = level.stage.poset
-    by_image: dict[int, int] = {}
-    for ci in defined:
-        by_image[level.pi[ci]] = by_image.get(level.pi[ci], 0) | 1 << ci
-    defined_mask = sum(by_image.values())
-    cones = {}
-    for v in by_image:
-        compat_pre = above_pre = 0
-        for u, members in by_image.items():
-            if qposet.compat[v] >> u & 1:
-                compat_pre |= members
-            if qposet.above[v] >> u & 1:
-                above_pre |= members
-        cones[v] = (compat_pre, above_pre)
-    rows5, rows10 = [], []
-    for ci in defined:
-        compat_pre, above_pre = cones[level.pi[ci]]
-        rows5.append(compat_pre & ~poset.compat[ci])
-        rows10.append(defined_mask & poset.above[ci] & ~above_pre)
-    return rows5, rows10
 
 
 def _pair_violations(poset: Poset, defined: list[int], rows: list[int]) -> dict:
@@ -641,36 +649,6 @@ def _prefix_groups(table: list[tuple[int, dict]]) -> dict[int, tuple[int, dict]]
     return groups
 
 
-def _pi_classes(level: QuotientLevel) -> dict:
-    """The P_beta conditions grouped by their projection at a sibling
-    level, as {pi value: bitmask}, with None for the undefined ones."""
-    classes: dict = {}
-    for p, v in enumerate(level.pi):
-        classes[v] = classes.get(v, 0) | 1 << p
-    return classes
-
-
-def _equal_rows(level: QuotientLevel) -> list[int]:
-    """Per P_beta condition p, the q with pi(q) == pi(p) at a sibling level,
-    as a bitmask; two undefined projections count as equal."""
-    classes = _pi_classes(level)
-    return [classes[v] for v in level.pi]
-
-
-def _below_rows(level: QuotientLevel) -> list[int]:
-    """Per P_beta condition p, the q with pi(p) and pi(q) both defined and
-    pi(p) <= pi(q) at a sibling level, as a bitmask."""
-    classes = _pi_classes(level)
-    classes.pop(None, None)
-    below = level.stage.poset.below
-    up = dict.fromkeys(classes, 0)
-    for v, qs in classes.items():
-        for x in up:
-            if below[v] >> x & 1:
-                up[x] |= qs
-    return [0 if v is None else up[v] for v in level.pi]
-
-
 def _forced(astage: Stage, rows: list[list[int]], n: int):
     """R(r, p): the AND of the sibling rows rows[g][p] over the generics g
     of P_alpha that contain r, memoized per (r, p).  There is one generic
@@ -709,7 +687,7 @@ def _lemma11(ctx: ProjectionContext, beta: int, table: list, groups: dict,
     G = ctx.G
     astage = ctx.iteration.stages[ctx.alpha]
     labels = ctx.iteration.stages[beta].poset.labels
-    forced_equal = _forced(astage, [_equal_rows(lvl) for lvl in siblings],
+    forced_equal = _forced(astage, [lvl.rows.equal for lvl in siblings],
                            len(table))
     checked = 0
     for ci, (r, row) in enumerate(table):
@@ -844,7 +822,7 @@ def _lemma14(ctx: ProjectionContext, beta: int, table: list, groups: dict,
     src = ctx.iteration.stages[beta]
     labels = src.poset.labels
     below = src.poset.below
-    forced_below = _forced(astage, [_below_rows(lvl) for lvl in siblings],
+    forced_below = _forced(astage, [lvl.rows.above for lvl in siblings],
                            len(table))
     checked = 0
     for ci, (prefix, row) in enumerate(table):
@@ -912,21 +890,20 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
     # stage-alpha restriction: P_alpha's conditions are the first ones of
     # P_N, at the same indices
     gmask = G_full.mask & stages[alpha].poset.full_mask
-    hit = [g for g in stages[alpha].generics if g.mask == gmask]
+    hit = [gi for gi, g in enumerate(stages[alpha].generics) if g.mask == gmask]
     rep.record("theorem16", "item1-prefix-generic", instance, len(hit) == 1,
                {"alpha": alpha, "full_generic": full_gen_index},
                {"mask": f"{gmask:#x}"})
     if not hit:
         return None, -1, rep
-    G = hit[0]
-    gen_index = stages[alpha].generics.index(G)
-    ctx = make_context(iteration, alpha, gen_index, caps)
+    ctx = make_context(iteration, alpha, hit[0], caps)
     level = ctx.final_level
     qposet = level.stage.poset
+    # H: the quotient conditions with a preimage in G_full
     hmask = 0
-    for ci in range(stages[N].poset.n):
-        if level.pi[ci] is not None and ci in G_full:
-            hmask |= 1 << level.pi[ci]
+    for v, members in level.preimages.items():
+        if v is not None and members & G_full.mask:
+            hmask |= 1 << v
     filter_ok = is_filter(hmask, qposet)
     # every dense subset contains every atom and the atom set is dense, so
     # H meets every dense subset iff it meets the atom set
@@ -942,7 +919,7 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
                {"alpha": alpha, "full_generic": full_gen_index},
                {"nonzero_elements": len(A.nonzero),
                 "counterexample": None if bad is None else name_text(bad, A)})
-    return G, hmask, rep
+    return ctx.G, hmask, rep
 
 
 # -- Corollary 15: the quotient is the shifted iteration ----------------------

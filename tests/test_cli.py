@@ -377,7 +377,7 @@ class TestRunReports:
         ["--cifs-ladder", "1:9"], ["--cifs-ladder", "6:2"],
         ["--cifs-formulas", "z in x"], ["--cifs-formulas", "x in ("],
         ["--max-stages", "-1"], ["--max-poset", "-1"],
-        ["--max-poset", "10"]], ids="=".join)
+        ["--max-poset", "10"], ["--max-stage-conditions", "0"]], ids="=".join)
     def test_bad_option_values_exit_two(self, flags, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
         rc = main(["run", "--suite", "cifs", "--max-poset", "2",
@@ -393,7 +393,8 @@ class TestRunReports:
 
         monkeypatch.setattr(cli, "generate_instances", sweep)
         for flags in (["--cifs-ladder", "1:9"], ["--cifs-formulas", "z in x"],
-                      ["--max-stages", "-1"], ["--max-poset", "10"]):
+                      ["--max-stages", "-1"], ["--max-poset", "10"],
+                      ["--max-stage-conditions", "0"]):
             assert main(["run", "--suite", "all", "--out",
                          str(tmp_path / "r.jsonl")] + flags) == 2
 
@@ -499,6 +500,17 @@ class TestConfigFile:
         assert main(["run", "--config", str(cfile), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: max_poset must be in 0..9, got 10\n")
+        assert not out.exists()
+
+    def test_stage_condition_cap_below_one_rejected(self, tmp_path, capsys):
+        # a cap of 0 fits no stage above the root, so every instance would
+        # be partial and the run would certify nothing
+        cfile = tmp_path / "capped.conf"
+        cfile.write_text("suite = lemma1\nmax_stage_conditions = 0\n")
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(cfile), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: max_stage_conditions must be >= 1, got 0\n")
         assert not out.exists()
 
     def test_bad_key_rejected(self, tmp_path):

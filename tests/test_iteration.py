@@ -12,9 +12,10 @@ from forcinglab.cli import (ExperimentConfig, cifs_dependence_probe,
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import parse_formula
 from forcinglab.hfset import EMPTY, HFSet, element_code, hfset
-from forcinglab.iteration import (TAIL_ONE, CollapseSpec, Iteration,
-                                  ProviderError, StepContext, TableProvider,
-                                  build_iteration, canonicalize_condition,
+from forcinglab.iteration import (TAIL_ONE, CifsProvider, CollapseSpec,
+                                  Iteration, ProviderError, StepContext,
+                                  TableProvider, build_iteration,
+                                  canonicalize_condition,
                                   check_lemma1, cifs_toy_iteration,
                                   collapse_poset, extend_stage, root_stage,
                                   tail_from_name, trim)
@@ -501,6 +502,16 @@ class TestCifs:
         infos = self.debris_stage1_infos()
         assert len({tuple(h.code for h in i.structure) for i in infos}) > 1
         assert len({i.witnesses[0] for i in infos}) > 1
+
+    def test_hidden_debris_fails_the_dependence_probe(self, monkeypatch):
+        # with the generics' collapse functions kept out of the universe,
+        # both stage-1 structures are the bare ground fragment
+        monkeypatch.setattr(CifsProvider, "_generic_debris",
+                            lambda self, ctx: [])
+        rep = cifs_dependence_probe(DEFAULT_CAPS)
+        assert [(c.check, c.status, c.detail) for c in rep.checks] == [
+            ("tables-differ-between-generics", "fail",
+             {"structure_sizes": [1, 1], "witness_is_generic_encoding": False})]
 
     def test_probe_products_need_no_pairwise_order(self, monkeypatch):
         components = [i.components for i in self.debris_stage1_infos()]

@@ -10,8 +10,8 @@ from forcinglab import names as names_module
 from forcinglab import poset as poset_module
 from forcinglab import projection
 from forcinglab.boolalg import certify_complete_hom, ro_algebra
-from forcinglab.cli import (ExperimentConfig, InstanceSpec, generate_instances,
-                            run_suite)
+from forcinglab.cli import (ExperimentConfig, InstanceSpec, execute,
+                            generate_instances, run_suite)
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import constants, parse_formula
 from forcinglab.generic import dense_subsets
@@ -484,9 +484,12 @@ class TestProjectionLemmas:
 
     def test_l7_and_item1_ignore_the_hom_family_cap(self, worked):
         # the source algebra has 16 elements and 2^16 families exceed this
-        # cap, but the certificate checks families of at most two elements
+        # cap, but the certificate checks families of at most two elements;
+        # the levels are copied, so that their facts are computed under it
         _, ctx = worked
-        capped = dataclasses.replace(ctx, caps=DEFAULT_CAPS.with_(hom_family_cap=8))
+        capped = dataclasses.replace(
+            ctx, caps=DEFAULT_CAPS.with_(hom_family_cap=8),
+            levels={b: dataclasses.replace(lvl) for b, lvl in ctx.levels.items()})
         lemmas = verify_projection_lemmas(capped, instance="capped").checks
         thm2 = verify_theorem2(capped, instance="capped").checks
         l7 = [c.status for c in lemmas if c.check == "L7-products"]
@@ -529,7 +532,9 @@ class TestLemmaControls:
 
     @staticmethod
     def with_pi(ctx, beta, pi):
+        # the original's record is filled first: the copy must derive its own
         level = ctx.levels[beta]
+        assert level.rows and _level_facts(ctx, beta)
         return dataclasses.replace(
             ctx, levels={**ctx.levels, beta: dataclasses.replace(level, pi=pi)})
 
@@ -691,6 +696,8 @@ class TestLemmaControls:
     def collapsed(siblings):
         """Siblings projecting every condition to one class, so that every
         premise of L11 and L14 holds."""
+        # the originals' rows are built first: the copies must derive their own
+        assert all(lvl.rows for lvl in siblings)
         return [dataclasses.replace(lvl, pi=[0] * len(lvl.pi))
                 for lvl in siblings]
 
@@ -843,7 +850,10 @@ class TestHomCertificateOracle:
 
 
 def _with_pi_prime(ctx, beta, pi_prime):
-    """A fresh context whose level beta maps elements by pi_prime."""
+    """A fresh context whose level beta maps elements by pi_prime.  The
+    original level's record is filled first, so the copy must derive its
+    own."""
+    assert ctx.levels[beta].rows and _level_facts(ctx, beta)
     level = dataclasses.replace(ctx.levels[beta], pi_prime=pi_prime)
     return dataclasses.replace(ctx, levels={**ctx.levels, beta: level})
 
@@ -914,6 +924,43 @@ class TestSharedFacts:
         constant = _with_pi_prime(ctx, 2, {y: B.one for y in A.elements})
         assert constant.pi_second(2, nm).entries[0][1] == B.one
         assert ctx.pi_second(2, nm).entries[0][1] == level.pi_prime[x]
+
+
+class TestLevelRecord:
+    """Each quotient level holds one record of pi, built once."""
+
+    def test_rows_are_their_pairwise_definitions(self, default_sweep):
+        for ctx, beta in TestLemmaOracle.levels(default_sweep):
+            level = ctx.levels[beta]
+            pi, leq = level.pi, level.stage.poset.leq
+            compat = level.stage.poset.compat
+            n = len(pi)
+
+            def row(holds):
+                return [sum(1 << q for q in range(n) if holds(pi[p], pi[q]))
+                        for p in range(n)]
+
+            assert level.rows == (
+                row(lambda u, v: u == v),
+                row(lambda u, v: None not in (u, v) and leq(u, v)),
+                row(lambda u, v: None not in (u, v) and compat[u] >> v & 1))
+            assert level.preimages == {
+                v: sum(1 << p for p in range(n) if pi[p] == v) for v in set(pi)}
+
+    def test_one_run_builds_image_rows_once_per_quotient_level(
+            self, monkeypatch):
+        # one execute of the acceptance sweep: L5 and L10 read a level's
+        # rows, and L11 and L14 read every sibling level's
+        built = []
+
+        def counted(level):
+            built.append(level)
+            return image_rows(level)
+
+        image_rows = projection._image_rows
+        monkeypatch.setattr(projection, "_image_rows", counted)
+        execute(ExperimentConfig(suite="all", max_poset=3, max_stages=3, seed=1))
+        assert len(built) == len({id(level) for level in built}) == 608
 
 
 class TestTheorem16:
@@ -1344,6 +1391,22 @@ class TestLemma20:
         for gi in range(len(it.final.generics)):
             rep = verify_lemma20_analogue(it, gi)
             assert not any(c.context.get("component") == 0 for c in rep.checks)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda payload: frozenset((x, 0) for x, _ in payload),
+        lambda payload: frozenset(itertools.islice(payload, 1))],
+        ids=["not-injective", "not-total"])
+    def test_a_corrupted_payload_fails_that_component_alone(self, corrupt):
+        # the payload that one final generic selects is no longer a total
+        # injection; every other generic's union stays one
+        prov = cifs_toy_iteration([parse_formula("x = x")], [(2, 3)])
+        it = build_iteration(prov, DEFAULT_CAPS.with_(max_stage_conditions=128))
+        info, victim = prov.info[(0, ())], 2
+        cond = info.element_tuples[it.final.paths[victim][0]][0]
+        info.payloads[0][cond] = corrupt(info.payloads[0][cond])
+        failed = [(gi, c.check) for gi in range(len(it.final.generics))
+                  for c in verify_lemma20_analogue(it, gi).failures]
+        assert failed == [(victim, "lemma20-stage0-component0")]
 
     def test_requires_toy_provider(self, worked):
         it, _ = worked
