@@ -437,7 +437,15 @@ def run_cifs_suite(config: ExperimentConfig) -> SuiteReport:
             want = _closed_form_injection_count(n, m)
             rep.record("cifs", f"collapse-count-{n}-{m}", "cifs",
                        poset.n == want, {}, {"got": poset.n, "want": want})
-    iteration = build_iteration(_cifs_provider(config), caps, allow_partial=True)
+    # stage-dependence probe: a debris-admitting rung must see the collapse
+    rep.extend(cifs_dependence_probe(caps))
+    try:
+        iteration = build_iteration(_cifs_provider(config), caps,
+                                    allow_partial=True)
+    except CapExceeded as e:
+        # a ladder above --max-stages: the cap aborts the toy iteration only
+        rep.skip("cifs", "iteration-capped", "cifs", {}, {"reason": str(e)})
+        return rep
     if iteration.partial:
         rep.skip("cifs", "iteration-partial", "cifs", {},
                  {"reason": "stage cap aborted the toy iteration"})
@@ -454,8 +462,6 @@ def run_cifs_suite(config: ExperimentConfig) -> SuiteReport:
             except (ProjectionError, CapExceeded) as e:
                 rep.record("cifs", "factor", "cifs", False,
                            {"full_generic": gi}, {"error": str(e)})
-    # stage-dependence probe: a debris-admitting rung must see the collapse
-    rep.extend(cifs_dependence_probe(caps))
     return rep
 
 
@@ -466,8 +472,10 @@ def cifs_dependence_probe(caps: Caps, instance: str = "cifs") -> SuiteReport:
     psi = parse_formula(
         "exists y (y in x) & forall y (y in x -> exists z (z in y & exists w (w in z)))")
     provider = cifs_toy_iteration([psi], [(1, 2), (6, 3)], caps)
-    iteration = build_iteration(
-        provider, caps.with_(max_stage_conditions=16), allow_partial=True)
+    # its own two rungs, under any --max-stages, as Corollary 15's rebuild
+    iteration = build_iteration(provider, caps.with_(
+        max_stage_conditions=16, max_stages=max(caps.max_stages, 2)),
+        allow_partial=True)
     stage = iteration.stages[1]
     infos = []
     for gi in range(len(stage.generics)):

@@ -91,12 +91,28 @@ class Stage:
     steps: tuple[Poset | None, ...] = ()
     parent: tuple[int, ...] = ()
 
+    def extension(self, prefix: int, tail: Coordinate) -> int | None:
+        """The index of the condition whose prefix is condition ``prefix``
+        of the previous stage and whose last coordinate is the canonical
+        ``tail``, or None if the stage has no such condition.  Stage k-1's
+        conditions keep their indices here, so ``(i, TAIL_ONE)`` is i."""
+        if tail is TAIL_ONE:
+            return prefix
+        return self._tails.get((prefix, tail))
+
     def cond_index(self, cond: Condition) -> int:
         return self._index[cond]
 
-    # built on first read, unless extend_stage hands over the index it
-    # placed explicit tails through.  Neither is an init field, so a
-    # dataclasses.replace copy indexes its own conditions and paths
+    # built on first read, not init fields, so a dataclasses.replace copy
+    # indexes its own conditions and paths.  _tails keys each new condition
+    # by (parent, last coordinate); _index, by the whole condition, serves
+    # cond_index, that is the tests and canonicalize_condition
+    @cached_property
+    def _tails(self) -> dict[tuple[int, Coordinate], int]:
+        return {(p, c[-1]): i for i, (p, c) in
+                enumerate(zip(self.parent, self.conditions))
+                if len(c) == self.index}
+
     @cached_property
     def _index(self) -> dict[Condition, int]:
         return {c: i for i, c in enumerate(self.conditions)}
@@ -198,21 +214,19 @@ def _canonical_tail(prev: Stage, steps: Sequence, prev_idx: int, tail) -> "Coord
 
 
 def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
-                 explicit_tails: Sequence[tuple[int, object]] | None = None,
-                 ) -> Stage | tuple[Stage, list[int]]:
+                 tails: Iterable[tuple[int, Coordinate]] | None = None) -> Stage:
     """Build stage n+1 from stage n and the step posets named over it.
 
-    With ``explicit_tails`` None, every tail map is enumerated (the
-    Definition-1 successor clause); otherwise only the supplied
-    (prefix index, raw tail) pairs are admitted and their placement is
-    returned alongside the stage.
+    With ``tails`` None, every tail map is enumerated (the Definition-1
+    successor clause); otherwise only the supplied (prefix index,
+    canonical tail) pairs are admitted, in order and each once, a tail 1
+    naming its prefix.  They are not validated again, as
+    :func:`tail_from_name` returns canonical tails; :meth:`Stage.extension`
+    finds the condition of each pair.
 
     Stage n's conditions keep their indices, the empty one included, so
     the top is ``prev``'s.  The enumerated conditions are new and pairwise
-    distinct, so they are appended without being hashed; explicit tails
-    are validated by :func:`_canonical_tail` and placed through a copy of
-    ``prev``'s index, which the stage then keeps as its own.  Each prefix
-    is padded to n coordinates once.
+    distinct, so they are appended without being hashed.
 
     i <= j iff prefix(i) <= prefix(j) at stage n and, at each generic g
     of prefix(i), tail(i) lies below tail(j), a TAIL_ONE tail reading as
@@ -232,7 +246,6 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
     # per condition, the index of its prefix at stage n: a stage-n
     # condition is its own prefix
     prev_of = list(range(len(conditions)))
-    placement: list[int] = []
 
     def over_cap() -> CapExceeded:
         return CapExceeded(f"stage {n + 1} has more conditions than the cap "
@@ -242,10 +255,10 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
         cond = prev.conditions[prefix]
         return cond + (TAIL_ONE,) * (n - len(cond))
 
-    if explicit_tails is None:
-        # the enumerated conditions are new and pairwise distinct, so the
-        # stage's size is known before any tail is placed, and a capped
-        # stage, which is discarded, costs no enumeration
+    # the new conditions are pairwise distinct, so the stage's size is
+    # known before any tail is placed, and a capped stage, which is
+    # discarded, costs no enumeration
+    if tails is None:
         extended = []
         size = len(conditions)
         for ci in range(len(conditions)):
@@ -263,26 +276,12 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
                     conditions.append(base + (tuple(zip(gens, combo)),))
                     prev_of.append(ci)
     else:
-        index = dict(prev._index)
-        bases: dict[int, Condition] = {}
-        for prefix, tail in explicit_tails:
-            coord = _canonical_tail(prev, steps, prefix, tail)
-            if coord is TAIL_ONE:
-                placement.append(prefix)
-                continue
-            base = bases.get(prefix)
-            if base is None:
-                base = bases[prefix] = padded(prefix)
-            cond = base + (coord,)
-            got = index.get(cond)
-            if got is None:
-                got = len(conditions)
-                if got >= caps.max_stage_conditions:
-                    raise over_cap()
-                index[cond] = got
-                conditions.append(cond)
-                prev_of.append(prefix)
-            placement.append(got)
+        new = [pair for pair in dict.fromkeys(tails) if pair[1] is not TAIL_ONE]
+        if len(conditions) + len(new) > caps.max_stage_conditions:
+            raise over_cap()
+        for prefix, tail in new:
+            conditions.append(padded(prefix) + (tail,))
+            prev_of.append(prefix)
 
     # order: each new condition has a tail value under every generic of
     # its prefix, so the new conditions over g are those with a value at g
@@ -340,12 +339,8 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
         bit = 1 << gi
         for i in _mask_bits(g.mask):
             gen_masks[i] |= bit
-    stage = Stage(n + 1, conds, poset, generics, paths,
-                  tuple(gen_masks), tuple(steps), tuple(prev_of))
-    if explicit_tails is None:
-        return stage
-    stage._index = index
-    return stage, placement
+    return Stage(n + 1, conds, poset, generics, paths,
+                 tuple(gen_masks), tuple(steps), tuple(prev_of))
 
 
 def build_iteration(provider: StepProvider, caps: Caps = DEFAULT_CAPS,
@@ -399,21 +394,23 @@ def canonicalize_condition(raw: Sequence, iteration: Iteration, stage_index: int
 
 
 def tail_from_name(prev: Stage, steps: Sequence, prev_idx: int, name,
-                   memo: dict | None = None) -> tuple:
-    """Turn a literal name tail into its tail map under a prefix: one
-    (generic, element) pair per generic containing the prefix, ascending.
+                   memo: dict | None = None) -> Coordinate:
+    """Turn a literal name tail into its canonical tail under a prefix: one
+    (generic, element) pair per generic containing the prefix, ascending,
+    or ``TAIL_ONE`` when every element is its step poset's top.
 
     ``steps`` are the step posets named over ``prev`` (the ``steps`` of the
     stage after it).  The name must evaluate, under every generic containing
     the prefix, to the numeral of an element of the step poset provided there.
-    The map is validated here but not canonicalized: an all-top map becomes
-    ``TAIL_ONE`` when :func:`extend_stage` places it as an explicit tail.
+    The map is validated here, and only here: (``prev_idx``, tail) is the
+    pair that :func:`extend_stage` takes and :meth:`Stage.extension` finds.
     ``memo`` is passed to :func:`forcinglab.names.evaluate`; a caller
     decoding many names under ``prev``'s generics shares one across calls.
     """
     from .names import decode_element, evaluate
 
     out = []
+    all_top = True
     for g in prev.gens_of(prev_idx):
         q = steps[g]
         if q is None:
@@ -424,8 +421,9 @@ def tail_from_name(prev: Stage, steps: Sequence, prev_idx: int, name,
         if e is None or not 0 <= e < q.n:
             raise ProviderError(
                 f"name does not denote a step-poset element under generic {g}: {hf!r}")
+        all_top = all_top and e == q.top
         out.append((g, e))
-    return tuple(out)
+    return TAIL_ONE if all_top else tuple(out)
 
 
 # -- collapse posets --------------------------------------------------------

@@ -171,16 +171,19 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     ``context_cache`` holds the finished context and nothing else.
 
     Stage beta-1's conditions keep their indices at stage beta and have
-    tail 1 there, so at level beta they project as at level beta-1; only
-    the conditions new at stage beta are placed in the quotient, and
-    pi_prime's columns are read off the level's preimage classes, which
-    the level keeps for the checks.  Each level from alpha+2 on keeps three
+    tail 1 there, so at level beta they project as at level beta-1.  A
+    condition new at stage beta gives a (quotient prefix, canonical tail)
+    pair, the quotient stage is built from these pairs, and the image is
+    ``qstage.extension(qprefix, qtail)``.  pi_prime's columns are read off
+    the level's preimage classes, which the level keeps for the checks.
+    Each level from alpha+2 on keeps three
     memos while it is built: the numeral names over its source algebra,
     the evaluations of image names under the previous level's quotient
     generics (passed to :func:`forcinglab.iteration.tail_from_name` as
     ``memo``), and the decoded tail of each distinct (quotient prefix,
-    image name), so an image that many tails share is decoded once.  A tail
-    that fails to decode raises before anything is memoized.
+    image name), so an image that many tails share is decoded, and
+    validated, once.  A tail that fails to decode raises before anything
+    is memoized.
     """
     caps = caps or iteration.caps
     stages = iteration.stages
@@ -234,15 +237,15 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
             if in_G >> src.parent[ci] & 1:
                 new_in_G |= 1 << ci
         in_G |= new_in_G
-        defined: list[int] = []
-        raw_tails: list[tuple[int, object]] = []
+        tails: list[tuple[int, object]] = []
         for ci in _mask_bits(new_in_G):
             tail = src.conditions[ci][beta - 1]
             qprefix = pi[src.parent[ci]]
             if qprefix is None:
                 raise ProjectionError("prefix in G but previous level undefined")
             if beta == alpha + 1:
-                qtail = ((0, dict(tail)[gen_index]),)
+                e = dict(tail)[gen_index]   # of a canonical tail: valid
+                qtail = TAIL_ONE if e == steps_q[0].top else ((0, e),)
             else:
                 src_alg = source_algebras[beta - 1]
                 literal = _tail_as_name(prev_src, tail, src_alg, numeral_memo)
@@ -256,12 +259,10 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
                         raise ProjectionError(
                             f"tail image at level {beta}: {e}") from e
                     decoded[qprefix, image.uid] = qtail
-            defined.append(ci)
-            raw_tails.append((qprefix, qtail))
-        qstage, placement = extend_stage(prev_level.stage, steps_q, caps,
-                                         explicit_tails=raw_tails)
-        for ci, where in zip(defined, placement):
-            pi[ci] = where
+            tails.append((qprefix, qtail))
+        qstage = extend_stage(prev_level.stage, steps_q, caps, tails)
+        for ci, (qprefix, qtail) in zip(_mask_bits(new_in_G), tails):
+            pi[ci] = qstage.extension(qprefix, qtail)
         # bridge: quotient generics <-> source generics whose prefix generic
         # is G, matched through their atoms (one generic per atom)
         qposet = qstage.poset
@@ -600,7 +601,8 @@ def _frown_table(ctx: ProjectionContext, beta: int) -> list[tuple[int, dict]]:
     parent's row, since stage k holds stage k-1's conditions at the same
     indices; any other condition's s-frown is its tail restricted to the
     generics of the parent's s-frown f: f itself when the restriction is
-    all top, else the stage-k condition f followed by that restriction.
+    all top, else the stage-k condition looked up by prefix and tail,
+    ``stage.extension(f, restriction)``.
     ``tests/lemma_oracle.py`` keeps the form that canonicalizes each
     (p, s) from stage 0 as this kernel's oracle."""
     stages = ctx.iteration.stages
@@ -610,8 +612,7 @@ def _frown_table(ctx: ProjectionContext, beta: int) -> list[tuple[int, dict]]:
     rows = [{s: s for s in _mask_bits(below[r])} for r in prefixes]
     for k in range(ctx.alpha + 1, beta + 1):
         prev, stage = stages[k - 1], stages[k]
-        gen_masks, index = prev.gen_masks, stage._index
-        pad = [c + (TAIL_ONE,) * (k - 1 - len(c)) for c in prev.conditions]
+        gen_masks = prev.gen_masks
         for ci in range(prev.poset.n, stage.poset.n):
             p = stage.parent[ci]
             tail = stage.conditions[ci][k - 1]
@@ -624,8 +625,8 @@ def _frown_table(ctx: ProjectionContext, beta: int) -> list[tuple[int, dict]]:
                 if f is not None:
                     gens = gen_masks[f]
                     if gens & lifted:
-                        f = index.get(pad[f] + (tuple(
-                            (g, e) for g, e in tail if gens >> g & 1),))
+                        f = stage.extension(f, tuple(
+                            (g, e) for g, e in tail if gens >> g & 1))
                 row[s] = f
             rows.append(row)
             prefixes.append(prefixes[p])
@@ -948,7 +949,11 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
     rebuilt stage is order-isomorphic to the quotient poset, via the natural
     generic bridge, which must also carry each rebuilt generic's atom to its
     quotient generic's atom.  The rebuild has the N - alpha stages that
-    have a quotient level to compare with.
+    have a quotient level to compare with.  Stage k keeps stage k-1's
+    conditions at their indices, in the rebuilt iteration and in the
+    quotient alike, so the natural map goes through each condition's
+    prefix: an old condition keeps its image, and a new one maps to
+    ``extension(image of its parent, bridged tail)``.
 
     On stages of at most 8 elements a verified isomorphism is followed by a
     canonical-form record.  The canonical key is an isomorphism invariant,
@@ -995,31 +1000,17 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
         if not ok:
             return rep
         bridges[k] = bridge
-    # each (position, coordinate) is remapped once: stage k repeats the
-    # conditions of stage k - 1
-    remapped_coord: dict[tuple[int, object], object] = {}
-
-    def remap(j: int, coord):
-        got = remapped_coord.get((j, coord))
-        if got is None:
-            got = remapped_coord[j, coord] = coord if coord is TAIL_ONE else \
-                tuple(sorted((bridges[j][g], e) for g, e in coord))
-        return got
-
+    # the natural map, rebuilt index -> quotient index, stage by stage
+    mapping: list[int | None] = [0]
     for k in range(1, N - alpha + 1):
         rb = rebuilt.stages[k]
         level = ctx.levels[alpha + k]
         qposet = level.stage.poset
-        mapping: list[int | None] = []
-        ok = True
-        for cond in rb.conditions:
-            remapped = tuple(remap(j, coord) for j, coord in enumerate(cond))
-            qi = level.stage._index.get(remapped)
-            if qi is None:
-                ok = False
-                mapping.append(None)
-            else:
-                mapping.append(qi)
+        for ci in range(len(mapping), rb.poset.n):
+            tail = tuple(sorted((bridges[k - 1][g], e)
+                                for g, e in rb.conditions[ci][k - 1]))
+            mapping.append(level.stage.extension(mapping[rb.parent[ci]], tail))
+        ok = None not in mapping
         bijective = ok and len(set(mapping)) == len(mapping) == qposet.n
         order_ok = bijective
         if bijective:

@@ -348,6 +348,29 @@ class TestRunReports:
                    "--out", str(tmp_path / "r.jsonl")])
         assert rc == 2
 
+    @pytest.mark.parametrize("stages", [0, 1])
+    def test_a_ladder_above_the_stage_cap_is_skipped(self, tmp_path, stages):
+        # the default ladder has two rungs: the cap aborts the toy
+        # iteration, not the run, and the probe builds its own two stages
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--suite", "all", "--max-poset", "2",
+                     "--max-stages", str(stages), "--out", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        cifs = [(r["check"], r["status"], r["detail"].get("reason"))
+                for r in records if r.get("suite") == "cifs"]
+        assert [c for c in cifs if c[1] != "pass"] == [
+            ("iteration-capped", "skip",
+             f"provider has 2 stages, above the cap {stages}")]
+        assert ("tables-differ-between-generics", "pass", None) in cifs
+        assert sum(c[0].startswith("collapse-count-") for c in cifs) == 16
+
+    def test_replay_under_a_capped_ladder_is_not_found(self, tmp_path, capsys):
+        rc = main(["replay", "cx-000000000000", "--suite", "all",
+                   "--max-poset", "2", "--max-stages", "1",
+                   "--out", str(tmp_path / "r.jsonl")])
+        assert rc == 2
+        assert "not found" in capsys.readouterr().err
+
     def test_usage_error_exit_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--suite", "nonsense"])

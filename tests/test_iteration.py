@@ -235,7 +235,8 @@ class TestStageOrder:
             self.assert_oracle_order(prev, stage)
 
     def test_quotient_stages_equal_the_pairwise_oracle(self, default_sweep):
-        # make_context builds these through extend_stage's explicit_tails
+        # make_context builds these from (quotient prefix, canonical tail)
+        # pairs, passed to extend_stage as its tails
         checked = 0
         for _, it in default_sweep:
             for alpha in range(1, len(it) + 1):
@@ -293,7 +294,43 @@ class TestCanonicalization:
         steps = self.it.stages[2].steps
         t1 = tail_from_name(self.s1, steps, atom_a, mixed)
         t2 = tail_from_name(self.s1, steps, atom_a, plain)
-        assert t1 == t2
+        assert t1 == t2 == ((0, 0),)
+
+    def test_an_all_top_name_is_tail_one(self):
+        # tail_from_name returns canonical tails: a name denoting the top
+        # under every generic containing the prefix is the tail 1
+        A = ro_algebra(self.s1.poset, max_base=self.s1.poset.n)
+        steps = self.it.stages[2].steps
+        top = element_name(A2.top, A)
+        for prefix in range(self.s1.poset.n):
+            assert tail_from_name(self.s1, steps, prefix, top) is TAIL_ONE
+        mixed = mix_name([(self.s1.generics[0].atom, element_name(1, A)),
+                          (self.s1.generics[1].atom, top)], A)
+        assert tail_from_name(self.s1, steps, self.s1.poset.top, mixed) == \
+            ((0, 1), (1, A2.top))
+
+
+class TestSuppliedTails:
+    """extend_stage on supplied (prefix, canonical tail) pairs, and
+    Stage.extension, which finds a condition by the same pair."""
+
+    def test_a_repeated_pair_is_built_once(self):
+        s1 = two_stage_constant().stages[1]
+        atom_a = s1.cond_index((((0, 0),),))
+        pair = (atom_a, ((0, 1),))
+        tails = [pair, (s1.poset.top, TAIL_ONE), pair, (atom_a, ((0, 0),)),
+                 pair]
+        # the two distinct new conditions fit a cap that counts each once
+        caps = DEFAULT_CAPS.with_(max_stage_conditions=s1.poset.n + 2)
+        stage = extend_stage(s1, [A2, A2], caps, tails)
+        assert stage.conditions == s1.conditions + (
+            (((0, 0),), ((0, 1),)), (((0, 0),), ((0, 0),)))
+        assert [stage.extension(p, t) for p, t in tails] == [
+            3, s1.poset.top, 3, 4, 3]
+        TestStageOrder.assert_oracle_order(s1, stage)
+        with pytest.raises(CapExceeded):
+            extend_stage(s1, [A2, A2], caps.with_(
+                max_stage_conditions=s1.poset.n + 1), tails)
 
 
 # -- the literal name-based representation, used as the order oracle ----------

@@ -188,6 +188,23 @@ class TestMakeContext:
         assert len(decodes) == len(set(decodes))
         assert (len(decodes), len(images)) == (334, 896)
 
+    def test_each_tail_is_validated_once(self, default_sweep, monkeypatch):
+        # tail_from_name validates and canonicalizes each decoded tail, and
+        # the first level's value comes from a canonical source tail, so
+        # no build reaches the validation canonicalize_condition uses
+        def refused(*args):
+            raise AssertionError("_canonical_tail called")
+
+        monkeypatch.setattr(iteration_module, "_canonical_tail", refused)
+        built = 0
+        for _, it in default_sweep:
+            it = dataclasses.replace(it)
+            for alpha in range(1, len(it) + 1):
+                for gi in range(len(it.stages[alpha].generics)):
+                    make_context(it, alpha, gi)
+                    built += 1
+        assert built == 776
+
     def test_an_undecodable_tail_image_fails_every_build(self, monkeypatch):
         # decode_element refuses one element's code: every build that reads
         # that element in a tail image raises, and nothing of the failure is
@@ -1109,6 +1126,37 @@ class TestCorollary15:
             "stage-1-order-isomorphic"}
         assert verify_corollary15(ctx).ok
 
+    @pytest.mark.parametrize("tables", [
+        [{(): A2}, {(0,): A2, (1,): A2}],
+        [{(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]],
+        ids=["two-stage", "three-stage"])
+    def test_a_changed_tail_leaves_the_natural_map_partial(self, tables):
+        # one new condition of the final quotient stage gets another valid
+        # tail value: the rebuilt condition that mapped to it has no
+        # counterpart left
+        ctx = make_context(build_iteration(TableProvider(tables)), 1, 0)
+        beta = len(ctx.iteration)
+        stage = ctx.levels[beta].stage
+        ci = stage.poset.n - 1
+        conds = list(stage.conditions)
+        (g, e), *rest = conds[ci][-1]
+        q = stage.steps[g]
+        other = next(v for v in range(q.n) if v not in (e, q.top))
+        conds[ci] = conds[ci][:-1] + (((g, other), *rest),)
+        changed = dataclasses.replace(stage, conditions=tuple(conds))
+        level = dataclasses.replace(ctx.levels[beta], stage=changed)
+        bad = dataclasses.replace(ctx, levels={**ctx.levels, beta: level})
+        k = f"stage-{beta - 1}-order-isomorphic"
+
+        def record(c):
+            rep = verify_corollary15(c)
+            return [(r.status, r.detail["natural_map_total"])
+                    for r in rep.checks if r.check == k], \
+                {r.check for r in rep.failures}
+
+        assert record(bad) == ([("fail", False)], {k})
+        assert record(ctx) == ([("pass", True)], set())
+
     def test_a_search_that_splits_isomorphs_fails_canonical_form(
             self, worked, monkeypatch):
         # the record cross-checks the canonical search against the verified
@@ -1295,21 +1343,46 @@ class TestSweepOrderOracles:
                 assert (A._cuts, A.elements, A.index) == table
         assert (len(posets), len(fresh)) == (1007, 41)
 
-    def test_parent_rows_index_the_canonical_prefix(self, default_sweep):
+    @classmethod
+    def stage_pairs(cls, sweep) -> list:
+        """(previous stage, stage) for every generated stage and every
+        quotient stage of the sweep."""
         pairs = {}
-        for _, it in default_sweep:
+        for _, it in sweep:
             for prev, stage in zip(it.stages, it.stages[1:]):
                 pairs[id(stage)] = (prev, stage)
-        for it, ctx in self.contexts(default_sweep):
+        for it, ctx in cls.contexts(sweep):
             for beta in range(ctx.alpha + 1, len(it) + 1):
                 stage = ctx.levels[beta].stage
                 pairs[id(stage)] = (ctx.levels[beta - 1].stage, stage)
-        for prev, stage in pairs.values():
+        assert len(pairs) == 114 + 608
+        return list(pairs.values())
+
+    def test_parent_rows_index_the_canonical_prefix(self, default_sweep):
+        for prev, stage in self.stage_pairs(default_sweep):
             k = stage.index
             assert len(stage.parent) == len(stage.conditions)
             for ci, cond in enumerate(stage.conditions):
                 assert stage.parent[ci] == prev.cond_index(trim(cond[:k - 1]))
-        assert len(pairs) == 114 + 608
+
+    def test_extension_finds_each_condition_by_prefix_and_tail(
+            self, default_sweep):
+        # an old condition i is (i, 1), a new one (parent, last coordinate),
+        # and a pair of a prefix and a tail of the stage that no condition
+        # has is None, as the whole-condition index says
+        for prev, stage in self.stage_pairs(default_sweep):
+            k, old = stage.index, prev.poset.n
+            for i in range(old):
+                assert stage.extension(i, TAIL_ONE) == i
+            tails = {c[k - 1] for c in stage.conditions[old:]}
+            for ci in range(old, stage.poset.n):
+                assert stage.extension(stage.parent[ci],
+                                       stage.conditions[ci][k - 1]) == ci
+            for p, cond in enumerate(prev.conditions):
+                base = cond + (TAIL_ONE,) * (k - 1 - len(cond))
+                for tail in tails:
+                    assert stage.extension(p, tail) == \
+                        stage._index.get(base + (tail,))
 
 
 class TestOrderFactsOncePerMatrix:
