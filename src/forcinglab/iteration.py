@@ -11,7 +11,8 @@ all-top map is identified with ``TAIL_ONE``.  This is the mutual-order
 quotient at finite scale: two literal name tails are equivalent exactly when
 they evaluate identically under every generic containing the prefix, i.e.
 when they induce the same map.  The literal name-based construction is kept
-alongside in the test suite as the cross-validating oracle.
+alongside in the test suite as the cross-validating oracle, together with
+the name route that turns a literal name tail back into a canonical tail.
 """
 
 from __future__ import annotations
@@ -221,8 +222,8 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
     successor clause); otherwise only the supplied (prefix index,
     canonical tail) pairs are admitted, in order and each once, a tail 1
     naming its prefix.  They are not validated again, as
-    :func:`tail_from_name` returns canonical tails; :meth:`Stage.extension`
-    finds the condition of each pair.
+    :func:`forcinglab.projection._tail_image` returns canonical tails;
+    :meth:`Stage.extension` finds the condition of each pair.
 
     Stage n's conditions keep their indices, the empty one included, so
     the top is ``prev``'s.  The enumerated conditions are new and pairwise
@@ -393,39 +394,6 @@ def canonicalize_condition(raw: Sequence, iteration: Iteration, stage_index: int
     return cond
 
 
-def tail_from_name(prev: Stage, steps: Sequence, prev_idx: int, name,
-                   memo: dict | None = None) -> Coordinate:
-    """Turn a literal name tail into its canonical tail under a prefix: one
-    (generic, element) pair per generic containing the prefix, ascending,
-    or ``TAIL_ONE`` when every element is its step poset's top.
-
-    ``steps`` are the step posets named over ``prev`` (the ``steps`` of the
-    stage after it).  The name must evaluate, under every generic containing
-    the prefix, to the numeral of an element of the step poset provided there.
-    The map is validated here, and only here: (``prev_idx``, tail) is the
-    pair that :func:`extend_stage` takes and :meth:`Stage.extension` finds.
-    ``memo`` is passed to :func:`forcinglab.names.evaluate`; a caller
-    decoding many names under ``prev``'s generics shares one across calls.
-    """
-    from .names import decode_element, evaluate
-
-    out = []
-    all_top = True
-    for g in prev.gens_of(prev_idx):
-        q = steps[g]
-        if q is None:
-            raise ProviderError(
-                f"no step poset under generic {g}; only the literal 1 tail is valid")
-        hf = evaluate(name, prev.generics[g].mask, memo)
-        e = decode_element(hf)
-        if e is None or not 0 <= e < q.n:
-            raise ProviderError(
-                f"name does not denote a step-poset element under generic {g}: {hf!r}")
-        all_top = all_top and e == q.top
-        out.append((g, e))
-    return TAIL_ONE if all_top else tuple(out)
-
-
 # -- collapse posets --------------------------------------------------------
 
 
@@ -477,7 +445,6 @@ class CifsStepInfo:
 
     poset: Poset
     element_tuples: tuple
-    components: list[Poset]
     payloads: list[list[frozenset]]
     structure: tuple[HFSet, ...]
     witnesses: list[HFSet | None]
@@ -570,8 +537,8 @@ class CifsProvider(StepProvider):
             components.append(pc)
             payloads.append(cc)
         poset, tuples = product_poset(components)
-        self.info[key] = CifsStepInfo(poset, tuples, components, payloads,
-                                      structure, witnesses)
+        self.info[key] = CifsStepInfo(poset, tuples, payloads, structure,
+                                      witnesses)
         return poset
 
 

@@ -12,26 +12,26 @@ together with the three maps:
               (structural recursion, elements through pi_prime)
 
 The first quotient level takes a condition's tail to its value under G; each
-later level pairs the previous quotient prefix with the image name of the
-tail (tails are turned into literal names by mixing over the atoms, mapped
-structurally, then read back as functions by evaluating under the quotient
-generics).  Everything downstream -- the complete-homomorphism certificate,
-the per-lemma property checks, generic factorization and the rebuilt-tail
-comparison -- quantifies exhaustively over the finite instance.  Each
-level holds one record of pi: its conditions grouped by image (pi_prime's
-columns, Theorem 16's H), per condition the equal, above and compatible
-images as bit rows (L5 and L10 at the level, L11 and L14 at every sibling
-level), and the facts Theorem 2 and the lemma suite share (homomorphism,
-onto, atomic transport).  Each context builds its own source algebras, so
-names and their pi_second images never pass between contexts; the order
-rows and cut tables under them are memoized per relation matrix in
+later level pairs the previous quotient prefix with the tail's image, which
+:func:`_tail_image` reads off the previous level's pi_prime: what the tail's
+literal name, mapped through pi_second, denotes under each quotient generic,
+with no name built.  Everything downstream -- the complete-homomorphism
+certificate, the per-lemma property checks, generic factorization and the
+rebuilt-tail comparison -- quantifies exhaustively over the finite instance.
+Each level holds one record of pi: its conditions grouped by image
+(pi_prime's columns, Theorem 16's H), per condition the equal, above and
+compatible images as bit rows (L5 and L10 at the level, L11 and L14 at every
+sibling level), and the facts Theorem 2 and the lemma suite share
+(homomorphism, onto, atomic transport).  Each context builds its own source
+algebras, so names and their pi_second images never pass between contexts;
+the order rows and cut tables under them are memoized per relation matrix in
 :mod:`forcinglab.poset`.  L11-L14 read the s-frown table, built from the
-parent rows and grouped by alpha-prefix; L12 runs through the lower
-adjoint of the level's homomorphism.  The statements about names --
-Theorem 2's onto and transport items and Theorem 16's evaluation identity
--- are certified on algebra elements, which by induction through pi_second
-covers every name of every rank, plus an audit of the cached pi_second
-images; no name universe is built.
+parent rows and grouped by alpha-prefix; L12 runs through the lower adjoint
+of the level's homomorphism.  The statements about names -- Theorem 2's onto
+and transport items and Theorem 16's evaluation identity -- are certified on
+algebra elements, which by induction through pi_second covers every name of
+every rank, plus an audit of the cached pi_second images; no name universe
+is built.
 """
 
 from __future__ import annotations
@@ -43,13 +43,13 @@ from typing import NamedTuple
 from .boolalg import BoolAlgebra, HomReport, certify_complete_hom, ro_algebra
 from .config import Caps
 from .generic import GenericSet, is_filter
-from .iteration import (TAIL_ONE, CifsProvider, Iteration, ProviderError,
-                        Stage, StepContext, StepProvider, build_iteration,
-                        extend_stage, root_stage, tail_from_name)
-# evaluate is bound here for perfbench/selftest.py, which checks that its
-# tracer reaches this binding; tails are decoded by tail_from_name
-from .names import Name, element_name, evaluate, mix_name, name_text  # noqa: F401
-from .poset import Poset, _mask_bits, is_regular_cut
+from .iteration import (TAIL_ONE, CifsProvider, Coordinate, Iteration, Stage,
+                        StepContext, StepProvider, build_iteration,
+                        extend_stage, root_stage)
+# evaluate is unused here; it stays bound for perfbench/selftest.py, which
+# checks that its tracer reaches this binding
+from .names import Name, evaluate, name_text  # noqa: F401
+from .poset import Poset, _mask_bits, regular_cuts
 from .report import SuiteReport
 
 
@@ -142,25 +142,48 @@ class ProjectionContext:
         return got
 
 
-def _tail_as_name(stage: Stage, tail, algebra: BoolAlgebra,
-                  memo: dict) -> Name:
-    """Literal name for a function-form tail: mixing over the atoms."""
-    values = []
+def _tail_image(prev_level: QuotientLevel, prev_stage: Stage, steps_q: list,
+                qprefix: int, tail) -> Coordinate | None:
+    """The canonical quotient tail under ``qprefix`` that the pi_second
+    image of ``tail``'s literal name denotes, ``tail`` being canonical at
+    ``prev_stage``, the source stage of ``prev_level``; None (refused) for
+    a value outside its step poset or a generic with no step poset.
+
+    Let S_i be the atoms of the generics whose value has bit i.  An id's
+    :func:`forcinglab.hfset.element_code` is the set of chains i for its
+    set bits, so the literal name, mixed over the atoms, has the entries
+    (check name of chain i, S_i).  Check names carry one, and pi_prime(one)
+    is one (pi is onto the quotient stage, so every quotient atom has a
+    preimage), so pi_second keeps them and sends S_i to pi_prime(S_i).
+    Under the quotient generic of atom a the image denotes the element
+    whose bit i is set exactly when a is in pi_prime(S_i).  The tests keep
+    the name route as this decoder's oracle."""
+    sets: dict[int, int] = {}       # bit i -> S_i
     for g, e in tail:
-        atom = stage.generics[g].atom
-        values.append((atom, element_name(e, algebra, memo)))
-    return mix_name(values, algebra)
+        for i in _mask_bits(e):
+            sets[i] = sets.get(i, 0) | 1 << prev_stage.generics[g].atom
+    images = [(1 << i, prev_level.pi_prime[s]) for i, s in sets.items()]
+    qstage = prev_level.stage
+    out = []
+    for g in qstage.gens_of(qprefix):
+        a = qstage.generics[g].atom
+        e = sum(bit for bit, image in images if image >> a & 1)
+        if steps_q[g] is None or e >= steps_q[g].n:
+            return None
+        out.append((g, e))
+    return TAIL_ONE if all(e == steps_q[g].top for g, e in out) else tuple(out)
 
 
 def make_context(iteration: Iteration, alpha: int, gen_index: int,
                  caps: Caps | None = None) -> ProjectionContext:
-    """Build pi, pi_prime, pi_second and the quotient posets for every level.
+    """Build pi, pi_prime and the quotient posets for every level.
 
     The construction follows the inductive cases: the first level evaluates
     tails under G, later successor levels prepend the previous level's
-    quotient prefix and push tails through pi_second.  Only successor levels
-    exist at finite stage counts; the limit clause is vacuous here and the
-    suites report it as such.
+    quotient prefix and decode each tail's pi_second image from the
+    previous level's pi_prime (:func:`_tail_image`), building no name.
+    Only successor levels exist at finite stage counts; the limit clause is
+    vacuous here and the suites report it as such.
 
     The root level is the process's one :func:`root_stage`.  The context
     builds its own source algebras and every level its own quotient
@@ -176,14 +199,7 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     pair, the quotient stage is built from these pairs, and the image is
     ``qstage.extension(qprefix, qtail)``.  pi_prime's columns are read off
     the level's preimage classes, which the level keeps for the checks.
-    Each level from alpha+2 on keeps three
-    memos while it is built: the numeral names over its source algebra,
-    the evaluations of image names under the previous level's quotient
-    generics (passed to :func:`forcinglab.iteration.tail_from_name` as
-    ``memo``), and the decoded tail of each distinct (quotient prefix,
-    image name), so an image that many tails share is decoded, and
-    validated, once.  A tail that fails to decode raises before anything
-    is memoized.
+    A refused tail image raises before the context is cached.
     """
     caps = caps or iteration.caps
     stages = iteration.stages
@@ -212,17 +228,8 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     levels[alpha] = QuotientLevel(alpha, root, pi_root, [gen_index],
                                   root_alg, pi_prime_root)
 
-    ctx = ProjectionContext(iteration, alpha, gen_index, caps, levels,
-                            source_algebras)
-
     in_G = G.mask           # the level's conditions with alpha-prefix in G
     for beta in range(alpha + 1, N + 1):
-        # numeral names are built over this level's source algebra only;
-        # image names are evaluated under this level's quotient generics,
-        # and each (quotient prefix, image) is decoded once
-        numeral_memo: dict = {}
-        evaluate_memo: dict = {}
-        decoded: dict[tuple[int, int], object] = {}
         prev_level = levels[beta - 1]
         prev_src = stages[beta - 1]
         src = stages[beta]
@@ -247,18 +254,10 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
                 e = dict(tail)[gen_index]   # of a canonical tail: valid
                 qtail = TAIL_ONE if e == steps_q[0].top else ((0, e),)
             else:
-                src_alg = source_algebras[beta - 1]
-                literal = _tail_as_name(prev_src, tail, src_alg, numeral_memo)
-                image = ctx.pi_second(beta - 1, literal)
-                qtail = decoded.get((qprefix, image.uid))
+                qtail = _tail_image(prev_level, prev_src, steps_q, qprefix, tail)
                 if qtail is None:
-                    try:
-                        qtail = tail_from_name(prev_level.stage, steps_q,
-                                               qprefix, image, evaluate_memo)
-                    except ProviderError as e:
-                        raise ProjectionError(
-                            f"tail image at level {beta}: {e}") from e
-                    decoded[qprefix, image.uid] = qtail
+                    raise ProjectionError(f"tail image at level {beta} is "
+                                          "outside the quotient's step posets")
             tails.append((qprefix, qtail))
         qstage = extend_stage(prev_level.stage, steps_q, caps, tails)
         for ci, (qprefix, qtail) in zip(_mask_bits(new_in_G), tails):
@@ -300,6 +299,8 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
                     img |= bit
             level.pi_prime[x] = img
 
+    ctx = ProjectionContext(iteration, alpha, gen_index, caps, levels,
+                            source_algebras)
     iteration.context_cache[cache_key] = ctx
     return ctx
 
@@ -687,7 +688,6 @@ def _lemma11(ctx: ProjectionContext, beta: int, table: list, groups: dict,
     part."""
     G = ctx.G
     astage = ctx.iteration.stages[ctx.alpha]
-    labels = ctx.iteration.stages[beta].poset.labels
     forced_equal = _forced(astage, [lvl.rows.equal for lvl in siblings],
                            len(table))
     checked = 0
@@ -703,6 +703,7 @@ def _lemma11(ctx: ProjectionContext, beta: int, table: list, groups: dict,
                 glued |= classes[s][si]
         checked += premise.bit_count()
         if premise & ~glued:
+            labels = ctx.iteration.stages[beta].poset.labels
             return False, {"pair": (labels[ci], labels[_lowest(premise & ~glued)])}
     return True, {"pairs": checked}
 
@@ -729,7 +730,7 @@ def _lemma12(ctx: ProjectionContext, beta: int, table: list, hom_ok: bool):
     if not hom_ok:
         return _lemma12_by_elements(ctx, beta, table)
     level = ctx.levels[beta]
-    labels = ctx.iteration.stages[beta].poset.labels
+    poset = ctx.iteration.stages[beta].poset
     aposet = ctx.iteration.stages[ctx.alpha].poset
     G = ctx.G
     A = ctx.source_algebras[beta]
@@ -741,7 +742,7 @@ def _lemma12(ctx: ProjectionContext, beta: int, table: list, hom_ok: bool):
             continue
         qu = B.principal(qc)
         if not B.leq(qu, level.pi_prime[A.principal(ci)]):
-            return False, {"direction": "forward", "condition": labels[ci]}
+            return False, {"direction": "forward", "condition": poset.labels[ci]}
         bstar = 0
         for a, image in atom_images:
             if image & qu:
@@ -749,7 +750,7 @@ def _lemma12(ctx: ProjectionContext, beta: int, table: list, hom_ok: bool):
         prefix, row = table[ci]
         if not any(row.get(s) is not None and A.leq(A.principal(row[s]), bstar)
                    for s in _mask_bits(G.mask & aposet.below[prefix])):
-            return False, {"direction": "backward", "condition": labels[ci]}
+            return False, {"direction": "backward", "condition": poset.labels[ci]}
         checked += 1
     return True, {"checks": checked}
 
@@ -790,10 +791,12 @@ def _lemma12_by_elements(ctx: ProjectionContext, beta: int, table: list):
 def _lemma13(ctx: ProjectionContext, table: list, groups: dict):
     """U_{p1,p2} = {s : s-frown-p1 == s-frown-p2} is a regular cut of
     P_alpha, for every pair with one alpha-prefix.  U_{p1,p2} collects the
-    s at which p2 lies in p1's s-frown class; each distinct cut is tested
-    once, and the first failing pair in (p1, p2) order is reported."""
+    s at which p2 lies in p1's s-frown class.  A cut is regular exactly
+    when it is the regular cut of its own atoms, read off the cut table
+    memoized per relation matrix; the first failing pair in (p1, p2) order
+    is reported."""
     aposet = ctx.iteration.stages[ctx.alpha].poset
-    regular: dict[int, bool] = {}
+    cut_of = regular_cuts(aposet)[0]
     checked = 0
     for ci, (r, row) in enumerate(table):
         members, classes = groups[r]
@@ -804,10 +807,7 @@ def _lemma13(ctx: ProjectionContext, table: list, groups: dict):
                     cuts[cj] |= 1 << s
         checked += len(cuts)
         for cj, mask in cuts.items():
-            ok = regular.get(mask)
-            if ok is None:
-                ok = regular[mask] = is_regular_cut(mask, aposet)
-            if not ok:
+            if cut_of[mask & aposet.atom_mask] != mask:
                 return False, {"pair": (ci, cj), "cut": f"{mask:#x}"}
     return True, {"pairs": checked}
 
@@ -821,7 +821,6 @@ def _lemma14(ctx: ProjectionContext, beta: int, table: list, groups: dict,
     reported."""
     astage = ctx.iteration.stages[ctx.alpha]
     src = ctx.iteration.stages[beta]
-    labels = src.poset.labels
     below = src.poset.below
     forced_below = _forced(astage, [lvl.rows.above for lvl in siblings],
                            len(table))
@@ -840,6 +839,7 @@ def _lemma14(ctx: ProjectionContext, beta: int, table: list, groups: dict,
                         failed.append((_lowest(cjs), r))
         if failed:
             cj, r = min(failed)
+            labels = src.poset.labels
             return False, {"r": astage.poset.labels[r],
                            "pair": (labels[ci], labels[cj])}
     return True, {"checks": checked}

@@ -18,7 +18,7 @@ from forcinglab.iteration import (TAIL_ONE, CifsProvider, CollapseSpec,
                                   canonicalize_condition,
                                   check_lemma1, cifs_toy_iteration,
                                   collapse_poset, extend_stage, root_stage,
-                                  tail_from_name, trim)
+                                  trim)
 from forcinglab.hfset import kpair
 from forcinglab.names import (NameUniverse, TruthSession, check_name,
                               element_name, empty_name, evaluate, mix_name,
@@ -28,6 +28,7 @@ from forcinglab.poset import (Poset, antichain_with_top, chain_poset,
 from forcinglab.projection import make_context
 
 import generation_oracle
+from tail_oracle import tail_from_name
 from order_oracle import (product_by_pairs, separativity_witness_by_pairs,
                           stage_order_by_pairs, stage_paths_and_parents)
 
@@ -297,7 +298,7 @@ class TestCanonicalization:
         assert t1 == t2 == ((0, 0),)
 
     def test_an_all_top_name_is_tail_one(self):
-        # tail_from_name returns canonical tails: a name denoting the top
+        # the name route returns canonical tails: a name denoting the top
         # under every generic containing the prefix is the tail 1
         A = ro_algebra(self.s1.poset, max_base=self.s1.poset.n)
         steps = self.it.stages[2].steps
@@ -509,7 +510,7 @@ class TestCifs:
         build_iteration(prov, DEFAULT_CAPS.with_(max_stage_conditions=64))
         info = prov.info[(0, ())]
         assert info.witnesses == [None]
-        assert info.components[1].n == 1
+        assert info.payloads[1] == [frozenset()]
 
     def test_empty_set_witness(self):
         prov = cifs_toy_iteration(
@@ -518,7 +519,7 @@ class TestCifs:
         info = prov.info[(0, ())]
         assert info.witnesses == [EMPTY]
         # collapsing the empty set is the one-point poset
-        assert info.components[1].n == 1
+        assert info.payloads[1] == [frozenset()]
 
     @staticmethod
     def debris_stage1_infos():
@@ -534,6 +535,17 @@ class TestCifs:
             prov.step(1, StepContext(s1, gi, s1.paths[gi]))
             infos.append(prov.info[(1, s1.paths[gi])])
         return infos
+
+    @staticmethod
+    def components(info, m: int):
+        """The collapse posets of a step, rebuilt from its structure and
+        witnesses; their conditions must be the step's payloads."""
+        specs = [CollapseSpec(info.structure, m)] + [
+            CollapseSpec((), 1) if w is None
+            else CollapseSpec(tuple(w.members), m) for w in info.witnesses]
+        built = [collapse_poset(spec) for spec in specs]
+        assert [conds for _, conds in built] == info.payloads
+        return [poset for poset, _ in built]
 
     def test_tables_differ_between_generics_when_debris_visible(self):
         infos = self.debris_stage1_infos()
@@ -551,7 +563,8 @@ class TestCifs:
              {"structure_sizes": [1, 1], "witness_is_generic_encoding": False})]
 
     def test_probe_products_need_no_pairwise_order(self, monkeypatch):
-        components = [i.components for i in self.debris_stage1_infos()]
+        # the probe's stage-1 rung collapses to m = 3
+        components = [self.components(i, 3) for i in self.debris_stage1_infos()]
         want = [product_by_pairs(c) for c in components]
         assert sorted(p.n for p, _ in want) == [196, 304]
         # a pairwise loop over the product would call leq

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from forcinglab import iteration as iteration_module
-from forcinglab import names as names_module
 from forcinglab import poset as poset_module
 from forcinglab import projection
 from forcinglab.boolalg import certify_complete_hom, ro_algebra
@@ -15,15 +14,15 @@ from forcinglab.cli import (ExperimentConfig, InstanceSpec, execute,
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import constants, parse_formula
 from forcinglab.generic import dense_subsets
-from forcinglab.hfset import EMPTY, element_code
-from forcinglab.iteration import (TAIL_ONE, TableProvider, build_iteration,
-                                  cifs_toy_iteration, root_stage,
-                                  tail_from_name, trim)
+from forcinglab.hfset import EMPTY
+from forcinglab.iteration import (TAIL_ONE, ProviderError, TableProvider,
+                                  build_iteration, cifs_toy_iteration,
+                                  root_stage, trim)
 from forcinglab.names import (Name, NameUniverse, TruthSession, check_name,
-                              element_name, evaluate, name_text,
+                              evaluate, name_text,
                               name_universe, sampled_universe)
 from forcinglab.poset import (Poset, _mask_bits, antichain_with_top,
-                              is_regular_cut, point_poset, regularize,
+                              point_poset, regularize,
                               separativity_witness)
 from forcinglab.projection import (ProjectionError, _frown_table, _lemma11,
                                    _lemma12, _lemma12_by_elements, _lemma13,
@@ -36,6 +35,7 @@ from forcinglab.report import SuiteReport
 
 import algebra_oracle
 import lemma_oracle
+import tail_oracle
 from generation_oracle import automorphisms_by_search, canonical_key_by_search
 from order_oracle import (above_by_pairs, atoms_by_pairs, compat_by_pairs,
                           separativity_witness_by_pairs)
@@ -148,17 +148,20 @@ class TestMakeContext:
 
     def test_a_tail_image_outside_the_step_poset_fails_the_build(
             self, monkeypatch):
-        # only the alpha 1 context reads tails through pi_second (at level
-        # 3); send every tail literal to the numeral of a fourth element of
-        # the three-element step poset
+        # only the alpha 1 context decodes tails (at level 3).  The decoder
+        # is handed a copy of level 2 whose pi_prime sends every element to
+        # one, so a tail valued a = 0b01 under one generic and b = 0b10
+        # under the other decodes to 0b11, a fourth element of the
+        # three-element step poset
         it = build_iteration(TableProvider([
             {(): PT}, {(None,): A2}, {(None, 0): A2, (None, 1): A2}]))
+        decode = projection._tail_image
 
-        def outside(ctx, beta, name):
-            return element_name(A2.n, ctx.levels[beta].algebra, {})
+        def flooded(prev_level, *args):
+            return decode(_flooded(prev_level), *args)
 
-        monkeypatch.setattr(projection.ProjectionContext, "pi_second", outside)
-        with pytest.raises(ProjectionError, match="does not denote"):
+        monkeypatch.setattr(projection, "_tail_image", flooded)
+        with pytest.raises(ProjectionError, match="tail image at level 3"):
             make_context(it, 1, 0)
         assert not it.context_cache
         spec = InstanceSpec("it-bad-tail", [], {}, {})
@@ -167,29 +170,8 @@ class TestMakeContext:
             ("context-build", {"alpha": 1, "generic": 0})]
         assert rep.counts()["pass"] > 0
 
-    def test_each_tail_image_is_decoded_once_per_level(
-            self, default_sweep, monkeypatch):
-        # from level alpha+2 on, tails reach the quotient as pi_second
-        # images; equal images under one quotient prefix are decoded once
-        decodes = []
-
-        def counted(prev, steps, prev_idx, name, memo=None):
-            decodes.append((id(prev), prev_idx, name.uid))
-            return tail_from_name(prev, steps, prev_idx, name, memo)
-
-        monkeypatch.setattr(projection, "tail_from_name", counted)
-        images = _count_calls(monkeypatch, projection._tail_as_name)
-        # replaced copies start with empty caches, so every context is built
-        for _, it in default_sweep:
-            it = dataclasses.replace(it)
-            for alpha in range(1, len(it) + 1):
-                for gi in range(len(it.stages[alpha].generics)):
-                    make_context(it, alpha, gi)
-        assert len(decodes) == len(set(decodes))
-        assert (len(decodes), len(images)) == (334, 896)
-
     def test_each_tail_is_validated_once(self, default_sweep, monkeypatch):
-        # tail_from_name validates and canonicalizes each decoded tail, and
+        # _tail_image validates and canonicalizes each decoded tail, and
         # the first level's value comes from a canonical source tail, so
         # no build reaches the validation canonicalize_condition uses
         def refused(*args):
@@ -206,18 +188,18 @@ class TestMakeContext:
         assert built == 776
 
     def test_an_undecodable_tail_image_fails_every_build(self, monkeypatch):
-        # decode_element refuses one element's code: every build that reads
-        # that element in a tail image raises, and nothing of the failure is
+        # the decoder finds no step poset under any quotient generic: every
+        # build that decodes a tail raises, and nothing of the failure is
         # kept for a later build
         it = build_iteration(TableProvider([
             {(): PT}, {(None,): A2}, {(None, 0): A2, (None, 1): A2}]))
-        refused = element_code(1).code
-        decode = names_module.decode_element
+        decode = projection._tail_image
 
-        def refusing(x):
-            return None if x.code == refused else decode(x)
+        def stepless(prev_level, prev_stage, steps_q, qprefix, tail):
+            return decode(prev_level, prev_stage, [None] * len(steps_q),
+                          qprefix, tail)
 
-        monkeypatch.setattr(names_module, "decode_element", refusing)
+        monkeypatch.setattr(projection, "_tail_image", stepless)
         for fresh in (it, it, dataclasses.replace(it)):
             with pytest.raises(ProjectionError, match="tail image at level 3"):
                 make_context(fresh, 1, 0)
@@ -242,9 +224,9 @@ class TestMakeContext:
         assert make_context(it, 1, 0) is ctx
 
     def test_later_levels_mix_tails_over_their_own_algebra(self):
-        # from level alpha+3 on, tails are read over a different source
-        # algebra than at level alpha+2; the quotient tails must still be
-        # the rebuilt shifted iteration
+        # from level alpha+3 on, tails are decoded through another level's
+        # pi_prime, over another source algebra, than at level alpha+2; the
+        # quotient tails must still be the rebuilt shifted iteration
         it = build_iteration(TableProvider([
             {(): PT}, {(None,): PT}, {(None, None): A2},
             {(None, None, 0): A2, (None, None, 1): A2}]))
@@ -253,6 +235,110 @@ class TestMakeContext:
         assert ctx.final_level.stage.poset.n == 15
         rep = verify_corollary15(ctx, instance="points-then-antichains")
         assert rep.ok and rep.counts()["pass"] >= 6, rep.failures[:1]
+
+
+# hand-built iterations whose alpha 1 contexts have a level alpha+2 or later
+LATER_LEVEL_TABLES = {
+    "point-antichain-antichains": [
+        {(): PT}, {(None,): A2}, {(None, 0): A2, (None, 1): A2}],
+    "points-then-antichains": [
+        {(): PT}, {(None,): PT}, {(None, None): A2},
+        {(None, None, 0): A2, (None, None, 1): A2}],
+    "antichains-and-a-point": [
+        {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}],
+}
+
+
+def _flooded(level):
+    """A copy of the level whose pi_prime sends every element to one."""
+    return dataclasses.replace(level, pi_prime=dict.fromkeys(
+        level.pi_prime, level.algebra.one))
+
+
+def _decoder_and_oracle(ctx, beta: int, flood=False, stepless=False):
+    """Per new P_beta condition whose prefix is in G, for beta >= alpha+2:
+    the quotient tail of :func:`projection._tail_image` and that of the
+    name route, the tail's literal name mapped through ``ctx.pi_second``
+    and decoded under the quotient generics, None where either refuses.
+    ``flood`` first sends every element to one under level beta-1's
+    pi_prime; ``stepless`` drops every quotient step poset."""
+    it = ctx.iteration
+    src, prev_src = it.stages[beta], it.stages[beta - 1]
+    level = ctx.levels[beta - 1]
+    if flood:
+        level = _flooded(level)
+        ctx = dataclasses.replace(ctx, levels={**ctx.levels, beta - 1: level})
+    steps_q = [None if stepless else src.steps[sg] for sg in level.combine]
+    A = ctx.source_algebras[beta - 1]
+    memo: dict = {}
+    got, want = [], []
+    for ci in range(prev_src.poset.n, src.poset.n):
+        qprefix = level.pi[src.parent[ci]]
+        if qprefix is None:
+            continue
+        tail = src.conditions[ci][beta - 1]
+        got.append(projection._tail_image(level, prev_src, steps_q, qprefix,
+                                          tail))
+        image = ctx.pi_second(beta - 1,
+                              tail_oracle.tail_as_name(prev_src, tail, A, memo))
+        try:
+            want.append(tail_oracle.tail_from_name(level.stage, steps_q,
+                                                   qprefix, image))
+        except ProviderError:
+            want.append(None)
+    return got, want
+
+
+class TestTailImage:
+    """From level alpha+2 on, make_context decodes each tail's pi_second
+    image from the previous level's pi_prime; the name route is the oracle."""
+
+    @staticmethod
+    def later_contexts(iterations):
+        # replaced copies: the oracle fills pi_second memos, which must not
+        # reach the contexts cached on the shared sweep
+        for it in iterations:
+            it = dataclasses.replace(it)
+            for alpha in range(1, len(it) - 1):
+                for gi in range(len(it.stages[alpha].generics)):
+                    yield make_context(it, alpha, gi)
+
+    def agree(self, iterations):
+        levels = refused = 0
+        for ctx in self.later_contexts(iterations):
+            for beta in range(ctx.alpha + 2, len(ctx.iteration) + 1):
+                got, want = _decoder_and_oracle(ctx, beta)
+                assert got == want and None not in got
+                got, want = _decoder_and_oracle(ctx, beta, flood=True)
+                assert got == want
+                refused += got.count(None)
+                got, want = _decoder_and_oracle(ctx, beta, stepless=True)
+                assert got == want == [None] * len(got)
+                levels += 1
+        return levels, refused
+
+    def test_the_decoder_agrees_with_the_name_route_on_the_sweep(
+            self, default_sweep):
+        levels, refused = self.agree(it for _, it in default_sweep)
+        assert levels == 174 and refused > 0
+
+    def test_the_decoder_agrees_with_the_name_route_on_hand_built_iterations(self):
+        levels, refused = self.agree(
+            build_iteration(TableProvider(tables))
+            for tables in LATER_LEVEL_TABLES.values())
+        assert levels == 6 and refused > 0
+
+    def test_pi_prime_keeps_one_on_every_level(self, default_sweep):
+        levels = 0
+        for _, it in default_sweep:
+            for alpha in range(1, len(it) + 1):
+                for gi in range(len(it.stages[alpha].generics)):
+                    ctx = make_context(it, alpha, gi)
+                    for beta, level in ctx.levels.items():
+                        A = ctx.source_algebras[beta]
+                        assert level.pi_prime[A.one] == level.algebra.one
+                        levels += 1
+        assert levels == 1384
 
 
 class TestContextOwnership:
@@ -287,6 +373,12 @@ class TestContextOwnership:
         ctxs = self.all_contexts(it)
         for ctx in ctxs:
             assert verify_theorem2(ctx).ok
+            # a passing build maps no name: map {(empty, x)} for every
+            # source element x at every level
+            for beta in range(ctx.alpha + 1, len(it) + 1):
+                A = ctx.source_algebras[beta]
+                for x in A.nonzero:
+                    ctx.pi_second(beta, Name(((Name((), A), x),), A))
         owner: dict[int, int] = {}
         for k, ctx in enumerate(ctxs):
             tables = [A.name_table for A in ctx.source_algebras.values()]
@@ -294,7 +386,6 @@ class TestContextOwnership:
             for table in tables:
                 for name in table.values():
                     assert owner.setdefault(id(name), k) == k
-        # level alpha+2 of the alpha 1 contexts interns tail names
         assert len(set(owner.values())) > 1
 
     def test_the_cache_holds_only_contexts(self):
@@ -314,10 +405,6 @@ class TestContextOwnership:
     def test_factor_generic_neither_sweeps_nor_evaluates(self, monkeypatch):
         it = _two_step_antichains()
         N = len(it)
-        # contexts first: from level alpha+2 on, make_context evaluates tails
-        for alpha in range(1, N + 1):
-            for g in range(len(it.stages[alpha].generics)):
-                make_context(it, alpha, g)
         calls = _count_calls(monkeypatch, name_universe, sampled_universe,
                              evaluate)
         factored = 0
@@ -693,21 +780,6 @@ class TestLemmaControls:
         table[top] = (table[top][0], {**table[top][1], atop: None})
         ok, detail = self.l13(ctx, table)
         assert not ok and detail["pair"] == (top, top)
-
-    def test_l13_regularizes_each_distinct_cut_once(self, monkeypatch):
-        it = build_iteration(TableProvider([
-            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
-        ctx = make_context(it, 1, 0)
-        table = _frown_table(ctx, 3)
-        cuts = []
-
-        def counted(mask, poset):
-            cuts.append(mask)
-            return is_regular_cut(mask, poset)
-
-        monkeypatch.setattr(projection, "is_regular_cut", counted)
-        ok, detail = _lemma13(ctx, table, _prefix_groups(table))
-        assert ok and 0 < len(cuts) == len(set(cuts)) < detail["pairs"]
 
     @staticmethod
     def collapsed(siblings):
