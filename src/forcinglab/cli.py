@@ -21,7 +21,7 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps
 from .formula import parse_formula
@@ -631,8 +631,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig()
     if getattr(args, "config", None):
+        known = {f.name for f in fields(ExperimentConfig)}
         for key, value in read_config_file(args.config).items():
-            if not hasattr(config, key):
+            if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
             current = getattr(config, key)
             setattr(config, key, type(current)(value) if not isinstance(current, str)

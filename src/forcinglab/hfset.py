@@ -5,8 +5,7 @@ equal sets share one interned object and compare by a single int.
 
 The encodings of small naturals are cached per argument for the life of
 the process: :func:`numeral`, :func:`chain` and :func:`element_code`, the
-last bounded by its 64 encodable ids.  :func:`element_code_value` reads
-one table from the Ackermann code of each encoding to its id.
+last bounded by its 64 encodable ids.
 """
 
 from __future__ import annotations
@@ -95,17 +94,6 @@ def element_code(e: int) -> HFSet:
     if e < 0 or e >= 64:
         raise ValueError(f"element id {e} out of encodable range")
     return HFSet(chain(i) for i in range(6) if (e >> i) & 1)
-
-
-@lru_cache(maxsize=None)
-def _element_of_code() -> dict[int, int]:
-    """Every encodable id by the Ackermann code of its encoding."""
-    return {element_code(e).code: e for e in range(64)}
-
-
-def element_code_value(x: HFSet) -> int | None:
-    """Inverse of :func:`element_code`, or None."""
-    return _element_of_code().get(x.code)
 
 
 def kpair(a: HFSet, b: HFSet) -> HFSet:

@@ -34,7 +34,7 @@ from .config import CapExceeded
 from .formula import (And, Const, Equality, Exists, Formula,
                       FormulaError, Implies, Membership, Not, Or, Term,
                       eval_classical, free_variables)
-from .hfset import HFSet, element_code, element_code_value
+from .hfset import HFSet
 
 # the source of Name.uid
 _uids = itertools.count()
@@ -364,16 +364,3 @@ def holds_in_extension(f: Formula, universe: NameUniverse, generic_mask: int,
     domain = sorted({evaluate(n, generic_mask, memo) for n in universe.names},
                     key=lambda h: h.code)
     return eval_classical(f, domain, consts)
-
-
-# -- numeral helpers used by the iteration machinery ------------------------
-
-
-def element_name(element: int, algebra: BoolAlgebra,
-                 _memo: dict | None = None) -> Name:
-    """Check-name of the flat encoding of a step-poset element id."""
-    return check_name(element_code(element), algebra, _memo)
-
-
-def decode_element(x: HFSet) -> int | None:
-    return element_code_value(x)

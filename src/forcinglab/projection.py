@@ -30,12 +30,12 @@ parent rows and grouped by alpha-prefix; L12 runs through the lower adjoint
 of the level's homomorphism.  The statements about names -- Theorem 2's onto
 and transport items and Theorem 16's evaluation identity -- are certified on
 algebra elements, which by induction through pi_second covers every name of
-every rank, plus an audit of the cached pi_second images; no name universe
-is built.
+every rank; no name universe is built.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -68,8 +68,9 @@ class _ImageRows(NamedTuple):
 @dataclass
 class QuotientLevel:
     """The quotient data at one level beta > alpha (or the trivial root).
-    Its record of pi is derived on first read and is no init field, so a
-    ``dataclasses.replace`` copy with another pi or pi_prime derives its own."""
+    Its record of pi (``preimages``, ``rows``) is derived on first read and
+    held outside the fields, so a ``dataclasses.replace`` copy with another
+    pi or pi_prime derives its own."""
 
     beta: int
     stage: Stage                      # quotient conditions as a built stage
@@ -78,24 +79,19 @@ class QuotientLevel:
     algebra: BoolAlgebra              # r.o. of the quotient poset
     pi_prime: dict[int, int]          # source element -> quotient element
     _pi_second: dict = field(default_factory=dict, init=False)  # name uid -> image
-    _preimages: dict | None = field(default=None, init=False)
-    _rows: _ImageRows | None = field(default=None, init=False)
     _facts: _LevelFacts | None = field(default=None, init=False)
 
-    @property
+    @functools.cached_property
     def preimages(self) -> dict:
         """{pi image: bitmask of its P_beta conditions}, None for undefined."""
-        if self._preimages is None:
-            self._preimages = {}
-            for p, v in enumerate(self.pi):
-                self._preimages[v] = self._preimages.get(v, 0) | 1 << p
-        return self._preimages
+        classes = {}
+        for p, v in enumerate(self.pi):
+            classes[v] = classes.get(v, 0) | 1 << p
+        return classes
 
-    @property
+    @functools.cached_property
     def rows(self) -> _ImageRows:
-        if self._rows is None:
-            self._rows = _image_rows(self)
-        return self._rows
+        return _image_rows(self)
 
 
 def _image_rows(level: QuotientLevel) -> _ImageRows:
@@ -133,6 +129,9 @@ class ProjectionContext:
         return self.levels[len(self.iteration)]
 
     def pi_second(self, beta: int, name: Name) -> Name:
+        """The level-beta image of ``name``: its entries' images paired
+        with pi_prime of their elements.  The level's memo is written only
+        here, so every entry in it is that recursion."""
         level = self.levels[beta]
         got = level._pi_second.get(name.uid)
         if got is None:
@@ -317,34 +316,6 @@ class _LevelFacts:
     transport: dict         # item 3 and L9 detail
 
 
-def _holds(detail: dict) -> bool:
-    """An item-2 or item-3 detail with neither a counterexample nor a stale
-    name image."""
-    return detail["counterexample"] is None and detail["stale_image"] is None
-
-
-def _stale_image(ctx: ProjectionContext, beta: int) -> Name | None:
-    """The first source name whose cached level-beta pi_second image is not
-    the structural recursion on its entries, or None.
-
-    The element certificates of Theorem 2 and Theorem 16 reach every name
-    by induction through that recursion, so they trust the memo only after
-    this audit.  Children are interned before their parents, so walking the
-    algebra's name table in insertion order reports the first stale image,
-    not a parent that merely carries it.
-    """
-    level = ctx.levels[beta]
-    A, B = ctx.source_algebras[beta], level.algebra
-    memo = level._pi_second
-    for x in A.name_table.values():
-        got = memo.get(x.uid)
-        if got is not None and got is not Name(
-                ((ctx.pi_second(beta, sub), level.pi_prime[e])
-                 for sub, e in x.entries), B):
-            return x
-    return None
-
-
 def _transport_witness(hom: HomReport, A: BoolAlgebra) -> tuple[str, Name, Name]:
     """A source pair of rank <= 2 and an atomic shape on which pi_prime of
     the source value differs from the value of the image pair, built from
@@ -386,8 +357,7 @@ def _level_facts(ctx: ProjectionContext, beta: int) -> _LevelFacts:
     then, and {(empty, c)} witnesses an unattained c.  Atomic truth values
     transport exactly when pi_prime is a Boolean homomorphism: the atomic
     clauses are finite sums, products and complements, and entries that
-    pi_second merges are joined.  Both inductions trust the pi_second memo,
-    which :func:`_stale_image` audits.
+    pi_second merges are joined.
     """
     level = ctx.levels[beta]
     if level._facts is not None:
@@ -395,20 +365,16 @@ def _level_facts(ctx: ProjectionContext, beta: int) -> _LevelFacts:
     A = ctx.source_algebras[beta]
     B = level.algebra
     hom = certify_complete_hom(level.pi_prime, A, B)
-    stale = _stale_image(ctx, beta)
-    stale_text = None if stale is None else name_text(stale, A)
     image = set(level.pi_prime.values())
     unattained = next((c for c in B.nonzero if c not in image), None)
     onto = {"quotient_elements": len(B),
             "counterexample": None if unattained is None else
-            name_text(Name(((Name((), B), unattained),), B), B),
-            "stale_image": stale_text}
+            name_text(Name(((Name((), B), unattained),), B), B)}
     witness = None
     if not hom.ok:
         shape, x, y = _transport_witness(hom, A)
         witness = [shape, name_text(x, A), name_text(y, A)]
-    transport = {"source_elements": len(A), "counterexample": witness,
-                 "stale_image": stale_text}
+    transport = {"source_elements": len(A), "counterexample": witness}
     level._facts = _LevelFacts(hom, onto, transport)
     return level._facts
 
@@ -425,7 +391,7 @@ def verify_theorem2(ctx: ProjectionContext, instance: str = "adhoc",
     attains every nonzero quotient element), and atomic truth values
     transport through the maps (item 1 for the level's own map).  A failure
     of item 2 is witnessed by a rank-1 quotient name, of item 3 by a source
-    pair of rank at most 2; a stale cached name image fails both.
+    pair of rank at most 2.
 
     Item 1's ``families`` is the number of families the certificate
     settles, the empty family and every pair of distinct elements;
@@ -450,10 +416,11 @@ def verify_theorem2(ctx: ProjectionContext, instance: str = "adhoc",
                    {"families": hom.families_checked,
                     "violations": hom.violation_count,
                     "counterexamples": cuts})
-        rep.record("theorem2", "item2-onto", instance, _holds(facts.onto),
-                   cctx, facts.onto)
+        rep.record("theorem2", "item2-onto", instance,
+                   facts.onto["counterexample"] is None, cctx, facts.onto)
         rep.record("theorem2", "item3-atomic-transport", instance,
-                   _holds(facts.transport), cctx, facts.transport)
+                   facts.transport["counterexample"] is None, cctx,
+                   facts.transport)
     return rep
 
 
@@ -539,12 +506,13 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
                {"families": facts.hom.families_checked})
 
     # L8: pi_second onto every quotient name (Theorem 2 item 2)
-    rep.record("projection-lemmas", "L8-onto", instance, _holds(facts.onto),
-               cctx, facts.onto)
+    rep.record("projection-lemmas", "L8-onto", instance,
+               facts.onto["counterexample"] is None, cctx, facts.onto)
 
     # L9: atomic truth values transport (Theorem 2 item 3)
     rep.record("projection-lemmas", "L9-atomic-transport", instance,
-               _holds(facts.transport), cctx, facts.transport)
+               facts.transport["counterexample"] is None, cctx,
+               facts.transport)
 
     # L10: pi is monotone where defined
     detail10 = _pair_violations(src.poset, defined, [
@@ -858,9 +826,7 @@ def _evaluation_identity_witness(ctx: ProjectionContext, gmask: int,
     meets G iff pi_prime(b) meets H: entries that pi_second merges are
     joined, and a join meets an ultrafilter iff one of its parts does.  A
     failing b is witnessed by the rank-1 name {(empty name, b)}; zero
-    occurs in no name.  The induction trusts that the pi_second memo is
-    that recursion, so a stale cached image (see :func:`_stale_image`) is
-    reported as the witness otherwise.
+    occurs in no name.
     """
     N = len(ctx.iteration)
     level = ctx.levels[N]
@@ -868,7 +834,7 @@ def _evaluation_identity_witness(ctx: ProjectionContext, gmask: int,
     for b in A.nonzero:
         if bool(b & gmask) != bool(level.pi_prime[b] & hmask):
             return Name(((Name((), A), b),), A)
-    return _stale_image(ctx, N)
+    return None
 
 
 def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,

@@ -270,8 +270,8 @@ class TestRunReports:
     # --max-stages; a change that alters report bytes on purpose updates
     # these and says why
     REPORT_SHA256 = {
-        2: "647d2038045ff46213a2d3b9c52ac46baa21013cc280b1d14f8f5c3528cb4c96",
-        3: "9ad2ee5a811025aff4143ff43f9e5873e4e5601bc7c7b32ca5bc5859008279d5",
+        2: "c2f0ba0b955ab01552bf8b1b6e5c9f8d01d09295c66c8bef035be1f895111c5b",
+        3: "ab9ad7ec8a6c0c24f047ea7ecad5bb627733366de7a394dbf773b40bfb0ab511",
     }
 
     @pytest.mark.parametrize("stages", sorted(REPORT_SHA256))
@@ -536,11 +536,14 @@ class TestConfigFile:
             "error: max_stage_conditions must be >= 1, got 0\n")
         assert not out.exists()
 
-    def test_bad_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["bogus", "caps", "echo", "__module__"])
+    def test_bad_key_rejected(self, tmp_path, capsys, key):
+        # a method or dunder of the config is no key: only its fields are
         cfile = tmp_path / "bad.conf"
-        cfile.write_text("bogus = 1\n")
+        cfile.write_text(f"{key} = 3\n")
         rc = main(["run", "--config", str(cfile), "--out", str(tmp_path / "r")])
         assert rc == 2
+        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
 
 
 def test_console_entry_point_runs():

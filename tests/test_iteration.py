@@ -21,14 +21,13 @@ from forcinglab.iteration import (TAIL_ONE, CifsProvider, CollapseSpec,
                                   trim)
 from forcinglab.hfset import kpair
 from forcinglab.names import (NameUniverse, TruthSession, check_name,
-                              element_name, empty_name, evaluate, mix_name,
-                              pair_name)
+                              empty_name, evaluate, mix_name, pair_name)
 from forcinglab.poset import (Poset, antichain_with_top, chain_poset,
                               is_separative, point_poset, product_poset)
 from forcinglab.projection import make_context
 
 import generation_oracle
-from tail_oracle import tail_from_name
+from tail_oracle import element_name, tail_from_name
 from order_oracle import (product_by_pairs, separativity_witness_by_pairs,
                           stage_order_by_pairs, stage_paths_and_parents)
 

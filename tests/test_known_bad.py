@@ -56,7 +56,7 @@ KNOWN_BAD = {
         "test_projection.py::TestTheorem2::test_non_onto_map_fails_item2_and_l8",
     ("projection-lemmas", "L9-atomic-transport"):
         "test_projection.py::TestTheorem2::"
-        "test_corrupted_name_image_fails_item3_and_l9",
+        "test_swapped_maps_fail_item3_and_l9_at_real_pairs",
     ("projection-lemmas", "L10-monotone"):
         "test_projection.py::TestLemmaControls::"
         "test_alternating_atom_images_pin_the_first_four_l10_pairs",
@@ -76,14 +76,14 @@ KNOWN_BAD = {
         "test_projection.py::TestTheorem16::test_non_filter_projection_fails_item2",
     ("theorem16", "item3-evaluation-identity"):
         "test_projection.py::TestTheorem16::"
-        "test_corrupted_name_image_fails_item3_at_that_name",
+        "test_wrong_element_image_fails_item3_at_its_rank1_witness",
     ("theorem2", "item1-complete-hom"):
         "test_projection.py::TestTheorem2::test_corrupted_map_hook_fails_item1",
     ("theorem2", "item2-onto"):
         "test_projection.py::TestTheorem2::test_non_onto_map_fails_item2_and_l8",
     ("theorem2", "item3-atomic-transport"):
         "test_projection.py::TestTheorem2::"
-        "test_corrupted_name_image_fails_item3_and_l9",
+        "test_swapped_maps_fail_item3_and_l9_at_real_pairs",
 }
 
 FOLDS = [(re.compile(r"^stage-\d+-"), "stage-k-"),

@@ -478,16 +478,52 @@ class TestTheorem2:
     def statuses(cls, ctx):
         return {k: c.status for k, c in cls.records(ctx).items()}
 
-    def test_corrupted_name_image_fails_item3_and_l9(self):
-        # the memo entry is corrupted before the level facts are built
+    @staticmethod
+    def stale_image(ctx, beta):
+        """The first source name whose memoized level-beta pi_second image
+        is not the structural recursion on its entries, or None.  Children
+        are interned before their parents, so walking the algebra's name
+        table in insertion order reports the first stale image, not a
+        parent that merely carries it."""
+        level = ctx.levels[beta]
+        A, B = ctx.source_algebras[beta], level.algebra
+        for x in A.name_table.values():
+            got = level._pi_second.get(x.uid)
+            if got is not None and got is not Name(
+                    ((ctx.pi_second(beta, sub), level.pi_prime[e])
+                     for sub, e in x.entries), B):
+                return x
+        return None
+
+    def test_the_pi_second_memo_is_the_recursion(self, worked):
+        # the element certificates of items 2 and 3 and of Theorem 16 reach
+        # every name through this recursion; map the rank-2 universe of
+        # every level of every context and audit each memo entry
+        it = _two_step_antichains()
+        ctxs = [worked[1]] + TestContextOwnership.all_contexts(it)
+        audited = 0
+        for ctx in ctxs:
+            for beta in range(ctx.alpha + 1, len(ctx.iteration) + 1):
+                universe = working_universe(ctx.source_algebras[beta], 2).names
+                for x in universe:
+                    ctx.pi_second(beta, x)
+                assert len(ctx.levels[beta]._pi_second) >= len(universe)
+                assert self.stale_image(ctx, beta) is None
+                audited += 1
+        assert audited == 3
+
+    def test_the_memo_audit_finds_a_planted_image(self):
+        # a replaced level has its own memo, so the context cache stays intact
         ctx = make_context(_two_step_antichains(), 1, 0)
-        A, level = ctx.source_algebras[2], ctx.levels[2]
+        level = dataclasses.replace(ctx.levels[2])
+        copy = dataclasses.replace(ctx, levels={**ctx.levels, 2: level})
+        A = ctx.source_algebras[2]
         victim = Name([(Name([], A), A.one)], A)
-        empty = Name([], level.algebra)
-        assert ctx.pi_second(2, victim) is not empty
-        level._pi_second[victim.uid] = empty
-        got = self.statuses(ctx)
-        assert got["item3-atomic-transport"] == got["L9-atomic-transport"] == "fail"
+        parent = Name([(victim, A.one)], A)
+        copy.pi_second(2, parent)
+        assert self.stale_image(copy, 2) is None
+        level._pi_second[victim.uid] = Name([], level.algebra)
+        assert self.stale_image(copy, 2) is victim
 
     def test_swapped_maps_fail_item3_and_l9_at_real_pairs(self, worked):
         # every swap of two distinct pi_prime values; each reported pair,
@@ -1078,26 +1114,6 @@ class TestTheorem16:
                 img = ctx2.pi_second(2, nm)
                 assert evaluate(nm, gen.mask) == x
                 assert evaluate(img, hmask) == x
-
-    def test_corrupted_name_image_fails_item3_at_that_name(self):
-        # a fresh iteration, so the module fixture's memo stays intact
-        it = build_iteration(TableProvider([{(): A2}, {(0,): A2, (1,): A2}]))
-        G, hmask, rep = factor_generic(it, 1, 0)
-        assert rep.ok
-        ctx = make_context(it, 1, it.stages[1].generics.index(G))
-        A, level = ctx.source_algebras[2], ctx.final_level
-        universe = working_universe(A, 2).names
-        for x in universe:
-            ctx.pi_second(2, x)
-        empty = Name([], level.algebra)
-        # the last universe name whose image is not empty under hmask
-        victim = [x for x in universe
-                  if evaluate(level._pi_second[x.uid], hmask) != EMPTY][-1]
-        level._pi_second[victim.uid] = empty
-        _, _, rep = factor_generic(it, 1, 0)
-        item3 = [c for c in rep.checks if c.check == "item3-evaluation-identity"]
-        assert [c.status for c in item3] == ["fail"]
-        assert item3[0].detail["counterexample"] == name_text(victim, A)
 
     def test_wrong_element_image_fails_item3_at_its_rank1_witness(self):
         it = _two_step_antichains()

@@ -1,8 +1,11 @@
 """Rules the library's source keeps: no handler catches ``Exception``,
 ``BaseException`` or everything, so an error the code cannot act on is
-never swallowed or reported as a check result; and no module but
+never swallowed or reported as a check result; no module but
 ``iteration.py`` reads a stage's private indices, so every other module
-finds a condition by (prefix, tail) through ``Stage.extension``.
+finds a condition by (prefix, tail) through ``Stage.extension``; and only
+``ProjectionContext.pi_second`` touches a level's pi_second memo, so every
+memo entry is the structural recursion that the element certificates of
+Theorem 2 and Theorem 16 induct through.
 
 Two rules a run keeps: a passing ``run --suite all --max-poset 3
 --max-stages 3`` builds no name, since every statement about names is
@@ -91,6 +94,49 @@ def test_every_stage_index_read_is_found():
         "stage._index = {}",
     ])
     assert stage_index_reads(source) == [2, 3, 6, 7]
+
+
+def memo_accesses(source: str) -> list[int]:
+    """Line numbers, ascending, of the accesses in source, read or
+    written, to an attribute named ``_pi_second`` that lie in no function
+    named ``pi_second``."""
+    lines = []
+
+    def visit(node, inside: bool):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name == "pi_second"
+        if isinstance(node, ast.Attribute) and node.attr == "_pi_second" \
+                and not inside:
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return sorted(lines)
+
+
+def test_only_pi_second_touches_its_memo():
+    files = sorted(SRC.glob("**/*.py"))
+    assert files
+    found = {str(p.relative_to(SRC)): memo_accesses(p.read_text(encoding="utf-8"))
+             for p in files}
+    assert {f: ls for f, ls in found.items() if ls} == {}
+
+
+def test_every_memo_access_is_found():
+    source = "\n".join([
+        "class Context:",
+        "    _pi_second: dict = {}",
+        "    def pi_second(self, beta, name):",
+        "        got = self.levels[beta]._pi_second.get(name.uid)",
+        "        fill = lambda k, v: level._pi_second.update({k: v})",
+        "    def audit(self, level, k, v):",
+        "        level._pi_second[k] = v",
+        "x = ctx.levels[2]._pi_second",
+        "def pi_second_audit(m):",
+        "    m._pi_second.clear()",
+    ])
+    assert memo_accesses(source) == [7, 8, 10]
 
 
 class Refused(AssertionError):
