@@ -358,7 +358,10 @@ def run_suite(suite: str, spec: InstanceSpec, iteration: Iteration,
         cctx = {"alpha": alpha, "generic": gi}
         try:
             ctx = make_context(iteration, alpha, gi, caps)
-        except (ProjectionError, CapExceeded) as e:
+        except CapExceeded as e:
+            rep.skip(suite, "context-capped", iid, cctx, {"reason": str(e)})
+            continue
+        except ProjectionError as e:
             rep.record(suite, "context-build", iid, False, cctx, {"error": str(e)})
             continue
         try:
@@ -376,14 +379,15 @@ def run_suite(suite: str, spec: InstanceSpec, iteration: Iteration,
         N = len(iteration)
         for alpha in range(1, N + 1):
             for gi in range(len(iteration.stages[N].generics)):
+                fctx = {"alpha": alpha, "full_generic": gi}
                 try:
                     _, _, frep = factor_generic(iteration, alpha, gi,
                                                 caps=caps, instance=iid)
                     rep.extend(frep)
-                except (ProjectionError, CapExceeded) as e:
-                    rep.record(suite, "factor", iid, False,
-                               {"alpha": alpha, "full_generic": gi},
-                               {"error": str(e)})
+                except CapExceeded as e:
+                    rep.skip(suite, "context-capped", iid, fctx, {"reason": str(e)})
+                except ProjectionError as e:
+                    rep.record(suite, "factor", iid, False, fctx, {"error": str(e)})
     return rep
 
 
@@ -455,13 +459,15 @@ def run_cifs_suite(config: ExperimentConfig) -> SuiteReport:
     # generic factorization through the toy iteration as well
     if len(iteration) >= 2 and not iteration.partial:
         for gi in range(len(iteration.final.generics)):
+            fctx = {"full_generic": gi}
             try:
                 _, _, frep = factor_generic(iteration, 1, gi, caps=caps,
                                             instance="cifs")
                 rep.extend(frep)
-            except (ProjectionError, CapExceeded) as e:
-                rep.record("cifs", "factor", "cifs", False,
-                           {"full_generic": gi}, {"error": str(e)})
+            except CapExceeded as e:
+                rep.skip("cifs", "context-capped", "cifs", fctx, {"reason": str(e)})
+            except ProjectionError as e:
+                rep.record("cifs", "factor", "cifs", False, fctx, {"error": str(e)})
     return rep
 
 

@@ -18,19 +18,19 @@ literal name, mapped through pi_second, denotes under each quotient generic,
 with no name built.  Everything downstream -- the complete-homomorphism
 certificate, the per-lemma property checks, generic factorization and the
 rebuilt-tail comparison -- quantifies exhaustively over the finite instance.
-Each level holds one record of pi: its conditions grouped by image
-(pi_prime's columns, Theorem 16's H), per condition the equal, above and
-compatible images as bit rows (L5 and L10 at the level, L11 and L14 at every
-sibling level), and the facts Theorem 2 and the lemma suite share
-(homomorphism, onto, atomic transport).  Each context builds its own source
-algebras, so names and their pi_second images never pass between contexts;
-the order rows and cut tables under them are memoized per relation matrix in
-:mod:`forcinglab.poset`.  L11-L14 read the s-frown table, built from the
-parent rows and grouped by alpha-prefix; L12 runs through the lower adjoint
-of the level's homomorphism.  The statements about names -- Theorem 2's onto
-and transport items and Theorem 16's evaluation identity -- are certified on
-algebra elements, which by induction through pi_second covers every name of
-every rank; no name universe is built.
+Each level is one record: its source algebra, pi_prime's domain, and,
+derived on first read, its conditions grouped by image (pi_prime's columns,
+Theorem 16's H), per condition the equal, above and compatible images as bit
+rows (L5 and L10 at the level, L11 and L14 at every sibling level), and the
+facts Theorem 2 and the lemma suite share (homomorphism, onto, transport).
+Each context builds its own source algebras, so names and their pi_second
+images never pass between contexts; the order rows and cut tables under them
+are memoized per relation matrix in :mod:`forcinglab.poset`.  L11-L14 read
+the s-frown table, built from the parent rows and grouped by alpha-prefix;
+L12 runs through the lower adjoint of the level's homomorphism.  The
+statements about names -- Theorem 2's onto and transport items and Theorem
+16's evaluation identity -- are certified on algebra elements, which by
+induction through pi_second covers every name of every rank.
 """
 
 from __future__ import annotations
@@ -68,18 +68,27 @@ class _ImageRows(NamedTuple):
 @dataclass
 class QuotientLevel:
     """The quotient data at one level beta > alpha (or the trivial root).
-    Its record of pi (``preimages``, ``rows``) is derived on first read and
-    held outside the fields, so a ``dataclasses.replace`` copy with another
-    pi or pi_prime derives its own."""
+    Its record of pi (``preimages``, ``rows``) and its Theorem 2 facts
+    (``hom``, ``onto``, ``transport``) are derived on first read and held
+    outside the fields, so a ``dataclasses.replace`` copy with another pi
+    or pi_prime derives its own.
+
+    The facts hold for every name of every rank, by induction through the
+    structural definition of pi_second (Jech, *Set Theory*, 2003, Ch. 14).
+    pi_second is onto when pi_prime attains every nonzero quotient element,
+    entries mapping back through any preimage; for a homomorphism, whose
+    image is closed under joins, only then.  Atomic truth values transport
+    exactly when pi_prime is a Boolean homomorphism: the atomic clauses are
+    finite sums, products and complements, and merged entries are joined."""
 
     beta: int
     stage: Stage                      # quotient conditions as a built stage
     pi: list                          # P_beta condition index -> class index | None
     combine: list[int]                # quotient generic -> P_beta generic index
+    source: BoolAlgebra               # r.o. of P_beta, pi_prime's domain
     algebra: BoolAlgebra              # r.o. of the quotient poset
     pi_prime: dict[int, int]          # source element -> quotient element
     _pi_second: dict = field(default_factory=dict, init=False)  # name uid -> image
-    _facts: _LevelFacts | None = field(default=None, init=False)
 
     @functools.cached_property
     def preimages(self) -> dict:
@@ -92,6 +101,31 @@ class QuotientLevel:
     @functools.cached_property
     def rows(self) -> _ImageRows:
         return _image_rows(self)
+
+    @functools.cached_property
+    def hom(self) -> HomReport:
+        """Item 1; L6 cites its complement flag, L7 its products flag."""
+        return certify_complete_hom(self.pi_prime, self.source, self.algebra)
+
+    @functools.cached_property
+    def onto(self) -> dict:
+        """Item 2 and L8 detail: a rank-1 quotient name off the image."""
+        B = self.algebra
+        image = set(self.pi_prime.values())
+        unattained = next((c for c in B.nonzero if c not in image), None)
+        return {"quotient_elements": len(B),
+                "counterexample": None if unattained is None else
+                name_text(Name(((Name((), B), unattained),), B), B)}
+
+    @functools.cached_property
+    def transport(self) -> dict:
+        """Item 3 and L9 detail: a failing source pair of rank <= 2."""
+        A = self.source
+        witness = None
+        if not self.hom.ok:
+            shape, x, y = _transport_witness(self.hom, A)
+            witness = [shape, name_text(x, A), name_text(y, A)]
+        return {"source_elements": len(A), "counterexample": witness}
 
 
 def _image_rows(level: QuotientLevel) -> _ImageRows:
@@ -118,7 +152,11 @@ class ProjectionContext:
     gen_index: int
     caps: Caps
     levels: dict[int, QuotientLevel]
-    source_algebras: dict[int, BoolAlgebra]   # this context's own, per stage
+
+    @property
+    def source_algebras(self) -> dict[int, BoolAlgebra]:
+        """{beta: level.source}, a new dict on every read."""
+        return {beta: level.source for beta, level in self.levels.items()}
 
     @property
     def G(self) -> GenericSet:
@@ -184,17 +222,20 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     Only successor levels exist at finite stage counts; the limit clause is
     vacuous here and the suites report it as such.
 
-    The root level is the process's one :func:`root_stage`.  The context
-    builds its own source algebras and every level its own quotient
-    algebra, so names and pi_second images stay apart from other
-    contexts'; the poset rows and algebra tables under them are memoized
-    per relation matrix in :mod:`forcinglab.poset`, so orders that repeat
-    across contexts are validated and tabulated once.  The iteration's
-    ``context_cache`` holds the finished context and nothing else.
+    The root level is the process's one :func:`root_stage`.  Every level
+    gets its own source and quotient algebras, so names and pi_second
+    images stay apart from other contexts'; the poset rows and algebra
+    tables under them are memoized per relation matrix in
+    :mod:`forcinglab.poset`, so orders that repeat across contexts are
+    validated and tabulated once.  The iteration's ``context_cache`` holds
+    the finished context and nothing else.
 
     Stage beta-1's conditions keep their indices at stage beta and have
     tail 1 there, so at level beta they project as at level beta-1.  A
-    condition new at stage beta gives a (quotient prefix, canonical tail)
+    condition new at stage beta is placed exactly when its parent's image
+    is defined: the root's pi is defined on G, so by induction level
+    beta-1's pi is defined exactly on the conditions whose alpha-prefix is
+    in G.  Each placed condition gives a (quotient prefix, canonical tail)
     pair, the quotient stage is built from these pairs, and the image is
     ``qstage.extension(qprefix, qtail)``.  pi_prime's columns are read off
     the level's preimage classes, which the level keeps for the checks.
@@ -211,44 +252,36 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     if cached is not None:
         return cached
     G = stages[alpha].generics[gen_index]
+    # every source first, so that a capped one refuses before any quotient
+    sources = {beta: ro_algebra(stages[beta].poset, max_base=caps.algebra_max_base)
+               for beta in range(alpha, N + 1)}
 
-    source_algebras = {beta: ro_algebra(stages[beta].poset,
-                                        max_base=caps.algebra_max_base)
-                       for beta in range(alpha, N + 1)}
-
-    levels: dict[int, QuotientLevel] = {}
     # trivial root level: everything in G maps to the empty sequence
     root = root_stage()
     pi_root = [0 if (G.mask >> i) & 1 else None
                for i in range(stages[alpha].poset.n)]
     root_alg = ro_algebra(root.poset, max_base=caps.algebra_max_base)
     pi_prime_root = {x: (root_alg.one if x & G.mask else root_alg.zero)
-                     for x in source_algebras[alpha].elements}
-    levels[alpha] = QuotientLevel(alpha, root, pi_root, [gen_index],
-                                  root_alg, pi_prime_root)
+                     for x in sources[alpha].elements}
+    levels = {alpha: QuotientLevel(alpha, root, pi_root, [gen_index],
+                                   sources[alpha], root_alg, pi_prime_root)}
 
-    in_G = G.mask           # the level's conditions with alpha-prefix in G
     for beta in range(alpha + 1, N + 1):
         prev_level = levels[beta - 1]
         prev_src = stages[beta - 1]
         src = stages[beta]
         steps_q = [src.steps[sg] for sg in prev_level.combine]
         # stage beta-1's conditions keep their indices and have tail 1, so
-        # each projects as at the previous level; only the new ones, those
-        # with a tail at stage beta-1, are placed here
+        # each projects as at the previous level; a new one, with a tail at
+        # stage beta-1, is placed when its parent's image is defined
         old = prev_src.poset.n
         pi: list = prev_level.pi + [None] * (src.poset.n - old)
-        new_in_G = 0
-        for ci in range(old, src.poset.n):
-            if in_G >> src.parent[ci] & 1:
-                new_in_G |= 1 << ci
-        in_G |= new_in_G
+        placed = [ci for ci in range(old, src.poset.n)
+                  if pi[src.parent[ci]] is not None]
         tails: list[tuple[int, object]] = []
-        for ci in _mask_bits(new_in_G):
-            tail = src.conditions[ci][beta - 1]
+        for ci in placed:
             qprefix = pi[src.parent[ci]]
-            if qprefix is None:
-                raise ProjectionError("prefix in G but previous level undefined")
+            tail = src.conditions[ci][beta - 1]
             if beta == alpha + 1:
                 e = dict(tail)[gen_index]   # of a canonical tail: valid
                 qtail = TAIL_ONE if e == steps_q[0].top else ((0, e),)
@@ -259,7 +292,7 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
                                           "outside the quotient's step posets")
             tails.append((qprefix, qtail))
         qstage = extend_stage(prev_level.stage, steps_q, caps, tails)
-        for ci, (qprefix, qtail) in zip(_mask_bits(new_in_G), tails):
+        for ci, (qprefix, qtail) in zip(placed, tails):
             pi[ci] = qstage.extension(qprefix, qtail)
         # bridge: quotient generics <-> source generics whose prefix generic
         # is G, matched through their atoms (one generic per atom)
@@ -281,7 +314,7 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
             raise ProjectionError(f"quotient generic with no source generic at level {beta}")
         algebra = ro_algebra(qposet, max_base=caps.algebra_max_base)
         level = levels[beta] = QuotientLevel(beta, qstage, pi, combine,
-                                             algebra, {})
+                                             sources[beta], algebra, {})
         # the atoms of the regularized image of a cut are the atoms below
         # some image point, so quotient atom b is in pi_prime(x) iff the
         # cut of x meets b's column: the defined p with b <= pi(p)
@@ -289,7 +322,7 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
         columns = [(1 << b, sum(preimages.get(q, 0)
                                 for q in _mask_bits(qposet.above[b])))
                    for b in qposet.atoms]
-        A = source_algebras[beta]
+        A = level.source
         for x in A.elements:
             cut = A.cut(x)
             img = 0
@@ -298,22 +331,12 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
                     img |= bit
             level.pi_prime[x] = img
 
-    ctx = ProjectionContext(iteration, alpha, gen_index, caps, levels,
-                            source_algebras)
+    ctx = ProjectionContext(iteration, alpha, gen_index, caps, levels)
     iteration.context_cache[cache_key] = ctx
     return ctx
 
 
-# -- shared per-level facts ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _LevelFacts:
-    """What Theorem 2 and the lemma suite both cite at one quotient level."""
-
-    hom: HomReport          # item 1; L6 cites complement, L7 products
-    onto: dict              # item 2 and L8 detail
-    transport: dict         # item 3 and L9 detail
+# -- Theorem 2 ----------------------------------------------------------------
 
 
 def _transport_witness(hom: HomReport, A: BoolAlgebra) -> tuple[str, Name, Name]:
@@ -346,42 +369,6 @@ def _transport_witness(hom: HomReport, A: BoolAlgebra) -> tuple[str, Name, Name]
     return "in", e, Name(((single(A.complement(a)), b),), A)
 
 
-def _level_facts(ctx: ProjectionContext, beta: int) -> _LevelFacts:
-    """The shared facts of level beta, computed on first use.
-
-    Both items are decided for every name of every rank by induction
-    through the structural definition of pi_second (Jech, *Set Theory*,
-    2003, Ch. 14).  pi_second is onto when pi_prime attains every nonzero
-    quotient element: entries map back through any preimage of their
-    element.  For a homomorphism, whose image is closed under joins, only
-    then, and {(empty, c)} witnesses an unattained c.  Atomic truth values
-    transport exactly when pi_prime is a Boolean homomorphism: the atomic
-    clauses are finite sums, products and complements, and entries that
-    pi_second merges are joined.
-    """
-    level = ctx.levels[beta]
-    if level._facts is not None:
-        return level._facts
-    A = ctx.source_algebras[beta]
-    B = level.algebra
-    hom = certify_complete_hom(level.pi_prime, A, B)
-    image = set(level.pi_prime.values())
-    unattained = next((c for c in B.nonzero if c not in image), None)
-    onto = {"quotient_elements": len(B),
-            "counterexample": None if unattained is None else
-            name_text(Name(((Name((), B), unattained),), B), B)}
-    witness = None
-    if not hom.ok:
-        shape, x, y = _transport_witness(hom, A)
-        witness = [shape, name_text(x, A), name_text(y, A)]
-    transport = {"source_elements": len(A), "counterexample": witness}
-    level._facts = _LevelFacts(hom, onto, transport)
-    return level._facts
-
-
-# -- Theorem 2 ----------------------------------------------------------------
-
-
 def verify_theorem2(ctx: ProjectionContext, instance: str = "adhoc",
                     pi_prime_override=None, rank: int = 2) -> SuiteReport:
     """Items 1-3 per level, reported from the level's shared facts, each
@@ -399,16 +386,17 @@ def verify_theorem2(ctx: ProjectionContext, instance: str = "adhoc",
     complement is not kept and each element whose atom or coatom fold
     fails (see :func:`certify_complete_hom`).
 
-    ``pi_prime_override`` replaces the map in item 1 only.  ``rank`` bounds
-    nothing; it stays so that callers passing the run's rank keep working."""
+    ``pi_prime_override``, a map on the final level's source elements,
+    replaces that level's map in item 1 only.  ``rank`` bounds nothing; it
+    stays so that callers passing the run's rank keep working."""
     rep = SuiteReport()
     N = len(ctx.iteration)
     for beta in range(ctx.alpha + 1, N + 1):
-        facts = _level_facts(ctx, beta)
+        level = ctx.levels[beta]
         cctx = {"alpha": ctx.alpha, "generic": ctx.gen_index, "beta": beta}
-        A, B = ctx.source_algebras[beta], ctx.levels[beta].algebra
-        hom = facts.hom if pi_prime_override is None else certify_complete_hom(
-            pi_prime_override, A, B)
+        A, B = level.source, level.algebra
+        hom = level.hom if pi_prime_override is None or beta < N else \
+            certify_complete_hom(pi_prime_override, A, B)
         # each element written as its poset cut
         cuts = [(kind, tuple(A.cut(x) for x in family), B.cut(want), B.cut(got))
                 for kind, family, want, got in hom.counterexamples[:4]]
@@ -417,10 +405,10 @@ def verify_theorem2(ctx: ProjectionContext, instance: str = "adhoc",
                     "violations": hom.violation_count,
                     "counterexamples": cuts})
         rep.record("theorem2", "item2-onto", instance,
-                   facts.onto["counterexample"] is None, cctx, facts.onto)
+                   level.onto["counterexample"] is None, cctx, level.onto)
         rep.record("theorem2", "item3-atomic-transport", instance,
-                   facts.transport["counterexample"] is None, cctx,
-                   facts.transport)
+                   level.transport["counterexample"] is None, cctx,
+                   level.transport)
     return rep
 
 
@@ -458,12 +446,10 @@ def limit_clause_skip() -> SuiteReport:
 
 def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
                      instance: str):
-    facts = _level_facts(ctx, beta)
     level = ctx.levels[beta]
     src = ctx.iteration.stages[beta]
     qposet = level.stage.poset
-    A = ctx.source_algebras[beta]
-    B = level.algebra
+    A, B, hom = level.source, level.algebra, level.hom
     cctx = {"alpha": ctx.alpha, "generic": ctx.gen_index, "beta": beta}
     defined = [ci for ci in range(src.poset.n) if level.pi[ci] is not None]
 
@@ -494,25 +480,25 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
                not detail5["count"], cctx, detail5)
 
     # L6: pi_prime commutes with complement
-    bad6 = [f"{A.cut(c[1][0]):#x}" for c in facts.hom.counterexamples
+    bad6 = [f"{A.cut(c[1][0]):#x}" for c in hom.counterexamples
             if c[0] == "complement"]
     rep.record("projection-lemmas", "L6-complement", instance,
-               facts.hom.preserves_complement, cctx, {"violations": bad6[:4]})
+               hom.preserves_complement, cctx, {"violations": bad6[:4]})
 
     # L7: pi_prime commutes with arbitrary products: it keeps one and every
     # binary meet, and every family of a finite algebra is finite
     rep.record("projection-lemmas", "L7-products", instance,
-               facts.hom.preserves_all_products, cctx,
-               {"families": facts.hom.families_checked})
+               hom.preserves_all_products, cctx,
+               {"families": hom.families_checked})
 
     # L8: pi_second onto every quotient name (Theorem 2 item 2)
     rep.record("projection-lemmas", "L8-onto", instance,
-               facts.onto["counterexample"] is None, cctx, facts.onto)
+               level.onto["counterexample"] is None, cctx, level.onto)
 
     # L9: atomic truth values transport (Theorem 2 item 3)
     rep.record("projection-lemmas", "L9-atomic-transport", instance,
-               facts.transport["counterexample"] is None, cctx,
-               facts.transport)
+               level.transport["counterexample"] is None, cctx,
+               level.transport)
 
     # L10: pi is monotone where defined
     detail10 = _pair_violations(src.poset, defined, [
@@ -531,7 +517,7 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
     rep.record("projection-lemmas", "L11-merge-below", instance, ok11, cctx, detail11)
 
     # L12: forcing transports forward, and back below some member of G
-    ok12, detail12 = _lemma12(ctx, beta, table, facts.hom.ok)
+    ok12, detail12 = _lemma12(ctx, beta, table, hom.ok)
     rep.record("projection-lemmas", "L12-forcing-transport", instance, ok12,
                cctx, detail12)
 
@@ -701,8 +687,7 @@ def _lemma12(ctx: ProjectionContext, beta: int, table: list, hom_ok: bool):
     poset = ctx.iteration.stages[beta].poset
     aposet = ctx.iteration.stages[ctx.alpha].poset
     G = ctx.G
-    A = ctx.source_algebras[beta]
-    B = level.algebra
+    A, B = level.source, level.algebra
     atom_images = [(1 << a, level.pi_prime[1 << a]) for a in A.base.atoms]
     checked = 0
     for ci, qc in enumerate(level.pi):
@@ -731,8 +716,7 @@ def _lemma12_by_elements(ctx: ProjectionContext, beta: int, table: list):
     src = ctx.iteration.stages[beta]
     aposet = ctx.iteration.stages[ctx.alpha].poset
     G = ctx.G
-    A = ctx.source_algebras[beta]
-    B = level.algebra
+    A, B = level.source, level.algebra
     principal = [A.principal(ci) for ci in range(src.poset.n)]
     defined = [(ci, principal[ci], B.principal(level.pi[ci]))
                for ci in range(src.poset.n) if level.pi[ci] is not None]
@@ -828,9 +812,8 @@ def _evaluation_identity_witness(ctx: ProjectionContext, gmask: int,
     failing b is witnessed by the rank-1 name {(empty name, b)}; zero
     occurs in no name.
     """
-    N = len(ctx.iteration)
-    level = ctx.levels[N]
-    A = ctx.source_algebras[N]
+    level = ctx.final_level
+    A = level.source
     for b in A.nonzero:
         if bool(b & gmask) != bool(level.pi_prime[b] & hmask):
             return Name(((Name((), A), b),), A)
@@ -880,7 +863,7 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
                {"alpha": alpha, "full_generic": full_gen_index},
                {"filter": filter_ok, "meets_all_dense": dense_ok})
     # item 3: the evaluation identity for every name of every rank
-    A = ctx.source_algebras[N]
+    A = level.source
     bad = _evaluation_identity_witness(ctx, G_full.mask, hmask)
     rep.record("theorem16", "item3-evaluation-identity", instance, bad is None,
                {"alpha": alpha, "full_generic": full_gen_index},

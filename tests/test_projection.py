@@ -26,7 +26,7 @@ from forcinglab.poset import (Poset, _mask_bits, antichain_with_top,
                               separativity_witness)
 from forcinglab.projection import (ProjectionError, _frown_table, _lemma11,
                                    _lemma12, _lemma12_by_elements, _lemma13,
-                                   _lemma14, _level_facts, _prefix_groups,
+                                   _lemma14, _prefix_groups,
                                    _transport_witness,
                                    factor_generic, make_context,
                                    verify_corollary15, verify_lemma20_analogue,
@@ -109,12 +109,21 @@ class TestMakeContext:
         assert qp.n == 3
         assert qp.canonical_key() == A2.canonical_key()
 
-    def test_pi_defined_exactly_on_prefix_in_G(self, worked):
-        it, ctx = worked
-        level = ctx.levels[2]
-        for ci in range(it.stages[2].poset.n):
-            in_G = _alpha_prefix(it, 1, 2, ci) in ctx.G
-            assert (level.pi[ci] is not None) == in_G
+    def test_pi_defined_exactly_on_prefix_in_G(self, default_sweep):
+        # make_context places a new condition where its parent's image is
+        # defined; this invariant, checked against canonicalized prefixes
+        # at every level of every context, is what makes that the rule
+        levels = 0
+        for _, it in default_sweep:
+            for alpha in range(1, len(it) + 1):
+                for gi in range(len(it.stages[alpha].generics)):
+                    ctx = make_context(it, alpha, gi)
+                    for beta, level in ctx.levels.items():
+                        for ci in range(it.stages[beta].poset.n):
+                            in_G = _alpha_prefix(it, alpha, beta, ci) in ctx.G
+                            assert (level.pi[ci] is not None) == in_G
+                        levels += 1
+        assert levels == 1384
 
     def test_top_valued_tail_projects_to_quotient_top(self, worked):
         it, ctx = worked
@@ -467,6 +476,26 @@ class TestTheorem2:
         item1 = [c for c in rep.checks if c.check == "item1-complete-hom"]
         assert item1 and all(c.status == "fail" for c in item1)
 
+    def test_the_override_replaces_the_final_level_map_only(self, default_sweep):
+        # the override is a map on the final level's source elements: the
+        # level's own map reproduces the run, and swapping the images of
+        # zero and one fails item 1 at the final level alone
+        ctxs = [make_context(it, 1, gi) for _, it in default_sweep
+                if len(it) == 3 for gi in range(len(it.stages[1].generics))][:3]
+        assert len(ctxs) == 3
+        for ctx in ctxs:
+            N, level = len(ctx.iteration), ctx.final_level
+            assert len(ctx.levels) == 3
+            plain = [c.to_json() for c in verify_theorem2(ctx).checks]
+            same = verify_theorem2(ctx, pi_prime_override=dict(level.pi_prime))
+            assert [c.to_json() for c in same.checks] == plain
+            A = level.source
+            swapped = {**level.pi_prime, A.zero: level.pi_prime[A.one],
+                       A.one: level.pi_prime[A.zero]}
+            bad = verify_theorem2(ctx, pi_prime_override=swapped)
+            assert [(c.check, c.context["beta"]) for c in bad.failures] == [
+                ("item1-complete-hom", N)]
+
     @staticmethod
     def records(ctx):
         """Theorem 2 and lemma records by check, for one-level contexts."""
@@ -545,7 +574,7 @@ class TestTheorem2:
             assert item3.status == "fail"
             kinds.add(item1.detail["counterexamples"][0][0])
             assert algebra_oracle.fake_binary_witnesses(
-                _level_facts(bad, 2).hom, swapped) == []
+                bad.levels[2].hom, swapped) == []
             shape, xt, yt = item3.detail["counterexample"]
             x, y = by_text[xt], by_text[yt]
             px, py = bad.pi_second(2, x), bad.pi_second(2, y)
@@ -674,7 +703,7 @@ class TestLemmaControls:
     def with_pi(ctx, beta, pi):
         # the original's record is filled first: the copy must derive its own
         level = ctx.levels[beta]
-        assert level.rows and _level_facts(ctx, beta)
+        assert level.rows and level.hom and level.onto and level.transport
         return dataclasses.replace(
             ctx, levels={**ctx.levels, beta: dataclasses.replace(level, pi=pi)})
 
@@ -774,7 +803,7 @@ class TestLemmaControls:
         # and condition; with no s-frown of the top condition left, no s
         # restores forcing below its b*
         it, ctx = worked
-        assert _level_facts(ctx, 2).hom.ok
+        assert ctx.levels[2].hom.ok
         table, _ = self.inputs(ctx, 2)
         assert _lemma12(ctx, 2, table, True) == (
             True, {"checks": sum(q is not None for q in ctx.levels[2].pi)})
@@ -978,8 +1007,9 @@ def _with_pi_prime(ctx, beta, pi_prime):
     """A fresh context whose level beta maps elements by pi_prime.  The
     original level's record is filled first, so the copy must derive its
     own."""
-    assert ctx.levels[beta].rows and _level_facts(ctx, beta)
-    level = dataclasses.replace(ctx.levels[beta], pi_prime=pi_prime)
+    level = ctx.levels[beta]
+    assert level.rows and level.hom and level.onto and level.transport
+    level = dataclasses.replace(level, pi_prime=pi_prime)
     return dataclasses.replace(ctx, levels={**ctx.levels, beta: level})
 
 
@@ -990,7 +1020,7 @@ class TestSharedFacts:
     def hom_statuses(ctx):
         # a failed certificate's pair witnesses are real violations, and
         # its first violation gives a transport pair of rank at most 2
-        A, hom = ctx.source_algebras[2], _level_facts(ctx, 2).hom
+        A, hom = ctx.source_algebras[2], ctx.levels[2].hom
         assert algebra_oracle.fake_binary_witnesses(
             hom, ctx.levels[2].pi_prime) == []
         if not hom.ok:
@@ -1034,7 +1064,7 @@ class TestSharedFacts:
         assert self.hom_statuses(bad) == {
             "item1-complete-hom": "fail", "L6-complement": "pass",
             "L7-products": "fail"}
-        kind, family, _, _ = _level_facts(bad, 2).hom.counterexamples[0]
+        kind, family, _, _ = bad.levels[2].hom.counterexamples[0]
         assert kind == "product" and len(family) == 2
 
     def test_a_replaced_map_gets_its_own_name_images(self, worked):
@@ -1086,6 +1116,22 @@ class TestLevelRecord:
         monkeypatch.setattr(projection, "_image_rows", counted)
         execute(ExperimentConfig(suite="all", max_poset=3, max_stages=3, seed=1))
         assert len(built) == len({id(level) for level in built}) == 608
+
+    def test_one_run_certifies_each_quotient_level_once(self, monkeypatch):
+        # one execute of the acceptance sweep: Theorem 2 and L6-L9 read a
+        # level's homomorphism certificate, made on the first read of
+        # QuotientLevel.hom
+        certified = []
+
+        def counted(pi_prime, A, B):
+            certified.append((sys._getframe(1).f_code.co_name, pi_prime))
+            return certify(pi_prime, A, B)
+
+        certify = projection.certify_complete_hom
+        monkeypatch.setattr(projection, "certify_complete_hom", counted)
+        execute(ExperimentConfig(suite="all", max_poset=3, max_stages=3, seed=1))
+        assert {caller for caller, _ in certified} == {"hom"}
+        assert len(certified) == len({id(m) for _, m in certified}) == 608
 
 
 class TestTheorem16:

@@ -2,10 +2,13 @@
 ``BaseException`` or everything, so an error the code cannot act on is
 never swallowed or reported as a check result; no module but
 ``iteration.py`` reads a stage's private indices, so every other module
-finds a condition by (prefix, tail) through ``Stage.extension``; and only
+finds a condition by (prefix, tail) through ``Stage.extension``; only
 ``ProjectionContext.pi_second`` touches a level's pi_second memo, so every
 memo entry is the structural recursion that the element certificates of
-Theorem 2 and Theorem 16 induct through.
+Theorem 2 and Theorem 16 induct through; and no module reads
+``ProjectionContext.source_algebras``, a view that builds a new dict on
+every read and stays for the benchmark and the tests, since each level
+holds its own ``source``.
 
 Two rules a run keeps: a passing ``run --suite all --max-poset 3
 --max-stages 3`` builds no name, since every statement about names is
@@ -32,6 +35,7 @@ from forcinglab.projection import (_frown_table, _lemma11, _prefix_groups,
 SRC = Path(__file__).resolve().parents[1] / "src" / "forcinglab"
 BROAD = {"Exception", "BaseException"}
 STAGE_INDICES = {"_index", "_tails"}
+SOURCE_VIEW = {"source_algebras"}
 
 
 def broad_handlers(source: str) -> list[int]:
@@ -67,18 +71,18 @@ def test_every_broad_form_is_found():
     assert broad_handlers(source) == [7, 11, 15, 19]
 
 
-def stage_index_reads(source: str) -> list[int]:
+def attribute_accesses(source: str, attrs: set[str]) -> list[int]:
     """Line numbers, ascending, of the accesses in source, read or
-    written, to an attribute named ``_index`` or ``_tails``."""
+    written, to an attribute named in ``attrs``."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Attribute)
-                  and node.attr in STAGE_INDICES)
+                  if isinstance(node, ast.Attribute) and node.attr in attrs)
 
 
 def test_only_iteration_reads_the_stage_indices():
     files = sorted(p for p in SRC.glob("**/*.py") if p.name != "iteration.py")
     assert files
-    found = {str(p.relative_to(SRC)): stage_index_reads(p.read_text(encoding="utf-8"))
+    found = {str(p.relative_to(SRC)):
+             attribute_accesses(p.read_text(encoding="utf-8"), STAGE_INDICES)
              for p in files}
     assert {f: ls for f, ls in found.items() if ls} == {}
 
@@ -93,7 +97,32 @@ def test_every_stage_index_read_is_found():
         "stage._tails.get((p, t))",
         "stage._index = {}",
     ])
-    assert stage_index_reads(source) == [2, 3, 6, 7]
+    assert attribute_accesses(source, STAGE_INDICES) == [2, 3, 6, 7]
+
+
+def test_no_module_reads_the_source_algebras_view():
+    files = sorted(SRC.glob("**/*.py"))
+    assert files
+    found = {str(p.relative_to(SRC)):
+             attribute_accesses(p.read_text(encoding="utf-8"), SOURCE_VIEW)
+             for p in files}
+    assert {f: ls for f, ls in found.items() if ls} == {}
+
+
+def test_every_source_algebras_read_is_found():
+    # defining the view is no read of it
+    source = "\n".join([
+        "class ProjectionContext:",
+        "    @property",
+        "    def source_algebras(self):",
+        "        return {b: lvl.source for b, lvl in self.levels.items()}",
+        "A = ctx.source_algebras[beta]",
+        "for beta, A in ctx.source_algebras.items(): pass",
+        "A = level.source",
+        "A = ctx.levels[beta].source",
+        "self.source_algebras = {}",
+    ])
+    assert attribute_accesses(source, SOURCE_VIEW) == [5, 6, 9]
 
 
 def memo_accesses(source: str) -> list[int]:
