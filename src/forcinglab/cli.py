@@ -354,27 +354,6 @@ def run_suite(suite: str, spec: InstanceSpec, iteration: Iteration,
     if suite == "lemma1":
         rep.extend(check_lemma1(iteration, iid))
         return rep
-    for alpha, gi in _contexts(iteration):
-        cctx = {"alpha": alpha, "generic": gi}
-        try:
-            ctx = make_context(iteration, alpha, gi, caps)
-        except CapExceeded as e:
-            rep.skip(suite, "context-capped", iid, cctx, {"reason": str(e)})
-            continue
-        except ProjectionError as e:
-            rep.record(suite, "context-build", iid, False, cctx, {"error": str(e)})
-            continue
-        try:
-            if suite == "theorem2":
-                rep.extend(verify_theorem2(ctx, instance=iid))
-            elif suite == "projection-lemmas":
-                rep.extend(verify_projection_lemmas(ctx, instance=iid))
-            elif suite == "corollary15":
-                rep.extend(verify_corollary15(ctx, instance=iid))
-        except CapExceeded as e:
-            rep.skip(suite, "suite-capped", iid, cctx, {"reason": str(e)})
-        except ProjectionError as e:
-            rep.record(suite, "bridge", iid, False, cctx, {"error": str(e)})
     if suite == "theorem16":
         N = len(iteration)
         for alpha in range(1, N + 1):
@@ -388,6 +367,25 @@ def run_suite(suite: str, spec: InstanceSpec, iteration: Iteration,
                     rep.skip(suite, "context-capped", iid, fctx, {"reason": str(e)})
                 except ProjectionError as e:
                     rep.record(suite, "factor", iid, False, fctx, {"error": str(e)})
+        return rep
+    verify = {"theorem2": verify_theorem2, "corollary15": verify_corollary15,
+              "projection-lemmas": verify_projection_lemmas}[suite]
+    for alpha, gi in _contexts(iteration):
+        cctx = {"alpha": alpha, "generic": gi}
+        try:
+            ctx = make_context(iteration, alpha, gi, caps)
+        except CapExceeded as e:
+            rep.skip(suite, "context-capped", iid, cctx, {"reason": str(e)})
+            continue
+        except ProjectionError as e:
+            rep.record(suite, "context-build", iid, False, cctx, {"error": str(e)})
+            continue
+        try:
+            rep.extend(verify(ctx, instance=iid))
+        except CapExceeded as e:
+            rep.skip(suite, "suite-capped", iid, cctx, {"reason": str(e)})
+        except ProjectionError as e:
+            rep.record(suite, "bridge", iid, False, cctx, {"error": str(e)})
     return rep
 
 

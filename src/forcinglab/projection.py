@@ -20,9 +20,10 @@ certificate, the per-lemma property checks, generic factorization and the
 rebuilt-tail comparison -- quantifies exhaustively over the finite instance.
 Each level is one record: its source algebra, pi_prime's domain, and,
 derived on first read, its conditions grouped by image (pi_prime's columns,
-Theorem 16's H), per condition the equal, above and compatible images as bit
-rows (L5 and L10 at the level, L11 and L14 at every sibling level), and the
-facts Theorem 2 and the lemma suite share (homomorphism, onto, transport).
+Theorem 16's H), pi_prime by one formula at every level, the root included,
+per condition the equal, above and compatible images as bit rows (L5 and
+L10 at the level, L11 and L14 at every sibling level), and the facts
+Theorem 2 and the lemma suite share (homomorphism, onto, transport).
 Each context builds its own source algebras, so names and their pi_second
 images never pass between contexts; the order rows and cut tables under them
 are memoized per relation matrix in :mod:`forcinglab.poset`.  L11-L14 read
@@ -68,10 +69,11 @@ class _ImageRows(NamedTuple):
 @dataclass
 class QuotientLevel:
     """The quotient data at one level beta > alpha (or the trivial root).
-    Its record of pi (``preimages``, ``rows``) and its Theorem 2 facts
-    (``hom``, ``onto``, ``transport``) are derived on first read and held
-    outside the fields, so a ``dataclasses.replace`` copy with another pi
-    or pi_prime derives its own.
+    Its maps and facts are derived on first read and held outside the
+    fields: pi_prime, the record of pi (``preimages``, ``rows``) and the
+    Theorem 2 facts (``hom``, ``onto``, ``transport``).  So a
+    ``dataclasses.replace`` copy with another pi derives its own, and a
+    test plants a map by assigning ``pi_prime`` on a copy.
 
     The facts hold for every name of every rank, by induction through the
     structural definition of pi_second (Jech, *Set Theory*, 2003, Ch. 14).
@@ -87,7 +89,6 @@ class QuotientLevel:
     combine: list[int]                # quotient generic -> P_beta generic index
     source: BoolAlgebra               # r.o. of P_beta, pi_prime's domain
     algebra: BoolAlgebra              # r.o. of the quotient poset
-    pi_prime: dict[int, int]          # source element -> quotient element
     _pi_second: dict = field(default_factory=dict, init=False)  # name uid -> image
 
     @functools.cached_property
@@ -99,8 +100,41 @@ class QuotientLevel:
         return classes
 
     @functools.cached_property
+    def pi_prime(self) -> dict[int, int]:
+        """{source element: quotient element}.  The atoms of the
+        regularized image of a cut are the atoms below some image point, so
+        quotient atom b is in pi_prime(x) iff the cut of x meets b's
+        column: the defined p with b <= pi(p)."""
+        qposet = self.stage.poset
+        preimages = self.preimages
+        columns = [(1 << b, sum(preimages.get(q, 0)
+                                for q in _mask_bits(qposet.above[b])))
+                   for b in qposet.atoms]
+        A = self.source
+        images = {}
+        for x in A.elements:
+            cut = A.cut(x)
+            img = 0
+            for bit, col in columns:
+                if cut & col:
+                    img |= bit
+            images[x] = img
+        return images
+
+    @functools.cached_property
     def rows(self) -> _ImageRows:
-        return _image_rows(self)
+        """Per image v the preimage classes above v and those compatible
+        with v are ORed once, and each condition reads its image's."""
+        classes = self.preimages
+        defined = [(u, m) for u, m in classes.items() if u is not None]
+        qposet = self.stage.poset
+        cones = {None: (0, 0)}
+        for v, _ in defined:
+            cones[v] = (sum(m for u, m in defined if qposet.above[v] >> u & 1),
+                        sum(m for u, m in defined if qposet.compat[v] >> u & 1))
+        return _ImageRows([classes[v] for v in self.pi],
+                          [cones[v][0] for v in self.pi],
+                          [cones[v][1] for v in self.pi])
 
     @functools.cached_property
     def hom(self) -> HomReport:
@@ -126,21 +160,6 @@ class QuotientLevel:
             shape, x, y = _transport_witness(self.hom, A)
             witness = [shape, name_text(x, A), name_text(y, A)]
         return {"source_elements": len(A), "counterexample": witness}
-
-
-def _image_rows(level: QuotientLevel) -> _ImageRows:
-    """The level's rows: per image v the preimage classes above v and those
-    compatible with v are ORed once, and each condition reads its image's."""
-    classes = level.preimages
-    defined = [(u, m) for u, m in classes.items() if u is not None]
-    qposet = level.stage.poset
-    cones = {None: (0, 0)}
-    for v, _ in defined:
-        cones[v] = (sum(m for u, m in defined if qposet.above[v] >> u & 1),
-                    sum(m for u, m in defined if qposet.compat[v] >> u & 1))
-    return _ImageRows([classes[v] for v in level.pi],
-                      [cones[v][0] for v in level.pi],
-                      [cones[v][1] for v in level.pi])
 
 
 @dataclass
@@ -213,7 +232,8 @@ def _tail_image(prev_level: QuotientLevel, prev_stage: Stage, steps_q: list,
 
 def make_context(iteration: Iteration, alpha: int, gen_index: int,
                  caps: Caps | None = None) -> ProjectionContext:
-    """Build pi, pi_prime and the quotient posets for every level.
+    """Build pi and the quotient posets for every level; each level
+    derives pi_prime on first read.
 
     The construction follows the inductive cases: the first level evaluates
     tails under G, later successor levels prepend the previous level's
@@ -237,9 +257,8 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     beta-1's pi is defined exactly on the conditions whose alpha-prefix is
     in G.  Each placed condition gives a (quotient prefix, canonical tail)
     pair, the quotient stage is built from these pairs, and the image is
-    ``qstage.extension(qprefix, qtail)``.  pi_prime's columns are read off
-    the level's preimage classes, which the level keeps for the checks.
-    A refused tail image raises before the context is cached.
+    ``qstage.extension(qprefix, qtail)``.  A refused tail image raises
+    before the context is cached.
     """
     caps = caps or iteration.caps
     stages = iteration.stages
@@ -261,10 +280,8 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     pi_root = [0 if (G.mask >> i) & 1 else None
                for i in range(stages[alpha].poset.n)]
     root_alg = ro_algebra(root.poset, max_base=caps.algebra_max_base)
-    pi_prime_root = {x: (root_alg.one if x & G.mask else root_alg.zero)
-                     for x in sources[alpha].elements}
     levels = {alpha: QuotientLevel(alpha, root, pi_root, [gen_index],
-                                   sources[alpha], root_alg, pi_prime_root)}
+                                   sources[alpha], root_alg)}
 
     for beta in range(alpha + 1, N + 1):
         prev_level = levels[beta - 1]
@@ -296,7 +313,6 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
             pi[ci] = qstage.extension(qprefix, qtail)
         # bridge: quotient generics <-> source generics whose prefix generic
         # is G, matched through their atoms (one generic per atom)
-        qposet = qstage.poset
         gen_of_atom = {qg.atom: h for h, qg in enumerate(qstage.generics)}
         combine: list[int | None] = [None] * len(qstage.generics)
         for sg, gen in enumerate(src.generics):
@@ -312,24 +328,9 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
             combine[h] = sg
         if any(c is None for c in combine):
             raise ProjectionError(f"quotient generic with no source generic at level {beta}")
-        algebra = ro_algebra(qposet, max_base=caps.algebra_max_base)
-        level = levels[beta] = QuotientLevel(beta, qstage, pi, combine,
-                                             sources[beta], algebra, {})
-        # the atoms of the regularized image of a cut are the atoms below
-        # some image point, so quotient atom b is in pi_prime(x) iff the
-        # cut of x meets b's column: the defined p with b <= pi(p)
-        preimages = level.preimages
-        columns = [(1 << b, sum(preimages.get(q, 0)
-                                for q in _mask_bits(qposet.above[b])))
-                   for b in qposet.atoms]
-        A = level.source
-        for x in A.elements:
-            cut = A.cut(x)
-            img = 0
-            for bit, col in columns:
-                if cut & col:
-                    img |= bit
-            level.pi_prime[x] = img
+        algebra = ro_algebra(qstage.poset, max_base=caps.algebra_max_base)
+        levels[beta] = QuotientLevel(beta, qstage, pi, combine, sources[beta],
+                                     algebra)
 
     ctx = ProjectionContext(iteration, alpha, gen_index, caps, levels)
     iteration.context_cache[cache_key] = ctx

@@ -486,24 +486,40 @@ class TestDriverFailures:
             ("cifs", "factor", "fail", {"full_generic": gi})
             for gi in range(len(failed))]
 
-    def test_capped_contexts_are_labeled_skips(self, monkeypatch, tmp_path):
-        # an algebra cap of one atom refuses every context whose stage has
-        # two: run_suite and the cifs factorization each give a labeled
-        # skip with the cap's reason, no failure, and the run exits 0
+    @staticmethod
+    def capped_run(monkeypatch, tmp_path, suite: str) -> list[dict]:
+        """The check records of an s2 seed 1 run of ``suite`` under an
+        algebra cap of one atom; the run must exit 0."""
         caps = ExperimentConfig.caps
         monkeypatch.setattr(ExperimentConfig, "caps",
                             lambda self: caps(self).with_(algebra_max_base=1))
         out = tmp_path / "r.jsonl"
-        assert main(["run", "--suite", "all", "--max-poset", "3",
+        assert main(["run", "--suite", suite, "--max-poset", "3",
                      "--max-stages", "2", "--seed", "1", "--out", str(out)]) == 0
-        checks = [r for r in map(json.loads, out.read_text().splitlines())
-                  if r["kind"] == "check"]
+        return [r for r in map(json.loads, out.read_text().splitlines())
+                if r["kind"] == "check"]
+
+    def test_capped_contexts_are_labeled_skips(self, monkeypatch, tmp_path):
+        # an algebra cap of one atom refuses every context whose stage has
+        # two: run_suite and the cifs factorization each give a labeled
+        # skip with the cap's reason, no failure, and the run exits 0
+        checks = self.capped_run(monkeypatch, tmp_path, "all")
         assert not [r for r in checks if r["status"] == "fail"]
         capped = [r for r in checks if r["check"] == "context-capped"]
         assert {r["suite"] for r in capped} == {
             "cifs", "corollary15", "projection-lemmas", "theorem16", "theorem2"}
         assert all(r["status"] == "skip" and "above the algebra enumeration "
                    "bound 1" in r["detail"]["reason"] for r in capped)
+
+    def test_theorem16_skips_only_the_factorizations_it_runs(
+            self, monkeypatch, tmp_path):
+        # theorem16 builds contexts only inside factor_generic, so each
+        # capped factorization is one skip and no context is walked apart
+        capped = [r for r in self.capped_run(monkeypatch, tmp_path, "theorem16")
+                  if r["check"] == "context-capped"]
+        assert len(capped) == 40
+        assert {tuple(sorted(r["context"])) for r in capped} == {
+            ("alpha", "full_generic")}
 
     def test_an_off_by_one_closed_form_fails_every_collapse_count(
             self, monkeypatch):

@@ -260,8 +260,9 @@ LATER_LEVEL_TABLES = {
 
 def _flooded(level):
     """A copy of the level whose pi_prime sends every element to one."""
-    return dataclasses.replace(level, pi_prime=dict.fromkeys(
-        level.pi_prime, level.algebra.one))
+    copy = dataclasses.replace(level)
+    copy.pi_prime = dict.fromkeys(level.pi_prime, level.algebra.one)
+    return copy
 
 
 def _decoder_and_oracle(ctx, beta: int, flood=False, stepless=False):
@@ -701,11 +702,13 @@ class TestLemmaControls:
 
     @staticmethod
     def with_pi(ctx, beta, pi):
-        # the original's record is filled first: the copy must derive its own
+        # the original's record is filled first: the copy must derive its
+        # own, but keeps the original's pi_prime
         level = ctx.levels[beta]
         assert level.rows and level.hom and level.onto and level.transport
-        return dataclasses.replace(
-            ctx, levels={**ctx.levels, beta: dataclasses.replace(level, pi=pi)})
+        copy = dataclasses.replace(level, pi=pi)
+        copy.pi_prime = level.pi_prime
+        return dataclasses.replace(ctx, levels={**ctx.levels, beta: copy})
 
     @staticmethod
     def l5_l10(ctx, beta):
@@ -829,8 +832,9 @@ class TestLemmaControls:
                   if q is not None and q != level.stage.poset.top)
         pi = list(level.pi)
         pi[ci] = level.stage.poset.top
-        raised = dataclasses.replace(
-            ctx, levels={**ctx.levels, 2: dataclasses.replace(level, pi=pi)})
+        copy = dataclasses.replace(level, pi=pi)
+        copy.pi_prime = level.pi_prime
+        raised = dataclasses.replace(ctx, levels={**ctx.levels, 2: copy})
         table, _ = self.inputs(ctx, 2)
         ok, detail = _lemma12(raised, 2, table, True)
         assert not ok and detail == {"direction": "forward",
@@ -1009,8 +1013,9 @@ def _with_pi_prime(ctx, beta, pi_prime):
     own."""
     level = ctx.levels[beta]
     assert level.rows and level.hom and level.onto and level.transport
-    level = dataclasses.replace(level, pi_prime=pi_prime)
-    return dataclasses.replace(ctx, levels={**ctx.levels, beta: level})
+    copy = dataclasses.replace(level)
+    copy.pi_prime = pi_prime
+    return dataclasses.replace(ctx, levels={**ctx.levels, beta: copy})
 
 
 class TestSharedFacts:
@@ -1102,20 +1107,72 @@ class TestLevelRecord:
             assert level.preimages == {
                 v: sum(1 << p for p in range(n) if pi[p] == v) for v in set(pi)}
 
+    @staticmethod
+    def derivations(monkeypatch, name: str) -> list:
+        """The levels that derive QuotientLevel's cached property ``name``
+        from now on, one entry per derivation."""
+        derived = []
+        derive = getattr(projection.QuotientLevel, name).func
+
+        def counted(level):
+            derived.append(level)
+            return derive(level)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(projection.QuotientLevel, name)
+        monkeypatch.setattr(projection.QuotientLevel, name, prop)
+        return derived
+
     def test_one_run_builds_image_rows_once_per_quotient_level(
             self, monkeypatch):
         # one execute of the acceptance sweep: L5 and L10 read a level's
         # rows, and L11 and L14 read every sibling level's
-        built = []
-
-        def counted(level):
-            built.append(level)
-            return image_rows(level)
-
-        image_rows = projection._image_rows
-        monkeypatch.setattr(projection, "_image_rows", counted)
+        built = self.derivations(monkeypatch, "rows")
         execute(ExperimentConfig(suite="all", max_poset=3, max_stages=3, seed=1))
         assert len(built) == len({id(level) for level in built}) == 608
+
+    def test_one_run_derives_each_read_map_once(self, monkeypatch):
+        # one execute of the acceptance sweep: every quotient level's map
+        # (the 608 of the sweep and two of the cifs factorization) and the
+        # root maps that Theorem 16 reads at alpha = N, one per context
+        # there; no other root map is built
+        derived = self.derivations(monkeypatch, "pi_prime")
+        execute(ExperimentConfig(suite="all", max_poset=3, max_stages=3, seed=1))
+        roots = [level for level in derived if level.stage is root_stage()]
+        assert len(derived) == len({id(level) for level in derived}) == 952
+        assert len(roots) == 342
+
+    def test_the_root_map_is_the_image_of_G(self, default_sweep):
+        # the column formula at the root: an element goes to one exactly
+        # when it meets G
+        contexts = 0
+        for _, it in default_sweep:
+            for alpha in range(1, len(it) + 1):
+                for gi in range(len(it.stages[alpha].generics)):
+                    ctx = make_context(it, alpha, gi)
+                    root = ctx.levels[alpha]
+                    B = root.algebra
+                    assert root.pi_prime == {
+                        x: B.one if x & ctx.G.mask else B.zero
+                        for x in root.source.elements}
+                    contexts += 1
+        assert contexts == 776
+
+    def test_no_context_suite_derives_a_root_map(self, default_sweep):
+        # Theorem 2, the lemma suite and Corollary 15 read levels beta >
+        # alpha only; below the final stage nothing reads the root's map
+        contexts = 0
+        for _, it in default_sweep:
+            it = dataclasses.replace(it)
+            for alpha in range(1, len(it)):
+                for gi in range(len(it.stages[alpha].generics)):
+                    ctx = make_context(it, alpha, gi)
+                    assert verify_theorem2(ctx).ok
+                    assert verify_projection_lemmas(ctx).ok
+                    assert verify_corollary15(ctx).ok
+                    assert "pi_prime" not in vars(ctx.levels[alpha])
+                    contexts += 1
+        assert contexts == 434
 
     def test_one_run_certifies_each_quotient_level_once(self, monkeypatch):
         # one execute of the acceptance sweep: Theorem 2 and L6-L9 read a
@@ -1170,8 +1227,9 @@ class TestTheorem16:
         gmask = it.stages[2].generics[0].mask
         # the first element meeting G_full now projects to zero
         b = next(b for b in A.nonzero if b & gmask)
-        ctx.levels[2] = dataclasses.replace(
-            level, pi_prime={**level.pi_prime, b: level.algebra.zero})
+        copy = dataclasses.replace(level)
+        copy.pi_prime = {**level.pi_prime, b: level.algebra.zero}
+        ctx.levels[2] = copy
         _, _, rep = factor_generic(it, 1, 0)
         item3 = [c for c in rep.checks if c.check == "item3-evaluation-identity"]
         assert [c.status for c in item3] == ["fail"]

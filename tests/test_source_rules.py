@@ -8,7 +8,9 @@ memo entry is the structural recursion that the element certificates of
 Theorem 2 and Theorem 16 induct through; and no module reads
 ``ProjectionContext.source_algebras``, a view that builds a new dict on
 every read and stays for the benchmark and the tests, since each level
-holds its own ``source``.
+holds its own ``source``; and no module writes an attribute named
+``pi_prime``, so every map a run reads is its level's own derivation and
+only the tests plant maps, on copies.
 
 Two rules a run keeps: a passing ``run --suite all --max-poset 3
 --max-stages 3`` builds no name, since every statement about names is
@@ -123,6 +125,56 @@ def test_every_source_algebras_read_is_found():
         "self.source_algebras = {}",
     ])
     assert attribute_accesses(source, SOURCE_VIEW) == [5, 6, 9]
+
+
+def map_writes(source: str) -> list[int]:
+    """Line numbers, ascending, of the assignment targets in source that
+    are an attribute named ``pi_prime`` or an item of one, alone or
+    unpacked."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
+            targets = [node.target]
+        else:
+            continue
+        while targets:
+            t = targets.pop()
+            if isinstance(t, (ast.Tuple, ast.List)):
+                targets.extend(t.elts)
+            elif isinstance(t, (ast.Starred, ast.Subscript)):
+                targets.append(t.value)
+            elif isinstance(t, ast.Attribute) and t.attr == "pi_prime":
+                lines.append(t.lineno)
+    return sorted(lines)
+
+
+def test_no_module_writes_a_map():
+    files = sorted(SRC.glob("**/*.py"))
+    assert files
+    found = {str(p.relative_to(SRC)): map_writes(p.read_text(encoding="utf-8"))
+             for p in files}
+    assert {f: ls for f, ls in found.items() if ls} == {}
+
+
+def test_every_map_write_is_found():
+    # deriving or reading a map is no write of it
+    source = "\n".join([
+        "class QuotientLevel:",
+        "    def pi_prime(self):",
+        "        return {x: 0 for x in self.source.elements}",
+        "img = level.pi_prime[x]",
+        "h = {**level.pi_prime, b: B.zero}",
+        "level.pi_prime[x] = img",
+        "level.pi_prime = {}",
+        "copy.pi_prime = level.pi_prime",
+        "a, ctx.levels[b].pi_prime = 1, {}",
+        "level.pi_prime[x] |= bit",
+        "level.pi_prime: dict = {}",
+        "for level.pi_prime[x] in images: pass",
+    ])
+    assert map_writes(source) == [6, 7, 8, 9, 10, 11, 12]
 
 
 def memo_accesses(source: str) -> list[int]:
