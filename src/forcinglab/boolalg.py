@@ -7,12 +7,17 @@ gives back the regular cut, for reports and for tests against the cut
 calculus in :mod:`forcinglab.poset`.  The algebra is materialized eagerly,
 one element per subset of the atoms, each with its cut built alongside the
 subsets (once per relation matrix), which is what lets the law suite and
-the homomorphism checks be exhaustive instead of sampled.  The suites
-certify complete homomorphisms with :func:`certify_complete_hom` (zero, one
-and complement directly, every binary join and meet by one fold over the
-atoms and one over the coatoms, no cap, work linear in |A|);
-:func:`check_complete_hom` folds all 2^|A| subfamilies and is kept as the
-reference oracle for it.
+the element checks be exhaustive instead of sampled.
+
+A complete homomorphism between such algebras is fixed by its atom images,
+so the projection suites decide Theorem 2's homomorphism on the images of
+the base's atoms (``forcinglab.projection.QuotientLevel``).
+:func:`certify_complete_hom` is the element route behind that: it runs for
+a map the atom images do not decide, such as a failing or a planted one,
+checks zero, one and complement directly and every binary join and meet by
+one fold over the atoms and one over the coatoms (no cap, work linear in
+|A|), and writes the witnesses.  :func:`check_complete_hom` folds all
+2^|A| subfamilies and is kept as the reference oracle for both.
 """
 
 from __future__ import annotations

@@ -16,8 +16,13 @@ later level pairs the previous quotient prefix with the tail's image, which
 :func:`_tail_image` reads off the previous level's pi_prime: what the tail's
 literal name, mapped through pi_second, denotes under each quotient generic,
 with no name built.  Everything downstream -- the complete-homomorphism
-certificate, the per-lemma property checks, generic factorization and the
+verdict, the per-lemma property checks, generic factorization and the
 rebuilt-tail comparison -- quantifies exhaustively over the finite instance.
+Theorem 2's homomorphism and onto facts are decided on pi's atom images, in
+O(|P_beta|) bit operations per level (``QuotientLevel._atom_images``); the
+certificate over all 2^k elements of a k-atom source algebra runs only where
+they do not decide a level: a quotiented base, a map that fails the
+criterion, whose witnesses it writes, and a map a test planted.
 Each level is one record: its source algebra, pi_prime's domain, and,
 derived on first read, its conditions grouped by image (pi_prime's columns,
 Theorem 16's H), pi_prime by one formula at every level, the root included,
@@ -73,7 +78,11 @@ class QuotientLevel:
     fields: pi_prime, the record of pi (``preimages``, ``rows``) and the
     Theorem 2 facts (``hom``, ``onto``, ``transport``).  So a
     ``dataclasses.replace`` copy with another pi derives its own, and a
-    test plants a map by assigning ``pi_prime`` on a copy.
+    test plants a map by assigning ``pi_prime`` on a copy.  ``hom`` and
+    ``onto`` read pi's atom images (``_atom_images``) and build no
+    pi_prime table; a planted map, a quotiented base and a map that fails
+    the atom criterion take the element route: ``certify_complete_hom``
+    on pi_prime and pi_prime's values, which write the witnesses.
 
     The facts hold for every name of every rank, by induction through the
     structural definition of pi_second (Jech, *Set Theory*, 2003, Ch. 14).
@@ -101,10 +110,16 @@ class QuotientLevel:
 
     @functools.cached_property
     def pi_prime(self) -> dict[int, int]:
-        """{source element: quotient element}.  The atoms of the
-        regularized image of a cut are the atoms below some image point, so
-        quotient atom b is in pi_prime(x) iff the cut of x meets b's
-        column: the defined p with b <= pi(p)."""
+        """{source element: quotient element}, the column formula's table;
+        a test plants another map by assigning this on a copy."""
+        return self._column_map
+
+    @functools.cached_property
+    def _column_map(self) -> dict[int, int]:
+        """pi_prime by its formula.  The atoms of the regularized image of
+        a cut are the atoms below some image point, so quotient atom b is
+        in pi_prime(x) iff the cut of x meets b's column: the defined p
+        with b <= pi(p)."""
         qposet = self.stage.poset
         preimages = self.preimages
         columns = [(1 << b, sum(preimages.get(q, 0)
@@ -137,14 +152,69 @@ class QuotientLevel:
                           [cones[v][1] for v in self.pi])
 
     @functools.cached_property
+    def _atom_images(self) -> list[int] | None:
+        """B(a) for each source atom a, in ``source.base.atoms`` order, when
+        they decide ``hom`` and ``onto``; None where the element route
+        decides them: a quotiented base, a planted pi_prime, or a map that
+        fails the criterion below.
+
+        For p in P_beta let A(p) be the source atoms below p, and B(p) the
+        quotient atoms below pi(p), 0 where pi(p) is undefined.  Then
+        pi_prime(x) is the join of the B(p) with A(p) <= x, and
+        pi_prime({a}) = B(a), since on a separative base A(p) = {a} forces
+        p = a.  A complete homomorphism of finite Boolean algebras sends x
+        to the join of its atoms' images, which are pairwise disjoint and
+        join to one, and every such family of atom images defines one
+        (Koppelberg, *Handbook of Boolean Algebras* vol. 1, 1989).  So
+        pi_prime is a complete homomorphism iff (1) every B(p) lies in the
+        join of the B(a) over a in A(p), which makes pi_prime(x) the join
+        of the B(a) over a in x, (2) the B(a) of distinct atoms are
+        disjoint and (3) they cover the quotient's atoms."""
+        A, B = self.source, self.algebra
+        table = vars(self).get("pi_prime")
+        planted = table is not None and table is not vars(self).get("_column_map")
+        if planted or A.original is not None or B.original is not None:
+            return None
+        qbase = B.base
+        atoms = A.base.atoms
+        images = [0 if self.pi[a] is None else qbase.atoms_below(self.pi[a])
+                  for a in atoms]
+        covered = 0
+        for b in images:
+            covered |= b
+        if covered != B.one:
+            return None
+        # given (3), (1) and (2) hold iff every p whose image meets B(a)
+        # lies above a: no other atom does, and a quotient atom of B(p) lies
+        # in the join over A(p) iff the a whose B(a) holds it is below p
+        classes = [(qbase.atoms_below(v), members)
+                   for v, members in self.preimages.items() if v is not None]
+        for a, b in zip(atoms, images):
+            for block, members in classes:
+                if block & b and members & ~A.base.above[a]:
+                    return None
+        return images
+
+    @functools.cached_property
     def hom(self) -> HomReport:
-        """Item 1; L6 cites its complement flag, L7 its products flag."""
-        return certify_complete_hom(self.pi_prime, self.source, self.algebra)
+        """Item 1; L6 cites its complement flag, L7 its products flag.
+        Decided on the atom images; the element certificate runs only
+        where they do not decide it, and writes the witnesses."""
+        if self._atom_images is None:
+            return certify_complete_hom(self.pi_prime, self.source, self.algebra)
+        n = len(self.source)
+        return HomReport(families_checked=1 + n * (n - 1) // 2)
 
     @functools.cached_property
     def onto(self) -> dict:
-        """Item 2 and L8 detail: a rank-1 quotient name off the image."""
+        """Item 2 and L8 detail: a rank-1 quotient name off the image.  A
+        complete homomorphism sends x to the join of its atoms' images, so
+        it is onto iff each B(a) has at most one bit; otherwise the
+        pi_prime values give the first unattained element."""
         B = self.algebra
+        atoms = self._atom_images
+        if atoms is not None and all(not b & (b - 1) for b in atoms):
+            return {"quotient_elements": len(B), "counterexample": None}
         image = set(self.pi_prime.values())
         unattained = next((c for c in B.nonzero if c not in image), None)
         return {"quotient_elements": len(B),
@@ -373,23 +443,27 @@ def _transport_witness(hom: HomReport, A: BoolAlgebra) -> tuple[str, Name, Name]
 def verify_theorem2(ctx: ProjectionContext, instance: str = "adhoc",
                     pi_prime_override=None, rank: int = 2) -> SuiteReport:
     """Items 1-3 per level, reported from the level's shared facts, each
-    certified on algebra elements for every name of every rank: pi_prime is
-    a complete Boolean homomorphism (complement and binary meets and joins,
-    which in a finite algebra is completeness), pi_second is onto (pi_prime
-    attains every nonzero quotient element), and atomic truth values
-    transport through the maps (item 1 for the level's own map).  A failure
-    of item 2 is witnessed by a rank-1 quotient name, of item 3 by a source
-    pair of rank at most 2.
+    for every name of every rank: pi_prime is a complete Boolean
+    homomorphism, pi_second is onto (pi_prime attains every nonzero
+    quotient element), and atomic truth values transport through the maps
+    (item 1 for the level's own map).  Items 1 and 2 are decided on pi's
+    atom images (see :class:`QuotientLevel`); where those do not decide a
+    level, item 1 is certified on algebra elements (complement and binary
+    meets and joins, which in a finite algebra is completeness) and item 2
+    read off pi_prime's values.  A failure of item 2 is witnessed by a
+    rank-1 quotient name, of item 3 by a source pair of rank at most 2.
 
-    Item 1's ``families`` is the number of families the certificate
-    settles, the empty family and every pair of distinct elements;
-    ``violations`` counts a broken zero, a broken one, each element whose
-    complement is not kept and each element whose atom or coatom fold
-    fails (see :func:`certify_complete_hom`).
+    Item 1's ``families`` is 1 + n(n-1)/2 for n source elements, the
+    families the element certificate settles: the empty family and every
+    pair of distinct elements.  ``violations`` counts a broken zero, a
+    broken one, each element whose complement is not kept and each element
+    whose atom or coatom fold fails (see :func:`certify_complete_hom`); it
+    is 0 on a level the atom images pass.
 
     ``pi_prime_override``, a map on the final level's source elements,
-    replaces that level's map in item 1 only.  ``rank`` bounds nothing; it
-    stays so that callers passing the run's rank keep working."""
+    replaces that level's map in item 1 only, and is always certified on
+    elements.  ``rank`` bounds nothing; it stays so that callers passing
+    the run's rank keep working."""
     rep = SuiteReport()
     N = len(ctx.iteration)
     for beta in range(ctx.alpha + 1, N + 1):

@@ -12,6 +12,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+# one encoder per format, shared by every record: json.dumps with keyword
+# arguments builds a new encoder on each call
+_encode = json.JSONEncoder(sort_keys=True, default=str).encode
+_encode_compact = json.JSONEncoder(sort_keys=True, default=str,
+                                   separators=(",", ":")).encode
+
 
 @dataclass
 class CheckRecord:
@@ -26,14 +32,12 @@ class CheckRecord:
     def counterexample_id(self) -> str | None:
         if self.status != "fail":
             return None
-        blob = json.dumps(
-            [self.suite, self.check, self.instance, self.context, self.detail],
-            sort_keys=True, default=str)
+        blob = _encode(
+            [self.suite, self.check, self.instance, self.context, self.detail])
         return "cx-" + hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def sort_key(self):
-        return (self.instance, self.suite, self.check,
-                json.dumps(self.context, sort_keys=True, default=str))
+        return (self.instance, self.suite, self.check, _encode(self.context))
 
     def to_json(self) -> str:
         payload = {
@@ -48,8 +52,7 @@ class CheckRecord:
         cid = self.counterexample_id
         if cid:
             payload["counterexample"] = cid
-        return json.dumps(payload, sort_keys=True, default=str,
-                          separators=(",", ":"))
+        return _encode_compact(payload)
 
 
 @dataclass

@@ -7,7 +7,8 @@ alone; :func:`forcinglab.poset.regular_cuts` builds every cut alongside the
 atom subsets, once per relation matrix.  :func:`certify_by_pairs` checks
 every pair of distinct elements;
 :func:`forcinglab.boolalg.certify_complete_hom` folds the atoms and the
-coatoms.
+coatoms.  :func:`atom_conditions` reads the three conditions of the atom
+criterion behind ``QuotientLevel.hom`` off their definitions.
 """
 
 from forcinglab.boolalg import AlgebraError, HomReport
@@ -89,3 +90,28 @@ def fake_binary_witnesses(rep, h):
         if kind == "sum" and h[x | y] == h[x] | h[y]:
             bad.append((kind, family))
     return bad
+
+
+def atom_conditions(level):
+    """(joins kept, disjoint, covering) for the level's pi, with B(p) the
+    quotient atoms below pi(p), 0 where it is undefined: every B(p) lies in
+    the join of the B(a) over the source atoms a below p; the B(a) of
+    distinct atoms meet in 0; the B(a) join to the quotient's one."""
+    A, B = level.source, level.algebra
+    atoms = A.base.atoms
+
+    def image(p):
+        return 0 if level.pi[p] is None else B.principal(level.pi[p])
+
+    def join(ps):
+        out = 0
+        for p in ps:
+            out |= image(p)
+        return out
+
+    joins = all(not image(p) & ~join(a for a in atoms
+                                     if A.base.atoms_below(p) >> a & 1)
+                for p in range(A.base.n))
+    disjoint = all(not image(a) & image(b)
+                   for a in atoms for b in atoms if a < b)
+    return joins, disjoint, join(atoms) == B.one

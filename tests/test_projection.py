@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import functools
 import itertools
+import random
 import sys
 
 import pytest
@@ -1007,6 +1009,117 @@ class TestHomCertificateOracle:
             assert any(not v[i] for v in verdicts)
 
 
+class TestAtomCriterion:
+    """pi's atom images decide Theorem 2 items 1 and 2
+    (``QuotientLevel._atom_images``); the element certificate, pi_prime's
+    values and the criterion's three conditions read off their definitions
+    are the oracles."""
+
+    def test_every_level_and_seeded_pi_perturbations(self, default_sweep):
+        # each level as built, and six copies with one pi entry moved to
+        # another quotient condition or to undefined
+        rng = random.Random(1)
+        tally = collections.Counter()
+        for ctx, beta in TestLemmaOracle.levels(default_sweep):
+            level = ctx.levels[beta]
+            assert level.source.original is level.algebra.original is None
+            choices = [None, *range(level.stage.poset.n)]
+            copies = [level]
+            for _ in range(6):
+                pi = list(level.pi)
+                p = rng.randrange(len(pi))
+                pi[p] = rng.choice([v for v in choices if v != pi[p]])
+                copies.append(dataclasses.replace(level, pi=pi))
+            for m in copies:
+                A, B = m.source, m.algebra
+                cert = certify_complete_hom(m.pi_prime, A, B)
+                onto = set(B.nonzero) <= set(m.pi_prime.values())
+                decided = m._atom_images is not None
+                where = (ctx.iteration.provider.tables, ctx.alpha,
+                         ctx.gen_index, beta, m.pi)
+                assert decided == cert.ok == all(
+                    algebra_oracle.atom_conditions(m)), where
+                assert (m.hom.ok, m.hom.families_checked) == \
+                    (cert.ok, cert.families_checked), where
+                assert (m.onto["counterexample"] is None) == onto, where
+                if decided:
+                    assert onto == all(not b & (b - 1)
+                                       for b in m._atom_images), where
+                tally[m is level, cert.ok, onto] += 1
+        assert tally[True, True, True] == 608
+        assert sum(tally.values()) == 7 * 608
+        # one-entry changes reach every verdict but a homomorphism that is
+        # not onto, which test_an_atom_image_of_two_bits_fails_onto builds
+        assert min(tally[False, ok, onto] for ok, onto in
+                   ((True, True), (False, True), (False, False))) > 500
+
+    @staticmethod
+    def statuses(ctx, pi):
+        """The criterion's three conditions and the item 1-2 and L6-L8
+        statuses of the worked level 2 with pi replaced."""
+        copy = dataclasses.replace(ctx.levels[2], pi=pi)
+        bad = dataclasses.replace(ctx, levels={**ctx.levels, 2: copy})
+        checks = verify_theorem2(bad, instance="control").checks + \
+            verify_projection_lemmas(bad, instance="control").checks
+        return algebra_oracle.atom_conditions(copy), {
+            c.check: c.status for c in checks if c.check in (
+                "item1-complete-hom", "item2-onto", "L6-complement",
+                "L7-products", "L8-onto")}
+
+    NOT_HOM = {"item1-complete-hom": "fail", "item2-onto": "pass",
+               "L6-complement": "fail", "L7-products": "fail",
+               "L8-onto": "pass"}
+
+    def test_an_image_off_its_atoms_images_fails_condition_1(self, worked):
+        # <1;{0:0,1:0}> lies above the atoms <{0:0};{0:0}>, whose image is
+        # quotient atom 1, and <{0:1};{1:0}>, off G; sent to quotient atom
+        # 2 it leaves the join of their images
+        it, ctx = worked
+        pi = list(ctx.levels[2].pi)
+        pi[it.stages[2].poset.labels.index("<1;{0:0,1:0}>")] = 2
+        assert self.statuses(ctx, pi) == ((False, True, True), self.NOT_HOM)
+
+    def test_two_atoms_on_one_quotient_atom_fail_condition_2(self, worked):
+        # <{0:1};{1:0}>, off G, joins <{0:0};{0:0}> on quotient atom 1
+        it, ctx = worked
+        pi = list(ctx.levels[2].pi)
+        pi[it.stages[2].poset.labels.index("<{0:1};{1:0}>")] = 1
+        assert self.statuses(ctx, pi) == ((True, False, True), self.NOT_HOM)
+
+    def test_an_uncovered_quotient_atom_fails_condition_3(self, worked):
+        # only the conditions above <{0:0};{0:0}> are defined, all on
+        # quotient atom 1: the atom images are disjoint and every image
+        # lies in them, but quotient atom 2 is missed, so pi_prime(one)
+        # is not one, and item 2 fails with it
+        it, ctx = worked
+        poset = it.stages[2].poset
+        a = poset.labels.index("<{0:0};{0:0}>")
+        pi = [1 if v is not None and poset.above[a] >> p & 1 else None
+              for p, v in enumerate(ctx.levels[2].pi)]
+        assert self.statuses(ctx, pi) == ((True, True, False), {
+            "item1-complete-hom": "fail", "item2-onto": "fail",
+            "L6-complement": "fail", "L7-products": "fail",
+            "L8-onto": "fail"})
+
+    def test_an_atom_image_of_two_bits_fails_onto(self, worked):
+        # the conditions above <{0:0};{0:0}> go to the quotient top, the
+        # rest are undefined: pi_prime is the homomorphism onto {0, one}
+        # that asks whether that atom is in x, so it misses quotient atom 1
+        it, ctx = worked
+        poset = it.stages[2].poset
+        a = poset.labels.index("<{0:0};{0:0}>")
+        top = ctx.levels[2].stage.poset.top
+        pi = [top if v is not None and poset.above[a] >> p & 1 else None
+              for p, v in enumerate(ctx.levels[2].pi)]
+        assert self.statuses(ctx, pi) == ((True, True, True), {
+            "item1-complete-hom": "pass", "item2-onto": "fail",
+            "L6-complement": "pass", "L7-products": "pass",
+            "L8-onto": "fail"})
+        copy = dataclasses.replace(ctx.levels[2], pi=pi)
+        assert copy._atom_images == [copy.algebra.one, 0, 0, 0]
+        assert copy.onto["counterexample"] == "{({},0x2)}"
+
+
 def _with_pi_prime(ctx, beta, pi_prime):
     """A fresh context whose level beta maps elements by pi_prime.  The
     original level's record is filled first, so the copy must derive its
@@ -1174,10 +1287,10 @@ class TestLevelRecord:
                     contexts += 1
         assert contexts == 434
 
-    def test_one_run_certifies_each_quotient_level_once(self, monkeypatch):
-        # one execute of the acceptance sweep: Theorem 2 and L6-L9 read a
-        # level's homomorphism certificate, made on the first read of
-        # QuotientLevel.hom
+    @staticmethod
+    def certificates(monkeypatch) -> list:
+        """(caller, map) for every element certificate of a level from now
+        on."""
         certified = []
 
         def counted(pi_prime, A, B):
@@ -1186,9 +1299,30 @@ class TestLevelRecord:
 
         certify = projection.certify_complete_hom
         monkeypatch.setattr(projection, "certify_complete_hom", counted)
+        return certified
+
+    def test_one_run_certifies_each_quotient_level_once(self, monkeypatch):
+        # one execute of the acceptance sweep: Theorem 2 and L6-L9 read a
+        # level's homomorphism fact, decided on the first read of
+        # QuotientLevel.hom from pi's atom images; every level passes, so
+        # none runs the element certificate
+        decided = self.derivations(monkeypatch, "hom")
+        certified = self.certificates(monkeypatch)
         execute(ExperimentConfig(suite="all", max_poset=3, max_stages=3, seed=1))
-        assert {caller for caller, _ in certified} == {"hom"}
-        assert len(certified) == len({id(m) for _, m in certified}) == 608
+        assert len(decided) == len({id(level) for level in decided}) == 608
+        assert certified == []
+
+    def test_a_planted_map_is_certified_on_elements_once(self, worked,
+                                                         monkeypatch):
+        # the copy's map is the formula's table, but planted: Theorem 2 and
+        # the lemma suite read its element certificate, made once
+        _, ctx = worked
+        planted = _with_pi_prime(ctx, 2, dict(ctx.levels[2].pi_prime))
+        certified = self.certificates(monkeypatch)
+        assert verify_theorem2(planted).ok
+        assert verify_projection_lemmas(planted).ok
+        assert certified == [("hom", planted.levels[2].pi_prime)]
+        assert certified[0][1] is planted.levels[2].pi_prime
 
 
 class TestTheorem16:

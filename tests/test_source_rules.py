@@ -10,7 +10,10 @@ Theorem 2 and Theorem 16 induct through; and no module reads
 every read and stays for the benchmark and the tests, since each level
 holds its own ``source``; and no module writes an attribute named
 ``pi_prime``, so every map a run reads is its level's own derivation and
-only the tests plant maps, on copies.
+only the tests plant maps, on copies; and only the element route reads
+``certify_complete_hom``, ``QuotientLevel.hom`` where pi's atom images do
+not decide the level and ``verify_theorem2``'s override, so a passing
+level is never certified on its 2^|A| elements.
 
 Two rules a run keeps: a passing ``run --suite all --max-poset 3
 --max-stages 3`` builds no name, since every statement about names is
@@ -218,6 +221,65 @@ def test_every_memo_access_is_found():
         "    m._pi_second.clear()",
     ])
     assert memo_accesses(source) == [7, 8, 10]
+
+
+# the scopes, as (class, function) or (function,), that may read the
+# element certificate
+ELEMENT_ROUTE = {("QuotientLevel", "hom"), ("verify_theorem2",)}
+
+
+def certificate_reads(source: str) -> list[int]:
+    """Line numbers, ascending, of the names and attributes
+    ``certify_complete_hom`` in source that lie outside the scopes of
+    ``ELEMENT_ROUTE``."""
+    lines = []
+
+    def visit(node, scope: tuple):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scope += (node.name,)
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+        if name == "certify_complete_hom" and scope not in ELEMENT_ROUTE:
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(lines)
+
+
+def test_only_the_element_route_reads_the_certificate():
+    files = sorted(SRC.glob("**/*.py"))
+    assert files
+    found = {str(p.relative_to(SRC)):
+             certificate_reads(p.read_text(encoding="utf-8")) for p in files}
+    assert {f: ls for f, ls in found.items() if ls} == {}
+
+
+def test_every_certificate_read_is_found():
+    # importing, defining or exporting the certificate is no read of it
+    source = "\n".join([
+        "from .boolalg import certify_complete_hom",
+        "__all__ = ['certify_complete_hom']",
+        "def certify_complete_hom(h, A, B): pass",
+        "class QuotientLevel:",
+        "    def hom(self):",
+        "        return certify_complete_hom(self.pi_prime, A, B)",
+        "    def onto(self):",
+        "        return certify_complete_hom(self.pi_prime, A, B)",
+        "def verify_theorem2(ctx, pi_prime_override=None):",
+        "    hom = boolalg.certify_complete_hom(pi_prime_override, A, B)",
+        "def hom(level):",
+        "    return certify_complete_hom(level.pi_prime, A, B)",
+        "def _lemmas_at_level(ctx):",
+        "    certify = certify_complete_hom",
+        "    check = functools.partial(boolalg.certify_complete_hom, h)",
+        "class Other:",
+        "    def hom(self):",
+        "        return certify_complete_hom(self.pi_prime, A, B)",
+    ])
+    assert certificate_reads(source) == [8, 12, 14, 15, 18]
 
 
 class Refused(AssertionError):
