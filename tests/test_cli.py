@@ -54,6 +54,40 @@ class TestProviderTableFormat:
         assert [s.poset.n for s in rebuilt.stages] == \
             [s.poset.n for s in iteration.stages]
 
+    # sha256 of the payload texts of the --max-poset 3 --max-stages 3
+    # instances, concatenated in instance-id order
+    PAYLOAD_SHA256 = \
+        "76640f6d30ca07fca5908e5435448f3574b992f6da1568350bb582e868b6f1f8"
+
+    def test_payload_bytes_are_pinned(self, default_sweep):
+        text = "".join(format_provider_tables(spec) for spec, _ in default_sweep)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PAYLOAD_SHA256
+
+    def test_a_failing_instance_writes_its_tables(self, monkeypatch, tmp_path):
+        # the report carries the tables of each failing instance, and of no
+        # other, as its `instance` record
+        cfg = ExperimentConfig(suite="theorem2", max_poset=3, max_stages=2,
+                               seed=1, out=str(tmp_path / "r.jsonl"))
+        spec, _ = max(generate_instances(cfg),
+                      key=lambda si: si[1].stages[-1].poset.n)
+        verify = cli.verify_theorem2
+
+        def failing(ctx, instance="adhoc", **kwargs):
+            if instance == spec.instance_id:
+                raise ProjectionError("planted")
+            return verify(ctx, instance=instance, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_theorem2", failing)
+        report, meta = execute(cfg)
+        write_report(report, meta, cfg.out)
+        records = [json.loads(line)
+                   for line in (tmp_path / "r.jsonl").read_text().splitlines()]
+        assert {r["instance"] for r in records if r.get("status") == "fail"} \
+            == {spec.instance_id}
+        assert [r for r in records if r["kind"] == "instance"] == [
+            {"kind": "instance", "instance": spec.instance_id,
+             "tables": format_provider_tables(spec)}]
+
 
 class TestGeneration:
     def test_census_frozen(self):
