@@ -34,8 +34,9 @@ from .projection import (ProjectionError, factor_generic, limit_clause_skip,
                          make_context, verify_corollary15,
                          verify_lemma20_analogue, verify_projection_lemmas,
                          verify_theorem2)
-from .report import SuiteReport, merge_reports
+from .report import SuiteReport, encode_line, merge_reports
 
+# the last, "all", runs every suite before it
 SUITES = ("lemma1", "theorem2", "projection-lemmas", "theorem16",
           "corollary15", "cifs", "all")
 
@@ -128,20 +129,23 @@ def format_provider_tables(instance: "InstanceSpec") -> str:
 
     Path entries are element labels of the step poset at the corresponding
     earlier stage, so the text survives the reindexing a reparse causes.
+    A poset's ref is its index in the step catalog, found by canonical key.
     """
-    refs: dict[int, str] = {}
-    chunks = []
-    for key, poset in sorted(instance.catalog_used.items()):
-        refs[key] = f"p{key}"
-        chunks.append(f"[poset p{key}]")
-        chunks.append(format_poset_text(poset).rstrip())
-    chunks.append("[provider]")
     tables = instance.tables
+    used = [q for table in tables for q in table.values() if q is not None]
+    catalog = _step_catalog(max((q.n for q in used), default=0))
+    index = {q.canonical_key(): i for i, q in enumerate(catalog) if q is not None}
+    posets = {index[q.canonical_key()]: q for q in used}
+    chunks = []
+    for ref in sorted(posets):
+        chunks.append(f"[poset p{ref}]")
+        chunks.append(format_poset_text(posets[ref]).rstrip())
+    chunks.append("[provider]")
     for n, table in enumerate(tables):
         chunks.append(f"stage {n}")
         for path in sorted(table, key=str):
             option = table[path]
-            tag = "undef" if option is None else refs[instance.option_key[(n, path)]]
+            tag = "undef" if option is None else f"p{index[option.canonical_key()]}"
             parts = []
             for k, e in enumerate(path):
                 step = tables[k].get(path[:k])
@@ -201,8 +205,6 @@ def parse_provider_tables(text: str) -> TableProvider:
 class InstanceSpec:
     instance_id: str
     tables: list[dict]
-    option_key: dict
-    catalog_used: dict
     partial: bool = False
     canon: tuple = ()
 
@@ -276,23 +278,14 @@ def generate_instances(config: ExperimentConfig) -> list[tuple[InstanceSpec, Ite
     out: list[tuple[InstanceSpec, Iteration]] = []
 
     def record(iteration: Iteration, form: tuple):
-        tables = iteration.provider.tables
         canon = ("partial" if iteration.partial else "total", form)
         if canon in seen:
             return
         blob = json.dumps(canon, sort_keys=True, default=str)
         iid = "it-" + hashlib.sha256(blob.encode()).hexdigest()[:10]
-        option_key = {}
-        catalog_used = {}
-        for n, table in enumerate(tables):
-            for path, option in table.items():
-                key = catalog_index[id(option)]
-                option_key[(n, path)] = key
-                catalog_used[key] = option
-        spec = InstanceSpec(iid, tables, option_key, catalog_used,
-                            iteration.partial, canon)
         seen.add(canon)
-        out.append((spec, iteration))
+        out.append((InstanceSpec(iid, iteration.provider.tables,
+                                 iteration.partial, canon), iteration))
 
     def rec(iteration: Iteration, levels: list[tuple], form: tuple):
         """Record or extend the first child of each class below a parent
@@ -337,10 +330,28 @@ def generate_instances(config: ExperimentConfig) -> list[tuple[InstanceSpec, Ite
 # -- suite drivers ------------------------------------------------------------
 
 
-def _contexts(iteration: Iteration):
-    for alpha in range(1, len(iteration) + 1):
-        for gi in range(len(iteration.stages[alpha].generics)):
-            yield alpha, gi
+def run_unit(suite: str, instance: str, context: dict, build,
+             verify=None) -> SuiteReport:
+    """The records of one verification unit, the one place where the CLI's
+    cap-and-error policy lives: a cap is a labeled skip, never a
+    counterexample, and a ProjectionError one failed record.  ``build()``
+    makes the unit's context, capped as `context-capped` and failed as
+    `context-build`, and ``verify(ctx)`` returns its records (`suite-capped`,
+    `bridge`); with no ``verify``, ``build()`` is a factorization returning
+    its records (`context-capped`, `factor`)."""
+    rep = SuiteReport()
+    built = False
+    try:
+        unit = build()
+        built = True
+        rep.extend(unit if verify is None else verify(unit))
+    except CapExceeded as e:
+        rep.skip(suite, "suite-capped" if built else "context-capped",
+                 instance, context, {"reason": str(e)})
+    except ProjectionError as e:
+        check = "bridge" if built else "context-build" if verify else "factor"
+        rep.record(suite, check, instance, False, context, {"error": str(e)})
+    return rep
 
 
 def run_suite(suite: str, spec: InstanceSpec, iteration: Iteration,
@@ -354,38 +365,23 @@ def run_suite(suite: str, spec: InstanceSpec, iteration: Iteration,
     if suite == "lemma1":
         rep.extend(check_lemma1(iteration, iid))
         return rep
+    N = len(iteration)
     if suite == "theorem16":
-        N = len(iteration)
         for alpha in range(1, N + 1):
             for gi in range(len(iteration.stages[N].generics)):
-                fctx = {"alpha": alpha, "full_generic": gi}
-                try:
-                    _, _, frep = factor_generic(iteration, alpha, gi,
-                                                caps=caps, instance=iid)
-                    rep.extend(frep)
-                except CapExceeded as e:
-                    rep.skip(suite, "context-capped", iid, fctx, {"reason": str(e)})
-                except ProjectionError as e:
-                    rep.record(suite, "factor", iid, False, fctx, {"error": str(e)})
+                rep.extend(run_unit(
+                    suite, iid, {"alpha": alpha, "full_generic": gi},
+                    lambda: factor_generic(iteration, alpha, gi, caps=caps,
+                                           instance=iid)[2]))
         return rep
     verify = {"theorem2": verify_theorem2, "corollary15": verify_corollary15,
               "projection-lemmas": verify_projection_lemmas}[suite]
-    for alpha, gi in _contexts(iteration):
-        cctx = {"alpha": alpha, "generic": gi}
-        try:
-            ctx = make_context(iteration, alpha, gi, caps)
-        except CapExceeded as e:
-            rep.skip(suite, "context-capped", iid, cctx, {"reason": str(e)})
-            continue
-        except ProjectionError as e:
-            rep.record(suite, "context-build", iid, False, cctx, {"error": str(e)})
-            continue
-        try:
-            rep.extend(verify(ctx, instance=iid))
-        except CapExceeded as e:
-            rep.skip(suite, "suite-capped", iid, cctx, {"reason": str(e)})
-        except ProjectionError as e:
-            rep.record(suite, "bridge", iid, False, cctx, {"error": str(e)})
+    for alpha in range(1, N + 1):
+        for gi in range(len(iteration.stages[alpha].generics)):
+            rep.extend(run_unit(
+                suite, iid, {"alpha": alpha, "generic": gi},
+                lambda: make_context(iteration, alpha, gi, caps),
+                lambda ctx: verify(ctx, instance=iid)))
     return rep
 
 
@@ -457,15 +453,10 @@ def run_cifs_suite(config: ExperimentConfig) -> SuiteReport:
     # generic factorization through the toy iteration as well
     if len(iteration) >= 2 and not iteration.partial:
         for gi in range(len(iteration.final.generics)):
-            fctx = {"full_generic": gi}
-            try:
-                _, _, frep = factor_generic(iteration, 1, gi, caps=caps,
-                                            instance="cifs")
-                rep.extend(frep)
-            except CapExceeded as e:
-                rep.skip("cifs", "context-capped", "cifs", fctx, {"reason": str(e)})
-            except ProjectionError as e:
-                rep.record("cifs", "factor", "cifs", False, fctx, {"error": str(e)})
+            rep.extend(run_unit(
+                "cifs", "cifs", {"full_generic": gi},
+                lambda: factor_generic(iteration, 1, gi, caps=caps,
+                                       instance="cifs")[2]))
     return rep
 
 
@@ -500,8 +491,7 @@ def cifs_dependence_probe(caps: Caps, instance: str = "cifs") -> SuiteReport:
 
 def execute(config: ExperimentConfig) -> tuple[SuiteReport, dict]:
     t0 = time.time()
-    suites = [config.suite] if config.suite != "all" else \
-        ["lemma1", "theorem2", "projection-lemmas", "theorem16", "corollary15", "cifs"]
+    suites = SUITES[:-1] if config.suite == "all" else (config.suite,)
     reports = []
     census = {"instances": 0, "partial_instances": 0, "contexts": 0}
     table_suites = [s for s in suites if s != "cifs"]
@@ -544,19 +534,14 @@ def execute(config: ExperimentConfig) -> tuple[SuiteReport, dict]:
 
 
 def write_report(report: SuiteReport, meta: dict, out_path: str):
-    lines = [json.dumps({"kind": "meta",
-                         "config": meta["config"],
-                         "census": meta["census"]},
-                        sort_keys=True, separators=(",", ":"))]
+    lines = [encode_line({"kind": "meta", "config": meta["config"],
+                          "census": meta["census"]})]
     lines.append(report.to_jsonl())
     for iid in sorted(meta.get("payloads", {})):
-        lines.append(json.dumps({"kind": "instance", "instance": iid,
-                                 "tables": meta["payloads"][iid]},
-                                sort_keys=True, separators=(",", ":")))
-    lines.append(json.dumps({"kind": "summary",
-                             "counts": meta["counts"],
-                             "counterexamples": meta["counterexamples"]},
-                            sort_keys=True, separators=(",", ":")))
+        lines.append(encode_line({"kind": "instance", "instance": iid,
+                                  "tables": meta["payloads"][iid]}))
+    lines.append(encode_line({"kind": "summary", "counts": meta["counts"],
+                              "counterexamples": meta["counterexamples"]}))
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(line for line in lines if line) + "\n")
 

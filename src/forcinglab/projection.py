@@ -300,6 +300,11 @@ def _tail_image(prev_level: QuotientLevel, prev_stage: Stage, steps_q: list,
     return TAIL_ONE if all(e == steps_q[g].top for g, e in out) else tuple(out)
 
 
+def _check_index(what: str, value: int, lo: int, hi: int):
+    if not lo <= value <= hi:
+        raise ProjectionError(f"{what} {value} out of range {lo}..{hi}")
+
+
 def make_context(iteration: Iteration, alpha: int, gen_index: int,
                  caps: Caps | None = None) -> ProjectionContext:
     """Build pi and the quotient posets for every level; each level
@@ -333,8 +338,8 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     caps = caps or iteration.caps
     stages = iteration.stages
     N = len(iteration)
-    if not 1 <= alpha <= N:
-        raise ProjectionError(f"alpha {alpha} out of range 1..{N}")
+    _check_index("alpha", alpha, 1, N)
+    _check_index("generic", gen_index, 0, len(stages[alpha].generics) - 1)
     # caps bound the algebras built here, so they are part of the key
     cache_key = (alpha, gen_index, caps)
     cached = iteration.context_cache.get(cache_key)
@@ -370,6 +375,7 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
             qprefix = pi[src.parent[ci]]
             tail = src.conditions[ci][beta - 1]
             if beta == alpha + 1:
+                # G's own tail: decoding it by pi_prime reads timed slower at s3
                 e = dict(tail)[gen_index]   # of a canonical tail: valid
                 qtail = TAIL_ONE if e == steps_q[0].top else ((0, e),)
             else:
@@ -494,17 +500,18 @@ def verify_projection_lemmas(ctx: ProjectionContext, instance: str = "adhoc",
                              rank: int = 2) -> SuiteReport:
     """One exhaustive sub-check per projection lemma, itemized L3..L14.
     L5 and L10 read the level's image rows and L6-L9 its shared facts, as
-    Theorem 2 does; L11-L14 read one s-frown-p table, built from the parent
-    rows stage by stage and grouped by alpha-prefix, L11 and L14 also the
-    image rows of every sibling level, each level's built once, and L12
-    uses the lower adjoint where item 1 holds.  No condition is
-    canonicalized.  The limit-stage clause is stated once per run by
+    Theorem 2 does; L11-L14 read one s-frown-p table per context, built
+    from the parent rows stage by stage and grouped by alpha-prefix per
+    level, L11 and L14 also the image rows of every sibling level, each
+    level's built once, and L12 uses the lower adjoint where item 1 holds.
+    No condition is canonicalized.  The limit-stage clause is stated once per run by
     :func:`limit_clause_skip`.
     ``rank`` bounds nothing, as in :func:`verify_theorem2`."""
     rep = SuiteReport()
     N = len(ctx.iteration)
+    table = _frown_table(ctx, N) if ctx.alpha < N else []
     for beta in range(ctx.alpha + 1, N + 1):
-        _lemmas_at_level(ctx, beta, rep, instance)
+        _lemmas_at_level(ctx, beta, table, rep, instance)
     return rep
 
 
@@ -519,8 +526,8 @@ def limit_clause_skip() -> SuiteReport:
     return rep
 
 
-def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
-                     instance: str):
+def _lemmas_at_level(ctx: ProjectionContext, beta: int, table: list,
+                     rep: SuiteReport, instance: str):
     level = ctx.levels[beta]
     src = ctx.iteration.stages[beta]
     qposet = level.stage.poset
@@ -581,8 +588,9 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, rep: SuiteReport,
     rep.record("projection-lemmas", "L10-monotone", instance,
                not detail10["count"], cctx, detail10)
 
-    # L11-L14 quantify over s-frown-p and over the sibling contexts
-    table = _frown_table(ctx, beta)
+    # L11-L14 quantify over s-frown-p and over the sibling contexts; stage
+    # beta's conditions are the first rows of a table built to a later stage
+    table = table[:src.poset.n]
     groups = _prefix_groups(table)
     siblings = [make_context(ctx.iteration, ctx.alpha, g, ctx.caps).levels[beta]
                 for g in range(len(ctx.iteration.stages[ctx.alpha].generics))]
@@ -911,6 +919,8 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
     rep = SuiteReport()
     stages = iteration.stages
     N = len(iteration)
+    _check_index("alpha", alpha, 1, N)
+    _check_index("full generic", full_gen_index, 0, len(stages[N].generics) - 1)
     G_full = stages[N].generics[full_gen_index]
     # stage-alpha restriction: P_alpha's conditions are the first ones of
     # P_N, at the same indices

@@ -12,11 +12,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-# one encoder per format, shared by every record: json.dumps with keyword
-# arguments builds a new encoder on each call
+# one encoder per format, shared by every line: json.dumps with keyword
+# arguments builds a new encoder on each call; encode_line writes report lines
 _encode = json.JSONEncoder(sort_keys=True, default=str).encode
-_encode_compact = json.JSONEncoder(sort_keys=True, default=str,
-                                   separators=(",", ":")).encode
+encode_line = json.JSONEncoder(sort_keys=True, default=str,
+                               separators=(",", ":")).encode
 
 
 @dataclass
@@ -52,7 +52,7 @@ class CheckRecord:
         cid = self.counterexample_id
         if cid:
             payload["counterexample"] = cid
-        return _encode_compact(payload)
+        return encode_line(payload)
 
 
 @dataclass

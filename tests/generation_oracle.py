@@ -129,22 +129,14 @@ def generate_instances_exhaustive(config):
     out = []
 
     def record(iteration):
-        tables = iteration.provider.tables
         canon = ("partial" if iteration.partial else "total",
                  tree_canon_per_automorphism(iteration, catalog_index))
         if canon in seen:
             return
         blob = json.dumps(canon, sort_keys=True, default=str)
         iid = "it-" + hashlib.sha256(blob.encode()).hexdigest()[:10]
-        option_key = {}
-        catalog_used = {}
-        for n, table in enumerate(tables):
-            for path, option in table.items():
-                key = catalog_index[id(option)]
-                option_key[(n, path)] = key
-                catalog_used[key] = option
         seen.add(canon)
-        out.append((InstanceSpec(iid, tables, option_key, catalog_used,
+        out.append((InstanceSpec(iid, iteration.provider.tables,
                                  iteration.partial, canon), iteration))
 
     def rec(iteration):

@@ -218,15 +218,16 @@ class TestGeneration:
     @staticmethod
     def generation_facts(instances) -> list:
         return [(spec.instance_id, spec.partial, spec.canon,
-                 sorted((n, repr(path), key)
-                        for (n, path), key in spec.option_key.items()),
+                 sorted((n, repr(path), q.canonical_key())
+                        for n, table in enumerate(spec.tables)
+                        for path, q in table.items()),
                  [stage_facts(stage) for stage in it.stages])
                 for spec, it in instances]
 
     @pytest.mark.parametrize("bounds", [(3, 2), (3, 3), (4, 2)])
     def test_generation_equals_the_exhaustive_oracle(self, default_sweep,
                                                      bounds):
-        # ids, tables by catalog index, partial flags and every stage are
+        # ids, tables by canonical key, partial flags and every stage are
         # those of building every assignment and rejecting at the leaves
         config = ExperimentConfig(max_poset=bounds[0], max_stages=bounds[1])
         instances = default_sweep if bounds == (3, 3) else generate_instances(config)
@@ -489,7 +490,7 @@ class TestDriverFailures:
         self.raise_from(monkeypatch, name, error)
         it = build_iteration(TableProvider([{(): antichain_with_top(2)}]),
                              DEFAULT_CAPS)
-        spec = InstanceSpec("it-step", it.provider.tables, {}, {})
+        spec = InstanceSpec("it-step", it.provider.tables)
         rep = run_suite(suite, spec, it, ExperimentConfig())
         return [(c.suite, c.check, c.status, c.context) for c in rep.checks]
 

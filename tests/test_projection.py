@@ -157,6 +157,28 @@ class TestMakeContext:
         with pytest.raises(ProjectionError):
             make_context(it, 5, 0)
 
+    @staticmethod
+    def one_step_two_atoms():
+        return build_iteration(TableProvider([{(): antichain_with_top(2)}]))
+
+    @pytest.mark.parametrize("gi", [-1, 2, 5])
+    def test_generic_out_of_range(self, gi):
+        # a negative index names no generic: it is not read from the end
+        it = self.one_step_two_atoms()
+        with pytest.raises(ProjectionError,
+                           match=f"generic {gi} out of range 0..1"):
+            make_context(it, 1, gi)
+        assert not it.context_cache
+
+    def test_factorization_indices_out_of_range(self):
+        it = self.one_step_two_atoms()
+        with pytest.raises(ProjectionError,
+                           match="full generic 7 out of range 0..1"):
+            factor_generic(it, 1, 7)
+        with pytest.raises(ProjectionError, match="alpha 3 out of range 1..1"):
+            factor_generic(it, 3, 0)
+        assert not it.context_cache
+
     def test_a_tail_image_outside_the_step_poset_fails_the_build(
             self, monkeypatch):
         # only the alpha 1 context decodes tails (at level 3).  The decoder
@@ -175,7 +197,7 @@ class TestMakeContext:
         with pytest.raises(ProjectionError, match="tail image at level 3"):
             make_context(it, 1, 0)
         assert not it.context_cache
-        spec = InstanceSpec("it-bad-tail", [], {}, {})
+        spec = InstanceSpec("it-bad-tail", [])
         rep = run_suite("theorem2", spec, it, ExperimentConfig())
         assert [(c.check, c.context) for c in rep.failures] == [
             ("context-build", {"alpha": 1, "generic": 0})]
@@ -717,7 +739,8 @@ class TestLemmaControls:
         """The L5 and L10 records at level beta, checked against the
         pairwise oracles."""
         rep = SuiteReport()
-        projection._lemmas_at_level(ctx, beta, rep, "control")
+        projection._lemmas_at_level(ctx, beta, _frown_table(ctx, beta), rep,
+                                    "control")
         got = {c.check: (c.status == "pass", c.detail) for c in rep.checks}
         src, level = ctx.iteration.stages[beta], ctx.levels[beta]
         l5, l10 = got["L5-disjointness"], got["L10-monotone"]
@@ -952,6 +975,8 @@ class TestLemmaOracle:
         for ctx, beta in self.levels([(None, it)]):
             table = _frown_table(ctx, beta)
             assert table == lemma_oracle.frown_table(ctx, beta), (name, beta)
+            # the first rows of the table built to the final stage
+            assert _frown_table(ctx, len(it))[:len(table)] == table
             assert [list(row) for _, row in table] == \
                 [sorted(row) for _, row in table]
             compared += 1
@@ -961,7 +986,10 @@ class TestLemmaOracle:
         compared = 0
         for ctx, beta in self.levels(default_sweep):
             rep = SuiteReport()
-            projection._lemmas_at_level(ctx, beta, rep, "oracle")
+            # the context's one table, built to the final stage, as the
+            # suite hands it to every level
+            table = _frown_table(ctx, len(ctx.iteration))
+            projection._lemmas_at_level(ctx, beta, table, rep, "oracle")
             got = [(c.check, c.status == "pass", c.detail)
                    for c in rep.checks if c.check in self.LEMMAS]
             want = [(check, ok, detail) for check, (ok, detail)

@@ -13,7 +13,9 @@ holds its own ``source``; and no module writes an attribute named
 only the tests plant maps, on copies; and only the element route reads
 ``certify_complete_hom``, ``QuotientLevel.hom`` where pi's atom images do
 not decide the level and ``verify_theorem2``'s override, so a passing
-level is never certified on its 2^|A| elements.
+level is never certified on its 2^|A| elements; and only the CLI's unit
+runner ``run_unit`` catches ``ProjectionError``, so the policy that makes
+one a failed record, and a cap a labeled skip, lives in one place.
 
 Two rules a run keeps: a passing ``run --suite all --max-poset 3
 --max-stages 3`` builds no name, since every statement about names is
@@ -43,6 +45,13 @@ STAGE_INDICES = {"_index", "_tails"}
 SOURCE_VIEW = {"source_algebras"}
 
 
+def caught_names(handler: ast.ExceptHandler) -> set:
+    """The names an ``except`` clause catches, alone or in a tuple."""
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+        else [handler.type]
+    return {getattr(t, "id", getattr(t, "attr", None)) for t in caught}
+
+
 def broad_handlers(source: str) -> list[int]:
     """Line numbers of the ``except`` clauses in source that are bare or
     name Exception or BaseException, alone or in a tuple."""
@@ -50,9 +59,7 @@ def broad_handlers(source: str) -> list[int]:
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ExceptHandler):
             continue
-        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-        names = {getattr(t, "id", getattr(t, "attr", None)) for t in caught}
-        if node.type is None or names & BROAD:
+        if node.type is None or caught_names(node) & BROAD:
             lines.append(node.lineno)
     return lines
 
@@ -74,6 +81,46 @@ def test_every_broad_form_is_found():
         "try:\n    pass\nexcept (KeyError, builtins.Exception):\n    pass",
     ])
     assert broad_handlers(source) == [7, 11, 15, 19]
+
+
+def policy_handlers(source: str) -> list[int]:
+    """Line numbers, ascending, of the ``except`` clauses in source that
+    name ProjectionError and lie in no function named ``run_unit``."""
+    lines = []
+
+    def visit(node, inside: bool):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name == "run_unit"
+        if isinstance(node, ast.ExceptHandler) and not inside \
+                and "ProjectionError" in caught_names(node):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return sorted(lines)
+
+
+def test_only_the_unit_runner_handles_projection_errors():
+    files = sorted(SRC.glob("**/*.py"))
+    assert files
+    found = {str(p.relative_to(SRC)): policy_handlers(p.read_text(encoding="utf-8"))
+             for p in files}
+    assert {f: ls for f, ls in found.items() if ls} == {}
+
+
+def test_every_policy_handler_is_found():
+    # raising or naming the error is no handler of it
+    source = "\n".join([
+        "def run_unit(build):",
+        "    try:\n        build()\n    except ProjectionError:\n        pass",
+        "def run_suite(build):",
+        "    try:\n        build()\n    except ProjectionError as e:\n        pass",
+        "try:\n    pass\nexcept (CapExceeded, projection.ProjectionError):\n    pass",
+        "try:\n    pass\nexcept CapExceeded:\n    raise ProjectionError('x')",
+        "errors = (ProjectionError,)",
+    ])
+    assert policy_handlers(source) == [9, 13]
 
 
 def attribute_accesses(source: str, attrs: set[str]) -> list[int]:
