@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from typing import Iterable, Sequence
@@ -81,7 +82,12 @@ class Stage:
     ``parent``, the index of its prefix in the previous stage (both empty
     at the root).  Composing parent rows down to stage k gives every
     condition's k-prefix without canonicalizing it.  The poset's labels
-    are the conditions' ``<...>`` texts, built on first read."""
+    are the conditions' ``<...>`` texts, built on first read.
+
+    A stage also keeps, weakly, the children :func:`extend_stage`
+    enumerated from it, so that a stage asked for again, as Corollary 15's
+    rebuild asks for the stages generation built, is the same object.
+    That map is not pickled: an unpickled stage starts with none."""
 
     index: int
     conditions: tuple[Condition, ...]
@@ -121,6 +127,19 @@ class Stage:
     @cached_property
     def path_index(self) -> dict[tuple, int]:
         return {p: i for i, p in enumerate(self.paths)}
+
+    # read and written by extend_stage alone: the ids of a child's step
+    # posets -> the child.  Weak values keep no stage alive, and a live
+    # child holds its step posets, so their ids name no other posets
+    @cached_property
+    def _children(self) -> weakref.WeakValueDictionary:
+        return weakref.WeakValueDictionary()
+
+    def __getstate__(self):
+        # weak references do not pickle
+        state = dict(self.__dict__)
+        state.pop("_children", None)
+        return state
 
     def gens_of(self, cond_idx: int) -> Iterable[int]:
         return _mask_bits(self.gen_masks[cond_idx])
@@ -225,6 +244,13 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
     :func:`forcinglab.projection._tail_image` returns canonical tails;
     :meth:`Stage.extension` finds the condition of each pair.
 
+    An enumerated stage depends on ``prev`` and ``steps`` alone, so it is
+    built once while it lives: ``prev`` keeps it weakly under its step
+    posets' identities, and a later call with the same step posets
+    returns it, after checking ``max_stage_conditions`` against its size.
+    Instance generation and every ``build_iteration`` enumerate, so
+    Corollary 15's rebuild gets the stages generation built.
+
     Stage n's conditions keep their indices, the empty one included, so
     the top is ``prev``'s.  The enumerated conditions are new and pairwise
     distinct, so they are appended without being hashed.
@@ -260,6 +286,12 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
     # known before any tail is placed, and a capped stage, which is
     # discarded, costs no enumeration
     if tails is None:
+        key = tuple(map(id, steps))
+        built = prev._children.get(key)
+        if built is not None:
+            if built.poset.n > caps.max_stage_conditions:
+                raise over_cap()
+            return built
         extended = []
         size = len(conditions)
         for ci in range(len(conditions)):
@@ -340,8 +372,11 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
         bit = 1 << gi
         for i in _mask_bits(g.mask):
             gen_masks[i] |= bit
-    return Stage(n + 1, conds, poset, generics, paths,
-                 tuple(gen_masks), tuple(steps), tuple(prev_of))
+    stage = Stage(n + 1, conds, poset, generics, paths,
+                  tuple(gen_masks), tuple(steps), tuple(prev_of))
+    if tails is None:
+        prev._children[key] = stage
+    return stage
 
 
 def build_iteration(provider: StepProvider, caps: Caps = DEFAULT_CAPS,

@@ -989,6 +989,12 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
     prefix: an old condition keeps its image, and a new one maps to
     ``extension(image of its parent, bridged tail)``.
 
+    The rebuilt stages may be the sweep's own objects: ``extend_stage``
+    returns the stage it already built from the same parent and step
+    posets, and in a generated sweep every shifted stage is one that
+    generation built.  The natural map still compares each of them with
+    the quotient stage, which ``make_context`` builds from pi's tails.
+
     On stages of at most 8 elements a verified isomorphism is followed by a
     canonical-form record.  The canonical key is an isomorphism invariant,
     so that record cross-checks the canonical search against the verified

@@ -2,7 +2,11 @@
 
 One record per sub-check.  Serialization is line-delimited JSON with sorted
 keys so report files are diffable and bit-stable across runs; wall-clock
-timings deliberately stay out of the records.
+timings deliberately stay out of the records.  Every report line is
+written by one C encoder, bound at import (``JSONEncoder.encode`` builds a
+new one on each call): a check record is its fixed sorted envelope around
+the encodings of its context and detail, the bytes the encoder writes for
+the whole record.
 """
 
 from __future__ import annotations
@@ -10,13 +14,20 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterable
 
-# one encoder per format, shared by every line: json.dumps with keyword
-# arguments builds a new encoder on each call; encode_line writes report lines
+# the counterexample id's blob keeps the default separators, so ids do not move
 _encode = json.JSONEncoder(sort_keys=True, default=str).encode
-encode_line = json.JSONEncoder(sort_keys=True, default=str,
-                               separators=(",", ":")).encode
+# sorted keys, compact separators, str() of any other value; no circular
+# check, which records never need, so no state outlives a call
+_iterencode = c_make_encoder(None, str, encode_basestring_ascii, None,
+                             ":", ",", True, False, True)
+
+
+def encode_line(obj: Any) -> str:
+    """One report line: obj as compact JSON with sorted keys."""
+    return "".join(_iterencode(obj, 0))
 
 
 @dataclass
@@ -37,22 +48,23 @@ class CheckRecord:
         return "cx-" + hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def sort_key(self):
-        return (self.instance, self.suite, self.check, _encode(self.context))
+        # the compact encoding orders contexts as the default one does: the
+        # two differ only by a space after a structural "," or ":", and the
+        # first position where two encodings differ is never such a space
+        return (self.instance, self.suite, self.check, encode_line(self.context))
 
     def to_json(self) -> str:
-        payload = {
-            "kind": "check",
-            "suite": self.suite,
-            "check": self.check,
-            "instance": self.instance,
-            "status": self.status,
-            "context": self.context,
-            "detail": self.detail,
-        }
+        # the keys in sorted order: check, context, counterexample, detail,
+        # instance, kind, status, suite
         cid = self.counterexample_id
-        if cid:
-            payload["counterexample"] = cid
-        return encode_line(payload)
+        return "".join((
+            '{"check":', encode_basestring_ascii(self.check),
+            ',"context":', encode_line(self.context),
+            f',"counterexample":"{cid}"' if cid else "",
+            ',"detail":', encode_line(self.detail),
+            ',"instance":', encode_basestring_ascii(self.instance),
+            ',"kind":"check","status":', encode_basestring_ascii(self.status),
+            ',"suite":', encode_basestring_ascii(self.suite), "}"))
 
 
 @dataclass

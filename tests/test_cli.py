@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from forcinglab import cli, iteration
+from forcinglab import cli, iteration, projection
 from forcinglab.cli import (ExperimentConfig, InstanceSpec, execute,
                             format_poset_text, format_provider_tables,
                             generate_instances, human_summary, main,
@@ -343,6 +343,32 @@ class TestRunReports:
         _, meta = execute(cfg)
         assert meta["census"]["contexts"] > 0
         assert instances and all(not it.context_cache for _, it in instances)
+
+    def test_corollary15_builds_no_stage_after_generation(self, monkeypatch):
+        # each stage a rebuild asks for is one that generation built from
+        # the same parent and step posets and that its instance still
+        # holds, so extend_stage returns it
+        rebuilding, rebuilds, built = [False], [0], []
+        stage, rebuild = iteration.Stage, projection.build_iteration
+
+        def counted_stage(*args):
+            built.append(rebuilding[0])
+            return stage(*args)
+
+        def counted_rebuild(*args):
+            rebuilding[0] = True
+            rebuilds[0] += 1
+            try:
+                return rebuild(*args)
+            finally:
+                rebuilding[0] = False
+
+        monkeypatch.setattr(iteration, "Stage", counted_stage)
+        monkeypatch.setattr(projection, "build_iteration", counted_rebuild)
+        report, meta = execute(ExperimentConfig(
+            suite="corollary15", max_poset=3, max_stages=3, seed=1))
+        assert report.ok and rebuilds[0] == meta["census"]["contexts"] == 776
+        assert built and built.count(True) == 0
 
     def test_limit_clause_is_stated_once_per_run(self):
         def limit_records(suite):

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import pickle
 import tracemalloc
 import types
+import weakref
 
 import pytest
 
@@ -308,6 +310,67 @@ class TestCanonicalization:
                           (self.s1.generics[1].atom, top)], A)
         assert tail_from_name(self.s1, steps, self.s1.poset.top, mixed) == \
             ((0, 1), (1, A2.top))
+
+
+class TestStageMemo:
+    """An enumerated stage is built once while it lives: extend_stage
+    returns the stage it built from the same parent and step posets."""
+
+    def test_the_same_parent_and_steps_give_the_same_stage(self):
+        s1 = build_iteration(TableProvider([{(): A2}])).final
+        first = extend_stage(s1, [A2, PT], DEFAULT_CAPS)
+        assert extend_stage(s1, [A2, PT], DEFAULT_CAPS) is first
+        # the step posets are told apart by identity, not by order
+        other = extend_stage(s1, [A2, point_poset()], DEFAULT_CAPS)
+        assert other is not first and stage_facts(other)[:-1] == \
+            stage_facts(first)[:-1]
+
+    def test_a_hit_under_a_lower_cap_raises_and_enumerates_nothing(
+            self, monkeypatch):
+        s2 = two_stage_constant().final
+        steps = [A2] * len(s2.generics)
+        built = extend_stage(s2, steps, DEFAULT_CAPS.with_(
+            max_stage_conditions=1 << 12))
+        enumerated = []
+
+        def product(*ranges):
+            enumerated.append(ranges)
+            return itertools.product(*ranges)
+
+        monkeypatch.setattr(iteration, "itertools",
+                            types.SimpleNamespace(product=product))
+        with pytest.raises(CapExceeded):
+            extend_stage(s2, steps, DEFAULT_CAPS.with_(
+                max_stage_conditions=built.poset.n - 1))
+        assert extend_stage(s2, steps, DEFAULT_CAPS.with_(
+            max_stage_conditions=built.poset.n)) is built
+        assert enumerated == []
+
+    def test_the_memo_keeps_no_stage_alive(self):
+        # fresh step posets, so that no other object holds these stages
+        q = antichain_with_top(2)
+        tables = [{(): q}, {(0,): q, (1,): PT}]
+        it = build_iteration(TableProvider(tables))
+        twin = build_iteration(TableProvider(tables))
+        assert all(a is b for a, b in zip(twin.stages, it.stages))
+        refs = [weakref.ref(stage) for stage in it.stages[1:]]
+        del it, twin
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_extended_stages_pickle(self):
+        # the root and stage 1 hold children, stage 2 none
+        it = two_stage_constant()
+        for stage in it.stages:
+            copy = pickle.loads(pickle.dumps(stage))
+            assert stage_facts(copy)[:-1] == stage_facts(stage)[:-1]
+            assert [(q.below, q.top) for q in copy.steps] == \
+                [(q.below, q.top) for q in stage.steps]
+        # a copy starts with no children and builds its own
+        s1 = pickle.loads(pickle.dumps(it.stages[1]))
+        again = extend_stage(s1, [A2, A2], DEFAULT_CAPS)
+        assert again is not it.stages[2]
+        assert stage_facts(again) == stage_facts(it.stages[2])
 
 
 class TestSuppliedTails:

@@ -19,7 +19,7 @@ from forcinglab.generic import dense_subsets
 from forcinglab.hfset import EMPTY
 from forcinglab.iteration import (TAIL_ONE, ProviderError, TableProvider,
                                   build_iteration, cifs_toy_iteration,
-                                  root_stage, trim)
+                                  extend_stage, root_stage, trim)
 from forcinglab.names import (Name, NameUniverse, TruthSession, check_name,
                               evaluate, name_text,
                               name_universe, sampled_universe)
@@ -1591,6 +1591,38 @@ class TestCorollary15:
             assert rebuilt[-1].caps == low.with_(max_stages=2)
             assert got.to_jsonl() == want.to_jsonl()
             assert want.ok and want.counts()["pass"] >= 4
+
+    @staticmethod
+    def swapped_atoms(stage):
+        conds = list(stage.conditions)
+        conds[1], conds[2] = conds[2], conds[1]
+        return dataclasses.replace(stage, conditions=tuple(conds))
+
+    @pytest.mark.parametrize("plant, check", [
+        (lambda right: extend_stage(root_stage(), [antichain_with_top(3)],
+                                    DEFAULT_CAPS), "stage-1-generic-bridge"),
+        (swapped_atoms, "stage-1-order-isomorphic")],
+        ids=["other-steps", "swapped-atoms"])
+    def test_a_wrong_child_in_a_parents_map_fails_the_rebuild(
+            self, plant, check):
+        # the rebuild asks the root for its child over the step poset q;
+        # a child planted there under q's key is compared with the quotient
+        # like any rebuilt stage
+        q = antichain_with_top(2)
+        it = build_iteration(TableProvider([{(): q}, {(0,): q, (1,): q}]))
+        ctx = make_context(it, 1, 0)
+        root = root_stage()
+        key = (id(q),)
+        right = root._children[key]
+        assert right is it.stages[1]
+        wrong = plant(right)    # held here, as the map holds it weakly
+        root._children[key] = wrong
+        try:
+            failed = {c.check for c in verify_corollary15(ctx).failures}
+        finally:
+            root._children[key] = right
+        assert failed == {check}
+        assert verify_corollary15(ctx).ok
 
     def test_constant_tail_provider(self, worked):
         _, ctx = worked

@@ -5,7 +5,10 @@ never swallowed or reported as a check result; no module but
 finds a condition by (prefix, tail) through ``Stage.extension``; only
 ``ProjectionContext.pi_second`` touches a level's pi_second memo, so every
 memo entry is the structural recursion that the element certificates of
-Theorem 2 and Theorem 16 induct through; and no module reads
+Theorem 2 and Theorem 16 induct through; only ``extend_stage`` reads or
+writes a stage's map of the children it enumerated, so every stage that
+map returns is one ``extend_stage`` built from that parent and those step
+posets; and no module reads
 ``ProjectionContext.source_algebras``, a view that builds a new dict on
 every read and stays for the benchmark and the tests, since each level
 holds its own ``source``; and no module writes an attribute named
@@ -227,16 +230,16 @@ def test_every_map_write_is_found():
     assert map_writes(source) == [6, 7, 8, 9, 10, 11, 12]
 
 
-def memo_accesses(source: str) -> list[int]:
+def accesses_outside(source: str, attr: str, owner: str) -> list[int]:
     """Line numbers, ascending, of the accesses in source, read or
-    written, to an attribute named ``_pi_second`` that lie in no function
-    named ``pi_second``."""
+    written, to an attribute named ``attr`` that lie in no function named
+    ``owner``."""
     lines = []
 
     def visit(node, inside: bool):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            inside = inside or node.name == "pi_second"
-        if isinstance(node, ast.Attribute) and node.attr == "_pi_second" \
+            inside = inside or node.name == owner
+        if isinstance(node, ast.Attribute) and node.attr == attr \
                 and not inside:
             lines.append(node.lineno)
         for child in ast.iter_child_nodes(node):
@@ -244,6 +247,14 @@ def memo_accesses(source: str) -> list[int]:
 
     visit(ast.parse(source), False)
     return sorted(lines)
+
+
+def memo_accesses(source: str) -> list[int]:
+    return accesses_outside(source, "_pi_second", "pi_second")
+
+
+def child_map_accesses(source: str) -> list[int]:
+    return accesses_outside(source, "_children", "extend_stage")
 
 
 def test_only_pi_second_touches_its_memo():
@@ -268,6 +279,31 @@ def test_every_memo_access_is_found():
         "    m._pi_second.clear()",
     ])
     assert memo_accesses(source) == [7, 8, 10]
+
+
+def test_only_extend_stage_touches_the_child_map():
+    files = sorted(SRC.glob("**/*.py"))
+    assert files
+    found = {str(p.relative_to(SRC)): child_map_accesses(
+        p.read_text(encoding="utf-8")) for p in files}
+    assert {f: ls for f, ls in found.items() if ls} == {}
+
+
+def test_every_child_map_access_is_found():
+    source = "\n".join([
+        "class Stage:",
+        "    def _children(self):",
+        "        return {}",
+        "def extend_stage(prev, steps, caps):",
+        "    built = prev._children.get(key)",
+        "    prev._children[key] = stage",
+        "def rebuild(parent, key, child):",
+        "    parent._children[key] = child",
+        "ids = list(root_stage()._children)",
+        "def extend_stage_twice(prev):",
+        "    prev._children.clear()",
+    ])
+    assert child_map_accesses(source) == [8, 9, 11]
 
 
 # the scopes, as (class, function) or (function,), that may read the
