@@ -22,7 +22,6 @@ class Caps:
     max_stage_conditions: int = 64     # canonical conditions per stage poset
     algebra_max_base: int = 12         # atom bound for ro_algebra (2^atoms elements)
     hom_family_cap: int = 1 << 16      # subfamilies enumerated per completeness check
-    cifs_rank_max: int = 4             # rank bound for materialized pure-set fragments
 
     def with_(self, **kw) -> "Caps":
         return replace(self, **kw)

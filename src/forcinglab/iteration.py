@@ -485,6 +485,9 @@ class CifsStepInfo:
     witnesses: list[HFSet | None]
 
 
+CIFS_RANK_MAX = 4   # the highest ground rank a CifsProvider materializes
+
+
 class CifsProvider(StepProvider):
     """Stagewise product of collapse components driven by one-free-variable
     formulas evaluated over the extension's materialized rank segment.
@@ -504,11 +507,11 @@ class CifsProvider(StepProvider):
             if len(fv) != 1:
                 raise FormulaError(
                     f"toy-iteration formulas need exactly one free variable, got {sorted(fv)}")
-        if ladder and ladder[0][0] > caps.cifs_rank_max:
+        if ladder and ladder[0][0] > CIFS_RANK_MAX:
             # only the ground fragment is materialized rank-segment-wise;
             # later rungs merely filter the transitive closure
             raise CapExceeded(
-                f"ground rank {ladder[0][0]} above the cap {caps.cifs_rank_max}")
+                f"ground rank {ladder[0][0]} above the cap {CIFS_RANK_MAX}")
         for rank, m in ladder:
             if m < 1:
                 raise ValueError("ladder cardinal surrogate must be >= 1")

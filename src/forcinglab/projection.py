@@ -21,8 +21,8 @@ rebuilt-tail comparison -- quantifies exhaustively over the finite instance.
 Theorem 2's homomorphism and onto facts are decided on pi's atom images, in
 O(|P_beta|) bit operations per level (``QuotientLevel._atom_images``); the
 certificate over all 2^k elements of a k-atom source algebra runs only where
-they do not decide a level: a quotiented base, a map that fails the
-criterion, whose witnesses it writes, and a map a test planted.
+they do not decide a level: a map that fails the criterion, whose witnesses
+it writes, and a map a test planted.
 Each level is one record: its source algebra, pi_prime's domain, and,
 derived on first read, its conditions grouped by image (pi_prime's columns,
 Theorem 16's H), pi_prime by one formula at every level, the root included,
@@ -80,9 +80,9 @@ class QuotientLevel:
     ``dataclasses.replace`` copy with another pi derives its own, and a
     test plants a map by assigning ``pi_prime`` on a copy.  ``hom`` and
     ``onto`` read pi's atom images (``_atom_images``) and build no
-    pi_prime table; a planted map, a quotiented base and a map that fails
-    the atom criterion take the element route: ``certify_complete_hom``
-    on pi_prime and pi_prime's values, which write the witnesses.
+    pi_prime table; a planted map and a map that fails the atom criterion
+    take the element route: ``certify_complete_hom`` on pi_prime and
+    pi_prime's values, which write the witnesses.
 
     The facts hold for every name of every rank, by induction through the
     structural definition of pi_second (Jech, *Set Theory*, 2003, Ch. 14).
@@ -154,27 +154,25 @@ class QuotientLevel:
     @functools.cached_property
     def _atom_images(self) -> list[int] | None:
         """B(a) for each source atom a, in ``source.base.atoms`` order, when
-        they decide ``hom`` and ``onto``; None where the element route
-        decides them: a quotiented base, a planted pi_prime, or a map that
-        fails the criterion below.
+        they decide ``hom`` and ``onto``; None where the element route decides
+        them: a planted pi_prime, or a map that fails the criterion below.
 
         For p in P_beta let A(p) be the source atoms below p, and B(p) the
         quotient atoms below pi(p), 0 where pi(p) is undefined.  Then
         pi_prime(x) is the join of the B(p) with A(p) <= x, and
-        pi_prime({a}) = B(a), since on a separative base A(p) = {a} forces
-        p = a.  A complete homomorphism of finite Boolean algebras sends x
-        to the join of its atoms' images, which are pairwise disjoint and
-        join to one, and every such family of atom images defines one
-        (Koppelberg, *Handbook of Boolean Algebras* vol. 1, 1989).  So
-        pi_prime is a complete homomorphism iff (1) every B(p) lies in the
-        join of the B(a) over a in A(p), which makes pi_prime(x) the join
-        of the B(a) over a in x, (2) the B(a) of distinct atoms are
-        disjoint and (3) they cover the quotient's atoms."""
-        A, B = self.source, self.algebra
+        pi_prime({a}) = B(a), since on a separative base (:func:`make_context`
+        refuses any other) A(p) = {a} forces p = a.  A complete homomorphism
+        of finite Boolean algebras sends x to the join of its atoms' images,
+        which are pairwise disjoint and join to one, and every such family of
+        atom images defines one (Koppelberg, *Handbook of Boolean Algebras*
+        vol. 1, 1989).  So pi_prime is a complete homomorphism iff (1) every
+        B(p) lies in the join of the B(a) over a in A(p), which makes
+        pi_prime(x) the join of the B(a) over a in x, (2) the B(a) of
+        distinct atoms are disjoint and (3) they cover the quotient's atoms."""
         table = vars(self).get("pi_prime")
-        planted = table is not None and table is not vars(self).get("_column_map")
-        if planted or A.original is not None or B.original is not None:
+        if table is not None and table is not vars(self).get("_column_map"):
             return None
+        A, B = self.source, self.algebra
         qbase = B.base
         atoms = A.base.atoms
         images = [0 if self.pi[a] is None else qbase.atoms_below(self.pi[a])
@@ -332,8 +330,9 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     beta-1's pi is defined exactly on the conditions whose alpha-prefix is
     in G.  Each placed condition gives a (quotient prefix, canonical tail)
     pair, the quotient stage is built from these pairs, and the image is
-    ``qstage.extension(qprefix, qtail)``.  A refused tail image raises
-    before the context is cached.
+    ``qstage.extension(qprefix, qtail)``.  A refused tail image, or a stage
+    or quotient poset that is not separative, raises before the context is
+    cached: pi indexes conditions, not the classes a quotient's atoms are.
     """
     caps = caps or iteration.caps
     stages = iteration.stages
@@ -349,6 +348,9 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     # every source first, so that a capped one refuses before any quotient
     sources = {beta: ro_algebra(stages[beta].poset, max_base=caps.algebra_max_base)
                for beta in range(alpha, N + 1)}
+    for beta, source in sources.items():
+        if source.original is not None:
+            raise ProjectionError(f"stage {beta} poset is not separative")
 
     # trivial root level: everything in G maps to the empty sequence
     root = root_stage()
@@ -405,6 +407,8 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
         if any(c is None for c in combine):
             raise ProjectionError(f"quotient generic with no source generic at level {beta}")
         algebra = ro_algebra(qstage.poset, max_base=caps.algebra_max_base)
+        if algebra.original is not None:
+            raise ProjectionError(f"quotient poset at level {beta} is not separative")
         levels[beta] = QuotientLevel(beta, qstage, pi, combine, sources[beta],
                                      algebra)
 
@@ -462,9 +466,9 @@ def verify_theorem2(ctx: ProjectionContext, instance: str = "adhoc",
     Item 1's ``families`` is 1 + n(n-1)/2 for n source elements, the
     families the element certificate settles: the empty family and every
     pair of distinct elements.  ``violations`` counts a broken zero, a
-    broken one, each element whose complement is not kept and each element
-    whose atom or coatom fold fails (see :func:`certify_complete_hom`); it
-    is 0 on a level the atom images pass.
+    broken one, each element whose complement is not kept and each failing
+    split (see :func:`certify_complete_hom`); it is 0 on a level the atom
+    images pass.
 
     ``pi_prime_override``, a map on the final level's source elements,
     replaces that level's map in item 1 only, and is always certified on

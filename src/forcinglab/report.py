@@ -47,19 +47,14 @@ class CheckRecord:
             [self.suite, self.check, self.instance, self.context, self.detail])
         return "cx-" + hashlib.sha256(blob.encode()).hexdigest()[:12]
 
-    def sort_key(self):
-        # the compact encoding orders contexts as the default one does: the
-        # two differ only by a space after a structural "," or ":", and the
-        # first position where two encodings differ is never such a space
-        return (self.instance, self.suite, self.check, encode_line(self.context))
-
-    def to_json(self) -> str:
-        # the keys in sorted order: check, context, counterexample, detail,
-        # instance, kind, status, suite
+    def to_json(self, context: str | None = None) -> str:
+        # context, if given, is encode_line(self.context); the keys in
+        # sorted order: check, context, counterexample, detail, instance,
+        # kind, status, suite
         cid = self.counterexample_id
         return "".join((
             '{"check":', encode_basestring_ascii(self.check),
-            ',"context":', encode_line(self.context),
+            ',"context":', encode_line(self.context) if context is None else context,
             f',"counterexample":"{cid}"' if cid else "",
             ',"detail":', encode_line(self.detail),
             ',"instance":', encode_basestring_ascii(self.instance),
@@ -102,8 +97,13 @@ class SuiteReport:
         return out
 
     def to_jsonl(self) -> str:
-        return "\n".join(c.to_json() for c in
-                         sorted(self.checks, key=CheckRecord.sort_key))
+        # each context is encoded once, to sort on and to write; the compact
+        # encoding orders contexts as the default one does: the two differ
+        # only by a space after a structural "," or ":", and the first
+        # position where two encodings differ is never such a space
+        rows = sorted((c.instance, c.suite, c.check, encode_line(c.context), i)
+                      for i, c in enumerate(self.checks))
+        return "\n".join(self.checks[i].to_json(ctx) for *_, ctx, i in rows)
 
 
 def merge_reports(reports: Iterable[SuiteReport]) -> SuiteReport:

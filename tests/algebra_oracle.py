@@ -1,14 +1,16 @@
 """The element-by-element forms of two algebra kernels, kept as oracles for
-the library's atom folds.
+the library's atom folds and element splits.
 
 :func:`cut_of_atom_set` reads one regular cut off the poset, element by
 element, and :func:`cut_table_by_elements` every one of them, from the rows
 alone; :func:`forcinglab.poset.regular_cuts` builds every cut alongside the
 atom subsets, once per relation matrix.  :func:`certify_by_pairs` checks
-every pair of distinct elements;
-:func:`forcinglab.boolalg.certify_complete_hom` folds the atoms and the
-coatoms.  :func:`atom_conditions` reads the three conditions of the atom
-criterion behind ``QuotientLevel.hom`` off their definitions.
+every pair of distinct elements, where
+:func:`forcinglab.boolalg.certify_complete_hom` splits each element once at
+its lowest atom and its lowest missing atom; :func:`fake_binary_witnesses`
+lists the reported pairs that break nothing.  :func:`atom_conditions` reads
+the three conditions of the atom criterion behind ``QuotientLevel.hom`` off
+their definitions.
 """
 
 from forcinglab.boolalg import AlgebraError, HomReport

@@ -10,12 +10,14 @@ from pathlib import Path
 
 import forcinglab
 from forcinglab import projection
+from forcinglab.boolalg import certify_complete_hom
 from forcinglab.cli import ExperimentConfig, generate_instances
 from forcinglab.config import DEFAULT_CAPS
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import worker  # noqa: E402
+from algebra_oracle import fake_binary_witnesses  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 
@@ -50,7 +52,8 @@ def test_worker_keywords():
 def test_worker_known_bad_unit_fails_item1():
     # the known-bad gate on an s2 slice: the worker picks a context, reads
     # its final level's pi_prime and swaps two entries; Theorem 2 must fail
-    # item 1 only
+    # item 1 only, and the element certificate the override runs through
+    # must list only pairs that break the map
     config = ExperimentConfig(max_poset=3, max_stages=2, seed=1)
     units = [(spec, it, alpha, gi)
              for spec, it in generate_instances(config)
@@ -62,3 +65,8 @@ def test_worker_known_bad_unit_fails_item1():
     assert [(c.check, c.status) for c in rep.checks] == [
         ("item1-complete-hom", "fail"), ("item2-onto", "pass"),
         ("item3-atomic-transport", "pass")]
+    level = ctx.final_level
+    hom = certify_complete_hom(bad, level.source, level.algebra)
+    assert {"product", "sum"} <= {kind for kind, *_ in hom.counterexamples}
+    assert rep.checks[0].detail["violations"] == hom.violation_count
+    assert fake_binary_witnesses(hom, bad) == []

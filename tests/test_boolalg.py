@@ -1,4 +1,6 @@
+import collections
 import itertools
+import random
 
 import pytest
 
@@ -11,7 +13,7 @@ from forcinglab.poset import (all_separative_posets, antichain_with_top,
                               chain_poset, complement_cut, is_regular_cut,
                               point_poset, regularize)
 
-from algebra_oracle import cut_of_atom_set, fake_binary_witnesses
+from algebra_oracle import cut_of_atom_set, fake_binary_witnesses, flags
 
 
 class TestRoAlgebra:
@@ -123,8 +125,8 @@ class TestCompleteHom:
                                family_cap=8)
 
     def test_atom_collapse_breaks_sums(self):
-        # send both atoms to the same atom: binary meets survive but the
-        # sum of the two atoms lands strictly below one
+        # send both atoms to the same atom: the sum of the two atoms lands
+        # strictly below one
         base = self.A.base
         ua = self.A.principal(base.labels.index("a"))
         ub = self.A.principal(base.labels.index("b"))
@@ -147,15 +149,46 @@ class TestCertificate:
                     h = dict(zip(A.elements, images))
                     fold = check_complete_hom(h, A, B)
                     cert = certify_complete_hom(h, A, B)
-                    flags = [(r.ok, r.preserves_zero_one, r.preserves_complement,
-                              r.preserves_all_products, r.preserves_all_sums)
-                             for r in (fold, cert)]
-                    assert flags[0] == flags[1], (A.base, B.base, h)
-                    verdicts.add(flags[0])
+                    got = [(r.ok, *flags(r)) for r in (fold, cert)]
+                    assert got[0] == got[1], (A.base, B.base, h)
+                    assert fake_binary_witnesses(cert, h) == [], h
+                    verdicts.add(got[0])
         # the sweep holds homomorphisms and maps failing each way
         assert len(verdicts) >= 4
         assert any(v[0] for v in verdicts) and any(not v[2] for v in verdicts)
         assert any(v[2] and not v[3] for v in verdicts)
+
+    def test_agrees_with_the_fold_on_seeded_three_atom_maps(self):
+        # 2,000 maps from 3-atom sources into algebras of at most 3 atoms:
+        # the odd ones at random, the even ones a homomorphism (each target
+        # atom placed in one source atom's image) with one entry changed
+        algebras = [ro_algebra(p) for p in all_separative_posets(5)]
+        sources = [a for a in algebras if len(a.base.atoms) == 3]
+        targets = [b for b in algebras if len(b.base.atoms) <= 3]
+        rng = random.Random(31)
+        verdicts = collections.Counter()
+        for i in range(2000):
+            A, B = rng.choice(sources), rng.choice(targets)
+            if i % 2:
+                h = {x: rng.choice(B.elements) for x in A.elements}
+            else:
+                owner = {b: rng.choice(A.base.atoms) for b in B.base.atoms}
+                h = {x: sum(1 << b for b, a in owner.items() if x >> a & 1)
+                     for x in A.elements}
+                assert certify_complete_hom(h, A, B).ok, h
+                x = rng.choice(A.elements)
+                h[x] = rng.choice([v for v in B.elements if v != h[x]])
+            fold = check_complete_hom(h, A, B)
+            cert = certify_complete_hom(h, A, B)
+            assert (cert.ok, *flags(cert)) == (fold.ok, *flags(fold)), \
+                (A.base, B.base, h)
+            assert fake_binary_witnesses(cert, h) == [], (A.base, B.base, h)
+            verdicts[i % 2, flags(cert)] += 1
+        assert sum(verdicts.values()) == 2000
+        # a one-entry change breaks a homomorphism, each flag somewhere
+        assert not any(v == (True,) * 4 for half, v in verdicts if half == 0)
+        for i in range(4):
+            assert any(not v[i] for half, v in verdicts if half == 0)
 
     def test_no_cap(self):
         # 64 elements: the fold would need 2^64 families
@@ -171,30 +204,43 @@ class TestCertificate:
         assert ("complement", (A.zero,), A.zero, A.one) in rep.counterexamples
 
     def test_atom_collapse_fails_sums_at_a_partial_join_and_an_atom(self):
-        # both atoms go to a: the atoms of one fold to a, not to one, and
-        # refolding them breaks at the partial join a and the atom b
+        # both atoms go to a: one splits at its lowest atom a into b and a,
+        # whose images join to a, not to one; zero splits at its lowest
+        # missing atom a into a and the coatom b, whose images meet in a
         A = ro_algebra(antichain_with_top(2))
         ua = A.principal(A.base.labels.index("a"))
         ub = A.principal(A.base.labels.index("b"))
+        assert ua < ub and A.one == ua | ub
         h = {A.zero: A.zero, ua: ua, ub: ua, A.one: A.one}
         rep = certify_complete_hom(h, A, A)
-        assert not rep.preserves_all_sums
-        sums = [c for c in rep.counterexamples if c[0] == "sum"]
-        assert sums == [("sum", (ua, ub), ua, A.one)]
+        assert not rep.preserves_all_sums and not rep.preserves_all_products
+        assert rep.counterexamples == [
+            ("complement", (ua,), ub, ua), ("complement", (ub,), ub, ua),
+            ("product", (ua, ub), ua, A.zero), ("sum", (ub, ua), ua, A.one)]
+        assert rep.violation_count == 4
         assert fake_binary_witnesses(rep, h) == []
 
     def test_violations_count_failing_elements_per_kind(self):
         # the zero-one swap on two atoms keeps complement and every atom;
-        # the coatom fold fails at zero alone and the atom fold at one
-        # alone, one violation each, where the pair sweep counts every
-        # failing pair
+        # every element but one fails its meet split and every element but
+        # zero its join split, one violation per failing split
         A = ro_algebra(antichain_with_top(2))
+        ua = A.principal(A.base.labels.index("a"))
+        ub = A.principal(A.base.labels.index("b"))
         h = {x: x for x in A.elements}
         h[A.zero], h[A.one] = A.one, A.zero
         rep = certify_complete_hom(h, A, A)
-        assert [c[0] for c in rep.counterexamples] == [
-            "zero", "one", "product", "sum"]
-        assert rep.violation_count == 4
+        assert rep.preserves_complement
+        assert rep.counterexamples == [
+            ("zero", (A.zero,), A.zero, A.one),
+            ("one", (A.one,), A.one, A.zero),
+            ("product", (ua, ub), A.zero, A.one),
+            ("product", (A.one, ua), A.zero, ua),
+            ("sum", (A.zero, ua), A.one, ua),
+            ("product", (A.one, ub), A.zero, ub),
+            ("sum", (A.zero, ub), A.one, ub),
+            ("sum", (ub, ua), A.one, A.zero)]
+        assert rep.violation_count == 8
         assert fake_binary_witnesses(rep, h) == []
 
     def test_foreign_image_rejected(self):

@@ -12,19 +12,21 @@ from forcinglab import poset as poset_module
 from forcinglab import projection
 from forcinglab.boolalg import certify_complete_hom, ro_algebra
 from forcinglab.cli import (ExperimentConfig, InstanceSpec, execute,
-                            generate_instances, run_suite)
+                            generate_instances, run_suite, run_unit)
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import constants, parse_formula
 from forcinglab.generic import dense_subsets
 from forcinglab.hfset import EMPTY
-from forcinglab.iteration import (TAIL_ONE, ProviderError, TableProvider,
-                                  build_iteration, cifs_toy_iteration,
+from forcinglab.iteration import (TAIL_ONE, Iteration, ProviderError,
+                                  TableProvider, build_iteration,
+                                  cifs_toy_iteration,
                                   extend_stage, root_stage, trim)
 from forcinglab.names import (Name, NameUniverse, TruthSession, check_name,
                               evaluate, name_text,
                               name_universe, sampled_universe)
 from forcinglab.poset import (Poset, _mask_bits, antichain_with_top,
-                              point_poset, regularize,
+                              chain_poset, point_poset, product_poset,
+                              regularize,
                               separativity_witness)
 from forcinglab.projection import (ProjectionError, _frown_table, _lemma11,
                                    _lemma12, _lemma12_by_elements, _lemma13,
@@ -202,6 +204,29 @@ class TestMakeContext:
         assert [(c.check, c.context) for c in rep.failures] == [
             ("context-build", {"alpha": 1, "generic": 0})]
         assert rep.counts()["pass"] > 0
+
+    def test_a_non_separative_stage_fails_the_build(self):
+        # a stage over the product of A2 and a 3-chain, which no provider
+        # hands out: its algebra would be quotiented, its atoms classes of
+        # conditions where pi indexes the conditions themselves
+        product, _ = product_poset([A2, chain_poset(3)])
+        root = root_stage()
+        stage = extend_stage(root, [product], DEFAULT_CAPS)
+        it = Iteration([root, stage], TableProvider([{(): product}]),
+                       DEFAULT_CAPS)
+        assert ro_algebra(stage.poset).original is not None
+        error = "stage 1 poset is not separative"
+        with pytest.raises(ProjectionError, match=error):
+            make_context(it, 1, 0)
+        assert not it.context_cache
+        context = {"alpha": 1, "generic": 0}
+        rep = run_unit("theorem2", "it-quotiented", context,
+                       lambda: make_context(it, 1, 0),
+                       lambda ctx: verify_theorem2(ctx, instance="it-x"))
+        assert [(c.check, c.status, c.instance, c.context, c.detail)
+                for c in rep.checks] == [
+            ("context-build", "fail", "it-quotiented", context,
+             {"error": error})]
 
     def test_each_tail_is_validated_once(self, default_sweep, monkeypatch):
         # _tail_image validates and canonicalizes each decoded tail, and
