@@ -23,7 +23,6 @@ kept as the reference oracle for both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .config import DEFAULT_CAPS, CapExceeded
@@ -201,7 +200,6 @@ def dense_embedding_violations(algebra: BoolAlgebra) -> list[int]:
 _KEPT = 32
 
 
-@dataclass
 class HomReport:
     """Outcome of a complete-homomorphism check, the certificate or the fold.
 
@@ -211,13 +209,19 @@ class HomReport:
     preserves_* flag is True iff its kind has no violations.
     """
 
-    preserves_zero_one: bool = True
-    preserves_complement: bool = True
-    preserves_all_products: bool = True
-    preserves_all_sums: bool = True
-    counterexamples: list[tuple] = field(default_factory=list)
-    violation_count: int = 0
-    families_checked: int = 0
+    def __init__(self, preserves_zero_one: bool = True,
+                 preserves_complement: bool = True,
+                 preserves_all_products: bool = True,
+                 preserves_all_sums: bool = True,
+                 counterexamples: list[tuple] | None = None,
+                 violation_count: int = 0, families_checked: int = 0):
+        self.preserves_zero_one = preserves_zero_one
+        self.preserves_complement = preserves_complement
+        self.preserves_all_products = preserves_all_products
+        self.preserves_all_sums = preserves_all_sums
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.violation_count = violation_count
+        self.families_checked = families_checked
 
     @property
     def ok(self) -> bool:

@@ -21,9 +21,8 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, fields
 
-from .config import DEFAULT_CAPS, CapExceeded, Caps
+from .config import DEFAULT_CAPS, CapExceeded, Caps, fields
 from .formula import parse_formula
 from .iteration import (CifsProvider, CollapseSpec, Iteration, Stage,
                         StepContext, TableProvider, build_iteration, check_lemma1,
@@ -41,16 +40,21 @@ SUITES = ("lemma1", "theorem2", "projection-lemmas", "theorem16",
           "corollary15", "cifs", "all")
 
 
-@dataclass
 class ExperimentConfig:
-    suite: str = "all"
-    max_poset: int = 3
-    max_stages: int = 3
-    seed: int = 0
-    out: str = "forcinglab-report.jsonl"
-    max_stage_conditions: int = DEFAULT_CAPS.max_stage_conditions
-    cifs_formulas: str = "forall z (! (z in x)); exists z (z in x)"
-    cifs_ladder: str = "1:2,1:3"
+    def __init__(self, suite: str = "all", max_poset: int = 3,
+                 max_stages: int = 3, seed: int = 0,
+                 out: str = "forcinglab-report.jsonl",
+                 max_stage_conditions: int = DEFAULT_CAPS.max_stage_conditions,
+                 cifs_formulas: str = "forall z (! (z in x)); exists z (z in x)",
+                 cifs_ladder: str = "1:2,1:3"):
+        self.suite = suite
+        self.max_poset = max_poset
+        self.max_stages = max_stages
+        self.seed = seed
+        self.out = out
+        self.max_stage_conditions = max_stage_conditions
+        self.cifs_formulas = cifs_formulas
+        self.cifs_ladder = cifs_ladder
 
     def caps(self) -> Caps:
         return DEFAULT_CAPS.with_(
@@ -171,16 +175,28 @@ def parse_provider_tables(text: str) -> TableProvider:
         if line.startswith("[") and line.endswith("]"):
             flush()
             section = line[1:-1]
+            if section != "provider" and (len(section.split()) != 2
+                                          or section.split()[0] != "poset"):
+                raise ValueError(f"unknown section: {line}")
             buf = []
             continue
+        if section is None:
+            raise ValueError(f"line before any section: {line}")
         if section == "provider":
             if line.startswith("stage "):
+                if line != f"stage {len(tables)}":
+                    raise ValueError(f"expected stage {len(tables)}: {line}")
                 tables.append({})
                 continue
             if not line.startswith("G:") or "->" not in line:
                 raise ValueError(f"bad provider line: {line}")
+            if not tables:
+                raise ValueError(f"provider line before any stage line: {line}")
             pathtxt, _, ref = line[2:].partition("->")
             labels = [e for e in pathtxt.strip().split(",") if e != ""]
+            if len(labels) != len(tables) - 1:
+                raise ValueError(f"path of {len(labels)} entries at stage "
+                                 f"{len(tables) - 1}: {line}")
             path = []
             for k, lab in enumerate(labels):
                 if lab == "-":
@@ -189,8 +205,12 @@ def parse_provider_tables(text: str) -> TableProvider:
                 step = tables[k].get(tuple(path))
                 if step is None:
                     raise ValueError(f"path through an undefined step: {line}")
+                if lab not in step.labels:
+                    raise ValueError(f"no element {lab!r} in its step poset: {line}")
                 path.append(step.labels.index(lab))
             ref = ref.strip()
+            if ref != "undef" and ref not in posets:
+                raise ValueError(f"unknown poset {ref!r}: {line}")
             tables[-1][tuple(path)] = None if ref == "undef" else posets[ref]
         else:
             buf.append(line)
@@ -201,12 +221,13 @@ def parse_provider_tables(text: str) -> TableProvider:
 # -- instance generation ------------------------------------------------------
 
 
-@dataclass
 class InstanceSpec:
-    instance_id: str
-    tables: list[dict]
-    partial: bool = False
-    canon: tuple = ()
+    def __init__(self, instance_id: str, tables: list[dict],
+                 partial: bool = False, canon: tuple = ()):
+        self.instance_id = instance_id
+        self.tables = tables
+        self.partial = partial
+        self.canon = canon
 
 
 def _step_catalog(max_poset: int) -> list[Poset | None]:
@@ -620,7 +641,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig()
     if getattr(args, "config", None):
-        known = {f.name for f in fields(ExperimentConfig)}
+        known = fields(ExperimentConfig)
         for key, value in read_config_file(args.config).items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")

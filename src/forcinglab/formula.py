@@ -17,8 +17,9 @@ associative).  Exists is the one quantifier node: the parser desugars
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+from .config import Value
 
 
 class FormulaError(ValueError):
@@ -38,17 +39,21 @@ class BoundVariableError(FormulaError):
 # -- terms and AST nodes --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
-    index: int
+class Const(Value):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
 
     def __str__(self):
         return f"${self.index}"
@@ -57,45 +62,49 @@ class Const:
 Term = Var | Const
 
 
-@dataclass(frozen=True)
-class Membership:
-    left: Term
-    right: Term
+class _Pair(Value):
+    """A node over two operands, ``left`` and ``right``."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Equality:
-    left: Term
-    right: Term
+class Membership(_Pair):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Equality(_Pair):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class Not(Value):
+    __slots__ = ("body",)
+
+    def __init__(self, body: "Formula"):
+        self.body = body
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class And(_Pair):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Or(_Pair):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
+class Implies(_Pair):
+    __slots__ = ()
+
+
+class Exists(Value):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: "Formula"):
+        self.var = var
+        self.body = body
 
 
 Formula = Membership | Equality | Not | And | Or | Implies | Exists

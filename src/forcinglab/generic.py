@@ -11,14 +11,13 @@ kept in the test suite as its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from .config import Value
 from .poset import Poset, _mask_bits
 
 
-@dataclass(frozen=True)
-class GenericSet:
+class GenericSet(Value):
     """The generic filter above one atom: a filter meeting every dense subset.
 
     Every dense subset contains every atom (an atom's lower cone is the atom
@@ -26,9 +25,10 @@ class GenericSet:
     them.
     """
 
-    poset: Poset
-    mask: int
-    atom: int
+    def __init__(self, poset: Poset, mask: int, atom: int):
+        self.poset = poset
+        self.mask = mask
+        self.atom = atom
 
     def __contains__(self, p: int) -> bool:
         return bool((self.mask >> p) & 1)

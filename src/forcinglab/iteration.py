@@ -20,11 +20,10 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_CAPS, CapExceeded, Caps
+from .config import DEFAULT_CAPS, CapExceeded, Caps, Value
 from .formula import Formula, FormulaError, eval_classical, free_variables
 from .generic import GenericSet, enumerate_generics
 from .hfset import (HFSet, encode_function, numeral, rank_segment,
@@ -74,7 +73,6 @@ def _cond_label(cond: Condition) -> str:
     return "<" + ";".join(parts) + ">"
 
 
-@dataclass
 class Stage:
     """One stage of a built iteration, complete once built: canonical
     conditions, generics and their paths, the step posets it was built
@@ -89,14 +87,19 @@ class Stage:
     rebuild asks for the stages generation built, is the same object.
     That map is not pickled: an unpickled stage starts with none."""
 
-    index: int
-    conditions: tuple[Condition, ...]
-    poset: Poset
-    generics: list[GenericSet]
-    paths: list[tuple]
-    gen_masks: tuple[int, ...]        # per condition: generics containing it
-    steps: tuple[Poset | None, ...] = ()
-    parent: tuple[int, ...] = ()
+    def __init__(self, index: int, conditions: tuple[Condition, ...],
+                 poset: Poset, generics: list[GenericSet], paths: list[tuple],
+                 gen_masks: tuple[int, ...],
+                 steps: tuple[Poset | None, ...] = (),
+                 parent: tuple[int, ...] = ()):
+        self.index = index
+        self.conditions = conditions
+        self.poset = poset
+        self.generics = generics
+        self.paths = paths
+        self.gen_masks = gen_masks        # per condition: generics containing it
+        self.steps = steps
+        self.parent = parent
 
     def extension(self, prefix: int, tail: Coordinate) -> int | None:
         """The index of the condition whose prefix is condition ``prefix``
@@ -110,7 +113,7 @@ class Stage:
     def cond_index(self, cond: Condition) -> int:
         return self._index[cond]
 
-    # built on first read, not init fields, so a dataclasses.replace copy
+    # built on first read, not __init__ arguments, so a config.replace copy
     # indexes its own conditions and paths.  _tails keys each new condition
     # by (parent, last coordinate); _index, by the whole condition, serves
     # cond_index, that is the tests and canonicalize_condition
@@ -145,13 +148,13 @@ class Stage:
         return _mask_bits(self.gen_masks[cond_idx])
 
 
-@dataclass
 class StepContext:
     """What a provider rule sees when asked for the next step poset."""
 
-    stage: Stage
-    gen_index: int
-    path: tuple
+    def __init__(self, stage: Stage, gen_index: int, path: tuple):
+        self.stage = stage
+        self.gen_index = gen_index
+        self.path = path
 
 
 class StepProvider:
@@ -175,20 +178,21 @@ class TableProvider(StepProvider):
         return self.tables[n].get(ctx.path)
 
 
-@dataclass
 class Iteration:
     """A built iteration: stages[0] is the trivial root, stages[k] is P_k."""
 
-    stages: list[Stage]
-    provider: StepProvider
-    caps: Caps
-    partial: bool = False
-    # instance-scoped: the projection contexts built on this iteration,
-    # keyed (alpha, gen_index, caps), and nothing else; cleared once the
-    # instance's suites are done.  Not an init field, so a
-    # dataclasses.replace copy starts empty rather than reading contexts
-    # built for the original's stages
-    context_cache: dict = field(default_factory=dict, init=False)
+    def __init__(self, stages: list[Stage], provider: StepProvider,
+                 caps: Caps, partial: bool = False):
+        self.stages = stages
+        self.provider = provider
+        self.caps = caps
+        self.partial = partial
+        # instance-scoped: the projection contexts built on this iteration,
+        # keyed (alpha, gen_index, caps), and nothing else; cleared once
+        # the instance's suites are done.  Not an __init__ argument, so a
+        # config.replace copy starts empty rather than reading contexts
+        # built for the original's stages
+        self.context_cache: dict = {}
 
     @property
     def final(self) -> Stage:
@@ -432,12 +436,12 @@ def canonicalize_condition(raw: Sequence, iteration: Iteration, stage_index: int
 # -- collapse posets --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CollapseSpec:
+class CollapseSpec(Value):
     """Collapse the finite set X to size m: injections of size < m."""
 
-    X: tuple
-    m: int
+    def __init__(self, X: tuple, m: int):
+        self.X = X
+        self.m = m
 
 
 def collapse_conditions(spec: CollapseSpec) -> list[frozenset]:
@@ -465,24 +469,31 @@ def collapse_poset(spec: CollapseSpec) -> tuple[Poset, list[frozenset]]:
         for j, q in enumerate(conds):
             if q <= p:
                 below[j] |= 1 << i
-    labels = ["{}" if not c else
-              "{" + ",".join(f"{x!r}:{v}" for x, v in sorted(c, key=lambda e: (repr(e[0]), e[1]))) + "}"
-              for c in conds]
-    return Poset(below, 0, labels), conds
+    # labels are built on first read, by a partial so the poset pickles
+    return Poset(below, 0, partial(map, _injection_label, tuple(conds))), conds
+
+
+def _injection_label(cond: frozenset) -> str:
+    if not cond:
+        return "{}"
+    pairs = sorted(cond, key=lambda e: (repr(e[0]), e[1]))
+    return "{" + ",".join(f"{x!r}:{v}" for x, v in pairs) + "}"
 
 
 # -- toy rank-ladder iteration ----------------------------------------------
 
 
-@dataclass
 class CifsStepInfo:
     """What the toy iteration provided at one (stage, generic path)."""
 
-    poset: Poset
-    element_tuples: tuple
-    payloads: list[list[frozenset]]
-    structure: tuple[HFSet, ...]
-    witnesses: list[HFSet | None]
+    def __init__(self, poset: Poset, element_tuples: tuple,
+                 payloads: list[list[frozenset]], structure: tuple[HFSet, ...],
+                 witnesses: list[HFSet | None]):
+        self.poset = poset
+        self.element_tuples = element_tuples
+        self.payloads = payloads
+        self.structure = structure
+        self.witnesses = witnesses
 
 
 CIFS_RANK_MAX = 4   # the highest ground rank a CifsProvider materializes

@@ -26,11 +26,10 @@ process and never reused.  The truth, evaluation and projection memos key on
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .boolalg import AlgebraError, BoolAlgebra
-from .config import CapExceeded
+from .config import CapExceeded, Value
 from .formula import (And, Const, Equality, Exists, Formula,
                       FormulaError, Implies, Membership, Not, Or, Term,
                       eval_classical, free_variables)
@@ -174,14 +173,15 @@ def pair_name(a: Name, b: Name, algebra: BoolAlgebra) -> Name:
     return Name(((single, algebra.one), (double, algebra.one)), algebra)
 
 
-@dataclass(frozen=True)
-class NameUniverse:
+class NameUniverse(Value):
     """All names of rank <= rank_bound over one algebra, canonically ordered."""
 
-    algebra: BoolAlgebra
-    rank_bound: int
-    names: tuple[Name, ...]
-    exhaustive: bool = True
+    def __init__(self, algebra: BoolAlgebra, rank_bound: int,
+                 names: tuple[Name, ...], exhaustive: bool = True):
+        self.algebra = algebra
+        self.rank_bound = rank_bound
+        self.names = names
+        self.exhaustive = exhaustive
 
     def __len__(self):
         return len(self.names)

@@ -21,7 +21,7 @@ is what makes exhaustive Boolean-algebra work feasible here.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
 # the largest poset that canonical_key's permutation search takes
@@ -544,7 +544,8 @@ def product_poset(components: Sequence[Poset]) -> tuple[Poset, tuple[tuple[int, 
     """
     if not components:
         return point_poset(), ((),)
-    tuples = list(itertools.product(*[range(c.n) for c in components]))
+    components = tuple(components)
+    tuples = tuple(itertools.product(*[range(c.n) for c in components]))
     classes = [[0] * c.n for c in components]
     for i, t in enumerate(tuples):
         for k, v in enumerate(t):
@@ -565,6 +566,10 @@ def product_poset(components: Sequence[Poset]) -> tuple[Poset, tuple[tuple[int, 
             m &= row[v]
         below.append(m)
     top = tuples.index(tuple(c.top for c in components))
-    labels = ["(" + ",".join(components[k].labels[t[k]]
-                             for k in range(len(components))) + ")" for t in tuples]
-    return Poset(below, top, labels), tuple(tuples)
+    # labels are built on first read, by a partial so the poset pickles
+    labels = partial(map, partial(_tuple_label, components), tuples)
+    return Poset(below, top, labels), tuples
+
+
+def _tuple_label(components: tuple[Poset, ...], t: tuple[int, ...]) -> str:
+    return "(" + ",".join(c.labels[v] for c, v in zip(components, t)) + ")"

@@ -43,8 +43,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .boolalg import BoolAlgebra, HomReport, certify_complete_hom, ro_algebra
 from .config import Caps
@@ -63,26 +61,18 @@ class ProjectionError(RuntimeError):
     pass
 
 
-class _ImageRows(NamedTuple):
-    """Bit rows of conditions q per P_beta condition p, parallel to pi."""
-
-    equal: list[int]        # pi(q) == pi(p), two undefined images equal
-    above: list[int]        # pi(p) <= pi(q), both defined
-    compatible: list[int]   # pi(p) and pi(q) compatible, both defined
-
-
-@dataclass
 class QuotientLevel:
     """The quotient data at one level beta > alpha (or the trivial root).
     Its maps and facts are derived on first read and held outside the
-    fields: pi_prime, the record of pi (``preimages``, ``rows``) and the
-    Theorem 2 facts (``hom``, ``onto``, ``transport``).  So a
-    ``dataclasses.replace`` copy with another pi derives its own, and a
-    test plants a map by assigning ``pi_prime`` on a copy.  ``hom`` and
-    ``onto`` read pi's atom images (``_atom_images``) and build no
-    pi_prime table; a planted map and a map that fails the atom criterion
-    take the element route: ``certify_complete_hom`` on pi_prime and
-    pi_prime's values, which write the witnesses.
+    ``__init__`` arguments: pi_prime, the record of pi (``preimages``,
+    ``rows``) and the Theorem 2 facts (``hom``, ``onto``, ``transport``).
+    So a :func:`forcinglab.config.replace` copy with another pi derives its
+    own, with a fresh pi_second memo, and a test plants a map by assigning
+    ``pi_prime`` on a copy.  ``hom`` and ``onto`` read pi's atom images
+    (``_atom_images``) and build no pi_prime table; a planted map and a
+    map that fails the atom criterion take the element route:
+    ``certify_complete_hom`` on pi_prime and pi_prime's values, which
+    write the witnesses.
 
     The facts hold for every name of every rank, by induction through the
     structural definition of pi_second (Jech, *Set Theory*, 2003, Ch. 14).
@@ -92,13 +82,19 @@ class QuotientLevel:
     exactly when pi_prime is a Boolean homomorphism: the atomic clauses are
     finite sums, products and complements, and merged entries are joined."""
 
-    beta: int
-    stage: Stage                      # quotient conditions as a built stage
-    pi: list                          # P_beta condition index -> class index | None
-    combine: list[int]                # quotient generic -> P_beta generic index
-    source: BoolAlgebra               # r.o. of P_beta, pi_prime's domain
-    algebra: BoolAlgebra              # r.o. of the quotient poset
-    _pi_second: dict = field(default_factory=dict, init=False)  # name uid -> image
+    def __init__(self, beta: int, stage: Stage, pi: list, combine: list[int],
+                 source: BoolAlgebra, algebra: BoolAlgebra):
+        self.beta = beta
+        self.stage = stage          # quotient conditions as a built stage
+        self.pi = pi                # P_beta condition index -> class index | None
+        self.combine = combine      # quotient generic -> P_beta generic index
+        self.source = source        # r.o. of P_beta, pi_prime's domain
+        self.algebra = algebra      # r.o. of the quotient poset
+
+    @functools.cached_property
+    def _pi_second(self) -> dict:
+        """name uid -> image, written by ProjectionContext.pi_second alone."""
+        return {}
 
     @functools.cached_property
     def preimages(self) -> dict:
@@ -137,9 +133,13 @@ class QuotientLevel:
         return images
 
     @functools.cached_property
-    def rows(self) -> _ImageRows:
-        """Per image v the preimage classes above v and those compatible
-        with v are ORed once, and each condition reads its image's."""
+    def rows(self) -> tuple[list[int], list[int], list[int]]:
+        """Bit rows of conditions q per P_beta condition p, parallel to pi:
+        (equal, above, compatible), where q is in p's row when pi(q) ==
+        pi(p), two undefined images equal; when pi(p) <= pi(q); and when
+        pi(p) and pi(q) are compatible, both defined in the last two.  Per
+        image v the preimage classes above v and those compatible with v
+        are ORed once, and each condition reads its image's."""
         classes = self.preimages
         defined = [(u, m) for u, m in classes.items() if u is not None]
         qposet = self.stage.poset
@@ -147,9 +147,9 @@ class QuotientLevel:
         for v, _ in defined:
             cones[v] = (sum(m for u, m in defined if qposet.above[v] >> u & 1),
                         sum(m for u, m in defined if qposet.compat[v] >> u & 1))
-        return _ImageRows([classes[v] for v in self.pi],
-                          [cones[v][0] for v in self.pi],
-                          [cones[v][1] for v in self.pi])
+        return ([classes[v] for v in self.pi],
+                [cones[v][0] for v in self.pi],
+                [cones[v][1] for v in self.pi])
 
     @functools.cached_property
     def _atom_images(self) -> list[int] | None:
@@ -230,15 +230,16 @@ class QuotientLevel:
         return {"source_elements": len(A), "counterexample": witness}
 
 
-@dataclass
 class ProjectionContext:
     """All quotient levels for one (iteration, alpha, G)."""
 
-    iteration: Iteration
-    alpha: int
-    gen_index: int
-    caps: Caps
-    levels: dict[int, QuotientLevel]
+    def __init__(self, iteration: Iteration, alpha: int, gen_index: int,
+                 caps: Caps, levels: dict[int, QuotientLevel]):
+        self.iteration = iteration
+        self.alpha = alpha
+        self.gen_index = gen_index
+        self.caps = caps
+        self.levels = levels
 
     @property
     def source_algebras(self) -> dict[int, BoolAlgebra]:
@@ -556,12 +557,12 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, table: list,
     rep.record("projection-lemmas", "L4-principal-to-principal", instance,
                not bad4, cctx, {"violations": bad4})
 
-    rows = level.rows
+    _, above, compatible = level.rows
     defined_mask = src.poset.full_mask & ~level.preimages.get(None, 0)
 
     # L5: disjoint principal cuts stay disjoint
     detail5 = _pair_violations(src.poset, defined, [
-        rows.compatible[ci] & ~src.poset.compat[ci] for ci in defined])
+        compatible[ci] & ~src.poset.compat[ci] for ci in defined])
     rep.record("projection-lemmas", "L5-disjointness", instance,
                not detail5["count"], cctx, detail5)
 
@@ -588,7 +589,7 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, table: list,
 
     # L10: pi is monotone where defined
     detail10 = _pair_violations(src.poset, defined, [
-        defined_mask & src.poset.above[ci] & ~rows.above[ci] for ci in defined])
+        defined_mask & src.poset.above[ci] & ~above[ci] for ci in defined])
     rep.record("projection-lemmas", "L10-monotone", instance,
                not detail10["count"], cctx, detail10)
 
@@ -729,7 +730,7 @@ def _lemma11(ctx: ProjectionContext, beta: int, table: list, groups: dict,
     part."""
     G = ctx.G
     astage = ctx.iteration.stages[ctx.alpha]
-    forced_equal = _forced(astage, [lvl.rows.equal for lvl in siblings],
+    forced_equal = _forced(astage, [lvl.rows[0] for lvl in siblings],
                            len(table))
     checked = 0
     for ci, (r, row) in enumerate(table):
@@ -861,7 +862,7 @@ def _lemma14(ctx: ProjectionContext, beta: int, table: list, groups: dict,
     astage = ctx.iteration.stages[ctx.alpha]
     src = ctx.iteration.stages[beta]
     below = src.poset.below
-    forced_below = _forced(astage, [lvl.rows.above for lvl in siblings],
+    forced_below = _forced(astage, [lvl.rows[1] for lvl in siblings],
                            len(table))
     checked = 0
     for ci, (prefix, row) in enumerate(table):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterable
 
@@ -30,14 +29,16 @@ def encode_line(obj: Any) -> str:
     return "".join(_iterencode(obj, 0))
 
 
-@dataclass
 class CheckRecord:
-    suite: str
-    check: str
-    instance: str
-    status: str                      # pass | fail | skip
-    context: dict[str, Any] = field(default_factory=dict)
-    detail: dict[str, Any] = field(default_factory=dict)
+    def __init__(self, suite: str, check: str, instance: str, status: str,
+                 context: dict[str, Any] | None = None,
+                 detail: dict[str, Any] | None = None):
+        self.suite = suite
+        self.check = check
+        self.instance = instance
+        self.status = status                 # pass | fail | skip
+        self.context = {} if context is None else context
+        self.detail = {} if detail is None else detail
 
     @property
     def counterexample_id(self) -> str | None:
@@ -62,11 +63,11 @@ class CheckRecord:
             ',"suite":', encode_basestring_ascii(self.suite), "}"))
 
 
-@dataclass
 class SuiteReport:
     """Itemized outcome of one verification suite on one instance."""
 
-    checks: list[CheckRecord] = field(default_factory=list)
+    def __init__(self, checks: list[CheckRecord] | None = None):
+        self.checks = [] if checks is None else checks
 
     def record(self, suite: str, check: str, instance: str, ok: bool,
                context: dict | None = None, detail: dict | None = None):

@@ -54,6 +54,43 @@ class TestProviderTableFormat:
         assert [s.poset.n for s in rebuilt.stages] == \
             [s.poset.n for s in iteration.stages]
 
+    def test_every_sweep_payload_parses_back(self, default_sweep):
+        caps = ExperimentConfig(max_stages=3).caps()
+        for spec, it in default_sweep:
+            provider = parse_provider_tables(format_provider_tables(spec))
+            assert [len(t) for t in provider.tables] == \
+                [len(t) for t in spec.tables]
+            rebuilt = build_iteration(provider, caps, allow_partial=True)
+            assert [s.poset.n for s in rebuilt.stages] == \
+                [s.poset.n for s in it.stages]
+
+    POSET_P1 = "[poset p1]\ntop: 1\na < 1\nb < 1\n[provider]\n"
+
+    @pytest.mark.parametrize("text, line", [
+        ("stage 0", "stage 0"),                                   # no section
+        ("[provdier]", "[provdier]"),                             # misspelt
+        ("[poset]\ntop: 1", "[poset]"),                           # no ref
+        (POSET_P1 + "G: -> p1", "G: -> p1"),                      # no stage yet
+        (POSET_P1 + "stage 0\nG: -> p2", "G: -> p2"),             # unknown ref
+        (POSET_P1 + "stage 0\nG: -> p1\nstage 1\nG:c -> p1",
+         "G:c -> p1"),                                            # no element c
+        (POSET_P1 + "stage 0\nG: -> p1\nG:a -> p1", "G:a -> p1"), # path too long
+        (POSET_P1 + "stage 0\nG: -> p1\nstage 2", "stage 2"),    # stage skipped
+    ])
+    def test_a_malformed_line_is_named(self, text, line):
+        # a ValueError of its own, not a KeyError or a bare tuple.index one
+        with pytest.raises(ValueError) as raised:
+            parse_provider_tables(text + "\n")
+        assert type(raised.value) is ValueError
+        assert str(raised.value).endswith(": " + line)
+
+    def test_the_documented_example_parses(self):
+        provider = parse_provider_tables(
+            self.POSET_P1 + "stage 0\nG: -> p1\nstage 1\nG:a -> p1\nG:b -> undef\n")
+        p1 = provider.tables[0][()]
+        assert p1.labels == ("1", "a", "b")
+        assert provider.tables[1] == {(1,): p1, (2,): None}
+
     # sha256 of the payload texts of the --max-poset 3 --max-stages 3
     # instances, concatenated in instance-id order
     PAYLOAD_SHA256 = \

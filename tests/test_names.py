@@ -1,9 +1,9 @@
-import dataclasses
 import itertools
 
 import pytest
 
 from forcinglab.boolalg import AlgebraError, ro_algebra
+from forcinglab.config import replace
 from forcinglab.formula import parse_formula
 from forcinglab.generic import enumerate_generics, forces
 from forcinglab.hfset import (EMPTY, HFSet, chain, element_code,
@@ -365,8 +365,8 @@ class TestInterning:
         ctx = make_context(it, 1, 0)
         # a copy of the level starts with an empty pi_second memo, so it
         # builds every image again over the same quotient algebra
-        fresh = dataclasses.replace(ctx.levels[2])
-        copy = dataclasses.replace(ctx, levels={**ctx.levels, 2: fresh})
+        fresh = replace(ctx.levels[2])
+        copy = replace(ctx, levels={**ctx.levels, 2: fresh})
         names = working_universe(ctx.source_algebras[2], 2).names
         assert all(ctx.pi_second(2, n) is copy.pi_second(2, n) for n in names)
 

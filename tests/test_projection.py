@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import itertools
 import random
@@ -13,7 +12,7 @@ from forcinglab import projection
 from forcinglab.boolalg import certify_complete_hom, ro_algebra
 from forcinglab.cli import (ExperimentConfig, InstanceSpec, execute,
                             generate_instances, run_suite, run_unit)
-from forcinglab.config import DEFAULT_CAPS, CapExceeded
+from forcinglab.config import DEFAULT_CAPS, CapExceeded, replace
 from forcinglab.formula import constants, parse_formula
 from forcinglab.generic import dense_subsets
 from forcinglab.hfset import EMPTY
@@ -238,7 +237,7 @@ class TestMakeContext:
         monkeypatch.setattr(iteration_module, "_canonical_tail", refused)
         built = 0
         for _, it in default_sweep:
-            it = dataclasses.replace(it)
+            it = replace(it)
             for alpha in range(1, len(it) + 1):
                 for gi in range(len(it.stages[alpha].generics)):
                     make_context(it, alpha, gi)
@@ -258,14 +257,14 @@ class TestMakeContext:
                           qprefix, tail)
 
         monkeypatch.setattr(projection, "_tail_image", stepless)
-        for fresh in (it, it, dataclasses.replace(it)):
+        for fresh in (it, it, replace(it)):
             with pytest.raises(ProjectionError, match="tail image at level 3"):
                 make_context(fresh, 1, 0)
             assert not fresh.context_cache
         monkeypatch.undo()
         ctx = make_context(it, 1, 0)
         assert ctx.final_level.stage.poset.n == \
-            make_context(dataclasses.replace(it), 1, 0).final_level.stage.poset.n
+            make_context(replace(it), 1, 0).final_level.stage.poset.n
         assert verify_corollary15(ctx).ok
 
     def test_algebra_atom_bound_comes_from_caps(self, worked):
@@ -309,7 +308,7 @@ LATER_LEVEL_TABLES = {
 
 def _flooded(level):
     """A copy of the level whose pi_prime sends every element to one."""
-    copy = dataclasses.replace(level)
+    copy = replace(level)
     copy.pi_prime = dict.fromkeys(level.pi_prime, level.algebra.one)
     return copy
 
@@ -326,7 +325,7 @@ def _decoder_and_oracle(ctx, beta: int, flood=False, stepless=False):
     level = ctx.levels[beta - 1]
     if flood:
         level = _flooded(level)
-        ctx = dataclasses.replace(ctx, levels={**ctx.levels, beta - 1: level})
+        ctx = replace(ctx, levels={**ctx.levels, beta - 1: level})
     steps_q = [None if stepless else src.steps[sg] for sg in level.combine]
     A = ctx.source_algebras[beta - 1]
     memo: dict = {}
@@ -357,7 +356,7 @@ class TestTailImage:
         # replaced copies: the oracle fills pi_second memos, which must not
         # reach the contexts cached on the shared sweep
         for it in iterations:
-            it = dataclasses.replace(it)
+            it = replace(it)
             for alpha in range(1, len(it) - 1):
                 for gi in range(len(it.stages[alpha].generics)):
                     yield make_context(it, alpha, gi)
@@ -476,7 +475,7 @@ class TestContextOwnership:
     def test_a_replaced_iteration_starts_with_an_empty_cache(self):
         it = _two_step_antichains()
         ctx = make_context(it, 1, 0)
-        copy = dataclasses.replace(it, stages=list(it.stages))
+        copy = replace(it, stages=list(it.stages))
         assert copy.context_cache == {} and it.context_cache
         other = make_context(copy, 1, 0)
         assert other is not ctx and other.iteration is copy
@@ -594,8 +593,8 @@ class TestTheorem2:
     def test_the_memo_audit_finds_a_planted_image(self):
         # a replaced level has its own memo, so the context cache stays intact
         ctx = make_context(_two_step_antichains(), 1, 0)
-        level = dataclasses.replace(ctx.levels[2])
-        copy = dataclasses.replace(ctx, levels={**ctx.levels, 2: level})
+        level = replace(ctx.levels[2])
+        copy = replace(ctx, levels={**ctx.levels, 2: level})
         A = ctx.source_algebras[2]
         victim = Name([(Name([], A), A.one)], A)
         parent = Name([(victim, A.one)], A)
@@ -706,9 +705,9 @@ class TestProjectionLemmas:
         # cap, but the certificate checks families of at most two elements;
         # the levels are copied, so that their facts are computed under it
         _, ctx = worked
-        capped = dataclasses.replace(
+        capped = replace(
             ctx, caps=DEFAULT_CAPS.with_(hom_family_cap=8),
-            levels={b: dataclasses.replace(lvl) for b, lvl in ctx.levels.items()})
+            levels={b: replace(lvl) for b, lvl in ctx.levels.items()})
         lemmas = verify_projection_lemmas(capped, instance="capped").checks
         thm2 = verify_theorem2(capped, instance="capped").checks
         l7 = [c.status for c in lemmas if c.check == "L7-products"]
@@ -755,9 +754,9 @@ class TestLemmaControls:
         # own, but keeps the original's pi_prime
         level = ctx.levels[beta]
         assert level.rows and level.hom and level.onto and level.transport
-        copy = dataclasses.replace(level, pi=pi)
+        copy = replace(level, pi=pi)
         copy.pi_prime = level.pi_prime
-        return dataclasses.replace(ctx, levels={**ctx.levels, beta: copy})
+        return replace(ctx, levels={**ctx.levels, beta: copy})
 
     @staticmethod
     def l5_l10(ctx, beta):
@@ -882,9 +881,9 @@ class TestLemmaControls:
                   if q is not None and q != level.stage.poset.top)
         pi = list(level.pi)
         pi[ci] = level.stage.poset.top
-        copy = dataclasses.replace(level, pi=pi)
+        copy = replace(level, pi=pi)
         copy.pi_prime = level.pi_prime
-        raised = dataclasses.replace(ctx, levels={**ctx.levels, 2: copy})
+        raised = replace(ctx, levels={**ctx.levels, 2: copy})
         table, _ = self.inputs(ctx, 2)
         ok, detail = _lemma12(raised, 2, table, True)
         assert not ok and detail == {"direction": "forward",
@@ -906,7 +905,7 @@ class TestLemmaControls:
         premise of L11 and L14 holds."""
         # the originals' rows are built first: the copies must derive their own
         assert all(lvl.rows for lvl in siblings)
-        return [dataclasses.replace(lvl, pi=[0] * len(lvl.pi))
+        return [replace(lvl, pi=[0] * len(lvl.pi))
                 for lvl in siblings]
 
     def test_siblings_collapsing_every_class_fail_l11(self, worked):
@@ -1082,7 +1081,7 @@ class TestAtomCriterion:
                 pi = list(level.pi)
                 p = rng.randrange(len(pi))
                 pi[p] = rng.choice([v for v in choices if v != pi[p]])
-                copies.append(dataclasses.replace(level, pi=pi))
+                copies.append(replace(level, pi=pi))
             for m in copies:
                 A, B = m.source, m.algebra
                 cert = certify_complete_hom(m.pi_prime, A, B)
@@ -1110,8 +1109,8 @@ class TestAtomCriterion:
     def statuses(ctx, pi):
         """The criterion's three conditions and the item 1-2 and L6-L8
         statuses of the worked level 2 with pi replaced."""
-        copy = dataclasses.replace(ctx.levels[2], pi=pi)
-        bad = dataclasses.replace(ctx, levels={**ctx.levels, 2: copy})
+        copy = replace(ctx.levels[2], pi=pi)
+        bad = replace(ctx, levels={**ctx.levels, 2: copy})
         checks = verify_theorem2(bad, instance="control").checks + \
             verify_projection_lemmas(bad, instance="control").checks
         return algebra_oracle.atom_conditions(copy), {
@@ -1168,7 +1167,7 @@ class TestAtomCriterion:
             "item1-complete-hom": "pass", "item2-onto": "fail",
             "L6-complement": "pass", "L7-products": "pass",
             "L8-onto": "fail"})
-        copy = dataclasses.replace(ctx.levels[2], pi=pi)
+        copy = replace(ctx.levels[2], pi=pi)
         assert copy._atom_images == [copy.algebra.one, 0, 0, 0]
         assert copy.onto["counterexample"] == "{({},0x2)}"
 
@@ -1179,9 +1178,9 @@ def _with_pi_prime(ctx, beta, pi_prime):
     own."""
     level = ctx.levels[beta]
     assert level.rows and level.hom and level.onto and level.transport
-    copy = dataclasses.replace(level)
+    copy = replace(level)
     copy.pi_prime = pi_prime
-    return dataclasses.replace(ctx, levels={**ctx.levels, beta: copy})
+    return replace(ctx, levels={**ctx.levels, beta: copy})
 
 
 class TestSharedFacts:
@@ -1329,7 +1328,7 @@ class TestLevelRecord:
         # alpha only; below the final stage nothing reads the root's map
         contexts = 0
         for _, it in default_sweep:
-            it = dataclasses.replace(it)
+            it = replace(it)
             for alpha in range(1, len(it)):
                 for gi in range(len(it.stages[alpha].generics)):
                     ctx = make_context(it, alpha, gi)
@@ -1414,7 +1413,7 @@ class TestTheorem16:
         gmask = it.stages[2].generics[0].mask
         # the first element meeting G_full now projects to zero
         b = next(b for b in A.nonzero if b & gmask)
-        copy = dataclasses.replace(level)
+        copy = replace(level)
         copy.pi_prime = {**level.pi_prime, b: level.algebra.zero}
         ctx.levels[2] = copy
         _, _, rep = factor_generic(it, 1, 0)
@@ -1435,9 +1434,9 @@ class TestTheorem16:
         G, _, rep = factor_generic(it, 1, 0)
         assert self.statuses(rep)["item1-prefix-generic"] == "pass"
         stages = list(it.stages)
-        stages[1] = dataclasses.replace(
+        stages[1] = replace(
             stages[1], generics=[g for g in stages[1].generics if g is not G])
-        copy = dataclasses.replace(it, stages=stages)
+        copy = replace(it, stages=stages)
         G2, hmask, rep = factor_generic(copy, 1, 0)
         assert (G2, hmask) == (None, -1)
         assert self.statuses(rep) == {"item1-prefix-generic": "fail"}
@@ -1451,7 +1450,7 @@ class TestTheorem16:
         # every projected condition lands on one atom, so the projected set
         # misses the quotient top and is no filter
         atom = level.stage.poset.atoms[0]
-        ctx.levels[len(it)] = dataclasses.replace(
+        ctx.levels[len(it)] = replace(
             level, pi=[None if c is None else atom for c in level.pi])
         _, hmask, rep = factor_generic(it, 1, 0)
         assert hmask == 1 << atom
@@ -1467,7 +1466,7 @@ class TestTheorem16:
         # every projected condition lands on the quotient top: {top} is a
         # filter, but it misses the dense atom set
         top = level.stage.poset.top
-        ctx.levels[len(it)] = dataclasses.replace(
+        ctx.levels[len(it)] = replace(
             level, pi=[None if c is None else top for c in level.pi])
         _, hmask, rep = factor_generic(it, 1, 0)
         assert hmask == 1 << top
@@ -1490,8 +1489,8 @@ class TestCorollary15:
     def failed(ctx, beta, **changes):
         """The failing records of a copy of ctx whose level beta has the
         given fields replaced."""
-        level = dataclasses.replace(ctx.levels[beta], **changes)
-        bad = dataclasses.replace(ctx, levels={**ctx.levels, beta: level})
+        level = replace(ctx.levels[beta], **changes)
+        bad = replace(ctx, levels={**ctx.levels, beta: level})
         return {c.check for c in verify_corollary15(bad).failures}
 
     def test_transposed_quotient_conditions_fail_order_isomorphism(self, worked):
@@ -1500,7 +1499,7 @@ class TestCorollary15:
         conds = list(stage.conditions)
         top, atom = stage.poset.top, stage.poset.atoms[0]
         conds[top], conds[atom] = conds[atom], conds[top]
-        transposed = dataclasses.replace(stage, conditions=tuple(conds))
+        transposed = replace(stage, conditions=tuple(conds))
         assert self.failed(ctx, 2, stage=transposed) == {
             "stage-1-order-isomorphic"}
         assert verify_corollary15(ctx).ok
@@ -1522,9 +1521,9 @@ class TestCorollary15:
         q = stage.steps[g]
         other = next(v for v in range(q.n) if v not in (e, q.top))
         conds[ci] = conds[ci][:-1] + (((g, other), *rest),)
-        changed = dataclasses.replace(stage, conditions=tuple(conds))
-        level = dataclasses.replace(ctx.levels[beta], stage=changed)
-        bad = dataclasses.replace(ctx, levels={**ctx.levels, beta: level})
+        changed = replace(stage, conditions=tuple(conds))
+        level = replace(ctx.levels[beta], stage=changed)
+        bad = replace(ctx, levels={**ctx.levels, beta: level})
         k = f"stage-{beta - 1}-order-isomorphic"
 
         def record(c):
@@ -1621,7 +1620,7 @@ class TestCorollary15:
     def swapped_atoms(stage):
         conds = list(stage.conditions)
         conds[1], conds[2] = conds[2], conds[1]
-        return dataclasses.replace(stage, conditions=tuple(conds))
+        return replace(stage, conditions=tuple(conds))
 
     @pytest.mark.parametrize("plant, check", [
         (lambda right: extend_stage(root_stage(), [antichain_with_top(3)],

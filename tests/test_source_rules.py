@@ -18,27 +18,35 @@ only the tests plant maps, on copies; and only the element route reads
 not decide the level and ``verify_theorem2``'s override, so a passing
 level is never certified on its 2^|A| elements; and only the CLI's unit
 runner ``run_unit`` catches ``ProjectionError``, so the policy that makes
-one a failed record, and a cap a labeled skip, lives in one place.
+one a failed record, and a cap a labeled skip, lives in one place; and no
+module uses ``dataclasses`` or ``NamedTuple``, so importing the CLI loads
+neither ``dataclasses`` nor ``inspect``, which a fresh ``forcinglab run``
+process would otherwise pay for at start-up.
 
 Two rules a run keeps: a passing ``run --suite all --max-poset 3
 --max-stages 3`` builds no name, since every statement about names is
 certified on algebra elements and tails are decoded off pi_prime; and it
-builds no stage condition label, since labels are only read when a failing
-check names conditions.  Each run-time rule refuses the construction and
+builds no stage condition label and no label of a cifs step poset, collapse
+or product, since labels are only read when a failing check names
+elements.  Each run-time rule refuses the construction and
 checks that the run still writes its pinned report."""
 
 import ast
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import test_cli
-from forcinglab import iteration
+from forcinglab import iteration, poset
 from forcinglab.cli import main
-from forcinglab.iteration import TableProvider, build_iteration
+from forcinglab.iteration import (CollapseSpec, TableProvider, build_iteration,
+                                  collapse_poset)
 from forcinglab.names import Name
-from forcinglab.poset import antichain_with_top
+from forcinglab.poset import antichain_with_top, product_poset
 from forcinglab.projection import (_frown_table, _lemma11, _prefix_groups,
                                    make_context)
 
@@ -46,6 +54,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "forcinglab"
 BROAD = {"Exception", "BaseException"}
 STAGE_INDICES = {"_index", "_tails"}
 SOURCE_VIEW = {"source_algebras"}
+MACHINERY = {"dataclass", "dataclasses", "NamedTuple"}
 
 
 def caught_names(handler: ast.ExceptHandler) -> set:
@@ -84,6 +93,70 @@ def test_every_broad_form_is_found():
         "try:\n    pass\nexcept (KeyError, builtins.Exception):\n    pass",
     ])
     assert broad_handlers(source) == [7, 11, 15, 19]
+
+
+def machinery_uses(source: str) -> list[int]:
+    """Line numbers, ascending, of the imports and names in source that
+    are ``dataclasses``, ``dataclass`` or ``NamedTuple``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else \
+            node.name if isinstance(node, ast.alias) else \
+            node.module if isinstance(node, ast.ImportFrom) else None
+        if name in MACHINERY:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_uses_the_dataclass_machinery():
+    files = sorted(SRC.glob("**/*.py"))
+    assert files
+    found = {str(p.relative_to(SRC)): machinery_uses(p.read_text(encoding="utf-8"))
+             for p in files}
+    assert {f: ls for f, ls in found.items() if ls} == {}
+
+
+def test_every_machinery_use_is_found():
+    # the library's own replace and a word in a string are no use of it
+    source = "\n".join([
+        "from dataclasses import field",
+        "import dataclasses as dc",
+        "from typing import NamedTuple",
+        "@dataclass(frozen=True)",
+        "class Rows(typing.NamedTuple): pass",
+        "copy = dataclasses.replace(level)",
+        "from .config import replace",
+        "copy = replace(level, pi=pi)",
+        "doc = 'a dataclass'",
+    ])
+    assert machinery_uses(source) == [1, 2, 3, 4, 5, 6]
+
+
+def modules_added_by(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after ``statement`` that it
+    does not hold after ``pass``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+
+    def loaded(code: str) -> set[str]:
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        return set(proc.stdout.split())
+
+    return loaded(statement) - loaded("pass")
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    added = modules_added_by("import forcinglab.cli")
+    assert "forcinglab.projection" in added
+    assert added & {"dataclasses", "inspect"} == set()
+
+
+def test_a_dataclass_import_is_seen():
+    assert {"dataclasses", "inspect"} <= modules_added_by("import dataclasses")
 
 
 def policy_handlers(source: str) -> list[int]:
@@ -405,7 +478,19 @@ def test_a_pi_second_call_builds_a_name(monkeypatch):
 
 def test_a_passing_run_builds_no_condition_label(monkeypatch, tmp_path):
     refuse(monkeypatch, iteration, "_cond_label")
+    refuse(monkeypatch, iteration, "_injection_label")
+    refuse(monkeypatch, poset, "_tuple_label")
     assert sweep_report_sha256(tmp_path) == PINNED
+
+
+def test_reading_a_cifs_poset_label_builds_it(monkeypatch):
+    refuse(monkeypatch, iteration, "_injection_label")
+    refuse(monkeypatch, poset, "_tuple_label")
+    collapse, _ = collapse_poset(CollapseSpec((0, 1), 2))
+    product, _ = product_poset([antichain_with_top(2), collapse])
+    for built in (collapse, product):
+        with pytest.raises(Refused):
+            built.labels
 
 
 def test_a_failing_l11_reads_labels(monkeypatch):
