@@ -157,3 +157,70 @@ class TestClassicalEvaluation:
     def test_missing_constant(self):
         with pytest.raises(FormulaError):
             eval_classical(parse_formula("$5 = $5"), self.universe, [])
+
+
+# Formulas that together use all seven node types, each with its expected
+# canonical text, depth, bound variables, constants, free variables,
+# quantifier-freeness and one substitution (var, k, result text, or the
+# error it raises).
+NODE_TABLE = [
+    ("x in $0", "x in $0", 0, set(), {0}, {"x"}, True,
+     ("x", 1, "$1 in $0")),
+    ("$1 = y", "$1 = y", 0, set(), {1}, {"y"}, True,
+     ("y", 0, "$1 = $0")),
+    ("!(x in y)", "!(x in y)", 1, set(), set(), {"x", "y"}, True,
+     ("x", 2, "!($2 in y)")),
+    ("(x in $0) & (y = x)", "(x in $0) & (y = x)", 1, set(), {0},
+     {"x", "y"}, True, ("y", 3, "(x in $0) & ($3 = x)")),
+    ("(x = $2) | !(exists v (v in x))",
+     "(x = $2) | (!(exists v (v in x)))", 3, {"v"}, {2}, {"x"}, False,
+     ("x", 0, "($0 = $2) | !(exists v (v in $0))")),
+    ("(x in y) -> (exists a (exists b ((a in b) & (b = $3))))",
+     "(x in y) -> (exists a (exists b ((a in b) & (b = $3))))", 4,
+     {"a", "b"}, {3}, {"x", "y"}, False,
+     ("y", 1, "(x in $1) -> (exists a (exists b ((a in b) & (b = $3))))")),
+    ("forall z ((z in x) | (z = x))",
+     "!(exists z (!((z in x) | (z = x))))", 4, {"z"}, set(), {"x"}, False,
+     ("x", 5, "forall z ((z in $5) | (z = $5))")),
+    ("exists x ((x in y) & (exists y (y in x)))",
+     "exists x ((x in y) & (exists y (y in x)))", 3, {"x", "y"}, set(),
+     {"y"}, False, ("y", 0, BoundVariableError)),
+]
+
+
+class TestEveryNodeType:
+    def test_the_table_uses_every_node_type(self):
+        seen = set()
+
+        def visit(f):
+            seen.add(type(f))
+            for attr in ("body", "left", "right"):
+                sub = getattr(f, attr, None)
+                if isinstance(sub, (Membership, Equality, Not, And, Or,
+                                    Implies, Exists)):
+                    visit(sub)
+        for row in NODE_TABLE:
+            visit(parse_formula(row[0]))
+        assert seen == {Membership, Equality, Not, And, Or, Implies, Exists}
+
+    @pytest.mark.parametrize("row", NODE_TABLE, ids=[r[0] for r in NODE_TABLE])
+    def test_helpers(self, row):
+        text, canon, d, bound, consts, free, qf, _ = row
+        f = parse_formula(text)
+        assert to_text(f) == canon
+        assert parse_formula(canon) == f
+        assert depth(f) == d
+        assert bound_variables(f) == bound
+        assert constants(f) == consts
+        assert free_variables(f) == free
+        assert is_quantifier_free(f) is qf
+
+    @pytest.mark.parametrize("row", NODE_TABLE, ids=[r[0] for r in NODE_TABLE])
+    def test_substitute(self, row):
+        f = parse_formula(row[0])
+        var, k, expected = row[-1]
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                substitute(f, var, k)
+        else:
+            assert substitute(f, var, k) == parse_formula(expected)
