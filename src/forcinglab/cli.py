@@ -26,7 +26,7 @@ from .config import DEFAULT_CAPS, CapExceeded, Caps, fields
 from .formula import parse_formula
 from .iteration import (CifsProvider, CollapseSpec, Iteration, Stage,
                         StepContext, TableProvider, build_iteration, check_lemma1,
-                        cifs_toy_iteration, collapse_poset, extend_stage)
+                        collapse_poset, extend_stage)
 from .poset import (PERM_MAX, Poset, PosetError, all_separative_posets,
                     validate_poset)
 from .projection import (ProjectionError, factor_generic, limit_clause_skip,
@@ -63,9 +63,8 @@ class ExperimentConfig:
         )
 
     def echo(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "suite", "max_poset", "max_stages", "seed",
-            "max_stage_conditions", "cifs_formulas", "cifs_ladder")}
+        """Every field but ``out``: the config a report's meta line records."""
+        return {k: getattr(self, k) for k in fields(ExperimentConfig) if k != "out"}
 
 
 def read_config_file(path: str) -> dict:
@@ -88,7 +87,8 @@ def read_config_file(path: str) -> dict:
 
 
 def parse_poset_text(text: str) -> Poset:
-    """One `top: <id>` line, then `<id> < <id>` Hasse edges."""
+    """One `top: <id>` line, then `<id> < <id>` Hasse edges; an empty id,
+    a line with other than one `<` and a second `top:` line are errors."""
     top = None
     pairs = []
     ids: list[str] = []
@@ -97,18 +97,20 @@ def parse_poset_text(text: str) -> Poset:
         if not line or line.startswith("#"):
             continue
         if line.startswith("top:"):
+            if top is not None:
+                raise PosetError(f"line {lineno}: a second `top:` line")
             top = line[4:].strip()
-            if top not in ids:
-                ids.append(top)
-            continue
-        if "<" not in line:
-            raise PosetError(f"line {lineno}: expected `<id> < <id>`")
-        lo, _, hi = line.partition("<")
-        lo, hi = lo.strip(), hi.strip()
-        for e in (lo, hi):
+            ends = [top]
+        else:
+            ends = [e.strip() for e in line.split("<")]
+            if len(ends) != 2:
+                raise PosetError(f"line {lineno}: expected `<id> < <id>`")
+            pairs.append(tuple(ends))
+        if "" in ends:
+            raise PosetError(f"line {lineno}: empty element id")
+        for e in ends:
             if e not in ids:
                 ids.append(e)
-        pairs.append((lo, hi))
     if top is None:
         raise PosetError("missing `top:` line")
     return validate_poset(ids, pairs, top)
@@ -428,7 +430,7 @@ def _cifs_provider(config: ExperimentConfig) -> CifsProvider:
         ladder = [(int(r), int(m)) for r, _, m in rungs]
     except ValueError:
         raise ValueError(f"cifs ladder {config.cifs_ladder!r} is not rank:m,...") from None
-    return cifs_toy_iteration(formulas, ladder, config.caps())
+    return CifsProvider(formulas, ladder, config.caps())
 
 
 def check_config(config: ExperimentConfig) -> None:
@@ -487,7 +489,7 @@ def cifs_dependence_probe(caps: Caps, instance: str = "cifs") -> SuiteReport:
     rep = SuiteReport()
     psi = parse_formula(
         "exists y (y in x) & forall y (y in x -> exists z (z in y & exists w (w in z)))")
-    provider = cifs_toy_iteration([psi], [(1, 2), (6, 3)], caps)
+    provider = CifsProvider([psi], [(1, 2), (6, 3)], caps)
     # its own two rungs, under any --max-stages, as Corollary 15's rebuild
     iteration = build_iteration(provider, caps.with_(
         max_stage_conditions=16, max_stages=max(caps.max_stages, 2)),

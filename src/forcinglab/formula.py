@@ -12,6 +12,19 @@ Grammar (see :func:`parse_formula`):
 Precedence: "!" binds tightest, then "&", then "|", then "->" (right
 associative).  Exists is the one quantifier node: the parser desugars
 "forall v (...)" into "!exists v (!...)".
+
+Structural queries (free and bound variables, constants, depth,
+quantifier-freeness) go through one traversal: ``_parts`` gives a node's
+immediate subformulas, and is the one place that rejects a non-formula with
+TypeError, and ``_walk`` yields a formula and every subformula.  A new node
+type must extend ``_parts``, ``to_text``, the atom case of ``_subst`` (or
+its binder case; a connective is rebuilt through its own constructor),
+``eval_classical`` and :meth:`forcinglab.names.TruthSession.value`.
+
+The two evaluators share no connective code.  Criterion 2 checks the truth
+lemma by comparing classical truth in each generic extension with the
+Boolean value, so a bug in shared connective code would show on both sides
+and could pass.
 """
 
 from __future__ import annotations
@@ -233,6 +246,27 @@ def parse_formula(text: str) -> Formula:
 # -- printing and structural helpers --------------------------------------
 
 
+def _parts(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of f; atoms have none."""
+    if isinstance(f, (Membership, Equality)):
+        return ()
+    if isinstance(f, (Not, Exists)):
+        return (f.body,)
+    if isinstance(f, (And, Or, Implies)):
+        return (f.left, f.right)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _walk(f: Formula) -> Iterator[Formula]:
+    """f and every subformula of f, outermost first."""
+    yield f
+    for sub in _parts(f):
+        yield from _walk(sub)
+
+
+_INFIX = {And: "&", Or: "|", Implies: "->"}
+
+
 def to_text(f: Formula) -> str:
     """Canonical text form; parse(to_text(f)) == f for parser-produced trees."""
     if isinstance(f, Membership):
@@ -241,70 +275,38 @@ def to_text(f: Formula) -> str:
         return f"{f.left} = {f.right}"
     if isinstance(f, Not):
         return f"!({to_text(f.body)})"
-    if isinstance(f, And):
-        return f"({to_text(f.left)}) & ({to_text(f.right)})"
-    if isinstance(f, Or):
-        return f"({to_text(f.left)}) | ({to_text(f.right)})"
-    if isinstance(f, Implies):
-        return f"({to_text(f.left)}) -> ({to_text(f.right)})"
     if isinstance(f, Exists):
         return f"exists {f.var} ({to_text(f.body)})"
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _terms(f: Formula) -> Iterator[Term]:
-    if isinstance(f, (Membership, Equality)):
-        yield f.left
-        yield f.right
-    elif isinstance(f, Not):
-        yield from _terms(f.body)
-    elif isinstance(f, (And, Or, Implies)):
-        yield from _terms(f.left)
-        yield from _terms(f.right)
-    elif isinstance(f, Exists):
-        yield from _terms(f.body)
+    left, right = map(to_text, _parts(f))
+    return f"({left}) {_INFIX[type(f)]} ({right})"
 
 
 def free_variables(f: Formula, bound: frozenset[str] = frozenset()) -> set[str]:
     if isinstance(f, (Membership, Equality)):
         return {t.name for t in (f.left, f.right)
                 if isinstance(t, Var) and t.name not in bound}
-    if isinstance(f, Not):
-        return free_variables(f.body, bound)
-    if isinstance(f, (And, Or, Implies)):
-        return free_variables(f.left, bound) | free_variables(f.right, bound)
     if isinstance(f, Exists):
-        return free_variables(f.body, bound | {f.var})
-    raise TypeError(f"not a formula: {f!r}")
+        bound = bound | {f.var}
+    return set().union(*(free_variables(sub, bound) for sub in _parts(f)))
 
 
 def bound_variables(f: Formula) -> set[str]:
-    if isinstance(f, (Membership, Equality)):
-        return set()
-    if isinstance(f, Not):
-        return bound_variables(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return bound_variables(f.left) | bound_variables(f.right)
-    if isinstance(f, Exists):
-        return {f.var} | bound_variables(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return {g.var for g in _walk(f) if isinstance(g, Exists)}
 
 
 def constants(f: Formula) -> set[int]:
-    return {t.index for t in _terms(f) if isinstance(t, Const)}
+    return {t.index for g in _walk(f) if isinstance(g, (Membership, Equality))
+            for t in (g.left, g.right) if isinstance(t, Const)}
 
 
 def depth(f: Formula) -> int:
     """Connective depth; atoms have depth 0."""
-    if isinstance(f, (Membership, Equality)):
-        return 0
-    if isinstance(f, Not):
-        return 1 + depth(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return 1 + max(depth(f.left), depth(f.right))
-    if isinstance(f, Exists):
-        return 1 + depth(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    parts = _parts(f)
+    return 1 + max(map(depth, parts)) if parts else 0
+
+
+def is_quantifier_free(f: Formula) -> bool:
+    return not any(isinstance(g, Exists) for g in _walk(f))
 
 
 def substitute(f: Formula, var: str, const_index: int) -> Formula:
@@ -319,35 +321,12 @@ def substitute(f: Formula, var: str, const_index: int) -> Formula:
 
 
 def _subst(f: Formula, var: str, repl: Term) -> Formula:
-    def term(t: Term) -> Term:
-        return repl if isinstance(t, Var) and t.name == var else t
-    if isinstance(f, Membership):
-        return Membership(term(f.left), term(f.right))
-    if isinstance(f, Equality):
-        return Equality(term(f.left), term(f.right))
-    if isinstance(f, Not):
-        return Not(_subst(f.body, var, repl))
-    if isinstance(f, And):
-        return And(_subst(f.left, var, repl), _subst(f.right, var, repl))
-    if isinstance(f, Or):
-        return Or(_subst(f.left, var, repl), _subst(f.right, var, repl))
-    if isinstance(f, Implies):
-        return Implies(_subst(f.left, var, repl), _subst(f.right, var, repl))
-    if isinstance(f, Exists):
-        if f.var == var:
-            return f
-        return Exists(f.var, _subst(f.body, var, repl))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def is_quantifier_free(f: Formula) -> bool:
     if isinstance(f, (Membership, Equality)):
-        return True
-    if isinstance(f, Not):
-        return is_quantifier_free(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return is_quantifier_free(f.left) and is_quantifier_free(f.right)
-    return False
+        return type(f)(*(repl if isinstance(t, Var) and t.name == var else t
+                         for t in (f.left, f.right)))
+    if isinstance(f, Exists):
+        return f if f.var == var else Exists(f.var, _subst(f.body, var, repl))
+    return type(f)(*(_subst(sub, var, repl) for sub in _parts(f)))
 
 
 # -- classical evaluation over a finite membership structure ---------------

@@ -65,13 +65,6 @@ def dense_subsets(poset: Poset) -> Iterator[int]:
         yield poset.atom_mask | extra
 
 
-def is_dense(mask: int, poset: Poset) -> bool:
-    for p in range(poset.n):
-        if not poset.below[p] & mask:
-            return False
-    return True
-
-
 def enumerate_generics(poset: Poset) -> list[GenericSet]:
     """All generic filters: the upward closure of each atom, in atom order."""
     return [GenericSet(poset, poset.above[a], a) for a in poset.atoms]

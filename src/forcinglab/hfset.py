@@ -62,10 +62,6 @@ class HFSet:
 EMPTY = HFSet()
 
 
-def hfset(*members: HFSet) -> HFSet:
-    return HFSet(members)
-
-
 @lru_cache(maxsize=None)
 def numeral(k: int) -> HFSet:
     """von Neumann numeral: k = {0, 1, ..., k-1}."""

@@ -591,13 +591,6 @@ class CifsProvider(StepProvider):
         return poset
 
 
-def cifs_toy_iteration(formulas: Sequence[Formula],
-                       ladder: Sequence[tuple[int, int]],
-                       caps: Caps = DEFAULT_CAPS) -> CifsProvider:
-    """Step provider for the toy collapse iteration over a finite rank ladder."""
-    return CifsProvider(formulas, ladder, caps)
-
-
 # -- stagewise separativity -------------------------------------------------
 
 

@@ -115,14 +115,6 @@ def name_text(name: Name, algebra: BoolAlgebra) -> str:
                            for sub, x in name.entries) + "}"
 
 
-def make_name(entries: Iterable[tuple[Name, int]], algebra: BoolAlgebra) -> Name:
-    return Name(entries, algebra)
-
-
-def empty_name(algebra: BoolAlgebra) -> Name:
-    return Name((), algebra)
-
-
 def check_name(x: HFSet, algebra: BoolAlgebra,
                _memo: dict | None = None) -> Name:
     """The canonical ground name for x: entries {(y-check, one) : y in x}."""
@@ -214,7 +206,7 @@ def name_universe(algebra: BoolAlgebra, rank_bound: int,
     if size > limit:
         raise UniverseCapExceeded(
             f"universe of rank {rank_bound} has {size} names, above the cap {limit}")
-    layer: list[Name] = [empty_name(algebra)]
+    layer: list[Name] = [Name((), algebra)]
     for _ in range(rank_bound):
         # a canonical name of the next layer is a partial map layer -> nonzero,
         # and distinct maps give distinct names

@@ -18,8 +18,8 @@ from forcinglab.cli import (ExperimentConfig, execute, generate_instances,
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import parse_formula
 from forcinglab.generic import dense_subsets, enumerate_generics
-from forcinglab.iteration import (CollapseSpec, build_iteration, check_lemma1,
-                                  cifs_toy_iteration, collapse_poset)
+from forcinglab.iteration import (CifsProvider, CollapseSpec, build_iteration,
+                                  check_lemma1, collapse_poset)
 from forcinglab.names import (Name, NameUniverse, TruthSession,
                               UniverseCapExceeded, evaluate, name_universe,
                               sampled_universe)
@@ -429,7 +429,7 @@ def test_criterion_9_collapse_and_lemma20():
     # the witness property through the toy iterations, for |X| < m
     reports = []
     for ladder in ([(1, 2)], [(2, 3)], [(1, 2), (1, 3)]):
-        provider = cifs_toy_iteration([parse_formula("x = x")], ladder)
+        provider = CifsProvider([parse_formula("x = x")], ladder)
         it = build_iteration(provider, DEFAULT_CAPS.with_(max_stage_conditions=256))
         for gi in range(len(it.final.generics)):
             reports.append(verify_lemma20_analogue(it, gi))

@@ -14,9 +14,10 @@ from forcinglab.cli import (ExperimentConfig, InstanceSpec, execute,
                             parse_poset_text, parse_provider_tables,
                             read_config_file, run_cifs_suite, run_suite,
                             write_report)
-from forcinglab.config import DEFAULT_CAPS, CapExceeded
+from forcinglab.config import DEFAULT_CAPS, CapExceeded, fields
 from forcinglab.iteration import TableProvider, build_iteration
-from forcinglab.poset import Poset, antichain_with_top, diamond_poset
+from forcinglab.poset import (Poset, PosetError, antichain_with_top,
+                              diamond_poset)
 from forcinglab.projection import ProjectionError
 
 from generation_oracle import (generate_instances_exhaustive,
@@ -39,6 +40,17 @@ class TestPosetTextFormat:
     def test_missing_top_rejected(self):
         with pytest.raises(Exception, match="top"):
             parse_poset_text("a < b\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("top: 1\n < 1\n", "line 2: empty element id"),
+        ("top: 1\na <\n", "line 2: empty element id"),
+        ("top: 1\na < b < 1\nb < 1\n", "line 2: expected `<id> < <id>`"),
+        ("top: 1\na < 1\ntop: a\n", "line 3: a second `top:` line"),
+    ], ids=["empty-id", "missing-upper-id", "two-edges", "second-top"])
+    def test_malformed_line_rejected(self, text, message):
+        with pytest.raises(PosetError) as exc:
+            parse_poset_text(text)
+        assert str(exc.value) == message
 
 
 class TestProviderTableFormat:
@@ -668,6 +680,12 @@ class TestConfigFile:
         assert capsys.readouterr().err == (
             "error: max_stage_conditions must be >= 1, got 0\n")
         assert not out.exists()
+
+    def test_every_field_but_out_is_echoed_and_is_a_run_flag(self):
+        keys = set(fields(ExperimentConfig)) - {"out"}
+        assert set(ExperimentConfig().echo()) == keys
+        run_flags = set(vars(cli._build_parser().parse_args(["run"])))
+        assert keys <= run_flags
 
     @pytest.mark.parametrize("key", ["bogus", "caps", "echo", "__module__"])
     def test_bad_key_rejected(self, tmp_path, capsys, key):

@@ -6,8 +6,8 @@ from forcinglab.cli import ExperimentConfig, InstanceSpec
 from forcinglab.config import DEFAULT_CAPS, Caps, fields, replace
 from forcinglab.formula import (And, Const, Equality, Exists, Implies,
                                 Membership, Not, Or, Var, parse_formula)
-from forcinglab.iteration import (CollapseSpec, StepContext, TableProvider,
-                                  build_iteration, cifs_toy_iteration)
+from forcinglab.iteration import (CifsProvider, CollapseSpec, StepContext,
+                                  TableProvider, build_iteration)
 from forcinglab.names import Name, NameUniverse
 from forcinglab.poset import antichain_with_top
 from forcinglab.projection import make_context, verify_theorem2
@@ -26,7 +26,7 @@ def one_of_each_record() -> list:
     level = ctx.final_level
     report = verify_theorem2(ctx)
     stage = it.stages[1]
-    cifs = cifs_toy_iteration([parse_formula("x = x")], [(2, 2)])
+    cifs = CifsProvider([parse_formula("x = x")], [(2, 2)])
     build_iteration(cifs)
     x, z = Var("x"), Var("z")
     atom = Membership(z, x)

@@ -8,7 +8,7 @@ from forcinglab.formula import (And, BoundVariableError, Const, Equality,
                                 eval_classical, free_variables,
                                 is_quantifier_free, parse_formula, substitute,
                                 to_text)
-from forcinglab.hfset import EMPTY, hfset
+from forcinglab.hfset import EMPTY, HFSet
 
 
 class TestParsing:
@@ -137,7 +137,7 @@ class TestStructuralHelpers:
 class TestClassicalEvaluation:
     def setup_method(self):
         self.zero = EMPTY
-        self.one = hfset(EMPTY)
+        self.one = HFSet([EMPTY])
         self.universe = [self.zero, self.one]
 
     def test_membership(self):
@@ -224,3 +224,19 @@ class TestEveryNodeType:
                 substitute(f, var, k)
         else:
             assert substitute(f, var, k) == parse_formula(expected)
+
+
+HELPERS = {
+    "to_text": to_text, "free_variables": free_variables,
+    "bound_variables": bound_variables, "constants": constants,
+    "depth": depth, "is_quantifier_free": is_quantifier_free,
+    "substitute": lambda f: substitute(f, "x", 0),
+    "eval_classical": lambda f: eval_classical(f, [EMPTY], [EMPTY]),
+}
+
+
+@pytest.mark.parametrize("helper", HELPERS.values(), ids=HELPERS.keys())
+@pytest.mark.parametrize("thing", [Var("x"), Const(0), "x in y", None])
+def test_every_helper_rejects_a_non_formula(helper, thing):
+    with pytest.raises(TypeError, match="not a formula"):
+        helper(thing)

@@ -1,8 +1,8 @@
 from forcinglab.boolalg import ro_algebra
-from forcinglab.generic import (dense_subsets, enumerate_generics, is_dense,
-                                is_filter)
+from forcinglab.generic import dense_subsets, enumerate_generics, is_filter
 from forcinglab.poset import (all_posets_with_top, antichain_with_top,
-                              chain_poset, complement_cut, point_poset)
+                              chain_poset, complement_cut, is_dense_below,
+                              point_poset)
 from forcinglab.projection import make_context
 
 
@@ -92,21 +92,21 @@ class TestEnumerateGenerics:
 class TestDenseSubsets:
     def test_whole_poset_always_dense(self):
         for p in all_posets_with_top(4):
-            assert is_dense(p.full_mask, p)
+            assert is_dense_below(p.full_mask, p.top, p)
             assert p.full_mask in set(dense_subsets(p))
 
     def test_antichain_examples(self):
         p = antichain_with_top(2)
         a, b = p.labels.index("a"), p.labels.index("b")
-        assert is_dense((1 << a) | (1 << b), p)
-        assert not is_dense(1 << a, p)
+        assert is_dense_below((1 << a) | (1 << b), p.top, p)
+        assert not is_dense_below(1 << a, p.top, p)
 
     def test_single_point(self):
         assert list(dense_subsets(point_poset())) == [1]
 
     def test_stream_matches_brute_force(self):
         for p in all_posets_with_top(5):
-            brute = {m for m in range(1 << p.n) if is_dense(m, p)}
+            brute = {m for m in range(1 << p.n) if is_dense_below(m, p.top, p)}
             assert set(dense_subsets(p)) == brute
 
 

@@ -13,17 +13,16 @@ from forcinglab.cli import (ExperimentConfig, cifs_dependence_probe,
                             generate_instances)
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import parse_formula
-from forcinglab.hfset import EMPTY, HFSet, element_code, hfset
+from forcinglab.hfset import EMPTY, HFSet, element_code
 from forcinglab.iteration import (TAIL_ONE, CifsProvider, CollapseSpec,
                                   Iteration, ProviderError, StepContext,
                                   TableProvider, build_iteration,
                                   canonicalize_condition,
-                                  check_lemma1, cifs_toy_iteration,
-                                  collapse_poset, extend_stage, root_stage,
+                                  check_lemma1, collapse_poset, extend_stage, root_stage,
                                   trim)
 from forcinglab.hfset import kpair
-from forcinglab.names import (NameUniverse, TruthSession, check_name,
-                              empty_name, evaluate, mix_name, pair_name)
+from forcinglab.names import (Name, NameUniverse, TruthSession, check_name,
+                              evaluate, mix_name, pair_name)
 from forcinglab.poset import (Poset, antichain_with_top, chain_poset,
                               is_separative, point_poset, product_poset)
 from forcinglab.projection import make_context
@@ -409,7 +408,7 @@ def literal_second_stage(it: Iteration):
     steps = it.stages[2].steps      # the step posets named over stage 1
     A = ro_algebra(s1.poset, max_base=s1.poset.n)
     gens = s1.generics
-    sess = TruthSession(NameUniverse(A, 0, (empty_name(A),)))
+    sess = TruthSession(NameUniverse(A, 0, (Name((), A),)))
 
     def branch(g, hf):
         return (gens[g].atom, check_name(hf, A))
@@ -568,14 +567,14 @@ class TestLemma1:
 
 class TestCifs:
     def test_never_unique_witness_gives_trivial_component(self):
-        prov = cifs_toy_iteration([parse_formula("x = x")], [(2, 2)])
+        prov = CifsProvider([parse_formula("x = x")], [(2, 2)])
         build_iteration(prov, DEFAULT_CAPS.with_(max_stage_conditions=64))
         info = prov.info[(0, ())]
         assert info.witnesses == [None]
         assert info.payloads[1] == [frozenset()]
 
     def test_empty_set_witness(self):
-        prov = cifs_toy_iteration(
+        prov = CifsProvider(
             [parse_formula("forall z (! (z in x))")], [(2, 2)])
         build_iteration(prov, DEFAULT_CAPS.with_(max_stage_conditions=64))
         info = prov.info[(0, ())]
@@ -588,7 +587,7 @@ class TestCifs:
         """The stage-1 step infos of the CLI's cifs dependence probe."""
         psi = parse_formula(
             "exists y (y in x) & forall y (y in x -> exists z (z in y & exists w (w in z)))")
-        prov = cifs_toy_iteration([psi], [(1, 2), (6, 3)])
+        prov = CifsProvider([psi], [(1, 2), (6, 3)])
         it = build_iteration(prov, DEFAULT_CAPS.with_(max_stage_conditions=16),
                              allow_partial=True)
         s1 = it.stages[1]
@@ -642,7 +641,7 @@ class TestCifs:
         # the cap must stop their enumeration, not just discard the stage
         psi = parse_formula(
             "exists y (y in x) & forall y (y in x -> exists z (z in y & exists w (w in z)))")
-        prov = cifs_toy_iteration([psi], [(1, 2), (6, 3)])
+        prov = CifsProvider([psi], [(1, 2), (6, 3)])
         tracemalloc.start()
         try:
             it = build_iteration(prov, DEFAULT_CAPS.with_(max_stage_conditions=16),
@@ -655,14 +654,14 @@ class TestCifs:
 
     def test_formula_arity_enforced(self):
         with pytest.raises(Exception):
-            cifs_toy_iteration([parse_formula("x in y")], [(1, 2)])
+            CifsProvider([parse_formula("x in y")], [(1, 2)])
 
     def test_ladder_must_increase(self):
         with pytest.raises(ValueError):
-            cifs_toy_iteration([parse_formula("x = x")], [(1, 2), (1, 2)])
+            CifsProvider([parse_formula("x = x")], [(1, 2), (1, 2)])
 
     def test_full_pipeline_small_ladder(self):
-        prov = cifs_toy_iteration(
+        prov = CifsProvider(
             [parse_formula("forall z (! (z in x))"),
              parse_formula("exists z (z in x)")],
             [(1, 2), (1, 3)])

@@ -7,13 +7,13 @@ from forcinglab.config import replace
 from forcinglab.formula import parse_formula
 from forcinglab.generic import enumerate_generics, forces
 from forcinglab.hfset import (EMPTY, HFSet, chain, element_code,
-                              encode_function, hfset, kpair, kpair_value,
+                              encode_function, kpair, kpair_value,
                               numeral, numeral_value, rank_segment,
                               transitive_closure)
 from forcinglab.iteration import TableProvider, build_iteration
 from forcinglab.names import (Name, NameUniverse, TruthSession,
-                              UniverseCapExceeded, check_name, empty_name,
-                              evaluate, holds_in_extension, make_name, mix_name,
+                              UniverseCapExceeded, check_name, evaluate,
+                              holds_in_extension, mix_name,
                               name_text, name_universe, pair_name,
                               sampled_universe, truth_value)
 from forcinglab.poset import (Poset, all_posets_with_top, antichain_with_top,
@@ -26,18 +26,18 @@ from universes import working_universe
 
 class TestHFSet:
     def test_interning(self):
-        assert hfset(EMPTY) is hfset(EMPTY)
-        assert HFSet([EMPTY, EMPTY]) is hfset(EMPTY)
+        assert HFSet([EMPTY]) is HFSet([EMPTY])
+        assert HFSet([EMPTY, EMPTY]) is HFSet([EMPTY])
 
     def test_rank(self):
         assert EMPTY.rank == 0
-        assert hfset(EMPTY).rank == 1
+        assert HFSet([EMPTY]).rank == 1
         assert numeral(3).rank == 3
 
     def test_numerals_roundtrip(self):
         for k in range(6):
             assert numeral_value(numeral(k)) == k
-        assert numeral_value(hfset(hfset(EMPTY))) is None
+        assert numeral_value(HFSet([HFSet([EMPTY])])) is None
 
     def test_element_codes_roundtrip(self):
         # a set is an element code when its members are distinct chains of
@@ -53,7 +53,7 @@ class TestHFSet:
             assert element_code(e) is element_code(e)
             assert element_code_value(element_code(e)) == e
         others = list(rank_segment(4)) + [numeral(k) for k in range(6)] + [
-            hfset(chain(5)), kpair(EMPTY, chain(2)), hfset(numeral(3))]
+            HFSet([chain(5)]), kpair(EMPTY, chain(2)), HFSet([numeral(3)])]
         assert any(by_definition(x) is None for x in others)
         for x in others:
             assert element_code_value(x) == by_definition(x), x
@@ -87,39 +87,39 @@ def _algebra_with_named_cuts():
 class TestCanonicalNames:
     def test_zero_cut_entries_dropped(self):
         _, A, ua, _ = _algebra_with_named_cuts()
-        e = empty_name(A)
-        assert make_name([(e, A.zero)], A) == empty_name(A)
+        e = Name((), A)
+        assert Name([(e, A.zero)], A) == Name((), A)
 
     def test_duplicate_subnames_merge_by_join(self):
         _, A, ua, ub = _algebra_with_named_cuts()
-        e = empty_name(A)
-        merged = make_name([(e, ua), (e, ub)], A)
-        assert merged == make_name([(e, A.one)], A)
+        e = Name((), A)
+        merged = Name([(e, ua), (e, ub)], A)
+        assert merged == Name([(e, A.one)], A)
 
     def test_text_writes_each_element_as_its_cut(self):
         P, A, ua, _ = _algebra_with_named_cuts()
-        e = empty_name(A)
-        nm = make_name([(make_name([(e, A.one)], A), ua)], A)
+        e = Name((), A)
+        nm = Name([(Name([(e, A.one)], A), ua)], A)
         assert A.cut(A.one) == (1 << P.n) - 1 != A.one
         assert name_text(nm, A) == \
             "{({({},%#x)},%#x)}" % (A.cut(A.one), A.cut(ua))
 
     def test_rank(self):
         _, A, ua, _ = _algebra_with_named_cuts()
-        e = empty_name(A)
-        y = make_name([(e, ua)], A)
+        e = Name((), A)
+        y = Name([(e, ua)], A)
         assert e.rank == 0 and y.rank == 1
 
 
 class TestCheckName:
     def test_empty(self):
         _, A, _, _ = _algebra_with_named_cuts()
-        assert check_name(EMPTY, A) == empty_name(A)
+        assert check_name(EMPTY, A) == Name((), A)
 
     def test_singleton(self):
         _, A, _, _ = _algebra_with_named_cuts()
-        got = check_name(hfset(EMPTY), A)
-        assert got == make_name([(empty_name(A), A.one)], A)
+        got = check_name(HFSet([EMPTY]), A)
+        assert got == Name([(Name((), A), A.one)], A)
 
     def test_evaluates_back_to_the_set_for_every_generic(self):
         for poset in all_posets_with_top(4):
@@ -166,7 +166,7 @@ class TestTruthValues:
         self.univ = name_universe(self.A, 2)
         self.sess = TruthSession(self.univ)
         self.echk = check_name(EMPTY, self.A)
-        self.y = make_name([(self.echk, self.ua)], self.A)
+        self.y = Name([(self.echk, self.ua)], self.A)
 
     def test_self_equality_is_one(self):
         for nm in name_universe(self.A, 1).names:
@@ -198,16 +198,16 @@ class TestEvaluation:
     def setup_method(self):
         self.P, self.A, self.ua, _ = _algebra_with_named_cuts()
         self.gens = enumerate_generics(self.P)
-        self.y = make_name([(check_name(EMPTY, self.A), self.ua)], self.A)
+        self.y = Name([(check_name(EMPTY, self.A), self.ua)], self.A)
 
     def test_empty_name(self):
         for g in self.gens:
-            assert evaluate(empty_name(self.A), g.mask) == EMPTY
+            assert evaluate(Name((), self.A), g.mask) == EMPTY
 
     def test_cut_meets_filter(self):
         ga = next(g for g in self.gens if g.atom == self.P.labels.index("a"))
         gb = next(g for g in self.gens if g.atom == self.P.labels.index("b"))
-        assert evaluate(self.y, ga.mask) == hfset(EMPTY)
+        assert evaluate(self.y, ga.mask) == HFSet([EMPTY])
         assert evaluate(self.y, gb.mask) == EMPTY
 
     def test_one_memo_serves_every_generic(self):
@@ -223,7 +223,7 @@ class TestForcing:
         self.univ = name_universe(self.A, 1)
         self.a = self.P.labels.index("a")
         self.b = self.P.labels.index("b")
-        self.y = make_name([(check_name(EMPTY, self.A), self.ua)], self.A)
+        self.y = Name([(check_name(EMPTY, self.A), self.ua)], self.A)
         self.iy = self.univ.names.index(self.y)
 
     def test_top_forces_reflexivity(self):
@@ -231,7 +231,7 @@ class TestForcing:
         assert forces(self.P.top, f, self.univ)
 
     def test_only_the_matching_atom_forces_membership(self):
-        zero = self.univ.names.index(empty_name(self.A))
+        zero = self.univ.names.index(Name((), self.A))
         f = parse_formula(f"${zero} in ${self.iy}")
         assert forces(self.a, f, self.univ)
         assert not forces(self.b, f, self.univ)
@@ -356,7 +356,7 @@ class TestInterning:
             return mix_name([(gens[0].atom, check_name(numeral(2), A)),
                              (gens[1].atom, element_name(1, A))], A)
         assert mixed() is mixed()
-        assert make_name([(empty_name(A), A.one)], A) is check_name(hfset(EMPTY), A)
+        assert Name([(Name((), A), A.one)], A) is check_name(HFSet([EMPTY]), A)
 
     def test_pi_second_images_are_the_same_objects(self):
         it = build_iteration(TableProvider([{(): antichain_with_top(2)},
@@ -372,15 +372,15 @@ class TestInterning:
 
     def test_foreign_element_raises_on_first_and_repeat_builds(self):
         _, A, ua, _ = _algebra_with_named_cuts()
-        e = empty_name(A)
+        e = Name((), A)
         foreign = A.one + 1
         assert foreign not in A
         for _ in range(2):
             with pytest.raises(AlgebraError):
                 Name([(e, foreign)], A)
-        make_name([(e, ua)], A)
+        Name([(e, ua)], A)
         with pytest.raises(AlgebraError):
-            make_name([(e, ua), (e, foreign)], A)
+            Name([(e, ua), (e, foreign)], A)
 
     def test_names_over_two_algebras_of_one_poset_compare_by_key(self):
         P = antichain_with_top(2)

@@ -15,11 +15,11 @@ from forcinglab.cli import (ExperimentConfig, InstanceSpec, execute,
 from forcinglab.config import DEFAULT_CAPS, CapExceeded, replace
 from forcinglab.formula import constants, parse_formula
 from forcinglab.generic import dense_subsets
-from forcinglab.hfset import EMPTY
-from forcinglab.iteration import (TAIL_ONE, Iteration, ProviderError,
-                                  TableProvider, build_iteration,
-                                  cifs_toy_iteration,
-                                  extend_stage, root_stage, trim)
+from forcinglab.hfset import EMPTY, HFSet
+from forcinglab.iteration import (TAIL_ONE, CifsProvider, Iteration,
+                                  ProviderError, TableProvider,
+                                  build_iteration, extend_stage, root_stage,
+                                  trim)
 from forcinglab.names import (Name, NameUniverse, TruthSession, check_name,
                               evaluate, name_text,
                               name_universe, sampled_universe)
@@ -1027,8 +1027,9 @@ class TestLemmaOracle:
 
 
 class TestHomCertificateOracle:
-    """The atom and coatom folds against the pair sweep: equal flags and
-    family counts, and every product or sum witness a real violation."""
+    """The certificate's splits, each element at its lowest atom and at its
+    lowest missing atom, against the pair sweep: equal flags and family
+    counts, and every product or sum witness a real violation."""
 
     def test_every_level_and_every_small_perturbation(self, default_sweep):
         # each single-entry change of pi_prime on the levels whose source
@@ -1394,8 +1395,7 @@ class TestTheorem16:
         it, ctx = worked
         A = ctx.source_algebras[2]
         level = ctx.levels[2]
-        from forcinglab.hfset import hfset
-        for x in (EMPTY, hfset(EMPTY), hfset(hfset(EMPTY))):
+        for x in (EMPTY, HFSet([EMPTY]), HFSet([HFSet([EMPTY])])):
             nm = check_name(x, A)
             for gi, gen in enumerate(it.stages[2].generics):
                 G, hmask, rep = factor_generic(it, 1, gi)
@@ -1845,7 +1845,7 @@ class TestOrderFactsOncePerMatrix:
 
 class TestLemma20:
     def test_singleton_into_two(self):
-        prov = cifs_toy_iteration([parse_formula("x = x")], [(1, 2)])
+        prov = CifsProvider([parse_formula("x = x")], [(1, 2)])
         it = build_iteration(prov)
         for gi in range(len(it.final.generics)):
             rep = verify_lemma20_analogue(it, gi)
@@ -1854,7 +1854,7 @@ class TestLemma20:
                        for c in rep.checks)
 
     def test_two_into_three(self):
-        prov = cifs_toy_iteration([parse_formula("x = x")], [(2, 3)])
+        prov = CifsProvider([parse_formula("x = x")], [(2, 3)])
         it = build_iteration(prov, DEFAULT_CAPS.with_(max_stage_conditions=128))
         for gi in range(len(it.final.generics)):
             rep = verify_lemma20_analogue(it, gi)
@@ -1865,7 +1865,7 @@ class TestLemma20:
     def test_boundary_size_is_excluded(self):
         # |X| = m: atoms have size m-1, the union is not total, and the
         # precondition keeps such components out of the sweep
-        prov = cifs_toy_iteration([parse_formula("x = x")], [(2, 2)])
+        prov = CifsProvider([parse_formula("x = x")], [(2, 2)])
         it = build_iteration(prov, DEFAULT_CAPS.with_(max_stage_conditions=128))
         info = prov.info[(0, ())]
         assert len(info.structure) == 2 and prov.ladder[0][1] == 2
@@ -1882,7 +1882,7 @@ class TestLemma20:
     def test_a_corrupted_payload_fails_that_component_alone(self, corrupt):
         # the payload that one final generic selects is no longer a total
         # injection; every other generic's union stays one
-        prov = cifs_toy_iteration([parse_formula("x = x")], [(2, 3)])
+        prov = CifsProvider([parse_formula("x = x")], [(2, 3)])
         it = build_iteration(prov, DEFAULT_CAPS.with_(max_stage_conditions=128))
         info, victim = prov.info[(0, ())], 2
         cond = info.element_tuples[it.final.paths[victim][0]][0]
