@@ -21,10 +21,10 @@ type must extend ``_parts``, ``to_text``, the atom case of ``_subst`` (or
 its binder case; a connective is rebuilt through its own constructor),
 ``eval_classical`` and :meth:`forcinglab.names.TruthSession.value`.
 
-The two evaluators share no connective code.  Criterion 2 checks the truth
-lemma by comparing classical truth in each generic extension with the
-Boolean value, so a bug in shared connective code would show on both sides
-and could pass.
+The two evaluators share no connective code.  The truth-lemma tests compare
+truth in each generic extension, as ``eval_classical`` reads it, with the
+Boolean value ``TruthSession.value`` gives, so a bug in connective code that
+both used would show on both sides and pass.
 """
 
 from __future__ import annotations
