@@ -4,10 +4,10 @@ A regular cut of a finite poset is fixed by the atoms it contains, so an
 algebra element is that atom set, as a bitmask over the base poset: meet is
 ``&``, join is ``|`` and complement is ``^ one``.  :meth:`BoolAlgebra.cut`
 gives back the regular cut, for reports and for tests against the cut
-calculus in :mod:`forcinglab.poset`.  The algebra is materialized eagerly,
-one element per subset of the atoms, each with its cut built alongside the
-subsets (once per relation matrix), which is what lets the law suite and
-the element checks be exhaustive instead of sampled.
+calculus in :mod:`forcinglab.poset`.  Every operation works on the atom
+mask; the 2^|atoms| elements are listed only for a caller that enumerates
+them (the law suite, the names layer and the element routes), and that
+listing is what the algebra cap bounds.
 
 A complete homomorphism between such algebras is fixed by its atom images,
 so the projection suites decide Theorem 2's homomorphism on the images of
@@ -16,9 +16,9 @@ the base's atoms (``forcinglab.projection.QuotientLevel``).
 a map the atom images do not decide, a failing or a planted one, checks
 zero, one and complement directly and every binary join and meet by
 splitting each element once at its lowest atom and its lowest missing atom
-(no cap, work linear in |A|), and writes each failing split as a binary
-witness.  :func:`check_complete_hom` folds all 2^|A| subfamilies and is
-kept as the reference oracle for both.
+(no cap of its own, work linear in |A|), and writes each failing split as
+a binary witness.  :func:`check_complete_hom` folds all 2^|A| subfamilies
+and is kept as the reference oracle for both.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .config import DEFAULT_CAPS, CapExceeded
-from .poset import (Poset, _mask_bits, is_separative, regular_cuts,
-                    separative_quotient)
+from .poset import (Poset, _mask_bits, atom_set_cut, is_separative,
+                    regular_cuts, separative_quotient)
 
 
 class AlgebraError(ValueError):
@@ -37,49 +37,64 @@ class AlgebraError(ValueError):
 class BoolAlgebra:
     """All regular cuts of a separative base poset, stored as atom sets.
 
-    ``elements`` ascend by their cuts, and ``index`` gives each element's
-    position there; ``zero`` is 0 and ``one`` is ``base.atom_mask``.  The
-    cut table, ``elements`` and ``index`` are read from
-    :func:`forcinglab.poset.regular_cuts`, memoized on the base's relation
-    rows, so algebras over one order share them.  If the input poset was
-    not separative it is quotiented first: ``original``/``quotient_map``
-    report that, and the atoms are those of ``base`` (the quotient).
-    ``name_table`` and ``name_tag`` stay per algebra: the table interns the
-    names built over this algebra (see :class:`forcinglab.names.Name`) for
-    as long as it lives; those names hold ``name_tag``, not the algebra, so
-    no reference cycle keeps them alive after it, and two algebras over one
-    order never share a name.
+    ``zero`` is 0 and ``one`` is ``base.atom_mask``, and every atom set is
+    an element (Jech, *Set Theory*, 2003, Ch. 14).  ``elements`` ascend by
+    their cuts, and ``index`` gives each element's position there; both are
+    read on first use from :func:`forcinglab.poset.regular_cuts`, memoized
+    on the base's relation rows, and that read raises :class:`CapExceeded`
+    for a base of more than ``max_base`` atoms.
+    If the input poset was not separative it is quotiented first:
+    ``original``/``quotient_map`` report that, and the atoms are those of
+    ``base`` (the quotient).  ``name_table`` and ``name_tag`` stay per
+    algebra: the table interns the names built over this algebra (see
+    :class:`forcinglab.names.Name`) for as long as it lives; those names
+    hold ``name_tag``, not the algebra, so no reference cycle keeps them
+    alive after it, and two algebras over one order never share a name.
     """
 
-    __slots__ = ("base", "original", "quotient_map", "elements", "index",
-                 "nonzero", "zero", "one", "_cuts", "name_table", "name_tag")
+    __slots__ = ("base", "original", "quotient_map", "max_base", "zero",
+                 "one", "_listed", "name_table", "name_tag")
 
     def __init__(self, base: Poset, original: Poset | None = None,
-                 quotient_map: tuple[int, ...] | None = None):
+                 quotient_map: tuple[int, ...] | None = None,
+                 max_base: int | None = None):
         self.base = base
         self.original = original
         self.quotient_map = quotient_map
+        self.max_base = DEFAULT_CAPS.algebra_max_base if max_base is None \
+            else max_base
         self.zero = 0
         self.one = base.atom_mask
-        # memoized on the base's relation rows, shared with every algebra
-        # over that order and never written to
-        self._cuts, self.elements, self.index = regular_cuts(base)
-        self.nonzero = self.elements[1:]
+        self._listed = None
         self.name_table: dict[tuple, object] = {}
         self.name_tag = object()
 
+    def _list_elements(self) -> tuple:
+        """(elements, index, nonzero) on first read: the one place that
+        enumerates the algebra, so the one place the cap is checked."""
+        k = len(self.base.atoms)
+        if k > self.max_base:
+            raise CapExceeded(f"poset has {k} atoms, above the algebra "
+                              f"enumeration bound {self.max_base}")
+        _, elements, index = regular_cuts(self.base)
+        self._listed = elements, index, elements[1:]
+        return self._listed
+
+    elements = property(lambda self: (self._listed or self._list_elements())[0])
+    index = property(lambda self: (self._listed or self._list_elements())[1])
+    nonzero = property(lambda self: (self._listed or self._list_elements())[2])
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return 1 << len(self.base.atoms)
 
     def __contains__(self, x: int) -> bool:
-        return x in self.index
+        return isinstance(x, int) and not x & ~self.one
 
     def cut(self, x: int) -> int:
         """The regular cut of the base poset that x stands for."""
-        try:
-            return self._cuts[x]
-        except KeyError:
+        if x & ~self.one:
             raise AlgebraError(f"{x:#x} is not an element of this algebra")
+        return atom_set_cut(self.base, x)
 
     def meet(self, a: int, b: int) -> int:
         return a & b
@@ -120,21 +135,17 @@ def ro_algebra(poset: Poset, max_base: int | None = None) -> BoolAlgebra:
     """The regular-open algebra of a poset.
 
     Non-separative inputs are quotiented first and the quotient map is kept
-    on the result.  The algebra has 2^|atoms| elements, so posets with more
-    than ``max_base`` atoms (default ``Caps.algebra_max_base``) are
-    rejected, on every call.  Each call returns a new algebra with its own
-    name table; its element tables and the separativity test are computed
-    once per relation matrix (see :class:`BoolAlgebra`).
+    on the result.  Listing its 2^|atoms| elements refuses a base of more
+    than ``max_base`` atoms (default ``Caps.algebra_max_base``).  Each call
+    returns a new algebra with its own name table; its element tables and
+    the separativity test are computed once per relation matrix (see
+    :class:`BoolAlgebra`).
     """
-    bound = DEFAULT_CAPS.algebra_max_base if max_base is None else max_base
-    k = len(poset.atoms)
-    if k > bound:
-        raise CapExceeded(
-            f"poset has {k} atoms, above the algebra enumeration bound {bound}")
     if is_separative(poset):
-        return BoolAlgebra(poset)
+        return BoolAlgebra(poset, max_base=max_base)
     quot, mapping = separative_quotient(poset)
-    return BoolAlgebra(quot, original=poset, quotient_map=mapping)
+    return BoolAlgebra(quot, original=poset, quotient_map=mapping,
+                       max_base=max_base)
 
 
 # -- law suite ------------------------------------------------------------

@@ -86,28 +86,29 @@ def read_config_file(path: str) -> dict:
 # -- poset and provider text formats ----------------------------------------
 
 
-def parse_poset_text(text: str) -> Poset:
+def parse_poset_text(text: str, first_line: int = 1, where: str = "") -> Poset:
     """One `top: <id>` line, then `<id> < <id>` Hasse edges; an empty id,
-    a line with other than one `<` and a second `top:` line are errors."""
+    a line with other than one `<` and a second `top:` line are errors
+    that name the line, counted from ``first_line``, then ``where``."""
     top = None
     pairs = []
     ids: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), first_line):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("top:"):
             if top is not None:
-                raise PosetError(f"line {lineno}: a second `top:` line")
+                raise PosetError(f"line {lineno}{where}: a second `top:` line")
             top = line[4:].strip()
             ends = [top]
         else:
             ends = [e.strip() for e in line.split("<")]
             if len(ends) != 2:
-                raise PosetError(f"line {lineno}: expected `<id> < <id>`")
+                raise PosetError(f"line {lineno}{where}: expected `<id> < <id>`")
             pairs.append(tuple(ends))
         if "" in ends:
-            raise PosetError(f"line {lineno}: empty element id")
+            raise PosetError(f"line {lineno}{where}: empty element id")
         for e in ends:
             if e not in ids:
                 ids.append(e)
@@ -161,62 +162,72 @@ def format_provider_tables(instance: "InstanceSpec") -> str:
 
 
 def parse_provider_tables(text: str) -> TableProvider:
-    posets: dict[str, Poset] = {}
-    tables: list[dict] = []
-    section = None
-    buf: list[str] = []
-
-    def flush():
-        if section and section.startswith("poset "):
-            posets[section.split()[1]] = parse_poset_text("\n".join(buf))
-
-    for line in text.splitlines():
+    """The provider of a `[poset <ref>]` ... `[provider]` payload.  Every
+    error is a ValueError that names the payload line and its section; a
+    repeated section and a repeated path in one stage are errors."""
+    sections: dict[str, tuple[int, list]] = {}
+    body = None
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1]
+            if name != "provider" and (len(name.split()) != 2
+                                       or name.split()[0] != "poset"):
+                raise ValueError(f"line {lineno}: unknown section: {line}")
+            if name in sections:
+                raise ValueError(f"line {lineno}: a second section: {line}")
+            body = []
+            sections[name] = lineno, body
+        elif body is not None:
+            body.append((lineno, line))
+        elif line:
+            raise ValueError(f"line {lineno}: line before any section: {line}")
+    posets: dict[str, Poset] = {}
+    for name, (header, body) in sections.items():
+        if name != "provider":
+            where = f" in [{name}]"
+            if not any(line.startswith("top:") for _, line in body):
+                raise ValueError(f"line {header}{where}: missing `top:` line")
+            posets[name.split()[1]] = parse_poset_text(
+                "\n".join(line for _, line in body), header + 1, where)
+    tables: list[dict] = []
+    for lineno, line in sections.get("provider", (0, []))[1]:
+
+        def bad(what: str) -> ValueError:
+            return ValueError(f"line {lineno} in [provider]: {what}: {line}")
+
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
-            flush()
-            section = line[1:-1]
-            if section != "provider" and (len(section.split()) != 2
-                                          or section.split()[0] != "poset"):
-                raise ValueError(f"unknown section: {line}")
-            buf = []
+        if line.startswith("stage "):
+            if line != f"stage {len(tables)}":
+                raise bad(f"expected stage {len(tables)}")
+            tables.append({})
             continue
-        if section is None:
-            raise ValueError(f"line before any section: {line}")
-        if section == "provider":
-            if line.startswith("stage "):
-                if line != f"stage {len(tables)}":
-                    raise ValueError(f"expected stage {len(tables)}: {line}")
-                tables.append({})
+        if not line.startswith("G:") or "->" not in line:
+            raise bad("bad provider line")
+        if not tables:
+            raise bad("provider line before any stage line")
+        pathtxt, _, ref = line[2:].partition("->")
+        labels = [e for e in pathtxt.strip().split(",") if e != ""]
+        if len(labels) != len(tables) - 1:
+            raise bad(f"path of {len(labels)} entries at stage {len(tables) - 1}")
+        path = []
+        for k, lab in enumerate(labels):
+            if lab == "-":
+                path.append(None)
                 continue
-            if not line.startswith("G:") or "->" not in line:
-                raise ValueError(f"bad provider line: {line}")
-            if not tables:
-                raise ValueError(f"provider line before any stage line: {line}")
-            pathtxt, _, ref = line[2:].partition("->")
-            labels = [e for e in pathtxt.strip().split(",") if e != ""]
-            if len(labels) != len(tables) - 1:
-                raise ValueError(f"path of {len(labels)} entries at stage "
-                                 f"{len(tables) - 1}: {line}")
-            path = []
-            for k, lab in enumerate(labels):
-                if lab == "-":
-                    path.append(None)
-                    continue
-                step = tables[k].get(tuple(path))
-                if step is None:
-                    raise ValueError(f"path through an undefined step: {line}")
-                if lab not in step.labels:
-                    raise ValueError(f"no element {lab!r} in its step poset: {line}")
-                path.append(step.labels.index(lab))
-            ref = ref.strip()
-            if ref != "undef" and ref not in posets:
-                raise ValueError(f"unknown poset {ref!r}: {line}")
-            tables[-1][tuple(path)] = None if ref == "undef" else posets[ref]
-        else:
-            buf.append(line)
-    flush()
+            step = tables[k].get(tuple(path))
+            if step is None:
+                raise bad("path through an undefined step")
+            if lab not in step.labels:
+                raise bad(f"no element {lab!r} in its step poset")
+            path.append(step.labels.index(lab))
+        ref = ref.strip()
+        if ref != "undef" and ref not in posets:
+            raise bad(f"unknown poset {ref!r}")
+        if tuple(path) in tables[-1]:
+            raise bad(f"a second line for this path in stage {len(tables) - 1}")
+        tables[-1][tuple(path)] = None if ref == "undef" else posets[ref]
     return TableProvider(tables)
 
 

@@ -443,13 +443,20 @@ def is_regular_cut(u: int, poset: Poset) -> bool:
     return poset.is_downward_closed(u) and regularize(u, poset) == u
 
 
+def atom_set_cut(poset: Poset, x: int) -> int:
+    """The regular cut {p : atoms(p) <= x} of atom set x: the AND, over the
+    atoms a outside x, of the elements not above a."""
+    outside = 0
+    for a in poset.atoms:
+        if not x >> a & 1:
+            outside |= poset.above[a]
+    return poset.full_mask & ~outside
+
+
 def regular_cuts(poset: Poset) -> tuple[dict[int, int], tuple[int, ...],
                                          dict[int, int]]:
     """Every regular cut keyed by its atom set, the atom sets in ascending
     order of their cuts, and each atom set's position in that order.
-
-    cut(x) = {p : atoms(p) <= x} is the AND, over the atoms a outside x, of
-    the elements not above a, so the cuts are built alongside the subsets.
     The table reads nothing but the relation rows, so it is kept on the
     poset's memoized :class:`_Order`, shared by every poset with those rows.
     """
@@ -461,12 +468,10 @@ def regular_cuts(poset: Poset) -> tuple[dict[int, int], tuple[int, ...],
 
 def _cut_table(poset: Poset) -> tuple[dict[int, int], tuple[int, ...],
                                       dict[int, int]]:
-    subsets, cuts = [0], [poset.full_mask]
+    subsets = [0]
     for a in poset.atoms:
-        off = poset.full_mask & ~poset.above[a]
         subsets += [x | 1 << a for x in subsets]
-        cuts = [c & off for c in cuts] + cuts
-    cut_of = dict(zip(subsets, cuts))
+    cut_of = {x: atom_set_cut(poset, x) for x in subsets}
     ascending = tuple(sorted(subsets, key=cut_of.__getitem__))
     return cut_of, ascending, {x: i for i, x in enumerate(ascending)}
 

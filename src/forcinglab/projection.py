@@ -18,33 +18,37 @@ literal name, mapped through pi_second, denotes under each quotient generic,
 with no name built.  Everything downstream -- the complete-homomorphism
 verdict, the per-lemma property checks, generic factorization and the
 rebuilt-tail comparison -- quantifies exhaustively over the finite instance.
-Theorem 2's homomorphism and onto facts are decided on pi's atom images, in
-O(|P_beta|) bit operations per level (``QuotientLevel._atom_images``); the
-certificate over all 2^k elements of a k-atom source algebra runs only where
-they do not decide a level: a map that fails the criterion, whose witnesses
-it writes, and a map a test planted.
+Theorem 2's homomorphism and onto facts and Theorem 16's evaluation
+identity are decided on pi's atom images, in O(|P_beta|) bit operations per
+level (``QuotientLevel._atom_images``); a walk over all 2^k elements of a
+k-atom source algebra runs only where they do not decide a level: a map
+that fails the criterion, whose witnesses it writes, and a map a test
+planted.  So the algebra cap bounds only that element route.
 Each level is one record: its source algebra, pi_prime's domain, and,
 derived on first read, its conditions grouped by image (pi_prime's columns,
 Theorem 16's H), pi_prime by one formula at every level, the root included,
-per condition the equal, above and compatible images as bit rows (L5 and
-L10 at the level, L11 and L14 at every sibling level), and the facts
-Theorem 2 and the lemma suite share (homomorphism, onto, transport).
+read per element, per condition the equal, above and compatible images as
+bit rows (L5 and L10 at the level, L11 and L14 at every sibling level), and
+the facts Theorem 2 and the lemma suite share (homomorphism, onto,
+transport).
 Each context builds its own source algebras, so names and their pi_second
-images never pass between contexts; the order rows and cut tables under them
-are memoized per relation matrix in :mod:`forcinglab.poset`.  L11-L14 read
-the s-frown table, built from the parent rows and grouped by alpha-prefix;
-L12 runs through the lower adjoint of the level's homomorphism.  The
-statements about names -- Theorem 2's onto and transport items and Theorem
-16's evaluation identity -- are certified on algebra elements, which by
-induction through pi_second covers every name of every rank.
+images never pass between contexts; the order rows under them are memoized
+per relation matrix in :mod:`forcinglab.poset`.  L11-L14 read the s-frown
+table, built from the parent rows and grouped by alpha-prefix; L12 runs
+through the lower adjoint of the level's homomorphism.  The statements about
+names -- Theorem 2's onto and transport items and Theorem 16's evaluation
+identity -- are certified on algebra elements, which by induction through
+pi_second covers every name of every rank.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Mapping
 
-from .boolalg import BoolAlgebra, HomReport, certify_complete_hom, ro_algebra
+from .boolalg import (AlgebraError, BoolAlgebra, HomReport,
+                      certify_complete_hom, ro_algebra)
 from .config import Caps
 from .generic import GenericSet, is_filter
 from .iteration import (TAIL_ONE, CifsProvider, Coordinate, Iteration, Stage,
@@ -53,7 +57,7 @@ from .iteration import (TAIL_ONE, CifsProvider, Coordinate, Iteration, Stage,
 # evaluate is unused here; it stays bound for perfbench/selftest.py, which
 # checks that its tracer reaches this binding
 from .names import Name, evaluate, name_text  # noqa: F401
-from .poset import Poset, _mask_bits, regular_cuts
+from .poset import Poset, _mask_bits
 from .report import SuiteReport
 
 
@@ -68,9 +72,10 @@ class QuotientLevel:
     ``rows``) and the Theorem 2 facts (``hom``, ``onto``, ``transport``).
     So a :func:`forcinglab.config.replace` copy with another pi derives its
     own, with a fresh pi_second memo, and a test plants a map by assigning
-    ``pi_prime`` on a copy.  ``hom`` and ``onto`` read pi's atom images
-    (``_atom_images``) and build no pi_prime table; a planted map and a
-    map that fails the atom criterion take the element route:
+    ``pi_prime`` on a copy.  ``hom`` and ``onto``, and Theorem 16's
+    evaluation identity, read pi's atom images (``_atom_images``) and no
+    pi_prime value; a planted map and a map that fails the atom criterion
+    take the element route:
     ``certify_complete_hom`` on pi_prime and pi_prime's values, which
     write the witnesses.
 
@@ -105,32 +110,14 @@ class QuotientLevel:
         return classes
 
     @functools.cached_property
-    def pi_prime(self) -> dict[int, int]:
-        """{source element: quotient element}, the column formula's table;
-        a test plants another map by assigning this on a copy."""
+    def pi_prime(self) -> _ColumnMap:
+        """{source element: quotient element}, the column formula read per
+        element; a test plants another map by assigning this on a copy."""
         return self._column_map
 
     @functools.cached_property
-    def _column_map(self) -> dict[int, int]:
-        """pi_prime by its formula.  The atoms of the regularized image of
-        a cut are the atoms below some image point, so quotient atom b is
-        in pi_prime(x) iff the cut of x meets b's column: the defined p
-        with b <= pi(p)."""
-        qposet = self.stage.poset
-        preimages = self.preimages
-        columns = [(1 << b, sum(preimages.get(q, 0)
-                                for q in _mask_bits(qposet.above[b])))
-                   for b in qposet.atoms]
-        A = self.source
-        images = {}
-        for x in A.elements:
-            cut = A.cut(x)
-            img = 0
-            for bit, col in columns:
-                if cut & col:
-                    img |= bit
-            images[x] = img
-        return images
+    def _column_map(self) -> _ColumnMap:
+        return _ColumnMap(self.source, self.stage.poset, self.preimages)
 
     @functools.cached_property
     def rows(self) -> tuple[list[int], list[int], list[int]]:
@@ -230,6 +217,40 @@ class QuotientLevel:
         return {"source_elements": len(A), "counterexample": witness}
 
 
+class _ColumnMap(Mapping):
+    """pi_prime by its formula, a read-only mapping evaluated per element on
+    first read and memoized; iterating it lists ``source.elements``.  The
+    atoms of the regularized image of a cut are the atoms below some image
+    point, so quotient atom b is in pi_prime(x) iff the cut of x meets b's
+    column: the defined p with b <= pi(p)."""
+
+    __slots__ = ("_source", "_columns", "_memo")
+
+    def __init__(self, source: BoolAlgebra, qposet: Poset, preimages: dict):
+        self._source = source
+        self._columns = [(1 << b, sum(preimages.get(q, 0)
+                                      for q in _mask_bits(qposet.above[b])))
+                         for b in qposet.atoms]
+        self._memo: dict[int, int] = {}
+
+    def __getitem__(self, x: int) -> int:
+        got = self._memo.get(x)
+        if got is None:
+            try:
+                cut = self._source.cut(x)
+            except AlgebraError:
+                raise KeyError(x) from None
+            got = self._memo[x] = sum(bit for bit, col in self._columns
+                                      if cut & col)
+        return got
+
+    def __iter__(self):
+        return iter(self._source.elements)
+
+    def __len__(self) -> int:
+        return len(self._source)
+
+
 class ProjectionContext:
     """All quotient levels for one (iteration, alpha, G)."""
 
@@ -318,11 +339,10 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
 
     The root level is the process's one :func:`root_stage`.  Every level
     gets its own source and quotient algebras, so names and pi_second
-    images stay apart from other contexts'; the poset rows and algebra
-    tables under them are memoized per relation matrix in
-    :mod:`forcinglab.poset`, so orders that repeat across contexts are
-    validated and tabulated once.  The iteration's ``context_cache`` holds
-    the finished context and nothing else.
+    images stay apart from other contexts'; the poset rows under them are
+    memoized per relation matrix in :mod:`forcinglab.poset`, so orders that
+    repeat across contexts are validated once.  The iteration's
+    ``context_cache`` holds the finished context and nothing else.
 
     Stage beta-1's conditions keep their indices at stage beta and have
     tail 1 there, so at level beta they project as at level beta-1.  A
@@ -346,7 +366,8 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     if cached is not None:
         return cached
     G = stages[alpha].generics[gen_index]
-    # every source first, so that a capped one refuses before any quotient
+    # every source first, so that a non-separative one refuses before any
+    # quotient
     sources = {beta: ro_algebra(stages[beta].poset, max_base=caps.algebra_max_base)
                for beta in range(alpha, N + 1)}
     for beta, source in sources.items():
@@ -832,11 +853,11 @@ def _lemma13(ctx: ProjectionContext, table: list, groups: dict):
     """U_{p1,p2} = {s : s-frown-p1 == s-frown-p2} is a regular cut of
     P_alpha, for every pair with one alpha-prefix.  U_{p1,p2} collects the
     s at which p2 lies in p1's s-frown class.  A cut is regular exactly
-    when it is the regular cut of its own atoms, read off the cut table
-    memoized per relation matrix; the first failing pair in (p1, p2) order
-    is reported."""
+    when it is the regular cut of its own atoms, computed once per distinct
+    cut; the first failing pair in (p1, p2) order is reported."""
     aposet = ctx.iteration.stages[ctx.alpha].poset
-    cut_of = regular_cuts(aposet)[0]
+    cut = ctx.levels[ctx.alpha].source.cut
+    regular: dict[int, bool] = {}
     checked = 0
     for ci, (r, row) in enumerate(table):
         members, classes = groups[r]
@@ -847,7 +868,10 @@ def _lemma13(ctx: ProjectionContext, table: list, groups: dict):
                     cuts[cj] |= 1 << s
         checked += len(cuts)
         for cj, mask in cuts.items():
-            if cut_of[mask & aposet.atom_mask] != mask:
+            ok = regular.get(mask)
+            if ok is None:
+                ok = regular[mask] = cut(mask & aposet.atom_mask) == mask
+            if not ok:
                 return False, {"pair": (ci, cj), "cut": f"{mask:#x}"}
     return True, {"pairs": checked}
 
@@ -896,16 +920,23 @@ def _evaluation_identity_witness(ctx: ProjectionContext, gmask: int,
     By induction on names through the structural definition of pi_second,
     the identity holds everywhere exactly when every nonzero element b
     meets G iff pi_prime(b) meets H: entries that pi_second merges are
-    joined, and a join meets an ultrafilter iff one of its parts does.  A
-    failing b is witnessed by the rank-1 name {(empty name, b)}; zero
-    occurs in no name.
+    joined, and a join meets an ultrafilter iff one of its parts does.
+    Where pi's atom images B(a) decide the level, pi_prime(b) is the join
+    of the B(a) over the atoms a in b, so it suffices that each source atom
+    a is in G iff B(a) meets H.  A failing b, on that route a singleton, is
+    witnessed by the rank-1 name {(empty name, b)}; zero occurs in no name.
     """
     level = ctx.final_level
     A = level.source
-    for b in A.nonzero:
-        if bool(b & gmask) != bool(level.pi_prime[b] & hmask):
-            return Name(((Name((), A), b),), A)
-    return None
+    images = level._atom_images
+    if images is None:
+        failing = (b for b in A.nonzero
+                   if bool(b & gmask) != bool(level.pi_prime[b] & hmask))
+    else:
+        failing = (1 << a for a, image in zip(A.base.atoms, images)
+                   if bool(gmask >> a & 1) != bool(image & hmask))
+    b = next(failing, None)
+    return None if b is None else Name(((Name((), A), b),), A)
 
 
 def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
@@ -957,7 +988,7 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
     bad = _evaluation_identity_witness(ctx, G_full.mask, hmask)
     rep.record("theorem16", "item3-evaluation-identity", instance, bad is None,
                {"alpha": alpha, "full_generic": full_gen_index},
-               {"nonzero_elements": len(A.nonzero),
+               {"nonzero_elements": len(A) - 1,
                 "counterexample": None if bad is None else name_text(bad, A)})
     return ctx.G, hmask, rep
 

@@ -1,10 +1,15 @@
-"""The element-by-element forms of two algebra kernels, kept as oracles for
-the library's atom folds and element splits.
+"""The element-by-element forms of the algebra kernels, kept as oracles for
+the library's atom folds, element splits and per-element reads.
 
 :func:`cut_of_atom_set` reads one regular cut off the poset, element by
 element, and :func:`cut_table_by_elements` every one of them, from the rows
 alone; :func:`forcinglab.poset.regular_cuts` builds every cut alongside the
-atom subsets, once per relation matrix.  :func:`certify_by_pairs` checks
+atom subsets, once per relation matrix, and ``BoolAlgebra.cut`` computes
+one from the atoms outside it.  :func:`column_table` is pi_prime's column
+formula tabulated over every source element, the form the library
+evaluates per element on first read, and :func:`identity_failures` walks
+every nonzero element for Theorem 16's evaluation identity, which the
+library decides on pi's atom images.  :func:`certify_by_pairs` checks
 every pair of distinct elements, where
 :func:`forcinglab.boolalg.certify_complete_hom` splits each element once at
 its lowest atom and its lowest missing atom; :func:`fake_binary_witnesses`
@@ -117,3 +122,27 @@ def atom_conditions(level):
     disjoint = all(not image(a) & image(b)
                    for a in atoms for b in atoms if a < b)
     return joins, disjoint, join(atoms) == B.one
+
+
+def column_table(level):
+    """{source element: quotient element} for the level's pi: quotient atom
+    b is in the image of x iff the cut of x meets b's column, the defined
+    p with b <= pi(p)."""
+    qposet = level.stage.poset
+    columns = [(1 << b, sum(1 << p for p, v in enumerate(level.pi)
+                            if v is not None and qposet.leq(b, v)))
+               for b in qposet.atoms]
+    A = level.source
+    table = {}
+    for x in A.elements:
+        cut = cut_of_atom_set(x, A.base)
+        table[x] = sum(bit for bit, col in columns if cut & col)
+    return table
+
+
+def identity_failures(table, A, gmask, hmask):
+    """The nonzero source elements b on which the evaluation identity
+    fails for the map ``table``: b meets G and its image misses H, or the
+    other way round."""
+    return [b for b in A.nonzero
+            if bool(b & gmask) != bool(table[b] & hmask)]

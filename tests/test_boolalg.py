@@ -11,7 +11,7 @@ from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.iteration import TableProvider, build_iteration
 from forcinglab.poset import (all_separative_posets, antichain_with_top,
                               chain_poset, complement_cut, is_regular_cut,
-                              point_poset, regularize)
+                              point_poset, regular_cuts, regularize)
 
 from algebra_oracle import cut_of_atom_set, fake_binary_witnesses, flags
 
@@ -38,8 +38,32 @@ class TestRoAlgebra:
         assert A.base.n == 1 and len(A) == 2
 
     def test_size_cap(self):
-        with pytest.raises(CapExceeded):
-            ro_algebra(antichain_with_top(4), max_base=3)
+        # the cap bounds the listing of the elements, not the algebra
+        A = ro_algebra(antichain_with_top(4), max_base=3)
+        assert len(A) == 16 and A.one in A
+        with pytest.raises(CapExceeded, match="poset has 4 atoms, above "
+                           "the algebra enumeration bound 3"):
+            A.elements
+
+
+    def test_a_13_atom_algebra_computes_on_its_atoms(self):
+        # above the default cap of 12 atoms, everything but the listing of
+        # the elements works on the atom mask
+        P = antichain_with_top(13)
+        A = ro_algebra(P)
+        x = 0b1011001110001
+        assert len(A) == 1 << 13
+        assert x in A and A.one in A and 1 << P.top not in A
+        assert A.cut(x) == cut_of_atom_set(x, P) == x
+        assert A.cut(A.one) == P.full_mask
+        with pytest.raises(AlgebraError):
+            A.cut(1 << P.top)
+        assert A.principal(P.top) == A.one and A.principal(4) == 1 << 4
+        assert A.leq(A.principal(4), x) and not A.leq(A.principal(1), x)
+        for listing in ("elements", "index", "nonzero"):
+            with pytest.raises(CapExceeded, match="poset has 13 atoms, above "
+                               "the algebra enumeration bound 12"):
+                getattr(A, listing)
 
 
 class TestProductSum:
@@ -279,14 +303,16 @@ class TestAtomSetRepresentation:
                     assert A.cut(A.join(x, y)) == regularize(A.cut(x) | A.cut(y), base)
 
     def test_cuts_are_the_atom_set_oracle(self, default_sweep):
-        # the cuts built alongside the subsets, on the small algebras and
-        # on every stage algebra of the acceptance sweep
+        # the computed cuts and those the table builds alongside the
+        # subsets, on the small algebras and on every stage algebra of the
+        # acceptance sweep
         stages = (ro_algebra(it.stages[beta].poset,
                              max_base=DEFAULT_CAPS.algebra_max_base)
                   for _, it in default_sweep for beta in range(len(it) + 1))
         checked = 0
         for A in itertools.chain(self.algebras(), stages):
             for x in A.elements:
-                assert A._cuts[x] == cut_of_atom_set(x, A.base)
+                assert A.cut(x) == cut_of_atom_set(x, A.base) == \
+                    regular_cuts(A.base)[0][x]
             checked += 1
         assert checked > 300

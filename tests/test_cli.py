@@ -14,10 +14,10 @@ from forcinglab.cli import (ExperimentConfig, InstanceSpec, execute,
                             parse_poset_text, parse_provider_tables,
                             read_config_file, run_cifs_suite, run_suite,
                             write_report)
-from forcinglab.config import DEFAULT_CAPS, CapExceeded, fields
+from forcinglab.config import DEFAULT_CAPS, CapExceeded, fields, replace
 from forcinglab.iteration import TableProvider, build_iteration
 from forcinglab.poset import (Poset, PosetError, antichain_with_top,
-                              diamond_poset)
+                              diamond_poset, point_poset)
 from forcinglab.projection import ProjectionError
 
 from generation_oracle import (generate_instances_exhaustive,
@@ -95,6 +95,26 @@ class TestProviderTableFormat:
             parse_provider_tables(text + "\n")
         assert type(raised.value) is ValueError
         assert str(raised.value).endswith(": " + line)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[poset p1]\ntop: 1\n\na < 1\ntop: a\n[provider]\nstage 0\nG: -> p1",
+         "line 5 in [poset p1]: a second `top:` line"),
+        ("[poset p1]\n\n[provider]\nstage 0\nG: -> p1",
+         "line 1 in [poset p1]: missing `top:` line"),
+        (POSET_P1 + "stage 0\nG: -> p1\n[poset p1]\ntop: 1",
+         "line 8: a second section: [poset p1]"),
+        (POSET_P1 + "stage 0\nG: -> p1\nstage 1\nG:a -> p1\nG:a -> undef",
+         "line 10 in [provider]: a second line for this path in stage 1: "
+         "G:a -> undef"),
+        (POSET_P1 + "stage 0\nG: -> p1\n[provider]",
+         "line 8: a second section: [provider]"),
+    ], ids=["poset-line", "empty-poset", "second-poset", "second-path",
+            "second-provider"])
+    def test_a_payload_error_names_its_line_and_section(self, text, message):
+        # payload line numbers, blank lines counted, and every repeat refused
+        with pytest.raises(ValueError) as raised:
+            parse_provider_tables(text + "\n")
+        assert str(raised.value) == message
 
     def test_the_documented_example_parses(self):
         provider = parse_provider_tables(
@@ -597,37 +617,78 @@ class TestDriverFailures:
             for gi in range(len(failed))]
 
     @staticmethod
-    def capped_run(monkeypatch, tmp_path, suite: str) -> list[dict]:
-        """The check records of an s2 seed 1 run of ``suite`` under an
-        algebra cap of one atom; the run must exit 0."""
-        caps = ExperimentConfig.caps
-        monkeypatch.setattr(ExperimentConfig, "caps",
-                            lambda self: caps(self).with_(algebra_max_base=1))
+    def run_records(tmp_path, suite: str) -> list[dict]:
+        """The check records of an s2 seed 1 run of ``suite``; the run must
+        exit 0."""
         out = tmp_path / "r.jsonl"
         assert main(["run", "--suite", suite, "--max-poset", "3",
                      "--max-stages", "2", "--seed", "1", "--out", str(out)]) == 0
         return [r for r in map(json.loads, out.read_text().splitlines())
                 if r["kind"] == "check"]
 
+    @classmethod
+    def capped_run(cls, monkeypatch, tmp_path, suite: str) -> list[dict]:
+        """The check records of an s2 seed 1 run of ``suite`` whose
+        quotient stages are capped at one condition, so that every context
+        build refuses; the run must exit 0."""
+        extend = projection.extend_stage
+        monkeypatch.setattr(
+            projection, "extend_stage", lambda stage, steps, caps, tails:
+            extend(stage, steps, caps.with_(max_stage_conditions=1), tails))
+        return cls.run_records(tmp_path, suite)
+
     def test_capped_contexts_are_labeled_skips(self, monkeypatch, tmp_path):
-        # an algebra cap of one atom refuses every context whose stage has
-        # two: run_suite and the cifs factorization each give a labeled
-        # skip with the cap's reason, no failure, and the run exits 0
+        # a cap that refuses every context build: run_suite and the cifs
+        # factorization each give a labeled skip with the cap's reason, no
+        # failure, and the run exits 0
         checks = self.capped_run(monkeypatch, tmp_path, "all")
         assert not [r for r in checks if r["status"] == "fail"]
         capped = [r for r in checks if r["check"] == "context-capped"]
         assert {r["suite"] for r in capped} == {
             "cifs", "corollary15", "projection-lemmas", "theorem16", "theorem2"}
-        assert all(r["status"] == "skip" and "above the algebra enumeration "
-                   "bound 1" in r["detail"]["reason"] for r in capped)
+        assert all(r["status"] == "skip" and "more conditions than the cap 1"
+                   in r["detail"]["reason"] for r in capped)
+
+    def test_an_algebra_cap_bounds_only_the_element_route(self, monkeypatch,
+                                                          tmp_path):
+        # a passing run lists no algebra's elements, so an algebra cap of
+        # one atom caps no context: the run writes the uncapped report
+        caps = ExperimentConfig.caps
+        monkeypatch.setattr(ExperimentConfig, "caps",
+                            lambda self: caps(self).with_(algebra_max_base=1))
+        self.run_records(tmp_path, "all")
+        assert hashlib.sha256((tmp_path / "r.jsonl").read_bytes()).hexdigest() \
+            == TestRunReports.REPORT_SHA256[2]
+
+    def test_a_planted_map_on_a_13_atom_level_is_suite_capped(self):
+        # the level passes on its atom images; a planted map takes the
+        # element route, whose listing of 2^13 elements is capped
+        it = build_iteration(TableProvider([
+            {(): point_poset()}, {(None,): antichain_with_top(13)}]))
+        ctx = projection.make_context(it, 1, 0)
+        level = ctx.final_level
+        assert len(level.source.base.atoms) == 13
+        assert projection.verify_theorem2(ctx).ok
+        copy = replace(level)
+        copy.pi_prime = level.pi_prime
+        planted = replace(ctx, levels={**ctx.levels, 2: copy})
+        rep = cli.run_unit("theorem2", "it-13", {"alpha": 1, "generic": 0},
+                           lambda: planted,
+                           lambda c: projection.verify_theorem2(c, "it-13"))
+        assert [(c.check, c.status, c.detail) for c in rep.checks] == [
+            ("suite-capped", "skip", {"reason": "poset has 13 atoms, above "
+                                      "the algebra enumeration bound 12"})]
 
     def test_theorem16_skips_only_the_factorizations_it_runs(
             self, monkeypatch, tmp_path):
         # theorem16 builds contexts only inside factor_generic, so each
-        # capped factorization is one skip and no context is walked apart
+        # capped factorization is one skip and no context is walked apart:
+        # the 12 below the final stage, which build a quotient stage (at
+        # alpha = N the context is its root level alone)
         capped = [r for r in self.capped_run(monkeypatch, tmp_path, "theorem16")
                   if r["check"] == "context-capped"]
-        assert len(capped) == 40
+        assert len(capped) == 12
+        assert all(r["context"]["alpha"] == 1 for r in capped)
         assert {tuple(sorted(r["context"])) for r in capped} == {
             ("alpha", "full_generic")}
 

@@ -29,8 +29,8 @@ from forcinglab.poset import (Poset, _mask_bits, antichain_with_top,
                               separativity_witness)
 from forcinglab.projection import (ProjectionError, _frown_table, _lemma11,
                                    _lemma12, _lemma12_by_elements, _lemma13,
-                                   _lemma14, _prefix_groups,
-                                   _transport_witness,
+                                   _lemma14, _evaluation_identity_witness,
+                                   _prefix_groups, _transport_witness,
                                    factor_generic, make_context,
                                    verify_corollary15, verify_lemma20_analogue,
                                    verify_projection_lemmas, verify_theorem2)
@@ -268,10 +268,14 @@ class TestMakeContext:
         assert verify_corollary15(ctx).ok
 
     def test_algebra_atom_bound_comes_from_caps(self, worked):
-        # the stage-1 poset has two atoms
+        # the stage-1 poset has two atoms: the context builds, and its
+        # algebras refuse to list their elements
         it, _ = worked
+        ctx = make_context(it, 1, 0, DEFAULT_CAPS.with_(algebra_max_base=1))
+        assert {A.max_base for level in ctx.levels.values()
+                for A in (level.source, level.algebra)} == {1}
         with pytest.raises(CapExceeded):
-            make_context(it, 1, 0, DEFAULT_CAPS.with_(algebra_max_base=1))
+            ctx.levels[1].source.elements
 
     def test_cached_contexts_are_kept_apart_by_caps(self, worked):
         it, ctx = worked
@@ -423,7 +427,7 @@ class TestContextOwnership:
             assert len({id(A) for A in algebras}) == len(algebras) > 1
             # one relation matrix per stage: its tables are memoized once
             assert len({id(A.elements) for A in algebras}) == 1
-            assert len({id(A._cuts) for A in algebras}) == 1
+            assert len({id(A.index) for A in algebras}) == 1
 
     def test_no_name_passes_between_contexts(self):
         it = build_iteration(TableProvider([
@@ -450,9 +454,9 @@ class TestContextOwnership:
         it = _two_step_antichains()
         wide = it.caps.with_(algebra_max_base=it.caps.algebra_max_base + 1)
         ctxs = self.all_contexts(it) + self.all_contexts(it, wide)
-        # the stage-1 poset has two atoms: a refused build caches nothing
+        # a refused build caches nothing
         with pytest.raises(CapExceeded):
-            make_context(it, 1, 0, it.caps.with_(algebra_max_base=1))
+            make_context(it, 1, 0, it.caps.with_(max_stage_conditions=1))
         assert len(it.context_cache) == len(ctxs) == 12
         for key, ctx in it.context_cache.items():
             assert key == (ctx.alpha, ctx.gen_index, ctx.caps)
@@ -1297,16 +1301,35 @@ class TestLevelRecord:
         execute(ExperimentConfig(suite="all", max_poset=3, max_stages=3, seed=1))
         assert len(built) == len({id(level) for level in built}) == 608
 
+    def test_the_read_map_is_the_full_column_table(self, default_sweep):
+        # on every quotient level of the sweep, the map read per element
+        # lists every source element when iterated and equals the eager
+        # column table
+        levels = 0
+        for ctx, beta in TestLemmaOracle.levels(default_sweep):
+            level = ctx.levels[beta]
+            A, table = level.source, algebra_oracle.column_table(level)
+            assert sorted(level.pi_prime) == sorted(A.elements)
+            assert len(level.pi_prime) == len(A) == 1 << len(A.base.atoms)
+            assert dict(level.pi_prime) == table
+            assert level.pi_prime == table
+            levels += 1
+        assert levels == 608
+
     def test_one_run_derives_each_read_map_once(self, monkeypatch):
-        # one execute of the acceptance sweep: every quotient level's map
-        # (the 608 of the sweep and two of the cifs factorization) and the
-        # root maps that Theorem 16 reads at alpha = N, one per context
-        # there; no other root map is built
+        # one execute of the acceptance sweep: the map of each of the 608
+        # quotient levels of the sweep, read per element; Theorem 16
+        # decides on atom images and reads no root map and no map of the
+        # cifs factorization, and no map is listed in full
         derived = self.derivations(monkeypatch, "pi_prime")
+        listed = []
+        listing = projection._ColumnMap.__iter__
+        monkeypatch.setattr(projection._ColumnMap, "__iter__",
+                            lambda m: listed.append(m) or listing(m))
         execute(ExperimentConfig(suite="all", max_poset=3, max_stages=3, seed=1))
         roots = [level for level in derived if level.stage is root_stage()]
-        assert len(derived) == len({id(level) for level in derived}) == 952
-        assert len(roots) == 342
+        assert len(derived) == len({id(level) for level in derived}) == 608
+        assert roots == [] and listed == []
 
     def test_the_root_map_is_the_image_of_G(self, default_sweep):
         # the column formula at the root: an element goes to one exactly
@@ -1482,6 +1505,67 @@ class TestTheorem16:
             ctx = make_context(it, 1, it.stages[1].generics.index(G))
             qp = ctx.final_level.stage.poset
             assert all(hmask & d for d in dense_subsets(qp))
+
+    def test_item3_on_atoms_agrees_with_the_element_walk(self, default_sweep):
+        # every final level of the sweep, under every final-stage generic
+        # and every quotient generic as G and H: the atom route finds a
+        # failing atom exactly when some nonzero element fails, and its
+        # witness is one of them
+        checked = failing = 0
+        for _, it in default_sweep:
+            N = len(it)
+            for alpha in range(1, N + 1):
+                for gi in range(len(it.stages[alpha].generics)):
+                    ctx = make_context(it, alpha, gi)
+                    level = ctx.final_level
+                    assert level._atom_images is not None
+                    table = algebra_oracle.column_table(level)
+                    for G_full in it.stages[N].generics:
+                        for H in level.stage.generics:
+                            want = algebra_oracle.identity_failures(
+                                table, level.source, G_full.mask, H.mask)
+                            got = _evaluation_identity_witness(
+                                ctx, G_full.mask, H.mask)
+                            assert (got is None) == (not want)
+                            if got is not None:
+                                assert got.entries[0][1] in want
+                                failing += 1
+                            checked += 1
+        assert (checked, failing) == (4058, 3036)
+
+    def test_one_disagreeing_atom_fails_item3_with_its_singleton(self):
+        # pi planted on a copy of the final level: the top goes to the
+        # quotient atom of a source atom a outside G_full.  The atom images
+        # still decide the level, H gains a's image, and a is the one atom
+        # that disagrees; every such (G_full, a) is tried
+        it = _two_step_antichains()
+        ctx = make_context(it, 1, 0)
+        N, level = len(it), ctx.final_level
+        A, top = level.source, it.stages[N].poset.top
+        tried = set()
+        for full, G_full in enumerate(it.stages[N].generics):
+            if G_full.mask & it.stages[1].poset.full_mask != ctx.G.mask:
+                continue
+            for a in A.base.atoms:
+                if level.pi[a] is None or G_full.mask >> a & 1:
+                    continue
+                pi = list(level.pi)
+                pi[top] = pi[a]
+                planted = replace(level, pi=pi)
+                assert planted._atom_images == level._atom_images
+                it.context_cache[1, 0, it.caps] = replace(
+                    ctx, levels={**ctx.levels, N: planted})
+                _, hmask, rep = factor_generic(it, 1, full)
+                failures = algebra_oracle.identity_failures(
+                    algebra_oracle.column_table(planted), A, G_full.mask, hmask)
+                assert [b for b in failures if not b & (b - 1)] == [1 << a]
+                assert [(c.status, c.detail) for c in rep.checks
+                        if c.check == "item3-evaluation-identity"] == [
+                    ("fail", {"nonzero_elements": len(A) - 1,
+                              "counterexample": name_text(
+                                  Name(((Name((), A), 1 << a),), A), A)})]
+                tried.add(a)
+        assert tried == {a for a in A.base.atoms if level.pi[a] is not None}
 
 
 class TestCorollary15:
@@ -1750,7 +1834,8 @@ class TestSweepOrderOracles:
                 assert (q.above, q.atoms, q.compat) == (above, atoms, compat)
                 assert separativity_witness(q) == witness
                 A = ro_algebra(q)
-                assert (A._cuts, A.elements, A.index) == table
+                assert ({x: A.cut(x) for x in A.elements}, A.elements,
+                        A.index) == table
         assert (len(posets), len(fresh)) == (1007, 41)
 
     @classmethod
@@ -1795,6 +1880,23 @@ class TestSweepOrderOracles:
                         stage._index.get(base + (tail,))
 
 
+class TestLemma13Cuts:
+    def test_the_computed_cut_is_the_cut_table(self, default_sweep):
+        # L13 tests regularity with the stage-alpha source's computed cut:
+        # on every atom set of every stage poset it equals the table and
+        # the cut read off element by element
+        orders = {stage.poset.below: stage.poset
+                  for _, it in default_sweep for stage in it.stages}
+        sets = 0
+        for poset in orders.values():
+            A = ro_algebra(poset)
+            table = poset_module.regular_cuts(poset)[0]
+            assert {x: A.cut(x) for x in table} == table == \
+                algebra_oracle.cut_table_by_elements(poset)[0]
+            sets += len(table)
+        assert (len(orders), sets) == (41, 1206)
+
+
 class TestOrderFactsOncePerMatrix:
     def test_rows_and_algebra_tables_built_once_per_relation_matrix(
             self, monkeypatch):
@@ -1820,8 +1922,8 @@ class TestOrderFactsOncePerMatrix:
             return cut_table(poset)
 
         def counted_algebra(poset, max_base=None):
-            algebras.append(poset.below)
-            return ro_algebra(poset, max_base)
+            algebras.append(ro_algebra(poset, max_base))
+            return algebras[-1]
 
         monkeypatch.setattr(poset_module, "_Order", Counted)
         monkeypatch.setattr(poset_module, "_cut_table", counted_table)
@@ -1832,7 +1934,13 @@ class TestOrderFactsOncePerMatrix:
                 for gi in range(len(it.stages[alpha].generics)):
                     assert verify_corollary15(make_context(it, alpha, gi)).ok
         assert len(rows) == len(set(rows)) <= poset_module._ORDERS_KEPT
-        assert len(tables) == len(set(tables)) == len(set(algebras)) == 41
+        # the passing sweep lists no algebra's elements; listing them all
+        # afterwards builds one table per relation matrix
+        assert tables == []
+        for A in algebras:
+            assert len(A.elements) == len(A)
+        orders = {A.base.below for A in algebras}
+        assert len(tables) == len(set(tables)) == len(orders) == 41
         # every context builds its own algebras: one per source stage and
         # one per quotient level, on the 41 memoized tables
         assert len(algebras) == 2768

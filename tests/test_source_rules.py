@@ -23,13 +23,15 @@ module uses ``dataclasses`` or ``NamedTuple``, so importing the CLI loads
 neither ``dataclasses`` nor ``inspect``, which a fresh ``forcinglab run``
 process would otherwise pay for at start-up.
 
-Two rules a run keeps: a passing ``run --suite all --max-poset 3
+Three rules a run keeps: a passing ``run --suite all --max-poset 3
 --max-stages 3`` builds no name, since every statement about names is
-certified on algebra elements and tails are decoded off pi_prime; and it
+certified on algebra elements and tails are decoded off pi_prime; it
 builds no stage condition label and no label of a cifs step poset, collapse
 or product, since labels are only read when a failing check names
-elements.  Each run-time rule refuses the construction and
-checks that the run still writes its pinned report."""
+elements; and it lists no algebra's 2^k elements and builds no cut table,
+since every check of a passing level reads single elements and atom
+images.  Each run-time rule refuses the construction and checks that the
+run still writes its pinned report."""
 
 import ast
 import hashlib
@@ -42,13 +44,15 @@ import pytest
 
 import test_cli
 from forcinglab import iteration, poset
+from forcinglab.boolalg import BoolAlgebra
 from forcinglab.cli import main
+from forcinglab.config import replace
 from forcinglab.iteration import (CollapseSpec, TableProvider, build_iteration,
                                   collapse_poset)
 from forcinglab.names import Name
 from forcinglab.poset import antichain_with_top, product_poset
 from forcinglab.projection import (_frown_table, _lemma11, _prefix_groups,
-                                   make_context)
+                                   make_context, verify_theorem2)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "forcinglab"
 BROAD = {"Exception", "BaseException"}
@@ -474,6 +478,26 @@ def test_a_pi_second_call_builds_a_name(monkeypatch):
     refuse(monkeypatch, Name, "__new__")
     with pytest.raises(Refused):
         ctx.pi_second(2, empty)
+
+
+def test_a_passing_run_reads_no_element_table(monkeypatch, tmp_path):
+    refuse(monkeypatch, poset, "_cut_table")
+    refuse(monkeypatch, BoolAlgebra, "_list_elements")
+    assert sweep_report_sha256(tmp_path) == PINNED
+
+
+def test_a_planted_map_lists_the_elements(monkeypatch):
+    # iterating a map planted on a copy is the element route: Theorem 2
+    # certifies it on every element
+    ctx = make_context(two_step_antichains(), 1, 0)
+    level = ctx.final_level
+    copy = replace(level)
+    copy.pi_prime = level.pi_prime
+    planted = replace(ctx, levels={**ctx.levels, 2: copy})
+    refuse(monkeypatch, poset, "_cut_table")
+    refuse(monkeypatch, BoolAlgebra, "_list_elements")
+    with pytest.raises(Refused):
+        verify_theorem2(planted)
 
 
 def test_a_passing_run_builds_no_condition_label(monkeypatch, tmp_path):
