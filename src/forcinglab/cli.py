@@ -163,8 +163,9 @@ def format_provider_tables(instance: "InstanceSpec") -> str:
 
 def parse_provider_tables(text: str) -> TableProvider:
     """The provider of a `[poset <ref>]` ... `[provider]` payload.  Every
-    error is a ValueError that names the payload line and its section; a
-    repeated section and a repeated path in one stage are errors."""
+    error is a ValueError that names the payload line, and the section of
+    a line inside one; a repeated section and a repeated path in one stage
+    are errors."""
     sections: dict[str, tuple[int, list]] = {}
     body = None
     for lineno, line in enumerate(text.splitlines(), 1):
