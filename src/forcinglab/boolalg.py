@@ -42,8 +42,8 @@ class BoolAlgebra:
     their cuts, and ``index`` gives each element's position there; both are
     read on first use from :func:`forcinglab.poset.regular_cuts`, memoized
     on the base's relation rows, and that read raises :class:`CapExceeded`
-    for a base of more than ``max_base`` atoms.
-    If the input poset was not separative it is quotiented first:
+    unless ``listable``: the base has at most ``max_base`` atoms.  If the
+    input poset was not separative it is quotiented first:
     ``original``/``quotient_map`` report that, and the atoms are those of
     ``base`` (the quotient).  ``name_table`` and ``name_tag`` stay per
     algebra: the table interns the names built over this algebra (see
@@ -52,8 +52,8 @@ class BoolAlgebra:
     alive after it, and two algebras over one order never share a name.
     """
 
-    __slots__ = ("base", "original", "quotient_map", "max_base", "zero",
-                 "one", "_listed", "name_table", "name_tag")
+    __slots__ = ("base", "original", "quotient_map", "max_base", "listable",
+                 "zero", "one", "_listed", "name_table", "name_tag")
 
     def __init__(self, base: Poset, original: Poset | None = None,
                  quotient_map: tuple[int, ...] | None = None,
@@ -63,6 +63,7 @@ class BoolAlgebra:
         self.quotient_map = quotient_map
         self.max_base = DEFAULT_CAPS.algebra_max_base if max_base is None \
             else max_base
+        self.listable = len(base.atoms) <= self.max_base
         self.zero = 0
         self.one = base.atom_mask
         self._listed = None
@@ -70,13 +71,11 @@ class BoolAlgebra:
         self.name_tag = object()
 
     def _list_elements(self) -> tuple:
-        """(elements, index, nonzero) on first read: the one place that
-        enumerates the algebra, so the one place the cap is checked."""
-        k = len(self.base.atoms)
-        if k > self.max_base:
-            raise CapExceeded(f"poset has {k} atoms, above the algebra "
-                              f"enumeration bound {self.max_base}")
-        _, elements, index = regular_cuts(self.base)
+        """(elements, index, nonzero), the one listing, checked by the cap."""
+        if not self.listable:
+            raise CapExceeded(f"poset has {len(self.base.atoms)} atoms, above "
+                              f"the algebra enumeration bound {self.max_base}")
+        elements, index = regular_cuts(self.base)
         self._listed = elements, index, elements[1:]
         return self._listed
 

@@ -89,7 +89,8 @@ def read_config_file(path: str) -> dict:
 def parse_poset_text(text: str, first_line: int = 1, where: str = "") -> Poset:
     """One `top: <id>` line, then `<id> < <id>` Hasse edges; an empty id,
     a line with other than one `<` and a second `top:` line are errors
-    that name the line, counted from ``first_line``, then ``where``."""
+    that name the line, counted from ``first_line``, then ``where``.  With
+    a ``where``, an error of the whole text names the line before it."""
     top = None
     pairs = []
     ids: list[str] = []
@@ -112,9 +113,14 @@ def parse_poset_text(text: str, first_line: int = 1, where: str = "") -> Poset:
         for e in ends:
             if e not in ids:
                 ids.append(e)
-    if top is None:
-        raise PosetError("missing `top:` line")
-    return validate_poset(ids, pairs, top)
+    try:
+        if top is None:
+            raise PosetError("missing `top:` line")
+        return validate_poset(ids, pairs, top)
+    except PosetError as e:
+        if not where:
+            raise
+        raise PosetError(f"line {first_line - 1}{where}: {e}") from None
 
 
 def format_poset_text(poset: Poset) -> str:
@@ -166,12 +172,12 @@ def parse_provider_tables(text: str) -> TableProvider:
     error is a ValueError that names the payload line, and the section of
     a line inside one; a repeated section and a repeated path in one stage
     are errors."""
-    sections: dict[str, tuple[int, list]] = {}
+    sections: dict[str, tuple[int, list[str]]] = {}
     body = None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1]
+            name = " ".join(line[1:-1].split())
             if name != "provider" and (len(name.split()) != 2
                                        or name.split()[0] != "poset"):
                 raise ValueError(f"line {lineno}: unknown section: {line}")
@@ -180,19 +186,17 @@ def parse_provider_tables(text: str) -> TableProvider:
             body = []
             sections[name] = lineno, body
         elif body is not None:
-            body.append((lineno, line))
+            body.append(line)
         elif line:
             raise ValueError(f"line {lineno}: line before any section: {line}")
     posets: dict[str, Poset] = {}
     for name, (header, body) in sections.items():
         if name != "provider":
-            where = f" in [{name}]"
-            if not any(line.startswith("top:") for _, line in body):
-                raise ValueError(f"line {header}{where}: missing `top:` line")
             posets[name.split()[1]] = parse_poset_text(
-                "\n".join(line for _, line in body), header + 1, where)
+                "\n".join(body), header + 1, f" in [{name}]")
+    header, body = sections.get("provider", (0, []))
     tables: list[dict] = []
-    for lineno, line in sections.get("provider", (0, []))[1]:
+    for lineno, line in enumerate(body, header + 1):
 
         def bad(what: str) -> ValueError:
             return ValueError(f"line {lineno} in [provider]: {what}: {line}")

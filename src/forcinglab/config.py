@@ -66,9 +66,7 @@ class Caps(Value):
     """One run's caps, part of the key of every cached projection context:
     ``max_stages`` bounds the iteration's stage count,
     ``max_stage_conditions`` the canonical conditions per stage poset,
-    ``algebra_max_base`` the atoms of an algebra whose 2^atoms elements
-    are listed (the names layer and the element route; a passing check
-    lists none) and
+    ``algebra_max_base`` the atoms of an algebra that lists its elements and
     ``hom_family_cap`` the subfamilies one completeness check enumerates."""
 
     def __init__(self, max_stages: int = 4, max_stage_conditions: int = 64,

@@ -277,7 +277,7 @@ class _Order:
         self.search = None
         # separativity witness, or () once a scan found none
         self.separative = None
-        # (cut by atom set, atom sets ascending by cut, position) of regular_cuts
+        # (atom sets ascending by cut, position) of regular_cuts
         self.cuts = None
 
 
@@ -453,12 +453,11 @@ def atom_set_cut(poset: Poset, x: int) -> int:
     return poset.full_mask & ~outside
 
 
-def regular_cuts(poset: Poset) -> tuple[dict[int, int], tuple[int, ...],
-                                         dict[int, int]]:
-    """Every regular cut keyed by its atom set, the atom sets in ascending
-    order of their cuts, and each atom set's position in that order.
-    The table reads nothing but the relation rows, so it is kept on the
-    poset's memoized :class:`_Order`, shared by every poset with those rows.
+def regular_cuts(poset: Poset) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The atom sets in ascending order of their regular cuts, and each
+    one's position in that order.  The table reads nothing but the relation
+    rows, so it is kept on the poset's memoized :class:`_Order`, shared by
+    every poset with those rows.
     """
     order = poset._order
     if order.cuts is None:
@@ -466,14 +465,12 @@ def regular_cuts(poset: Poset) -> tuple[dict[int, int], tuple[int, ...],
     return order.cuts
 
 
-def _cut_table(poset: Poset) -> tuple[dict[int, int], tuple[int, ...],
-                                      dict[int, int]]:
+def _cut_table(poset: Poset) -> tuple[tuple[int, ...], dict[int, int]]:
     subsets = [0]
     for a in poset.atoms:
         subsets += [x | 1 << a for x in subsets]
-    cut_of = {x: atom_set_cut(poset, x) for x in subsets}
-    ascending = tuple(sorted(subsets, key=cut_of.__getitem__))
-    return cut_of, ascending, {x: i for i, x in enumerate(ascending)}
+    ascending = tuple(sorted(subsets, key=lambda x: atom_set_cut(poset, x)))
+    return ascending, {x: i for i, x in enumerate(ascending)}
 
 
 # -- small builders and isomorph-reduced generation ----------------------

@@ -20,17 +20,14 @@ verdict, the per-lemma property checks, generic factorization and the
 rebuilt-tail comparison -- quantifies exhaustively over the finite instance.
 Theorem 2's homomorphism and onto facts and Theorem 16's evaluation
 identity are decided on pi's atom images, in O(|P_beta|) bit operations per
-level (``QuotientLevel._atom_images``); a walk over all 2^k elements of a
-k-atom source algebra runs only where they do not decide a level: a map
-that fails the criterion, whose witnesses it writes, and a map a test
-planted.  So the algebra cap bounds only that element route.
-Each level is one record: its source algebra, pi_prime's domain, and,
-derived on first read, its conditions grouped by image (pi_prime's columns,
-Theorem 16's H), pi_prime by one formula at every level, the root included,
-read per element, per condition the equal, above and compatible images as
-bit rows (L5 and L10 at the level, L11 and L14 at every sibling level), and
-the facts Theorem 2 and the lemma suite share (homomorphism, onto,
-transport).
+level (``QuotientLevel._atom_images``); only a map that fails them, whose
+witnesses it writes, or one a test planted walks the 2^k elements of a
+k-atom source algebra, the one route the algebra cap bounds.  Each level is
+one record: its source algebra, pi_prime's domain, and, derived on first
+read, its conditions grouped by image (pi_prime's columns, Theorem 16's H),
+pi_prime by one formula read per element, per condition the equal, above
+and compatible images as bit rows (L5 and L10 at the level, L11 and L14 at
+every sibling level), and the facts Theorem 2 and the lemma suite share.
 Each context builds its own source algebras, so names and their pi_second
 images never pass between contexts; the order rows under them are memoized
 per relation matrix in :mod:`forcinglab.poset`.  L11-L14 read the s-frown
@@ -75,9 +72,8 @@ class QuotientLevel:
     ``pi_prime`` on a copy.  ``hom`` and ``onto``, and Theorem 16's
     evaluation identity, read pi's atom images (``_atom_images``) and no
     pi_prime value; a planted map and a map that fails the atom criterion
-    take the element route:
-    ``certify_complete_hom`` on pi_prime and pi_prime's values, which
-    write the witnesses.
+    take the element route, ``certify_complete_hom`` on pi_prime and
+    pi_prime's values, which write the witnesses.
 
     The facts hold for every name of every rank, by induction through the
     structural definition of pi_second (Jech, *Set Theory*, 2003, Ch. 14).
@@ -168,7 +164,7 @@ class QuotientLevel:
         for b in images:
             covered |= b
         if covered != B.one:
-            return None
+            return self._criterion_fails()
         # given (3), (1) and (2) hold iff every p whose image meets B(a)
         # lies above a: no other atom does, and a quotient atom of B(p) lies
         # in the join over A(p) iff the a whose B(a) holds it is below p
@@ -177,8 +173,21 @@ class QuotientLevel:
         for a, b in zip(atoms, images):
             for block, members in classes:
                 if block & b and members & ~A.base.above[a]:
-                    return None
+                    return self._criterion_fails()
         return images
+
+    def _criterion_fails(self) -> None:
+        """None, so that the element route decides and writes the witnesses
+        of an unplanted map that fails the atom criterion; such a map is no
+        complete homomorphism, so where the cap forbids that route this
+        raises a ProjectionError, a failure, not a capped skip."""
+        A, B = self.source, self.algebra
+        if A.listable and B.listable:
+            return None
+        raise ProjectionError(
+            f"pi_prime at level {self.beta} is no complete homomorphism (its "
+            f"atom images fail), and its witnesses need the elements of "
+            f"algebras of {len(A.base.atoms)} and {len(B.base.atoms)} atoms")
 
     @functools.cached_property
     def hom(self) -> HomReport:
@@ -853,8 +862,10 @@ def _lemma13(ctx: ProjectionContext, table: list, groups: dict):
     """U_{p1,p2} = {s : s-frown-p1 == s-frown-p2} is a regular cut of
     P_alpha, for every pair with one alpha-prefix.  U_{p1,p2} collects the
     s at which p2 lies in p1's s-frown class.  A cut is regular exactly
-    when it is the regular cut of its own atoms, computed once per distinct
-    cut; the first failing pair in (p1, p2) order is reported."""
+    when it is the regular cut of its own atoms, computed by the stage-alpha
+    source once per distinct cut (on the s3 sweep 94% of the cuts a call
+    tests repeat one it tested); the first failing pair in (p1, p2) order is
+    reported."""
     aposet = ctx.iteration.stages[ctx.alpha].poset
     cut = ctx.levels[ctx.alpha].source.cut
     regular: dict[int, bool] = {}
@@ -913,9 +924,10 @@ def _lemma14(ctx: ProjectionContext, beta: int, table: list, groups: dict,
 
 
 def _evaluation_identity_witness(ctx: ProjectionContext, gmask: int,
-                                 hmask: int) -> Name | None:
-    """A final-stage source name x with i_G(x) != i_H(pi_second x), or None
-    when the identity holds for every name of every rank.
+                                 hmask: int) -> int | None:
+    """The first nonzero final-stage source element b whose rank-1 name
+    x = {(empty name, b)} has i_G(x) != i_H(pi_second x), or None when the
+    identity holds for every name of every rank.
 
     By induction on names through the structural definition of pi_second,
     the identity holds everywhere exactly when every nonzero element b
@@ -923,8 +935,8 @@ def _evaluation_identity_witness(ctx: ProjectionContext, gmask: int,
     joined, and a join meets an ultrafilter iff one of its parts does.
     Where pi's atom images B(a) decide the level, pi_prime(b) is the join
     of the B(a) over the atoms a in b, so it suffices that each source atom
-    a is in G iff B(a) meets H.  A failing b, on that route a singleton, is
-    witnessed by the rank-1 name {(empty name, b)}; zero occurs in no name.
+    a is in G iff B(a) meets H, and a failing b is a singleton; zero
+    occurs in no name.
     """
     level = ctx.final_level
     A = level.source
@@ -935,8 +947,7 @@ def _evaluation_identity_witness(ctx: ProjectionContext, gmask: int,
     else:
         failing = (1 << a for a, image in zip(A.base.atoms, images)
                    if bool(gmask >> a & 1) != bool(image & hmask))
-    b = next(failing, None)
-    return None if b is None else Name(((Name((), A), b),), A)
+    return next(failing, None)
 
 
 def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
@@ -989,7 +1000,9 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
     rep.record("theorem16", "item3-evaluation-identity", instance, bad is None,
                {"alpha": alpha, "full_generic": full_gen_index},
                {"nonzero_elements": len(A) - 1,
-                "counterexample": None if bad is None else name_text(bad, A)})
+                # the text of {(empty name, bad)}, with no name built
+                "counterexample": None if bad is None else
+                f"{{({{}},{A.cut(bad):#x})}}"})
     return ctx.G, hmask, rep
 
 

@@ -3,11 +3,11 @@ the library's atom folds, element splits and per-element reads.
 
 :func:`cut_of_atom_set` reads one regular cut off the poset, element by
 element, and :func:`cut_table_by_elements` every one of them, from the rows
-alone; :func:`forcinglab.poset.regular_cuts` builds every cut alongside the
-atom subsets, once per relation matrix, and ``BoolAlgebra.cut`` computes
-one from the atoms outside it.  :func:`column_table` is pi_prime's column
-formula tabulated over every source element, the form the library
-evaluates per element on first read, and :func:`identity_failures` walks
+alone; ``BoolAlgebra.cut`` computes one from the atoms outside it
+(:func:`forcinglab.poset.atom_set_cut`).  :func:`column_table` is
+pi_prime's column formula tabulated over every source element, the form
+the library evaluates per element on first read, and
+:func:`identity_failures` walks
 every nonzero element for Theorem 16's evaluation identity, which the
 library decides on pi's atom images.  :func:`certify_by_pairs` checks
 every pair of distinct elements, where

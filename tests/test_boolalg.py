@@ -11,7 +11,7 @@ from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.iteration import TableProvider, build_iteration
 from forcinglab.poset import (all_separative_posets, antichain_with_top,
                               chain_poset, complement_cut, is_regular_cut,
-                              point_poset, regular_cuts, regularize)
+                              point_poset, regularize)
 
 from algebra_oracle import cut_of_atom_set, fake_binary_witnesses, flags
 
@@ -303,16 +303,15 @@ class TestAtomSetRepresentation:
                     assert A.cut(A.join(x, y)) == regularize(A.cut(x) | A.cut(y), base)
 
     def test_cuts_are_the_atom_set_oracle(self, default_sweep):
-        # the computed cuts and those the table builds alongside the
-        # subsets, on the small algebras and on every stage algebra of the
-        # acceptance sweep
+        # the computed cuts and the oracle's, read element by element, on
+        # the small algebras and on every stage algebra of the acceptance
+        # sweep
         stages = (ro_algebra(it.stages[beta].poset,
                              max_base=DEFAULT_CAPS.algebra_max_base)
                   for _, it in default_sweep for beta in range(len(it) + 1))
         checked = 0
         for A in itertools.chain(self.algebras(), stages):
             for x in A.elements:
-                assert A.cut(x) == cut_of_atom_set(x, A.base) == \
-                    regular_cuts(A.base)[0][x]
+                assert A.cut(x) == cut_of_atom_set(x, A.base)
             checked += 1
         assert checked > 300

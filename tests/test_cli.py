@@ -108,8 +108,12 @@ class TestProviderTableFormat:
          "G:a -> undef"),
         (POSET_P1 + "stage 0\nG: -> p1\n[provider]",
          "line 8: a second section: [provider]"),
+        (POSET_P1 + "stage 0\nG: -> p1\n[ poset \t p1 ]\ntop: 1",
+         "line 8: a second section: [ poset \t p1 ]"),
+        ("\n[poset p1]\ntop: 1\n1 < a\n[provider]\nstage 0\nG: -> p1",
+         "line 2 in [poset p1]: top '1' is not above every element"),
     ], ids=["poset-line", "empty-poset", "second-poset", "second-path",
-            "second-provider"])
+            "second-provider", "second-poset-spaced", "poset-invalid"])
     def test_a_payload_error_names_its_line_and_section(self, text, message):
         # payload line numbers, blank lines counted, and every repeat refused
         with pytest.raises(ValueError) as raised:
@@ -660,12 +664,17 @@ class TestDriverFailures:
         assert hashlib.sha256((tmp_path / "r.jsonl").read_bytes()).hexdigest() \
             == TestRunReports.REPORT_SHA256[2]
 
+    @staticmethod
+    def thirteen_atoms():
+        """An iteration whose alpha = 1 context has a 13-atom final level."""
+        it = build_iteration(TableProvider([
+            {(): point_poset()}, {(None,): antichain_with_top(13)}]))
+        return it, projection.make_context(it, 1, 0)
+
     def test_a_planted_map_on_a_13_atom_level_is_suite_capped(self):
         # the level passes on its atom images; a planted map takes the
         # element route, whose listing of 2^13 elements is capped
-        it = build_iteration(TableProvider([
-            {(): point_poset()}, {(None,): antichain_with_top(13)}]))
-        ctx = projection.make_context(it, 1, 0)
+        it, ctx = self.thirteen_atoms()
         level = ctx.final_level
         assert len(level.source.base.atoms) == 13
         assert projection.verify_theorem2(ctx).ok
@@ -678,6 +687,57 @@ class TestDriverFailures:
         assert [(c.check, c.status, c.detail) for c in rep.checks] == [
             ("suite-capped", "skip", {"reason": "poset has 13 atoms, above "
                                       "the algebra enumeration bound 12"})]
+
+    def test_a_wrong_pi_on_a_13_atom_level_fails(self):
+        # two source atoms sent to one quotient atom: the atom images fail,
+        # so the map is no complete homomorphism, and the element route
+        # that writes the witnesses cannot list 2^13 elements; every suite
+        # that reads the level records a failure, not a skip
+        it, ctx = self.thirteen_atoms()
+        level = ctx.final_level
+        a0, a1 = level.source.base.atoms[:2]
+        pi = list(level.pi)
+        pi[a1] = pi[a0]
+        wrong = replace(ctx, levels={**ctx.levels, 2: replace(level, pi=pi)})
+        it.context_cache[1, 0, it.caps] = wrong
+        error = {"error": "pi_prime at level 2 is no complete homomorphism "
+                 "(its atom images fail), and its witnesses need the elements "
+                 "of algebras of 13 and 13 atoms"}
+        for suite, verify in (("theorem2", projection.verify_theorem2),
+                              ("projection-lemmas",
+                               projection.verify_projection_lemmas)):
+            rep = cli.run_unit(suite, "it-13", {"alpha": 1, "generic": 0},
+                               lambda: wrong, verify)
+            assert [(c.check, c.status, c.detail) for c in rep.checks] == [
+                ("bridge", "fail", error)]
+        rep = cli.run_unit("theorem16", "it-13",
+                           {"alpha": 1, "full_generic": 0},
+                           lambda: projection.factor_generic(it, 1, 0)[2])
+        assert [(c.check, c.status, c.detail) for c in rep.checks] == [
+            ("factor", "fail", error)]
+
+    def test_one_disagreeing_atom_on_a_13_atom_level_fails_item3(self):
+        # the top's image moved to that of a source atom a outside G_full:
+        # the atom images still decide the level, a is the one atom that
+        # disagrees, and its singleton is written as its cut, with no
+        # element of the 2^13 listed
+        it, ctx = self.thirteen_atoms()
+        level = ctx.final_level
+        A, top = level.source, it.stages[2].poset.top
+        G_full = it.stages[2].generics[0]
+        a = next(a for a in A.base.atoms if not G_full.mask >> a & 1)
+        pi = list(level.pi)
+        pi[top] = pi[a]
+        it.context_cache[1, 0, it.caps] = replace(
+            ctx, levels={**ctx.levels, 2: replace(level, pi=pi)})
+        rep = cli.run_unit("theorem16", "it-13",
+                           {"alpha": 1, "full_generic": 0},
+                           lambda: projection.factor_generic(it, 1, 0)[2])
+        assert [(c.status, c.detail) for c in rep.checks
+                if c.check == "item3-evaluation-identity"] == [
+            ("fail", {"nonzero_elements": (1 << 13) - 1,
+                      "counterexample": f"{{({{}},{A.cut(1 << a):#x})}}"})]
+        assert A._listed is None
 
     def test_theorem16_skips_only_the_factorizations_it_runs(
             self, monkeypatch, tmp_path):

@@ -1528,7 +1528,7 @@ class TestTheorem16:
                                 ctx, G_full.mask, H.mask)
                             assert (got is None) == (not want)
                             if got is not None:
-                                assert got.entries[0][1] in want
+                                assert got in want
                                 failing += 1
                             checked += 1
         assert (checked, failing) == (4058, 3036)
@@ -1883,16 +1883,15 @@ class TestSweepOrderOracles:
 class TestLemma13Cuts:
     def test_the_computed_cut_is_the_cut_table(self, default_sweep):
         # L13 tests regularity with the stage-alpha source's computed cut:
-        # on every atom set of every stage poset it equals the table and
-        # the cut read off element by element
+        # on every atom set of every stage poset it equals the cut read off
+        # element by element
         orders = {stage.poset.below: stage.poset
                   for _, it in default_sweep for stage in it.stages}
         sets = 0
         for poset in orders.values():
             A = ro_algebra(poset)
-            table = poset_module.regular_cuts(poset)[0]
-            assert {x: A.cut(x) for x in table} == table == \
-                algebra_oracle.cut_table_by_elements(poset)[0]
+            table = algebra_oracle.cut_table_by_elements(poset)[0]
+            assert {x: A.cut(x) for x in table} == table
             sets += len(table)
         assert (len(orders), sets) == (41, 1206)
 
