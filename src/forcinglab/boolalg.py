@@ -3,11 +3,11 @@
 A regular cut of a finite poset is fixed by the atoms it contains, so an
 algebra element is that atom set, as a bitmask over the base poset: meet is
 ``&``, join is ``|`` and complement is ``^ one``.  :meth:`BoolAlgebra.cut`
-gives back the regular cut, for reports and for tests against the cut
-calculus in :mod:`forcinglab.poset`.  Every operation works on the atom
-mask; the 2^|atoms| elements are listed only for a caller that enumerates
-them (the law suite, the names layer and the element routes), and that
-listing is what the algebra cap bounds.
+gives back the regular cut, memoized per relation matrix, for reports,
+name keys and tests against the cut calculus in :mod:`forcinglab.poset`.
+Every operation works on the atom mask; the 2^|atoms| elements are listed
+only for a caller that enumerates them (the law suite, name universes and
+the element routes), and that listing is what the algebra cap bounds.
 
 A complete homomorphism between such algebras is fixed by its atom images,
 so the projection suites decide Theorem 2's homomorphism on the images of
@@ -26,8 +26,8 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .config import DEFAULT_CAPS, CapExceeded
-from .poset import (Poset, _mask_bits, atom_set_cut, is_separative,
-                    regular_cuts, separative_quotient)
+from .poset import (Poset, _mask_bits, is_separative, regular_cuts,
+                    separative_quotient)
 
 
 class AlgebraError(ValueError):
@@ -38,12 +38,12 @@ class BoolAlgebra:
     """All regular cuts of a separative base poset, stored as atom sets.
 
     ``zero`` is 0 and ``one`` is ``base.atom_mask``, and every atom set is
-    an element (Jech, *Set Theory*, 2003, Ch. 14).  ``elements`` ascend by
-    their cuts, and ``index`` gives each element's position there; both are
-    read on first use from :func:`forcinglab.poset.regular_cuts`, memoized
-    on the base's relation rows, and that read raises :class:`CapExceeded`
-    unless ``listable``: the base has at most ``max_base`` atoms.  If the
-    input poset was not separative it is quotiented first:
+    an element (Jech, *Set Theory*, 2003, Ch. 14).  ``cut`` reads the memo
+    ``base.cuts``.  ``elements`` ascend by their cuts; they are read on
+    first use from :func:`forcinglab.poset.regular_cuts`, memoized on the
+    base's relation rows, and that read raises :class:`CapExceeded` unless
+    ``listable``: the base has at most ``max_base`` atoms.  If the input
+    poset was not separative it is quotiented first:
     ``original``/``quotient_map`` report that, and the atoms are those of
     ``base`` (the quotient).  ``name_table`` and ``name_tag`` stay per
     algebra: the table interns the names built over this algebra (see
@@ -70,18 +70,17 @@ class BoolAlgebra:
         self.name_table: dict[tuple, object] = {}
         self.name_tag = object()
 
-    def _list_elements(self) -> tuple:
-        """(elements, index, nonzero), the one listing, checked by the cap."""
-        if not self.listable:
-            raise CapExceeded(f"poset has {len(self.base.atoms)} atoms, above "
-                              f"the algebra enumeration bound {self.max_base}")
-        elements, index = regular_cuts(self.base)
-        self._listed = elements, index, elements[1:]
+    @property
+    def elements(self) -> tuple[int, ...]:
+        """The 2^k atom sets, ascending by cut; only ``listable`` lists."""
+        if self._listed is None:
+            if not self.listable:
+                raise CapExceeded(f"poset has {len(self.base.atoms)} atoms, above "
+                                  f"the algebra enumeration bound {self.max_base}")
+            self._listed = regular_cuts(self.base)
         return self._listed
 
-    elements = property(lambda self: (self._listed or self._list_elements())[0])
-    index = property(lambda self: (self._listed or self._list_elements())[1])
-    nonzero = property(lambda self: (self._listed or self._list_elements())[2])
+    nonzero = property(lambda self: self.elements[1:])
 
     def __len__(self) -> int:
         return 1 << len(self.base.atoms)
@@ -93,7 +92,7 @@ class BoolAlgebra:
         """The regular cut of the base poset that x stands for."""
         if x & ~self.one:
             raise AlgebraError(f"{x:#x} is not an element of this algebra")
-        return atom_set_cut(self.base, x)
+        return self.base.cuts[x]
 
     def meet(self, a: int, b: int) -> int:
         return a & b
@@ -135,10 +134,10 @@ def ro_algebra(poset: Poset, max_base: int | None = None) -> BoolAlgebra:
 
     Non-separative inputs are quotiented first and the quotient map is kept
     on the result.  Listing its 2^|atoms| elements refuses a base of more
-    than ``max_base`` atoms (default ``Caps.algebra_max_base``).  Each call
-    returns a new algebra with its own name table; its element tables and
-    the separativity test are computed once per relation matrix (see
-    :class:`BoolAlgebra`).
+    than ``max_base`` atoms (default ``Caps.algebra_max_base``); nothing
+    else does.  Each call returns a new algebra with its own name table;
+    its cuts, their listing and the separativity test are computed once per
+    relation matrix (see :class:`BoolAlgebra`).
     """
     if is_separative(poset):
         return BoolAlgebra(poset, max_base=max_base)

@@ -49,8 +49,8 @@ class UniverseCapExceeded(CapExceeded):
 class Name:
     """Canonical Boolean-valued name, interned in its algebra.
 
-    ``key`` lists each entry as (sub-name key, position of its element in
-    ``algebra.elements``), so keys order names as their cuts do.  The
+    ``key`` lists each entry as (sub-name key, its element's cut), read
+    from the memo ``algebra.base.cuts``, so no element is listed.  The
     algebra's ``name_table`` maps each key to its one name, so within one
     algebra two names are the same object exactly when their keys are equal.
     ``tag`` is the algebra's ``name_tag``; a sub-name with another tag is
@@ -72,10 +72,10 @@ class Name:
                 sub = cls(sub.entries, algebra)
             had = merged.get(sub.uid)
             merged[sub.uid] = (sub, x if had is None else had[1] | x)
-        index = algebra.index
+        cuts = algebra.base.cuts
         es = tuple(sorted(merged.values(), key=lambda e: e[0].key))
         try:
-            key = tuple((sub.key, index[x]) for sub, x in es)
+            key = tuple((sub.key, cuts[x]) for sub, x in es)
         except KeyError as e:
             raise AlgebraError(f"{e.args[0]:#x} is not an element of this algebra")
         self = algebra.name_table.get(key)
@@ -186,9 +186,10 @@ class NameUniverse(Value):
 
 
 def universe_size(algebra: BoolAlgebra, rank_bound: int) -> int:
-    """Size of the full rank-bounded universe, computed without materializing."""
+    """Size of the full rank-bounded universe, computed without listing a
+    name or an element."""
     count = 1
-    options = len(algebra.nonzero) + 1
+    options = len(algebra)
     for _ in range(rank_bound):
         count = options ** count
     return count
@@ -211,12 +212,10 @@ def name_universe(algebra: BoolAlgebra, rank_bound: int,
         # a canonical name of the next layer is a partial map layer -> nonzero,
         # and distinct maps give distinct names
         nxt: list[Name] = []
-        per_sub = [len(algebra.nonzero) + 1] * len(layer)
-        for choice in itertools.product(*[range(c) for c in per_sub]):
-            entries = []
-            for sub, pick in zip(layer, choice):
-                if pick:
-                    entries.append((sub, algebra.nonzero[pick - 1]))
+        els = algebra.elements
+        for choice in itertools.product(range(len(els)), repeat=len(layer)):
+            entries = [(sub, els[pick]) for sub, pick in zip(layer, choice)
+                       if pick]
             nxt.append(Name(entries, algebra))
         layer = sorted(nxt, key=lambda n: n.key)
     return NameUniverse(algebra, rank_bound, tuple(layer))
@@ -238,9 +237,10 @@ def sampled_universe(algebra: BoolAlgebra, rank_bound: int,
     if r == rank_bound:
         return base
     names = {n.uid: n for n in base.names}
+    nonzero = algebra.nonzero
     for count in (1, 2):
         for subs in itertools.combinations(base.names, count):
-            for values in itertools.product(algebra.nonzero, repeat=count):
+            for values in itertools.product(nonzero, repeat=count):
                 if len(names) >= limit:
                     break
                 nm = Name(tuple(zip(subs, values)), algebra)

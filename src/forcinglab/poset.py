@@ -48,11 +48,11 @@ class Poset:
     below it), so ``compat[p]`` is the OR of ``above[a]`` over the atoms a
     below p.  Everything that reads nothing but ``below`` (the validation,
     ``above``, the atoms, ``compat``, and on first use the canonical search,
-    the separativity witness and the regular-cut table) is one
-    :class:`_Order`, memoized on the rows: posets with one relation matrix
-    share it, whatever their labels.  An invalid relation is never
-    memoized, so it raises on every construction, and ``top`` is checked
-    on every construction.  ``labels`` stay per object and may be a
+    the separativity witness, each atom set's regular cut in ``cuts`` and
+    their listing) is one :class:`_Order`, memoized on the rows: posets
+    with one relation matrix share it, whatever their labels.  An invalid
+    relation is never memoized, so it raises on every construction, and
+    ``top`` is checked on every construction.  ``labels`` stay per object and may be a
     sequence, a callable returning one, or None for ``e0``, ``e1``, ...; a
     callable or None is turned into the tuple on first read, since most
     labels are only read when a failing check names elements.  Instances
@@ -62,7 +62,7 @@ class Poset:
 
     __slots__ = (
         "n", "top", "_labels", "below", "above", "compat",
-        "full_mask", "atom_mask", "_atoms", "_order",
+        "full_mask", "atom_mask", "_atoms", "cuts", "_order",
     )
 
     def __init__(self, below: Sequence[int], top: int,
@@ -79,6 +79,7 @@ class Poset:
         self._atoms = order.atoms
         self.atom_mask = order.atom_mask
         self.compat = order.compat
+        self.cuts = order.cuts
         self._labels = labels if labels is None or callable(labels) else \
             self._checked_labels(labels)
 
@@ -236,11 +237,11 @@ class CanonicalFormError(RuntimeError):
 class _Order:
     """What a relation matrix alone determines, computed once per distinct
     ``below`` tuple: the validated rows on construction, and on first use
-    the canonical search, the separativity witness and the regular-cut
-    table.  Built only through :func:`_order_of`, which memoizes it."""
+    the canonical search, the separativity witness, each atom set's regular
+    cut and their ascending listing.  Built only through :func:`_order_of`."""
 
     __slots__ = ("below", "full_mask", "above", "atoms", "atom_mask",
-                 "compat", "search", "separative", "cuts")
+                 "compat", "search", "separative", "cuts", "ascending")
 
     def __init__(self, below: tuple[int, ...]):
         n = len(below)
@@ -277,8 +278,30 @@ class _Order:
         self.search = None
         # separativity witness, or () once a scan found none
         self.separative = None
-        # (atom sets ascending by cut, position) of regular_cuts
-        self.cuts = None
+        self.cuts = _Cuts(self)
+        self.ascending = None
+
+
+class _Cuts(dict):
+    """{atom set x: its regular cut {p : atoms(p) <= x}}, computed on first
+    read as the AND, over the atoms a outside x, of the elements not above
+    a; an x with a bit off the atoms is a KeyError."""
+
+    __slots__ = ("atoms", "above", "full_mask", "atom_mask")
+
+    def __init__(self, order: _Order):
+        self.atoms, self.above = order.atoms, order.above
+        self.full_mask, self.atom_mask = order.full_mask, order.atom_mask
+
+    def __missing__(self, x: int) -> int:
+        if x & ~self.atom_mask:
+            raise KeyError(x)
+        outside = 0
+        for a in self.atoms:
+            if not x >> a & 1:
+                outside |= self.above[a]
+        self[x] = cut = self.full_mask & ~outside
+        return cut
 
 
 # the one memo of order facts, by relation rows; oldest dropped first past
@@ -443,34 +466,18 @@ def is_regular_cut(u: int, poset: Poset) -> bool:
     return poset.is_downward_closed(u) and regularize(u, poset) == u
 
 
-def atom_set_cut(poset: Poset, x: int) -> int:
-    """The regular cut {p : atoms(p) <= x} of atom set x: the AND, over the
-    atoms a outside x, of the elements not above a."""
-    outside = 0
-    for a in poset.atoms:
-        if not x >> a & 1:
-            outside |= poset.above[a]
-    return poset.full_mask & ~outside
-
-
-def regular_cuts(poset: Poset) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The atom sets in ascending order of their regular cuts, and each
-    one's position in that order.  The table reads nothing but the relation
-    rows, so it is kept on the poset's memoized :class:`_Order`, shared by
-    every poset with those rows.
+def regular_cuts(poset: Poset) -> tuple[int, ...]:
+    """The atom sets in ascending order of their regular cuts.  The listing
+    reads nothing but the relation rows, so it is kept on the poset's
+    memoized :class:`_Order`, shared by every poset with those rows.
     """
     order = poset._order
-    if order.cuts is None:
-        order.cuts = _cut_table(poset)
-    return order.cuts
-
-
-def _cut_table(poset: Poset) -> tuple[tuple[int, ...], dict[int, int]]:
-    subsets = [0]
-    for a in poset.atoms:
-        subsets += [x | 1 << a for x in subsets]
-    ascending = tuple(sorted(subsets, key=lambda x: atom_set_cut(poset, x)))
-    return ascending, {x: i for i, x in enumerate(ascending)}
+    if order.ascending is None:
+        subsets = [0]
+        for a in poset.atoms:
+            subsets += [x | 1 << a for x in subsets]
+        order.ascending = tuple(sorted(subsets, key=poset.cuts.__getitem__))
+    return order.ascending
 
 
 # -- small builders and isomorph-reduced generation ----------------------

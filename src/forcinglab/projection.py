@@ -18,12 +18,12 @@ literal name, mapped through pi_second, denotes under each quotient generic,
 with no name built.  Everything downstream -- the complete-homomorphism
 verdict, the per-lemma property checks, generic factorization and the
 rebuilt-tail comparison -- quantifies exhaustively over the finite instance.
-Theorem 2's homomorphism and onto facts and Theorem 16's evaluation
-identity are decided on pi's atom images, in O(|P_beta|) bit operations per
-level (``QuotientLevel._atom_images``); only a map that fails them, whose
-witnesses it writes, or one a test planted walks the 2^k elements of a
-k-atom source algebra, the one route the algebra cap bounds.  Each level is
-one record: its source algebra, pi_prime's domain, and, derived on first
+Theorem 2's homomorphism and onto facts are decided on pi's atom images
+(``QuotientLevel._atom_images``), and Theorem 16's evaluation identity on
+pi for every map, in O(|P_beta|) bit operations per level; only a map that
+fails the atom criterion, or one a test planted, walks the 2^k elements of
+a k-atom source algebra, the one route the algebra cap bounds.  Each level
+is one record: its source algebra, pi_prime's domain, and, derived on first
 read, its conditions grouped by image (pi_prime's columns, Theorem 16's H),
 pi_prime by one formula read per element, per condition the equal, above
 and compatible images as bit rows (L5 and L10 at the level, L11 and L14 at
@@ -34,7 +34,7 @@ per relation matrix in :mod:`forcinglab.poset`.  L11-L14 read the s-frown
 table, built from the parent rows and grouped by alpha-prefix; L12 runs
 through the lower adjoint of the level's homomorphism.  The statements about
 names -- Theorem 2's onto and transport items and Theorem 16's evaluation
-identity -- are certified on algebra elements, which by induction through
+identity -- are decided on algebra elements, which by induction through
 pi_second covers every name of every rank.
 """
 
@@ -44,8 +44,7 @@ import functools
 import itertools
 from collections.abc import Mapping
 
-from .boolalg import (AlgebraError, BoolAlgebra, HomReport,
-                      certify_complete_hom, ro_algebra)
+from .boolalg import BoolAlgebra, HomReport, certify_complete_hom, ro_algebra
 from .config import Caps
 from .generic import GenericSet, is_filter
 from .iteration import (TAIL_ONE, CifsProvider, Coordinate, Iteration, Stage,
@@ -69,11 +68,11 @@ class QuotientLevel:
     ``rows``) and the Theorem 2 facts (``hom``, ``onto``, ``transport``).
     So a :func:`forcinglab.config.replace` copy with another pi derives its
     own, with a fresh pi_second memo, and a test plants a map by assigning
-    ``pi_prime`` on a copy.  ``hom`` and ``onto``, and Theorem 16's
-    evaluation identity, read pi's atom images (``_atom_images``) and no
-    pi_prime value; a planted map and a map that fails the atom criterion
-    take the element route, ``certify_complete_hom`` on pi_prime and
-    pi_prime's values, which write the witnesses.
+    ``pi_prime`` on a copy.  ``hom`` and ``onto`` read pi's atom images
+    (``_atom_images``) and no pi_prime value; a planted map and a map that
+    fails the atom criterion take the element route,
+    ``certify_complete_hom`` on pi_prime and pi_prime's values, which write
+    the witnesses.
 
     The facts hold for every name of every rank, by induction through the
     structural definition of pi_second (Jech, *Set Theory*, 2003, Ch. 14).
@@ -245,10 +244,7 @@ class _ColumnMap(Mapping):
     def __getitem__(self, x: int) -> int:
         got = self._memo.get(x)
         if got is None:
-            try:
-                cut = self._source.cut(x)
-            except AlgebraError:
-                raise KeyError(x) from None
+            cut = self._source.base.cuts[x]
             got = self._memo[x] = sum(bit for bit, col in self._columns
                                       if cut & col)
         return got
@@ -862,13 +858,11 @@ def _lemma13(ctx: ProjectionContext, table: list, groups: dict):
     """U_{p1,p2} = {s : s-frown-p1 == s-frown-p2} is a regular cut of
     P_alpha, for every pair with one alpha-prefix.  U_{p1,p2} collects the
     s at which p2 lies in p1's s-frown class.  A cut is regular exactly
-    when it is the regular cut of its own atoms, computed by the stage-alpha
-    source once per distinct cut (on the s3 sweep 94% of the cuts a call
-    tests repeat one it tested); the first failing pair in (p1, p2) order is
-    reported."""
+    when it is the regular cut of its own atoms, read from P_alpha's memo
+    of cuts per relation matrix; the first failing pair in (p1, p2) order
+    is reported."""
     aposet = ctx.iteration.stages[ctx.alpha].poset
-    cut = ctx.levels[ctx.alpha].source.cut
-    regular: dict[int, bool] = {}
+    regular, atom_mask = aposet.cuts, aposet.atom_mask
     checked = 0
     for ci, (r, row) in enumerate(table):
         members, classes = groups[r]
@@ -879,10 +873,7 @@ def _lemma13(ctx: ProjectionContext, table: list, groups: dict):
                     cuts[cj] |= 1 << s
         checked += len(cuts)
         for cj, mask in cuts.items():
-            ok = regular.get(mask)
-            if ok is None:
-                ok = regular[mask] = cut(mask & aposet.atom_mask) == mask
-            if not ok:
+            if regular[mask & atom_mask] != mask:
                 return False, {"pair": (ci, cj), "cut": f"{mask:#x}"}
     return True, {"pairs": checked}
 
@@ -925,29 +916,31 @@ def _lemma14(ctx: ProjectionContext, beta: int, table: list, groups: dict,
 
 def _evaluation_identity_witness(ctx: ProjectionContext, gmask: int,
                                  hmask: int) -> int | None:
-    """The first nonzero final-stage source element b whose rank-1 name
-    x = {(empty name, b)} has i_G(x) != i_H(pi_second x), or None when the
-    identity holds for every name of every rank.
+    """A nonzero final-stage source element b whose rank-1 name
+    x = {(empty name, b)} has i_G(x) != i_H(pi_second x), G being the
+    generic above atom g0 (mask ``gmask``) and H the quotient filter (mask
+    ``hmask``), or None when the identity holds for every name of every
+    rank.  Read off pi alone, for every map.
 
-    By induction on names through the structural definition of pi_second,
-    the identity holds everywhere exactly when every nonzero element b
-    meets G iff pi_prime(b) meets H: entries that pi_second merges are
-    joined, and a join meets an ultrafilter iff one of its parts does.
-    Where pi's atom images B(a) decide the level, pi_prime(b) is the join
-    of the B(a) over the atoms a in b, so it suffices that each source atom
-    a is in G iff B(a) meets H, and a failing b is a singleton; zero
-    occurs in no name.
+    By induction on names through pi_second (merged entries are joined, and
+    a join meets an ultrafilter iff a part does), the identity holds
+    everywhere iff each nonzero b meets G iff pi_prime(b) meets H: iff b
+    holds g0 exactly when it holds A(p) for some p in Q, the conditions
+    whose image has a quotient atom in H.  So b = {g0} needs g0 in Q (on a
+    separative base A(p) = {g0} forces p = g0) and b = A(p) needs p above
+    g0, which together suffice.  The witness is the lowest
+    atom on which Q and G disagree, else A(p) for the lowest p in Q outside
+    G: where the atom criterion holds, the atom route's first failing b.
     """
     level = ctx.final_level
-    A = level.source
-    images = level._atom_images
-    if images is None:
-        failing = (b for b in A.nonzero
-                   if bool(b & gmask) != bool(level.pi_prime[b] & hmask))
-    else:
-        failing = (1 << a for a, image in zip(A.base.atoms, images)
-                   if bool(gmask >> a & 1) != bool(image & hmask))
-    return next(failing, None)
+    base, qposet = level.source.base, level.stage.poset
+    q = sum(members for v, members in level.preimages.items()
+            if v is not None and qposet.atoms_below(v) & hmask)
+    odd = (q ^ gmask) & base.atom_mask
+    if odd:
+        return odd & -odd
+    stray = q & ~gmask
+    return base.atoms_below(_lowest(stray)) if stray else None
 
 
 def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
@@ -958,10 +951,10 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
     remainder, checking genericity of both and the evaluation identity
     i_Gfull(x) = i_H(pi_second x) for every name x of every rank.
 
-    The identity is certified on algebra elements (see
-    :func:`_evaluation_identity_witness`), so no name universe is built and
-    ``rank`` no longer bounds anything; the keyword stays so that callers
-    passing the run's rank keep working."""
+    The identity is decided on pi (see
+    :func:`_evaluation_identity_witness`), so no name universe is built, no
+    element is listed and ``rank`` no longer bounds anything; the keyword
+    stays so that callers passing the run's rank keep working."""
     caps = caps or iteration.caps
     rep = SuiteReport()
     stages = iteration.stages

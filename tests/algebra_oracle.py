@@ -3,8 +3,8 @@ the library's atom folds, element splits and per-element reads.
 
 :func:`cut_of_atom_set` reads one regular cut off the poset, element by
 element, and :func:`cut_table_by_elements` every one of them, from the rows
-alone; ``BoolAlgebra.cut`` computes one from the atoms outside it
-(:func:`forcinglab.poset.atom_set_cut`).  :func:`column_table` is
+alone; ``BoolAlgebra.cut`` reads one from the memo ``Poset.cuts``, which
+computes it from the atoms outside it.  :func:`column_table` is
 pi_prime's column formula tabulated over every source element, the form
 the library evaluates per element on first read, and
 :func:`identity_failures` walks
@@ -31,9 +31,8 @@ def cut_of_atom_set(atom_mask, poset):
 
 
 def cut_table_by_elements(poset):
-    """(cut by atom set, atom sets ascending by cut, position by atom set),
-    from ``below`` alone: each atom set's cut is read off element by
-    element."""
+    """(cut by atom set, atom sets ascending by cut), from ``below`` alone:
+    each atom set's cut is read off element by element."""
     n = poset.n
     atoms = [p for p in range(n) if poset.below[p] == 1 << p]
     atom_mask = sum(1 << a for a in atoms)
@@ -42,8 +41,7 @@ def cut_table_by_elements(poset):
         x = sum(1 << a for i, a in enumerate(atoms) if bits >> i & 1)
         cuts[x] = sum(1 << p for p in range(n)
                       if not poset.below[p] & atom_mask & ~x)
-    ascending = tuple(sorted(cuts, key=cuts.get))
-    return cuts, ascending, {x: i for i, x in enumerate(ascending)}
+    return cuts, tuple(sorted(cuts, key=cuts.get))
 
 
 def certify_by_pairs(h, A, B):

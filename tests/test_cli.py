@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from forcinglab import cli, iteration, projection
+from forcinglab.boolalg import ro_algebra
 from forcinglab.cli import (ExperimentConfig, InstanceSpec, execute,
                             format_poset_text, format_provider_tables,
                             generate_instances, human_summary, main,
@@ -16,10 +17,12 @@ from forcinglab.cli import (ExperimentConfig, InstanceSpec, execute,
                             write_report)
 from forcinglab.config import DEFAULT_CAPS, CapExceeded, fields, replace
 from forcinglab.iteration import TableProvider, build_iteration
+from forcinglab.names import Name, name_text
 from forcinglab.poset import (Poset, PosetError, antichain_with_top,
                               diamond_poset, point_poset)
 from forcinglab.projection import ProjectionError
 
+import algebra_oracle
 from generation_oracle import (generate_instances_exhaustive,
                                tree_canon_per_automorphism)
 from test_iteration import stage_facts
@@ -691,14 +694,16 @@ class TestDriverFailures:
     def test_a_wrong_pi_on_a_13_atom_level_fails(self):
         # two source atoms sent to one quotient atom: the atom images fail,
         # so the map is no complete homomorphism, and the element route
-        # that writes the witnesses cannot list 2^13 elements; every suite
-        # that reads the level records a failure, not a skip
+        # that writes the witnesses cannot list 2^13 elements; Theorem 2
+        # and the lemma suite record a failure, not a skip.  Theorem 16
+        # reads pi alone and writes its item records
         it, ctx = self.thirteen_atoms()
         level = ctx.final_level
         a0, a1 = level.source.base.atoms[:2]
         pi = list(level.pi)
         pi[a1] = pi[a0]
-        wrong = replace(ctx, levels={**ctx.levels, 2: replace(level, pi=pi)})
+        wrong_level = replace(level, pi=pi)
+        wrong = replace(ctx, levels={**ctx.levels, 2: wrong_level})
         it.context_cache[1, 0, it.caps] = wrong
         error = {"error": "pi_prime at level 2 is no complete homomorphism "
                  "(its atom images fail), and its witnesses need the elements "
@@ -710,11 +715,23 @@ class TestDriverFailures:
                                lambda: wrong, verify)
             assert [(c.check, c.status, c.detail) for c in rep.checks] == [
                 ("bridge", "fail", error)]
-        rep = cli.run_unit("theorem16", "it-13",
-                           {"alpha": 1, "full_generic": 0},
-                           lambda: projection.factor_generic(it, 1, 0)[2])
-        assert [(c.check, c.status, c.detail) for c in rep.checks] == [
-            ("factor", "fail", error)]
+        _, hmask, rep = projection.factor_generic(it, 1, 0)
+        assert [(c.check, c.status) for c in rep.checks] == [
+            ("item1-prefix-generic", "pass"),
+            ("item2-quotient-generic", "pass"),
+            ("item3-evaluation-identity", "fail")]
+        A = level.source
+        assert A._listed is None
+        # the element walk, with the cap lifted to list the 2^13 elements,
+        # finds the witness failing
+        lifted = ro_algebra(A.base, max_base=13)
+        failures = algebra_oracle.identity_failures(
+            algebra_oracle.column_table(replace(wrong_level, source=lifted)),
+            lifted, it.stages[2].generics[0].mask, hmask)
+        assert 1 << a1 in failures
+        assert rep.checks[2].detail == {
+            "nonzero_elements": (1 << 13) - 1,
+            "counterexample": name_text(Name([(Name((), A), 1 << a1)], A), A)}
 
     def test_one_disagreeing_atom_on_a_13_atom_level_fails_item3(self):
         # the top's image moved to that of a source atom a outside G_full:
@@ -737,6 +754,9 @@ class TestDriverFailures:
                 if c.check == "item3-evaluation-identity"] == [
             ("fail", {"nonzero_elements": (1 << 13) - 1,
                       "counterexample": f"{{({{}},{A.cut(1 << a):#x})}}"})]
+        # the witness name builds over the cap and writes the same text
+        witness = Name([(Name((), A), 1 << a)], A)
+        assert name_text(witness, A) == rep.checks[2].detail["counterexample"]
         assert A._listed is None
 
     def test_theorem16_skips_only_the_factorizations_it_runs(

@@ -15,11 +15,12 @@ from forcinglab.names import (Name, NameUniverse, TruthSession,
                               UniverseCapExceeded, check_name, evaluate,
                               holds_in_extension, mix_name,
                               name_text, name_universe, pair_name,
-                              sampled_universe, truth_value)
+                              sampled_universe, truth_value, universe_size)
 from forcinglab.poset import (Poset, all_posets_with_top, antichain_with_top,
                               is_separative, point_poset)
 from forcinglab.projection import make_context
 
+import algebra_oracle
 from tail_oracle import element_code_value, element_name
 from universes import working_universe
 
@@ -110,6 +111,40 @@ class TestCanonicalNames:
         y = Name([(e, ua)], A)
         assert e.rank == 0 and y.rank == 1
 
+    def test_a_rank1_name_builds_over_the_algebra_cap(self):
+        # an entry is keyed by its element's cut, read from the order's
+        # memo, so the rank-1 witness {(empty, b)} over a 13-atom algebra
+        # lists none of the 2^13 elements; its text is Theorem 16's
+        A = ro_algebra(antichain_with_top(13))
+        b = 0b1011001110001
+        nm = Name([(Name((), A), b)], A)
+        assert A._listed is None
+        assert nm.key == (((), A.cut(b)),)
+        assert name_text(nm, A) == f"{{({{}},{A.cut(b):#x})}}"
+
+    def test_cut_keys_order_names_as_element_positions_did(
+            self, default_sweep):
+        # on every stage algebra of the acceptance sweep, sorting a sample
+        # of names by their cut keys gives the same order as keys holding
+        # each element's position in the ascending listing of the cuts
+        orders = {stage.poset.below: stage.poset
+                  for _, it in default_sweep for stage in it.stages}
+        checked = 0
+        for poset in orders.values():
+            A = ro_algebra(poset)
+            position = {x: i for i, x in enumerate(
+                algebra_oracle.cut_table_by_elements(poset)[1])}
+
+            def old_key(name):
+                return tuple((old_key(sub), position[x])
+                             for sub, x in name.entries)
+
+            names = sampled_universe(A, 2, cap=300).names
+            assert sorted(names, key=lambda n: n.key) == \
+                sorted(names, key=old_key)
+            checked += len(names)
+        assert (len(orders), checked) == (41, 11960)
+
 
 class TestCheckName:
     def test_empty(self):
@@ -152,6 +187,15 @@ class TestUniverses:
         _, A, _, _ = _algebra_with_named_cuts()
         with pytest.raises(UniverseCapExceeded):
             name_universe(A, 2, cap=100)
+
+    def test_a_13_atom_universe_is_sized_without_listing(self):
+        # each entry is absent or one of the 2^13 - 1 nonzero elements
+        A = ro_algebra(antichain_with_top(13))
+        assert universe_size(A, 1) == 1 << 13
+        with pytest.raises(UniverseCapExceeded, match="universe of rank 1 "
+                           "has 8192 names, above the cap 4096"):
+            name_universe(A, 1)
+        assert A._listed is None
 
     def test_deterministic_order(self):
         _, A, _, _ = _algebra_with_named_cuts()
@@ -397,8 +441,9 @@ class TestInterning:
     def test_algebras_of_one_order_share_tables_not_names(self):
         P = antichain_with_top(2)
         A, B = ro_algebra(P), ro_algebra(Poset(list(P.below), P.top))
-        # the element tables are one memo entry for the relation matrix
-        assert A.index is B.index and A.elements is B.elements
+        # the cuts and their listing are one memo entry for the relation
+        # matrix
+        assert A.base.cuts is B.base.cuts and A.elements is B.elements
         assert A.name_tag is not B.name_tag
         e = Name((), A)
         nm = Name([(e, A.one)], A)

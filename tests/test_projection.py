@@ -425,9 +425,10 @@ class TestContextOwnership:
         assert sorted(seen) == [1, 2, 3]
         for algebras in seen.values():
             assert len({id(A) for A in algebras}) == len(algebras) > 1
-            # one relation matrix per stage: its tables are memoized once
+            # one relation matrix per stage: its cuts and their listing
+            # are memoized once
             assert len({id(A.elements) for A in algebras}) == 1
-            assert len({id(A.index) for A in algebras}) == 1
+            assert len({id(A.base.cuts) for A in algebras}) == 1
 
     def test_no_name_passes_between_contexts(self):
         it = build_iteration(TableProvider([
@@ -1433,18 +1434,30 @@ class TestTheorem16:
         assert self.statuses(rep)["item3-evaluation-identity"] == "pass"
         ctx = make_context(it, 1, it.stages[1].generics.index(G))
         A, level = ctx.source_algebras[2], ctx.final_level
-        gmask = it.stages[2].generics[0].mask
-        # the first element meeting G_full now projects to zero
-        b = next(b for b in A.nonzero if b & gmask)
-        copy = replace(level)
-        copy.pi_prime = {**level.pi_prime, b: level.algebra.zero}
-        ctx.levels[2] = copy
-        _, _, rep = factor_generic(it, 1, 0)
-        item3 = [c for c in rep.checks if c.check == "item3-evaluation-identity"]
-        assert [c.status for c in item3] == ["fail"]
+        poset, gmask = A.base, it.stages[2].generics[0].mask
+        # pi planted on a copy: the lowest non-atom condition p outside
+        # G_full takes the top's image.  Every atom still agrees with G, so
+        # the witness is A(p), the atoms below p
+        p = next(p for p in range(poset.n) if not gmask >> p & 1
+                 and level.pi[p] is not None and p not in poset.atoms)
+        pi = list(level.pi)
+        pi[p] = level.pi[poset.top]
+        planted = replace(level, pi=pi)
+        ctx.levels[2] = planted
+        _, hmask2, rep = factor_generic(it, 1, 0)
+        assert hmask2 == hmask
+        assert self.statuses(rep) == {
+            "item1-prefix-generic": "pass", "item2-quotient-generic": "pass",
+            "item3-evaluation-identity": "fail"}
+        b = poset.atoms_below(p)
+        assert b & (b - 1)
         witness = Name([(Name([], A), b)], A)
-        assert item3[0].detail["counterexample"] == name_text(witness, A)
+        assert [c.detail["counterexample"] for c in rep.checks
+                if c.check == "item3-evaluation-identity"] == \
+            [name_text(witness, A)]
         # the witness is a real one: the identity fails on it
+        assert b in algebra_oracle.identity_failures(
+            algebra_oracle.column_table(planted), A, gmask, hmask)
         assert evaluate(witness, gmask) != \
             evaluate(ctx.pi_second(2, witness), hmask)
 
@@ -1508,30 +1521,64 @@ class TestTheorem16:
 
     def test_item3_on_atoms_agrees_with_the_element_walk(self, default_sweep):
         # every final level of the sweep, under every final-stage generic
-        # and every quotient generic as G and H: the atom route finds a
-        # failing atom exactly when some nonzero element fails, and its
+        # and every quotient generic as G and H: the route on pi finds a
+        # failing element exactly when some nonzero element fails, and its
         # witness is one of them
-        checked = failing = 0
-        for _, it in default_sweep:
-            N = len(it)
-            for alpha in range(1, N + 1):
+        ctxs = list(self.contexts(default_sweep))
+        assert all(ctx.final_level._atom_images is not None for ctx in ctxs)
+        assert self.identity_agreement(ctxs) == (4058, 3036, 0)
+
+    def test_item3_on_a_wrong_pi_agrees_with_the_element_walk(
+            self, default_sweep):
+        # the same below the final stage, on a copy of each final level
+        # whose pi has two entries of different images swapped (a level
+        # whose pi has one image has no such pair)
+        rng = random.Random(16)
+        wrong = []
+        for ctx in self.contexts(default_sweep):
+            if ctx.alpha == len(ctx.iteration):
+                continue
+            level = ctx.final_level
+            pi = list(level.pi)
+            pairs = [(i, j) for i, j in itertools.combinations(range(len(pi)), 2)
+                     if pi[i] != pi[j]]
+            if not pairs:
+                continue
+            i, j = rng.choice(pairs)
+            pi[i], pi[j] = pi[j], pi[i]
+            wrong.append(replace(ctx, levels={**ctx.levels, len(ctx.iteration):
+                                              replace(level, pi=pi)}))
+        assert self.identity_agreement(wrong) == (2684, 2465, 210)
+
+    @staticmethod
+    def contexts(sweep):
+        for _, it in sweep:
+            for alpha in range(1, len(it) + 1):
                 for gi in range(len(it.stages[alpha].generics)):
-                    ctx = make_context(it, alpha, gi)
-                    level = ctx.final_level
-                    assert level._atom_images is not None
-                    table = algebra_oracle.column_table(level)
-                    for G_full in it.stages[N].generics:
-                        for H in level.stage.generics:
-                            want = algebra_oracle.identity_failures(
-                                table, level.source, G_full.mask, H.mask)
-                            got = _evaluation_identity_witness(
-                                ctx, G_full.mask, H.mask)
-                            assert (got is None) == (not want)
-                            if got is not None:
-                                assert got in want
-                                failing += 1
-                            checked += 1
-        assert (checked, failing) == (4058, 3036)
+                    yield make_context(it, alpha, gi)
+
+    @staticmethod
+    def identity_agreement(ctxs) -> tuple[int, int, int]:
+        """(checked, failing, by a set) (G_full, H) pairs of each
+        context's final level, each failing one asserted to be witnessed by
+        an element the element walk finds failing; the last counts the
+        witnesses of more than one atom."""
+        checked = failing = sets = 0
+        for ctx in ctxs:
+            level = ctx.final_level
+            table = algebra_oracle.column_table(level)
+            for G_full in ctx.iteration.final.generics:
+                for H in level.stage.generics:
+                    want = algebra_oracle.identity_failures(
+                        table, level.source, G_full.mask, H.mask)
+                    got = _evaluation_identity_witness(ctx, G_full.mask, H.mask)
+                    assert (got is None) == (not want)
+                    if got is not None:
+                        assert got in want
+                        failing += 1
+                        sets += bool(got & (got - 1))
+                    checked += 1
+        return checked, failing, sets
 
     def test_one_disagreeing_atom_fails_item3_with_its_singleton(self):
         # pi planted on a copy of the final level: the top goes to the
@@ -1834,8 +1881,8 @@ class TestSweepOrderOracles:
                 assert (q.above, q.atoms, q.compat) == (above, atoms, compat)
                 assert separativity_witness(q) == witness
                 A = ro_algebra(q)
-                assert ({x: A.cut(x) for x in A.elements}, A.elements,
-                        A.index) == table
+                assert ({x: A.cut(x) for x in A.elements},
+                        A.elements) == table
         assert (len(posets), len(fresh)) == (1007, 41)
 
     @classmethod
@@ -1882,16 +1929,15 @@ class TestSweepOrderOracles:
 
 class TestLemma13Cuts:
     def test_the_computed_cut_is_the_cut_table(self, default_sweep):
-        # L13 tests regularity with the stage-alpha source's computed cut:
-        # on every atom set of every stage poset it equals the cut read off
-        # element by element
+        # L13 tests regularity with P_alpha's memoized cuts: on every atom
+        # set of every stage poset the memo equals the cut read off element
+        # by element
         orders = {stage.poset.below: stage.poset
                   for _, it in default_sweep for stage in it.stages}
         sets = 0
         for poset in orders.values():
-            A = ro_algebra(poset)
             table = algebra_oracle.cut_table_by_elements(poset)[0]
-            assert {x: A.cut(x) for x in table} == table
+            assert {x: poset.cuts[x] for x in table} == table
             sets += len(table)
         assert (len(orders), sets) == (41, 1206)
 
@@ -1905,7 +1951,7 @@ class TestOrderFactsOncePerMatrix:
         fresh_root = functools.cache(root_stage.__wrapped__)
         monkeypatch.setattr(iteration_module, "root_stage", fresh_root)
         monkeypatch.setattr(projection, "root_stage", fresh_root)
-        rows, tables, algebras = [], [], []
+        rows, algebras = [], []
 
         class Counted(poset_module._Order):
             __slots__ = ()
@@ -1914,18 +1960,11 @@ class TestOrderFactsOncePerMatrix:
                 rows.append(below)
                 super().__init__(below)
 
-        cut_table = poset_module._cut_table
-
-        def counted_table(poset):
-            tables.append(poset.below)
-            return cut_table(poset)
-
         def counted_algebra(poset, max_base=None):
             algebras.append(ro_algebra(poset, max_base))
             return algebras[-1]
 
         monkeypatch.setattr(poset_module, "_Order", Counted)
-        monkeypatch.setattr(poset_module, "_cut_table", counted_table)
         monkeypatch.setattr(projection, "ro_algebra", counted_algebra)
         sweep = generate_instances(ExperimentConfig(max_poset=3, max_stages=3, seed=1))
         for _, it in sweep:
@@ -1934,12 +1973,12 @@ class TestOrderFactsOncePerMatrix:
                     assert verify_corollary15(make_context(it, alpha, gi)).ok
         assert len(rows) == len(set(rows)) <= poset_module._ORDERS_KEPT
         # the passing sweep lists no algebra's elements; listing them all
-        # afterwards builds one table per relation matrix
-        assert tables == []
+        # afterwards builds one listing per relation matrix
+        assert all(A.base._order.ascending is None for A in algebras)
         for A in algebras:
             assert len(A.elements) == len(A)
         orders = {A.base.below for A in algebras}
-        assert len(tables) == len(set(tables)) == len(orders) == 41
+        assert len({id(A.elements) for A in algebras}) == len(orders) == 41
         # every context builds its own algebras: one per source stage and
         # one per quotient level, on the 41 memoized tables
         assert len(algebras) == 2768

@@ -28,10 +28,10 @@ Three rules a run keeps: a passing ``run --suite all --max-poset 3
 certified on algebra elements and tails are decoded off pi_prime; it
 builds no stage condition label and no label of a cifs step poset, collapse
 or product, since labels are only read when a failing check names
-elements; and it lists no algebra's 2^k elements and builds no cut table,
-since every check of a passing level reads single elements and atom
-images.  Each run-time rule refuses the construction and checks that the
-run still writes its pinned report."""
+elements; and it lists no algebra's 2^k elements (no ``regular_cuts``),
+since every check of a passing level reads single elements' memoized cuts
+and atom images.  Each run-time rule refuses the construction and checks
+that the run still writes its pinned report."""
 
 import ast
 import hashlib
@@ -43,8 +43,7 @@ from pathlib import Path
 import pytest
 
 import test_cli
-from forcinglab import iteration, poset
-from forcinglab.boolalg import BoolAlgebra
+from forcinglab import boolalg, iteration, poset
 from forcinglab.cli import main
 from forcinglab.config import replace
 from forcinglab.iteration import (CollapseSpec, TableProvider, build_iteration,
@@ -481,8 +480,7 @@ def test_a_pi_second_call_builds_a_name(monkeypatch):
 
 
 def test_a_passing_run_reads_no_element_table(monkeypatch, tmp_path):
-    refuse(monkeypatch, poset, "_cut_table")
-    refuse(monkeypatch, BoolAlgebra, "_list_elements")
+    refuse(monkeypatch, boolalg, "regular_cuts")
     assert sweep_report_sha256(tmp_path) == PINNED
 
 
@@ -494,8 +492,7 @@ def test_a_planted_map_lists_the_elements(monkeypatch):
     copy = replace(level)
     copy.pi_prime = level.pi_prime
     planted = replace(ctx, levels={**ctx.levels, 2: copy})
-    refuse(monkeypatch, poset, "_cut_table")
-    refuse(monkeypatch, BoolAlgebra, "_list_elements")
+    refuse(monkeypatch, boolalg, "regular_cuts")
     with pytest.raises(Refused):
         verify_theorem2(planted)
 
