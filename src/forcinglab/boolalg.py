@@ -53,7 +53,7 @@ class BoolAlgebra:
     """
 
     __slots__ = ("base", "original", "quotient_map", "max_base", "listable",
-                 "zero", "one", "_listed", "name_table", "name_tag")
+                 "zero", "one", "name_table", "name_tag")
 
     def __init__(self, base: Poset, original: Poset | None = None,
                  quotient_map: tuple[int, ...] | None = None,
@@ -66,19 +66,16 @@ class BoolAlgebra:
         self.listable = len(base.atoms) <= self.max_base
         self.zero = 0
         self.one = base.atom_mask
-        self._listed = None
         self.name_table: dict[tuple, object] = {}
         self.name_tag = object()
 
     @property
     def elements(self) -> tuple[int, ...]:
         """The 2^k atom sets, ascending by cut; only ``listable`` lists."""
-        if self._listed is None:
-            if not self.listable:
-                raise CapExceeded(f"poset has {len(self.base.atoms)} atoms, above "
-                                  f"the algebra enumeration bound {self.max_base}")
-            self._listed = regular_cuts(self.base)
-        return self._listed
+        if not self.listable:
+            raise CapExceeded(f"poset has {len(self.base.atoms)} atoms, above "
+                              f"the algebra enumeration bound {self.max_base}")
+        return regular_cuts(self.base)
 
     nonzero = property(lambda self: self.elements[1:])
 

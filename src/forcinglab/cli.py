@@ -25,7 +25,7 @@ from collections import Counter
 from .config import DEFAULT_CAPS, CapExceeded, Caps, fields
 from .formula import parse_formula
 from .iteration import (CifsProvider, CollapseSpec, Iteration, Stage,
-                        StepContext, TableProvider, build_iteration, check_lemma1,
+                        TableProvider, build_iteration, check_lemma1,
                         collapse_poset, extend_stage)
 from .poset import (PERM_MAX, Poset, PosetError, all_separative_posets,
                     validate_poset)
@@ -511,10 +511,9 @@ def cifs_dependence_probe(caps: Caps, instance: str = "cifs") -> SuiteReport:
         max_stage_conditions=16, max_stages=max(caps.max_stages, 2)),
         allow_partial=True)
     stage = iteration.stages[1]
-    infos = []
-    for gi in range(len(stage.generics)):
-        provider.step(1, StepContext(stage, gi, stage.paths[gi]))
-        infos.append(provider.info[(1, stage.paths[gi])])
+    for path in stage.paths:
+        provider.step(1, path)
+    infos = [provider.info[1, path] for path in stage.paths]
     structures = {tuple(h.code for h in info.structure) for info in infos}
     witnesses = {info.witnesses[0] for info in infos}
     rep.record("cifs", "tables-differ-between-generics", instance,

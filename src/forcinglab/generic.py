@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .config import Value
-from .poset import Poset, _mask_bits
+from .poset import Poset, PosetError, _mask_bits
 
 
 class GenericSet(Value):
@@ -74,13 +74,15 @@ def forces(p: int, formula, universe) -> bool:
     """p forces f  iff  the principal element of p lies below ||f||.
 
     ``universe`` is a :class:`forcinglab.names.NameUniverse`; for posets that
-    were quotiented on algebra construction, p is mapped through the quotient
-    first.
+    were quotiented on algebra construction, p is a condition of the
+    original poset and is mapped through the quotient first.  A p outside
+    the poset raises :class:`PosetError`.
     """
     from .names import truth_value
 
     algebra = universe.algebra
-    value = truth_value(formula, universe)
-    if algebra.quotient_map is not None and p < len(algebra.quotient_map):
-        p = algebra.quotient_map[p]
-    return algebra.leq(algebra.principal(p), value)
+    qmap = algebra.quotient_map or range(algebra.base.n)
+    if not 0 <= p < len(qmap):
+        raise PosetError(
+            f"condition {p} is outside the poset of {len(qmap)} conditions")
+    return algebra.leq(algebra.principal(qmap[p]), truth_value(formula, universe))

@@ -148,22 +148,16 @@ class Stage:
         return _mask_bits(self.gen_masks[cond_idx])
 
 
-class StepContext:
-    """What a provider rule sees when asked for the next step poset."""
-
-    def __init__(self, stage: Stage, gen_index: int, path: tuple):
-        self.stage = stage
-        self.gen_index = gen_index
-        self.path = path
-
-
 class StepProvider:
     """Rule mapping (stage index, generic of that stage) to a separative step
-    poset with top, or None for "no unique poset is defined here"."""
+    poset with top, or None for "no unique poset is defined here".  The
+    rule reads the generic's path, one entry per earlier stage: the step
+    condition that stage's generic chose, or None where it had no step
+    poset.  As in the paper, the next step is defined from that path."""
 
     stage_count: int
 
-    def step(self, n: int, ctx: StepContext) -> Poset | None:
+    def step(self, n: int, path: tuple) -> Poset | None:
         raise NotImplementedError
 
 
@@ -174,8 +168,8 @@ class TableProvider(StepProvider):
         self.tables = [dict(t) for t in tables]
         self.stage_count = len(self.tables)
 
-    def step(self, n: int, ctx: StepContext) -> Poset | None:
-        return self.tables[n].get(ctx.path)
+    def step(self, n: int, path: tuple) -> Poset | None:
+        return self.tables[n].get(path)
 
 
 class Iteration:
@@ -396,7 +390,7 @@ def build_iteration(provider: StepProvider, caps: Caps = DEFAULT_CAPS,
         stage = stages[-1]
         steps: list[Poset | None] = []
         for gi in range(len(stage.generics)):
-            q = provider.step(n, StepContext(stage, gi, stage.paths[gi]))
+            q = provider.step(n, stage.paths[gi])
             if q is not None and not is_separative(q):
                 raise ProviderError(
                     f"step poset at stage {n}, generic {gi} is not separative")
@@ -539,13 +533,13 @@ class CifsProvider(StepProvider):
         self.caps = caps
         self.info: dict[tuple[int, tuple], CifsStepInfo] = {}
 
-    def _generic_debris(self, ctx: StepContext) -> list[HFSet]:
+    def _generic_debris(self, path: tuple) -> list[HFSet]:
         """HF encodings of the collapse functions the generic path fixed."""
         out = []
-        for j, choice in enumerate(ctx.path):
+        for j, choice in enumerate(path):
             if choice is None:
                 continue
-            info = self.info.get((j, ctx.path[:j]))
+            info = self.info.get((j, path[:j]))
             if info is None:
                 continue
             tup = info.element_tuples[choice]
@@ -556,8 +550,8 @@ class CifsProvider(StepProvider):
                         (x, numeral(v)) for x, v in payload))
         return out
 
-    def step(self, n: int, ctx: StepContext) -> Poset | None:
-        key = (n, ctx.path)
+    def step(self, n: int, path: tuple) -> Poset | None:
+        key = (n, path)
         if key in self.info:
             return self.info[key].poset
         rank, m = self.ladder[n]
@@ -565,7 +559,7 @@ class CifsProvider(StepProvider):
         # plus the hereditary content of the collapse generics fixed so far,
         # cut at this rung's rank
         ground = rank_segment(self.ladder[0][0])
-        debris = self._generic_debris(ctx)
+        debris = self._generic_debris(path)
         universe = transitive_closure(tuple(ground) + tuple(debris))
         structure = tuple(x for x in universe if x.rank < rank)
         components: list[Poset] = []

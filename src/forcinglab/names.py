@@ -185,12 +185,18 @@ class NameUniverse(Value):
             raise FormulaError(f"constant ${k} outside the active universe")
 
 
-def universe_size(algebra: BoolAlgebra, rank_bound: int) -> int:
+def universe_size(algebra: BoolAlgebra, rank_bound: int, cap: int) -> int:
     """Size of the full rank-bounded universe, computed without listing a
-    name or an element."""
+    name or an element, or, where a lower rank's universe is above
+    ``cap``, the size of the first such: each rank's universe outgrows the
+    one below (an algebra has at least two elements), so the result is
+    above the cap exactly when the full size is, and no tower of powers is
+    computed past the cap."""
     count = 1
     options = len(algebra)
     for _ in range(rank_bound):
+        if count > cap:
+            break
         count = options ** count
     return count
 
@@ -203,10 +209,14 @@ def name_universe(algebra: BoolAlgebra, rank_bound: int,
     thrash.
     """
     limit = UNIVERSE_CAP if cap is None else cap
-    size = universe_size(algebra, rank_bound)
+    size = universe_size(algebra, rank_bound, limit)
     if size > limit:
+        # the size is the full one exactly when the rank below fits
         raise UniverseCapExceeded(
-            f"universe of rank {rank_bound} has {size} names, above the cap {limit}")
+            f"universe of rank {rank_bound} has {size} names, above the cap {limit}"
+            if universe_size(algebra, rank_bound - 1, limit) <= limit else
+            f"universe of rank {rank_bound} has more than {size} names, above "
+            f"the cap {limit}")
     layer: list[Name] = [Name((), algebra)]
     for _ in range(rank_bound):
         # a canonical name of the next layer is a partial map layer -> nonzero,
@@ -231,7 +241,7 @@ def sampled_universe(algebra: BoolAlgebra, rank_bound: int,
     """
     limit = UNIVERSE_CAP if cap is None else cap
     r = rank_bound
-    while r > 0 and universe_size(algebra, r) > limit:
+    while r > 0 and universe_size(algebra, r, limit) > limit:
         r -= 1
     base = name_universe(algebra, r, cap=limit)
     if r == rank_bound:

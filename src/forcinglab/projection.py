@@ -48,8 +48,8 @@ from .boolalg import BoolAlgebra, HomReport, certify_complete_hom, ro_algebra
 from .config import Caps
 from .generic import GenericSet, is_filter
 from .iteration import (TAIL_ONE, CifsProvider, Coordinate, Iteration, Stage,
-                        StepContext, StepProvider, build_iteration,
-                        extend_stage, root_stage)
+                        StepProvider, build_iteration, extend_stage,
+                        root_stage)
 # evaluate is unused here; it stays bound for perfbench/selftest.py, which
 # checks that its tracer reaches this binding
 from .names import Name, evaluate, name_text  # noqa: F401
@@ -282,8 +282,10 @@ class ProjectionContext:
 
     def pi_second(self, beta: int, name: Name) -> Name:
         """The level-beta image of ``name``: its entries' images paired
-        with pi_prime of their elements.  The level's memo is written only
-        here, so every entry in it is that recursion."""
+        with pi_prime of their elements.  This is the API through which
+        callers map names, and the oracle that acceptance criteria 5 and 7
+        read; no check of the library calls it.  The level's memo is
+        written only here, so every entry in it is that recursion."""
         level = self.levels[beta]
         got = level._pi_second.get(name.uid)
         if got is None:
@@ -721,18 +723,13 @@ def _prefix_groups(table: list[tuple[int, dict]]) -> dict[int, tuple[int, dict]]
 
 def _forced(astage: Stage, rows: list[list[int]], n: int):
     """R(r, p): the AND of the sibling rows rows[g][p] over the generics g
-    of P_alpha that contain r, memoized per (r, p).  There is one generic
-    per atom, so these are the q that r forces into p's relation (Kunen,
-    *Set Theory*, 1980, Ch. VII); no generic contains r means every q."""
-    memo: dict[tuple[int, int], int] = {}
-
+    of P_alpha that contain r.  There is one generic per atom, so these are
+    the q that r forces into p's relation (Kunen, *Set Theory*, 1980,
+    Ch. VII); no generic contains r means every q."""
     def forced(r: int, p: int) -> int:
-        got = memo.get((r, p))
-        if got is None:
-            got = (1 << n) - 1
-            for g in astage.gens_of(r):
-                got &= rows[g][p]
-            memo[r, p] = got
+        got = (1 << n) - 1
+        for g in astage.gens_of(r):
+            got &= rows[g][p]
         return got
     return forced
 
@@ -993,9 +990,8 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
     rep.record("theorem16", "item3-evaluation-identity", instance, bad is None,
                {"alpha": alpha, "full_generic": full_gen_index},
                {"nonzero_elements": len(A) - 1,
-                # the text of {(empty name, bad)}, with no name built
                 "counterexample": None if bad is None else
-                f"{{({{}},{A.cut(bad):#x})}}"})
+                name_text(Name(((Name((), A), bad),), A), A)})
     return ctx.G, hmask, rep
 
 
@@ -1015,9 +1011,8 @@ class _ShiftedProvider(StepProvider):
         self.gpath = gpath
         self.stage_count = stage_count
 
-    def step(self, n: int, ctx: StepContext) -> Poset | None:
-        shifted = StepContext(ctx.stage, ctx.gen_index, self.gpath + ctx.path)
-        return self.base.step(n + self.alpha, shifted)
+    def step(self, n: int, path: tuple) -> Poset | None:
+        return self.base.step(n + self.alpha, self.gpath + path)
 
 
 def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> SuiteReport:

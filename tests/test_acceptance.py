@@ -31,8 +31,6 @@ from forcinglab.projection import (factor_generic, limit_clause_skip,
                                    verify_projection_lemmas, verify_theorem2)
 from forcinglab.report import merge_reports
 
-from universes import working_universe
-
 
 RESULT_LINES: list[str] = []
 
@@ -251,7 +249,7 @@ def _onto_sweep(ctx, beta) -> bool:
             got = memo[y.uid] = Name(entries, A)
         return got
 
-    for y in working_universe(level.algebra, 2).names:
+    for y in sampled_universe(level.algebra, 2).names:
         x = preimage(y)
         # both sides are interned in the quotient algebra
         if x is None or ctx.pi_second(beta, x) is not y:
@@ -264,7 +262,7 @@ def _transport_sweep(ctx, beta) -> bool:
     PAIR_UNIVERSE-name rank-2 source universe: pi_prime of each source value
     is the value of the image pair."""
     level = ctx.levels[beta]
-    source = working_universe(ctx.source_algebras[beta], 2, cap=PAIR_UNIVERSE)
+    source = sampled_universe(ctx.source_algebras[beta], 2, cap=PAIR_UNIVERSE)
     images = [ctx.pi_second(beta, n) for n in source.names]
     src = TruthSession(source)
     tgt = TruthSession(NameUniverse(
@@ -349,7 +347,7 @@ def test_criterion_7_theorem16(default_sweep):
         # the rank-2 universe sweep is the oracle for the element
         # certificate of item 3: the final universe is built once per
         # instance, after its factor_generic calls
-        universe = working_universe(make_context(it, N, 0).source_algebras[N], 2)
+        universe = sampled_universe(make_context(it, N, 0).source_algebras[N], 2)
         # evaluations are memoized by (name uid, generic mask), so one memo
         # serves both sides of every record
         memo: dict = {}

@@ -691,7 +691,7 @@ class TestDriverFailures:
             ("suite-capped", "skip", {"reason": "poset has 13 atoms, above "
                                       "the algebra enumeration bound 12"})]
 
-    def test_a_wrong_pi_on_a_13_atom_level_fails(self):
+    def test_a_wrong_pi_on_a_13_atom_level_fails(self, fresh_orders):
         # two source atoms sent to one quotient atom: the atom images fail,
         # so the map is no complete homomorphism, and the element route
         # that writes the witnesses cannot list 2^13 elements; Theorem 2
@@ -721,7 +721,7 @@ class TestDriverFailures:
             ("item2-quotient-generic", "pass"),
             ("item3-evaluation-identity", "fail")]
         A = level.source
-        assert A._listed is None
+        assert A.base._order.ascending is None
         # the element walk, with the cap lifted to list the 2^13 elements,
         # finds the witness failing
         lifted = ro_algebra(A.base, max_base=13)
@@ -733,7 +733,8 @@ class TestDriverFailures:
             "nonzero_elements": (1 << 13) - 1,
             "counterexample": name_text(Name([(Name((), A), 1 << a1)], A), A)}
 
-    def test_one_disagreeing_atom_on_a_13_atom_level_fails_item3(self):
+    def test_one_disagreeing_atom_on_a_13_atom_level_fails_item3(
+            self, fresh_orders):
         # the top's image moved to that of a source atom a outside G_full:
         # the atom images still decide the level, a is the one atom that
         # disagrees, and its singleton is written as its cut, with no
@@ -757,7 +758,7 @@ class TestDriverFailures:
         # the witness name builds over the cap and writes the same text
         witness = Name([(Name((), A), 1 << a)], A)
         assert name_text(witness, A) == rep.checks[2].detail["counterexample"]
-        assert A._listed is None
+        assert A.base._order.ascending is None
 
     def test_theorem16_skips_only_the_factorizations_it_runs(
             self, monkeypatch, tmp_path):

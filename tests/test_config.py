@@ -6,8 +6,8 @@ from forcinglab.cli import ExperimentConfig, InstanceSpec
 from forcinglab.config import DEFAULT_CAPS, Caps, fields, replace
 from forcinglab.formula import (And, Const, Equality, Exists, Implies,
                                 Membership, Not, Or, Var, parse_formula)
-from forcinglab.iteration import (CifsProvider, CollapseSpec, StepContext,
-                                  TableProvider, build_iteration)
+from forcinglab.iteration import (CifsProvider, CollapseSpec, TableProvider,
+                                  build_iteration)
 from forcinglab.names import Name, NameUniverse
 from forcinglab.poset import antichain_with_top
 from forcinglab.projection import make_context, verify_theorem2
@@ -20,7 +20,7 @@ def two_step_antichains():
 
 
 def one_of_each_record() -> list:
-    """One instance of each of the library's 24 record classes."""
+    """One instance of each of the library's 23 record classes."""
     it = two_step_antichains()
     ctx = make_context(it, 1, 0)
     level = ctx.final_level
@@ -31,7 +31,7 @@ def one_of_each_record() -> list:
     x, z = Var("x"), Var("z")
     atom = Membership(z, x)
     return [
-        DEFAULT_CAPS, it, stage, stage.generics[0], StepContext(stage, 0, ()),
+        DEFAULT_CAPS, it, stage, stage.generics[0],
         ctx, level, level.hom, report, report.checks[0],
         NameUniverse(level.source, 0, (Name((), level.source),)),
         CollapseSpec((0, 1), 2), next(iter(cifs.info.values())),
@@ -43,7 +43,7 @@ def one_of_each_record() -> list:
 
 def test_a_copy_holds_the_same_fields():
     records = one_of_each_record()
-    assert len({type(r) for r in records}) == len(records) == 24
+    assert len({type(r) for r in records}) == len(records) == 23
     for record in records:
         copy = replace(record)
         assert type(copy) is type(record) and copy is not record

@@ -15,8 +15,8 @@ from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import parse_formula
 from forcinglab.hfset import EMPTY, HFSet, element_code
 from forcinglab.iteration import (TAIL_ONE, CifsProvider, CollapseSpec,
-                                  Iteration, ProviderError, StepContext,
-                                  TableProvider, build_iteration,
+                                  Iteration, ProviderError, TableProvider,
+                                  build_iteration,
                                   canonicalize_condition,
                                   check_lemma1, collapse_poset, extend_stage, root_stage,
                                   trim)
@@ -591,11 +591,9 @@ class TestCifs:
         it = build_iteration(prov, DEFAULT_CAPS.with_(max_stage_conditions=16),
                              allow_partial=True)
         s1 = it.stages[1]
-        infos = []
-        for gi in range(len(s1.generics)):
-            prov.step(1, StepContext(s1, gi, s1.paths[gi]))
-            infos.append(prov.info[(1, s1.paths[gi])])
-        return infos
+        for path in s1.paths:
+            prov.step(1, path)
+        return [prov.info[1, path] for path in s1.paths]
 
     @staticmethod
     def components(info, m: int):
@@ -617,7 +615,7 @@ class TestCifs:
         # with the generics' collapse functions kept out of the universe,
         # both stage-1 structures are the bare ground fragment
         monkeypatch.setattr(CifsProvider, "_generic_debris",
-                            lambda self, ctx: [])
+                            lambda self, path: [])
         rep = cifs_dependence_probe(DEFAULT_CAPS)
         assert [(c.check, c.status, c.detail) for c in rep.checks] == [
             ("tables-differ-between-generics", "fail",

@@ -1,7 +1,12 @@
 import itertools
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import forcinglab
 from forcinglab.boolalg import AlgebraError, ro_algebra
 from forcinglab.config import replace
 from forcinglab.formula import parse_formula
@@ -16,13 +21,13 @@ from forcinglab.names import (Name, NameUniverse, TruthSession,
                               holds_in_extension, mix_name,
                               name_text, name_universe, pair_name,
                               sampled_universe, truth_value, universe_size)
-from forcinglab.poset import (Poset, all_posets_with_top, antichain_with_top,
-                              is_separative, point_poset)
+from forcinglab.poset import (Poset, PosetError, all_posets_with_top,
+                              antichain_with_top, chain_poset, is_separative,
+                              point_poset)
 from forcinglab.projection import make_context
 
 import algebra_oracle
 from tail_oracle import element_code_value, element_name
-from universes import working_universe
 
 
 class TestHFSet:
@@ -111,14 +116,14 @@ class TestCanonicalNames:
         y = Name([(e, ua)], A)
         assert e.rank == 0 and y.rank == 1
 
-    def test_a_rank1_name_builds_over_the_algebra_cap(self):
+    def test_a_rank1_name_builds_over_the_algebra_cap(self, fresh_orders):
         # an entry is keyed by its element's cut, read from the order's
         # memo, so the rank-1 witness {(empty, b)} over a 13-atom algebra
         # lists none of the 2^13 elements; its text is Theorem 16's
         A = ro_algebra(antichain_with_top(13))
         b = 0b1011001110001
         nm = Name([(Name((), A), b)], A)
-        assert A._listed is None
+        assert A.base._order.ascending is None
         assert nm.key == (((), A.cut(b)),)
         assert name_text(nm, A) == f"{{({{}},{A.cut(b):#x})}}"
 
@@ -188,14 +193,50 @@ class TestUniverses:
         with pytest.raises(UniverseCapExceeded):
             name_universe(A, 2, cap=100)
 
-    def test_a_13_atom_universe_is_sized_without_listing(self):
+    def test_a_13_atom_universe_is_sized_without_listing(self, fresh_orders):
         # each entry is absent or one of the 2^13 - 1 nonzero elements
         A = ro_algebra(antichain_with_top(13))
-        assert universe_size(A, 1) == 1 << 13
+        assert universe_size(A, 1, 4096) == 1 << 13
         with pytest.raises(UniverseCapExceeded, match="universe of rank 1 "
                            "has 8192 names, above the cap 4096"):
             name_universe(A, 1)
-        assert A._listed is None
+        assert A.base._order.ascending is None
+
+    def test_a_tower_is_compared_with_the_cap_layer_by_layer(self):
+        # 4 atoms: 16 elements, so rank 2 already has 16 ** 16 names and
+        # rank 3 has 16 ** (16 ** 16), a number no machine can write; the
+        # size stops at the first rank above the cap.  The call runs in a
+        # child with a timeout and a 1 GB address-space limit, so that
+        # computing the tower fails this test rather than stalling the
+        # suite or filling the memory
+        code = """
+from forcinglab.boolalg import ro_algebra
+from forcinglab.names import UniverseCapExceeded, name_universe, sampled_universe
+from forcinglab.poset import antichain_with_top
+A = ro_algebra(antichain_with_top(4))
+u = sampled_universe(A, 3, cap=100)
+print(len(u), u.exhaustive)
+try:
+    name_universe(A, 3, cap=100)
+except UniverseCapExceeded as e:
+    print(e)
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.dirname(os.path.dirname(forcinglab.__file__)),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              check=True, preexec_fn=lambda: resource.setrlimit(
+                                  resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+        assert proc.stdout.splitlines() == [
+            "100 False",
+            "universe of rank 3 has more than 18446744073709551616 names, "
+            "above the cap 100"]
+        # where the size is computed, the message gives it
+        with pytest.raises(UniverseCapExceeded, match="universe of rank 2 has "
+                           "18446744073709551616 names, above the cap 100"):
+            name_universe(ro_algebra(antichain_with_top(4)), 2, cap=100)
 
     def test_deterministic_order(self):
         _, A, _, _ = _algebra_with_named_cuts()
@@ -280,6 +321,29 @@ class TestForcing:
         assert forces(self.a, f, self.univ)
         assert not forces(self.b, f, self.univ)
         assert not forces(self.P.top, f, self.univ)
+
+    def test_a_condition_outside_the_poset_is_refused(self):
+        # a negative index would read the cone of the condition it wraps
+        # to: -3 is element 0 of the three
+        f = parse_formula("$0 in $1")
+        univ = name_universe(ro_algebra(antichain_with_top(2)), 1)
+        for p in (-3, -1, 3):
+            with pytest.raises(PosetError, match=f"condition {p} is outside "
+                               "the poset of 3 conditions"):
+                forces(p, f, univ)
+
+    def test_a_quotiented_poset_refuses_a_condition_outside_it(self):
+        # conditions index the original poset, two of them, whose quotient
+        # is the one-point poset
+        P = chain_poset(2)
+        univ = name_universe(ro_algebra(P), 1)
+        assert univ.algebra.quotient_map == (0, 0)
+        f = parse_formula("$0 = $0")
+        assert all(forces(p, f, univ) for p in range(P.n))
+        for p in (-1, -2, 2):
+            with pytest.raises(PosetError, match=f"condition {p} is outside "
+                               "the poset of 2 conditions"):
+                forces(p, f, univ)
 
 
 class TestMixing:
@@ -411,7 +475,7 @@ class TestInterning:
         # builds every image again over the same quotient algebra
         fresh = replace(ctx.levels[2])
         copy = replace(ctx, levels={**ctx.levels, 2: fresh})
-        names = working_universe(ctx.source_algebras[2], 2).names
+        names = sampled_universe(ctx.source_algebras[2], 2).names
         assert all(ctx.pi_second(2, n) is copy.pi_second(2, n) for n in names)
 
     def test_foreign_element_raises_on_first_and_repeat_builds(self):

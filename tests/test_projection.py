@@ -42,7 +42,6 @@ import tail_oracle
 from generation_oracle import automorphisms_by_search, canonical_key_by_search
 from order_oracle import (above_by_pairs, atoms_by_pairs, compat_by_pairs,
                           separativity_witness_by_pairs)
-from universes import working_universe
 
 A2 = antichain_with_top(2)
 A3 = antichain_with_top(3)
@@ -587,7 +586,7 @@ class TestTheorem2:
         audited = 0
         for ctx in ctxs:
             for beta in range(ctx.alpha + 1, len(ctx.iteration) + 1):
-                universe = working_universe(ctx.source_algebras[beta], 2).names
+                universe = sampled_universe(ctx.source_algebras[beta], 2).names
                 for x in universe:
                     ctx.pi_second(beta, x)
                 assert len(ctx.levels[beta]._pi_second) >= len(universe)
@@ -608,12 +607,26 @@ class TestTheorem2:
         level._pi_second[victim.uid] = Name([], level.algebra)
         assert self.stale_image(copy, 2) is victim
 
+    @staticmethod
+    def breaks_transport(bad, pi_prime, item3, by_text, src) -> bool:
+        """Whether the final level's item 3 pair, found by its text in a
+        rank-2 source universe (``by_text``, ``src`` its session), has a
+        source value whose pi_prime differs from its images' value."""
+        shape, xt, yt = item3.detail["counterexample"]
+        x, y = by_text[xt], by_text[yt]
+        px, py = bad.pi_second(2, x), bad.pi_second(2, y)
+        tgt = TruthSession(NameUniverse(bad.levels[2].algebra, 2, (px, py),
+                                        exhaustive=False))
+        value = {"in": "member_value", "=": "equal_value"}[shape]
+        sv = getattr(src, value)(x, y)
+        return pi_prime[sv] != getattr(tgt, value)(px, py)
+
     def test_swapped_maps_fail_item3_and_l9_at_real_pairs(self, worked):
-        # every swap of two distinct pi_prime values; each reported pair,
-        # found by its text in a rank-2 source universe, breaks transport
+        # every swap of two distinct pi_prime values; each reported pair
+        # breaks transport
         _, ctx = worked
         A, level = ctx.source_algebras[2], ctx.levels[2]
-        universe = working_universe(A, 2)
+        universe = sampled_universe(A, 2)
         by_text = {name_text(n, A): n for n in universe.names}
         src = TruthSession(universe)
         kinds = set()
@@ -629,15 +642,33 @@ class TestTheorem2:
             kinds.add(item1.detail["counterexamples"][0][0])
             assert algebra_oracle.fake_binary_witnesses(
                 bad.levels[2].hom, swapped) == []
-            shape, xt, yt = item3.detail["counterexample"]
-            x, y = by_text[xt], by_text[yt]
-            px, py = bad.pi_second(2, x), bad.pi_second(2, y)
-            tgt = TruthSession(NameUniverse(level.algebra, 2, (px, py),
-                                            exhaustive=False))
-            value = {"in": "member_value", "=": "equal_value"}[shape]
-            sv = getattr(src, value)(x, y)
-            assert swapped[sv] != getattr(tgt, value)(px, py), (a, b)
+            assert self.breaks_transport(bad, swapped, item3, by_text, src), (a, b)
         assert kinds >= {"zero", "one", "complement", "product"}
+
+    def test_a_majority_map_fails_item3_at_a_sum_pair(self):
+        # the majority of three source atoms, the first ignored, keeps zero,
+        # one and every complement, and is no homomorphism.  On this order
+        # the element listing reaches a failing sum split before any
+        # failing product split, so the witness comes from the sum; no
+        # swap of the worked instance's map does that
+        P = Poset([1, 2, 4, 13, 19, 32, 127], 6, list("abcdefg"))
+        ctx = make_context(build_iteration(TableProvider(
+            [{(): PT}, {(None,): P}])), 1, 0)
+        A, B = ctx.source_algebras[2], ctx.levels[2].algebra
+        voters = sum(1 << a for a in A.base.atoms[1:])
+        majority = {x: B.one if (x & voters).bit_count() >= 2 else B.zero
+                    for x in A.elements}
+        bad = _with_pi_prime(ctx, 2, majority)
+        got = {c.check: c for c in verify_theorem2(bad).checks}
+        item1, item3 = got["item1-complete-hom"], got["item3-atomic-transport"]
+        assert [c[0] for c in item1.detail["counterexamples"][:1]] == ["sum"]
+        assert algebra_oracle.fake_binary_witnesses(
+            bad.levels[2].hom, majority) == []
+        universe = sampled_universe(A, 2)
+        by_text = {name_text(n, A): n for n in universe.names}
+        assert item3.status == "fail"
+        assert self.breaks_transport(bad, majority, item3, by_text,
+                                     TruthSession(universe))
         # L9 cites the same certificate
         l9 = self.records(bad)["L9-atomic-transport"]
         assert l9.status == "fail" and l9.detail == item3.detail
@@ -659,14 +690,14 @@ class TestTheorem2:
         # and no source name of rank <= 2 reaches {(empty, c)}
         target = Name([(Name([], B), c)], B)
         assert all(bad.pi_second(2, x) is not target
-                   for x in working_universe(A, 2).names)
+                   for x in sampled_universe(A, 2).names)
 
     def test_formula_transport_with_quantifier(self, worked):
         # a test-side sweep: quantified formulas over a 48-name source
         # universe and its pi_second image
         _, ctx = worked
         A, level = ctx.source_algebras[2], ctx.levels[2]
-        universe = working_universe(A, 2, cap=48)
+        universe = sampled_universe(A, 2, cap=48)
         assert len(universe) == 48
         images = {ctx.pi_second(2, n) for n in universe.names}
         target = NameUniverse(level.algebra, 2,
@@ -1633,6 +1664,24 @@ class TestCorollary15:
         transposed = replace(stage, conditions=tuple(conds))
         assert self.failed(ctx, 2, stage=transposed) == {
             "stage-1-order-isomorphic"}
+        assert verify_corollary15(ctx).ok
+
+    def test_a_reordered_quotient_stage_fails_with_a_total_map(self, worked):
+        # the quotient stage keeps its conditions and generics, so the
+        # natural map is still a bijection, but one atom now lies below the
+        # other: the map carries that atom's lower cone off its image's
+        _, ctx = worked
+        stage = ctx.levels[2].stage
+        low, high = stage.poset.atoms
+        below = list(stage.poset.below)
+        below[high] |= 1 << low
+        reordered = replace(stage, poset=Poset(below, stage.poset.top,
+                                               list(stage.poset.labels)))
+        level = replace(ctx.levels[2], stage=reordered)
+        rep = verify_corollary15(replace(ctx, levels={**ctx.levels, 2: level}))
+        assert [(r.check, r.status, r.detail) for r in rep.failures] == [
+            ("stage-1-order-isomorphic", "fail",
+             {"rebuilt": 3, "quotient": 3, "natural_map_total": True})]
         assert verify_corollary15(ctx).ok
 
     @pytest.mark.parametrize("tables", [
