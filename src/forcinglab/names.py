@@ -233,11 +233,12 @@ def name_universe(algebra: BoolAlgebra, rank_bound: int,
 
 def sampled_universe(algebra: BoolAlgebra, rank_bound: int,
                      cap: int | None = None) -> NameUniverse:
-    """Deterministic structured fallback when the full universe is over cap.
+    """The full rank-bounded universe when it fits the cap, otherwise a
+    deterministic structured sample flagged non-exhaustive.
 
-    Takes the largest fully-materializable rank r < rank_bound, then extends
-    it with every name of one or two entries over that layer, capped.
-    Flagged non-exhaustive.
+    The sample takes the largest fully-materializable rank r < rank_bound,
+    then extends it with every name of one or two entries over that layer,
+    capped.
     """
     limit = UNIVERSE_CAP if cap is None else cap
     r = rank_bound

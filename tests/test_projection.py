@@ -644,6 +644,9 @@ class TestTheorem2:
                 bad.levels[2].hom, swapped) == []
             assert self.breaks_transport(bad, swapped, item3, by_text, src), (a, b)
         assert kinds >= {"zero", "one", "complement", "product"}
+        # L9 cites the same certificate
+        l9 = self.records(bad)["L9-atomic-transport"]
+        assert l9.status == "fail" and l9.detail == item3.detail
 
     def test_a_majority_map_fails_item3_at_a_sum_pair(self):
         # the majority of three source atoms, the first ignored, keeps zero,
