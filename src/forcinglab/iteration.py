@@ -20,10 +20,10 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_CAPS, CapExceeded, Caps, Value
+from .config import DEFAULT_CAPS, CapExceeded, Caps, Value, lazy
 from .formula import Formula, FormulaError, eval_classical, free_variables
 from .generic import GenericSet, enumerate_generics
 from .hfset import (HFSet, encode_function, numeral, rank_segment,
@@ -117,24 +117,24 @@ class Stage:
     # indexes its own conditions and paths.  _tails keys each new condition
     # by (parent, last coordinate); _index, by the whole condition, serves
     # cond_index, that is the tests and canonicalize_condition
-    @cached_property
+    @lazy
     def _tails(self) -> dict[tuple[int, Coordinate], int]:
         return {(p, c[-1]): i for i, (p, c) in
                 enumerate(zip(self.parent, self.conditions))
                 if len(c) == self.index}
 
-    @cached_property
+    @lazy
     def _index(self) -> dict[Condition, int]:
         return {c: i for i, c in enumerate(self.conditions)}
 
-    @cached_property
+    @lazy
     def path_index(self) -> dict[tuple, int]:
         return {p: i for i, p in enumerate(self.paths)}
 
     # read and written by extend_stage alone: the ids of a child's step
     # posets -> the child.  Weak values keep no stage alive, and a live
     # child holds its step posets, so their ids name no other posets
-    @cached_property
+    @lazy
     def _children(self) -> weakref.WeakValueDictionary:
         return weakref.WeakValueDictionary()
 

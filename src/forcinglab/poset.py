@@ -68,6 +68,9 @@ class Poset:
     def __init__(self, below: Sequence[int], top: int,
                  labels: Sequence[str] | None = None):
         order = _order_of(tuple(below))
+        if not 0 <= top < len(order.below):
+            raise PosetError(
+                f"top {top} is not an element of 0..{len(order.below) - 1}")
         if order.below[top] != order.full_mask:
             raise PosetError(f"top {top} is not above every element")
         self._order = order

@@ -40,12 +40,11 @@ pi_second covers every name of every rank.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Mapping
 
 from .boolalg import BoolAlgebra, HomReport, certify_complete_hom, ro_algebra
-from .config import Caps
+from .config import Caps, lazy
 from .generic import GenericSet, is_filter
 from .iteration import (TAIL_ONE, CifsProvider, Coordinate, Iteration, Stage,
                         StepProvider, build_iteration, extend_stage,
@@ -91,12 +90,12 @@ class QuotientLevel:
         self.source = source        # r.o. of P_beta, pi_prime's domain
         self.algebra = algebra      # r.o. of the quotient poset
 
-    @functools.cached_property
+    @lazy
     def _pi_second(self) -> dict:
         """name uid -> image, written by ProjectionContext.pi_second alone."""
         return {}
 
-    @functools.cached_property
+    @lazy
     def preimages(self) -> dict:
         """{pi image: bitmask of its P_beta conditions}, None for undefined."""
         classes = {}
@@ -104,17 +103,17 @@ class QuotientLevel:
             classes[v] = classes.get(v, 0) | 1 << p
         return classes
 
-    @functools.cached_property
+    @lazy
     def pi_prime(self) -> _ColumnMap:
         """{source element: quotient element}, the column formula read per
         element; a test plants another map by assigning this on a copy."""
         return self._column_map
 
-    @functools.cached_property
+    @lazy
     def _column_map(self) -> _ColumnMap:
         return _ColumnMap(self.source, self.stage.poset, self.preimages)
 
-    @functools.cached_property
+    @lazy
     def rows(self) -> tuple[list[int], list[int], list[int]]:
         """Bit rows of conditions q per P_beta condition p, parallel to pi:
         (equal, above, compatible), where q is in p's row when pi(q) ==
@@ -133,7 +132,7 @@ class QuotientLevel:
                 [cones[v][0] for v in self.pi],
                 [cones[v][1] for v in self.pi])
 
-    @functools.cached_property
+    @lazy
     def _atom_images(self) -> list[int] | None:
         """B(a) for each source atom a, in ``source.base.atoms`` order, when
         they decide ``hom`` and ``onto``; None where the element route decides
@@ -188,7 +187,7 @@ class QuotientLevel:
             f"atom images fail), and its witnesses need the elements of "
             f"algebras of {len(A.base.atoms)} and {len(B.base.atoms)} atoms")
 
-    @functools.cached_property
+    @lazy
     def hom(self) -> HomReport:
         """Item 1; L6 cites its complement flag, L7 its products flag.
         Decided on the atom images; the element certificate runs only
@@ -198,7 +197,7 @@ class QuotientLevel:
         n = len(self.source)
         return HomReport(families_checked=1 + n * (n - 1) // 2)
 
-    @functools.cached_property
+    @lazy
     def onto(self) -> dict:
         """Item 2 and L8 detail: a rank-1 quotient name off the image.  A
         complete homomorphism sends x to the join of its atoms' images, so
@@ -214,7 +213,7 @@ class QuotientLevel:
                 "counterexample": None if unattained is None else
                 name_text(Name(((Name((), B), unattained),), B), B)}
 
-    @functools.cached_property
+    @lazy
     def transport(self) -> dict:
         """Item 3 and L9 detail: a failing source pair of rank <= 2."""
         A = self.source
@@ -569,19 +568,16 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, table: list,
     defined = [ci for ci in range(src.poset.n) if level.pi[ci] is not None]
 
     # L3: every quotient principal cut is the image of a principal cut
-    images = {level.pi_prime[A.principal(ci)] for ci in defined}
+    images = [level.pi_prime[A.principal(ci)] for ci in defined]
+    attained = set(images)
     missing = [qposet.labels[p] for p in range(qposet.n)
-               if B.principal(p) not in images]
+               if B.principal(p) not in attained]
     rep.record("projection-lemmas", "L3-principal-onto", instance, not missing,
                cctx, {"missing": missing})
 
     # L4: prefix-in-G conditions project principal cuts to principal cuts
-    bad4 = []
-    for ci in defined:
-        want = B.principal(level.pi[ci])
-        got = level.pi_prime[A.principal(ci)]
-        if got != want:
-            bad4.append(src.poset.labels[ci])
+    bad4 = [src.poset.labels[ci] for ci, got in zip(defined, images)
+            if got != B.principal(level.pi[ci])]
     rep.record("projection-lemmas", "L4-principal-to-principal", instance,
                not bad4, cctx, {"violations": bad4})
 
@@ -726,10 +722,13 @@ def _forced(astage: Stage, rows: list[list[int]], n: int):
     of P_alpha that contain r.  There is one generic per atom, so these are
     the q that r forces into p's relation (Kunen, *Set Theory*, 1980,
     Ch. VII); no generic contains r means every q."""
+    full = (1 << n) - 1
+    rows_of = [[rows[g] for g in _mask_bits(gens)] for gens in astage.gen_masks]
+
     def forced(r: int, p: int) -> int:
-        got = (1 << n) - 1
-        for g in astage.gens_of(r):
-            got &= rows[g][p]
+        got = full
+        for row in rows_of[r]:
+            got &= row[p]
         return got
     return forced
 
@@ -751,21 +750,23 @@ def _lemma11(ctx: ProjectionContext, beta: int, table: list, groups: dict,
     each condition with prefix r in G has a defined s-frown at some s in G
     below r.  Only the collapsed-siblings control exercises the pairwise
     part."""
-    G = ctx.G
     astage = ctx.iteration.stages[ctx.alpha]
     forced_equal = _forced(astage, [lvl.rows[0] for lvl in siblings],
                            len(table))
+    gmask, below = ctx.G.mask, astage.poset.below
     checked = 0
     for ci, (r, row) in enumerate(table):
-        if r not in G:
+        if not gmask >> r & 1:
             continue
         members, classes = groups[r]
         premise = forced_equal(r, ci) & members
         glued = 0
-        for s in _mask_bits(G.mask & astage.poset.below[r]):
+        for s in _mask_bits(gmask & below[r]):
             si = row.get(s)
             if si is not None:
                 glued |= classes[s][si]
+                if not premise & ~glued:
+                    break
         checked += premise.bit_count()
         if premise & ~glued:
             labels = ctx.iteration.stages[beta].poset.labels
@@ -799,21 +800,27 @@ def _lemma12(ctx: ProjectionContext, beta: int, table: list, hom_ok: bool):
     aposet = ctx.iteration.stages[ctx.alpha].poset
     G = ctx.G
     A, B = level.source, level.algebra
-    atom_images = [(1 << a, level.pi_prime[1 << a]) for a in A.base.atoms]
+    pi_prime, principal = level.pi_prime, A.principal
+    atom_images = [(1 << a, pi_prime[1 << a]) for a in A.base.atoms]
+    adjoint: dict[int, tuple[int, int]] = {}    # pi(p) -> (qu, b*)
     checked = 0
     for ci, qc in enumerate(level.pi):
         if qc is None:
             continue
-        qu = B.principal(qc)
-        if not B.leq(qu, level.pi_prime[A.principal(ci)]):
+        got = adjoint.get(qc)
+        if got is None:
+            qu = B.principal(qc)
+            got = adjoint[qc] = (qu, sum(a for a, image in atom_images
+                                         if image & qu))
+        qu, bstar = got
+        if qu & ~pi_prime[principal(ci)]:
             return False, {"direction": "forward", "condition": poset.labels[ci]}
-        bstar = 0
-        for a, image in atom_images:
-            if image & qu:
-                bstar |= a
         prefix, row = table[ci]
-        if not any(row.get(s) is not None and A.leq(A.principal(row[s]), bstar)
-                   for s in _mask_bits(G.mask & aposet.below[prefix])):
+        for s in _mask_bits(G.mask & aposet.below[prefix]):
+            f = row.get(s)
+            if f is not None and not principal(f) & ~bstar:
+                break
+        else:
             return False, {"direction": "backward", "condition": poset.labels[ci]}
         checked += 1
     return True, {"checks": checked}
@@ -853,58 +860,88 @@ def _lemma12_by_elements(ctx: ProjectionContext, beta: int, table: list):
 
 def _lemma13(ctx: ProjectionContext, table: list, groups: dict):
     """U_{p1,p2} = {s : s-frown-p1 == s-frown-p2} is a regular cut of
-    P_alpha, for every pair with one alpha-prefix.  U_{p1,p2} collects the
-    s at which p2 lies in p1's s-frown class.  A cut is regular exactly
-    when it is the regular cut of its own atoms, read from P_alpha's memo
-    of cuts per relation matrix; the first failing pair in (p1, p2) order
-    is reported."""
+    P_alpha, for every pair with one alpha-prefix r, decided per p1.
+
+    Let M be r's group and, for s <= r, C_s p1's s-frown class (0 where
+    s-frown-p1 is undefined), so s is in U_{p1,p2} iff p2 is in C_s.  In a
+    finite separative poset the regular cuts are exactly the sets {s : every
+    atom below s is in X} for a set X of atoms (Jech, *Set Theory*, 2003,
+    Ch. 14), and an element whose atoms all lie below r lies below r itself.
+    :func:`make_context` refuses a non-separative P_alpha, so U_{p1,p2} is
+    regular iff at every non-atom s <= r it holds s exactly when it holds
+    every atom below s: the p2 whose cut fails are the bits of the OR over
+    those s of C_s XOR (M AND the C_a over the atoms a below s).  The first
+    failing pair in (p1, p2) order is p1's lowest such bit, and its cut is
+    rebuilt from the classes for the record.
+    ``tests/lemma_oracle.py`` keeps the pairwise check as this kernel's
+    oracle."""
     aposet = ctx.iteration.stages[ctx.alpha].poset
-    regular, atom_mask = aposet.cuts, aposet.atom_mask
+    below, atom_mask = aposet.below, aposet.atom_mask
+    # per prefix r: each non-atom s <= r with the atoms below it
+    shapes = {r: [(s, tuple(_mask_bits(below[s] & atom_mask)))
+                  for s in _mask_bits(below[r] & ~atom_mask)]
+              for r in groups}
     checked = 0
     for ci, (r, row) in enumerate(table):
         members, classes = groups[r]
-        cuts = dict.fromkeys(_mask_bits(members), 0)
-        for s, si in row.items():
-            if si is not None:
-                for cj in _mask_bits(classes[s][si]):
-                    cuts[cj] |= 1 << s
-        checked += len(cuts)
-        for cj, mask in cuts.items():
-            if regular[mask & atom_mask] != mask:
-                return False, {"pair": (ci, cj), "cut": f"{mask:#x}"}
+        checked += members.bit_count()
+        C = {s: classes[s][si] for s, si in row.items() if si is not None}
+        bad = 0
+        for s, atoms in shapes[r]:
+            meet = members
+            for a in atoms:
+                meet &= C.get(a, 0)
+            bad |= C.get(s, 0) ^ meet
+        if bad:
+            cj = _lowest(bad)
+            cut = sum(1 << s for s, c in C.items() if c >> cj & 1)
+            return False, {"pair": (ci, cj), "cut": f"{cut:#x}"}
     return True, {"pairs": checked}
 
 
 def _lemma14(ctx: ProjectionContext, beta: int, table: list, groups: dict,
              siblings: list):
     """If r <= p and every generic containing r projects tail p1 below tail
-    q1, then r-frown-p1 <= r-frown-q1 already in P_beta.  For fixed p1 and
-    r the q1 of p1's group fall into r-frown classes, one premise bit test
-    and one order test per class; the first failing (p1, q1, r) is
-    reported."""
+    q1, then r-frown-p1 <= r-frown-q1 already in P_beta.  At fixed r the
+    premise and the order test read p1 and q1 only through their r-frown
+    images ri and rj, so each r-frown class of a prefix group is tested
+    once, on bits: the rj forced above ri are the premise row masked to
+    the images at r, and those outside ri's upper cone fail.  ``checks``
+    counts the pairs of members, as the pairwise oracle does; the first
+    failing (p1, q1, r) in that order is reported."""
     astage = ctx.iteration.stages[ctx.alpha]
     src = ctx.iteration.stages[beta]
-    below = src.poset.below
+    above = src.poset.above
     forced_below = _forced(astage, [lvl.rows[1] for lvl in siblings],
                            len(table))
     checked = 0
-    for ci, (prefix, row) in enumerate(table):
-        classes = groups[prefix][1]
-        failed = []
-        for r, ri in row.items():
-            if ri is None:
-                continue
-            premise = forced_below(r, ri)
-            for rj, cjs in classes[r].items():
-                if premise >> rj & 1:
-                    checked += cjs.bit_count()
-                    if not below[rj] >> ri & 1:
-                        failed.append((_lowest(cjs), r))
-        if failed:
-            cj, r = min(failed)
-            labels = src.poset.labels
-            return False, {"r": astage.poset.labels[r],
-                           "pair": (labels[ci], labels[cj])}
+    failing = []        # (p1's class, (lowest q1, r)) per failing class
+    for _, classes in groups.values():
+        for r, at_r in classes.items():
+            # the r-frown images at r, and each class of more than one
+            # member with its image and its further members
+            images, extra = 0, []
+            for rj, cjs in at_r.items():
+                images |= 1 << rj
+                if cjs & (cjs - 1):
+                    extra.append((rj, cjs.bit_count() - 1))
+            for ri, cis in at_r.items():
+                hit = forced_below(r, ri) & images
+                count = hit.bit_count()
+                for rj, more in extra:
+                    if hit >> rj & 1:
+                        count += more
+                checked += count * cis.bit_count()
+                bad = hit & ~above[ri]
+                if bad:
+                    failing.append((cis, min((_lowest(at_r[rj]), r)
+                                             for rj in _mask_bits(bad))))
+    if failing:
+        ci = min(_lowest(cis) for cis, _ in failing)
+        cj, r = min(f for cis, f in failing if cis >> ci & 1)
+        labels = src.poset.labels
+        return False, {"r": astage.poset.labels[r],
+                       "pair": (labels[ci], labels[cj])}
     return True, {"checks": checked}
 
 

@@ -92,6 +92,21 @@ def test_equal_caps_hit_the_context_cache():
     assert other != it.caps and make_context(it, 1, 0, other) is not ctx
 
 
+def test_caps_hash_once_by_their_fields(monkeypatch):
+    caps = Caps(max_stages=3, algebra_max_base=10)
+    kw = {name: getattr(caps, name) for name in fields(Caps)}
+    assert hash(caps) == hash(Caps(**kw)) == hash(tuple(kw.values()))
+    other = caps.with_(hom_family_cap=7)
+    assert hash(other) == hash(Caps(**{**kw, "hom_family_cap": 7})) != hash(caps)
+    # the hash is read, not recomputed from the fields
+    monkeypatch.setattr(Caps, "_key", None)
+    assert hash(caps) == hash(tuple(kw.values()))
+    monkeypatch.undo()
+    # equal caps built twice find one cached context
+    it = two_step_antichains()
+    assert make_context(it, 1, 0, Caps(**kw)) is make_context(it, 1, 0, Caps(**kw))
+
+
 def test_caps_with_changes_one_field():
     caps = DEFAULT_CAPS.with_(max_stages=2)
     assert caps.max_stages == 2 and DEFAULT_CAPS.max_stages == 4

@@ -67,6 +67,12 @@ class TestValidatePoset:
         with pytest.raises(PosetError, match="top"):
             validate_poset(["1", "a", "b"], [("a", "1")], "1")
 
+    @pytest.mark.parametrize("top", [-1, 2, 5])
+    def test_a_top_outside_the_elements_is_refused(self, top):
+        # a negative top would index the rows from the end
+        with pytest.raises(PosetError, match=rf"top {top} is not an element"):
+            Poset([1, 3], top)
+
     def test_dangling_id(self):
         with pytest.raises(PosetError, match="dangling"):
             validate_poset(["1", "a"], [("z", "1")], "1")

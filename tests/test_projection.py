@@ -12,7 +12,7 @@ from forcinglab import projection
 from forcinglab.boolalg import certify_complete_hom, ro_algebra
 from forcinglab.cli import (ExperimentConfig, InstanceSpec, execute,
                             generate_instances, run_suite, run_unit)
-from forcinglab.config import DEFAULT_CAPS, CapExceeded, replace
+from forcinglab.config import DEFAULT_CAPS, CapExceeded, lazy, replace
 from forcinglab.formula import constants, parse_formula
 from forcinglab.generic import dense_subsets
 from forcinglab.hfset import EMPTY, HFSet
@@ -938,6 +938,30 @@ class TestLemmaControls:
         ok, detail = self.l13(ctx, table)
         assert not ok and detail["pair"] == (top, top)
 
+    def test_a_dropped_atom_entry_under_a_kept_class_fails_l13(self, worked):
+        # condition 3 loses its s-frown at the atom 1 of P_alpha while its
+        # class at the top 0 stays: U_{3,3} = {0, 2} is not downward closed
+        it, ctx = worked
+        table, _ = self.inputs(ctx, 2)
+        aposet = it.stages[1].poset
+        assert aposet.atoms == (1, 2) and table[3][0] == aposet.top == 0
+        table[3] = (0, {**table[3][1], 1: None})
+        ok, detail = self.l13(ctx, table)
+        assert not ok and detail == {"pair": (3, 3), "cut": "0x5"}
+        assert not aposet.is_downward_closed(0x5)
+
+    def test_an_off_diagonal_failure_reports_the_lowest_p2(self, worked):
+        # conditions 3 and 7 claim the top condition 0 as their 0-frown, so
+        # U_{0,3} and U_{0,7} are {0}, above atoms they miss; U_{0,0} stays
+        # regular, and of the two failing p2 the lower, 3, is reported
+        it, ctx = worked
+        table, _ = self.inputs(ctx, 2)
+        for ci in (3, 7):
+            assert table[ci][0] == 0
+            table[ci] = (0, {**table[ci][1], 0: 0})
+        ok, detail = self.l13(ctx, table)
+        assert not ok and detail == {"pair": (0, 3), "cut": "0x1"}
+
     @staticmethod
     def collapsed(siblings):
         """Siblings projecting every condition to one class, so that every
@@ -1314,7 +1338,7 @@ class TestLevelRecord:
 
     @staticmethod
     def derivations(monkeypatch, name: str) -> list:
-        """The levels that derive QuotientLevel's cached property ``name``
+        """The levels that derive QuotientLevel's lazy attribute ``name``
         from now on, one entry per derivation."""
         derived = []
         derive = getattr(projection.QuotientLevel, name).func
@@ -1323,7 +1347,7 @@ class TestLevelRecord:
             derived.append(level)
             return derive(level)
 
-        prop = functools.cached_property(counted)
+        prop = lazy(counted)
         prop.__set_name__(projection.QuotientLevel, name)
         monkeypatch.setattr(projection.QuotientLevel, name, prop)
         return derived
@@ -1981,9 +2005,10 @@ class TestSweepOrderOracles:
 
 class TestLemma13Cuts:
     def test_the_computed_cut_is_the_cut_table(self, default_sweep):
-        # L13 tests regularity with P_alpha's memoized cuts: on every atom
-        # set of every stage poset the memo equals the cut read off element
-        # by element
+        # pi_prime's columns and the algebras' cuts read P_beta's memoized
+        # cuts (L13 decides regularity on the s-frown classes instead): on
+        # every atom set of every stage poset the memo equals the cut read
+        # off element by element
         orders = {stage.poset.below: stage.poset
                   for _, it in default_sweep for stage in it.stages}
         sets = 0

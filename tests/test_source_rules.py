@@ -21,7 +21,9 @@ runner ``run_unit`` catches ``ProjectionError``, so the policy that makes
 one a failed record, and a cap a labeled skip, lives in one place; and no
 module uses ``dataclasses`` or ``NamedTuple``, so importing the CLI loads
 neither ``dataclasses`` nor ``inspect``, which a fresh ``forcinglab run``
-process would otherwise pay for at start-up.
+process would otherwise pay for at start-up; and no module uses
+``functools.cached_property``, whose first read takes a lock on Python
+3.11, so every lazy attribute is :class:`forcinglab.config.lazy`.
 
 Three rules a run keeps: a passing ``run --suite all --max-poset 3
 --max-stages 3`` builds no name, since every statement about names is
@@ -58,6 +60,7 @@ BROAD = {"Exception", "BaseException"}
 STAGE_INDICES = {"_index", "_tails"}
 SOURCE_VIEW = {"source_algebras"}
 MACHINERY = {"dataclass", "dataclasses", "NamedTuple"}
+LOCKED = {"cached_property"}
 
 
 def caught_names(handler: ast.ExceptHandler) -> set:
@@ -98,18 +101,25 @@ def test_every_broad_form_is_found():
     assert broad_handlers(source) == [7, 11, 15, 19]
 
 
-def machinery_uses(source: str) -> list[int]:
+def name_uses(source: str, names: set[str]) -> list[int]:
     """Line numbers, ascending, of the imports and names in source that
-    are ``dataclasses``, ``dataclass`` or ``NamedTuple``."""
+    are one of ``names``: bare, as an attribute, imported, or the module
+    imported from."""
     lines = set()
     for node in ast.walk(ast.parse(source)):
         name = node.id if isinstance(node, ast.Name) else \
             node.attr if isinstance(node, ast.Attribute) else \
             node.name if isinstance(node, ast.alias) else \
             node.module if isinstance(node, ast.ImportFrom) else None
-        if name in MACHINERY:
+        if name in names:
             lines.add(node.lineno)
     return sorted(lines)
+
+
+def machinery_uses(source: str) -> list[int]:
+    """Line numbers, ascending, of the imports and names in source that
+    are ``dataclasses``, ``dataclass`` or ``NamedTuple``."""
+    return name_uses(source, MACHINERY)
 
 
 def test_no_module_uses_the_dataclass_machinery():
@@ -134,6 +144,33 @@ def test_every_machinery_use_is_found():
         "doc = 'a dataclass'",
     ])
     assert machinery_uses(source) == [1, 2, 3, 4, 5, 6]
+
+
+def test_no_module_uses_functools_cached_property():
+    files = sorted(SRC.glob("**/*.py"))
+    assert files
+    found = {str(p.relative_to(SRC)): name_uses(p.read_text(encoding="utf-8"),
+                                                LOCKED)
+             for p in files}
+    assert {f: ls for f, ls in found.items() if ls} == {}
+
+
+def test_every_cached_property_use_is_found():
+    # the library's own descriptor and a word in a string are no use of it
+    source = "\n".join([
+        "from functools import cached_property",
+        "from functools import cache, cached_property as cp",
+        "@functools.cached_property",
+        "def rows(self): pass",
+        "prop = ft.cached_property(derive)",
+        "@cached_property",
+        "def cols(self): pass",
+        "from .config import lazy",
+        "@lazy",
+        "def pi(self): pass",
+        "doc = 'a functools.cached_property'",
+    ])
+    assert name_uses(source, LOCKED) == [1, 2, 3, 5, 6]
 
 
 def modules_added_by(statement: str) -> set[str]:
