@@ -83,9 +83,14 @@ class Stage:
     are the conditions' ``<...>`` texts, built on first read.
 
     A stage also keeps, weakly, the children :func:`extend_stage`
-    enumerated from it, so that a stage asked for again, as Corollary 15's
-    rebuild asks for the stages generation built, is the same object.
-    That map is not pickled: an unpickled stage starts with none."""
+    enumerated from it, so that a stage asked for again is the same
+    object: Corollary 15's rebuild asks for the stages generation built,
+    and so does every quotient level whose admitted (prefix, tail) pairs
+    are an enumerated child's new conditions in order.  One stage may so
+    serve many projection contexts, so it holds nothing of any one
+    context: each quotient level keeps its own pi, combine and algebras,
+    and no module but this one assigns a stage attribute.  The child map
+    is not pickled: an unpickled stage starts with none."""
 
     def __init__(self, index: int, conditions: tuple[Condition, ...],
                  poset: Poset, generics: list[GenericSet], paths: list[tuple],
@@ -130,6 +135,11 @@ class Stage:
     @lazy
     def path_index(self) -> dict[tuple, int]:
         return {p: i for i, p in enumerate(self.paths)}
+
+    @lazy
+    def generic_of_atom(self) -> dict[int, int]:
+        """{atom: the index of the one generic above it}."""
+        return {g.atom: i for i, g in enumerate(self.generics)}
 
     # read and written by extend_stage alone: the ids of a child's step
     # posets -> the child.  Weak values keep no stage alive, and a live
@@ -249,6 +259,17 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
     Instance generation and every ``build_iteration`` enumerate, so
     Corollary 15's rebuild gets the stages generation built.
 
+    A stage is a function of ``prev``, ``steps`` and its new conditions
+    in order, and a new condition is its (prefix, tail) pair: its
+    ``parent`` and its last coordinate.  So a ``tails`` call, once its
+    admitted pairs pass the cap, returns the enumerated child under the
+    same step posets when that child's new conditions are the admitted
+    pairs in order, since a stage built from them would equal it in every
+    field.  Other pairs, or a ``prev`` with no such child, build a stage
+    as before, which no child map keeps.  In a generated sweep every
+    quotient stage of :func:`forcinglab.projection.make_context` is such
+    a child, so the contexts share it and keep their own pi and algebras.
+
     Stage n's conditions keep their indices, the empty one included, so
     the top is ``prev``'s.  The enumerated conditions are new and pairwise
     distinct, so they are appended without being hashed.
@@ -266,15 +287,32 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
     condition are read off the filters' masks, and each generic extends
     the lowest generic of its atom's prefix.
     """
-    n = prev.index
-    conditions: list[Condition] = list(prev.conditions)
-    # per condition, the index of its prefix at stage n: a stage-n
-    # condition is its own prefix
-    prev_of = list(range(len(conditions)))
+    n, k = prev.index, prev.poset.n
 
     def over_cap() -> CapExceeded:
         return CapExceeded(f"stage {n + 1} has more conditions than the cap "
                            f"{caps.max_stage_conditions}")
+
+    # the child enumerated under these step posets, if it lives; a tails
+    # call returns it when its new conditions are the admitted pairs in
+    # order, as it then builds that stage
+    key = tuple(map(id, steps))
+    built = prev._children.get(key)
+    if tails is not None:
+        new = [pair for pair in dict.fromkeys(tails) if pair[1] is not TAIL_ONE]
+        if k + len(new) > caps.max_stage_conditions:
+            raise over_cap()
+        if built is not None and list(built._tails) == new:
+            return built
+    elif built is not None:
+        if built.poset.n > caps.max_stage_conditions:
+            raise over_cap()
+        return built
+
+    conditions: list[Condition] = list(prev.conditions)
+    # per condition, the index of its prefix at stage n: a stage-n
+    # condition is its own prefix
+    prev_of = list(range(k))
 
     def padded(prefix: int) -> Condition:
         cond = prev.conditions[prefix]
@@ -284,15 +322,9 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
     # known before any tail is placed, and a capped stage, which is
     # discarded, costs no enumeration
     if tails is None:
-        key = tuple(map(id, steps))
-        built = prev._children.get(key)
-        if built is not None:
-            if built.poset.n > caps.max_stage_conditions:
-                raise over_cap()
-            return built
         extended = []
-        size = len(conditions)
-        for ci in range(len(conditions)):
+        size = k
+        for ci in range(k):
             gens = list(prev.gens_of(ci))
             if all(steps[g] is not None for g in gens):
                 extended.append((ci, gens))
@@ -307,16 +339,12 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
                     conditions.append(base + (tuple(zip(gens, combo)),))
                     prev_of.append(ci)
     else:
-        new = [pair for pair in dict.fromkeys(tails) if pair[1] is not TAIL_ONE]
-        if len(conditions) + len(new) > caps.max_stage_conditions:
-            raise over_cap()
         for prefix, tail in new:
             conditions.append(padded(prefix) + (tail,))
             prev_of.append(prefix)
 
     # order: each new condition has a tail value under every generic of
     # its prefix, so the new conditions over g are those with a value at g
-    k = prev.poset.n
     m = len(conditions)
     new_over: dict[int, int] = {}     # prefix -> the new conditions over it
     with_value = [None if q is None else [0] * q.n for q in steps]

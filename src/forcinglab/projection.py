@@ -356,10 +356,20 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     is defined: the root's pi is defined on G, so by induction level
     beta-1's pi is defined exactly on the conditions whose alpha-prefix is
     in G.  Each placed condition gives a (quotient prefix, canonical tail)
-    pair, the quotient stage is built from these pairs, and the image is
-    ``qstage.extension(qprefix, qtail)``.  A refused tail image, or a stage
-    or quotient poset that is not separative, raises before the context is
-    cached: pi indexes conditions, not the classes a quotient's atoms are.
+    pair, :func:`extend_stage` gives the quotient stage of these pairs,
+    and the image is ``qstage.extension(qprefix, qtail)``.  A refused tail
+    image, or a stage or quotient poset that is not separative, raises
+    before the context is cached: pi indexes conditions, not the classes a
+    quotient's atoms are.
+
+    The quotient stage is often a stage the iteration already holds: by
+    the factor property (Jech, *Set Theory*, 2003, Ch. 16) the quotient is
+    the tail iteration read through G, and where the pairs are the new
+    conditions, in order, of the child that the previous level's stage
+    enumerated under the same step posets, ``extend_stage`` returns that
+    child.  In a generated sweep every level is such a case, so contexts
+    share their quotient stages with generation and with each other,
+    while pi, combine and the algebras stay per level.
     """
     caps = caps or iteration.caps
     stages = iteration.stages
@@ -419,7 +429,7 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
             pi[ci] = qstage.extension(qprefix, qtail)
         # bridge: quotient generics <-> source generics whose prefix generic
         # is G, matched through their atoms (one generic per atom)
-        gen_of_atom = {qg.atom: h for h, qg in enumerate(qstage.generics)}
+        gen_of_atom = qstage.generic_of_atom
         combine: list[int | None] = [None] * len(qstage.generics)
         for sg, gen in enumerate(src.generics):
             if pi[gen.atom] is None:
@@ -1066,8 +1076,15 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
     The rebuilt stages may be the sweep's own objects: ``extend_stage``
     returns the stage it already built from the same parent and step
     posets, and in a generated sweep every shifted stage is one that
-    generation built.  The natural map still compares each of them with
-    the quotient stage, which ``make_context`` builds from pi's tails.
+    generation built.  So, in a generated sweep, is each quotient stage,
+    which ``make_context`` asks for with pi's tails (see
+    :func:`extend_stage`), and a rebuilt stage and its quotient are then
+    one object.  The natural map is still computed through the bridges
+    and checked, and the quotient level's pi, combine and algebras are its
+    context's own.  Where the natural map is the identity, it carries
+    every lower cone onto the image's cone iff the two posets have equal
+    cones, so that is the order check; any other bijection is checked
+    cone by cone.
 
     On stages of at most 8 elements a verified isomorphism is followed by a
     canonical-form record.  The canonical key is an isomorphism invariant,
@@ -1129,14 +1146,18 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
         order_ok = bijective
         if bijective:
             # a bijection is an order isomorphism iff it carries every
-            # lower cone onto the lower cone of the image
-            for i, row in enumerate(rb.poset.below):
-                image = 0
-                for j in _mask_bits(row):
-                    image |= 1 << mapping[j]
-                if image != qposet.below[mapping[i]]:
-                    order_ok = False
-                    break
+            # lower cone onto the lower cone of the image; the identity
+            # does so iff the two posets have the same cones
+            if mapping == list(range(qposet.n)):
+                order_ok = rb.poset.below == qposet.below
+            else:
+                for i, row in enumerate(rb.poset.below):
+                    image = 0
+                    for j in _mask_bits(row):
+                        image |= 1 << mapping[j]
+                    if image != qposet.below[mapping[i]]:
+                        order_ok = False
+                        break
             # the bridge must match generics atom for atom; the last stage's
             # bridge remaps no later stage, so this is its only check
             order_ok = order_ok and all(

@@ -420,31 +420,39 @@ class TestRunReports:
         assert meta["census"]["contexts"] > 0
         assert instances and all(not it.context_cache for _, it in instances)
 
-    def test_corollary15_builds_no_stage_after_generation(self, monkeypatch):
-        # each stage a rebuild asks for is one that generation built from
+    @pytest.mark.parametrize("suite", ["corollary15", "theorem2",
+                                       "projection-lemmas"])
+    def test_no_stage_is_built_after_generation(self, monkeypatch, suite):
+        # each quotient stage make_context asks for, and each stage a
+        # Corollary 15 rebuild asks for, is one that generation built from
         # the same parent and step posets and that its instance still
         # holds, so extend_stage returns it
-        rebuilding, rebuilds, built = [False], [0], []
+        generated, rebuilds, built = [False], [0], []
         stage, rebuild = iteration.Stage, projection.build_iteration
+        generate = cli.generate_instances
 
         def counted_stage(*args):
-            built.append(rebuilding[0])
+            built.append(generated[0])
             return stage(*args)
 
+        def counted_generate(config):
+            instances = generate(config)
+            generated[0] = True
+            return instances
+
         def counted_rebuild(*args):
-            rebuilding[0] = True
             rebuilds[0] += 1
-            try:
-                return rebuild(*args)
-            finally:
-                rebuilding[0] = False
+            return rebuild(*args)
 
         monkeypatch.setattr(iteration, "Stage", counted_stage)
+        monkeypatch.setattr(cli, "generate_instances", counted_generate)
         monkeypatch.setattr(projection, "build_iteration", counted_rebuild)
         report, meta = execute(ExperimentConfig(
-            suite="corollary15", max_poset=3, max_stages=3, seed=1))
-        assert report.ok and rebuilds[0] == meta["census"]["contexts"] == 776
-        assert built and built.count(True) == 0
+            suite=suite, max_poset=3, max_stages=3, seed=1))
+        assert report.ok and generated[0]
+        assert meta["census"]["contexts"] == 776
+        assert rebuilds[0] == (776 if suite == "corollary15" else 0)
+        assert built.count(True) == 0
 
     def test_limit_clause_is_stated_once_per_run(self):
         def limit_records(suite):

@@ -1682,6 +1682,37 @@ class TestCorollary15:
         bad = replace(ctx, levels={**ctx.levels, beta: level})
         return {c.check for c in verify_corollary15(bad).failures}
 
+    def test_a_reordered_quotient_stage_passes_through_the_cone_check(self):
+        # the quotient stage is built from its pairs with the first two
+        # swapped, and combine follows the generics' atoms: the natural map
+        # is a bijection other than the identity, and the rebuilt and the
+        # quotient posets differ in their rows, so only the cone-by-cone
+        # check can pass it
+        tree = Poset([0b11111, 0b11010, 0b00100, 0b01000, 0b10000], 0)
+        it = build_iteration(TableProvider([{(): A2},
+                                            {(0,): tree, (1,): tree}]))
+        ctx = make_context(it, 1, 0)
+        level = ctx.levels[2]
+        stage, prev = level.stage, ctx.levels[1].stage
+        k = prev.poset.n
+        pairs = list(zip(stage.parent[k:],
+                         (c[-1] for c in stage.conditions[k:])))
+        assert len(pairs) == 4
+        swapped = extend_stage(prev, stage.steps, ctx.caps,
+                               [pairs[1], pairs[0], *pairs[2:]])
+        assert swapped.poset.below != stage.poset.below
+        # the condition at each index of the swapped stage, in the shared one
+        where = {cond: i for i, cond in enumerate(stage.conditions)}
+        combine = [level.combine[stage.generic_of_atom[where[
+            swapped.conditions[g.atom]]]] for g in swapped.generics]
+        planted = replace(level, stage=swapped, combine=combine)
+        rep = verify_corollary15(
+            replace(ctx, levels={**ctx.levels, 2: planted}))
+        assert rep.ok and {c.check for c in rep.checks} == {
+            "stage-1-generic-bridge", "stage-1-order-isomorphic",
+            "stage-1-canonical-form"}
+        assert verify_corollary15(ctx).ok
+
     def test_transposed_quotient_conditions_fail_order_isomorphism(self, worked):
         _, ctx = worked
         stage = ctx.levels[2].stage
@@ -1746,11 +1777,18 @@ class TestCorollary15:
             self, worked, monkeypatch):
         # the record cross-checks the canonical search against the verified
         # isomorphism: a key that tells isomorphic posets apart breaks it
+        # the level's stage is the one the rebuild returns, so the level
+        # gets a copy whose poset is another object with the same rows
         _, ctx = worked
+        stage = ctx.levels[2].stage
+        assert stage is ctx.iteration.stages[1]
+        copy = replace(stage, poset=replace(stage.poset))
+        level = replace(ctx.levels[2], stage=copy)
+        planted = replace(ctx, levels={**ctx.levels, 2: level})
         key = Poset.canonical_key
         monkeypatch.setattr(Poset, "canonical_key",
                             lambda self: (key(self), id(self)))
-        assert {c.check for c in verify_corollary15(ctx).failures} == {
+        assert {c.check for c in verify_corollary15(planted).failures} == {
             "stage-1-canonical-form"}
 
     def test_permuted_combine_fails_the_next_stage(self):
@@ -1963,17 +2001,25 @@ class TestSweepOrderOracles:
 
     @classmethod
     def stage_pairs(cls, sweep) -> list:
-        """(previous stage, stage) for every generated stage and every
-        quotient stage of the sweep."""
+        """(previous stage, stage) for every generated stage of the sweep.
+        Every quotient stage is one of them, with its previous level's
+        stage as its parent: make_context gets each from extend_stage,
+        which returns the child generation built (TestSharedQuotientStages
+        checks that a build from the same pairs equals it)."""
         pairs = {}
         for _, it in sweep:
             for prev, stage in zip(it.stages, it.stages[1:]):
                 pairs[id(stage)] = (prev, stage)
+        assert len(pairs) == 114
+        levels = 0
         for it, ctx in cls.contexts(sweep):
             for beta in range(ctx.alpha + 1, len(it) + 1):
                 stage = ctx.levels[beta].stage
-                pairs[id(stage)] = (ctx.levels[beta - 1].stage, stage)
-        assert len(pairs) == 114 + 608
+                prev, generated = pairs[id(stage)]
+                assert generated is stage
+                assert prev is ctx.levels[beta - 1].stage
+                levels += 1
+        assert levels == 608
         return list(pairs.values())
 
     def test_parent_rows_index_the_canonical_prefix(self, default_sweep):
@@ -2002,6 +2048,97 @@ class TestSweepOrderOracles:
                     assert stage.extension(p, tail) == \
                         stage._index.get(base + (tail,))
 
+
+class TestSharedQuotientStages:
+    """Each quotient stage of the s3 sweep is a stage generation built:
+    ``extend_stage`` returns the enumerated child whose new conditions are
+    the admitted (prefix, tail) pairs in order.  The build path, which the
+    sweep no longer takes, is forced here and compared with it."""
+
+    @staticmethod
+    def quotient_builds(sweep, monkeypatch) -> list:
+        """(prev, steps, caps, tails, stage) for every quotient stage the
+        contexts below each final stage ask extend_stage for, each context
+        built afresh on a copy of its iteration."""
+        calls = []
+
+        def recorded(prev, steps, caps, tails=None):
+            tails = list(tails)
+            calls.append((prev, steps, caps, tails,
+                          extend_stage(prev, steps, caps, tails)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(projection, "extend_stage", recorded)
+        for _, it in sweep:
+            copy = replace(it, stages=list(it.stages))
+            for alpha in range(1, len(it)):
+                for gi in range(len(it.stages[alpha].generics)):
+                    make_context(copy, alpha, gi)
+        return calls
+
+    @staticmethod
+    def fields_of(stage) -> tuple:
+        """Every field of a stage: the steps by identity, the poset by its
+        rows, top and labels, the generics by mask and atom."""
+        return (stage.index, stage.conditions, stage.poset.below,
+                stage.poset.top, list(stage.poset.labels),
+                [(g.mask, g.atom) for g in stage.generics], stage.paths,
+                stage.gen_masks, [id(q) for q in stage.steps], stage.parent)
+
+    @staticmethod
+    def finds_every_pair(stage, prev, pairs) -> bool:
+        k, old = stage.index, prev.poset.n
+        new = [(p, t) for p, t in dict.fromkeys(pairs) if t is not TAIL_ONE]
+        return stage.poset.n == old + len(new) and all(
+            (stage.parent[ci], stage.conditions[ci][k - 1]) == (p, t)
+            for p, t in new for ci in [stage.extension(p, t)])
+
+    def test_make_context_builds_no_stage_on_the_sweep(
+            self, default_sweep, monkeypatch):
+        generated = {id(stage) for _, it in default_sweep
+                     for stage in it.stages}
+        built = []
+        stage = iteration_module.Stage
+
+        def counted_stage(*args):
+            built.append(args)
+            return stage(*args)
+
+        monkeypatch.setattr(iteration_module, "Stage", counted_stage)
+        calls = self.quotient_builds(default_sweep, monkeypatch)
+        assert len(calls) == 608 and built == []
+        assert all(id(got) in generated for *_, got in calls)
+
+    def test_a_forced_build_equals_the_shared_stage(
+            self, default_sweep, monkeypatch):
+        # a replace copy of prev starts with an empty child map, so
+        # extend_stage builds the stage from the pairs
+        calls = self.quotient_builds(default_sweep, monkeypatch)
+        assert len(calls) == 608
+        for prev, steps, caps, tails, shared in calls:
+            fresh = extend_stage(replace(prev), steps, caps, tails)
+            assert fresh is not shared
+            assert self.fields_of(fresh) == self.fields_of(shared)
+            assert self.finds_every_pair(fresh, prev, tails)
+
+    def test_other_pairs_build_a_fresh_stage(self, default_sweep, monkeypatch):
+        calls = self.quotient_builds(default_sweep, monkeypatch)
+        dropped = swapped = 0
+        for prev, steps, caps, tails, shared in calls:
+            new = [t for t in dict.fromkeys(tails) if t[1] is not TAIL_ONE]
+            variants = []
+            if new:
+                variants.append(new[1:])
+                dropped += 1
+            if len(new) > 1:
+                variants.append([new[1], new[0], *new[2:]])
+                swapped += 1
+            for pairs in variants:
+                got = extend_stage(prev, steps, caps, pairs)
+                assert got is not shared
+                assert self.finds_every_pair(got, prev, pairs)
+        # 373 of the 608 levels admit no new pair
+        assert dropped == swapped == 235
 
 class TestLemma13Cuts:
     def test_the_computed_cut_is_the_cut_table(self, default_sweep):

@@ -2,7 +2,10 @@
 ``BaseException`` or everything, so an error the code cannot act on is
 never swallowed or reported as a check result; no module but
 ``iteration.py`` reads a stage's private indices, so every other module
-finds a condition by (prefix, tail) through ``Stage.extension``; only
+finds a condition by (prefix, tail) through ``Stage.extension``; no module
+but ``iteration.py`` assigns an attribute of a stage, so a stage that many
+contexts share carries no per-context state (each level keeps its pi and
+algebras); only
 ``ProjectionContext.pi_second`` touches a level's pi_second memo, so every
 memo entry is the structural recursion that the element certificates of
 Theorem 2 and Theorem 16 induct through; only ``extend_stage`` reads or
@@ -47,9 +50,9 @@ import pytest
 import test_cli
 from forcinglab import boolalg, iteration, poset
 from forcinglab.cli import main
-from forcinglab.config import replace
-from forcinglab.iteration import (CollapseSpec, TableProvider, build_iteration,
-                                  collapse_poset)
+from forcinglab.config import fields, replace
+from forcinglab.iteration import (CollapseSpec, Stage, TableProvider,
+                                  build_iteration, collapse_poset)
 from forcinglab.names import Name
 from forcinglab.poset import antichain_with_top, product_poset
 from forcinglab.projection import (_frown_table, _lemma11, _prefix_groups,
@@ -58,6 +61,9 @@ from forcinglab.projection import (_frown_table, _lemma11, _prefix_groups,
 SRC = Path(__file__).resolve().parents[1] / "src" / "forcinglab"
 BROAD = {"Exception", "BaseException"}
 STAGE_INDICES = {"_index", "_tails"}
+# a stage's fields, lazy attributes and methods
+STAGE_ATTRS = set(fields(Stage)) | {n for n in vars(Stage)
+                                    if not n.startswith("__")}
 SOURCE_VIEW = {"source_algebras"}
 MACHINERY = {"dataclass", "dataclasses", "NamedTuple"}
 LOCKED = {"cached_property"}
@@ -266,6 +272,100 @@ def test_every_stage_index_read_is_found():
         "stage._index = {}",
     ])
     assert attribute_accesses(source, STAGE_INDICES) == [2, 3, 6, 7]
+
+
+def names_a_stage(node: ast.expr) -> bool:
+    """Whether an expression reads as a stage: the name, attribute or
+    called function it ends in, past any subscript, has ``stage`` in it
+    (``stage``, ``qstage``, ``level.stage``, ``stages[k]``,
+    ``root_stage()``), or is ``final`` (``Iteration.final``)."""
+    while isinstance(node, (ast.Subscript, ast.Call)):
+        node = node.value if isinstance(node, ast.Subscript) else node.func
+    name = node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else ""
+    return "stage" in name.lower() or name == "final"
+
+
+def stage_writes(source: str) -> list[int]:
+    """Line numbers, ascending, of the writes in source to an attribute
+    of a stage, or to an item of one: assigned, augmented, annotated, a
+    loop target or deleted, alone or unpacked, or through ``setattr``,
+    ``delattr`` or ``vars``.  The attribute's owner is a stage when it
+    reads as one (:func:`names_a_stage`), or when the attribute is one a
+    stage has and the owner is not ``self``."""
+    lines = []
+
+    def owned_by_a_stage(t: ast.Attribute) -> bool:
+        if names_a_stage(t.value):
+            return True
+        is_self = isinstance(t.value, ast.Name) and t.value.id == "self"
+        return t.attr in STAGE_ATTRS and not is_self
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("setattr", "delattr") and node.args:
+            attr = node.args[1] if len(node.args) > 1 else None
+            if names_a_stage(node.args[0]) or \
+                    getattr(attr, "value", None) in STAGE_ATTRS:
+                lines.append(node.lineno)
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
+            targets = [node.target]
+        else:
+            continue
+        while targets:
+            t = targets.pop()
+            if isinstance(t, (ast.Tuple, ast.List)):
+                targets.extend(t.elts)
+                continue
+            if isinstance(t, ast.Starred):
+                targets.append(t.value)
+                continue
+            while isinstance(t, ast.Subscript):
+                t = t.value
+            if isinstance(t, ast.Call) and getattr(t.func, "id", None) == \
+                    "vars" and t.args and names_a_stage(t.args[0]):
+                lines.append(t.lineno)
+            elif isinstance(t, ast.Attribute) and owned_by_a_stage(t):
+                lines.append(t.lineno)
+    return sorted(lines)
+
+
+def test_only_iteration_writes_a_stage():
+    files = sorted(p for p in SRC.glob("**/*.py") if p.name != "iteration.py")
+    assert files
+    found = {str(p.relative_to(SRC)): stage_writes(p.read_text(encoding="utf-8"))
+             for p in files}
+    assert {f: ls for f, ls in found.items() if ls} == {}
+
+
+def test_every_stage_write_is_found():
+    # reading a stage, writing a level's or an iteration's attribute, or a
+    # class's own fields, is no write of a stage
+    source = "\n".join([
+        "qstage = extend_stage(prev, steps, caps, tails)",
+        "gens = level.stage.generic_of_atom",
+        "level.stage = qstage",
+        "it.stages[2] = qstage",
+        "self.poset = poset",
+        "qstage.pi = pi",
+        "level.stage._children[key] = level",
+        "ctx.levels[beta].stage.poset = Poset(below, top)",
+        "stages[k].memo, n = {}, 1",
+        "it.final.combine += [0]",
+        "root_stage().owner: object = ctx",
+        "for stage.cursor in range(3): pass",
+        "del stage.path_index",
+        "setattr(qstage, 'pi', pi)",
+        "delattr(level, 'gen_masks')",
+        "vars(stage)['rows'] = rows",
+        "level.stage.__dict__['parent'] = ()",
+        "prev.generics[0] = g",
+        "copy.paths = []",
+    ])
+    assert stage_writes(source) == list(range(6, 20))
 
 
 def test_no_module_reads_the_source_algebras_view():
