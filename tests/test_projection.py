@@ -2079,19 +2079,28 @@ class TestSharedQuotientStages:
     @staticmethod
     def fields_of(stage) -> tuple:
         """Every field of a stage: the steps by identity, the poset by its
-        rows, top and labels, the generics by mask and atom."""
+        rows and top (its labels are read off the conditions, and reading
+        them here would build them on the sweep's shared stages), the
+        generics by mask and atom."""
         return (stage.index, stage.conditions, stage.poset.below,
-                stage.poset.top, list(stage.poset.labels),
-                [(g.mask, g.atom) for g in stage.generics], stage.paths,
-                stage.gen_masks, [id(q) for q in stage.steps], stage.parent)
+                stage.poset.top, [(g.mask, g.atom) for g in stage.generics],
+                stage.paths, stage.gen_masks, [id(q) for q in stage.steps],
+                stage.parent)
 
     @staticmethod
     def finds_every_pair(stage, prev, pairs) -> bool:
-        k, old = stage.index, prev.poset.n
+        """Whether the stage holds prev's conditions and one new condition
+        per admitted pair, which ``extension`` finds by its pair."""
+        k = stage.index
         new = [(p, t) for p, t in dict.fromkeys(pairs) if t is not TAIL_ONE]
-        return stage.poset.n == old + len(new) and all(
-            (stage.parent[ci], stage.conditions[ci][k - 1]) == (p, t)
-            for p, t in new for ci in [stage.extension(p, t)])
+        if stage.poset.n != prev.poset.n + len(new):
+            return False
+        for p, t in new:
+            ci = stage.extension(p, t)
+            if ci is None or \
+                    (stage.parent[ci], stage.conditions[ci][k - 1]) != (p, t):
+                return False
+        return True
 
     def test_make_context_builds_no_stage_on_the_sweep(
             self, default_sweep, monkeypatch):

@@ -39,6 +39,7 @@ and atom images.  Each run-time rule refuses the construction and checks
 that the run still writes its pinned report."""
 
 import ast
+import functools
 import hashlib
 import os
 import subprocess
@@ -48,7 +49,7 @@ from pathlib import Path
 import pytest
 
 import test_cli
-from forcinglab import boolalg, iteration, poset
+from forcinglab import boolalg, iteration, poset, projection
 from forcinglab.cli import main
 from forcinglab.config import fields, replace
 from forcinglab.iteration import (CollapseSpec, Stage, TableProvider,
@@ -588,7 +589,14 @@ def refuse(monkeypatch, owner, attr: str):
     monkeypatch.setattr(owner, attr, refused)
 
 
-def sweep_report_sha256(tmp_path) -> str:
+def sweep_report_sha256(tmp_path, monkeypatch) -> str:
+    """The sha256 of the acceptance sweep's report.  The run starts from a
+    fresh root stage, so it builds every stage and quotient stage itself:
+    the root's children that an earlier test's sweep still holds, with
+    whatever lazy state (labels) that test read, are not reused."""
+    fresh_root = functools.cache(iteration.root_stage.__wrapped__)
+    monkeypatch.setattr(iteration, "root_stage", fresh_root)
+    monkeypatch.setattr(projection, "root_stage", fresh_root)
     out = tmp_path / "r.jsonl"
     assert main(["run", "--suite", "all", "--max-poset", "3",
                  "--max-stages", "3", "--seed", "1", "--out", str(out)]) == 0
@@ -605,7 +613,7 @@ def two_step_antichains():
 
 def test_a_passing_run_builds_no_name(monkeypatch, tmp_path):
     refuse(monkeypatch, Name, "__new__")
-    assert sweep_report_sha256(tmp_path) == PINNED
+    assert sweep_report_sha256(tmp_path, monkeypatch) == PINNED
 
 
 def test_a_pi_second_call_builds_a_name(monkeypatch):
@@ -618,7 +626,7 @@ def test_a_pi_second_call_builds_a_name(monkeypatch):
 
 def test_a_passing_run_reads_no_element_table(monkeypatch, tmp_path):
     refuse(monkeypatch, boolalg, "regular_cuts")
-    assert sweep_report_sha256(tmp_path) == PINNED
+    assert sweep_report_sha256(tmp_path, monkeypatch) == PINNED
 
 
 def test_a_planted_map_lists_the_elements(monkeypatch):
@@ -638,7 +646,7 @@ def test_a_passing_run_builds_no_condition_label(monkeypatch, tmp_path):
     refuse(monkeypatch, iteration, "_cond_label")
     refuse(monkeypatch, iteration, "_injection_label")
     refuse(monkeypatch, poset, "_tuple_label")
-    assert sweep_report_sha256(tmp_path) == PINNED
+    assert sweep_report_sha256(tmp_path, monkeypatch) == PINNED
 
 
 def test_reading_a_cifs_poset_label_builds_it(monkeypatch):
