@@ -136,11 +136,6 @@ class Stage:
     def path_index(self) -> dict[tuple, int]:
         return {p: i for i, p in enumerate(self.paths)}
 
-    @lazy
-    def generic_of_atom(self) -> dict[int, int]:
-        """{atom: the index of the one generic above it}."""
-        return {g.atom: i for i, g in enumerate(self.generics)}
-
     # read and written by extend_stage alone: the ids of a child's step
     # posets -> the child.  Weak values keep no stage alive, and a live
     # child holds its step posets, so their ids name no other posets

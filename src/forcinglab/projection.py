@@ -429,7 +429,7 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
             pi[ci] = qstage.extension(qprefix, qtail)
         # bridge: quotient generics <-> source generics whose prefix generic
         # is G, matched through their atoms (one generic per atom)
-        gen_of_atom = qstage.generic_of_atom
+        gen_of_atom = {qg.atom: h for h, qg in enumerate(qstage.generics)}
         combine: list[int | None] = [None] * len(qstage.generics)
         for sg, gen in enumerate(src.generics):
             if pi[gen.atom] is None:
@@ -1080,11 +1080,8 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
     which ``make_context`` asks for with pi's tails (see
     :func:`extend_stage`), and a rebuilt stage and its quotient are then
     one object.  The natural map is still computed through the bridges
-    and checked, and the quotient level's pi, combine and algebras are its
-    context's own.  Where the natural map is the identity, it carries
-    every lower cone onto the image's cone iff the two posets have equal
-    cones, so that is the order check; any other bijection is checked
-    cone by cone.
+    and checked cone by cone, and the quotient level's pi, combine and
+    algebras are its context's own.
 
     On stages of at most 8 elements a verified isomorphism is followed by a
     canonical-form record.  The canonical key is an isomorphism invariant,
@@ -1146,18 +1143,14 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
         order_ok = bijective
         if bijective:
             # a bijection is an order isomorphism iff it carries every
-            # lower cone onto the lower cone of the image; the identity
-            # does so iff the two posets have the same cones
-            if mapping == list(range(qposet.n)):
-                order_ok = rb.poset.below == qposet.below
-            else:
-                for i, row in enumerate(rb.poset.below):
-                    image = 0
-                    for j in _mask_bits(row):
-                        image |= 1 << mapping[j]
-                    if image != qposet.below[mapping[i]]:
-                        order_ok = False
-                        break
+            # lower cone onto the lower cone of the image
+            for i, row in enumerate(rb.poset.below):
+                image = 0
+                for j in _mask_bits(row):
+                    image |= 1 << mapping[j]
+                if image != qposet.below[mapping[i]]:
+                    order_ok = False
+                    break
             # the bridge must match generics atom for atom; the last stage's
             # bridge remaps no later stage, so this is its only check
             order_ok = order_ok and all(

@@ -1686,8 +1686,8 @@ class TestCorollary15:
         # the quotient stage is built from its pairs with the first two
         # swapped, and combine follows the generics' atoms: the natural map
         # is a bijection other than the identity, and the rebuilt and the
-        # quotient posets differ in their rows, so only the cone-by-cone
-        # check can pass it
+        # quotient posets differ in their rows, so the cone check must
+        # carry each cone through the map
         tree = Poset([0b11111, 0b11010, 0b00100, 0b01000, 0b10000], 0)
         it = build_iteration(TableProvider([{(): A2},
                                             {(0,): tree, (1,): tree}]))
@@ -1703,7 +1703,8 @@ class TestCorollary15:
         assert swapped.poset.below != stage.poset.below
         # the condition at each index of the swapped stage, in the shared one
         where = {cond: i for i, cond in enumerate(stage.conditions)}
-        combine = [level.combine[stage.generic_of_atom[where[
+        gen_of_atom = {g.atom: h for h, g in enumerate(stage.generics)}
+        combine = [level.combine[gen_of_atom[where[
             swapped.conditions[g.atom]]]] for g in swapped.generics]
         planted = replace(level, stage=swapped, combine=combine)
         rep = verify_corollary15(

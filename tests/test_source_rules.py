@@ -347,7 +347,7 @@ def test_every_stage_write_is_found():
     # class's own fields, is no write of a stage
     source = "\n".join([
         "qstage = extend_stage(prev, steps, caps, tails)",
-        "gens = level.stage.generic_of_atom",
+        "gens = level.stage.generics",
         "level.stage = qstage",
         "it.stages[2] = qstage",
         "self.poset = poset",
