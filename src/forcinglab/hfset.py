@@ -41,17 +41,11 @@ class HFSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self):
-        return iter(self.members)
-
     def __hash__(self) -> int:
         return hash(self.code)
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, HFSet) and self.code == other.code)
-
-    def __lt__(self, other: "HFSet") -> bool:
-        return self.code < other.code
 
     def __repr__(self) -> str:
         if not self.members:

@@ -67,11 +67,10 @@ class QuotientLevel:
     ``rows``) and the Theorem 2 facts (``hom``, ``onto``, ``transport``).
     So a :func:`forcinglab.config.replace` copy with another pi derives its
     own, with a fresh pi_second memo, and a test plants a map by assigning
-    ``pi_prime`` on a copy.  ``hom`` and ``onto`` read pi's atom images
-    (``_atom_images``) and no pi_prime value; a planted map and a map that
-    fails the atom criterion take the element route,
-    ``certify_complete_hom`` on pi_prime and pi_prime's values, which write
-    the witnesses.
+    ``pi_prime`` on a copy.  ``hom`` and ``onto``, witnesses included, read
+    pi's atom images (``_atom_images``) and list no element; only a planted
+    map and a map that fails the atom criterion take the element route,
+    ``certify_complete_hom`` on pi_prime and pi_prime's values.
 
     The facts hold for every name of every rank, by induction through the
     structural definition of pi_second (Jech, *Set Theory*, 2003, Ch. 14).
@@ -199,16 +198,22 @@ class QuotientLevel:
 
     @lazy
     def onto(self) -> dict:
-        """Item 2 and L8 detail: a rank-1 quotient name off the image.  A
-        complete homomorphism sends x to the join of its atoms' images, so
-        it is onto iff each B(a) has at most one bit; otherwise the
-        pi_prime values give the first unattained element."""
+        """Item 2 and L8 detail: a rank-1 quotient name on the first element
+        of ``B.nonzero``, ascending by cut, that pi_prime misses.  Where the
+        atom images decide the map, it sends x to the join of the disjoint
+        B(a) over a in x; with W the union of the B(a) of two or more atoms,
+        it is onto iff W = 0, and otherwise misses first {b} for W's lowest
+        atom b: {b} has cut ``1 << b`` on a separative quotient (the only
+        kind :func:`make_context` builds), and a smaller cut holds only
+        atoms below b, each a singleton B(a).  Other maps list the values."""
         B = self.algebra
         atoms = self._atom_images
-        if atoms is not None and all(not b & (b - 1) for b in atoms):
-            return {"quotient_elements": len(B), "counterexample": None}
-        image = set(self.pi_prime.values())
-        unattained = next((c for c in B.nonzero if c not in image), None)
+        if atoms is None:
+            image = set(self.pi_prime.values())
+            unattained = next((c for c in B.nonzero if c not in image), None)
+        else:
+            wide = sum(b for b in atoms if b & (b - 1))     # W, disjoint
+            unattained = wide & -wide or None
         return {"quotient_elements": len(B),
                 "counterexample": None if unattained is None else
                 name_text(Name(((Name((), B), unattained),), B), B)}
@@ -494,12 +499,12 @@ def verify_theorem2(ctx: ProjectionContext, instance: str = "adhoc",
     for every name of every rank: pi_prime is a complete Boolean
     homomorphism, pi_second is onto (pi_prime attains every nonzero
     quotient element), and atomic truth values transport through the maps
-    (item 1 for the level's own map).  Items 1 and 2 are decided on pi's
-    atom images (see :class:`QuotientLevel`); where those do not decide a
-    level, item 1 is certified on algebra elements (complement and binary
-    meets and joins, which in a finite algebra is completeness) and item 2
-    read off pi_prime's values.  A failure of item 2 is witnessed by a
-    rank-1 quotient name, of item 3 by a source pair of rank at most 2.
+    (item 1 for the level's own map).  Items 1 and 2, and item 2's witness,
+    are decided on pi's atom images (see :class:`QuotientLevel`); where
+    those do not decide a level, item 1 is certified on algebra elements
+    (complement and binary meets and joins, which in a finite algebra is
+    completeness) and item 2 read off pi_prime's values.  A failing item 2
+    is witnessed by a rank-1 quotient name, item 3 by a source pair.
 
     Item 1's ``families`` is 1 + n(n-1)/2 for n source elements, the
     families the element certificate settles: the empty family and every

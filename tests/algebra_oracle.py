@@ -9,7 +9,11 @@ pi_prime's column formula tabulated over every source element, the form
 the library evaluates per element on first read, and
 :func:`identity_failures` walks
 every nonzero element for Theorem 16's evaluation identity, which the
-library decides on pi's atom images.  :func:`certify_by_pairs` checks
+library decides on pi's atom images, and :func:`first_unattained` walks
+every nonzero quotient element for Theorem 2's onto witness, which the
+library reads off the atom images wherever they decide the map;
+:func:`planted_homs` gives the complete homomorphisms that are not onto on
+which that reading is tested.  :func:`certify_by_pairs` checks
 every pair of distinct elements, where
 :func:`forcinglab.boolalg.certify_complete_hom` splits each element once at
 its lowest atom and its lowest missing atom; :func:`fake_binary_witnesses`
@@ -19,6 +23,7 @@ their definitions.
 """
 
 from forcinglab.boolalg import AlgebraError, HomReport
+from forcinglab.config import replace
 
 
 def cut_of_atom_set(atom_mask, poset):
@@ -144,3 +149,26 @@ def identity_failures(table, A, gmask, hmask):
     other way round."""
     return [b for b in A.nonzero
             if bool(b & gmask) != bool(table[b] & hmask)]
+
+
+def first_unattained(level):
+    """The first nonzero quotient element, ascending by cut, that the
+    level's pi_prime does not attain, or None: its values listed against
+    every element of ``algebra.nonzero``."""
+    image = set(level.pi_prime.values())
+    return next((c for c in level.algebra.nonzero if c not in image), None)
+
+
+def planted_homs(level):
+    """Copies of the level, one per source atom a and quotient condition v
+    above every quotient atom, whose pi sends the up-set of a to v and
+    leaves every other condition undefined: the complete homomorphism onto
+    {0, one} that asks whether a is in x, onto exactly when the quotient
+    has one atom."""
+    base, qposet = level.source.base, level.stage.poset
+    tops = [v for v in range(qposet.n)
+            if qposet.atoms_below(v) == qposet.atom_mask]
+    for a in base.atoms:
+        for v in tops:
+            yield replace(level, pi=[v if base.above[a] >> p & 1 else None
+                                     for p in range(base.n)])

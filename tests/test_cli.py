@@ -705,6 +705,34 @@ class TestDriverFailures:
             ("suite-capped", "skip", {"reason": "poset has 13 atoms, above "
                                       "the algebra enumeration bound 12"})]
 
+    @pytest.mark.parametrize("suite, verify, failing", [
+        ("theorem2", projection.verify_theorem2, ["item2-onto"]),
+        ("projection-lemmas", projection.verify_projection_lemmas,
+         ["L3-principal-onto", "L8-onto", "L12-forcing-transport"])])
+    def test_a_non_onto_homomorphism_writes_its_records_at_any_algebra_cap(
+            self, suite, verify, failing):
+        # pi sends the up-set of the first source atom to the quotient top:
+        # a complete homomorphism that is not onto.  Its atom images decide
+        # every check and name every witness, so an algebra cap of one atom
+        # writes the records the default cap does
+        a2 = antichain_with_top(2)
+
+        def records(caps):
+            it = build_iteration(TableProvider([{(): a2}, {(0,): a2, (1,): a2}]))
+            ctx = projection.make_context(it, 1, 0, caps)
+            planted = next(algebra_oracle.planted_homs(ctx.final_level))
+            rep = cli.run_unit(
+                suite, "it-x", {"alpha": 1, "generic": 0},
+                lambda: replace(ctx, levels={**ctx.levels, 2: planted}),
+                lambda c: verify(c, instance="it-x"))
+            return rep.checks
+
+        capped = records(DEFAULT_CAPS.with_(algebra_max_base=1))
+        checks = records(DEFAULT_CAPS)
+        assert [c.to_json() for c in capped] == [c.to_json() for c in checks]
+        assert len(checks) == {"theorem2": 3, "projection-lemmas": 12}[suite]
+        assert [c.check for c in checks if c.status == "fail"] == failing
+
     def test_a_wrong_pi_on_a_13_atom_level_fails(self, fresh_orders):
         # two source atoms sent to one quotient atom: the atom images fail,
         # so the map is no complete homomorphism, and the element route

@@ -40,6 +40,11 @@ class TestHFSet:
         assert HFSet([EMPTY]).rank == 1
         assert numeral(3).rank == 3
 
+    def test_only_the_empty_set_is_false(self):
+        # truth is the member count
+        assert not EMPTY
+        assert HFSet([EMPTY]) and len(numeral(3)) == 3
+
     def test_numerals_roundtrip(self):
         for k in range(6):
             assert numeral_value(numeral(k)) == k
@@ -109,6 +114,13 @@ class TestCanonicalNames:
         assert A.cut(A.one) == (1 << P.n) - 1 != A.one
         assert name_text(nm, A) == \
             "{({({},%#x)},%#x)}" % (A.cut(A.one), A.cut(ua))
+
+    def test_repr_writes_each_element_as_its_atom_set(self):
+        _, A, ua, _ = _algebra_with_named_cuts()
+        e = Name((), A)
+        nm = Name([(Name([(e, A.one)], A), ua)], A)
+        assert repr(e) == "{}"
+        assert repr(nm) == "{({({},%#x)},%#x)}" % (A.one, ua)
 
     def test_rank(self):
         _, A, ua, _ = _algebra_with_named_cuts()

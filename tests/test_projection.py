@@ -1235,6 +1235,25 @@ class TestAtomCriterion:
         assert copy._atom_images == [copy.algebra.one, 0, 0, 0]
         assert copy.onto["counterexample"] == "{({},0x2)}"
 
+    def test_the_onto_witness_is_the_first_unattained_element(
+            self, default_sweep):
+        # every level as built, and the homomorphisms onto {0, one} planted
+        # on it: the atom images decide each, and onto names the element
+        # that the listing of pi_prime's values finds first
+        tally = collections.Counter()
+        for ctx, beta in TestLemmaOracle.levels(default_sweep):
+            level = ctx.levels[beta]
+            for m in [level, *algebra_oracle.planted_homs(level)]:
+                B = m.algebra
+                c = algebra_oracle.first_unattained(m)
+                assert m._atom_images is not None
+                assert m.onto == {
+                    "quotient_elements": len(B), "counterexample": None
+                    if c is None else name_text(Name([(Name([], B), c)], B), B)}
+                tally[m is level, c is None] += 1
+        assert tally == {(True, True): 608, (False, True): 990,
+                         (False, False): 1110}
+
 
 def _with_pi_prime(ctx, beta, pi_prime):
     """A fresh context whose level beta maps elements by pi_prime.  The
@@ -1405,6 +1424,29 @@ class TestLevelRecord:
                         for x in root.source.elements}
                     contexts += 1
         assert contexts == 776
+
+    def test_theorem16_at_the_final_stage_reads_the_root_level(
+            self, default_sweep):
+        # at alpha = N the root level is the context's final level: its
+        # source is P_N's algebra, and Theorem 16 reads its preimages from
+        # the root's pi, G to the root condition
+        contexts = 0
+        for _, it in default_sweep:
+            N = len(it)
+            for gi in range(len(it.stages[N].generics)):
+                ctx = make_context(it, N, gi)
+                level = ctx.final_level
+                assert ctx.levels == {N: level}
+                assert level.stage is root_stage()
+                assert level.source.base is it.stages[N].poset
+                assert level.preimages.get(0) == ctx.G.mask
+                _, _, rep = factor_generic(it, N, gi)
+                item3 = rep.checks[-1]
+                assert item3.check == "item3-evaluation-identity"
+                assert item3.detail["nonzero_elements"] == \
+                    (1 << len(it.stages[N].poset.atoms)) - 1
+                contexts += 1
+        assert contexts == 342
 
     def test_no_context_suite_derives_a_root_map(self, default_sweep):
         # Theorem 2, the lemma suite and Corollary 15 read levels beta >

@@ -36,7 +36,10 @@ or product, since labels are only read when a failing check names
 elements; and it lists no algebra's 2^k elements (no ``regular_cuts``),
 since every check of a passing level reads single elements' memoized cuts
 and atom images.  Each run-time rule refuses the construction and checks
-that the run still writes its pinned report."""
+that the run still writes its pinned report.  The same refusal shows that
+``QuotientLevel.onto`` names the unattained element of a complete
+homomorphism that is not onto with no element listed, while a planted
+map's element route lists them."""
 
 import ast
 import functools
@@ -48,6 +51,7 @@ from pathlib import Path
 
 import pytest
 
+import algebra_oracle
 import test_cli
 from forcinglab import boolalg, iteration, poset, projection
 from forcinglab.cli import main
@@ -640,6 +644,20 @@ def test_a_planted_map_lists_the_elements(monkeypatch):
     refuse(monkeypatch, boolalg, "regular_cuts")
     with pytest.raises(Refused):
         verify_theorem2(planted)
+
+
+def test_a_homomorphism_that_is_not_onto_lists_no_element(monkeypatch,
+                                                          default_sweep):
+    # its atom images decide the map and name the unattained element
+    planted = [m for _, it in default_sweep
+               for alpha in range(1, len(it))
+               for gi in range(len(it.stages[alpha].generics))
+               for beta in range(alpha + 1, len(it) + 1)
+               for m in algebra_oracle.planted_homs(
+                   make_context(it, alpha, gi).levels[beta])]
+    refuse(monkeypatch, boolalg, "regular_cuts")
+    missed = [m for m in planted if m.onto["counterexample"] is not None]
+    assert len(planted) == 2100 and len(missed) == 1110
 
 
 def test_a_passing_run_builds_no_condition_label(monkeypatch, tmp_path):
