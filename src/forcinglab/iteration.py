@@ -435,7 +435,7 @@ def canonicalize_condition(raw: Sequence, iteration: Iteration, stage_index: int
     Trailing ones are trimmed, all-top tail maps become 1, and each tail map
     is restricted to the generics containing its prefix (the mutual-order
     quotient in function form).  The lemma suite's s-frown kernel
-    (``projection._frown_table``) reads the same conditions off the parent
+    (``projection._frown_levels``) reads the same conditions off the parent
     rows instead; this function is the reference it is tested against.
     """
     if len(raw) > stage_index:

@@ -41,7 +41,7 @@ pi_second covers every name of every rank.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping, Sequence
 
 from .boolalg import BoolAlgebra, HomReport, certify_complete_hom, ro_algebra
 from .config import Caps, lazy
@@ -81,13 +81,20 @@ class QuotientLevel:
     finite sums, products and complements, and merged entries are joined."""
 
     def __init__(self, beta: int, stage: Stage, pi: list, combine: list[int],
-                 source: BoolAlgebra, algebra: BoolAlgebra):
+                 source: BoolAlgebra, algebra: BoolAlgebra | None = None):
         self.beta = beta
         self.stage = stage          # quotient conditions as a built stage
         self.pi = pi                # P_beta condition index -> class index | None
         self.combine = combine      # quotient generic -> P_beta generic index
         self.source = source        # r.o. of P_beta, pi_prime's domain
-        self.algebra = algebra      # r.o. of the quotient poset
+        if algebra is not None:
+            self.algebra = algebra
+
+    @lazy
+    def algebra(self) -> BoolAlgebra:
+        """r.o. of the quotient poset, under the source's cap, derived on
+        first read (above the root, by make_context) or taken by a copy."""
+        return ro_algebra(self.stage.poset, max_base=self.source.max_base)
 
     @lazy
     def _pi_second(self) -> dict:
@@ -348,9 +355,10 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     Only successor levels exist at finite stage counts; the limit clause is
     vacuous here and the suites report it as such.
 
-    The root level is the process's one :func:`root_stage`.  Every level
-    gets its own source and quotient algebras, so names and pi_second
-    images stay apart from other contexts'; the poset rows under them are
+    The root level is the process's one :func:`root_stage`, whose quotient
+    algebra no check reads and no run builds.  Every level gets its own
+    source and quotient algebras, so names and pi_second images stay apart
+    from other contexts'; the poset rows under them are
     memoized per relation matrix in :mod:`forcinglab.poset`, so orders that
     repeat across contexts are validated once.  The iteration's
     ``context_cache`` holds the finished context and nothing else.
@@ -396,12 +404,10 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
             raise ProjectionError(f"stage {beta} poset is not separative")
 
     # trivial root level: everything in G maps to the empty sequence
-    root = root_stage()
     pi_root = [0 if (G.mask >> i) & 1 else None
                for i in range(stages[alpha].poset.n)]
-    root_alg = ro_algebra(root.poset, max_base=caps.algebra_max_base)
-    levels = {alpha: QuotientLevel(alpha, root, pi_root, [gen_index],
-                                   sources[alpha], root_alg)}
+    levels = {alpha: QuotientLevel(alpha, root_stage(), pi_root, [gen_index],
+                                   sources[alpha])}
 
     for beta in range(alpha + 1, N + 1):
         prev_level = levels[beta - 1]
@@ -449,11 +455,10 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
             combine[h] = sg
         if any(c is None for c in combine):
             raise ProjectionError(f"quotient generic with no source generic at level {beta}")
-        algebra = ro_algebra(qstage.poset, max_base=caps.algebra_max_base)
-        if algebra.original is not None:
+        level = levels[beta] = QuotientLevel(beta, qstage, pi, combine,
+                                             sources[beta])
+        if level.algebra.original is not None:
             raise ProjectionError(f"quotient poset at level {beta} is not separative")
-        levels[beta] = QuotientLevel(beta, qstage, pi, combine, sources[beta],
-                                     algebra)
 
     ctx = ProjectionContext(iteration, alpha, gen_index, caps, levels)
     iteration.context_cache[cache_key] = ctx
@@ -547,18 +552,17 @@ def verify_projection_lemmas(ctx: ProjectionContext, instance: str = "adhoc",
                              rank: int = 2) -> SuiteReport:
     """One exhaustive sub-check per projection lemma, itemized L3..L14.
     L5 and L10 read the level's image rows and L6-L9 its shared facts, as
-    Theorem 2 does; L11-L14 read one s-frown-p table per context, built
-    from the parent rows stage by stage and grouped by alpha-prefix per
-    level, L11 and L14 also the image rows of every sibling level, each
-    level's built once, and L12 uses the lower adjoint where item 1 holds.
-    No condition is canonicalized.  The limit-stage clause is stated once per run by
-    :func:`limit_clause_skip`.
+    Theorem 2 does; L11-L14 read the s-frown-p table and its prefix groups,
+    which one pass (:func:`_frown_levels`) extends by each level's stage,
+    L11 and L14 also the image rows of every sibling level, each level's
+    built once, and L12 uses the lower adjoint where item 1 holds.  No
+    condition is canonicalized.  The limit-stage clause is stated once per
+    run by :func:`limit_clause_skip`.
     ``rank`` bounds nothing, as in :func:`verify_theorem2`."""
     rep = SuiteReport()
-    N = len(ctx.iteration)
-    table = _frown_table(ctx, N) if ctx.alpha < N else []
-    for beta in range(ctx.alpha + 1, N + 1):
-        _lemmas_at_level(ctx, beta, table, rep, instance)
+    frowns = _frown_levels(ctx.iteration.stages[ctx.alpha:])
+    for beta, (table, groups) in enumerate(frowns, ctx.alpha + 1):
+        _lemmas_at_level(ctx, beta, table, groups, rep, instance)
     return rep
 
 
@@ -574,7 +578,7 @@ def limit_clause_skip() -> SuiteReport:
 
 
 def _lemmas_at_level(ctx: ProjectionContext, beta: int, table: list,
-                     rep: SuiteReport, instance: str):
+                     groups: dict, rep: SuiteReport, instance: str):
     level = ctx.levels[beta]
     src = ctx.iteration.stages[beta]
     qposet = level.stage.poset
@@ -632,12 +636,10 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, table: list,
     rep.record("projection-lemmas", "L10-monotone", instance,
                not detail10["count"], cctx, detail10)
 
-    # L11-L14 quantify over s-frown-p and over the sibling contexts; stage
-    # beta's conditions are the first rows of a table built to a later stage
-    table = table[:src.poset.n]
-    groups = _prefix_groups(table)
+    # L11 and L14 quantify over the sibling contexts
+    astage = ctx.iteration.stages[ctx.alpha]
     siblings = [make_context(ctx.iteration, ctx.alpha, g, ctx.caps).levels[beta]
-                for g in range(len(ctx.iteration.stages[ctx.alpha].generics))]
+                for g in range(len(astage.generics))]
 
     # L11: forced equal projections merge below some member of G
     ok11, detail11 = _lemma11(ctx, beta, table, groups, siblings)
@@ -649,12 +651,12 @@ def _lemmas_at_level(ctx: ProjectionContext, beta: int, table: list,
                cctx, detail12)
 
     # L13: the equal-tails cut is regular
-    ok13, detail13 = _lemma13(ctx, table, groups)
+    ok13, detail13 = _lemma13(astage.poset, table, groups)
     rep.record("projection-lemmas", "L13-equal-tails-regular", instance, ok13,
                cctx, detail13)
 
     # L14: order reflects below conditions forcing the projected comparison
-    ok14, detail14 = _lemma14(ctx, beta, table, groups, siblings)
+    ok14, detail14 = _lemma14(astage, src, table, groups, siblings)
     rep.record("projection-lemmas", "L14-order-reflection", instance, ok14,
                cctx, detail14)
 
@@ -671,65 +673,61 @@ def _pair_violations(poset: Poset, defined: list[int], rows: list[int]) -> dict:
     return {"violations": first, "count": count}
 
 
-def _frown_table(ctx: ProjectionContext, beta: int) -> list[tuple[int, dict]]:
-    """Per P_beta condition p: the index in P_alpha of its alpha-prefix, and
-    a map from each s below that prefix, in ascending order, to the P_beta
-    index of s-frown-p (the alpha-prefix replaced by s, every tail
-    restricted to the generics below it), or None when s does not sit below
-    the tails' prefix constraints.
+def _frown_levels(stages: Sequence[Stage]) -> Iterator[tuple[list, dict]]:
+    """The s-frown table and its prefix groups at each level beta > alpha
+    of ``stages`` P_alpha..P_N, one pair extended in place: level beta's
+    is level beta-1's with stage beta's rows added, read before the next.
 
-    The table is built one stage at a time from the parent rows.  At stage
-    alpha, s-frown-r is s.  At stage k a tail-1 condition keeps its
-    parent's row, since stage k holds stage k-1's conditions at the same
-    indices; any other condition's s-frown is its tail restricted to the
-    generics of the parent's s-frown f: f itself when the restriction is
-    all top, else the stage-k condition looked up by prefix and tail,
-    ``stage.extension(f, restriction)``.
-    ``tests/lemma_oracle.py`` keeps the form that canonicalizes each
-    (p, s) from stage 0 as this kernel's oracle."""
-    stages = ctx.iteration.stages
-    astage = stages[ctx.alpha]
-    below = astage.poset.below
-    prefixes = list(range(astage.poset.n))
-    rows = [{s: s for s in _mask_bits(below[r])} for r in prefixes]
-    for k in range(ctx.alpha + 1, beta + 1):
-        prev, stage = stages[k - 1], stages[k]
+    The table holds per P_beta condition p the index in P_alpha of its
+    alpha-prefix, and a map from each s below that prefix, in ascending
+    order, to the P_beta index of s-frown-p (the alpha-prefix replaced by s,
+    every tail restricted to the generics below it), or None when s does
+    not sit below the tails' prefix constraints.  At stage alpha s-frown-r
+    is s.  At stage k a tail-1 condition keeps its parent's row, since
+    stage k holds stage k-1's conditions at the same indices; any other
+    condition's s-frown is its tail restricted to the generics of the
+    parent's s-frown f: f itself when the restriction is all top, else
+    ``stage.extension(f, restriction)``.  The groups hold per alpha-prefix
+    r its conditions as a bitmask, and for each s below r their partition
+    by s-frown image, {image: bitmask}, an undefined s-frown in no class;
+    L11, L13 and L14 pair conditions only inside a group.
+    ``tests/lemma_oracle.py`` keeps the canonicalizing table and the
+    row-by-row grouping as this kernel's oracles."""
+    table: list[tuple[int, dict]] = []
+    groups: dict[int, tuple[int, dict]] = {}
+
+    def add(r: int, row: dict):
+        bit = 1 << len(table)
+        table.append((r, row))
+        members, classes = groups.get(r, (0, {}))
+        for s, si in row.items():
+            if si is not None:
+                at_s = classes.setdefault(s, {})
+                at_s[si] = at_s.get(si, 0) | bit
+        groups[r] = (members | bit, classes)
+
+    for r, cone in enumerate(stages[0].poset.below):
+        add(r, {s: s for s in _mask_bits(cone)})
+    for prev, stage in zip(stages, stages[1:]):
         gen_masks = prev.gen_masks
         for ci in range(prev.poset.n, stage.poset.n):
             p = stage.parent[ci]
-            tail = stage.conditions[ci][k - 1]
+            tail = stage.conditions[ci][prev.index]
             lifted = 0          # the generics where the tail is below top
             for g, e in tail:
                 if e != stage.steps[g].top:
                     lifted |= 1 << g
+            r, parent_row = table[p]
             row = {}
-            for s, f in rows[p].items():
+            for s, f in parent_row.items():
                 if f is not None:
                     gens = gen_masks[f]
                     if gens & lifted:
                         f = stage.extension(f, tuple(
                             (g, e) for g, e in tail if gens >> g & 1))
                 row[s] = f
-            rows.append(row)
-            prefixes.append(prefixes[p])
-    return list(zip(prefixes, rows))
-
-
-def _prefix_groups(table: list[tuple[int, dict]]) -> dict[int, tuple[int, dict]]:
-    """The table's rows grouped by alpha-prefix r: the P_beta conditions
-    with prefix r, as a bitmask, and for each s below r those conditions
-    partitioned by their s-frown image, as {image: bitmask}.  A condition
-    whose s-frown is undefined is in no class at s.  L11, L13 and L14
-    enumerate pairs only inside one group."""
-    groups: dict[int, tuple[int, dict]] = {}
-    for ci, (r, row) in enumerate(table):
-        members, classes = groups.get(r, (0, {}))
-        for s, si in row.items():
-            if si is not None:
-                at_s = classes.setdefault(s, {})
-                at_s[si] = at_s.get(si, 0) | 1 << ci
-        groups[r] = (members | 1 << ci, classes)
-    return groups
+            add(r, row)
+        yield table, groups
 
 
 def _forced(astage: Stage, rows: list[list[int]], n: int):
@@ -759,12 +757,16 @@ def _lemma11(ctx: ProjectionContext, beta: int, table: list, groups: dict,
     both lie in one s-frown class of their group; the first failing pair
     in (p, q) order is reported.
 
-    On the `--max-poset 3 --max-stages 3` sweep the premise holds for
-    4,910 pairs over 608 quotient levels (4,886 over the 606 levels of
-    total instances), all of them diagonal, so there this checks that
-    each condition with prefix r in G has a defined s-frown at some s in G
-    below r.  Only the collapsed-siblings control exercises the pairwise
-    part."""
+    The premise holds only on the diagonal.  Distinct p and q with prefix r
+    first differ at a stage k > alpha over one prefix s, every generic
+    through s having a step poset, so their canonical tails (1 as all top)
+    differ at a generic h through s.  In the context of h's restriction to
+    P_alpha, which holds r, pi(s) lies in h's quotient generic (pi is
+    monotone), the quotient tails there take the tails' values under h, and
+    each image extends its parent's: p and q project apart.  So this checks
+    that each condition with prefix r in G has a defined s-frown at some s
+    in G below r; only the collapsed-siblings control exercises the
+    pairwise part."""
     astage = ctx.iteration.stages[ctx.alpha]
     forced_equal = _forced(astage, [lvl.rows[0] for lvl in siblings],
                            len(table))
@@ -873,7 +875,7 @@ def _lemma12_by_elements(ctx: ProjectionContext, beta: int, table: list):
     return True, {"checks": checked}
 
 
-def _lemma13(ctx: ProjectionContext, table: list, groups: dict):
+def _lemma13(aposet: Poset, table: list, groups: dict):
     """U_{p1,p2} = {s : s-frown-p1 == s-frown-p2} is a regular cut of
     P_alpha, for every pair with one alpha-prefix r, decided per p1.
 
@@ -890,7 +892,6 @@ def _lemma13(ctx: ProjectionContext, table: list, groups: dict):
     rebuilt from the classes for the record.
     ``tests/lemma_oracle.py`` keeps the pairwise check as this kernel's
     oracle."""
-    aposet = ctx.iteration.stages[ctx.alpha].poset
     below, atom_mask = aposet.below, aposet.atom_mask
     # per prefix r: each non-atom s <= r with the atoms below it
     shapes = {r: [(s, tuple(_mask_bits(below[s] & atom_mask)))
@@ -914,7 +915,7 @@ def _lemma13(ctx: ProjectionContext, table: list, groups: dict):
     return True, {"pairs": checked}
 
 
-def _lemma14(ctx: ProjectionContext, beta: int, table: list, groups: dict,
+def _lemma14(astage: Stage, src: Stage, table: list, groups: dict,
              siblings: list):
     """If r <= p and every generic containing r projects tail p1 below tail
     q1, then r-frown-p1 <= r-frown-q1 already in P_beta.  At fixed r the
@@ -924,8 +925,6 @@ def _lemma14(ctx: ProjectionContext, beta: int, table: list, groups: dict,
     the images at r, and those outside ri's upper cone fail.  ``checks``
     counts the pairs of members, as the pairwise oracle does; the first
     failing (p1, q1, r) in that order is reported."""
-    astage = ctx.iteration.stages[ctx.alpha]
-    src = ctx.iteration.stages[beta]
     above = src.poset.above
     forced_below = _forced(astage, [lvl.rows[1] for lvl in siblings],
                            len(table))

@@ -1,7 +1,8 @@
 """The direct forms of the lemma suite's per-level kernels, kept as their
 oracles.
 
-:func:`frown_table` canonicalizes every s-frown-p from stage 0.  L5 and
+:func:`frown_table` canonicalizes every s-frown-p from stage 0, and
+:func:`prefix_groups` groups a table's rows one by one.  L5 and
 L10 compare every ordered pair of defined conditions.  L11, L13 and L14
 walk every ordered pair of P_beta conditions with one alpha-prefix and
 recompute the premise from the sibling levels, exactly as the lemmas state
@@ -43,6 +44,23 @@ def frown_table(ctx, beta):
                 row[s] = None
         table.append((prefix, row))
     return table
+
+
+def prefix_groups(table):
+    """The table's rows grouped by alpha-prefix r, row by row: (the
+    conditions with prefix r as a bitmask, {s: {s-frown image: bitmask}}),
+    a condition with an undefined s-frown in no class at s.  The oracle
+    for the groups the lemma suite's pass extends, and the grouping of a
+    corrupted table in the negative controls."""
+    groups = {}
+    for ci, (r, row) in enumerate(table):
+        members, classes = groups.get(r, (0, {}))
+        for s, si in row.items():
+            if si is not None:
+                at_s = classes.setdefault(s, {})
+                at_s[si] = at_s.get(si, 0) | 1 << ci
+        groups[r] = (members | 1 << ci, classes)
+    return groups
 
 
 def _defined(level):

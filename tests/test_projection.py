@@ -27,10 +27,11 @@ from forcinglab.poset import (Poset, _mask_bits, antichain_with_top,
                               chain_poset, point_poset, product_poset,
                               regularize,
                               separativity_witness)
-from forcinglab.projection import (ProjectionError, _frown_table, _lemma11,
-                                   _lemma12, _lemma12_by_elements, _lemma13,
-                                   _lemma14, _evaluation_identity_witness,
-                                   _prefix_groups, _transport_witness,
+from forcinglab.projection import (ProjectionError, _forced, _frown_levels,
+                                   _lemma11, _lemma12, _lemma12_by_elements,
+                                   _lemma13, _lemma14,
+                                   _evaluation_identity_witness,
+                                   _transport_witness,
                                    factor_generic, make_context,
                                    verify_corollary15, verify_lemma20_analogue,
                                    verify_projection_lemmas, verify_theorem2)
@@ -53,6 +54,13 @@ def _alpha_prefix(it, alpha: int, beta: int, ci: int) -> int:
     canonicalizing the prefix rather than reading parent rows."""
     cond = it.stages[beta].conditions[ci]
     return it.stages[alpha].cond_index(trim(cond[:alpha]))
+
+
+def frown_level(ctx, beta):
+    """The s-frown table and prefix groups that the lemma suite's pass
+    hands level beta, the pass run to stage beta."""
+    *_, last = _frown_levels(ctx.iteration.stages[ctx.alpha:beta + 1])
+    return last
 
 
 def _two_step_antichains():
@@ -785,7 +793,7 @@ class TestLemmaControls:
         it = ctx.iteration
         siblings = [make_context(it, ctx.alpha, g).levels[beta]
                     for g in range(len(it.stages[ctx.alpha].generics))]
-        return _frown_table(ctx, beta), siblings
+        return frown_level(ctx, beta)[0], siblings
 
     @staticmethod
     def with_pi(ctx, beta, pi):
@@ -802,7 +810,7 @@ class TestLemmaControls:
         """The L5 and L10 records at level beta, checked against the
         pairwise oracles."""
         rep = SuiteReport()
-        projection._lemmas_at_level(ctx, beta, _frown_table(ctx, beta), rep,
+        projection._lemmas_at_level(ctx, beta, *frown_level(ctx, beta), rep,
                                     "control")
         got = {c.check: (c.status == "pass", c.detail) for c in rep.checks}
         src, level = ctx.iteration.stages[beta], ctx.levels[beta]
@@ -856,25 +864,31 @@ class TestLemmaControls:
     @staticmethod
     def l11(ctx, table, siblings):
         """L11 on a possibly corrupted table, checked against the oracle."""
-        got = _lemma11(ctx, 2, table, _prefix_groups(table), siblings)
+        got = _lemma11(ctx, 2, table, lemma_oracle.prefix_groups(table),
+                       siblings)
         assert got == lemma_oracle.lemma11(ctx, 2, table, siblings)
         return got
 
     @staticmethod
     def l13(ctx, table):
-        got = _lemma13(ctx, table, _prefix_groups(table))
+        got = _lemma13(ctx.iteration.stages[ctx.alpha].poset, table,
+                       lemma_oracle.prefix_groups(table))
         assert got == lemma_oracle.lemma13(ctx, table)
         return got
 
     @staticmethod
     def l14(ctx, table, siblings):
-        got = _lemma14(ctx, 2, table, _prefix_groups(table), siblings)
+        stages = ctx.iteration.stages
+        got = _lemma14(stages[ctx.alpha], stages[2], table,
+                       lemma_oracle.prefix_groups(table), siblings)
         assert got == lemma_oracle.lemma14(ctx, 2, table, siblings)
         return got
 
     def test_the_real_table_passes_l11_l13_and_l14(self, worked):
+        # the helpers regroup the table, here into the pass's own groups
         _, ctx = worked
         table, siblings = self.inputs(ctx, 2)
+        assert frown_level(ctx, 2)[1] == lemma_oracle.prefix_groups(table)
         assert self.l11(ctx, table, siblings)[0]
         assert self.l13(ctx, table)[0]
         assert self.l14(ctx, table, siblings)[0]
@@ -1027,10 +1041,18 @@ class TestLemmaOracle:
                         yield ctx, beta
 
     @staticmethod
-    def oracle(ctx, beta) -> list:
+    def frown_levels(sweep):
+        """(context, beta, table, groups) for every quotient level, the
+        table and groups from one pass per context, as the suite runs it."""
+        for ctx, beta in TestLemmaOracle.levels(sweep):
+            if beta == ctx.alpha + 1:
+                frowns = _frown_levels(ctx.iteration.stages[ctx.alpha:])
+            yield (ctx, beta, *next(frowns))
+
+    @staticmethod
+    def oracle(ctx, beta, table) -> list:
         it = ctx.iteration
-        table = lemma_oracle.frown_table(ctx, beta)
-        assert _frown_table(ctx, beta) == table
+        assert table == lemma_oracle.frown_table(ctx, beta)
         siblings = [make_context(it, ctx.alpha, g).levels[beta]
                     for g in range(len(it.stages[ctx.alpha].generics))]
         src, level = it.stages[beta], ctx.levels[beta]
@@ -1059,28 +1081,53 @@ class TestLemmaOracle:
                              allow_partial=True)
         assert it.partial == (name == "partial")
         compared = 0
-        for ctx, beta in self.levels([(None, it)]):
-            table = _frown_table(ctx, beta)
+        for ctx, beta, table, groups in self.frown_levels([(None, it)]):
             assert table == lemma_oracle.frown_table(ctx, beta), (name, beta)
-            # the first rows of the table built to the final stage
-            assert _frown_table(ctx, len(it))[:len(table)] == table
+            assert groups == lemma_oracle.prefix_groups(table), (name, beta)
+            # the previous level's rows, extended by stage beta's
+            if beta > ctx.alpha + 1:
+                assert table[:len(previous)] == previous, (name, beta)
+            assert len(table) == it.stages[beta].poset.n
+            previous = list(table)
             assert [list(row) for _, row in table] == \
                 [sorted(row) for _, row in table]
             compared += 1
         assert compared > 0
 
+    def test_l11s_premise_is_the_diagonal_on_every_level(self, default_sweep):
+        # for every p whose prefix r is in G, the AND of the siblings'
+        # equal rows through r, within r's group, is {p}: two distinct
+        # conditions with prefix r first differ at a tail over one prefix
+        # s, at a generic h through s, and the sibling of h's restriction
+        # to P_alpha projects them apart (the argument in _lemma11)
+        checked = 0
+        for ctx, beta, table, groups in self.frown_levels(default_sweep):
+            it = ctx.iteration
+            astage = it.stages[ctx.alpha]
+            siblings = [make_context(it, ctx.alpha, g).levels[beta]
+                        for g in range(len(astage.generics))]
+            forced_equal = _forced(astage, [lvl.rows[0] for lvl in siblings],
+                                   len(table))
+            for p, (r, _) in enumerate(table):
+                if ctx.G.mask >> r & 1:
+                    premise = forced_equal(r, p) & groups[r][0]
+                    assert premise == 1 << p, (it.provider.tables, ctx.alpha,
+                                               ctx.gen_index, beta, p)
+                    checked += 1
+        assert checked == 4910
+
     def test_every_level_of_the_acceptance_sweep(self, default_sweep):
         compared = 0
-        for ctx, beta in self.levels(default_sweep):
+        for ctx, beta, table, groups in self.frown_levels(default_sweep):
             rep = SuiteReport()
-            # the context's one table, built to the final stage, as the
-            # suite hands it to every level
-            table = _frown_table(ctx, len(ctx.iteration))
-            projection._lemmas_at_level(ctx, beta, table, rep, "oracle")
+            # the pass's table and groups at level beta, as the suite hands
+            # them to the level
+            assert groups == lemma_oracle.prefix_groups(table)
+            projection._lemmas_at_level(ctx, beta, table, groups, rep, "oracle")
             got = [(c.check, c.status == "pass", c.detail)
                    for c in rep.checks if c.check in self.LEMMAS]
             want = [(check, ok, detail) for check, (ok, detail)
-                    in zip(self.LEMMAS, self.oracle(ctx, beta))]
+                    in zip(self.LEMMAS, self.oracle(ctx, beta, table))]
             where = (ctx.iteration.provider.tables, ctx.alpha, ctx.gen_index, beta)
             assert [g[:2] for g in got] == [w[:2] for w in want], where
             assert [g for g in got if g[0] != "L12-forcing-transport"] == \
@@ -1410,20 +1457,39 @@ class TestLevelRecord:
         assert roots == [] and listed == []
 
     def test_the_root_map_is_the_image_of_G(self, default_sweep):
-        # the column formula at the root: an element goes to one exactly
-        # when it meets G
+        # the column formula at the root: an element goes to the root
+        # poset's one atom, the quotient's one, exactly when it meets G
+        one = root_stage().poset.atom_mask
+        assert one == 1
         contexts = 0
         for _, it in default_sweep:
+            it = replace(it)
             for alpha in range(1, len(it) + 1):
                 for gi in range(len(it.stages[alpha].generics)):
                     ctx = make_context(it, alpha, gi)
                     root = ctx.levels[alpha]
-                    B = root.algebra
+                    assert "algebra" not in vars(root)
                     assert root.pi_prime == {
-                        x: B.one if x & ctx.G.mask else B.zero
+                        x: one if x & ctx.G.mask else 0
                         for x in root.source.elements}
                     contexts += 1
         assert contexts == 776
+
+    def test_a_run_builds_no_algebra_over_the_root_poset(self, monkeypatch):
+        # one execute of the acceptance sweep: the root level holds no
+        # quotient algebra, which no check reads
+        bases = []
+        init = projection.BoolAlgebra.__init__
+
+        def counted(self, base, *args, **kwargs):
+            bases.append(base)
+            init(self, base, *args, **kwargs)
+
+        monkeypatch.setattr(projection.BoolAlgebra, "__init__", counted)
+        execute(ExperimentConfig(suite="all", max_poset=3, max_stages=3, seed=1))
+        root = root_stage().poset
+        assert len(bases) > 0
+        assert [b for b in bases if b is root] == []
 
     def test_theorem16_at_the_final_stage_reads_the_root_level(
             self, default_sweep):
@@ -2246,8 +2312,8 @@ class TestOrderFactsOncePerMatrix:
         orders = {A.base.below for A in algebras}
         assert len({id(A.elements) for A in algebras}) == len(orders) == 41
         # every context builds its own algebras: one per source stage and
-        # one per quotient level, on the 41 memoized tables
-        assert len(algebras) == 2768
+        # one per quotient level above the root, on the 41 memoized tables
+        assert len(algebras) == 1992
 
     def test_one_root_stage_per_process(self):
         it = _two_step_antichains()

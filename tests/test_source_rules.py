@@ -26,7 +26,11 @@ module uses ``dataclasses`` or ``NamedTuple``, so importing the CLI loads
 neither ``dataclasses`` nor ``inspect``, which a fresh ``forcinglab run``
 process would otherwise pay for at start-up; and no module uses
 ``functools.cached_property``, whose first read takes a lock on Python
-3.11, so every lazy attribute is :class:`forcinglab.config.lazy`.
+3.11, so every lazy attribute is :class:`forcinglab.config.lazy`; and the
+lemma kernels that read no generic, the s-frown pass ``_frown_levels``,
+``_lemma13`` and ``_lemma14``, take no ``ProjectionContext`` and name no
+``ctx``, ``G`` or ``gen_index``, so what they compute is a fact about
+P_alpha..P_beta alone.
 
 Three rules a run keeps: a passing ``run --suite all --max-poset 3
 --max-stages 3`` builds no name, since every statement about names is
@@ -52,6 +56,7 @@ from pathlib import Path
 import pytest
 
 import algebra_oracle
+import lemma_oracle
 import test_cli
 from forcinglab import boolalg, iteration, poset, projection
 from forcinglab.cli import main
@@ -60,8 +65,8 @@ from forcinglab.iteration import (CollapseSpec, Stage, TableProvider,
                                   build_iteration, collapse_poset)
 from forcinglab.names import Name
 from forcinglab.poset import antichain_with_top, product_poset
-from forcinglab.projection import (_frown_table, _lemma11, _prefix_groups,
-                                   make_context, verify_theorem2)
+from forcinglab.projection import (_frown_levels, _lemma11, make_context,
+                                   verify_theorem2)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "forcinglab"
 BROAD = {"Exception", "BaseException"}
@@ -70,6 +75,10 @@ STAGE_INDICES = {"_index", "_tails"}
 STAGE_ATTRS = set(fields(Stage)) | {n for n in vars(Stage)
                                     if not n.startswith("__")}
 SOURCE_VIEW = {"source_algebras"}
+# the lemma kernels that read no generic, and the names through which one
+# would reach G
+G_FREE = {"_frown_levels", "_lemma13", "_lemma14"}
+CONTEXT_READS = {"ProjectionContext", "ctx", "G", "gen_index"}
 MACHINERY = {"dataclass", "dataclasses", "NamedTuple"}
 LOCKED = {"cached_property"}
 
@@ -398,6 +407,47 @@ def test_every_source_algebras_read_is_found():
     assert attribute_accesses(source, SOURCE_VIEW) == [5, 6, 9]
 
 
+def context_reads(source: str) -> dict[str, list[int]]:
+    """Per function of ``G_FREE`` that source defines, the line numbers,
+    ascending, where it names ``ProjectionContext``, ``ctx``, ``G`` or
+    ``gen_index``: as a parameter, an annotation, a name or an
+    attribute."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in G_FREE:
+            found[node.name] = sorted({
+                sub.lineno for sub in ast.walk(node)
+                if (sub.arg if isinstance(sub, ast.arg) else
+                    sub.id if isinstance(sub, ast.Name) else
+                    sub.attr if isinstance(sub, ast.Attribute) else
+                    None) in CONTEXT_READS})
+    return found
+
+
+def test_the_g_free_kernels_take_no_context():
+    source = (SRC / "projection.py").read_text(encoding="utf-8")
+    assert context_reads(source) == {f: [] for f in G_FREE}
+
+
+def test_every_context_read_of_a_g_free_kernel_is_found():
+    # a word in a docstring, a stage's attributes and the kernels that
+    # read G are no such read
+    source = "\n".join([
+        "def _frown_levels(stages, ctx):",
+        "    'reads no G and no ctx.gen_index'",
+        "def _lemma13(astage: ProjectionContext, table, groups):",
+        "    return astage.G.mask",
+        "def _lemma14(astage, src, table, groups, siblings):",
+        "    x = siblings[0].gen_index",
+        "    y = src.generics, astage.gen_masks",
+        "    return G",
+        "def _lemma11(ctx, beta, table, groups, siblings):",
+        "    return ctx.G",
+    ])
+    assert context_reads(source) == {"_frown_levels": [1],
+                                     "_lemma13": [3, 4], "_lemma14": [6, 8]}
+
+
 def map_writes(source: str) -> list[int]:
     """Line numbers, ascending, of the assignment targets in source that
     are an attribute named ``pi_prime`` or an item of one, alone or
@@ -683,10 +733,10 @@ def test_a_failing_l11_reads_labels(monkeypatch):
     ctx = make_context(it, 1, 0)
     siblings = [make_context(it, 1, g).levels[2]
                 for g in range(len(it.stages[1].generics))]
-    table = _frown_table(ctx, 2)
-    assert _lemma11(ctx, 2, table, _prefix_groups(table), siblings)[0]
+    (table, groups), = _frown_levels(it.stages[1:])
+    assert _lemma11(ctx, 2, table, groups, siblings)[0]
     # with the top condition's s-frown row emptied, no s glues it to itself
     top = it.stages[2].poset.top
     table[top] = (table[top][0], {})
     with pytest.raises(Refused):
-        _lemma11(ctx, 2, table, _prefix_groups(table), siblings)
+        _lemma11(ctx, 2, table, lemma_oracle.prefix_groups(table), siblings)
