@@ -82,15 +82,15 @@ class Stage:
     condition's k-prefix without canonicalizing it.  The poset's labels
     are the conditions' ``<...>`` texts, built on first read.
 
-    A stage also keeps, weakly, the children :func:`extend_stage`
-    enumerated from it, so that a stage asked for again is the same
-    object: Corollary 15's rebuild asks for the stages generation built,
-    and so does every quotient level whose admitted (prefix, tail) pairs
-    are an enumerated child's new conditions in order.  One stage may so
-    serve many projection contexts, so it holds nothing of any one
-    context: each quotient level keeps its own pi, combine and algebras,
-    and no module but this one assigns a stage attribute.  The child map
-    is not pickled: an unpickled stage starts with none."""
+    Every stage above the root is enumerated by :func:`extend_stage`,
+    the one constructor, and its parent keeps it weakly, so that a stage
+    asked for again is the same object: Corollary 15's rebuild and every
+    quotient level of a projection context ask for the stages generation
+    built.  One stage may so serve many projection contexts, so it holds
+    nothing of any one context: each quotient level keeps its own pi,
+    combine and algebras, and no module but this one assigns a stage
+    attribute.  The child map is not pickled: an unpickled stage starts
+    with none."""
 
     def __init__(self, index: int, conditions: tuple[Condition, ...],
                  poset: Poset, generics: list[GenericSet], paths: list[tuple],
@@ -236,38 +236,23 @@ def _canonical_tail(prev: Stage, steps: Sequence, prev_idx: int, tail) -> "Coord
     return tuple(out)
 
 
-def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
-                 tails: Iterable[tuple[int, Coordinate]] | None = None) -> Stage:
-    """Build stage n+1 from stage n and the step posets named over it.
+def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps) -> Stage:
+    """Build stage n+1 from stage n and the step posets named over it,
+    enumerating every tail map (the Definition-1 successor clause).
 
-    With ``tails`` None, every tail map is enumerated (the Definition-1
-    successor clause); otherwise only the supplied (prefix index,
-    canonical tail) pairs are admitted, in order and each once, a tail 1
-    naming its prefix.  They are not validated again, as
-    :func:`forcinglab.projection._tail_image` returns canonical tails;
-    :meth:`Stage.extension` finds the condition of each pair.
-
-    An enumerated stage depends on ``prev`` and ``steps`` alone, so it is
-    built once while it lives: ``prev`` keeps it weakly under its step
-    posets' identities, and a later call with the same step posets
-    returns it, after checking ``max_stage_conditions`` against its size.
-    Instance generation and every ``build_iteration`` enumerate, so
-    Corollary 15's rebuild gets the stages generation built.
-
-    A stage is a function of ``prev``, ``steps`` and its new conditions
-    in order, and a new condition is its (prefix, tail) pair: its
-    ``parent`` and its last coordinate.  So a ``tails`` call, once its
-    admitted pairs pass the cap, returns the enumerated child under the
-    same step posets when that child's new conditions are the admitted
-    pairs in order, since a stage built from them would equal it in every
-    field.  Other pairs, or a ``prev`` with no such child, build a stage
-    as before, which no child map keeps.  In a generated sweep every
-    quotient stage of :func:`forcinglab.projection.make_context` is such
-    a child, so the contexts share it and keep their own pi and algebras.
+    A stage depends on ``prev`` and ``steps`` alone, so it is built once
+    while it lives: ``prev`` keeps it weakly under its step posets'
+    identities, and a later call with the same step posets returns it,
+    after checking ``max_stage_conditions`` against its size.  Instance
+    generation, every ``build_iteration`` and every quotient level of
+    :func:`forcinglab.projection.make_context` ask for a stage this way,
+    so Corollary 15's rebuild and the projection contexts get the stages
+    generation built, and contexts keep their own pi and algebras.
 
     Stage n's conditions keep their indices, the empty one included, so
     the top is ``prev``'s.  The enumerated conditions are new and pairwise
-    distinct, so they are appended without being hashed.
+    distinct, so they are appended without being hashed;
+    :meth:`Stage.extension` finds each by its (prefix, tail) pair.
 
     i <= j iff prefix(i) <= prefix(j) at stage n and, at each generic g
     of prefix(i), tail(i) lies below tail(j), a TAIL_ONE tail reading as
@@ -288,55 +273,37 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
         return CapExceeded(f"stage {n + 1} has more conditions than the cap "
                            f"{caps.max_stage_conditions}")
 
-    # the child enumerated under these step posets, if it lives; a tails
-    # call returns it when its new conditions are the admitted pairs in
-    # order, as it then builds that stage
     key = tuple(map(id, steps))
     built = prev._children.get(key)
-    if tails is not None:
-        new = [pair for pair in dict.fromkeys(tails) if pair[1] is not TAIL_ONE]
-        if k + len(new) > caps.max_stage_conditions:
-            raise over_cap()
-        if built is not None and list(built._tails) == new:
-            return built
-    elif built is not None:
+    if built is not None:
         if built.poset.n > caps.max_stage_conditions:
             raise over_cap()
         return built
 
+    # the new conditions are pairwise distinct, so the stage's size is
+    # known before any tail is placed, and a capped stage, which is
+    # discarded, costs no enumeration
+    extended = []
+    size = k
+    for ci in range(k):
+        gens = list(prev.gens_of(ci))
+        if all(steps[g] is not None for g in gens):
+            extended.append((ci, gens))
+            size += math.prod(steps[g].n for g in gens) - 1
+    if size > caps.max_stage_conditions:
+        raise over_cap()
     conditions: list[Condition] = list(prev.conditions)
     # per condition, the index of its prefix at stage n: a stage-n
     # condition is its own prefix
     prev_of = list(range(k))
-
-    def padded(prefix: int) -> Condition:
-        cond = prev.conditions[prefix]
-        return cond + (TAIL_ONE,) * (n - len(cond))
-
-    # the new conditions are pairwise distinct, so the stage's size is
-    # known before any tail is placed, and a capped stage, which is
-    # discarded, costs no enumeration
-    if tails is None:
-        extended = []
-        size = k
-        for ci in range(k):
-            gens = list(prev.gens_of(ci))
-            if all(steps[g] is not None for g in gens):
-                extended.append((ci, gens))
-                size += math.prod(steps[g].n for g in gens) - 1
-        if size > caps.max_stage_conditions:
-            raise over_cap()
-        for ci, gens in extended:
-            base = padded(ci)
-            tops = tuple(steps[g].top for g in gens)
-            for combo in itertools.product(*[range(steps[g].n) for g in gens]):
-                if combo != tops:
-                    conditions.append(base + (tuple(zip(gens, combo)),))
-                    prev_of.append(ci)
-    else:
-        for prefix, tail in new:
-            conditions.append(padded(prefix) + (tail,))
-            prev_of.append(prefix)
+    for ci, gens in extended:
+        cond = prev.conditions[ci]
+        base = cond + (TAIL_ONE,) * (n - len(cond))
+        tops = tuple(steps[g].top for g in gens)
+        for combo in itertools.product(*[range(steps[g].n) for g in gens]):
+            if combo != tops:
+                conditions.append(base + (tuple(zip(gens, combo)),))
+                prev_of.append(ci)
 
     # order: each new condition has a tail value under every generic of
     # its prefix, so the new conditions over g are those with a value at g
@@ -395,8 +362,7 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps,
             gen_masks[i] |= bit
     stage = Stage(n + 1, conds, poset, generics, paths,
                   tuple(gen_masks), tuple(steps), tuple(prev_of))
-    if tails is None:
-        prev._children[key] = stage
+    prev._children[key] = stage
     return stage
 
 

@@ -369,20 +369,21 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     is defined: the root's pi is defined on G, so by induction level
     beta-1's pi is defined exactly on the conditions whose alpha-prefix is
     in G.  Each placed condition gives a (quotient prefix, canonical tail)
-    pair, :func:`extend_stage` gives the quotient stage of these pairs,
-    and the image is ``qstage.extension(qprefix, qtail)``.  A refused tail
-    image, or a stage or quotient poset that is not separative, raises
-    before the context is cached: pi indexes conditions, not the classes a
-    quotient's atoms are.
+    pair, and its image is ``qstage.extension(qprefix, qtail)``, where
+    ``qstage`` is the stage :func:`extend_stage` enumerates from the
+    previous level's stage under the step posets of the combined
+    generics.  By the factor property (Jech, *Set Theory*, 2003, Ch. 16)
+    the quotient is the tail iteration read through G, so every pair
+    names a condition of ``qstage`` and every new condition of it is some
+    pair's image.  A pair that names none, a new condition that is no
+    image, a refused tail image, or a stage or quotient poset that is not
+    separative, raises before the context is cached: pi indexes
+    conditions, not the classes a quotient's atoms are.
 
-    The quotient stage is often a stage the iteration already holds: by
-    the factor property (Jech, *Set Theory*, 2003, Ch. 16) the quotient is
-    the tail iteration read through G, and where the pairs are the new
-    conditions, in order, of the child that the previous level's stage
-    enumerated under the same step posets, ``extend_stage`` returns that
-    child.  In a generated sweep every level is such a case, so contexts
-    share their quotient stages with generation and with each other,
-    while pi, combine and the algebras stay per level.
+    ``extend_stage`` returns the child its parent already holds under the
+    same step posets, so in a generated sweep contexts share their
+    quotient stages with generation and with each other, while pi,
+    combine and the algebras stay per level.
     """
     caps = caps or iteration.caps
     stages = iteration.stages
@@ -419,11 +420,11 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
         # stage beta-1, is placed when its parent's image is defined
         old = prev_src.poset.n
         pi: list = prev_level.pi + [None] * (src.poset.n - old)
-        placed = [ci for ci in range(old, src.poset.n)
-                  if pi[src.parent[ci]] is not None]
-        tails: list[tuple[int, object]] = []
-        for ci in placed:
+        qstage = extend_stage(prev_level.stage, steps_q, caps)
+        for ci in range(old, src.poset.n):
             qprefix = pi[src.parent[ci]]
+            if qprefix is None:
+                continue
             tail = src.conditions[ci][beta - 1]
             if beta == alpha + 1:
                 # G's own tail: decoding it by pi_prime reads timed slower at s3
@@ -434,10 +435,16 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
                 if qtail is None:
                     raise ProjectionError(f"tail image at level {beta} is "
                                           "outside the quotient's step posets")
-            tails.append((qprefix, qtail))
-        qstage = extend_stage(prev_level.stage, steps_q, caps, tails)
-        for ci, (qprefix, qtail) in zip(placed, tails):
             pi[ci] = qstage.extension(qprefix, qtail)
+            if pi[ci] is None:
+                raise ProjectionError(f"tail image at level {beta} names no "
+                                      "condition of the quotient stage")
+        # pi is onto the quotient stage: each new condition is an image
+        missed = set(range(prev_level.stage.poset.n, qstage.poset.n))
+        missed.difference_update(pi[old:])
+        if missed:
+            raise ProjectionError(f"quotient condition {min(missed)} at level "
+                                  f"{beta} is no condition's image")
         # bridge: quotient generics <-> source generics whose prefix generic
         # is G, matched through their atoms (one generic per atom)
         gen_of_atom = {qg.atom: h for h, qg in enumerate(qstage.generics)}
@@ -1081,11 +1088,10 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
     returns the stage it already built from the same parent and step
     posets, and in a generated sweep every shifted stage is one that
     generation built.  So, in a generated sweep, is each quotient stage,
-    which ``make_context`` asks for with pi's tails (see
-    :func:`extend_stage`), and a rebuilt stage and its quotient are then
-    one object.  The natural map is still computed through the bridges
-    and checked cone by cone, and the quotient level's pi, combine and
-    algebras are its context's own.
+    which ``make_context`` asks for in the same way, and a rebuilt stage
+    and its quotient are then one object.  The natural map is still
+    computed through the bridges and checked cone by cone, and the
+    quotient level's pi, combine and algebras are its context's own.
 
     On stages of at most 8 elements a verified isomorphism is followed by a
     canonical-form record.  The canonical key is an isomorphism invariant,

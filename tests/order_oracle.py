@@ -11,12 +11,17 @@ and ``compat`` from the atoms' upper cones,
 :func:`forcinglab.iteration.extend_stage` ANDs prefix and tail rows.
 :func:`stage_paths_and_parents` recomputes the rest of what
 ``extend_stage`` records, each generic's path and each condition's prefix,
-from the conditions and the generics' masks alone.
+from the conditions and the generics' masks alone, and
+:func:`stage_from_conditions` puts them together into a whole stage whose
+new conditions come in any order, which the library, enumerating every
+stage, never builds.
 """
 
 import itertools
 
-from forcinglab.iteration import TAIL_ONE, trim
+from forcinglab.config import replace
+from forcinglab.generic import enumerate_generics
+from forcinglab.iteration import TAIL_ONE, Stage, trim
 from forcinglab.poset import Poset
 
 
@@ -127,3 +132,20 @@ def stage_paths_and_parents(prev, stage):
                      (None if tail is TAIL_ONE else dict(tail)[pg],))
     parents = [prev.conditions.index(trim(c[:n])) for c in stage.conditions]
     return paths, parents
+
+
+def stage_from_conditions(prev, steps, conditions):
+    """The stage over prev, under the step posets ``steps``, whose
+    conditions are ``conditions`` in order, prev's first: its order from
+    :func:`stage_order_by_pairs`, its generics enumerated from that order,
+    and each generic's path and each condition's prefix from
+    :func:`stage_paths_and_parents`."""
+    draft = Stage(prev.index + 1, tuple(conditions), prev.poset, [], [], (),
+                  tuple(steps))
+    below, _ = stage_order_by_pairs(prev, draft)
+    poset = Poset(below, prev.poset.top)
+    draft = replace(draft, poset=poset, generics=enumerate_generics(poset))
+    _, gen_masks = stage_order_by_pairs(prev, draft)
+    paths, parents = stage_paths_and_parents(prev, draft)
+    return replace(draft, paths=paths, gen_masks=gen_masks,
+                   parent=tuple(parents))

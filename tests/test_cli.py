@@ -116,8 +116,13 @@ class TestProviderTableFormat:
          "line 8: a second section: [ poset \t p1 ]"),
         ("\n[poset p1]\ntop: 1\n1 < a\n[provider]\nstage 0\nG: -> p1",
          "line 2 in [poset p1]: top '1' is not above every element"),
+        (POSET_P1 + "stage 0\nG = p1",
+         "line 7 in [provider]: bad provider line: G = p1"),
+        (POSET_P1 + "stage 0\nG: -> undef\nstage 1\nG:a -> p1",
+         "line 9 in [provider]: path through an undefined step: G:a -> p1"),
     ], ids=["poset-line", "empty-poset", "second-poset", "second-path",
-            "second-provider", "second-poset-spaced", "poset-invalid"])
+            "second-provider", "second-poset-spaced", "poset-invalid",
+            "provider-line", "undefined-step"])
     def test_a_payload_error_names_its_line_and_section(self, text, message):
         # payload line numbers, blank lines counted, and every repeat refused
         with pytest.raises(ValueError) as raised:
@@ -515,6 +520,20 @@ class TestRunReports:
         assert ("tables-differ-between-generics", "pass", None) in cifs
         assert sum(c[0].startswith("collapse-count-") for c in cifs) == 16
 
+    def test_a_toy_iteration_over_the_condition_cap_is_partial(self, tmp_path):
+        # the cap stops the toy iteration at a stage below the ladder's
+        # last: the run labels it partial and factors no generic through it
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--suite", "cifs", "--max-poset", "2",
+                     "--max-stages", "4", "--max-stage-conditions", "16",
+                     "--out", str(out)]) == 0
+        cifs = [(r["check"], r["status"], r["detail"].get("reason"))
+                for r in map(json.loads, out.read_text().splitlines())
+                if r.get("suite") == "cifs"]
+        assert [c for c in cifs if c[1] != "pass"] == [
+            ("iteration-partial", "skip", "stage cap aborted the toy iteration")]
+        assert not [c for c in cifs if c[0] == "factor"]
+
     def test_replay_under_a_capped_ladder_is_not_found(self, tmp_path, capsys):
         rc = main(["replay", "cx-000000000000", "--suite", "all",
                    "--max-poset", "2", "--max-stages", "1",
@@ -551,9 +570,12 @@ class TestRunReports:
         ["--cifs-ladder", "1:9"], ["--cifs-ladder", "6:2"],
         ["--cifs-formulas", "z in x"], ["--cifs-formulas", "x in ("],
         ["--max-stages", "-1"], ["--max-poset", "-1"],
-        ["--max-poset", "10"], ["--max-stage-conditions", "0"]], ids="=".join)
+        ["--max-poset", "10"], ["--max-stage-conditions", "0"],
+        # the report cannot be written: an OSError after the suites ran
+        ["--out", "{tmp}/missing/r.jsonl"]], ids="=".join)
     def test_bad_option_values_exit_two(self, flags, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
+        flags = [f.format(tmp=tmp_path) for f in flags]
         rc = main(["run", "--suite", "cifs", "--max-poset", "2",
                    "--max-stages", "1", "--out", str(out)] + flags)
         assert rc == 2
@@ -654,8 +676,8 @@ class TestDriverFailures:
         build refuses; the run must exit 0."""
         extend = projection.extend_stage
         monkeypatch.setattr(
-            projection, "extend_stage", lambda stage, steps, caps, tails:
-            extend(stage, steps, caps.with_(max_stage_conditions=1), tails))
+            projection, "extend_stage", lambda stage, steps, caps:
+            extend(stage, steps, caps.with_(max_stage_conditions=1)))
         return cls.run_records(tmp_path, suite)
 
     def test_capped_contexts_are_labeled_skips(self, monkeypatch, tmp_path):
@@ -824,6 +846,30 @@ class TestDriverFailures:
         assert {c.check for c in rep.failures} == {
             f"collapse-count-{n}-{m}" for n in range(4) for m in range(1, 5)}
 
+    def test_replay_writes_the_record_of_a_found_counterexample(
+            self, monkeypatch, tmp_path, capsys):
+        # the same off-by-one: run exits 1 and lists each failure's id,
+        # and replay of one id exits 1 and writes that record's line
+        count = cli._closed_form_injection_count
+        monkeypatch.setattr(cli, "_closed_form_injection_count",
+                            lambda n, m: count(n, m) + 1)
+        flags = ["--suite", "cifs", "--max-poset", "2", "--max-stages", "1",
+                 "--seed", "1"]
+        out = tmp_path / "run.jsonl"
+        assert main(["run", *flags, "--out", str(out)]) == 1
+        failed = {r["counterexample"]: line
+                  for line in out.read_text().splitlines()
+                  for r in [json.loads(line)] if r.get("status") == "fail"}
+        assert len(failed) == 16
+        listed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("counterexamples: ")]
+        assert listed == ["counterexamples: " + ", ".join(sorted(failed))]
+        cex, line = next(iter(failed.items()))
+        replayed = tmp_path / "replay.jsonl"
+        assert main(["replay", cex, *flags, "--out", str(replayed)]) == 1
+        assert replayed.read_text() == line + "\n"
+        assert capsys.readouterr().out == line + "\n"
+
 
 class TestConfigFile:
     def test_parse_and_override(self, tmp_path):
@@ -863,6 +909,20 @@ class TestConfigFile:
         assert main(["run", "--config", str(cfile), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: max_stage_conditions must be >= 1, got 0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, error", [
+        ("suite lemma1\n", "{cfile}:1: expected key = value"),
+        ("# bounds\nsuite = bogus\n", "unknown suite bogus")],
+        ids=["no-equals", "unknown-suite"])
+    def test_a_bad_config_line_or_suite_is_an_error(self, tmp_path, capsys,
+                                                    text, error):
+        cfile = tmp_path / "bad.conf"
+        cfile.write_text(text)
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--config", str(cfile), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {error.format(cfile=cfile)}\n"
         assert not out.exists()
 
     def test_every_field_but_out_is_echoed_and_is_a_run_flag(self):

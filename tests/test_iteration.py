@@ -236,8 +236,8 @@ class TestStageOrder:
             self.assert_oracle_order(prev, stage)
 
     def test_quotient_stages_equal_the_pairwise_oracle(self, default_sweep):
-        # make_context builds these from (quotient prefix, canonical tail)
-        # pairs, passed to extend_stage as its tails
+        # make_context asks extend_stage for these, each the child of the
+        # previous level's stage under the combined generics' step posets
         checked = 0
         for _, it in default_sweep:
             for alpha in range(1, len(it) + 1):
@@ -370,29 +370,6 @@ class TestStageMemo:
         again = extend_stage(s1, [A2, A2], DEFAULT_CAPS)
         assert again is not it.stages[2]
         assert stage_facts(again) == stage_facts(it.stages[2])
-
-
-class TestSuppliedTails:
-    """extend_stage on supplied (prefix, canonical tail) pairs, and
-    Stage.extension, which finds a condition by the same pair."""
-
-    def test_a_repeated_pair_is_built_once(self):
-        s1 = two_stage_constant().stages[1]
-        atom_a = s1.cond_index((((0, 0),),))
-        pair = (atom_a, ((0, 1),))
-        tails = [pair, (s1.poset.top, TAIL_ONE), pair, (atom_a, ((0, 0),)),
-                 pair]
-        # the two distinct new conditions fit a cap that counts each once
-        caps = DEFAULT_CAPS.with_(max_stage_conditions=s1.poset.n + 2)
-        stage = extend_stage(s1, [A2, A2], caps, tails)
-        assert stage.conditions == s1.conditions + (
-            (((0, 0),), ((0, 1),)), (((0, 0),), ((0, 0),)))
-        assert [stage.extension(p, t) for p, t in tails] == [
-            3, s1.poset.top, 3, 4, 3]
-        TestStageOrder.assert_oracle_order(s1, stage)
-        with pytest.raises(CapExceeded):
-            extend_stage(s1, [A2, A2], caps.with_(
-                max_stage_conditions=s1.poset.n + 1), tails)
 
 
 # -- the literal name-based representation, used as the order oracle ----------

@@ -280,6 +280,23 @@ class TestTruthValues:
         with pytest.raises(FormulaError):
             truth_value(parse_formula("x in $0"), self.univ)
 
+    def test_implication_is_the_join_of_its_negated_premise(self):
+        # a -> b against !a | b at every triple of a rank-1 universe, and
+        # against the values of a and b themselves
+        univ = name_universe(self.A, 1)
+        sess = TruthSession(univ)
+        A = self.A
+        k = len(univ.names)
+        checked = set()
+        for i, j, m in itertools.product(range(k), repeat=3):
+            a, b = f"${i} in ${j}", f"${j} = ${m}"
+            implied = sess.value(parse_formula(f"{a} -> {b}"))
+            assert implied == sess.value(parse_formula(f"!{a} | {b}")) == \
+                A.join(A.complement(sess.value(parse_formula(a))),
+                       sess.value(parse_formula(b)))
+            checked.add(implied)
+        assert len(checked) > 2
+
     def test_equal_names_evaluate_equal_everywhere(self):
         univ = name_universe(self.A, 1)
         sess = TruthSession(univ)

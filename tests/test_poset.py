@@ -77,6 +77,17 @@ class TestValidatePoset:
         with pytest.raises(PosetError, match="dangling"):
             validate_poset(["1", "a"], [("z", "1")], "1")
 
+    @pytest.mark.parametrize("elements, pairs, top, message", [
+        ([], [], "1", "poset needs at least one element"),
+        (["1", "a", "a"], [("a", "1")], "1", "duplicate element ids"),
+        (["1", "a"], [("a", "1")], "z", "dangling element id 'z' used as top"),
+        (["1", "a"], [("a", "z")], "1", "dangling element id 'z'"),
+    ], ids=["empty", "duplicate-id", "dangling-top", "dangling-upper-id"])
+    def test_malformed_input_is_refused(self, elements, pairs, top, message):
+        with pytest.raises(PosetError) as raised:
+            validate_poset(elements, pairs, top)
+        assert str(raised.value) == message
+
 
 class TestSeparativity:
     def test_antichain_is_separative(self):
@@ -364,6 +375,18 @@ class TestOrderMemo:
                 Poset((0b01, 0b11), 0)
         assert (0b01, 0b11) in poset_module._orders
         assert Poset((0b01, 0b11), 1).top == 1
+
+    @pytest.mark.parametrize("below, top, labels, message", [
+        ((0b10, 0b11), 1, None, "relation is not reflexive at 0"),
+        ((0b101, 0b11), 1, None, "dangling element bits below 0"),
+        ((0b001, 0b011, 0b110), 2, None, "relation is not transitive at 1 <= 2"),
+        ((0b01, 0b11), 1, ["a"], "label count does not match element count"),
+    ], ids=["not-reflexive", "dangling-bits", "not-transitive", "label-count"])
+    def test_invalid_rows_or_labels_are_refused(self, below, top, labels,
+                                                message):
+        with pytest.raises(PosetError) as raised:
+            Poset(below, top, labels)
+        assert str(raised.value) == message
 
     def test_filling_the_memo_drops_the_oldest_and_keeps_the_bound(
             self, monkeypatch):

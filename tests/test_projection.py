@@ -17,7 +17,7 @@ from forcinglab.formula import constants, parse_formula
 from forcinglab.generic import dense_subsets
 from forcinglab.hfset import EMPTY, HFSet
 from forcinglab.iteration import (TAIL_ONE, CifsProvider, Iteration,
-                                  ProviderError, TableProvider,
+                                  ProviderError, Stage, TableProvider,
                                   build_iteration, extend_stage, root_stage,
                                   trim)
 from forcinglab.names import (Name, NameUniverse, TruthSession, check_name,
@@ -42,7 +42,7 @@ import lemma_oracle
 import tail_oracle
 from generation_oracle import automorphisms_by_search, canonical_key_by_search
 from order_oracle import (above_by_pairs, atoms_by_pairs, compat_by_pairs,
-                          separativity_witness_by_pairs)
+                          separativity_witness_by_pairs, stage_from_conditions)
 
 A2 = antichain_with_top(2)
 A3 = antichain_with_top(3)
@@ -233,6 +233,81 @@ class TestMakeContext:
                 for c in rep.checks] == [
             ("context-build", "fail", "it-quotiented", context,
              {"error": error})]
+
+    # Planted refusals of make_context.  No provider's iteration reaches
+    # them: by the factor property the quotient stage is the enumerated
+    # child of the previous level's stage, pi places every pair in it and
+    # is onto, each source atom lands on a quotient atom, generics match
+    # atom for atom, and the iteration of separative steps is separative.
+    # So each one plants a wrong tail decoder or a wrong stage builder,
+    # and run_unit writes the refusal as a failed context build.
+
+    @staticmethod
+    def decoder(change):
+        """A tail decoder that hands each decoded tail, with the source
+        tail, to ``change``."""
+        decode = projection._tail_image
+
+        def planted(prev_level, prev_src, steps_q, qprefix, tail):
+            return change(decode(prev_level, prev_src, steps_q, qprefix, tail),
+                          tail)
+        return "_tail_image", planted
+
+    @staticmethod
+    def builder(change):
+        """A stage builder that hands each stage it returns to ``change``."""
+        extend = projection.extend_stage
+        return "extend_stage", lambda prev, steps, caps: change(
+            extend(prev, steps, caps))
+
+    @pytest.mark.parametrize("tables, plant, error", [
+        # a tail over a generic the quotient prefix does not have
+        ([{(): PT}, {(None,): A2}, {(None, 0): A2, (None, 1): A2}],
+         lambda t: t.decoder(lambda qtail, tail: ((9, 0),)),
+         "tail image at level 3 names no condition of the quotient stage"),
+        # every tail decoded to 1: no new quotient condition is an image
+        ([{(): PT}, {(None,): A2}, {(None, 0): A2, (None, 1): A2}],
+         lambda t: t.decoder(lambda qtail, tail: TAIL_ONE),
+         "quotient condition 3 at level 3 is no condition's image"),
+        # the quotient stage drops its first generic, so the source atom
+        # below it lands on no quotient generic's atom
+        ([{(): PT}, {(None,): A2}],
+         lambda t: t.builder(lambda stage: replace(
+             stage, generics=stage.generics[1:])),
+         "atom image is not a quotient atom at level 2"),
+        # a tail over one generic valued 0 decoded as 1: the two source
+        # atoms over an atom prefix meet in one quotient atom, which the
+        # tails over two generics still reach
+        ([{(): A2}, {(0,): A2, (1,): A2},
+          {(0, 0): A2, (0, 1): A2, (1, 0): A2, (1, 1): A2}],
+         lambda t: t.decoder(lambda qtail, tail: tuple(
+             (g, e or 1) for g, e in qtail) if len(tail) == 1 else qtail),
+         "two source generics project onto one quotient generic at level 3"),
+        # the quotient stage lists its first generic twice
+        ([{(): PT}, {(None,): A2}],
+         lambda t: t.builder(lambda stage: replace(
+             stage, generics=[*stage.generics, stage.generics[0]])),
+         "quotient generic with no source generic at level 2"),
+        # the quotient stage's order replaced by a 3-chain
+        ([{(): PT}, {(None,): A2}],
+         lambda t: t.builder(lambda stage: replace(
+             stage, poset=chain_poset(3))),
+         "quotient poset at level 2 is not separative"),
+    ], ids=["no-condition", "not-onto", "atom-image", "two-generics",
+            "generic-unmatched", "not-separative"])
+    def test_a_planted_refusal_fails_the_context_build(
+            self, monkeypatch, tables, plant, error):
+        it = build_iteration(TableProvider(tables),
+                             DEFAULT_CAPS.with_(max_stage_conditions=1 << 10))
+        monkeypatch.setattr(projection, *plant(self))
+        context = {"alpha": 1, "generic": 0}
+        rep = run_unit("theorem2", "it-planted", context,
+                       lambda: make_context(it, 1, 0),
+                       lambda ctx: verify_theorem2(ctx, instance="it-x"))
+        assert [(c.check, c.status, c.context, c.detail)
+                for c in rep.checks] == [
+            ("context-build", "fail", context, {"error": error})]
+        assert not it.context_cache
 
     def test_each_tail_is_validated_once(self, default_sweep, monkeypatch):
         # _tail_image validates and canonicalizes each decoded tail, and
@@ -1791,11 +1866,11 @@ class TestCorollary15:
         return {c.check for c in verify_corollary15(bad).failures}
 
     def test_a_reordered_quotient_stage_passes_through_the_cone_check(self):
-        # the quotient stage is built from its pairs with the first two
-        # swapped, and combine follows the generics' atoms: the natural map
-        # is a bijection other than the identity, and the rebuilt and the
-        # quotient posets differ in their rows, so the cone check must
-        # carry each cone through the map
+        # the pairwise oracle builds the quotient stage with its first two
+        # new conditions swapped, and combine follows the generics' atoms:
+        # the natural map is a bijection other than the identity, and the
+        # rebuilt and the quotient posets differ in their rows, so the cone
+        # check must carry each cone through the map
         tree = Poset([0b11111, 0b11010, 0b00100, 0b01000, 0b10000], 0)
         it = build_iteration(TableProvider([{(): A2},
                                             {(0,): tree, (1,): tree}]))
@@ -1803,11 +1878,10 @@ class TestCorollary15:
         level = ctx.levels[2]
         stage, prev = level.stage, ctx.levels[1].stage
         k = prev.poset.n
-        pairs = list(zip(stage.parent[k:],
-                         (c[-1] for c in stage.conditions[k:])))
-        assert len(pairs) == 4
-        swapped = extend_stage(prev, stage.steps, ctx.caps,
-                               [pairs[1], pairs[0], *pairs[2:]])
+        conds = stage.conditions
+        assert len(conds) - k == 4
+        swapped = stage_from_conditions(prev, stage.steps, [
+            *conds[:k], conds[k + 1], conds[k], *conds[k + 2:]])
         assert swapped.poset.below != stage.poset.below
         # the condition at each index of the swapped stage, in the shared one
         where = {cond: i for i, cond in enumerate(stage.conditions)}
@@ -2114,7 +2188,7 @@ class TestSweepOrderOracles:
         Every quotient stage is one of them, with its previous level's
         stage as its parent: make_context gets each from extend_stage,
         which returns the child generation built (TestSharedQuotientStages
-        checks that a build from the same pairs equals it)."""
+        checks that the oracle's stage of the placed pairs equals it)."""
         pairs = {}
         for _, it in sweep:
             for prev, stage in zip(it.stages, it.stages[1:]):
@@ -2160,24 +2234,31 @@ class TestSweepOrderOracles:
 
 class TestSharedQuotientStages:
     """Each quotient stage of the s3 sweep is a stage generation built:
-    ``extend_stage`` returns the enumerated child whose new conditions are
-    the admitted (prefix, tail) pairs in order.  The build path, which the
-    sweep no longer takes, is forced here and compared with it."""
+    ``make_context`` asks ``extend_stage`` for the previous level's child
+    under the combined generics' step posets and places each (prefix,
+    tail) pair in it.  The pairs are the child's new conditions in order,
+    and a pi that misses one of them is refused."""
 
     @staticmethod
     def quotient_builds(sweep, monkeypatch) -> list:
-        """(prev, steps, caps, tails, stage) for every quotient stage the
-        contexts below each final stage ask extend_stage for, each context
+        """(prev, steps, pairs, stage) for every quotient stage the
+        contexts below each final stage ask extend_stage for, with the
+        (prefix, tail) pairs placed in it in the order placed, each context
         built afresh on a copy of its iteration."""
         calls = []
+        extension = Stage.extension
 
-        def recorded(prev, steps, caps, tails=None):
-            tails = list(tails)
-            calls.append((prev, steps, caps, tails,
-                          extend_stage(prev, steps, caps, tails)))
+        def recorded(prev, steps, caps):
+            calls.append((prev, steps, [], extend_stage(prev, steps, caps)))
             return calls[-1][-1]
 
+        def placed(stage, prefix, tail):
+            if calls and stage is calls[-1][-1]:
+                calls[-1][2].append((prefix, tail))
+            return extension(stage, prefix, tail)
+
         monkeypatch.setattr(projection, "extend_stage", recorded)
+        monkeypatch.setattr(Stage, "extension", placed)
         for _, it in sweep:
             copy = replace(it, stages=list(it.stages))
             for alpha in range(1, len(it)):
@@ -2195,21 +2276,6 @@ class TestSharedQuotientStages:
                 stage.poset.top, [(g.mask, g.atom) for g in stage.generics],
                 stage.paths, stage.gen_masks, [id(q) for q in stage.steps],
                 stage.parent)
-
-    @staticmethod
-    def finds_every_pair(stage, prev, pairs) -> bool:
-        """Whether the stage holds prev's conditions and one new condition
-        per admitted pair, which ``extension`` finds by its pair."""
-        k = stage.index
-        new = [(p, t) for p, t in dict.fromkeys(pairs) if t is not TAIL_ONE]
-        if stage.poset.n != prev.poset.n + len(new):
-            return False
-        for p, t in new:
-            ci = stage.extension(p, t)
-            if ci is None or \
-                    (stage.parent[ci], stage.conditions[ci][k - 1]) != (p, t):
-                return False
-        return True
 
     def test_make_context_builds_no_stage_on_the_sweep(
             self, default_sweep, monkeypatch):
@@ -2229,34 +2295,81 @@ class TestSharedQuotientStages:
 
     def test_a_forced_build_equals_the_shared_stage(
             self, default_sweep, monkeypatch):
-        # a replace copy of prev starts with an empty child map, so
-        # extend_stage builds the stage from the pairs
+        # the placed pairs, first placements in order, are the shared
+        # stage's new conditions in order, and the stage the pairwise
+        # oracle builds from them equals the shared stage in every field
         calls = self.quotient_builds(default_sweep, monkeypatch)
         assert len(calls) == 608
-        for prev, steps, caps, tails, shared in calls:
-            fresh = extend_stage(replace(prev), steps, caps, tails)
-            assert fresh is not shared
-            assert self.fields_of(fresh) == self.fields_of(shared)
-            assert self.finds_every_pair(fresh, prev, tails)
+        shared = {}
+        for prev, steps, pairs, stage in calls:
+            k, n = prev.poset.n, prev.index
+            new = [(p, t) for p, t in dict.fromkeys(pairs) if t is not TAIL_ONE]
+            assert new == [(stage.parent[ci], stage.conditions[ci][n])
+                           for ci in range(k, stage.poset.n)]
+            conds = [prev.conditions[p] + (TAIL_ONE,) * (
+                n - len(prev.conditions[p])) + (t,) for p, t in new]
+            shared[id(stage)] = (prev, steps, conds, stage)
+        assert len(shared) == 15
+        for prev, steps, conds, stage in shared.values():
+            fresh = stage_from_conditions(prev, steps,
+                                          [*prev.conditions, *conds])
+            assert self.fields_of(fresh) == self.fields_of(stage)
 
-    def test_other_pairs_build_a_fresh_stage(self, default_sweep, monkeypatch):
-        calls = self.quotient_builds(default_sweep, monkeypatch)
+    def test_dropped_pairs_refused_and_swapped_pairs_placed(
+            self, default_sweep, monkeypatch):
+        # at each level that decodes tails off pi_prime, a decoder that
+        # sends the first new condition's pair to its prefix leaves that
+        # condition no image, which make_context refuses; one that swaps
+        # two tails under that prefix still places every pair, and pi
+        # carries the two conditions' preimages across
+        decode = projection._tail_image
+        plant = {}
+
+        def planted(prev_level, prev_src, steps_q, qprefix, tail):
+            qtail = decode(prev_level, prev_src, steps_q, qprefix, tail)
+            if (prev_level.beta + 1, qprefix) == plant.get("at"):
+                return plant["tails"].get(qtail, qtail)
+            return qtail
+
+        def fresh(it, alpha, gi):
+            return make_context(replace(it, stages=list(it.stages)), alpha, gi)
+
+        monkeypatch.setattr(projection, "_tail_image", planted)
         dropped = swapped = 0
-        for prev, steps, caps, tails, shared in calls:
-            new = [t for t in dict.fromkeys(tails) if t[1] is not TAIL_ONE]
-            variants = []
-            if new:
-                variants.append(new[1:])
-                dropped += 1
-            if len(new) > 1:
-                variants.append([new[1], new[0], *new[2:]])
-                swapped += 1
-            for pairs in variants:
-                got = extend_stage(prev, steps, caps, pairs)
-                assert got is not shared
-                assert self.finds_every_pair(got, prev, pairs)
-        # 373 of the 608 levels admit no new pair
-        assert dropped == swapped == 235
+        for _, it in default_sweep:
+            for alpha in range(1, len(it) - 1):
+                for gi in range(len(it.stages[alpha].generics)):
+                    plant.clear()
+                    ctx = fresh(it, alpha, gi)
+                    for beta in range(alpha + 2, len(it) + 1):
+                        level = ctx.levels[beta]
+                        stage = level.stage
+                        k = ctx.levels[beta - 1].stage.poset.n
+                        if stage.poset.n == k:
+                            continue
+                        p = stage.parent[k]
+                        tail_of = {ci: stage.conditions[ci][beta - alpha - 1]
+                                   for ci in range(k, stage.poset.n)
+                                   if stage.parent[ci] == p}
+                        plant.update(at=(beta, p),
+                                     tails={tail_of[k]: TAIL_ONE})
+                        with pytest.raises(ProjectionError, match=(
+                                f"quotient condition {k} at level {beta} is "
+                                "no condition's image")):
+                            fresh(it, alpha, gi)
+                        dropped += 1
+                        a, b = list(tail_of)[:2]
+                        plant["tails"] = {tail_of[a]: tail_of[b],
+                                          tail_of[b]: tail_of[a]}
+                        flip = {a: b, b: a}
+                        assert fresh(it, alpha, gi).levels[beta].pi == [
+                            flip.get(i, i) for i in level.pi]
+                        swapped += 1
+                    plant.clear()
+        # every such level is a final one, with two new conditions or more
+        # under its first one's prefix
+        assert dropped == swapped == 69
+
 
 class TestLemma13Cuts:
     def test_the_computed_cut_is_the_cut_table(self, default_sweep):

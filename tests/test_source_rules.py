@@ -359,7 +359,7 @@ def test_every_stage_write_is_found():
     # reading a stage, writing a level's or an iteration's attribute, or a
     # class's own fields, is no write of a stage
     source = "\n".join([
-        "qstage = extend_stage(prev, steps, caps, tails)",
+        "qstage = extend_stage(prev, steps, caps)",
         "gens = level.stage.generics",
         "level.stage = qstage",
         "it.stages[2] = qstage",
