@@ -446,7 +446,7 @@ def _cifs_provider(config: ExperimentConfig) -> CifsProvider:
         ladder = [(int(r), int(m)) for r, _, m in rungs]
     except ValueError:
         raise ValueError(f"cifs ladder {config.cifs_ladder!r} is not rank:m,...") from None
-    return CifsProvider(formulas, ladder, config.caps())
+    return CifsProvider(formulas, ladder)
 
 
 def check_config(config: ExperimentConfig) -> None:
@@ -505,7 +505,7 @@ def cifs_dependence_probe(caps: Caps, instance: str = "cifs") -> SuiteReport:
     rep = SuiteReport()
     psi = parse_formula(
         "exists y (y in x) & forall y (y in x -> exists z (z in y & exists w (w in z)))")
-    provider = CifsProvider([psi], [(1, 2), (6, 3)], caps)
+    provider = CifsProvider([psi], [(1, 2), (6, 3)])
     # its own two rungs, under any --max-stages, as Corollary 15's rebuild
     iteration = build_iteration(provider, caps.with_(
         max_stage_conditions=16, max_stages=max(caps.max_stages, 2)),

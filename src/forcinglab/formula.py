@@ -10,8 +10,9 @@ Grammar (see :func:`parse_formula`):
                   | "exists" var "(" formula ")" | "forall" var "(" formula ")"
 
 Precedence: "!" binds tightest, then "&", then "|", then "->" (right
-associative).  Exists is the one quantifier node: the parser desugars
-"forall v (...)" into "!exists v (!...)".
+associative).  The parser builds no node it can spell with others: Exists
+is the one quantifier node, as "forall v (...)" desugars into
+"!exists v (!...)", and "a -> b" desugars into "!a | b".
 
 Structural queries (free and bound variables, constants, depth,
 quantifier-freeness) go through one traversal: ``_parts`` gives a node's
@@ -108,10 +109,6 @@ class Or(_Pair):
     __slots__ = ()
 
 
-class Implies(_Pair):
-    __slots__ = ()
-
-
 class Exists(Value):
     __slots__ = ("var", "body")
 
@@ -120,12 +117,13 @@ class Exists(Value):
         self.body = body
 
 
-Formula = Membership | Equality | Not | And | Or | Implies | Exists
+Formula = Membership | Equality | Not | And | Or | Exists
 
 
 # -- parsing --------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(->|[()!&|=]|\$\d+|[A-Za-z_][A-Za-z_0-9]*)")
+_KEYWORDS = ("in", "exists", "forall")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -134,8 +132,10 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
+            rest = text[pos:].lstrip()
+            if rest:
+                raise FormulaSyntaxError(f"unexpected character {rest[0]!r}",
+                                         len(text) - len(rest))
             break
         out.append((m.group(1), m.start(1)))
         pos = m.end()
@@ -170,7 +170,7 @@ class _Parser:
         left = self.disjunct()
         if self.peek() == "->":
             self.take()
-            return Implies(left, self.implies())
+            return Or(Not(left), self.implies())
         return left
 
     def disjunct(self) -> Formula:
@@ -194,9 +194,10 @@ class _Parser:
             return Not(self.unary())
         if tok in ("exists", "forall"):
             self.take()
+            at = self.pos()
             var = self.take()
-            if not var or not var[0].isalpha():
-                raise FormulaSyntaxError("expected a variable after quantifier", self.pos())
+            if not var[0].isalpha() or var in _KEYWORDS:
+                raise FormulaSyntaxError("expected a variable after quantifier", at)
             self.take("(")
             body = self.formula()
             self.take(")")
@@ -228,14 +229,15 @@ class _Parser:
         if tok.startswith("$"):
             self.take()
             return Const(int(tok[1:]))
-        if tok[0].isalpha() and tok not in ("in", "exists", "forall"):
+        if tok[0].isalpha() and tok not in _KEYWORDS:
             self.take()
             return Var(tok)
         raise FormulaSyntaxError(f"expected a term, found {tok!r}", self.pos())
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse a formula; "forall" desugars to not-exists-not."""
+    """Parse a formula; "forall" desugars to not-exists-not, "a -> b" to
+    "!a | b"."""
     p = _Parser(text)
     f = p.formula()
     if p.peek() is not None:
@@ -252,7 +254,7 @@ def _parts(f: Formula) -> tuple[Formula, ...]:
         return ()
     if isinstance(f, (Not, Exists)):
         return (f.body,)
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, (And, Or)):
         return (f.left, f.right)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -264,7 +266,7 @@ def _walk(f: Formula) -> Iterator[Formula]:
         yield from _walk(sub)
 
 
-_INFIX = {And: "&", Or: "|", Implies: "->"}
+_INFIX = {And: "&", Or: "|"}
 
 
 def to_text(f: Formula) -> str:
@@ -363,9 +365,6 @@ def eval_classical(f: Formula, universe: Sequence, constants_env: Sequence,
                 and eval_classical(f.right, universe, constants_env, env))
     if isinstance(f, Or):
         return (eval_classical(f.left, universe, constants_env, env)
-                or eval_classical(f.right, universe, constants_env, env))
-    if isinstance(f, Implies):
-        return (not eval_classical(f.left, universe, constants_env, env)
                 or eval_classical(f.right, universe, constants_env, env))
     if isinstance(f, Exists):
         for x in universe:

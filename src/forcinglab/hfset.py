@@ -2,16 +2,11 @@
 
 code({}) = 0 and code(x) = sum of 2**code(y) over y in x, so extensionally
 equal sets share one interned object and compare by a single int.
-
-The encodings of small naturals are cached per argument for the life of
-the process: :func:`numeral`, :func:`chain` and :func:`element_code`, the
-last bounded by its 64 encodable ids.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Iterable
 
 _pool: dict[int, "HFSet"] = {}
@@ -56,7 +51,6 @@ class HFSet:
 EMPTY = HFSet()
 
 
-@lru_cache(maxsize=None)
 def numeral(k: int) -> HFSet:
     """von Neumann numeral: k = {0, 1, ..., k-1}."""
     if k == 0:
@@ -71,13 +65,11 @@ def numeral_value(x: HFSet) -> int | None:
     return k if x == numeral(k) else None
 
 
-@lru_cache(maxsize=None)
 def chain(i: int) -> HFSet:
     """i-fold singleton over the empty set."""
     return EMPTY if i == 0 else HFSet((chain(i - 1),))
 
 
-@lru_cache(maxsize=None)
 def element_code(e: int) -> HFSet:
     """Flat injective encoding of a small natural as a set of chains, one per
     set bit.  Unlike numerals this keeps Ackermann codes small (ids < 64)."""

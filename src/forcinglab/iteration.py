@@ -494,8 +494,7 @@ class CifsProvider(StepProvider):
     structures.
     """
 
-    def __init__(self, formulas: Sequence[Formula], ladder: Sequence[tuple[int, int]],
-                 caps: Caps = DEFAULT_CAPS):
+    def __init__(self, formulas: Sequence[Formula], ladder: Sequence[tuple[int, int]]):
         for f in formulas:
             fv = free_variables(f)
             if len(fv) != 1:
@@ -519,7 +518,6 @@ class CifsProvider(StepProvider):
         self.free_vars = [next(iter(free_variables(f))) for f in formulas]
         self.ladder = list(ladder)
         self.stage_count = len(ladder)
-        self.caps = caps
         self.info: dict[tuple[int, tuple], CifsStepInfo] = {}
 
     def _generic_debris(self, path: tuple) -> list[HFSet]:

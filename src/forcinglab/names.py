@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 from .boolalg import AlgebraError, BoolAlgebra
 from .config import CapExceeded, Value
 from .formula import (And, Const, Equality, Exists, Formula,
-                      FormulaError, Implies, Membership, Not, Or, Term,
+                      FormulaError, Membership, Not, Or, Term,
                       eval_classical, free_variables)
 from .hfset import HFSet
 
@@ -341,9 +341,6 @@ class TruthSession:
             return A.meet(self.value(f.left, env), self.value(f.right, env))
         if isinstance(f, Or):
             return A.join(self.value(f.left, env), self.value(f.right, env))
-        if isinstance(f, Implies):
-            return A.join(A.complement(self.value(f.left, env)),
-                          self.value(f.right, env))
         if isinstance(f, Exists):
             return A.sum(self.value(f.body, {**env, f.var: n})
                          for n in self.universe.names)

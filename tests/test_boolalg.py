@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from forcinglab.boolalg import (AlgebraError, boolean_law_violations,
+from forcinglab.boolalg import (AlgebraError, BoolAlgebra,
+                                boolean_law_violations,
                                 certify_complete_hom, check_complete_hom,
                                 dense_embedding_violations, ro_algebra)
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
@@ -98,6 +99,10 @@ class TestProductSum:
         with pytest.raises(AlgebraError):
             self.A.sum([0b101010])
 
+    def test_foreign_cut_rejected_by_product(self):
+        with pytest.raises(AlgebraError, match="0x2a is not an element"):
+            self.A.product([self.ua, 0b101010])
+
     def test_family_ops_agree_with_binary_folds(self):
         for p in all_separative_posets(5):
             A = ro_algebra(p)
@@ -108,12 +113,85 @@ class TestProductSum:
                 assert A.sum(fam) == want_join
 
 
+class LeftMeet(BoolAlgebra):
+    def meet(self, a, b):
+        return a
+
+
+class LeftJoin(BoolAlgebra):
+    def join(self, a, b):
+        return a
+
+
+class NandMeet(BoolAlgebra):
+    def meet(self, a, b):
+        return self.one ^ (a & b)
+
+
+class NorJoin(BoolAlgebra):
+    def join(self, a, b):
+        return self.one ^ (a | b)
+
+
+class ZeroComplement(BoolAlgebra):
+    def complement(self, a):
+        return 0
+
+
+class TopPrincipal(BoolAlgebra):
+    def principal(self, p):
+        return self.one
+
+
+# each algebra with one wrong operation, and the laws it breaks
+BROKEN_LAWS = {
+    LeftMeet: {"complement-meet", "meet-commutativity", "de-morgan-meet",
+               "de-morgan-join"},
+    LeftJoin: {"complement-join", "join-commutativity", "de-morgan-meet",
+               "de-morgan-join"},
+    NandMeet: {"complement-meet", "meet-associativity", "distributivity",
+               "absorption-meet", "absorption-join", "de-morgan-meet",
+               "de-morgan-join"},
+    NorJoin: {"complement-join", "join-associativity", "distributivity",
+              "absorption-meet", "absorption-join", "de-morgan-meet",
+              "de-morgan-join"},
+    ZeroComplement: {"double-complement", "complement-join"},
+    TopPrincipal: set(),
+}
+
+
 class TestLawSuite:
     def test_all_small_separative_algebras_satisfy_the_laws(self):
         for p in all_separative_posets(5):
             A = ro_algebra(p)
             assert boolean_law_violations(A) == []
             assert dense_embedding_violations(A) == []
+
+    @pytest.mark.parametrize("broken", BROKEN_LAWS, ids=lambda c: c.__name__)
+    def test_a_wrong_operation_breaks_its_laws(self, broken):
+        A = broken(antichain_with_top(2))
+        assert {v[0] for v in boolean_law_violations(A)} == BROKEN_LAWS[broken]
+
+    def test_every_law_has_a_known_bad(self):
+        assert set().union(*BROKEN_LAWS.values()) == {
+            "double-complement", "complement-meet", "complement-join",
+            "meet-commutativity", "join-commutativity", "de-morgan-meet",
+            "de-morgan-join", "absorption-meet", "absorption-join",
+            "meet-associativity", "join-associativity", "distributivity"}
+
+    def test_a_zero_complement_names_each_failing_element(self):
+        A = ZeroComplement(antichain_with_top(2))
+        assert boolean_law_violations(A) == [
+            ("complement-join", 0), ("double-complement", 1),
+            ("complement-join", 1), ("double-complement", 2),
+            ("complement-join", 2), ("double-complement", 3)]
+
+    def test_principals_at_the_top_are_not_dense(self):
+        # only one lies above a principal element, so every other nonzero
+        # element is flagged
+        A = TopPrincipal(antichain_with_top(2))
+        assert dense_embedding_violations(A) == [1, 2]
+        assert dense_embedding_violations(ro_algebra(A.base)) == []
 
 
 class TestCompleteHom:
@@ -147,6 +225,11 @@ class TestCompleteHom:
         with pytest.raises(CapExceeded):
             check_complete_hom({c: c for c in big.elements}, big, big,
                                family_cap=8)
+
+    def test_foreign_image_rejected(self):
+        with pytest.raises(AlgebraError, match="of the target algebra"):
+            check_complete_hom({x: 1 << 10 for x in self.A.elements},
+                               self.A, self.A)
 
     def test_atom_collapse_breaks_sums(self):
         # send both atoms to the same atom: the sum of the two atoms lands

@@ -2,9 +2,11 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,8 @@ import algebra_oracle
 from generation_oracle import (generate_instances_exhaustive,
                                tree_canon_per_automorphism)
 from test_iteration import stage_facts
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestPosetTextFormat:
@@ -569,6 +573,7 @@ class TestRunReports:
         ["--cifs-ladder", "x"], ["--cifs-ladder", "2:3,1:2"],
         ["--cifs-ladder", "1:9"], ["--cifs-ladder", "6:2"],
         ["--cifs-formulas", "z in x"], ["--cifs-formulas", "x in ("],
+        ["--cifs-formulas", "x in y #"],
         ["--max-stages", "-1"], ["--max-poset", "-1"],
         ["--max-poset", "10"], ["--max-stage-conditions", "0"],
         # the report cannot be written: an OSError after the suites ran
@@ -941,11 +946,16 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
+    out = tmp_path / "r.jsonl"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "forcinglab.cli", "run", "--suite", "lemma1",
          "--max-poset", "2", "--max-stages", "1", "--seed", "0",
-         "--out", "/tmp/forcinglab-entry-test.jsonl"],
-        capture_output=True, text=True, timeout=120)
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "lemma1" in proc.stdout
+    assert out.exists()

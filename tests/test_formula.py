@@ -1,9 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from forcinglab.formula import (And, BoundVariableError, Const, Equality,
                                 Exists, Formula, FormulaError,
-                                FormulaSyntaxError, Implies, Membership, Not,
+                                FormulaSyntaxError, Membership, Not,
                                 Or, Var, bound_variables, constants, depth,
                                 eval_classical, free_variables,
                                 is_quantifier_free, parse_formula, substitute,
@@ -36,16 +38,39 @@ class TestParsing:
 
     def test_precedence(self):
         f = parse_formula("x = y & y = z -> x = z")
-        assert isinstance(f, Implies)
-        assert isinstance(f.left, And)
+        assert isinstance(f, Or) and isinstance(f.left, Not)
+        assert isinstance(f.left.body, And)
 
     def test_implication_right_associative(self):
         f = parse_formula("x = x -> y = y -> z = z")
-        assert isinstance(f.right, Implies)
+        assert isinstance(f.right, Or) and isinstance(f.right.left, Not)
+
+    def test_implication_desugars(self):
+        x_in_y, y_in_x = (Membership(Var(a), Var(b)) for a, b in ("xy", "yx"))
+        x_eq_y = Equality(Var("x"), Var("y"))
+        assert parse_formula("x in y -> y in x -> x = y") == Or(
+            Not(x_in_y), Or(Not(y_in_x), x_eq_y))
+        assert parse_formula("x in y & y = x -> x = y") == Or(
+            Not(And(x_in_y, Equality(Var("y"), Var("x")))), x_eq_y)
 
     def test_junk_after_formula(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("x in y y")
+
+    @pytest.mark.parametrize("text,message", [
+        ("x in y #", "unexpected character '#' at offset 7"),
+        ("(x in y", "unexpected end of input at offset 7"),
+        ("exists x x in y", "expected '(', found 'x' at offset 9"),
+        ("exists ( (x in y)", "expected a variable after quantifier at offset 7"),
+        ("forall in (x in y)", "expected a variable after quantifier at offset 7"),
+        ("x y", "expected 'in' or '=' after term at offset 2"),
+    ])
+    def test_syntax_error_names_where_it_stopped(self, text, message):
+        with pytest.raises(FormulaSyntaxError, match=re.escape(message)):
+            parse_formula(text)
+
+    def test_trailing_blank_parses(self):
+        assert parse_formula("x in y ") == parse_formula("x in y")
 
 
 FORM_TEXTS = [
@@ -78,16 +103,16 @@ def formulas(draw, depth_left=3):
     if depth_left == 0:
         cls = draw(st.sampled_from([Membership, Equality]))
         return cls(draw(terms), draw(terms))
-    kind = draw(st.integers(0, 5))
+    kind = draw(st.integers(0, 4))
     if kind <= 1:
         cls = [Membership, Equality][kind]
         return cls(draw(terms), draw(terms))
     if kind == 2:
         return Not(draw(formulas(depth_left=depth_left - 1)))
-    if kind == 5:
+    if kind == 4:
         return Exists(draw(st.sampled_from(["x", "y", "v"])),
                       draw(formulas(depth_left=depth_left - 1)))
-    cls = [And, Or, Implies][kind - 3]
+    cls = [And, Or][kind - 3]
     return cls(draw(formulas(depth_left=depth_left - 1)),
                draw(formulas(depth_left=depth_left - 1)))
 
@@ -158,8 +183,12 @@ class TestClassicalEvaluation:
         with pytest.raises(FormulaError):
             eval_classical(parse_formula("$5 = $5"), self.universe, [])
 
+    def test_unbound_variable(self):
+        with pytest.raises(FormulaError, match="unbound variable 'x'"):
+            eval_classical(parse_formula("x in $0"), self.universe, [self.one])
 
-# Formulas that together use all seven node types, each with its expected
+
+# Formulas that together use all six node types, each with its expected
 # canonical text, depth, bound variables, constants, free variables,
 # quantifier-freeness and one substitution (var, k, result text, or the
 # error it raises).
@@ -176,7 +205,7 @@ NODE_TABLE = [
      "(x = $2) | (!(exists v (v in x)))", 3, {"v"}, {2}, {"x"}, False,
      ("x", 0, "($0 = $2) | !(exists v (v in $0))")),
     ("(x in y) -> (exists a (exists b ((a in b) & (b = $3))))",
-     "(x in y) -> (exists a (exists b ((a in b) & (b = $3))))", 4,
+     "(!(x in y)) | (exists a (exists b ((a in b) & (b = $3))))", 4,
      {"a", "b"}, {3}, {"x", "y"}, False,
      ("y", 1, "(x in $1) -> (exists a (exists b ((a in b) & (b = $3))))")),
     ("forall z ((z in x) | (z = x))",
@@ -197,11 +226,11 @@ class TestEveryNodeType:
             for attr in ("body", "left", "right"):
                 sub = getattr(f, attr, None)
                 if isinstance(sub, (Membership, Equality, Not, And, Or,
-                                    Implies, Exists)):
+                                    Exists)):
                     visit(sub)
         for row in NODE_TABLE:
             visit(parse_formula(row[0]))
-        assert seen == {Membership, Equality, Not, And, Or, Implies, Exists}
+        assert seen == {Membership, Equality, Not, And, Or, Exists}
 
     @pytest.mark.parametrize("row", NODE_TABLE, ids=[r[0] for r in NODE_TABLE])
     def test_helpers(self, row):

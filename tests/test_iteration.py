@@ -285,6 +285,22 @@ class TestCanonicalization:
             (((0, 0),), ((0, 1), (1, 0))), self.it, 2)
         assert cond == (((0, 0),), ((0, 1),))
 
+    @pytest.mark.parametrize("table,raw,message", [
+        ({(0,): A2, (1,): A2}, (TAIL_ONE,) * 3,
+         "condition has 3 coordinates at stage 2"),
+        ({(0,): A2}, (TAIL_ONE, ((0, 0), (1, 0))),
+         "stage 1 has no step poset under generic 1"),
+        ({(0,): A2, (1,): A2}, (TAIL_ONE, ((0, 0),)),
+         "tail map missing generic 1"),
+        ({(0,): A2, (1,): A2}, (TAIL_ONE, ((0, 0), (1, 3))),
+         "tail value 3 outside step poset under generic 1"),
+    ], ids=["too-long", "no-step-poset", "missing-generic", "off-the-poset"])
+    def test_a_raw_condition_off_the_stage_is_refused(self, table, raw,
+                                                       message):
+        it = build_iteration(TableProvider([{(): A2}, table]))
+        with pytest.raises(ValueError, match=message):
+            canonicalize_condition(raw, it, 2)
+
     def test_names_with_equal_evaluations_share_a_condition(self):
         A = ro_algebra(self.s1.poset, max_base=self.s1.poset.n)
         gens = self.s1.generics

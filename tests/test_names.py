@@ -9,7 +9,7 @@ import pytest
 import forcinglab
 from forcinglab.boolalg import AlgebraError, ro_algebra
 from forcinglab.config import replace
-from forcinglab.formula import parse_formula
+from forcinglab.formula import FormulaError, parse_formula
 from forcinglab.generic import enumerate_generics, forces
 from forcinglab.hfset import (EMPTY, HFSet, chain, element_code,
                               encode_function, kpair, kpair_value,
@@ -279,6 +279,18 @@ class TestTruthValues:
         from forcinglab.formula import FormulaError
         with pytest.raises(FormulaError):
             truth_value(parse_formula("x in $0"), self.univ)
+
+    def test_value_refuses_a_term_it_cannot_read(self):
+        past = len(self.univ)
+        with pytest.raises(FormulaError, match=fr"constant \${past} outside "
+                                               "the active universe"):
+            self.sess.value(parse_formula(f"${past} in $0"))
+        with pytest.raises(FormulaError,
+                           match=r"constant \$1 outside the supplied tuple"):
+            self.sess.with_constants([self.y]).value(parse_formula("$1 in $0"))
+        with pytest.raises(FormulaError,
+                           match="open formula: unbound variable 'x'"):
+            self.sess.value(parse_formula("x in $0"))
 
     def test_implication_is_the_join_of_its_negated_premise(self):
         # a -> b against !a | b at every triple of a rank-1 universe, and
