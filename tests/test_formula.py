@@ -103,13 +103,13 @@ def formulas(draw, depth_left=3):
     if depth_left == 0:
         cls = draw(st.sampled_from([Membership, Equality]))
         return cls(draw(terms), draw(terms))
-    kind = draw(st.integers(0, 4))
+    kind = draw(st.integers(0, 5))
     if kind <= 1:
         cls = [Membership, Equality][kind]
         return cls(draw(terms), draw(terms))
     if kind == 2:
         return Not(draw(formulas(depth_left=depth_left - 1)))
-    if kind == 4:
+    if kind == 5:
         return Exists(draw(st.sampled_from(["x", "y", "v"])),
                       draw(formulas(depth_left=depth_left - 1)))
     cls = [And, Or][kind - 3]
