@@ -33,7 +33,7 @@ from .projection import (ProjectionError, factor_generic, limit_clause_skip,
                          make_context, verify_corollary15,
                          verify_lemma20_analogue, verify_projection_lemmas,
                          verify_theorem2)
-from .report import SuiteReport, encode_line, merge_reports
+from .report import SuiteReport, encode_line
 
 # the last, "all", runs every suite before it
 SUITES = ("lemma1", "theorem2", "projection-lemmas", "theorem16",
@@ -530,58 +530,53 @@ def cifs_dependence_probe(caps: Caps, instance: str = "cifs") -> SuiteReport:
 def execute(config: ExperimentConfig) -> tuple[SuiteReport, dict]:
     t0 = time.time()
     suites = SUITES[:-1] if config.suite == "all" else (config.suite,)
-    reports = []
-    census = {"instances": 0, "partial_instances": 0, "contexts": 0}
+    report = SuiteReport()
     table_suites = [s for s in suites if s != "cifs"]
-    failing_payloads: dict[str, str] = {}
-    if table_suites:
-        instances = generate_instances(config)
-        census["instances"] = len(instances)
+    instances = generate_instances(config) if table_suites else []
+    census = {
+        "instances": len(instances),
         # a partial instance keeps its parent's stages, so the capped table
         # assignments below one prefix share a canonical form: this counts
         # distinct partial prefixes, not capped assignments
-        census["partial_instances"] = sum(1 for s, _ in instances if s.partial)
-        census["contexts"] = sum(
-            len(it.stages[a].generics)
-            for _, it in instances for a in range(1, len(it) + 1))
-        for spec, iteration in instances:
-            reports.extend(run_suite(s, spec, iteration, config) for s in table_suites)
-            # contexts are only reused within one instance
-            iteration.context_cache.clear()
-        by_id = {spec.instance_id: spec for spec, _ in instances}
-        for rep in reports:
-            for c in rep.failures:
-                spec = by_id.get(c.instance)
-                if spec is not None:
-                    failing_payloads[c.instance] = format_provider_tables(spec)
-        if "projection-lemmas" in table_suites and instances:
-            reports.append(limit_clause_skip())
+        "partial_instances": sum(1 for s, _ in instances if s.partial),
+        "contexts": sum(len(it.stages[a].generics)
+                        for _, it in instances for a in range(1, len(it) + 1)),
+    }
+    for spec, iteration in instances:
+        for s in table_suites:
+            report.extend(run_suite(s, spec, iteration, config))
+        # contexts are only reused within one instance
+        iteration.context_cache.clear()
+    if "projection-lemmas" in table_suites and instances:
+        report.extend(limit_clause_skip())
     if "cifs" in suites:
-        reports.append(run_cifs_suite(config))
-    merged = merge_reports(reports)
+        report.extend(run_cifs_suite(config))
+    by_id = {spec.instance_id: spec for spec, _ in instances}
+    failures = report.failures
     meta = {
         "config": config.echo(),
         "census": census,
-        "counts": merged.counts(),
-        "counterexamples": sorted(
-            c.counterexample_id for c in merged.failures),
-        "payloads": failing_payloads,
+        "counts": report.counts(),
+        "counterexamples": sorted(c.counterexample_id for c in failures),
+        "payloads": {c.instance: format_provider_tables(by_id[c.instance])
+                     for c in failures if c.instance in by_id},
         "elapsed_seconds": round(time.time() - t0, 3),
     }
-    return merged, meta
+    return report, meta
 
 
 def write_report(report: SuiteReport, meta: dict, out_path: str):
-    lines = [encode_line({"kind": "meta", "config": meta["config"],
-                          "census": meta["census"]})]
-    lines.append(report.to_jsonl())
-    for iid in sorted(meta.get("payloads", {})):
-        lines.append(encode_line({"kind": "instance", "instance": iid,
-                                  "tables": meta["payloads"][iid]}))
-    lines.append(encode_line({"kind": "summary", "counts": meta["counts"],
-                              "counterexamples": meta["counterexamples"]}))
+    """The meta line, the check lines, one line per failing instance's
+    payload and the summary line, each written as it is encoded."""
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(line for line in lines if line) + "\n")
+        fh.write(encode_line({"kind": "meta", "config": meta["config"],
+                              "census": meta["census"]}) + "\n")
+        fh.writelines(line + "\n" for line in report.to_jsonl())
+        for iid in sorted(meta.get("payloads", {})):
+            fh.write(encode_line({"kind": "instance", "instance": iid,
+                                  "tables": meta["payloads"][iid]}) + "\n")
+        fh.write(encode_line({"kind": "summary", "counts": meta["counts"],
+                              "counterexamples": meta["counterexamples"]}) + "\n")
 
 
 def human_summary(report: SuiteReport, meta: dict) -> str:
@@ -689,7 +684,7 @@ def main(argv: list[str] | None = None) -> int:
         report, meta = execute(config)
         write_report(report, meta, config.out)
         print(human_summary(report, meta))
-        return 0 if not report.failures else 1
+        return 1 if meta["counterexamples"] else 0
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 # the counterexample id's blob keeps the default separators, so ids do not move
 _encode = json.JSONEncoder(sort_keys=True, default=str).encode
@@ -97,14 +97,17 @@ class SuiteReport:
             out[c.status] += 1
         return out
 
-    def to_jsonl(self) -> str:
+    def to_jsonl(self) -> Iterator[str]:
+        """The check lines, without their newlines, in report order: sorted
+        here, and each encoded as it is read, so no copy of the whole
+        report is built."""
         # each context is encoded once, to sort on and to write; the compact
         # encoding orders contexts as the default one does: the two differ
         # only by a space after a structural "," or ":", and the first
         # position where two encodings differ is never such a space
         rows = sorted((c.instance, c.suite, c.check, encode_line(c.context), i)
                       for i, c in enumerate(self.checks))
-        return "\n".join(self.checks[i].to_json(ctx) for *_, ctx, i in rows)
+        return (self.checks[i].to_json(ctx) for *_, ctx, i in rows)
 
 
 def merge_reports(reports: Iterable[SuiteReport]) -> SuiteReport:

@@ -489,6 +489,19 @@ class TestRunReports:
         assert kinds[0] == "meta" and kinds[-1] == "summary"
         assert kinds.count("check") == len(report.checks)
 
+    def test_a_report_with_no_check_lines_is_meta_and_summary(self, tmp_path):
+        # no stage, so lemma 1 has nothing to check on the one instance
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--suite", "lemma1", "--max-stages", "0",
+                     "--out", str(out)]) == 0
+        meta, summary, end = out.read_text(encoding="utf-8").split("\n")
+        assert end == ""
+        assert json.loads(meta)["census"] == {
+            "instances": 1, "partial_instances": 0, "contexts": 0}
+        assert json.loads(summary) == {
+            "kind": "summary", "counterexamples": [],
+            "counts": {"pass": 0, "fail": 0, "skip": 0}}
+
     def test_clean_run_exit_zero(self, tmp_path):
         rc = main(["run", "--suite", "lemma1", "--max-poset", "3",
                    "--max-stages", "1", "--seed", "1",
@@ -585,6 +598,14 @@ class TestRunReports:
                    "--max-stages", "1", "--out", str(out)] + flags)
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_a_ladder_rung_below_one_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--suite", "cifs", "--cifs-ladder", "1:0",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: ladder cardinal surrogate must be >= 1\n"
         assert not out.exists()
 
     def test_bad_values_stop_a_run_before_the_sweep(self, tmp_path,

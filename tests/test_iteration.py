@@ -91,6 +91,10 @@ class TestCollapse:
                 assert is_separative(poset)
                 assert conds[poset.top] == frozenset()
 
+    def test_a_target_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^collapse target must be >= 1$"):
+            collapse_poset(CollapseSpec((0, 1), 0))
+
     def test_order_is_reverse_inclusion(self):
         poset, conds = collapse_poset(CollapseSpec((0, 1), 3))
         for i, p in enumerate(conds):

@@ -292,6 +292,11 @@ class TestTruthValues:
                            match="open formula: unbound variable 'x'"):
             self.sess.value(parse_formula("x in $0"))
 
+    def test_value_refuses_a_non_formula(self):
+        term = parse_formula("$0 in $0").left
+        with pytest.raises(TypeError, match="^not a formula: "):
+            self.sess.value(term)
+
     def test_implication_is_the_join_of_its_negated_premise(self):
         # a -> b against !a | b at every triple of a rank-1 universe, and
         # against the values of a and b themselves

@@ -381,7 +381,9 @@ class TestOrderMemo:
         ((0b101, 0b11), 1, None, "dangling element bits below 0"),
         ((0b001, 0b011, 0b110), 2, None, "relation is not transitive at 1 <= 2"),
         ((0b01, 0b11), 1, ["a"], "label count does not match element count"),
-    ], ids=["not-reflexive", "dangling-bits", "not-transitive", "label-count"])
+        ((), 0, None, "poset needs at least one element"),
+    ], ids=["not-reflexive", "dangling-bits", "not-transitive", "label-count",
+            "no-elements"])
     def test_invalid_rows_or_labels_are_refused(self, below, top, labels,
                                                 message):
         with pytest.raises(PosetError) as raised:

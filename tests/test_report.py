@@ -98,4 +98,4 @@ def test_to_jsonl_keeps_the_default_order():
     for ctx in reversed(CONTEXTS):
         rep.record("theorem2", "item1-complete-hom", "it-1", True, ctx)
     want = sorted(rep.checks, key=lambda c: DEFAULT(c.context))
-    assert rep.to_jsonl() == "\n".join(c.to_json() for c in want)
+    assert list(rep.to_jsonl()) == [c.to_json() for c in want]
