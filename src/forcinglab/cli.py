@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -26,13 +27,13 @@ from .config import DEFAULT_CAPS, CapExceeded, Caps, fields
 from .formula import parse_formula
 from .iteration import (CifsProvider, CollapseSpec, Iteration, Stage,
                         TableProvider, build_iteration, check_lemma1,
-                        collapse_poset, extend_stage)
+                        cifs_dependence_probe, collapse_poset, extend_stage,
+                        verify_lemma20_analogue)
 from .poset import (PERM_MAX, Poset, PosetError, all_separative_posets,
                     validate_poset)
 from .projection import (ProjectionError, factor_generic, limit_clause_skip,
                          make_context, verify_corollary15,
-                         verify_lemma20_analogue, verify_projection_lemmas,
-                         verify_theorem2)
+                         verify_projection_lemmas, verify_theorem2)
 from .report import SuiteReport, encode_line
 
 # the last, "all", runs every suite before it
@@ -425,16 +426,9 @@ def run_suite(suite: str, spec: InstanceSpec, iteration: Iteration,
 
 
 def _closed_form_injection_count(n: int, m: int) -> int:
-    total = 0
-    for k in range(0, min(n, m - 1) + 1):
-        c = 1
-        for i in range(k):
-            c = c * (n - i) // (i + 1)
-        p = 1
-        for i in range(k):
-            p *= m - i
-        total += c * p
-    return total
+    """The partial injections of size < m from n points into m values."""
+    return sum(math.comb(n, k) * math.perm(m, k)
+               for k in range(min(n, m - 1) + 1))
 
 
 def _cifs_provider(config: ExperimentConfig) -> CifsProvider:
@@ -475,7 +469,7 @@ def run_cifs_suite(config: ExperimentConfig) -> SuiteReport:
             rep.record("cifs", f"collapse-count-{n}-{m}", "cifs",
                        poset.n == want, {}, {"got": poset.n, "want": want})
     # stage-dependence probe: a debris-admitting rung must see the collapse
-    rep.extend(cifs_dependence_probe(caps))
+    rep.extend(cifs_dependence_probe())
     try:
         iteration = build_iteration(_cifs_provider(config), caps,
                                     allow_partial=True)
@@ -496,31 +490,6 @@ def run_cifs_suite(config: ExperimentConfig) -> SuiteReport:
                 "cifs", "cifs", {"full_generic": gi},
                 lambda: factor_generic(iteration, 1, gi, caps=caps,
                                        instance="cifs")[2]))
-    return rep
-
-
-def cifs_dependence_probe(caps: Caps, instance: str = "cifs") -> SuiteReport:
-    """Build both stage-1 tables of a debris-admitting ladder and compare:
-    the witnessed structure must differ between the stage-0 generics."""
-    rep = SuiteReport()
-    psi = parse_formula(
-        "exists y (y in x) & forall y (y in x -> exists z (z in y & exists w (w in z)))")
-    provider = CifsProvider([psi], [(1, 2), (6, 3)])
-    # its own two rungs, under any --max-stages, as Corollary 15's rebuild
-    iteration = build_iteration(provider, caps.with_(
-        max_stage_conditions=16, max_stages=max(caps.max_stages, 2)),
-        allow_partial=True)
-    stage = iteration.stages[1]
-    for path in stage.paths:
-        provider.step(1, path)
-    infos = [provider.info[1, path] for path in stage.paths]
-    structures = {tuple(h.code for h in info.structure) for info in infos}
-    witnesses = {info.witnesses[0] for info in infos}
-    rep.record("cifs", "tables-differ-between-generics", instance,
-               len(structures) > 1 and len(witnesses) > 1, {},
-               {"structure_sizes": [len(i.structure) for i in infos],
-                "witness_is_generic_encoding": all(
-                    w is not None for w in witnesses)})
     return rep
 
 

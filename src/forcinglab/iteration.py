@@ -1,5 +1,6 @@
 """Finite-stage definable iterations, condition canonicalization, collapse
-posets and the toy rank-ladder iteration.
+posets and the toy rank-ladder iteration, with the two checks that read its
+step data: the stage-dependence probe and the Lemma 20 analogue.
 
 Conditions are stored in *function representation*: a stage-n condition is a
 tuple of n coordinates, where coordinate k is either the symbol ``TAIL_ONE``
@@ -24,7 +25,8 @@ from functools import cache, partial
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps, Value, lazy
-from .formula import Formula, FormulaError, eval_classical, free_variables
+from .formula import (Formula, FormulaError, eval_classical,
+                      free_variables, parse_formula)
 from .generic import GenericSet, enumerate_generics
 from .hfset import (HFSet, encode_function, numeral, rank_segment,
                     transitive_closure)
@@ -526,9 +528,8 @@ class CifsProvider(StepProvider):
         for j, choice in enumerate(path):
             if choice is None:
                 continue
-            info = self.info.get((j, path[:j]))
-            if info is None:
-                continue
+            # a path's step j is built before any later step is asked for
+            info = self.info[j, path[:j]]
             tup = info.element_tuples[choice]
             for comp_idx, cond_idx in enumerate(tup):
                 payload = info.payloads[comp_idx][cond_idx]
@@ -537,39 +538,99 @@ class CifsProvider(StepProvider):
                         (x, numeral(v)) for x, v in payload))
         return out
 
+    def _rung_structure(self, n: int, path: tuple
+                        ) -> tuple[tuple[HFSet, ...], list[HFSet | None]]:
+        """Rung n's structure under ``path``, and per formula its unique
+        witness there or None.  The structure is the extension's
+        materialized universe, the stage-0 ground fragment plus the
+        hereditary content of the collapse generics the path fixed, cut at
+        the rung's rank."""
+        ground = rank_segment(self.ladder[0][0])
+        universe = transitive_closure(
+            tuple(ground) + tuple(self._generic_debris(path)))
+        rank = self.ladder[n][0]
+        structure = tuple(x for x in universe if x.rank < rank)
+        witnesses: list[HFSet | None] = []
+        for f, var in zip(self.formulas, self.free_vars):
+            hits = [x for x in structure
+                    if eval_classical(f, structure, [], {var: x})]
+            witnesses.append(hits[0] if len(hits) == 1 else None)
+        return structure, witnesses
+
     def step(self, n: int, path: tuple) -> Poset | None:
         key = (n, path)
         if key in self.info:
             return self.info[key].poset
-        rank, m = self.ladder[n]
-        # the extension's materialized universe: the stage-0 ground fragment
-        # plus the hereditary content of the collapse generics fixed so far,
-        # cut at this rung's rank
-        ground = rank_segment(self.ladder[0][0])
-        debris = self._generic_debris(path)
-        universe = transitive_closure(tuple(ground) + tuple(debris))
-        structure = tuple(x for x in universe if x.rank < rank)
-        components: list[Poset] = []
-        payloads: list[list[frozenset]] = []
-        witnesses: list[HFSet | None] = []
-        p0, c0 = collapse_poset(CollapseSpec(structure, m))
-        components.append(p0)
-        payloads.append(c0)
-        for f, var in zip(self.formulas, self.free_vars):
-            hits = [x for x in structure
-                    if eval_classical(f, structure, [], {var: x})]
-            if len(hits) == 1:
-                witnesses.append(hits[0])
-                pc, cc = collapse_poset(CollapseSpec(tuple(hits[0].members), m))
-            else:
-                witnesses.append(None)
-                pc, cc = collapse_poset(CollapseSpec((), 1))
-            components.append(pc)
-            payloads.append(cc)
+        structure, witnesses = self._rung_structure(n, path)
+        m = self.ladder[n][1]
+        specs = [CollapseSpec(structure, m)] + [
+            CollapseSpec((), 1) if w is None
+            else CollapseSpec(tuple(w.members), m) for w in witnesses]
+        components, payloads = zip(*map(collapse_poset, specs))
         poset, tuples = product_poset(components)
-        self.info[key] = CifsStepInfo(poset, tuples, payloads, structure,
+        self.info[key] = CifsStepInfo(poset, tuples, list(payloads), structure,
                                       witnesses)
         return poset
+
+
+def cifs_dependence_probe(instance: str = "cifs") -> SuiteReport:
+    """Compare the rung-1 structures of a debris-admitting ladder under
+    the two stage-0 generics: the witnessed structure must differ."""
+    rep = SuiteReport()
+    psi = parse_formula(
+        "exists y (y in x) & forall y (y in x -> exists z (z in y & exists w (w in z)))")
+    provider = CifsProvider([psi], [(1, 2), (6, 3)])
+    # stage 1 alone, under caps of its own: no cap of the run reaches it
+    stage = extend_stage(root_stage(), [provider.step(0, ())], DEFAULT_CAPS)
+    rungs = [provider._rung_structure(1, path) for path in stage.paths]
+    structures = {tuple(h.code for h in structure) for structure, _ in rungs}
+    witnesses = {ws[0] for _, ws in rungs}
+    rep.record("cifs", "tables-differ-between-generics", instance,
+               len(structures) > 1 and len(witnesses) > 1, {},
+               {"structure_sizes": [len(structure) for structure, _ in rungs],
+                "witness_is_generic_encoding": all(
+                    w is not None for w in witnesses)})
+    return rep
+
+
+def verify_lemma20_analogue(iteration: Iteration, full_gen_index: int,
+                            instance: str = "adhoc") -> SuiteReport:
+    """Whenever a collapse component ran with |X| < m, the generic filter's
+    union is a total injection from X into {0..m-1}."""
+    rep = SuiteReport()
+    provider = iteration.provider
+    if not isinstance(provider, CifsProvider):
+        raise ProviderError("lemma 20 analogue needs a toy-iteration provider")
+    N = len(iteration)
+    path = iteration.stages[N].paths[full_gen_index]
+    for k in range(N):
+        if path[k] is None:
+            continue
+        # the final stage's path has N entries, and each step it names
+        # was built to build the next stage
+        info = provider.info[k, path[:k]]
+        _, m = provider.ladder[k]
+        tup = info.element_tuples[path[k]]
+        for comp, cond_idx in enumerate(tup):
+            payload = info.payloads[comp][cond_idx]
+            if comp == 0:
+                X = info.structure
+            else:
+                w = info.witnesses[comp - 1]
+                if w is None:
+                    continue
+                X = w.members
+            if len(X) >= m:
+                continue
+            dom = {x for x, _ in payload}
+            vals = [v for _, v in payload]
+            total = dom == set(X)
+            injective = len(set(vals)) == len(vals) and all(0 <= v < m for v in vals)
+            rep.record("cifs", f"lemma20-stage{k}-component{comp}", instance,
+                       total and injective,
+                       {"stage": k, "component": comp, "generic": full_gen_index},
+                       {"X": len(X), "m": m, "union_size": len(payload)})
+    return rep
 
 
 # -- stagewise separativity -------------------------------------------------

@@ -46,9 +46,8 @@ from collections.abc import Iterator, Mapping, Sequence
 from .boolalg import BoolAlgebra, HomReport, certify_complete_hom, ro_algebra
 from .config import Caps, lazy
 from .generic import GenericSet, is_filter
-from .iteration import (TAIL_ONE, CifsProvider, Coordinate, Iteration, Stage,
-                        StepProvider, build_iteration, extend_stage,
-                        root_stage)
+from .iteration import (TAIL_ONE, Coordinate, Iteration, Stage, StepProvider,
+                        build_iteration, extend_stage, root_stage)
 # evaluate is unused here; it stays bound for perfbench/selftest.py, which
 # checks that its tracer reaches this binding
 from .names import Name, evaluate, name_text  # noqa: F401
@@ -1175,47 +1174,4 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
             same = rb.poset.canonical_key() == qposet.canonical_key()
             rep.record("corollary15", f"stage-{k}-canonical-form", instance,
                        same, {"alpha": alpha, "generic": ctx.gen_index, "k": k}, {})
-    return rep
-
-
-# -- Lemma 20 analogue ---------------------------------------------------------
-
-
-def verify_lemma20_analogue(iteration: Iteration, full_gen_index: int,
-                            instance: str = "adhoc") -> SuiteReport:
-    """Whenever a collapse component ran with |X| < m, the generic filter's
-    union is a total injection from X into {0..m-1}."""
-    rep = SuiteReport()
-    provider = iteration.provider
-    if not isinstance(provider, CifsProvider):
-        raise ProjectionError("lemma 20 analogue needs a toy-iteration provider")
-    N = len(iteration)
-    path = iteration.stages[N].paths[full_gen_index]
-    for k in range(N):
-        if k >= len(path) or path[k] is None:
-            continue
-        info = provider.info.get((k, path[:k]))
-        if info is None:
-            continue
-        _, m = provider.ladder[k]
-        tup = info.element_tuples[path[k]]
-        for comp, cond_idx in enumerate(tup):
-            payload = info.payloads[comp][cond_idx]
-            if comp == 0:
-                X = info.structure
-            else:
-                w = info.witnesses[comp - 1]
-                if w is None:
-                    continue
-                X = w.members
-            if len(X) >= m:
-                continue
-            dom = {x for x, _ in payload}
-            vals = [v for _, v in payload]
-            total = dom == set(X)
-            injective = len(set(vals)) == len(vals) and all(0 <= v < m for v in vals)
-            rep.record("cifs", f"lemma20-stage{k}-component{comp}", instance,
-                       total and injective,
-                       {"stage": k, "component": comp, "generic": full_gen_index},
-                       {"X": len(X), "m": m, "union_size": len(payload)})
     return rep

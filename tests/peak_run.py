@@ -18,9 +18,14 @@ The peak is the run's own ``ru_maxrss``, read from ``os.wait4`` on its
 process: ``getrusage(RUSAGE_CHILDREN)`` would give the high-water mark
 over every child waited for so far, so after a larger run each later one
 would read the same.  One JSON line per run (round, tree, exit code, wall
-seconds, peak MB, sha256), then each tree's median wall time and peak and
-whether every report hashed the same.  The report file is deleted once
-hashed.  Not collected by pytest (the name has no ``test_``).
+seconds, peak MB, sha256).  Then, per tree, the median and the lower and
+upper quartile of its wall times, its median peak, and the rounds it won:
+those in which it ran faster than the other tree, a tie counting for
+neither.  Last, whether every report hashed the same.  So one run shows
+whether a tree is faster by the claim rule: it wins nine rounds in ten,
+and its median lies further from the other's than the other's quartiles
+lie apart.  The report file is deleted once hashed.  Not collected by
+pytest (the name has no ``test_``).
 """
 
 from __future__ import annotations
@@ -82,11 +87,17 @@ def main(argv: list[str]) -> int:
             run = measure(tree, flags)
             runs[tree].append(run)
             print(json.dumps({"round": r, "tree": str(tree), **run}), flush=True)
-    for tree in trees:
+    walls = {t: [x["wall_s"] for x in runs[t]] for t in trees}
+    for tree, other in (trees, trees[::-1]):
+        # quantiles needs two values; one run is its own quartiles
+        q1, median, q3 = walls[tree] * 3 if len(walls[tree]) < 2 else \
+            statistics.quantiles(walls[tree], n=4, method="inclusive")
         print(json.dumps({
             "tree": str(tree), "runs": len(runs[tree]),
-            "median_wall_s": statistics.median(x["wall_s"] for x in runs[tree]),
-            "median_peak_mb": statistics.median(x["peak_mb"] for x in runs[tree])}))
+            "q1_wall_s": round(q1, 3), "median_wall_s": round(median, 3),
+            "q3_wall_s": round(q3, 3),
+            "median_peak_mb": statistics.median(x["peak_mb"] for x in runs[tree]),
+            "rounds_won": sum(a < b for a, b in zip(walls[tree], walls[other]))}))
     hashes = {x["sha256"] for rs in runs.values() for x in rs}
     print(json.dumps({"same_report": len(hashes) == 1 and None not in hashes}))
     return 0

@@ -19,7 +19,8 @@ from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import parse_formula
 from forcinglab.generic import dense_subsets, enumerate_generics
 from forcinglab.iteration import (CifsProvider, CollapseSpec, build_iteration,
-                                  check_lemma1, collapse_poset)
+                                  check_lemma1, collapse_poset,
+                                  verify_lemma20_analogue)
 from forcinglab.names import (Name, NameUniverse, TruthSession,
                               UniverseCapExceeded, evaluate, name_universe,
                               sampled_universe)
@@ -27,7 +28,6 @@ from forcinglab.poset import (all_posets_with_top, all_separative_posets,
                               antichain_with_top)
 from forcinglab.projection import (factor_generic, limit_clause_skip,
                                    make_context, verify_corollary15,
-                                   verify_lemma20_analogue,
                                    verify_projection_lemmas, verify_theorem2)
 from forcinglab.report import merge_reports
 

@@ -524,7 +524,7 @@ class TestRunReports:
     @pytest.mark.parametrize("stages", [0, 1])
     def test_a_ladder_above_the_stage_cap_is_skipped(self, tmp_path, stages):
         # the default ladder has two rungs: the cap aborts the toy
-        # iteration, not the run, and the probe builds its own two stages
+        # iteration, not the run, and the probe builds its own stage 1
         out = tmp_path / "r.jsonl"
         assert main(["run", "--suite", "all", "--max-poset", "2",
                      "--max-stages", str(stages), "--out", str(out)]) == 0
@@ -536,6 +536,43 @@ class TestRunReports:
              f"provider has 2 stages, above the cap {stages}")]
         assert ("tables-differ-between-generics", "pass", None) in cifs
         assert sum(c[0].startswith("collapse-count-") for c in cifs) == 16
+
+    # sha256 of the `run --suite cifs` report, by the cap flag given: the
+    # dependence probe builds its stage under caps of its own, so no cap
+    # of the run reaches it
+    CIFS_REPORT_SHA256 = {
+        ("--max-stage-conditions", "1"):
+            "fc39bf23b9648e53b4fbc92887018185dc3279a026d1804f9ae89b54738ad853",
+        ("--max-stages", "0"):
+            "be74accb175b86bc0b3a09ae2887063852eca88a7bac8e4967d9a172e360979b",
+        ():
+            "af54c38ab5a34f0a18fa3b8624c966e19cc57736ad717561445a49dbcaa8b9f0",
+    }
+
+    @pytest.mark.parametrize("caps", sorted(CIFS_REPORT_SHA256))
+    def test_the_run_caps_do_not_reach_the_probe(self, tmp_path, caps):
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--suite", "cifs", *caps, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            self.CIFS_REPORT_SHA256[caps]
+
+    def test_a_one_point_rung_leaves_its_path_entry_undefined(self, tmp_path):
+        # collapsing to m = 1 makes rung 0's step the one-point poset, so
+        # the final paths are (None, 1) and (None, 2): the debris walk and
+        # Lemma 20 skip entry 0, and only stage 1 has Lemma 20 records
+        config = ExperimentConfig(cifs_ladder="1:1,1:2")
+        it = build_iteration(cli._cifs_provider(config), config.caps())
+        assert it.final.paths == [(None, 1), (None, 2)]
+        out = tmp_path / "r.jsonl"
+        assert main(["run", "--suite", "cifs", "--cifs-ladder", "1:1,1:2",
+                     "--out", str(out)]) == 0
+        checks = [r for r in map(json.loads, out.read_text().splitlines())
+                  if r["kind"] == "check"]
+        assert len(checks) == 29
+        assert {r["status"] for r in checks} == {"pass"}
+        lemma20 = [r["context"] for r in checks
+                   if r["check"].startswith("lemma20-")]
+        assert lemma20 and {c["stage"] for c in lemma20} == {1}
 
     def test_a_toy_iteration_over_the_condition_cap_is_partial(self, tmp_path):
         # the cap stops the toy iteration at a stage below the ladder's

@@ -9,8 +9,7 @@ import pytest
 
 from forcinglab import cli, iteration
 from forcinglab.boolalg import ro_algebra
-from forcinglab.cli import (ExperimentConfig, cifs_dependence_probe,
-                            generate_instances)
+from forcinglab.cli import ExperimentConfig, generate_instances
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import parse_formula
 from forcinglab.hfset import EMPTY, HFSet, element_code
@@ -18,6 +17,7 @@ from forcinglab.iteration import (TAIL_ONE, CifsProvider, CollapseSpec,
                                   Iteration, ProviderError, TableProvider,
                                   build_iteration,
                                   canonicalize_condition,
+                                  cifs_dependence_probe,
                                   check_lemma1, collapse_poset, extend_stage, root_stage,
                                   trim)
 from forcinglab.hfset import kpair
@@ -580,8 +580,9 @@ class TestCifs:
         assert info.payloads[1] == [frozenset()]
 
     @staticmethod
-    def debris_stage1_infos():
-        """The stage-1 step infos of the CLI's cifs dependence probe."""
+    def debris_provider():
+        """The cifs dependence probe's ladder, with its stage-0 step and
+        both stage-1 steps built, and the stage-1 paths."""
         psi = parse_formula(
             "exists y (y in x) & forall y (y in x -> exists z (z in y & exists w (w in z)))")
         prov = CifsProvider([psi], [(1, 2), (6, 3)])
@@ -590,7 +591,13 @@ class TestCifs:
         s1 = it.stages[1]
         for path in s1.paths:
             prov.step(1, path)
-        return [prov.info[1, path] for path in s1.paths]
+        return prov, s1.paths
+
+    @classmethod
+    def debris_stage1_infos(cls):
+        """The stage-1 step infos of the probe's ladder."""
+        prov, paths = cls.debris_provider()
+        return [prov.info[1, path] for path in paths]
 
     @staticmethod
     def components(info, m: int):
@@ -613,7 +620,7 @@ class TestCifs:
         # both stage-1 structures are the bare ground fragment
         monkeypatch.setattr(CifsProvider, "_generic_debris",
                             lambda self, path: [])
-        rep = cifs_dependence_probe(DEFAULT_CAPS)
+        rep = cifs_dependence_probe()
         assert [(c.check, c.status, c.detail) for c in rep.checks] == [
             ("tables-differ-between-generics", "fail",
              {"structure_sizes": [1, 1], "witness_is_generic_encoding": False})]
@@ -625,11 +632,37 @@ class TestCifs:
         assert sorted(p.n for p, _ in want) == [196, 304]
         # a pairwise loop over the product would call leq
         monkeypatch.setattr(Poset, "leq", None)
-        assert cifs_dependence_probe(DEFAULT_CAPS).ok
+        assert cifs_dependence_probe().ok
         for comps, (w, w_tuples) in zip(components, want):
             got, tuples = product_poset(comps)
             assert tuples == w_tuples
             assert (got.below, got.top, got.labels) == (w.below, w.top, w.labels)
+
+    @pytest.mark.parametrize("ladder", ["probe", "default"])
+    def test_rung_structure_is_the_built_step_data(self, ladder):
+        # the probe's ladder, through its two stage-1 steps, and the
+        # default toy ladder as the cifs suite builds it
+        if ladder == "probe":
+            prov, _ = self.debris_provider()
+        else:
+            config = ExperimentConfig()
+            prov = cli._cifs_provider(config)
+            build_iteration(prov, config.caps())
+        assert len(prov.info) > 2
+        for (n, path), info in prov.info.items():
+            assert prov._rung_structure(n, path) == \
+                (info.structure, info.witnesses)
+
+    def test_the_probe_builds_no_poset_above_three_elements(self, monkeypatch):
+        sizes = []
+        init = Poset.__init__
+
+        def counted(self, below, *args, **kwargs):
+            sizes.append(len(below))
+            init(self, below, *args, **kwargs)
+        monkeypatch.setattr(Poset, "__init__", counted)
+        assert cifs_dependence_probe().ok
+        assert sizes and max(sizes) == 3
 
     def test_capped_stage_is_not_built(self):
         # the debris ladder's stage 2 has tens of thousands of conditions;

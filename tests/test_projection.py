@@ -19,7 +19,7 @@ from forcinglab.hfset import EMPTY, HFSet
 from forcinglab.iteration import (TAIL_ONE, CifsProvider, Iteration,
                                   ProviderError, Stage, TableProvider,
                                   build_iteration, extend_stage, root_stage,
-                                  trim)
+                                  trim, verify_lemma20_analogue)
 from forcinglab.names import (Name, NameUniverse, TruthSession, check_name,
                               evaluate, name_text,
                               name_universe, sampled_universe)
@@ -33,7 +33,7 @@ from forcinglab.projection import (ProjectionError, _forced, _frown_levels,
                                    _evaluation_identity_witness,
                                    _transport_witness,
                                    factor_generic, make_context,
-                                   verify_corollary15, verify_lemma20_analogue,
+                                   verify_corollary15,
                                    verify_projection_lemmas, verify_theorem2)
 from forcinglab.report import SuiteReport
 
@@ -2484,7 +2484,7 @@ class TestLemma20:
 
     def test_requires_toy_provider(self, worked):
         it, _ = worked
-        with pytest.raises(ProjectionError):
+        with pytest.raises(ProviderError):
             verify_lemma20_analogue(it, 0)
 
 

@@ -3,6 +3,8 @@
 never swallowed or reported as a check result; no module but
 ``iteration.py`` reads a stage's private indices, so every other module
 finds a condition by (prefix, tail) through ``Stage.extension``; no module
+but ``iteration.py`` reads the toy iteration's step data, so the checks of
+that iteration sit beside the provider that writes it; no module
 but ``iteration.py`` assigns an attribute of a stage, so a stage that many
 contexts share carries no per-context state (each level keeps its pi and
 algebras); only
@@ -71,6 +73,9 @@ from forcinglab.projection import (_frown_levels, _lemma11, make_context,
 SRC = Path(__file__).resolve().parents[1] / "src" / "forcinglab"
 BROAD = {"Exception", "BaseException"}
 STAGE_INDICES = {"_index", "_tails"}
+# CifsProvider.info and the CifsStepInfo fields but ``poset``, a name every
+# stage and level shares
+STEP_DATA = {"info", "element_tuples", "payloads", "structure", "witnesses"}
 # a stage's fields, lazy attributes and methods
 STAGE_ATTRS = set(fields(Stage)) | {n for n in vars(Stage)
                                     if not n.startswith("__")}
@@ -286,6 +291,25 @@ def test_every_stage_index_read_is_found():
         "stage._index = {}",
     ])
     assert attribute_accesses(source, STAGE_INDICES) == [2, 3, 6, 7]
+
+
+def test_only_iteration_reads_the_step_data():
+    files = sorted(p for p in SRC.glob("**/*.py") if p.name != "iteration.py")
+    found = {str(p.relative_to(SRC)):
+             attribute_accesses(p.read_text(encoding="utf-8"), STEP_DATA)
+             for p in files}
+    assert {f: ls for f, ls in found.items() if ls} == {}
+
+
+def test_every_step_data_read_is_found():
+    source = "\n".join([
+        "info = provider.info[1, path]",
+        "structure = info.structure",
+        "tup, w = info.element_tuples[c], info.witnesses[0]",
+        "payload = info.payloads[0][c]",
+        "poset = info.poset",
+    ])
+    assert attribute_accesses(source, STEP_DATA) == [1, 2, 3, 3, 4]
 
 
 def names_a_stage(node: ast.expr) -> bool:
