@@ -246,10 +246,11 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps) -> Stag
     while it lives: ``prev`` keeps it weakly under its step posets'
     identities, and a later call with the same step posets returns it,
     after checking ``max_stage_conditions`` against its size.  Instance
-    generation, every ``build_iteration`` and every quotient level of
-    :func:`forcinglab.projection.make_context` ask for a stage this way,
-    so Corollary 15's rebuild and the projection contexts get the stages
-    generation built, and contexts keep their own pi and algebras.
+    generation, every ``build_iteration``, every quotient level of
+    :func:`forcinglab.projection.make_context` and each stage of
+    Corollary 15's rebuild ask for a stage this way, so the rebuild and
+    the projection contexts get the stages generation built, and contexts
+    keep their own pi and algebras.
 
     Stage n's conditions keep their indices, the empty one included, so
     the top is ``prev``'s.  The enumerated conditions are new and pairwise

@@ -46,8 +46,8 @@ from collections.abc import Iterator, Mapping, Sequence
 from .boolalg import BoolAlgebra, HomReport, certify_complete_hom, ro_algebra
 from .config import Caps, lazy
 from .generic import GenericSet, is_filter
-from .iteration import (TAIL_ONE, Coordinate, Iteration, Stage, StepProvider,
-                        build_iteration, extend_stage, root_stage)
+from .iteration import (TAIL_ONE, Coordinate, Iteration, Stage, extend_stage,
+                        root_stage)
 # evaluate is unused here; it stays bound for perfbench/selftest.py, which
 # checks that its tracer reaches this binding
 from .names import Name, evaluate, name_text  # noqa: F401
@@ -1052,40 +1052,24 @@ def factor_generic(iteration: Iteration, alpha: int, full_gen_index: int,
     return ctx.G, hmask, rep
 
 
-# -- Corollary 15: the quotient is the shifted iteration ----------------------
-
-
-class _ShiftedProvider(StepProvider):
-    """The original provider read through G: stage k of the rebuilt iteration
-    asks the original rule at stage alpha+k along the composed generic path.
-    It has one stage per quotient level, N - alpha: a partial iteration's
-    provider has a further stage, the capped one, which no level compares."""
-
-    def __init__(self, base: StepProvider, alpha: int, gpath: tuple,
-                 stage_count: int):
-        self.base = base
-        self.alpha = alpha
-        self.gpath = gpath
-        self.stage_count = stage_count
-
-    def step(self, n: int, path: tuple) -> Poset | None:
-        return self.base.step(n + self.alpha, self.gpath + path)
+# -- Corollary 15: the quotient is the tail iteration read through G ---------
 
 
 def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> SuiteReport:
-    """Rebuild the tail iteration with the shifted provider and check each
-    rebuilt stage is order-isomorphic to the quotient poset, via the natural
+    """Rebuild the tail iteration read through G and check each rebuilt
+    stage is order-isomorphic to the quotient poset, via the natural
     generic bridge, which must also carry each rebuilt generic's atom to its
-    quotient generic's atom.  The rebuild has the N - alpha stages that
-    have a quotient level to compare with.  Stage k keeps stage k-1's
-    conditions at their indices, in the rebuilt iteration and in the
-    quotient alike, so the natural map goes through each condition's
-    prefix: an old condition keeps its image, and a new one maps to
-    ``extension(image of its parent, bridged tail)``.
+    quotient generic's atom.  Rebuilt stage k is the ``extend_stage`` child
+    of stage k-1 under the provider's steps at stage alpha+k-1 along G's
+    path, for the N - alpha stages that have a quotient level to compare
+    with.  Stage k keeps stage k-1's conditions at their indices, in the
+    rebuilt stages and in the quotient alike, so the natural map goes
+    through each condition's prefix: an old condition keeps its image, and
+    a new one maps to ``extension(image of its parent, bridged tail)``.
 
     The rebuilt stages may be the sweep's own objects: ``extend_stage``
     returns the stage it already built from the same parent and step
-    posets, and in a generated sweep every shifted stage is one that
+    posets, and in a generated sweep every rebuilt stage is one that
     generation built.  So, in a generated sweep, is each quotient stage,
     which ``make_context`` asks for in the same way, and a rebuilt stage
     and its quotient are then one object.  The natural map is still
@@ -1103,15 +1087,16 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
     alpha = ctx.alpha
     N = len(iteration)
     gpath = iteration.stages[alpha].paths[ctx.gen_index]
-    shifted = _ShiftedProvider(iteration.provider, alpha, gpath, N - alpha)
-    caps = ctx.caps
-    if caps.max_stages < shifted.stage_count:
-        caps = caps.with_(max_stages=shifted.stage_count)
-    rebuilt = build_iteration(shifted, caps)
+    rebuilt = [root_stage()]
+    for n in range(alpha, N):
+        prev = rebuilt[-1]
+        rebuilt.append(extend_stage(
+            prev, [iteration.provider.step(n, gpath + path) for path in prev.paths],
+            ctx.caps))
     # generic bridge per rebuilt stage: rebuilt path -> source generic -> quotient generic
     bridges: dict[int, dict[int, int]] = {0: {0: 0}}
     for k in range(1, N - alpha + 1):
-        rb = rebuilt.stages[k]
+        rb = rebuilt[k]
         level = ctx.levels[alpha + k]
         src_stage = iteration.stages[alpha + k]
         # source generic -> the quotient generics combined from it
@@ -1140,7 +1125,7 @@ def verify_corollary15(ctx: ProjectionContext, instance: str = "adhoc") -> Suite
     # the natural map, rebuilt index -> quotient index, stage by stage
     mapping: list[int | None] = [0]
     for k in range(1, N - alpha + 1):
-        rb = rebuilt.stages[k]
+        rb = rebuilt[k]
         level = ctx.levels[alpha + k]
         qposet = level.stage.poset
         for ci in range(len(mapping), rb.poset.n):

@@ -384,7 +384,7 @@ def test_criterion_7_theorem16(default_sweep):
              f"{dense_swept - len(dense_disagree)} of {dense_swept}")
 
 
-# -- criterion 8: quotient equals the shifted iteration --------------------------
+# -- criterion 8: quotient equals the tail iteration read through G --------------
 
 
 def test_criterion_8_corollary15(default_sweep):

@@ -87,14 +87,19 @@ def _count_calls(monkeypatch, *functions) -> list:
 
 
 def _record_rebuilds(monkeypatch) -> list:
-    """Every iteration that Corollary 15 rebuilds, in call order."""
+    """Every stage that Corollary 15's rebuild asks ``extend_stage`` for, in
+    call order.  ``make_context`` asks projection's ``extend_stage`` too, so
+    a call counts only when ``verify_corollary15`` makes it."""
     rebuilt: list = []
+    extend = projection.extend_stage
 
-    def recorded(*args, **kwargs):
-        rebuilt.append(build_iteration(*args, **kwargs))
-        return rebuilt[-1]
+    def recorded(*args):
+        stage = extend(*args)
+        if sys._getframe(1).f_code is verify_corollary15.__code__:
+            rebuilt.append(stage)
+        return stage
 
-    monkeypatch.setattr(projection, "build_iteration", recorded)
+    monkeypatch.setattr(projection, "extend_stage", recorded)
     return rebuilt
 
 
@@ -369,7 +374,7 @@ class TestMakeContext:
     def test_later_levels_mix_tails_over_their_own_algebra(self):
         # from level alpha+3 on, tails are decoded through another level's
         # pi_prime, over another source algebra, than at level alpha+2; the
-        # quotient tails must still be the rebuilt shifted iteration
+        # quotient tails must still be the rebuilt tail iteration
         it = build_iteration(TableProvider([
             {(): PT}, {(None,): PT}, {(None, None): A2},
             {(None, None, 0): A2, (None, None, 1): A2}]))
@@ -1925,10 +1930,11 @@ class TestCorollary15:
              {"rebuilt": 3, "quotient": 3, "natural_map_total": True})]
         assert verify_corollary15(ctx).ok
 
-    @pytest.mark.parametrize("tables", [
-        [{(): A2}, {(0,): A2, (1,): A2}],
-        [{(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]],
-        ids=["two-stage", "three-stage"])
+    TWO_STAGE = [{(): A2}, {(0,): A2, (1,): A2}]
+    THREE_STAGE = [{(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]
+
+    @pytest.mark.parametrize("tables", [TWO_STAGE, THREE_STAGE],
+                             ids=["two-stage", "three-stage"])
     def test_a_changed_tail_leaves_the_natural_map_partial(self, tables):
         # one new condition of the final quotient stage gets another valid
         # tail value: the rebuilt condition that mapped to it has no
@@ -1955,6 +1961,48 @@ class TestCorollary15:
 
         assert record(bad) == ([("fail", False)], {k})
         assert record(ctx) == ([("pass", True)], set())
+
+    @staticmethod
+    def with_step(ctx, n, path, q) -> tuple[set, int]:
+        """The failed checks and the record count of Corollary 15 on ``ctx``
+        once its provider answers ``q`` at stage ``n`` and ``path``; the
+        entry is restored afterwards."""
+        table = ctx.iteration.provider.tables[n]
+        right = table[path]
+        table[path] = q
+        try:
+            rep = verify_corollary15(ctx)
+        finally:
+            table[path] = right
+        return {c.check for c in rep.failures}, len(rep.checks)
+
+    def test_another_step_along_gs_path_fails_its_bridge(self):
+        # the rebuild takes each step from the provider, the quotient its
+        # steps from the source stages: a provider that answers otherwise
+        # at G's path, after the context is built, fails the first bridge
+        # that step reaches.  The quotient compared with itself could not
+        # see this
+        contexts = []
+        for tables in (self.TWO_STAGE, self.THREE_STAGE):
+            it = build_iteration(TableProvider(tables))
+            for alpha in range(1, len(it)):
+                for gi, gpath in enumerate(it.stages[alpha].paths):
+                    if gpath in it.provider.tables[alpha]:
+                        contexts.append(make_context(it, alpha, gi))
+        assert len(contexts) == 6
+        for ctx in contexts:
+            gpath = ctx.iteration.stages[ctx.alpha].paths[ctx.gen_index]
+            failed, _ = self.with_step(ctx, ctx.alpha, gpath, A3)
+            assert failed == {"stage-1-generic-bridge"}
+            assert verify_corollary15(ctx).ok
+        ctx = make_context(build_iteration(TableProvider(self.THREE_STAGE)), 1, 0)
+        for path in ((0, 0), (0, 1)):
+            failed, _ = self.with_step(ctx, 2, path, A3)
+            assert failed == {"stage-2-generic-bridge"}
+            assert verify_corollary15(ctx).ok
+        # off G's path: no rebuilt stage asks for it
+        assert self.with_step(ctx, 2, (1, None), A3) == (set(), 6)
+        assert verify_corollary15(ctx).ok
 
     def test_a_search_that_splits_isomorphs_fails_canonical_form(
             self, worked, monkeypatch):
@@ -2026,21 +2074,16 @@ class TestCorollary15:
                 "stage-1-generic-bridge"}
         assert verify_corollary15(ctx).ok
 
-    def test_a_stage_cap_below_the_rebuild_is_raised_for_it(self, monkeypatch):
-        # the rebuild needs N - alpha stages; a context built under a lower
-        # max_stages rebuilds under caps raised to that count, and a context
-        # whose caps allow it rebuilds under its own caps object
-        rebuilt = _record_rebuilds(monkeypatch)
-        it = build_iteration(TableProvider([
-            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+    def test_a_stage_cap_below_the_rebuild_writes_the_same_records(self):
+        # the rebuild needs N - alpha stages and asks extend_stage for each,
+        # which reads no stage count: a context built under a lower
+        # max_stages writes the records of one built under the default caps
+        it = build_iteration(TableProvider(self.THREE_STAGE))
         low = DEFAULT_CAPS.with_(max_stages=1)
         for gi in range(len(it.stages[1].generics)):
-            ctx = make_context(it, 1, gi)
-            want = verify_corollary15(ctx, instance="caps")
-            assert rebuilt[-1].caps is ctx.caps
+            want = verify_corollary15(make_context(it, 1, gi), instance="caps")
             got = verify_corollary15(make_context(it, 1, gi, low),
                                      instance="caps")
-            assert rebuilt[-1].caps == low.with_(max_stages=2)
             assert list(got.to_jsonl()) == list(want.to_jsonl())
             assert want.ok and want.counts()["pass"] >= 4
 
@@ -2110,7 +2153,8 @@ class TestCorollary15:
                 for gi in range(len(it.stages[alpha].generics)):
                     rebuilt.clear()
                     assert verify_corollary15(make_context(it, alpha, gi)).ok
-                    assert [len(r) for r in rebuilt] == [N - alpha]
+                    assert [stage.index for stage in rebuilt] == list(
+                        range(1, N - alpha + 1))
 
     def test_three_stage_deep_quotients(self):
         it = build_iteration(TableProvider([
@@ -2142,7 +2186,7 @@ class TestSweepOrderOracles:
             assert verify_corollary15(ctx).ok
             posets += [ctx.levels[beta].stage.poset
                        for beta in range(ctx.alpha + 1, len(it) + 1)]
-        posets += [stage.poset for r in rebuilt for stage in r.stages[1:]]
+        posets += [stage.poset for stage in rebuilt]
         oracle = {}
         for p in posets:
             if p.n > 8:

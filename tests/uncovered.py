@@ -14,8 +14,12 @@ all of its lines, a compound one's are the lines of its header before its
 first inner statement, and a line counts only where the compiled code has
 an instruction on it.  Tracing is slow: expect several times the plain
 run's wall time.  Not collected by pytest (the name has no ``test_``);
-subprocesses that tests start are not traced.  The exit status is
-pytest's.
+subprocesses that tests start are not traced.
+
+The sources are read before the suite runs, and the list is computed from
+those texts, so line numbers match the code that ran.  If a source changed
+during the run, the changed paths are printed instead of the list and the
+exit status is 2; otherwise it is pytest's.
 """
 
 from __future__ import annotations
@@ -53,10 +57,9 @@ def own_spans(tree: ast.AST):
         yield node.lineno, (min(inner) - 1 if inner else node.end_lineno)
 
 
-def uncovered(path: Path, ran: set[int]) -> list[tuple[int, str]]:
-    """(line, source text) of each statement of ``path`` with code on its
-    own lines and none of them in ``ran``."""
-    source = path.read_text(encoding="utf-8")
+def uncovered(path: Path, source: str, ran: set[int]) -> list[tuple[int, str]]:
+    """(line, source text) of each statement of ``source``, the text of
+    ``path``, with code on its own lines and none of them in ``ran``."""
     code = executable_lines(compile(source, str(path), "exec"))
     text = source.splitlines()
     out = []
@@ -65,6 +68,12 @@ def uncovered(path: Path, ran: set[int]) -> list[tuple[int, str]]:
         if own and not own & ran:
             out.append((first, text[first - 1].strip()))
     return out
+
+
+def read_sources() -> dict[Path, str]:
+    """The text of each source of the package, by path, in path order."""
+    return {path: path.read_text(encoding="utf-8")
+            for path in sorted(PACKAGE.glob("**/*.py"))}
 
 
 def main(args: list[str]) -> int:
@@ -95,6 +104,7 @@ def main(args: list[str]) -> int:
 
     import pytest
 
+    sources = read_sources()
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
@@ -104,9 +114,16 @@ def main(args: list[str]) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    after = read_sources()
+    changed = sorted(path for path in sources.keys() | after.keys()
+                     if sources.get(path) != after.get(path))
+    if changed:
+        for path in changed:
+            print(f"{path.relative_to(ROOT)}: changed during the run")
+        return 2
     total = 0
-    for path in sorted(PACKAGE.glob("**/*.py")):
-        missed = uncovered(path, ran.get(str(path), set()))
+    for path, source in sources.items():
+        missed = uncovered(path, source, ran.get(str(path), set()))
         total += len(missed)
         for line, text in missed:
             print(f"{path.relative_to(ROOT)}:{line}: {text}")
