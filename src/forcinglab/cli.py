@@ -25,10 +25,9 @@ from collections import Counter
 
 from .config import DEFAULT_CAPS, CapExceeded, Caps, fields
 from .formula import parse_formula
-from .iteration import (CifsProvider, CollapseSpec, Iteration, Stage,
-                        TableProvider, build_iteration, check_lemma1,
-                        cifs_dependence_probe, collapse_poset, extend_stage,
-                        verify_lemma20_analogue)
+from .iteration import (CifsProvider, Iteration, Stage, TableProvider,
+                        build_iteration, check_lemma1, cifs_dependence_probe,
+                        collapse_poset, extend_stage, verify_lemma20_analogue)
 from .poset import (PERM_MAX, Poset, PosetError, all_separative_posets,
                     validate_poset)
 from .projection import (ProjectionError, factor_generic, limit_clause_skip,
@@ -464,7 +463,7 @@ def run_cifs_suite(config: ExperimentConfig) -> SuiteReport:
     # collapse counts against the closed form
     for n in range(0, 4):
         for m in range(1, 5):
-            poset, _ = collapse_poset(CollapseSpec(tuple(range(n)), m))
+            poset, _ = collapse_poset(range(n), m)
             want = _closed_form_injection_count(n, m)
             rep.record("cifs", f"collapse-count-{n}-{m}", "cifs",
                        poset.n == want, {}, {"got": poset.n, "want": want})
@@ -527,8 +526,8 @@ def execute(config: ExperimentConfig) -> tuple[SuiteReport, dict]:
         "census": census,
         "counts": report.counts(),
         "counterexamples": sorted(c.counterexample_id for c in failures),
-        "payloads": {c.instance: format_provider_tables(by_id[c.instance])
-                     for c in failures if c.instance in by_id},
+        "payloads": {iid: format_provider_tables(by_id[iid])
+                     for iid in {c.instance for c in failures} & by_id.keys()},
         "elapsed_seconds": round(time.time() - t0, 3),
     }
     return report, meta

@@ -24,7 +24,7 @@ import weakref
 from functools import cache, partial
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_CAPS, CapExceeded, Caps, Value, lazy
+from .config import DEFAULT_CAPS, CapExceeded, Caps, lazy
 from .formula import (Formula, FormulaError, eval_classical,
                       free_variables, parse_formula)
 from .generic import GenericSet, enumerate_generics
@@ -155,21 +155,15 @@ class Stage:
         return _mask_bits(self.gen_masks[cond_idx])
 
 
-class StepProvider:
-    """Rule mapping (stage index, generic of that stage) to a separative step
-    poset with top, or None for "no unique poset is defined here".  The
-    rule reads the generic's path, one entry per earlier stage: the step
+class TableProvider:
+    """Provider backed by literal tables keyed by generic paths.
+
+    A provider has a ``stage_count`` and a ``step(n, path)``: the rule
+    mapping (stage index, generic of that stage) to a separative step poset
+    with top, or None for "no unique poset is defined here".  The rule
+    reads the generic's path, one entry per earlier stage: the step
     condition that stage's generic chose, or None where it had no step
     poset.  As in the paper, the next step is defined from that path."""
-
-    stage_count: int
-
-    def step(self, n: int, path: tuple) -> Poset | None:
-        raise NotImplementedError
-
-
-class TableProvider(StepProvider):
-    """Provider backed by literal tables keyed by generic paths."""
 
     def __init__(self, tables: Sequence[dict]):
         self.tables = [dict(t) for t in tables]
@@ -182,7 +176,8 @@ class TableProvider(StepProvider):
 class Iteration:
     """A built iteration: stages[0] is the trivial root, stages[k] is P_k."""
 
-    def __init__(self, stages: list[Stage], provider: StepProvider,
+    def __init__(self, stages: list[Stage],
+                 provider: TableProvider | CifsProvider,
                  caps: Caps, partial: bool = False):
         self.stages = stages
         self.provider = provider
@@ -369,7 +364,8 @@ def extend_stage(prev: Stage, steps: Sequence[Poset | None], caps: Caps) -> Stag
     return stage
 
 
-def build_iteration(provider: StepProvider, caps: Caps = DEFAULT_CAPS,
+def build_iteration(provider: TableProvider | CifsProvider,
+                    caps: Caps = DEFAULT_CAPS,
                     allow_partial: bool = False) -> Iteration:
     """Run the staged construction: P_1 from the base clause, P_{n+1} from
     canonical (condition, tail) pairs, quotiented by mutual order."""
@@ -422,33 +418,27 @@ def canonicalize_condition(raw: Sequence, iteration: Iteration, stage_index: int
 # -- collapse posets --------------------------------------------------------
 
 
-class CollapseSpec(Value):
-    """Collapse the finite set X to size m: injections of size < m."""
-
-    def __init__(self, X: tuple, m: int):
-        self.X = X
-        self.m = m
-
-
-def collapse_conditions(spec: CollapseSpec) -> list[frozenset]:
-    """All partial injections X -> {0..m-1} of size < m, as frozensets of
-    (x, value) pairs; deterministic order."""
-    if spec.m < 1:
+def collapse_conditions(X: Iterable, m: int) -> list[frozenset]:
+    """Collapse the finite set X to size m: all partial injections
+    X -> {0..m-1} of size < m, as frozensets of (x, value) pairs;
+    deterministic order."""
+    if m < 1:
         raise ValueError("collapse target must be >= 1")
-    xs = list(spec.X)
+    xs = list(X)
     out = [frozenset()]
-    max_size = min(len(xs), spec.m - 1)
+    max_size = min(len(xs), m - 1)
     for size in range(1, max_size + 1):
         for dom in itertools.combinations(range(len(xs)), size):
-            for ran in itertools.permutations(range(spec.m), size):
+            for ran in itertools.permutations(range(m), size):
                 out.append(frozenset((xs[d], r) for d, r in zip(dom, ran)))
     return out
 
 
-def collapse_poset(spec: CollapseSpec) -> tuple[Poset, list[frozenset]]:
-    """The collapse ordering: reverse inclusion of partial injections,
-    empty map on top.  Returns the poset plus the condition payloads."""
-    conds = collapse_conditions(spec)
+def collapse_poset(X: Iterable, m: int) -> tuple[Poset, list[frozenset]]:
+    """The collapse ordering Col(X, m): reverse inclusion of partial
+    injections, empty map on top.  Returns the poset plus the condition
+    payloads."""
+    conds = collapse_conditions(X, m)
     n = len(conds)
     below = [0] * n
     for i, p in enumerate(conds):
@@ -485,7 +475,7 @@ class CifsStepInfo:
 CIFS_RANK_MAX = 4   # the highest ground rank a CifsProvider materializes
 
 
-class CifsProvider(StepProvider):
+class CifsProvider:
     """Stagewise product of collapse components driven by one-free-variable
     formulas evaluated over the extension's materialized rank segment.
 
@@ -564,10 +554,10 @@ class CifsProvider(StepProvider):
             return self.info[key].poset
         structure, witnesses = self._rung_structure(n, path)
         m = self.ladder[n][1]
-        specs = [CollapseSpec(structure, m)] + [
-            CollapseSpec((), 1) if w is None
-            else CollapseSpec(tuple(w.members), m) for w in witnesses]
-        components, payloads = zip(*map(collapse_poset, specs))
+        parts = [collapse_poset(structure, m)] + [
+            collapse_poset((), 1) if w is None
+            else collapse_poset(w.members, m) for w in witnesses]
+        components, payloads = zip(*parts)
         poset, tuples = product_poset(components)
         self.info[key] = CifsStepInfo(poset, tuples, list(payloads), structure,
                                       witnesses)

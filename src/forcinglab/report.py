@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 # the counterexample id's blob keeps the default separators, so ids do not move
 _encode = json.JSONEncoder(sort_keys=True, default=str).encode
@@ -108,10 +108,3 @@ class SuiteReport:
         rows = sorted((c.instance, c.suite, c.check, encode_line(c.context), i)
                       for i, c in enumerate(self.checks))
         return (self.checks[i].to_json(ctx) for *_, ctx, i in rows)
-
-
-def merge_reports(reports: Iterable[SuiteReport]) -> SuiteReport:
-    out = SuiteReport()
-    for r in reports:
-        out.extend(r)
-    return out

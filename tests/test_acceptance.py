@@ -18,9 +18,8 @@ from forcinglab.cli import (ExperimentConfig, execute, generate_instances,
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import parse_formula
 from forcinglab.generic import dense_subsets, enumerate_generics
-from forcinglab.iteration import (CifsProvider, CollapseSpec, build_iteration,
-                                  check_lemma1, collapse_poset,
-                                  verify_lemma20_analogue)
+from forcinglab.iteration import (CifsProvider, build_iteration, check_lemma1,
+                                  collapse_poset, verify_lemma20_analogue)
 from forcinglab.names import (Name, NameUniverse, TruthSession,
                               UniverseCapExceeded, evaluate, name_universe,
                               sampled_universe)
@@ -29,7 +28,7 @@ from forcinglab.poset import (all_posets_with_top, all_separative_posets,
 from forcinglab.projection import (factor_generic, limit_clause_skip,
                                    make_context, verify_corollary15,
                                    verify_projection_lemmas, verify_theorem2)
-from forcinglab.report import merge_reports
+from forcinglab.report import SuiteReport
 
 
 RESULT_LINES: list[str] = []
@@ -168,7 +167,7 @@ def test_criterion_3_lemma1():
                            max_stage_conditions=512)
     instances = generate_instances(cfg)
     reports = [check_lemma1(it, spec.instance_id) for spec, it in instances]
-    merged = merge_reports(reports)
+    merged = SuiteReport([c for r in reports for c in r.checks])
     stages = sum(len(it) for _, it in instances)
     partial = sum(1 for s, _ in instances if s.partial)
     announce(3, merged.ok and not partial and stages > 0,
@@ -186,7 +185,7 @@ def theorem2_reports(default_sweep):
         for alpha, gi in contexts_of(it):
             ctx = make_context(it, alpha, gi)
             reports.append(verify_theorem2(ctx, instance=spec.instance_id))
-    return merge_reports(reports)
+    return SuiteReport([c for r in reports for c in r.checks])
 
 
 def test_criterion_4_complete_homomorphism(theorem2_reports, default_sweep):
@@ -317,7 +316,7 @@ def test_criterion_6_projection_lemmas(default_sweep):
             reports.append(verify_projection_lemmas(ctx, instance=spec.instance_id))
     # the vacuous limit-stage clause is stated once per run, as the CLI does
     reports.append(limit_clause_skip())
-    merged = merge_reports(reports)
+    merged = SuiteReport([c for r in reports for c in r.checks])
     counts = merged.counts()
     lemmas = sorted({c.check.split("-")[0] for c in merged.checks
                      if c.check.startswith("L")})
@@ -373,7 +372,7 @@ def test_criterion_7_theorem16(default_sweep):
                            if c.check == "item2-quotient-generic"]
                 if item2.detail["meets_all_dense"] != literal:
                     dense_disagree.append((spec.instance_id, alpha, gi))
-    merged = merge_reports(reports)
+    merged = SuiteReport([c for r in reports for c in r.checks])
     counts = merged.counts()
     announce(7, merged.ok and counts["pass"] > 0 and not disagree
              and dense_swept > 0 and not dense_disagree,
@@ -393,7 +392,7 @@ def test_criterion_8_corollary15(default_sweep):
         for alpha, gi in contexts_of(it):
             ctx = make_context(it, alpha, gi)
             reports.append(verify_corollary15(ctx, instance=spec.instance_id))
-    merged = merge_reports(reports)
+    merged = SuiteReport([c for r in reports for c in r.checks])
     counts = merged.counts()
     announce(8, merged.ok and counts["pass"] > 0,
              f"rebuilt tail stages order-isomorphic to the quotients on "
@@ -419,10 +418,10 @@ def test_criterion_9_collapse_and_lemma20():
     counts_ok = True
     for n in range(0, 4):
         for m in range(1, 5):
-            poset, _ = collapse_poset(CollapseSpec(tuple(range(n)), m))
+            poset, _ = collapse_poset(range(n), m)
             counts_ok &= poset.n == brute_force_injection_count(n, m)
-    p22, _ = collapse_poset(CollapseSpec((0, 1), 2))
-    p23, _ = collapse_poset(CollapseSpec((0, 1), 3))
+    p22, _ = collapse_poset((0, 1), 2)
+    p23, _ = collapse_poset((0, 1), 3)
     counts_ok &= p22.n == 5 and p23.n == 13
     # the witness property through the toy iterations, for |X| < m
     reports = []
@@ -431,7 +430,7 @@ def test_criterion_9_collapse_and_lemma20():
         it = build_iteration(provider, DEFAULT_CAPS.with_(max_stage_conditions=256))
         for gi in range(len(it.final.generics)):
             reports.append(verify_lemma20_analogue(it, gi))
-    merged = merge_reports(reports)
+    merged = SuiteReport([c for r in reports for c in r.checks])
     totals = merged.counts()
     announce(9, counts_ok and merged.ok and totals["pass"] > 0,
              f"collapse sizes match the independent count (incl. 5 and 13); "

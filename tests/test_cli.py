@@ -164,12 +164,22 @@ class TestProviderTableFormat:
             return verify(ctx, instance=instance, **kwargs)
 
         monkeypatch.setattr(cli, "verify_theorem2", failing)
+        formatted = []
+        format_tables = cli.format_provider_tables
+
+        def counting(spec):
+            formatted.append(spec.instance_id)
+            return format_tables(spec)
+
+        monkeypatch.setattr(cli, "format_provider_tables", counting)
         report, meta = execute(cfg)
         write_report(report, meta, cfg.out)
         records = [json.loads(line)
                    for line in (tmp_path / "r.jsonl").read_text().splitlines()]
-        assert {r["instance"] for r in records if r.get("status") == "fail"} \
-            == {spec.instance_id}
+        failed = [r for r in records if r.get("status") == "fail"]
+        assert {r["instance"] for r in failed} == {spec.instance_id}
+        # one payload per failing instance, however many of its records fail
+        assert len(failed) > 1 and formatted == [spec.instance_id]
         assert [r for r in records if r["kind"] == "instance"] == [
             {"kind": "instance", "instance": spec.instance_id,
              "tables": format_provider_tables(spec)}]

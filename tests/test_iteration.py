@@ -13,13 +13,13 @@ from forcinglab.cli import ExperimentConfig, generate_instances
 from forcinglab.config import DEFAULT_CAPS, CapExceeded
 from forcinglab.formula import parse_formula
 from forcinglab.hfset import EMPTY, HFSet, element_code
-from forcinglab.iteration import (TAIL_ONE, CifsProvider, CollapseSpec,
-                                  Iteration, ProviderError, TableProvider,
+from forcinglab.iteration import (TAIL_ONE, CifsProvider, Iteration,
+                                  ProviderError, TableProvider,
                                   build_iteration,
                                   canonicalize_condition,
                                   cifs_dependence_probe,
                                   check_lemma1, collapse_poset, extend_stage, root_stage,
-                                  trim)
+                                  trim, verify_lemma20_analogue)
 from forcinglab.hfset import kpair
 from forcinglab.names import (Name, NameUniverse, TruthSession, check_name,
                               evaluate, mix_name, pair_name)
@@ -67,36 +67,36 @@ def brute_force_injection_count(n: int, m: int) -> int:
 
 class TestCollapse:
     def test_two_into_two_gives_five(self):
-        poset, _ = collapse_poset(CollapseSpec((0, 1), 2))
+        poset, _ = collapse_poset((0, 1), 2)
         assert poset.n == 5
 
     def test_one_into_one_is_trivial(self):
-        poset, conds = collapse_poset(CollapseSpec((0,), 1))
+        poset, conds = collapse_poset((0,), 1)
         assert poset.n == 1 and conds == [frozenset()]
 
     def test_two_into_three_gives_thirteen(self):
-        poset, _ = collapse_poset(CollapseSpec((0, 1), 3))
+        poset, _ = collapse_poset((0, 1), 3)
         assert poset.n == 13
 
     def test_counts_match_brute_force(self):
         for n in range(0, 4):
             for m in range(1, 5):
-                poset, _ = collapse_poset(CollapseSpec(tuple(range(n)), m))
+                poset, _ = collapse_poset(range(n), m)
                 assert poset.n == brute_force_injection_count(n, m)
 
     def test_always_separative_with_empty_map_on_top(self):
         for n in range(0, 4):
             for m in range(1, 4):
-                poset, conds = collapse_poset(CollapseSpec(tuple(range(n)), m))
+                poset, conds = collapse_poset(range(n), m)
                 assert is_separative(poset)
                 assert conds[poset.top] == frozenset()
 
     def test_a_target_below_one_is_refused(self):
         with pytest.raises(ValueError, match="^collapse target must be >= 1$"):
-            collapse_poset(CollapseSpec((0, 1), 0))
+            collapse_poset((0, 1), 0)
 
     def test_order_is_reverse_inclusion(self):
-        poset, conds = collapse_poset(CollapseSpec((0, 1), 3))
+        poset, conds = collapse_poset((0, 1), 3)
         for i, p in enumerate(conds):
             for j, q in enumerate(conds):
                 assert poset.leq(i, j) == (q <= p)
@@ -124,6 +124,26 @@ class TestBuildIteration:
     def test_stage_posets_contain_earlier_stages(self):
         it = two_stage_constant()
         assert set(it.stages[1].conditions) <= set(it.stages[2].conditions)
+
+    def test_a_provider_is_a_stage_count_and_a_step(self):
+        # no base class states the contract: build_iteration reads only a
+        # provider's stage_count and step(n, path), and the Lemma 20
+        # analogue refuses any provider but the toy iteration's
+        tables = [{(): A2}, {(0,): A2},
+                  {(0, 0): A2, (0, 1): PT, (1, None): A2}]
+
+        class Stub:
+            stage_count = 3
+
+            def step(self, n, path):
+                return tables[n].get(path)
+
+        it = build_iteration(Stub())
+        table_stages = build_iteration(TableProvider(tables)).stages
+        assert len(it.stages) == len(table_stages) == 4
+        assert all(a is b for a, b in zip(it.stages, table_stages))
+        with pytest.raises(ProviderError, match="toy-iteration provider"):
+            verify_lemma20_analogue(it, 0)
 
     def test_non_separative_step_rejected(self):
         with pytest.raises(ProviderError):
@@ -603,10 +623,9 @@ class TestCifs:
     def components(info, m: int):
         """The collapse posets of a step, rebuilt from its structure and
         witnesses; their conditions must be the step's payloads."""
-        specs = [CollapseSpec(info.structure, m)] + [
-            CollapseSpec((), 1) if w is None
-            else CollapseSpec(tuple(w.members), m) for w in info.witnesses]
-        built = [collapse_poset(spec) for spec in specs]
+        built = [collapse_poset(info.structure, m)] + [
+            collapse_poset((), 1) if w is None
+            else collapse_poset(w.members, m) for w in info.witnesses]
         assert [conds for _, conds in built] == info.payloads
         return [poset for poset, _ in built]
 

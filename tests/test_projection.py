@@ -47,6 +47,8 @@ from order_oracle import (above_by_pairs, atoms_by_pairs, compat_by_pairs,
 A2 = antichain_with_top(2)
 A3 = antichain_with_top(3)
 PT = point_poset()
+TWO_STAGE = [{(): A2}, {(0,): A2, (1,): A2}]
+THREE_STAGE = [{(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]
 
 
 def _alpha_prefix(it, alpha: int, beta: int, ci: int) -> int:
@@ -65,7 +67,7 @@ def frown_level(ctx, beta):
 
 def _two_step_antichains():
     """The constant two-step antichain iteration, built afresh."""
-    return build_iteration(TableProvider([{(): A2}, {(0,): A2, (1,): A2}]))
+    return build_iteration(TableProvider(TWO_STAGE))
 
 
 def _count_calls(monkeypatch, *functions) -> list:
@@ -392,8 +394,7 @@ LATER_LEVEL_TABLES = {
     "points-then-antichains": [
         {(): PT}, {(None,): PT}, {(None, None): A2},
         {(None, None, 0): A2, (None, None, 1): A2}],
-    "antichains-and-a-point": [
-        {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}],
+    "antichains-and-a-point": THREE_STAGE,
 }
 
 
@@ -502,8 +503,7 @@ class TestContextOwnership:
                 for g in range(len(it.stages[alpha].generics))]
 
     def test_each_context_owns_its_stage_algebras(self):
-        it = build_iteration(TableProvider([
-            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        it = build_iteration(TableProvider(THREE_STAGE))
         ctxs = self.all_contexts(it)
         seen: dict[int, list] = {}
         for ctx in ctxs:
@@ -518,8 +518,7 @@ class TestContextOwnership:
             assert len({id(A.base.cuts) for A in algebras}) == 1
 
     def test_no_name_passes_between_contexts(self):
-        it = build_iteration(TableProvider([
-            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        it = build_iteration(TableProvider(THREE_STAGE))
         ctxs = self.all_contexts(it)
         for ctx in ctxs:
             assert verify_theorem2(ctx).ok
@@ -1092,8 +1091,7 @@ class TestLemmaControls:
             if name.split(".")[0] == "forcinglab" and \
                     vars(module).get("canonicalize_condition") is original:
                 monkeypatch.setattr(module, "canonicalize_condition", refused)
-        it = build_iteration(TableProvider([
-            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        it = build_iteration(TableProvider(THREE_STAGE))
         for alpha in (1, 2):
             for gi in range(len(it.stages[alpha].generics)):
                 ctx = make_context(it, alpha, gi)
@@ -1146,11 +1144,10 @@ class TestLemmaOracle:
     # hand-built iterations, the last one partial: its provider names a
     # third stage that the condition cap refuses
     HAND_BUILT = {
-        "two-step-antichains": [{(): A2}, {(0,): A2, (1,): A2}],
+        "two-step-antichains": TWO_STAGE,
         "trivial-tails": [{(): A2}, {(0,): PT, (1,): PT}],
         "generic-dependent": [{(): A2}, {(0,): A3, (1,): PT}],
-        "three-stages": [{(): A2}, {(0,): A2},
-                         {(0, 0): A2, (0, 1): PT, (1, None): A2}],
+        "three-stages": THREE_STAGE,
         "partial": [{(): A2}, {(0,): A2, (1,): A2},
                     {p: A2 for p in [(0, 0), (0, 1), (1, 0), (1, 1)]}],
     }
@@ -1930,9 +1927,6 @@ class TestCorollary15:
              {"rebuilt": 3, "quotient": 3, "natural_map_total": True})]
         assert verify_corollary15(ctx).ok
 
-    TWO_STAGE = [{(): A2}, {(0,): A2, (1,): A2}]
-    THREE_STAGE = [{(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]
-
     @pytest.mark.parametrize("tables", [TWO_STAGE, THREE_STAGE],
                              ids=["two-stage", "three-stage"])
     def test_a_changed_tail_leaves_the_natural_map_partial(self, tables):
@@ -1983,7 +1977,7 @@ class TestCorollary15:
         # that step reaches.  The quotient compared with itself could not
         # see this
         contexts = []
-        for tables in (self.TWO_STAGE, self.THREE_STAGE):
+        for tables in (TWO_STAGE, THREE_STAGE):
             it = build_iteration(TableProvider(tables))
             for alpha in range(1, len(it)):
                 for gi, gpath in enumerate(it.stages[alpha].paths):
@@ -1995,7 +1989,7 @@ class TestCorollary15:
             failed, _ = self.with_step(ctx, ctx.alpha, gpath, A3)
             assert failed == {"stage-1-generic-bridge"}
             assert verify_corollary15(ctx).ok
-        ctx = make_context(build_iteration(TableProvider(self.THREE_STAGE)), 1, 0)
+        ctx = make_context(build_iteration(TableProvider(THREE_STAGE)), 1, 0)
         for path in ((0, 0), (0, 1)):
             failed, _ = self.with_step(ctx, 2, path, A3)
             assert failed == {"stage-2-generic-bridge"}
@@ -2026,8 +2020,7 @@ class TestCorollary15:
         # the quotient generics of level alpha+1 are bridged to the wrong
         # source generics, so the rebuilt stage-1 generics miss their atoms
         # and the rebuilt stage-2 tails land elsewhere
-        it = build_iteration(TableProvider([
-            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        it = build_iteration(TableProvider(THREE_STAGE))
         ctx = make_context(it, 1, 0)
         combine = ctx.levels[2].combine
         assert len(combine) == 2
@@ -2038,8 +2031,7 @@ class TestCorollary15:
     def test_permuted_combine_at_the_final_level_fails(self):
         # no later stage is remapped through the last bridge, so only the
         # atom-for-atom check of the order isomorphism can see this
-        it = build_iteration(TableProvider([
-            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        it = build_iteration(TableProvider(THREE_STAGE))
         ctx = make_context(it, 1, 0)
         combine = ctx.levels[3].combine
         assert len(combine) > 1
@@ -2050,8 +2042,7 @@ class TestCorollary15:
     def test_dropped_quotient_generic_fails_its_bridge(self):
         # the rebuilt generic that should reach the dropped quotient generic
         # finds none, at the level it was dropped from
-        it = build_iteration(TableProvider([
-            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        it = build_iteration(TableProvider(THREE_STAGE))
         ctx = make_context(it, 1, 0)
         for beta in (2, 3):
             combine = ctx.levels[beta].combine
@@ -2064,8 +2055,7 @@ class TestCorollary15:
         # source generic's rebuilt generic has two candidates.  With one
         # more entry every source generic is still reached, so only the
         # count of candidates fails the bridge
-        it = build_iteration(TableProvider([
-            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        it = build_iteration(TableProvider(THREE_STAGE))
         ctx = make_context(it, 1, 0)
         combine = ctx.levels[2].combine
         assert len(combine) == 2
@@ -2078,7 +2068,7 @@ class TestCorollary15:
         # the rebuild needs N - alpha stages and asks extend_stage for each,
         # which reads no stage count: a context built under a lower
         # max_stages writes the records of one built under the default caps
-        it = build_iteration(TableProvider(self.THREE_STAGE))
+        it = build_iteration(TableProvider(THREE_STAGE))
         low = DEFAULT_CAPS.with_(max_stages=1)
         for gi in range(len(it.stages[1].generics)):
             want = verify_corollary15(make_context(it, 1, gi), instance="caps")
@@ -2157,8 +2147,7 @@ class TestCorollary15:
                         range(1, N - alpha + 1))
 
     def test_three_stage_deep_quotients(self):
-        it = build_iteration(TableProvider([
-            {(): A2}, {(0,): A2}, {(0, 0): A2, (0, 1): PT, (1, None): A2}]))
+        it = build_iteration(TableProvider(THREE_STAGE))
         for alpha in (1, 2):
             for gi in range(len(it.stages[alpha].generics)):
                 ctx = make_context(it, alpha, gi)

@@ -63,8 +63,8 @@ import test_cli
 from forcinglab import boolalg, iteration, poset, projection
 from forcinglab.cli import main
 from forcinglab.config import fields, replace
-from forcinglab.iteration import (CollapseSpec, Stage, TableProvider,
-                                  build_iteration, collapse_poset)
+from forcinglab.iteration import (Stage, TableProvider, build_iteration,
+                                  collapse_poset)
 from forcinglab.names import Name
 from forcinglab.poset import antichain_with_top, product_poset
 from forcinglab.projection import (_frown_levels, _lemma11, make_context,
@@ -744,7 +744,7 @@ def test_a_passing_run_builds_no_condition_label(monkeypatch, tmp_path):
 def test_reading_a_cifs_poset_label_builds_it(monkeypatch):
     refuse(monkeypatch, iteration, "_injection_label")
     refuse(monkeypatch, poset, "_tuple_label")
-    collapse, _ = collapse_poset(CollapseSpec((0, 1), 2))
+    collapse, _ = collapse_poset((0, 1), 2)
     product, _ = product_poset([antichain_with_top(2), collapse])
     for built in (collapse, product):
         with pytest.raises(Refused):
