@@ -51,7 +51,7 @@ from .iteration import (TAIL_ONE, Coordinate, Iteration, Stage, extend_stage,
 # evaluate is unused here; it stays bound for perfbench/selftest.py, which
 # checks that its tracer reaches this binding
 from .names import Name, evaluate, name_text  # noqa: F401
-from .poset import Poset, _mask_bits
+from .poset import Poset, _mask_bits, is_separative
 from .report import SuiteReport
 
 
@@ -92,7 +92,7 @@ class QuotientLevel:
     @lazy
     def algebra(self) -> BoolAlgebra:
         """r.o. of the quotient poset, under the source's cap, derived on
-        first read (above the root, by make_context) or taken by a copy."""
+        first read by a check that reads it, or taken by a copy."""
         return ro_algebra(self.stage.poset, max_base=self.source.max_base)
 
     @lazy
@@ -354,12 +354,12 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     Only successor levels exist at finite stage counts; the limit clause is
     vacuous here and the suites report it as such.
 
-    The root level is the process's one :func:`root_stage`, whose quotient
-    algebra no check reads and no run builds.  Every level gets its own
-    source and quotient algebras, so names and pi_second images stay apart
-    from other contexts'; the poset rows under them are
-    memoized per relation matrix in :mod:`forcinglab.poset`, so orders that
-    repeat across contexts are validated once.  The iteration's
+    Separativity is decided on the orders, memoized per relation matrix in
+    :mod:`forcinglab.poset`: of P_alpha..P_N first, of each quotient before
+    its level exists.  The root level is the process's one
+    :func:`root_stage`.  Each level builds its own source algebra, so names
+    and pi_second images stay apart from other contexts', and derives its
+    quotient algebra when a check reads it.  The iteration's
     ``context_cache`` holds the finished context and nothing else.
 
     Stage beta-1's conditions keep their indices at stage beta and have
@@ -385,6 +385,7 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     combine and the algebras stay per level.
     """
     caps = caps or iteration.caps
+    max_base = caps.algebra_max_base
     stages = iteration.stages
     N = len(iteration)
     _check_index("alpha", alpha, 1, N)
@@ -395,19 +396,16 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
     if cached is not None:
         return cached
     G = stages[alpha].generics[gen_index]
-    # every source first, so that a non-separative one refuses before any
-    # quotient
-    sources = {beta: ro_algebra(stages[beta].poset, max_base=caps.algebra_max_base)
-               for beta in range(alpha, N + 1)}
-    for beta, source in sources.items():
-        if source.original is not None:
+    # P_alpha..P_N first: a non-separative stage refuses before any quotient
+    for beta in range(alpha, N + 1):
+        if not is_separative(stages[beta].poset):
             raise ProjectionError(f"stage {beta} poset is not separative")
 
     # trivial root level: everything in G maps to the empty sequence
     pi_root = [0 if (G.mask >> i) & 1 else None
                for i in range(stages[alpha].poset.n)]
     levels = {alpha: QuotientLevel(alpha, root_stage(), pi_root, [gen_index],
-                                   sources[alpha])}
+                                   ro_algebra(stages[alpha].poset, max_base))}
 
     for beta in range(alpha + 1, N + 1):
         prev_level = levels[beta - 1]
@@ -461,10 +459,10 @@ def make_context(iteration: Iteration, alpha: int, gen_index: int,
             combine[h] = sg
         if any(c is None for c in combine):
             raise ProjectionError(f"quotient generic with no source generic at level {beta}")
-        level = levels[beta] = QuotientLevel(beta, qstage, pi, combine,
-                                             sources[beta])
-        if level.algebra.original is not None:
+        if not is_separative(qstage.poset):
             raise ProjectionError(f"quotient poset at level {beta} is not separative")
+        levels[beta] = QuotientLevel(beta, qstage, pi, combine,
+                                     ro_algebra(src.poset, max_base))
 
     ctx = ProjectionContext(iteration, alpha, gen_index, caps, levels)
     iteration.context_cache[cache_key] = ctx

@@ -16,8 +16,6 @@ import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterator
 
-# the counterexample id's blob keeps the default separators, so ids do not move
-_encode = json.JSONEncoder(sort_keys=True, default=str).encode
 # sorted keys, compact separators, str() of any other value; no circular
 # check, which records never need, so no state outlives a call
 _iterencode = c_make_encoder(None, str, encode_basestring_ascii, None,
@@ -27,6 +25,13 @@ _iterencode = c_make_encoder(None, str, encode_basestring_ascii, None,
 def encode_line(obj: Any) -> str:
     """One report line: obj as compact JSON with sorted keys."""
     return "".join(_iterencode(obj, 0))
+
+
+def content_id(prefix: str, obj: Any, digits: int) -> str:
+    """``prefix`` and sha256 digits of obj's JSON, default separators kept:
+    the rule of instance and counterexample ids, which must never move."""
+    blob = json.dumps(obj, sort_keys=True, default=str)
+    return prefix + hashlib.sha256(blob.encode()).hexdigest()[:digits]
 
 
 class CheckRecord:
@@ -44,9 +49,8 @@ class CheckRecord:
     def counterexample_id(self) -> str | None:
         if self.status != "fail":
             return None
-        blob = _encode(
-            [self.suite, self.check, self.instance, self.context, self.detail])
-        return "cx-" + hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return content_id("cx-", [self.suite, self.check, self.instance,
+                                  self.context, self.detail], 12)
 
     def to_json(self, context: str | None = None) -> str:
         # context, if given, is encode_line(self.context); the keys in

@@ -18,7 +18,8 @@ from forcinglab.cli import (ExperimentConfig, InstanceSpec, execute,
                             parse_poset_text, parse_provider_tables,
                             read_config_file, run_cifs_suite, run_suite,
                             write_report)
-from forcinglab.config import DEFAULT_CAPS, CapExceeded, fields, replace
+from forcinglab.config import (DEFAULT_CAPS, CapExceeded, fields, lazy,
+                              replace)
 from forcinglab.iteration import TableProvider, build_iteration
 from forcinglab.names import Name, name_text
 from forcinglab.poset import (Poset, PosetError, antichain_with_top,
@@ -483,6 +484,62 @@ class TestRunReports:
         assert rebuilds[0] == (608 if suite == "corollary15" else 0)
         assert built.count(False) > 0 and built.count(True) == 0
 
+    def test_a_corollary15_run_builds_no_quotient_algebra(self, monkeypatch):
+        # Corollary 15 reads each level's stage and combine, never its
+        # quotient algebra, and make_context decides a quotient's
+        # separativity on its order: the s3 run derives no level's algebra
+        # and builds one source algebra per level of each context below N
+        derived, sources = [], []
+        derive = projection.QuotientLevel.algebra.func
+        build = projection.ro_algebra
+
+        def algebra(level):
+            derived.append(level.beta)
+            return derive(level)
+
+        def counted_build(poset, max_base=None):
+            sources.append(poset)
+            return build(poset, max_base)
+
+        monkeypatch.setattr(projection.QuotientLevel, "algebra", lazy(algebra))
+        monkeypatch.setattr(projection, "ro_algebra", counted_build)
+        report, meta = execute(ExperimentConfig(
+            suite="corollary15", max_poset=3, max_stages=3, seed=1))
+        assert report.ok and meta["census"]["contexts"] == 776
+        assert derived == [] and len(sources) == 1042
+
+    def test_the_context_suites_skip_the_final_stage(self, monkeypatch):
+        # at alpha = N a context has no level above its root: the three
+        # context suites call no verify there, Theorem 16 still factors
+        # there, and the census still counts every context
+        calls = Counter()
+
+        def counting(name):
+            run = getattr(cli, name)
+
+            def counted(ctx, *args, **kwargs):
+                calls[name, ctx.alpha == len(ctx.iteration)] += 1
+                return run(ctx, *args, **kwargs)
+            return counted
+
+        factor = cli.factor_generic
+
+        def counted_factor(it, alpha, *args, **kwargs):
+            calls["factor_generic", alpha == len(it)] += 1
+            return factor(it, alpha, *args, **kwargs)
+
+        verifies = ("verify_theorem2", "verify_projection_lemmas",
+                    "verify_corollary15")
+        for name in verifies:
+            monkeypatch.setattr(cli, name, counting(name))
+        monkeypatch.setattr(cli, "factor_generic", counted_factor)
+        report, meta = execute(ExperimentConfig(
+            suite="all", max_poset=3, max_stages=2, seed=1))
+        assert report.ok and meta["census"]["contexts"] == 42
+        assert calls == {**{(name, False): 18 for name in verifies},
+                         ("factor_generic", False): 30,
+                         ("factor_generic", True): 24}
+
     def test_limit_clause_is_stated_once_per_run(self):
         def limit_records(suite):
             report, _ = execute(ExperimentConfig(suite=suite, max_poset=3,
@@ -700,11 +757,14 @@ class TestDriverFailures:
         monkeypatch.setattr(cli, name, raising)
 
     def one_step(self, suite, monkeypatch, name, error):
-        """The records run_suite writes for one two-atom step when ``name``
-        in the cli module raises ``error``."""
+        """The records run_suite writes for a two-atom step, then a point
+        step on each generic, when ``name`` in the cli module raises
+        ``error``; the point steps give the two alpha = 1 contexts a level
+        to check."""
         self.raise_from(monkeypatch, name, error)
-        it = build_iteration(TableProvider([{(): antichain_with_top(2)}]),
-                             DEFAULT_CAPS)
+        it = build_iteration(TableProvider([
+            {(): antichain_with_top(2)},
+            {(0,): point_poset(), (1,): point_poset()}]), DEFAULT_CAPS)
         spec = InstanceSpec("it-step", it.provider.tables)
         rep = run_suite(suite, spec, it, ExperimentConfig())
         return [(c.suite, c.check, c.status, c.context) for c in rep.checks]
@@ -724,8 +784,9 @@ class TestDriverFailures:
     def test_a_failed_factorization_fails_theorem16(self, monkeypatch):
         assert self.one_step("theorem16", monkeypatch, "factor_generic",
                              ProjectionError("no prefix")) == [
-            ("theorem16", "factor", "fail", {"alpha": 1, "full_generic": gi})
-            for gi in (0, 1)]
+            ("theorem16", "factor", "fail",
+             {"alpha": alpha, "full_generic": gi})
+            for alpha in (1, 2) for gi in (0, 1)]
 
     def test_a_failed_factorization_fails_cifs(self, monkeypatch):
         self.raise_from(monkeypatch, "factor_generic",

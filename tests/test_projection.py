@@ -9,7 +9,7 @@ import pytest
 from forcinglab import iteration as iteration_module
 from forcinglab import poset as poset_module
 from forcinglab import projection
-from forcinglab.boolalg import certify_complete_hom, ro_algebra
+from forcinglab.boolalg import BoolAlgebra, certify_complete_hom, ro_algebra
 from forcinglab.cli import (ExperimentConfig, InstanceSpec, execute,
                             generate_instances, run_suite, run_unit)
 from forcinglab.config import DEFAULT_CAPS, CapExceeded, lazy, replace
@@ -240,6 +240,46 @@ class TestMakeContext:
                 for c in rep.checks] == [
             ("context-build", "fail", "it-quotiented", context,
              {"error": error})]
+
+    def test_a_non_separative_final_stage_refuses_before_any_algebra(
+            self, monkeypatch):
+        # P_1 is separative and P_2, over a 3-chain on each generic, is
+        # not: every context refuses on the orders, with no algebra built
+        C3 = chain_poset(3)
+        root = root_stage()
+        s1 = extend_stage(root, [A2], DEFAULT_CAPS)
+        s2 = extend_stage(s1, [C3, C3], DEFAULT_CAPS)
+        it = Iteration([root, s1, s2], TableProvider(
+            [{(): A2}, {(0,): C3, (1,): C3}]), DEFAULT_CAPS)
+        built = []
+        init = BoolAlgebra.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BoolAlgebra, "__init__", counted)
+        for alpha in (1, 2):
+            with pytest.raises(ProjectionError,
+                               match="stage 2 poset is not separative"):
+                make_context(it, alpha, 0)
+        assert built == [] and not it.context_cache
+        # lemma 1, each context below N and Theorem 16 at every alpha still
+        # report P_2
+        spec = InstanceSpec("it-p2", it.provider.tables)
+        failed = {suite: [(c.check, c.context) for c in
+                          run_suite(suite, spec, it, ExperimentConfig()).failures]
+                  for suite in ("lemma1", "theorem2", "projection-lemmas",
+                                "corollary15", "theorem16")}
+        below = [("context-build", {"alpha": 1, "generic": gi})
+                 for gi in (0, 1)]
+        assert failed == {
+            "lemma1": [("stage-2-separative", {"stage": 2})],
+            "theorem2": below, "projection-lemmas": below,
+            "corollary15": below,
+            "theorem16": [("factor", {"alpha": alpha, "full_generic": gi})
+                          for alpha in (1, 2)
+                          for gi in range(len(s2.generics))]}
 
     # Planted refusals of make_context.  No provider's iteration reaches
     # them: by the factor property the quotient stage is the enumerated
@@ -2457,9 +2497,10 @@ class TestOrderFactsOncePerMatrix:
             assert len(A.elements) == len(A)
         orders = {A.base.below for A in algebras}
         assert len({id(A.elements) for A in algebras}) == len(orders) == 41
-        # every context builds its own algebras: one per source stage and
-        # one per quotient level above the root, on the 41 memoized tables
-        assert len(algebras) == 1992
+        # every context builds its own algebra per source stage, on the 41
+        # memoized tables, and derives no quotient algebra, which Corollary
+        # 15 does not read
+        assert len(algebras) == 1384
 
     def test_one_root_stage_per_process(self):
         it = _two_step_antichains()
